@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race cover bench bench-quick figures examples clean
+.PHONY: all build vet test test-race cover bench bench-quick bench-test figures examples clean
 
 all: build vet test
 
@@ -28,6 +28,11 @@ bench-quick:
 # Full testing.B run (slower; engines are cached per configuration).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench/ is a nested module the root build and test never see: vet and test
+# it so a deletion in internal/ that breaks its compile is caught here.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the paper's figures (paper-scale rule bases; see
 # cmd/mdvbench -h for scales and figure selection).

@@ -1,9 +1,10 @@
 // mdp runs a Metadata Provider (MDP): an MDV backbone node serving the
-// wire protocol. Peers form a fully replicating backbone.
+// wire protocol. A primary and the replicas following its changelog form
+// the replicated backbone.
 //
 // Usage:
 //
-//	mdp -addr :7171 -name mdp1 -schema schema.rdf [-peer host:port ...]
+//	mdp -addr :7171 -name mdp1 -schema schema.rdf
 //	mdp -addr :7171 -name mdp1 -schema schema.rdf -data /var/lib/mdp \
 //	    [-wal-sync group|always|none] [-snapshot-interval 5m]
 //	mdp -addr :7172 -name mdp2 -schema schema.rdf -data /var/lib/mdp2 \
@@ -19,7 +20,7 @@
 // (bootstrapping from a shipped snapshot when it has fallen behind the
 // primary's log retention), serves the full read path — subscriptions,
 // queries, browsing, changeset resume — and proxies write operations to
-// the primary. Requires -data; incompatible with -peer.
+// the primary. Requires -data.
 //
 // Failover (DESIGN.md §11): repeat -cluster with every endpoint that may
 // be or become the primary. A replica then re-points automatically after
@@ -70,19 +71,15 @@ func main() {
 		ioTimeout  = flag.Duration("io-timeout", 10*time.Second, "per-message write deadline on subscriber connections (0 disables)")
 		sendQueue  = flag.Int("send-queue", 256, "bounded per-subscriber send queue; overflow disconnects the subscriber")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; also enables mutex/block profiling; empty disables)")
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "triggering shards of the filter engine (1 = serial engine)")
-		noSharding = flag.Bool("no-sharded-triggering", false, "ablation: force the serial triggering path regardless of -shards")
-		noTextIdx  = flag.Bool("no-text-index", false, "ablation: per-rule CONTAINS scans instead of the contains-rule substring index")
+		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "triggering shards of the filter engine (1 = unpartitioned)")
 		metricsOn  = flag.String("metrics", "", "serve Prometheus /metrics on this address (e.g. localhost:6060; shares the pprof mux; empty disables)")
 		slowThresh = flag.Duration("slow-threshold", 0, "log publishes slower than this, with the dominating rule groups and statements (0 disables)")
 		replicaOf  = flag.String("replica-of", "", "run as a read replica of the primary MDP at this address (requires -data)")
 		advertise  = flag.String("advertise", "", "identity announced to the primary's follower stats (default: -name)")
 		advAddr    = flag.String("advertise-addr", "", "address other nodes should use to reach this one (default: the bound listen address)")
 		autoProm   = flag.Duration("auto-promote", 0, "replica deadman: self-promote after this long without any reachable primary, if most caught-up among -cluster peers (0 disables)")
-		peers      peerList
 		cluster    peerList
 	)
-	flag.Var(&peers, "peer", "backbone peer address (repeatable)")
 	flag.Var(&cluster, "cluster", "replication cluster candidate endpoint (repeatable): every node that may be or become the primary; enables startup rejoin probing and failover re-pointing")
 	flag.Parse()
 
@@ -93,10 +90,6 @@ func main() {
 	}
 	if *replicaOf != "" && *dataDir == "" {
 		fmt.Fprintln(os.Stderr, "mdp: -replica-of requires -data (a replica keeps its own changelog copy)")
-		os.Exit(2)
-	}
-	if *replicaOf != "" && len(peers) > 0 {
-		fmt.Fprintln(os.Stderr, "mdp: -replica-of and -peer are mutually exclusive (a replica proxies writes to its primary)")
 		os.Exit(2)
 	}
 	var syncPolicy mdv.SyncPolicy
@@ -135,7 +128,7 @@ func main() {
 		log.Fatalf("mdp: parse schema: %v", err)
 	}
 
-	engOpts := mdv.EngineOptions{Shards: *shards, DisableShardedTriggering: *noSharding, DisableTextIndex: *noTextIdx}
+	engOpts := mdv.EngineOptions{Shards: *shards}
 
 	var prov *mdv.Provider
 	if *dataDir != "" {
@@ -281,15 +274,6 @@ func main() {
 		if err := startFollower(followPrimary); err != nil {
 			log.Fatalf("mdp: start replication: %v", err)
 		}
-	}
-
-	for _, peerAddr := range peers {
-		peer, err := mdv.DialProviderWithConfig(peerAddr, peerCfg)
-		if err != nil {
-			log.Fatalf("mdp: dial peer %s: %v", peerAddr, err)
-		}
-		prov.AddPeer(peer)
-		log.Printf("mdp: replicating to peer %s", peerAddr)
 	}
 
 	var stopSnapshots chan struct{}

@@ -9,12 +9,11 @@ import (
 )
 
 // figureShards measures partition-parallel triggering: publish cost per
-// document with the filter engine sharded 1/2/4/8 ways against the serial
-// ablation, for the triggering-heavy rule shapes at the paper's largest
-// rule bases. shards=1 shares the serial code path's cost (the shard set is
-// not built below two shards), so its column doubles as the overhead check;
-// the speedup columns only separate on a multi-core host (GOMAXPROCS
-// bounds the useful shard count).
+// document with the filter engine sharded 1/2/4/8 ways, for the
+// triggering-heavy rule shapes at the paper's largest rule bases. shards=1
+// (core.Options{Shards: 1}, one section holding every rule) is the
+// reference column; the others only separate from it on a multi-core host
+// (GOMAXPROCS bounds the useful shard count).
 func figureShards(div int, batches []int) {
 	fmt.Printf("\nSharded triggering — GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
 	for _, typ := range []workload.RuleType{workload.PATH, workload.JOIN, workload.COMP} {
@@ -23,9 +22,7 @@ func figureShards(div int, batches []int) {
 		if typ == workload.COMP {
 			gen.MatchPercent = 0.10
 		}
-		cfgs := []config{
-			{label: "serial", gen: gen, opts: core.Options{DisableShardedTriggering: true}},
-		}
+		var cfgs []config
 		for _, n := range []int{1, 2, 4, 8} {
 			cfgs = append(cfgs, config{
 				label: fmt.Sprintf("shards=%-8d", n),

@@ -1,15 +1,18 @@
 // Federation: the full 3-tier architecture of paper Figure 2 over real TCP
-// sockets. Two metadata providers form a replicating backbone; two local
-// repositories in different "regions" connect to different providers; an
-// administration client registers metadata at one provider; application
+// sockets. Two metadata providers form a replicated backbone — mdp-eu is the
+// primary, mdp-us follows its changelog and proxies writes back to it; two
+// local repositories in different "regions" connect to different providers;
+// an administration client registers metadata at one provider; application
 // clients query their nearest repository. Everything any application sees
-// travelled: admin -> MDP1 -> (replication) -> MDP2 -> (publish) -> LMR ->
-// (query) -> client.
+// travelled: admin -> MDP1 -> (changelog stream) -> MDP2 -> (publish) ->
+// LMR -> (query) -> client.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 	"time"
 
 	"mdv/mdv"
@@ -50,9 +53,14 @@ func waitFor(cond func() bool) {
 func main() {
 	sch := schema()
 
-	// Backbone: two MDPs serving on ephemeral TCP ports, replicating to
-	// each other over the wire.
-	mdpEU, err := mdv.NewProvider("mdp-eu", sch)
+	// Backbone: two durable MDPs serving on ephemeral TCP ports. mdp-us
+	// replicates mdp-eu's changelog over the wire and proxies writes to it.
+	dataDir, err := os.MkdirTemp("", "mdv-federation-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dataDir)
+	mdpEU, err := mdv.OpenDurableProvider("mdp-eu", sch, filepath.Join(dataDir, "eu"), mdv.DurableOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +69,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer mdpEU.Close()
-	mdpUS, err := mdv.NewProvider("mdp-us", sch)
+	mdpUS, err := mdv.OpenDurableProvider("mdp-us", sch, filepath.Join(dataDir, "us"), mdv.DurableOptions{Replica: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,19 +78,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer mdpUS.Close()
-
-	peerUS, err := mdv.DialProvider(addrUS)
+	follower, err := mdv.StartFollower(mdpUS, mdv.FollowerOptions{Primary: addrEU})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer peerUS.Close()
-	mdpEU.AddPeer(peerUS)
-	peerEU, err := mdv.DialProvider(addrEU)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer peerEU.Close()
-	mdpUS.AddPeer(peerEU)
+	defer follower.Close()
+	waitFor(follower.Connected)
 	fmt.Printf("backbone: mdp-eu@%s <-> mdp-us@%s\n", addrEU, addrUS)
 
 	// Middle tier: each region's repository connects to its provider over
@@ -144,7 +145,7 @@ func main() {
 	}
 	fmt.Println("admin registered 6 documents at mdp-eu")
 
-	// The us documents reach lmr-us through backbone replication.
+	// The us documents reach lmr-us through the replicated changelog.
 	waitFor(func() bool { return lmrUS.Repository().Len() >= 6 }) // 3 cp + 3 si
 	waitFor(func() bool { return lmrEU.Repository().Len() >= 6 })
 
@@ -170,7 +171,7 @@ func main() {
 	}
 
 	// A document registered at the OTHER provider still reaches every
-	// region (full backbone replication).
+	// region: the follower proxies the write to the primary.
 	fmt.Println("late registration at mdp-us:")
 	admin2, err := mdv.DialProvider(addrUS)
 	if err != nil {

@@ -258,16 +258,6 @@ func (c *MDP) Stats() (core.Stats, error) {
 	return st, err
 }
 
-// ReplicateDocuments forwards a registration batch (backbone peer link).
-func (c *MDP) ReplicateDocuments(docs []wire.Doc) error {
-	return c.call(wire.KindReplicate, &wire.RegisterDocumentsRequest{Docs: docs}, nil)
-}
-
-// ReplicateDelete forwards a document deletion (backbone peer link).
-func (c *MDP) ReplicateDelete(uri string) error {
-	return c.call(wire.KindReplicateDelete, &wire.DeleteDocumentRequest{URI: uri}, nil)
-}
-
 // RegisterDocumentsContext registers a batch under an explicit context
 // (deadline or cancellation).
 func (c *MDP) RegisterDocumentsContext(ctx context.Context, docs []*rdf.Document) error {

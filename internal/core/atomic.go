@@ -206,36 +206,17 @@ func (e *Engine) internTrigger(spec triggerSpec, ctx *internCtx) (int64, error) 
 	if err != nil {
 		return 0, err
 	}
-	switch {
-	case spec.any:
-		if _, err := e.db.Exec(`INSERT INTO FilterRulesANY (rule_id, class) VALUES (?, ?)`,
-			rdb.NewInt(id), rdb.NewText(spec.class)); err != nil {
-			return 0, err
-		}
-	case numericFilterTable(table):
-		if _, err := e.db.Exec(
-			`INSERT INTO `+table+` (rule_id, class, property, value, num_value) VALUES (?, ?, ?, ?, ?)`,
-			rdb.NewInt(id), rdb.NewText(spec.class), rdb.NewText(spec.property),
-			rdb.NewText(spec.value.Lexical()), numValue(spec.value.Lexical())); err != nil {
-			return 0, err
-		}
-	default:
-		if _, err := e.db.Exec(
-			`INSERT INTO `+table+` (rule_id, class, property, value) VALUES (?, ?, ?, ?)`,
-			rdb.NewInt(id), rdb.NewText(spec.class), rdb.NewText(spec.property),
-			rdb.NewText(spec.value.Lexical())); err != nil {
-			return 0, err
-		}
+	// The catalogue row (persisted) and its copy in the owning shard (what
+	// triggering reads).
+	row := filterRuleRow(spec, table, id)
+	if _, err := e.db.Exec(filterRuleInsert(table, len(row)), row...); err != nil {
+		return 0, err
 	}
-	// Mirror the rule into its owning shard's filter table; the canonical
-	// tables above stay authoritative for persistence and the serial path.
-	if e.shards != nil {
-		if err := e.shards.insertTriggerRule(spec, table, id); err != nil {
-			return 0, err
-		}
+	if err := e.shards.insertRule(table, row); err != nil {
+		return 0, err
 	}
 	// Contains rules additionally enter the substring index (derived state,
-	// same authority rule as the shard mirror).
+	// rebuilt from the catalogue on load like the shards).
 	if e.text != nil && table == "FilterRulesCON" {
 		e.text.insert(spec.class, spec.property, spec.value.Lexical(), id)
 	}

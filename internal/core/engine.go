@@ -57,24 +57,16 @@ type Options struct {
 	// Shards partitions the triggering phase of every filter run across
 	// this many independent engine sections keyed by a stable hash of
 	// (class, property), evaluated concurrently and merged in shard order
-	// so the output stays byte-identical to the serial engine. 0 or 1 run
-	// the serial path; cmd/mdp defaults its -shards flag to GOMAXPROCS.
+	// so the output is byte-identical for any count. 0 or 1 build one
+	// section, the degenerate partition; cmd/mdp defaults its -shards flag
+	// to GOMAXPROCS.
 	Shards int
-	// DisableShardedTriggering forces the serial triggering path regardless
-	// of Shards (ablation of the partition-parallel phase 1).
-	DisableShardedTriggering bool
 }
 
 // effectiveShards resolves the configured shard count to the number of
-// sections the engine actually builds (1 = serial path, no shard state).
+// sections the engine builds, between 1 and maxShards.
 func (o Options) effectiveShards() int {
-	if o.DisableShardedTriggering || o.Shards < 2 {
-		return 1
-	}
-	if o.Shards > maxShards {
-		return maxShards
-	}
-	return o.Shards
+	return min(max(o.Shards, 1), maxShards)
 }
 
 // Stats counts engine work, exposed for the performance experiments.
@@ -97,10 +89,10 @@ type Stats struct {
 	GroupedSubscribers int
 	ChangesetsBuilt    int
 	UpsertsBuilt       int
-	// Sharded-triggering counters: filter runs whose phase 1 fanned out
-	// across the per-shard sections, and how many sections those runs
-	// actually executed (shards no atom routed to are skipped). Both stay
-	// zero on a serial engine.
+	// Triggering-section counters: ShardedFilterRuns counts filter runs
+	// whose phase 1 ran through the shard sections — every run, so it equals
+	// FilterRuns — and ShardSectionsRun how many sections those runs
+	// actually executed (shards no atom routed to are skipped).
 	ShardedFilterRuns int
 	ShardSectionsRun  int
 }
@@ -139,9 +131,7 @@ type Engine struct {
 	prep  prepared
 	cache stmtCache
 
-	// shards is the partitioned triggering machinery (shard.go); nil when
-	// the engine runs the serial path, which keeps the degenerate case free
-	// of any shard overhead.
+	// shards is the triggering machinery (shard.go): at least one section.
 	shards *shardSet
 
 	// text is the contains-rule substring index (textindex.go); nil under
@@ -161,12 +151,7 @@ type prepared struct {
 	delStatements *sql.Stmt
 	insResource   *sql.Stmt
 	delResource   *sql.Stmt
-	insFilterData *sql.Stmt
-	clearFilter   *sql.Stmt
 	stmtsOfURI    *sql.Stmt
-	// trig holds the ten triggering queries in the canonical operator order
-	// of trigOpNames (ANY, EQ, EQN, NE, NEN, CON, LT, LE, GT, GE).
-	trig          [numTrigOps]*sql.Stmt
 	resultHas     *sql.Stmt
 	resultIns     *sql.Stmt
 	resultDel     *sql.Stmt
@@ -352,19 +337,6 @@ var ddl = []string{
 	`CREATE INDEX idx_rr_rule ON RuleResults (rule_id)`,
 	`CREATE INDEX idx_rr_uri ON RuleResults (uri_reference)`,
 
-	// Transient per-run input atoms (paper Figure 4). num_value mirrors
-	// Statements.num_value for the typed triggering joins.
-	`CREATE TABLE FilterData (
-		uri_reference TEXT NOT NULL,
-		class TEXT NOT NULL,
-		property TEXT NOT NULL,
-		value TEXT NOT NULL,
-		num_value FLOAT,
-		is_ref BOOL NOT NULL
-	)`,
-	`CREATE INDEX idx_fd_cp ON FilterData (class, property)`,
-	`CREATE INDEX idx_fd_uri ON FilterData (uri_reference)`,
-
 	// Transient per-iteration results (paper Figure 9).
 	`CREATE TABLE ResultObjects (uri_reference TEXT NOT NULL, rule_id INT NOT NULL)`,
 	`CREATE INDEX idx_ro_rule ON ResultObjects (rule_id)`,
@@ -403,19 +375,8 @@ func (e *Engine) prepare() {
 	p.insResource = e.db.MustPrepare(
 		`INSERT INTO Resources (uri_reference, doc_uri, class) VALUES (?, ?, ?)`)
 	p.delResource = e.db.MustPrepare(`DELETE FROM Resources WHERE uri_reference = ?`)
-	p.insFilterData = e.db.MustPrepare(
-		`INSERT INTO FilterData (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`)
-	p.clearFilter = e.db.MustPrepare(`DELETE FROM FilterData`)
 	p.stmtsOfURI = e.db.MustPrepare(
 		`SELECT uri_reference, class, property, value, is_ref FROM Statements WHERE uri_reference = ?`)
-
-	// Triggering-rule determination (paper §3.4, "Determination of Affected
-	// Triggering Rules"): FilterData joined against each filter table. The
-	// texts come from trigQueryTexts (shard.go) so the per-shard sections
-	// compile exactly the same plans.
-	for i, text := range trigQueryTexts(e.opts.DisableTypedIndexes) {
-		p.trig[i] = e.db.MustPrepare(text)
-	}
 
 	p.resultHas = e.db.MustPrepare(
 		`SELECT rule_id FROM RuleResults WHERE rule_id = ? AND uri_reference = ? LIMIT 1`)

@@ -103,27 +103,18 @@ const (
 // run.
 func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, error) {
 	e.stats.FilterRuns++
-	if _, err := e.prep.clearFilter.Exec(); err != nil {
-		return nil, err
-	}
 
 	all := newMatchSet()
 	var delta []matchPair
 
 	// Phase 1: affected triggering rules (Figure 9, initial iteration):
 	// load the atoms into the FilterData scratch and join them against the
-	// filter tables — serially on the engine database, or fanned across the
-	// per-shard sections with a deterministic shard-order merge (shard.go).
-	// Matches are collected first and the materialization bookkeeping runs
-	// after: mutating statements must not run inside a streaming query.
+	// filter tables, partitioned across the shard sections with a
+	// deterministic shard-order merge (shard.go). Matches are collected first
+	// and the materialization bookkeeping runs after: mutating statements
+	// must not run inside a streaming query.
 	tTrig := time.Now()
-	var trigPairs []matchPair
-	var err error
-	if e.shards != nil {
-		trigPairs, err = e.collectTriggeringSharded(atoms)
-	} else {
-		trigPairs, err = e.collectTriggeringSerial(atoms)
-	}
+	trigPairs, err := e.collectTriggering(atoms)
 	if err != nil {
 		return nil, err
 	}
@@ -157,53 +148,13 @@ func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, er
 		delta = next
 	}
 	e.observeStage(stageJoin, tJoin)
-	// Drop the run's scratch. It is also cleared defensively at run start,
-	// but leaving it resident would hold the last batch's atoms in memory
-	// between publishes and leave residue that keeps the engine's quiescent
-	// state from being byte-identical across a subscribe/unsubscribe cycle.
-	if _, err := e.prep.clearFilter.Exec(); err != nil {
-		return nil, err
-	}
+	// Drop the run's scratch: leaving it resident would keep the engine's
+	// quiescent state from being byte-identical across a
+	// subscribe/unsubscribe cycle.
 	if _, err := e.db.Exec(`DELETE FROM ResultObjects`); err != nil {
 		return nil, err
 	}
 	return all, nil
-}
-
-// collectTriggeringSerial is the serial phase 1: load every atom into the
-// engine database's FilterData (one batched insert) and run the ten
-// triggering queries in canonical operator order. The scratch stays loaded
-// until runFilter's end-of-run clear, exactly as before sharding existed.
-func (e *Engine) collectTriggeringSerial(atoms []preparedAtom) ([]matchPair, error) {
-	rows := make([][]rdb.Value, len(atoms))
-	for i, pa := range atoms {
-		a := pa.stmt
-		rows[i] = []rdb.Value{rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-			rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)}
-	}
-	if _, err := e.prep.insFilterData.ExecBatch(rows); err != nil {
-		return nil, err
-	}
-	var pairs []matchPair
-	for i, st := range e.prep.trig {
-		t0 := time.Now()
-		// The CON slot runs through the substring index when enabled: one
-		// automaton pass per atom instead of the per-rule CONTAINS join.
-		if i == conTrigIdx && e.text != nil {
-			pairs = e.text.collect(atoms, pairs)
-			e.traceTrig(trigOpNames[i], time.Since(t0))
-			continue
-		}
-		err := st.QueryFunc(nil, func(row []rdb.Value) error {
-			pairs = append(pairs, matchPair{rule: row[0].Int, uri: row[1].Str})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		e.traceTrig(trigOpNames[i], time.Since(t0))
-	}
-	return pairs, nil
 }
 
 type matchPair struct {

@@ -32,9 +32,9 @@ type engineMetrics struct {
 	stage     [stageCount]*metrics.Histogram
 	publish   *metrics.Histogram
 	batchDocs *metrics.Histogram
-	// Per-shard triggering instrumentation (nil/empty on serial engines):
-	// section duration and dispatch-to-start delay per shard id, plus the
-	// per-run max/mean imbalance ratio.
+	// Per-shard triggering instrumentation: section duration and
+	// dispatch-to-start delay per shard id, plus the per-run max/mean
+	// imbalance ratio.
 	shardTrig      []*metrics.Histogram
 	shardWait      []*metrics.Histogram
 	shardImbalance *metrics.Histogram
@@ -66,24 +66,22 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 		metrics.TimeBuckets)
 	m.batchDocs = reg.Histogram("mdv_publish_batch_docs",
 		"documents per registration batch", metrics.SizeBuckets)
+	n := e.ShardCount()
 	reg.Gauge("mdv_engine_shards",
-		"triggering shards of this engine (1 = serial path)").SetInt(int64(e.ShardCount()))
-	if e.shards != nil {
-		n := len(e.shards.shards)
-		m.shardTrig = make([]*metrics.Histogram, n)
-		m.shardWait = make([]*metrics.Histogram, n)
-		for i := 0; i < n; i++ {
-			lbl := metrics.L("shard", strconv.Itoa(i))
-			m.shardTrig[i] = reg.Histogram("mdv_shard_triggering_seconds",
-				"per-shard triggering section duration in seconds", metrics.TimeBuckets, lbl)
-			m.shardWait[i] = reg.Histogram("mdv_shard_lock_wait_seconds",
-				"delay between shard dispatch and section start (core/lock queueing) in seconds",
-				metrics.TimeBuckets, lbl)
-		}
-		m.shardImbalance = reg.Histogram("mdv_shard_imbalance_ratio",
-			"per-run max/mean shard triggering time across all shards (1.0 = perfectly balanced)",
-			shardRatioBuckets)
+		"triggering sections of this engine (1 = unpartitioned)").SetInt(int64(n))
+	m.shardTrig = make([]*metrics.Histogram, n)
+	m.shardWait = make([]*metrics.Histogram, n)
+	for i := 0; i < n; i++ {
+		lbl := metrics.L("shard", strconv.Itoa(i))
+		m.shardTrig[i] = reg.Histogram("mdv_shard_triggering_seconds",
+			"per-shard triggering section duration in seconds", metrics.TimeBuckets, lbl)
+		m.shardWait[i] = reg.Histogram("mdv_shard_lock_wait_seconds",
+			"delay between shard dispatch and section start (core/lock queueing) in seconds",
+			metrics.TimeBuckets, lbl)
 	}
+	m.shardImbalance = reg.Histogram("mdv_shard_imbalance_ratio",
+		"per-run max/mean shard triggering time across all shards (1.0 = perfectly balanced)",
+		shardRatioBuckets)
 	if e.text != nil {
 		reg.GaugeFunc("mdv_text_index_rules",
 			"live contains-rule constants in the substring index", func() float64 {
@@ -146,14 +144,14 @@ func (e *Engine) SetSlowOpLog(threshold time.Duration, logf func(format string, 
 	e.obs.slow.Store(&slowOpLog{threshold: threshold, logf: logf})
 }
 
-// observeShards records the per-shard section metrics of one sharded
-// triggering run and its imbalance ratio: max shard busy time over the mean
-// across ALL shards (idle shards count as zero work, so a run whose atoms
+// observeShards records the per-shard section metrics of one triggering
+// run and its imbalance ratio: max shard busy time over the mean across ALL
+// shards (idle shards count as zero work, so a run whose atoms
 // all land on one of four shards reads ~4). Called by the merge barrier on
 // the coordinator only.
 func (e *Engine) observeShards(runs []shardRun) {
 	m := e.obs.met.Load()
-	if m == nil || len(m.shardTrig) == 0 {
+	if m == nil {
 		return
 	}
 	var max, sum time.Duration

@@ -52,7 +52,7 @@ func Load(r io.Reader, schema *rdf.Schema) (*Engine, error) {
 // LoadWithOptions is Load with explicit engine options. Shard state is
 // derived, never persisted: snapshots are identical regardless of the shard
 // configuration of the engine that wrote them, and the loaded engine
-// rebuilds its shard map from the canonical filter tables.
+// rebuilds its shards from the FilterRules catalogue.
 func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, error) {
 	raw, err := rdb.Load(r)
 	if err != nil {
@@ -64,6 +64,11 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 		if !raw.HasTable(table) {
 			return nil, fmt.Errorf("core: snapshot is not an engine snapshot (missing %s)", table)
 		}
+	}
+	// Snapshots written before the FilterData scratch moved into the shards
+	// carry an empty engine-database copy; drop it so it is not re-saved.
+	if _, err := e.db.Exec(`DROP TABLE IF EXISTS FilterData`); err != nil {
+		return nil, err
 	}
 	e.prepare()
 	// Restore the id counters from the stored maxima.
@@ -116,7 +121,7 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 		return nil, err
 	}
 	// The text index is derived state, never serialized: rebuild it from the
-	// canonical FilterRulesCON rows, like the shard mirrors above.
+	// catalogue's FilterRulesCON rows, like the shards above.
 	if err := e.initTextIndex(); err != nil {
 		return nil, err
 	}

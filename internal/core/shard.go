@@ -12,7 +12,7 @@ import (
 	"mdv/internal/rdf"
 )
 
-// Sharded triggering: the partition-parallel phase 1 of the filter run.
+// Triggering: the partitioned phase 1 of the filter run.
 //
 // Every one of the nine predicate triggering queries equates the filter
 // rule's (class, property) with the FilterData atom's (class, property); the
@@ -21,18 +21,18 @@ import (
 // exact join-key partition of the triggering join: hashing atoms and rules
 // by that pair sends every derivable (rule, atom) match to exactly one
 // shard, so evaluating the shards independently and concatenating their
-// candidate sets in shard order reproduces the serial result — the
+// candidate sets in shard order reproduces the unpartitioned join — the
 // dedup/fixpoint downstream is a set computation, and everything
-// buildPublishSet emits is sorted, so the merged run's output is
-// byte-identical to the serial engine's.
+// buildPublishSet emits is sorted, so the output is byte-identical for any
+// shard count. One shard is the degenerate partition, not a separate path.
 //
-// Each shard owns a private database holding only its slice of the
-// FilterData scratch and the ten FilterRules tables. A private database
-// means a private statement lock, so shard sections run truly concurrently;
-// the canonical filter tables in the engine database stay authoritative for
-// persistence, snapshots, and the serial ablation. Shards never read engine
-// state, which keeps the lock hierarchy a strict rdb < shard < engine <
-// provider.
+// Each shard owns a private database holding its slice of the FilterData
+// scratch and the ten FilterRules tables. A private database means a private
+// statement lock, so shard sections run truly concurrently. The FilterRules
+// tables in the engine database are the persisted catalogue: written at
+// subscribe/unsubscribe, saved in snapshots, read back only to rebuild the
+// shards on load — never at publish. Shards never read engine state, which
+// keeps the lock hierarchy a strict rdb < shard < engine < provider.
 
 // numTrigOps is the number of triggering operators (ANY plus the nine
 // predicate forms of paper §3.3.4).
@@ -44,8 +44,7 @@ const numTrigOps = 10
 const maxShards = 64
 
 // trigOpNames are the triggering operators in the engine's canonical
-// evaluation order (the order prepare() builds their queries and runFilter
-// executes them).
+// evaluation order (the order every shard section runs their queries in).
 var trigOpNames = [numTrigOps]string{"ANY", "EQ", "EQN", "NE", "NEN", "CON", "LT", "LE", "GT", "GE"}
 
 // trigTableNames are the per-operator filter tables, index-aligned with
@@ -57,11 +56,9 @@ var trigTableNames = [numTrigOps]string{
 
 // trigQueryTexts renders the ten triggering queries (paper §3.4,
 // "Determination of Affected Triggering Rules"): FilterData joined against
-// each filter table. Shared by the engine's serial path and the per-shard
-// sections so both compile exactly the same plans. The typed form compares
-// the parsed num_value columns through the ordered (class, property,
-// num_value) indexes; the CAST form is the paper's string-reconverting scan,
-// kept as an ablation.
+// each filter table. The typed form compares the parsed num_value columns
+// through the ordered (class, property, num_value) indexes; the CAST form is
+// the paper's string-reconverting scan, kept as an ablation.
 func trigQueryTexts(disableTyped bool) [numTrigOps]string {
 	numCmp := func(op string) string {
 		if disableTyped {
@@ -99,19 +96,34 @@ type engineShard struct {
 	trig          [numTrigOps]*sql.Stmt
 }
 
-// shardSet is the engine's partitioned triggering machinery; nil on a
-// serial engine.
+// shardSet is the engine's triggering machinery: one or more sections.
 type shardSet struct {
 	shards []*engineShard
 }
 
-// shardDDL is the slice of the engine schema a shard owns: the FilterData
-// scratch and the ten FilterRules tables with their indexes, filtered out of
-// the canonical ddl so the two schemas cannot drift.
+// filterDataDDL is the transient per-run input atoms table (paper Figure 4),
+// which only shards hold. num_value mirrors Statements.num_value for the
+// typed triggering joins.
+var filterDataDDL = []string{
+	`CREATE TABLE FilterData (
+		uri_reference TEXT NOT NULL,
+		class TEXT NOT NULL,
+		property TEXT NOT NULL,
+		value TEXT NOT NULL,
+		num_value FLOAT,
+		is_ref BOOL NOT NULL
+	)`,
+	`CREATE INDEX idx_fd_cp ON FilterData (class, property)`,
+	`CREATE INDEX idx_fd_uri ON FilterData (uri_reference)`,
+}
+
+// shardDDL is the schema of a shard: the FilterData scratch plus the ten
+// FilterRules tables with their indexes, filtered out of the engine ddl so
+// the catalogue and the shards cannot drift.
 func shardDDL() []string {
-	var out []string
+	out := append([]string(nil), filterDataDDL...)
 	for _, stmt := range ddl {
-		if strings.Contains(stmt, "FilterData") || strings.Contains(stmt, "FilterRules") {
+		if strings.Contains(stmt, "FilterRules") {
 			out = append(out, stmt)
 		}
 	}
@@ -152,39 +164,40 @@ func shardIndexFor(n int, class, property string) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// ruleShardProperty is the routing property of a triggering rule: ANY rules
-// carry no property and only ever match subject atoms, so they are routed
-// as (class, rdf.SubjectProperty) — the key of the atoms that trigger them.
-func ruleShardProperty(spec triggerSpec) string {
+// filterRuleRow builds the filter-table row of a triggering rule in the
+// table's column order: (rule_id, class) for ANY, plus (property, value) for
+// the string operators, plus num_value for the numeric ones.
+func filterRuleRow(spec triggerSpec, table string, id int64) []rdb.Value {
+	row := []rdb.Value{rdb.NewInt(id), rdb.NewText(spec.class)}
 	if spec.any {
-		return rdf.SubjectProperty
+		return row
 	}
-	return spec.property
+	row = append(row, rdb.NewText(spec.property), rdb.NewText(spec.value.Lexical()))
+	if numericFilterTable(table) {
+		row = append(row, numValue(spec.value.Lexical()))
+	}
+	return row
 }
 
-// insertTriggerRule mirrors a freshly interned triggering rule into its
-// owning shard's filter table. Callers hold the engine lock exclusively
-// (subscription changes never race a filter run).
-func (s *shardSet) insertTriggerRule(spec triggerSpec, table string, id int64) error {
-	sh := s.shards[shardIndexFor(len(s.shards), spec.class, ruleShardProperty(spec))]
-	switch {
-	case spec.any:
-		_, err := sh.db.Exec(`INSERT INTO FilterRulesANY (rule_id, class) VALUES (?, ?)`,
-			rdb.NewInt(id), rdb.NewText(spec.class))
-		return err
-	case numericFilterTable(table):
-		_, err := sh.db.Exec(
-			`INSERT INTO `+table+` (rule_id, class, property, value, num_value) VALUES (?, ?, ?, ?, ?)`,
-			rdb.NewInt(id), rdb.NewText(spec.class), rdb.NewText(spec.property),
-			rdb.NewText(spec.value.Lexical()), numValue(spec.value.Lexical()))
-		return err
-	default:
-		_, err := sh.db.Exec(
-			`INSERT INTO `+table+` (rule_id, class, property, value) VALUES (?, ?, ?, ?)`,
-			rdb.NewInt(id), rdb.NewText(spec.class), rdb.NewText(spec.property),
-			rdb.NewText(spec.value.Lexical()))
-		return err
+// filterRuleInsert renders the INSERT of a full-width filter-table row; the
+// same text runs against the catalogue and the owning shard.
+func filterRuleInsert(table string, width int) string {
+	return `INSERT INTO ` + table + ` VALUES (?` + strings.Repeat(", ?", width-1) + `)`
+}
+
+// insertRule writes a filter-table row into the shard that owns it. ANY
+// rows carry no property and only ever match subject atoms, so they are
+// routed as (class, rdf.SubjectProperty) — the key of the atoms that trigger
+// them. Callers hold the engine lock exclusively (subscription changes never
+// race a filter run).
+func (s *shardSet) insertRule(table string, row []rdb.Value) error {
+	prop := rdf.SubjectProperty
+	if len(row) > 2 {
+		prop = row[2].Str
 	}
+	sh := s.shards[shardIndexFor(len(s.shards), row[1].Str, prop)]
+	_, err := sh.db.Exec(filterRuleInsert(table, len(row)), row...)
+	return err
 }
 
 // deleteRule removes a swept triggering rule from every shard. The
@@ -201,47 +214,21 @@ func (s *shardSet) deleteRule(id int64) error {
 	return nil
 }
 
-// initShards builds the per-shard triggering sections when the options ask
-// for them, mirroring any canonical filter rules already present (snapshot
-// loads). Serial engines leave e.shards nil — the zero-cost degenerate path.
+// initShards builds the engine's triggering sections and fills them from
+// the catalogue (empty on a fresh engine, populated after a snapshot load).
 func (e *Engine) initShards() error {
-	n := e.opts.effectiveShards()
-	if n <= 1 {
-		return nil
-	}
-	s, err := newShardSet(n, e.opts.DisableTypedIndexes)
+	s, err := newShardSet(e.opts.effectiveShards(), e.opts.DisableTypedIndexes)
 	if err != nil {
 		return err
 	}
 	e.shards = s
-	return e.rebuildShardRules()
-}
-
-// rebuildShardRules repopulates every shard's filter tables from the
-// canonical tables (after a snapshot load).
-func (e *Engine) rebuildShardRules() error {
-	n := len(e.shards.shards)
-	for ti, table := range trigTableNames {
-		cols := "rule_id, class, property, value"
-		switch {
-		case table == "FilterRulesANY":
-			cols = "rule_id, class"
-		case numericFilterTable(table):
-			cols += ", num_value"
-		}
-		rows, err := e.db.Query(`SELECT ` + cols + ` FROM ` + table)
+	for _, table := range trigTableNames {
+		rows, err := e.db.Query(`SELECT * FROM ` + table)
 		if err != nil {
 			return err
 		}
-		ins := `INSERT INTO ` + table + ` (` + cols + `) VALUES (?` +
-			strings.Repeat(", ?", strings.Count(cols, ",")) + `)`
 		for _, r := range rows.Data {
-			prop := rdf.SubjectProperty // ANY rules route by the subject key
-			if ti != 0 {
-				prop = r[2].Str
-			}
-			sh := e.shards.shards[shardIndexFor(n, r[1].Str, prop)]
-			if _, err := sh.db.Exec(ins, r...); err != nil {
+			if err := s.insertRule(table, r); err != nil {
 				return err
 			}
 		}
@@ -249,13 +236,8 @@ func (e *Engine) rebuildShardRules() error {
 	return nil
 }
 
-// ShardCount reports the engine's triggering parallelism (1 = serial path).
-func (e *Engine) ShardCount() int {
-	if e.shards == nil {
-		return 1
-	}
-	return len(e.shards.shards)
-}
+// ShardCount reports the engine's triggering parallelism (at least 1).
+func (e *Engine) ShardCount() int { return len(e.shards.shards) }
 
 // shardRun is the output of one shard's triggering section.
 type shardRun struct {
@@ -269,18 +251,25 @@ type shardRun struct {
 
 // runTriggering is one shard's section: load the routed atoms into the
 // shard's FilterData, run the ten triggering queries in canonical order,
-// and clear the scratch. It touches only shard-local state plus the
-// caller-owned run record — never the engine. text is the engine's shared
-// contains-rule index (nil under the ablation): reading it from a worker is
-// safe because an atom's cohort key is its (class, property) routing key,
-// so this shard's part only ever touches cohorts no other worker sees.
-func (sh *engineShard) runTriggering(text *textIndex, part []preparedAtom, run *shardRun) error {
+// and clear the scratch — on every return path, so a failed run leaves no
+// atoms behind to match in the next one. It touches only shard-local state
+// plus the caller-owned run record — never the engine. text is the engine's
+// shared contains-rule index (nil under the ablation): reading it from a
+// worker is safe because an atom's cohort key is its (class, property)
+// routing key, so this shard's part only ever touches cohorts no other
+// worker sees.
+func (sh *engineShard) runTriggering(text *textIndex, part []preparedAtom, run *shardRun) (err error) {
 	rows := make([][]rdb.Value, len(part))
 	for i, pa := range part {
 		a := pa.stmt
 		rows[i] = []rdb.Value{rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
 			rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)}
 	}
+	defer func() {
+		if _, cerr := sh.clearFilter.Exec(); err == nil {
+			err = cerr
+		}
+	}()
 	if _, err := sh.insFilterData.ExecBatch(rows); err != nil {
 		return err
 	}
@@ -300,17 +289,16 @@ func (sh *engineShard) runTriggering(text *textIndex, part []preparedAtom, run *
 		}
 		run.trig[j] = time.Since(tq)
 	}
-	_, err := sh.clearFilter.Exec()
-	return err
+	return nil
 }
 
-// collectTriggeringSharded partitions the prepared atoms by shard, runs
-// every non-empty shard section concurrently, and merges the shard-local
-// candidate sets in shard order. The merge is deterministic: shard order is
-// fixed by the hash, per-shard statement order is the canonical operator
-// order, and per-statement row order is the plan's scan order — and the
-// downstream dedup/fixpoint is order-insensitive anyway.
-func (e *Engine) collectTriggeringSharded(atoms []preparedAtom) ([]matchPair, error) {
+// collectTriggering partitions the prepared atoms by shard, runs every
+// non-empty shard section concurrently, and merges the shard-local candidate
+// sets in shard order. The merge is deterministic: shard order is fixed by
+// the hash, per-shard statement order is the canonical operator order, and
+// per-statement row order is the plan's scan order — and the downstream
+// dedup/fixpoint is order-insensitive anyway.
+func (e *Engine) collectTriggering(atoms []preparedAtom) ([]matchPair, error) {
 	n := len(e.shards.shards)
 	parts := make([][]preparedAtom, n)
 	for _, pa := range atoms {

@@ -12,15 +12,17 @@ import (
 	"mdv/internal/rdf"
 )
 
-// Differential tests for partition-parallel triggering: a sharded engine
-// must be observationally identical to the serial ablation — same publish
-// sets (groups, changesets, member credits, byte for byte in the engine's
-// deterministic order), same materialized matches, same filter-table state,
+// Differential tests for partitioned triggering: an N-section engine must
+// be observationally identical to the one-section reference (a trivially
+// exact partition) — same publish sets (groups, changesets, member credits,
+// byte for byte in the engine's deterministic order), same materialized
+// matches, same filter-table state,
 // same work counters, same snapshots — over randomized mixes of register,
 // rewrite, delete, subscribe, and unsubscribe across every rule shape the
 // decomposition produces (ANY, OID, EQ/NE/CON, numeric comparisons, PATH,
-// JOIN, OR-splits). The serial-equivalence argument lives in shard.go; this
-// test is its enforcement.
+// JOIN, OR-splits). The partition-exactness argument lives in shard.go; this
+// test enforces the (class, property) routing, the ANY-as-subject routing,
+// and the shard-order merge.
 
 var (
 	shardDiffHosts  = []string{"pirates.uni-passau.de", "mdv.uni-passau.de", "a.example.org", "007", "grün.uni-passau.de", "PASSAU.DE"}
@@ -166,14 +168,11 @@ func renderPublishSet(ps *PublishSet) string {
 }
 
 // checkShardMirror asserts the derived shard state: the union of every
-// shard's filter tables equals the canonical tables row for row, each row
+// shard's filter tables equals the catalogue tables row for row, each row
 // lives on exactly the shard the hash routes it to, and no shard leaks
 // FilterData scratch between runs.
 func checkShardMirror(t *testing.T, e *Engine) {
 	t.Helper()
-	if e.shards == nil {
-		return
-	}
 	n := len(e.shards.shards)
 	for ti, table := range trigTableNames {
 		cols := "rule_id, class, property, value"
@@ -225,24 +224,23 @@ func checkShardMirror(t *testing.T, e *Engine) {
 	}
 }
 
-// maskShardStats clears the counters that intentionally differ between the
-// sharded engine and the serial ablation; every other counter must match
-// exactly (the partition preserves the triggering result multiset).
+// maskShardStats clears the one counter that intentionally differs between
+// one section and N; every other counter must match exactly (the partition
+// preserves the triggering result multiset).
 func maskShardStats(s Stats) Stats {
-	s.ShardedFilterRuns = 0
 	s.ShardSectionsRun = 0
 	return s
 }
 
-// TestShardedTriggeringDifferential drives a sharded engine and the serial
-// ablation through identical randomized workloads and requires identical
-// observable behavior at every step.
+// TestShardedTriggeringDifferential drives an N-section engine and the
+// one-section reference through identical randomized workloads and requires
+// identical observable behavior at every step.
 func TestShardedTriggeringDifferential(t *testing.T) {
 	seeds := []int64{3, 17, 271, 4242, 90001}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	for _, nShards := range []int{1, 3, 8} {
+	for _, nShards := range []int{2, 3, 8} {
 		for _, seed := range seeds {
 			nShards, seed := nShards, seed
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", nShards, seed), func(t *testing.T) {
@@ -254,8 +252,7 @@ func TestShardedTriggeringDifferential(t *testing.T) {
 
 func runShardDifferential(t *testing.T, nShards int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	serial, err := NewEngineWithOptions(paperSchema(),
-		Options{Shards: nShards, DisableShardedTriggering: true})
+	serial, err := NewEngineWithOptions(paperSchema(), Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +260,11 @@ func runShardDifferential(t *testing.T, nShards int, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := nShards; nShards > 1 && sharded.ShardCount() != want {
-		t.Fatalf("ShardCount = %d, want %d", sharded.ShardCount(), want)
+	if sharded.ShardCount() != nShards {
+		t.Fatalf("ShardCount = %d, want %d", sharded.ShardCount(), nShards)
 	}
 	if serial.ShardCount() != 1 {
-		t.Fatalf("ablated engine reports %d shards, want 1", serial.ShardCount())
+		t.Fatalf("reference engine reports %d shards, want 1", serial.ShardCount())
 	}
 
 	live := map[string]bool{} // registered document URIs
@@ -291,6 +288,7 @@ func runShardDifferential(t *testing.T, nShards int, seed int64) {
 		if ds != dh {
 			t.Fatalf("step %d (%s): filter state diverged:\n%s", step, what, diffDumps(ds, dh))
 		}
+		checkShardMirror(t, serial)
 		checkShardMirror(t, sharded)
 	}
 
@@ -424,11 +422,11 @@ func runShardDifferential(t *testing.T, nShards int, seed int64) {
 	}
 
 	// Snapshots carry no shard state and saving is deterministic: saving the
-	// sharded engine twice yields identical bytes. (The serial engine's
+	// sharded engine twice yields identical bytes. (The one-section engine's
 	// snapshot is logically equivalent but not byte-identical — physical row
 	// order in RuleResults follows match-insertion order, which is
-	// operator-major serially and shard-major sharded; the reload check
-	// below proves the equivalence.)
+	// operator-major within a section and shard-major across them; the
+	// reload check below proves the equivalence.)
 	var snapH, snapH2 bytes.Buffer
 	if err := sharded.Save(&snapH); err != nil {
 		t.Fatal(err)
@@ -470,8 +468,7 @@ func TestShardedEngineConcurrentPublishesAndReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	control, err := NewEngineWithOptions(paperSchema(),
-		Options{Shards: 4, DisableShardedTriggering: true})
+	control, err := NewEngineWithOptions(paperSchema(), Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,8 +589,8 @@ func TestShardedEngineConcurrentPublishesAndReaders(t *testing.T) {
 			t.Errorf("sub %d: concurrent sharded matches %v, serial control %v", id, gu, wu)
 		}
 	}
-	if st := e.Stats(); st.ShardedFilterRuns == 0 {
-		t.Error("sharded engine recorded no sharded filter runs")
+	if st := e.Stats(); st.ShardedFilterRuns != st.FilterRuns || st.FilterRuns == 0 {
+		t.Errorf("%d of %d filter runs went through the shard sections", st.ShardedFilterRuns, st.FilterRuns)
 	}
 	checkShardMirror(t, e)
 }

@@ -227,10 +227,8 @@ func (e *Engine) releaseInterned(interned []int64) error {
 					return err
 				}
 			}
-			if e.shards != nil {
-				if err := e.shards.deleteRule(id); err != nil {
-					return err
-				}
+			if err := e.shards.deleteRule(id); err != nil {
+				return err
 			}
 			continue
 		}

@@ -13,14 +13,13 @@ import (
 
 // Differential tests for the contains-rule substring index: an engine with
 // the text index enabled must be observationally identical to the
-// -no-text-index ablation — same publish sets byte for byte, same stats,
-// same filter tables, same materialized matches — over randomized mixes of
-// register, rewrite, delete, subscribe, and unsubscribe heavy on the
+// DisableTextIndex scan reference — same publish sets byte for byte, same
+// stats, same filter tables, same materialized matches — over randomized
+// mixes of register, rewrite, delete, subscribe, and unsubscribe heavy on the
 // contains edge cases the index must reproduce exactly: the empty constant
 // (matches everything), multi-byte UTF-8 constants, case sensitivity, and
-// bare-variable `c contains 'x'` rules matching the URIref. Run under both
-// serial and sharded triggering, since the index is wired through both
-// paths.
+// bare-variable `c contains 'x'` rules matching the URIref. Run with one
+// triggering section and with four, since the shard workers share the index.
 
 var (
 	textDiffNeedles     = []string{"", "passau", "a", "00", "ü", "grün", "🚲", "PASSAU", ".de", "ß"}
@@ -89,7 +88,7 @@ func textDiffDoc(rng *rand.Rand, i int) *rdf.Document {
 
 // TestTextIndexDifferential drives an indexed engine and the scan ablation
 // through identical randomized workloads and requires identical observable
-// behavior at every step, under both serial and sharded triggering.
+// behavior at every step, with one triggering section and with four.
 func TestTextIndexDifferential(t *testing.T) {
 	seeds := []int64{7, 1234, 80731}
 	if testing.Short() {

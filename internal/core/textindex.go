@@ -19,9 +19,9 @@ import (
 // occurs in it — O(|value| + matches) per atom, independent of the rule
 // base.
 //
-// The index is derived state, exactly like the PR 9 shard mirrors: the
-// canonical FilterRulesCON table stays authoritative for persistence,
-// snapshots, and the -no-text-index ablation; the index is maintained
+// The index is derived state, exactly like the shards (shard.go): the
+// catalogue's FilterRulesCON table stays authoritative for persistence,
+// snapshots, and the DisableTextIndex scan path; the index is maintained
 // incrementally on subscribe/unsubscribe under the exclusive engine lock
 // and rebuilt from the canonical table on LoadWithOptions. Snapshots never
 // contain index state, so save/load determinism is untouched.

@@ -160,3 +160,54 @@ func TestAllComparisonOperatorsTrigger(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedTriggeringLeavesNoScratch: a triggering query that fails midway
+// through a section must not leave the batch's atoms in the shard's
+// FilterData, where they would match (or fail) again in the next run. Under
+// the CAST ablation a non-numeric value in a numerically compared property
+// makes the LT query fail after the atoms were loaded.
+func TestFailedTriggeringLeavesNoScratch(t *testing.T) {
+	mk := func() *Engine {
+		e, err := NewEngineWithOptions(floatSchema(), Options{DisableTypedIndexes: true, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rule := range []string{
+			`search Offer o register o where o.price < 5`,
+			`search Offer o register o where o.title contains 'leak'`,
+		} {
+			if _, _, err := e.Subscribe("lmr", rule); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	e, fresh := mk(), mk()
+
+	bad := decomposeResource(offerDoc("bad.rdf", "1", "leaky").Resources[0])
+	for i := range bad {
+		if bad[i].stmt.Property == "price" {
+			bad[i].stmt.Value = "not-a-number"
+		}
+	}
+	if _, err := e.runFilter(bad, modeCollect); err == nil {
+		t.Fatal("triggering accepted a value CAST rejects; the test drives no failure")
+	}
+	checkShardMirror(t, e)
+
+	doc := offerDoc("a.rdf", "3", "no match here")
+	got, err := e.RegisterDocument(doc)
+	if err != nil {
+		t.Fatalf("publish after a failed run: %v", err)
+	}
+	want, err := fresh.RegisterDocument(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderPublishSet(got), renderPublishSet(want); g != w {
+		t.Errorf("publish after a failed run diverged from a fresh engine:\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if g, w := e.Stats().TriggeringMatches, fresh.Stats().TriggeringMatches; g != w {
+		t.Errorf("publish after a failed run derived %d triggering matches, a fresh engine %d", g, w)
+	}
+}

@@ -12,13 +12,14 @@ import (
 // filterStateTables is every table the subscribe path writes: the atomic
 // rule catalog, the dependency graph, join groups with their feed edges,
 // the ten operator filter tables, materialized results, the transient
-// filter-run tables, and the subscription bookkeeping itself.
+// per-iteration table, and the subscription bookkeeping itself. (The other
+// transient table, FilterData, lives in the shards: checkShardMirror.)
 var filterStateTables = []string{
 	"AtomicRules", "RuleDependencies", "JoinRules", "GroupFeeds", "RuleGroups",
 	"FilterRulesANY", "FilterRulesEQ", "FilterRulesEQN", "FilterRulesNE",
 	"FilterRulesNEN", "FilterRulesCON", "FilterRulesLT", "FilterRulesLE",
 	"FilterRulesGT", "FilterRulesGE",
-	"RuleResults", "ResultObjects", "FilterData",
+	"RuleResults", "ResultObjects",
 	"Subscriptions", "SubscriptionEndRules", "SubscriptionAtomicRules",
 }
 
@@ -68,10 +69,26 @@ var unsubscribeDiffRules = []string{
 // second subscriber and an interleaved publish that materialized results —
 // every filter table is byte-identical to its pre-subscribe contents, and a
 // subsequent publish performs exactly the filter work a never-subscribed
-// engine performs (no leaked rows keep matching).
+// engine performs (no leaked rows keep matching). The shards' copies of the
+// filter tables and their FilterData scratch are checked alongside, for the
+// one-section engine and a partitioned one.
 func TestUnsubscribeRestoresFilterState(t *testing.T) {
-	e := newTestEngine(t)
-	control := newTestEngine(t)
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			testUnsubscribeRestoresFilterState(t, n)
+		})
+	}
+}
+
+func testUnsubscribeRestoresFilterState(t *testing.T, nShards int) {
+	e, err := NewEngineWithOptions(paperSchema(), Options{Shards: nShards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := NewEngineWithOptions(paperSchema(), Options{Shards: nShards})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := e.RegisterDocument(figure1Doc()); err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +117,7 @@ func TestUnsubscribeRestoresFilterState(t *testing.T) {
 		subIDs = append(subIDs, id)
 	}
 
+	checkShardMirror(t, e)
 	during := dumpFilterState(t, e)
 	if during == before {
 		t.Fatal("subscribing changed no filter table; the differential proves nothing")
@@ -141,6 +159,7 @@ func TestUnsubscribeRestoresFilterState(t *testing.T) {
 		t.Errorf("filter state after unsubscribe differs from pre-subscribe state:\n%s",
 			diffDumps(before, after))
 	}
+	checkShardMirror(t, e)
 
 	// Future publishes must cost exactly what they cost an engine that never
 	// saw the subscriptions: compare the Stats delta of a fresh registration

@@ -147,55 +147,6 @@ func TestLocalMetadataInQueries(t *testing.T) {
 	}
 }
 
-// TestBackboneReplication: two MDPs replicate registrations; an LMR
-// subscribed at the second sees documents registered at the first (§2.2:
-// MDPs "consistently replicating metadata among each other").
-func TestBackboneReplication(t *testing.T) {
-	schema := testSchema()
-	mdp1, err := provider.New("mdp1", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdp2, err := provider.New("mdp2", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdp1.AddPeer(mdp2)
-	mdp2.AddPeer(mdp1)
-
-	node, err := lmr.New("lmr1", schema, mdp2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := node.AddSubscription(
-		`search CycleProvider c register c where c.serverPort >= 5000`); err != nil {
-		t.Fatal(err)
-	}
-
-	// Register at mdp1; the LMR at mdp2 receives it via replication.
-	if err := mdp1.RegisterDocument(providerDoc(1, 128)); err != nil {
-		t.Fatal(err)
-	}
-	if !node.Repository().Has("doc1.rdf#host") {
-		t.Fatal("replicated registration did not reach the second MDP's subscriber")
-	}
-	// Both backbone nodes store the document.
-	if _, err := mdp1.GetDocument("doc1.rdf"); err != nil {
-		t.Error("document missing at origin")
-	}
-	if _, err := mdp2.GetDocument("doc1.rdf"); err != nil {
-		t.Error("document missing at replica")
-	}
-
-	// Deletion replicates too.
-	if err := mdp1.DeleteDocument("doc1.rdf"); err != nil {
-		t.Fatal(err)
-	}
-	if node.Repository().Has("doc1.rdf#host") {
-		t.Error("replicated deletion did not propagate")
-	}
-}
-
 // TestWireEndToEnd runs the full architecture over real TCP sockets: MDP
 // server, LMR node connected via the network client, and an application
 // client querying the LMR server.
@@ -329,43 +280,6 @@ func TestWireEndToEnd(t *testing.T) {
 	}
 	if len(cached) != 1 {
 		t.Errorf("local registration over wire: %v", cached)
-	}
-}
-
-// TestWireReplicationAcrossSockets: backbone replication across TCP.
-func TestWireReplicationAcrossSockets(t *testing.T) {
-	schema := testSchema()
-	mdp1, err := provider.New("mdp1", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdp2, err := provider.New("mdp2", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr2, err := mdp2.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mdp2.Close()
-	peer, err := client.DialMDP(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	mdp1.AddPeer(peer)
-
-	if err := mdp1.RegisterDocument(providerDoc(7, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mdp2.GetDocument("doc7.rdf"); err != nil {
-		t.Fatal("document not replicated over the wire")
-	}
-	if err := mdp1.DeleteDocument("doc7.rdf"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mdp2.GetDocument("doc7.rdf"); err == nil {
-		t.Error("deletion not replicated over the wire")
 	}
 }
 

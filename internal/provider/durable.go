@@ -58,11 +58,11 @@ const (
 	recSubscribe   = "subscribe"
 	recUnsubscribe = "unsubscribe"
 	recNamedRule   = "named_rule"
-	recPub         = "pub"
-	// recPubGroup is a publish record shared by an interest group: one
-	// changeset, one sequence, several member subscribers. Single-member
-	// groups keep writing recPub, so logs produced with coalescing enabled
-	// remain readable by the per-subscriber replay path and vice versa.
+	// recPub is the per-subscriber publish record of pre-group logs: read by
+	// Resume and ApplyReplicated so those logs replay, never written.
+	recPub = "pub"
+	// recPubGroup is the publish record of an interest group: one
+	// changeset, one sequence, one or more member subscribers.
 	recPubGroup  = "pub_group"
 	recAck       = "ack"
 	recWatermark = "watermark"
@@ -77,7 +77,7 @@ type logRecord struct {
 	Kind       string     `json:"kind"`
 	Docs       []wire.Doc `json:"docs,omitempty"`       // register
 	URI        string     `json:"uri,omitempty"`        // delete
-	Subscriber string     `json:"subscriber,omitempty"` // subscribe, pub, ack
+	Subscriber string     `json:"subscriber,omitempty"` // subscribe, ack, legacy pub
 	// Subscribers lists an interest group's members on pub_group records;
 	// every member's cursor advances over the record's single sequence.
 	Subscribers []string `json:"subscribers,omitempty"` // pub_group
@@ -323,13 +323,9 @@ func (p *Provider) logOpLocked(rec *logRecord) (uint64, error) {
 	return p.dur.log.Append(payload)
 }
 
-// appendPubLocked appends one publish record for an interest group; caller
-// holds pubMu. Single-member groups write the legacy per-subscriber record
-// kind, so an uncoalesced log is byte-compatible with pre-group builds.
+// appendPubLocked appends one publish record for an interest group (of one
+// or more members); caller holds pubMu.
 func (p *Provider) appendPubLocked(members []string, cs *core.Changeset) (uint64, error) {
-	if len(members) == 1 {
-		return p.logOpLocked(&logRecord{Kind: recPub, Subscriber: members[0], Changeset: cs})
-	}
 	return p.logOpLocked(&logRecord{Kind: recPubGroup, Subscribers: members, Changeset: cs})
 }
 

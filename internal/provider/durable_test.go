@@ -2,6 +2,7 @@ package provider
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -237,6 +238,28 @@ func TestResumeReplaysMissedChangesets(t *testing.T) {
 			t.Errorf("push sequence %d out of order (prev %d, cursor %d)", ps.seq, prev, cursor)
 		}
 		prev = ps.seq
+	}
+	// Those pushes were replayed from group records: a single-member group
+	// writes pub_group like any other, never the pre-group pub kind.
+	var groupRecs int
+	err = p.dur.log.Replay(1, func(seq uint64, payload []byte) error {
+		var rec logRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		switch rec.Kind {
+		case recPub:
+			t.Errorf("record %d has the pre-group pub kind", seq)
+		case recPubGroup:
+			groupRecs++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if groupRecs < 4 {
+		t.Errorf("log holds %d pub_group records, want one per publish (at least 4)", groupRecs)
 	}
 
 	// A second resume from the new cursor is a no-op.

@@ -1,8 +1,8 @@
 // Package provider implements the Metadata Provider (MDP) tier of MDV
 // (paper §2.2): the backbone node that stores global metadata, runs the
-// publish & subscribe filter on registrations, publishes changesets to
-// attached LMRs, and replicates registrations to its backbone peers (a flat
-// hierarchy with full replication).
+// publish & subscribe filter on registrations, and publishes changesets to
+// attached LMRs. The backbone is replicated by shipping the primary's
+// changelog to follower MDPs (replication.go).
 package provider
 
 import (
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,13 +20,6 @@ import (
 	"mdv/internal/rdf"
 	"mdv/internal/wire"
 )
-
-// Peer is another MDP the provider replicates registrations to. Both
-// in-process providers and network clients implement it.
-type Peer interface {
-	ReplicateDocuments(docs []wire.Doc) error
-	ReplicateDelete(uri string) error
-}
 
 // ApplyFunc receives one published changeset. seq is the changelog
 // sequence number of the publish (0 on non-durable providers); reset marks
@@ -87,7 +79,6 @@ type Provider struct {
 	// delStats accumulates per-subscriber delivery health counters
 	// (guarded by mu; entries outlive disconnects).
 	delStats map[string]*subscriberCounters
-	peers    []Peer
 	// proxy forwards write operations of a replica to the primary
 	// (guarded by mu; nil until the follower subsystem connects).
 	proxy WriteProxy
@@ -318,13 +309,6 @@ func (p *Provider) Role() string {
 	return "primary"
 }
 
-// AddPeer registers a backbone peer for replication.
-func (p *Provider) AddPeer(peer Peer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.peers = append(p.peers, peer)
-}
-
 // Attach registers a delivery callback for a subscriber. Every published
 // changeset addressed to that subscriber is passed to apply. In-process
 // LMRs attach a direct function; the wire server attaches a push wrapper.
@@ -518,23 +502,9 @@ func (p *Provider) RegisterDocument(doc *rdf.Document) error {
 	return p.RegisterDocuments([]*rdf.Document{doc})
 }
 
-// RegisterDocuments registers a batch: runs the filter, publishes the
-// resulting changesets, and replicates the batch to backbone peers.
+// RegisterDocuments registers a batch: runs the filter and publishes the
+// resulting changesets.
 func (p *Provider) RegisterDocuments(docs []*rdf.Document) error {
-	return p.registerDocuments(docs, false)
-}
-
-// ReplicateDocuments applies a batch forwarded by a backbone peer (not
-// forwarded again; the backbone is a full mesh).
-func (p *Provider) ReplicateDocuments(wdocs []wire.Doc) error {
-	docs, err := decodeDocs(wdocs)
-	if err != nil {
-		return err
-	}
-	return p.registerDocuments(docs, true)
-}
-
-func (p *Provider) registerDocuments(docs []*rdf.Document, replicated bool) error {
 	if p.replica.Load() {
 		// A follower's engine is driven exclusively by the replicated
 		// changelog; the write goes to the primary and comes back as
@@ -564,28 +534,11 @@ func (p *Provider) registerDocuments(docs []*rdf.Document, replicated bool) erro
 	if pubErr != nil {
 		return pubErr
 	}
-	if err := p.awaitDurable(durSeq); err != nil {
-		return err
-	}
-	if replicated {
-		return nil
-	}
-	return p.forEachPeer(func(peer Peer) error {
-		return peer.ReplicateDocuments(encodeDocs(docs))
-	})
+	return p.awaitDurable(durSeq)
 }
 
-// DeleteDocument removes a document, publishes, and replicates the delete.
+// DeleteDocument removes a document and publishes the resulting changesets.
 func (p *Provider) DeleteDocument(uri string) error {
-	return p.deleteDocument(uri, false)
-}
-
-// ReplicateDelete applies a peer-forwarded document deletion.
-func (p *Provider) ReplicateDelete(uri string) error {
-	return p.deleteDocument(uri, true)
-}
-
-func (p *Provider) deleteDocument(uri string, replicated bool) error {
 	if p.replica.Load() {
 		w, err := p.writeProxy()
 		if err != nil {
@@ -612,31 +565,7 @@ func (p *Provider) deleteDocument(uri string, replicated bool) error {
 	if pubErr != nil {
 		return pubErr
 	}
-	if err := p.awaitDurable(durSeq); err != nil {
-		return err
-	}
-	if replicated {
-		return nil
-	}
-	return p.forEachPeer(func(peer Peer) error {
-		return peer.ReplicateDelete(uri)
-	})
-}
-
-func (p *Provider) forEachPeer(fn func(Peer) error) error {
-	p.mu.Lock()
-	peers := append([]Peer(nil), p.peers...)
-	p.mu.Unlock()
-	var errs []string
-	for _, peer := range peers {
-		if err := fn(peer); err != nil {
-			errs = append(errs, err.Error())
-		}
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("provider: replication: %s", strings.Join(errs, "; "))
-	}
-	return nil
+	return p.awaitDurable(durSeq)
 }
 
 // Subscribe registers a subscription and returns its id and the initial
@@ -944,13 +873,7 @@ func (p *Provider) handle(conn *wire.ServerConn, kind string, body json.RawMessa
 		if err != nil {
 			return nil, err
 		}
-		return nil, p.registerDocuments(docs, req.Replicated)
-	case wire.KindReplicate:
-		var req wire.RegisterDocumentsRequest
-		if err := wire.Decode(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, p.ReplicateDocuments(req.Docs)
+		return nil, p.RegisterDocuments(docs)
 	case wire.KindDeleteDocument:
 		var req wire.DeleteDocumentRequest
 		if err := wire.Decode(body, &req); err != nil {
@@ -959,13 +882,7 @@ func (p *Provider) handle(conn *wire.ServerConn, kind string, body json.RawMessa
 		if err := p.fenceWrite(req.Epoch); err != nil {
 			return nil, err
 		}
-		return nil, p.deleteDocument(req.URI, req.Replicated)
-	case wire.KindReplicateDelete:
-		var req wire.DeleteDocumentRequest
-		if err := wire.Decode(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, p.ReplicateDelete(req.URI)
+		return nil, p.DeleteDocument(req.URI)
 	case wire.KindSubscribe:
 		var req wire.SubscribeRequest
 		if err := wire.Decode(body, &req); err != nil {

@@ -86,6 +86,17 @@ func TestApplyReplicatedMirrorsPrimary(t *testing.T) {
 	if c.count() != 6 {
 		t.Errorf("replica deliveries = %d, want 6", c.count())
 	}
+	// The second node stores the live documents, and the delete propagated:
+	// the document is gone there and its subscriber was told to drop it.
+	if _, err := replica.GetDocument("b1.rdf"); err != nil {
+		t.Errorf("registered document missing at the replica: %v", err)
+	}
+	if _, err := replica.GetDocument("b0.rdf"); err == nil {
+		t.Error("deleted document still stored at the replica")
+	}
+	if fd := c.last().cs.ForcedDeletes; len(fd) != 1 || fd[0] != "b0.rdf#cp" {
+		t.Errorf("replica-attached subscriber's last delivery drops %v, want [b0.rdf#cp]", fd)
+	}
 
 	// The log copy is verbatim: identical records at identical sequences.
 	pr := primary.dur.log.NewReader(1)

@@ -90,11 +90,13 @@ func TestFollowerStreamsAndServes(t *testing.T) {
 	defer fol.Close()
 
 	var pushes int
+	var dropped []string
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
 	rp.Attach("lmr", func(seq uint64, reset bool, cs *core.Changeset) error {
 		<-mu
 		pushes++
+		dropped = append(dropped, cs.ForcedDeletes...)
 		mu <- struct{}{}
 		return nil
 	})
@@ -119,6 +121,28 @@ func TestFollowerStreamsAndServes(t *testing.T) {
 	mu <- struct{}{}
 	if got == 0 {
 		t.Error("replica-attached subscriber received no deliveries")
+	}
+	if _, err := rp.GetDocument("d10.rdf"); err != nil {
+		t.Errorf("replica does not store the streamed document: %v", err)
+	}
+
+	// A delete at the primary propagates the same way: the replica drops the
+	// document and tells its attached subscriber to.
+	if err := primary.DeleteDocument("d10.rdf"); err != nil {
+		t.Fatal(err)
+	}
+	var gone []string
+	waitUntil(t, 5*time.Second, "streamed delete", func() bool {
+		<-mu
+		gone = append([]string(nil), dropped...)
+		mu <- struct{}{}
+		return len(gone) > 0 && rp.LogSeq() == primary.LogSeq()
+	})
+	if _, err := rp.GetDocument("d10.rdf"); err == nil {
+		t.Error("deleted document still stored at the replica")
+	}
+	if len(gone) != 1 || gone[0] != "d10.rdf#cp" {
+		t.Errorf("replica-attached subscriber was told to drop %v, want [d10.rdf#cp]", gone)
 	}
 
 	// Writes against the replica proxy to the primary and replicate back.

@@ -23,8 +23,6 @@ const (
 	KindBrowse            = "browse"
 	KindGetDocument       = "get_document"
 	KindAttach            = "attach"
-	KindReplicate         = "replicate"
-	KindReplicateDelete   = "replicate_delete"
 	KindNamedRule         = "named_rule"
 	KindStats             = "stats"
 	// KindDeliveryStats reports per-subscriber delivery health (queue
@@ -204,18 +202,14 @@ const (
 // client that does not track epochs). The same field and semantics apply
 // to every write request below.
 type RegisterDocumentsRequest struct {
-	Docs []Doc `json:"docs"`
-	// Replicated marks backbone-internal forwarding; such registrations are
-	// not forwarded again (the backbone is a full mesh).
-	Replicated bool   `json:"replicated,omitempty"`
-	Epoch      uint64 `json:"epoch,omitempty"`
+	Docs  []Doc  `json:"docs"`
+	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // DeleteDocumentRequest deletes a document at an MDP.
 type DeleteDocumentRequest struct {
-	URI        string `json:"uri"`
-	Replicated bool   `json:"replicated,omitempty"`
-	Epoch      uint64 `json:"epoch,omitempty"`
+	URI   string `json:"uri"`
+	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // SubscribeRequest registers a subscription rule.
