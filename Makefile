@@ -21,13 +21,13 @@ test-race:
 cover:
 	$(GO) test -cover ./...
 
-# Quick pass over every figure benchmark (one batch per configuration).
+# Quick pass over every mdvbench figure at a tenth of the paper's rule bases.
 bench-quick:
-	$(GO) test -bench=. -benchmem -benchtime=1x .
+	$(GO) run ./cmd/mdvbench -fig all -scale small -reps 1 -batches 1,10
 
-# Full testing.B run (slower; engines are cached per configuration).
+# Micro-benchmarks of the substrate (rdb, rdb/sql) and BenchmarkPublishDurable.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -bench=. -benchmem ./internal/...
 
 # bench/ is a nested module the root build and test never see: vet and test
 # it so a deletion in internal/ that breaks its compile is caught here.

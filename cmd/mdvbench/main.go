@@ -1,9 +1,10 @@
 // mdvbench regenerates the performance experiments of the paper's §4
-// (Figures 11-15) plus the ablation, baseline, and concurrency
-// comparisons described in DESIGN.md. For every figure it prints the series the paper plots: the
-// average registration time of a single RDF document (total filter runtime
-// of a batch divided by the batch size) against the batch size, for each
-// rule base configuration.
+// (Figures 11-15) plus the ablation, baseline, and replication comparisons
+// described in DESIGN.md; everything end to end is bench/'s job (bash
+// bench/run.sh). For every figure it prints the series the paper plots:
+// the average registration time of a single RDF document (total filter
+// runtime of a batch divided by the batch size) against the batch size, for
+// each rule base configuration.
 //
 // Methodology, as in the paper: every measurement cell (rule type, rule
 // base size, batch size) starts from a freshly prepared engine with the
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -38,7 +40,7 @@ import (
 )
 
 var (
-	figFlag   = flag.String("fig", "all", "figure to reproduce: 11|12|13|14|15|ablation|baseline|concurrent|pipeline|replicated|fanout|shards|text|all")
+	figFlag   = flag.String("fig", "all", "figures to reproduce, comma-separated: "+strings.Join(figureNames, "|")+"|all")
 	scaleFlag = flag.String("scale", "paper", "rule base scale: paper|small")
 	repsFlag  = flag.Int("reps", 1, "repetitions per measurement (median reported)")
 	batchFlag = flag.String("batches", "1,2,5,10,20,50,100,200,500,1000", "comma-separated batch sizes")
@@ -58,6 +60,9 @@ type record struct {
 }
 
 var records []record
+
+// figureNames are the values -fig accepts besides "all".
+var figureNames = []string{"11", "12", "13", "14", "15", "ablation", "baseline", "replicated"}
 
 func writeJSON(path string) {
 	data, err := json.MarshalIndent(records, "", "  ")
@@ -79,36 +84,41 @@ func main() {
 		div = 10
 	}
 
-	figs := strings.Split(*figFlag, ",")
-	run := func(name string) bool {
-		if *figFlag == "all" {
-			return true
-		}
-		for _, f := range figs {
-			if strings.TrimSpace(f) == name {
-				return true
+	// selected holds the figures to run; an unknown name is an error, not an
+	// empty success.
+	selected := map[string]bool{}
+	for _, f := range strings.Split(*figFlag, ",") {
+		switch f = strings.TrimSpace(f); {
+		case f == "all":
+			for _, name := range figureNames {
+				selected[name] = true
 			}
+		case slices.Contains(figureNames, f):
+			selected[f] = true
+		default:
+			fmt.Fprintf(os.Stderr, "mdvbench: unknown figure %q (accepted: %s, all)\n",
+				f, strings.Join(figureNames, ", "))
+			os.Exit(2)
 		}
-		return false
 	}
 
-	if run("11") {
+	if selected["11"] {
 		figure("11", "Figure 11 — OID rules: avg registration time per document",
 			configsFor(workload.OID, 0, []int{10000 / div, 100000 / div}), batches)
 	}
-	if run("12") {
+	if selected["12"] {
 		figure("12", "Figure 12 — PATH rules: avg registration time per document",
 			configsFor(workload.PATH, 0, []int{1000 / div, 10000 / div}), batches)
 	}
-	if run("13") {
+	if selected["13"] {
 		figure("13", "Figure 13 — COMP rules (10% of rule base matches)",
 			configsFor(workload.COMP, 0.10, []int{1000 / div, 10000 / div}), batches)
 	}
-	if run("14") {
+	if selected["14"] {
 		figure("14", "Figure 14 — JOIN rules: avg registration time per document",
 			configsFor(workload.JOIN, 0, []int{1000 / div, 10000 / div}), batches)
 	}
-	if run("15") {
+	if selected["15"] {
 		var cfgs []config
 		for _, pct := range []float64{0.01, 0.05, 0.10, 0.20} {
 			cfgs = append(cfgs, config{
@@ -118,7 +128,7 @@ func main() {
 		}
 		figure("15", fmt.Sprintf("Figure 15 — %d COMP rules: varying batch size and matched percentage", 10000/div), cfgs, batches)
 	}
-	if run("ablation") {
+	if selected["ablation"] {
 		cfgs := []config{
 			{label: "PATH grouped", gen: workload.Generator{Type: workload.PATH, RuleBase: 1000 / div}},
 			{label: "PATH ungrouped", gen: workload.Generator{Type: workload.PATH, RuleBase: 1000 / div},
@@ -147,39 +157,13 @@ func main() {
 		figure("ablation", "Ablation — typed operator indexes (§3.3.4) vs. CAST reconversion", typedCfgs,
 			capBatches(batches, 100))
 	}
-	if run("baseline") {
+	if selected["baseline"] {
 		// The naive baseline costs ~100 ms/doc at a 1,000-rule base; cap
 		// its batches as well.
 		baseline(1000/div, capBatches(batches, 100))
 	}
-	if run("concurrent") {
-		figureConcurrent(div, *repsFlag)
-	}
-	if run("pipeline") {
-		figurePipeline(div, *repsFlag)
-	}
-	if run("replicated") {
+	if selected["replicated"] {
 		figureReplicated(div, *repsFlag)
-	}
-	if run("fanout") {
-		figureFanout(div, *repsFlag)
-	}
-	if run("shards") {
-		figureShards(div, batches)
-	}
-	if run("text") {
-		// Contains-rule substring index (textindex.go) vs. the per-rule
-		// CONTAINS scan ablation, mirroring the typed-vs-CAST comparison.
-		var cfgs []config
-		for _, rb := range []int{100 / div, 1000 / div, 10000 / div} {
-			gen := workload.Generator{Type: workload.TEXT, RuleBase: rb}
-			cfgs = append(cfgs,
-				config{label: fmt.Sprintf("idx rules=%-6d", rb), gen: gen},
-				config{label: fmt.Sprintf("scan rules=%-5d", rb), gen: gen,
-					opts: core.Options{DisableTextIndex: true}})
-		}
-		figure("text", "TEXT — contains rules: substring index vs. per-rule CONTAINS scans", cfgs,
-			capBatches(batches, 100))
 	}
 	if *jsonFlag != "" {
 		writeJSON(*jsonFlag)

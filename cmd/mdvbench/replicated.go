@@ -15,9 +15,25 @@ import (
 
 	"mdv/internal/client"
 	"mdv/internal/provider"
+	"mdv/internal/rdf"
 	"mdv/internal/replica"
 	"mdv/internal/workload"
 )
+
+// rewriteDoc rewrites document i with a fresh synthValue so every writer
+// registration is a real update the replication stream must carry.
+func rewriteDoc(i, v int) *rdf.Document {
+	doc := rdf.NewDocument(fmt.Sprintf("doc%d.rdf", i))
+	host := doc.NewResource("host", "CycleProvider")
+	host.Add("serverHost", rdf.Lit(fmt.Sprintf("host%d.uni-passau.de", i)))
+	host.Add("serverPort", rdf.Lit("5874"))
+	host.Add("synthValue", rdf.Lit(fmt.Sprint(v)))
+	host.Add("serverInformation", rdf.Ref(doc.QualifyID("info")))
+	info := doc.NewResource("info", "ServerInformation")
+	info.Add("memory", rdf.Lit(fmt.Sprint(i)))
+	info.Add("cpu", rdf.Lit("600"))
+	return doc
+}
 
 // figureReplicated boots one durable primary and two read replicas over
 // loopback TCP, caches a document set, and measures Browse throughput at

@@ -2,7 +2,8 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -27,38 +28,88 @@ func fanoutDoc(gen workload.Generator, i, port, memory int) *rdf.Document {
 	return doc
 }
 
-// repoDump renders an LMR's full cache state — every resource's canonical
-// fingerprint plus its credit set — for byte-for-byte comparison.
+// renderCache renders a cache state — every resource's canonical fingerprint
+// plus its credit set — for byte-for-byte comparison.
+func renderCache(resources map[string]*rdf.Resource, credits map[string][]int64) string {
+	var b strings.Builder
+	for _, uri := range slices.Sorted(maps.Keys(resources)) {
+		slices.Sort(credits[uri])
+		fmt.Fprintf(&b, "%s credits=%v %s\n", uri, credits[uri], resources[uri].Fingerprint())
+	}
+	return b.String()
+}
+
+// repoDump renders what an LMR caches.
 func repoDump(t *testing.T, node *lmr.Node) string {
 	t.Helper()
-	var b strings.Builder
+	resources := map[string]*rdf.Resource{}
+	credits := map[string][]int64{}
 	for _, class := range []string{"CycleProvider", "ServerInformation"} {
 		rs, err := node.Repository().Resources(class)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sort.Slice(rs, func(i, j int) bool { return rs[i].URIRef < rs[j].URIRef })
 		for _, r := range rs {
-			credits, err := node.Repository().CreditsOf(r.URIRef)
+			resources[r.URIRef] = r
+			if credits[r.URIRef], err = node.Repository().CreditsOf(r.URIRef); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return renderCache(resources, credits)
+}
+
+// expectedDump renders what an LMR must cache, computed from the primary:
+// the resources matching each of its subscriptions, credited with that
+// subscription, plus their strong closure (§2.4), uncredited.
+func expectedDump(t *testing.T, engine *core.Engine, node *lmr.Node) string {
+	t.Helper()
+	resources := map[string]*rdf.Resource{}
+	credits := map[string][]int64{}
+	var matched []*rdf.Resource
+	for subID := range node.Subscriptions() {
+		rs, err := engine.MatchingResources(subID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			resources[r.URIRef] = r
+			credits[r.URIRef] = append(credits[r.URIRef], subID)
+			matched = append(matched, r)
+		}
+	}
+	for queue := matched; len(queue) > 0; queue = queue[1:] {
+		cur := queue[0]
+		for _, p := range cur.Props {
+			if p.Value.Kind != rdf.ResourceRef || !engine.Schema().IsStrongReference(cur.Class, p.Name) ||
+				resources[p.Value.Ref] != nil {
+				continue
+			}
+			target, ok, err := engine.GetResource(p.Value.Ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sort.Slice(credits, func(i, j int) bool { return credits[i] < credits[j] })
-			fmt.Fprintf(&b, "%s credits=%v %s\n", r.URIRef, credits, r.Fingerprint())
+			if ok {
+				resources[target.URIRef] = target
+				queue = append(queue, target)
+			}
 		}
 	}
-	return b.String()
+	return renderCache(resources, credits)
 }
 
-// runFanoutStack drives one MDP (with the given engine options) and four
-// wire-attached LMRs — two with identical rules, one partially overlapping,
-// one distinct — through upserts, updates, removals, and a delete, waits for
-// convergence, and returns each node's state dump.
-func runFanoutStack(t *testing.T, opts core.Options) map[string]string {
-	t.Helper()
+// TestCoalescedFanoutConvergence proves interest-group delivery correct end
+// to end over real wire connections: one MDP and four wire-attached LMRs —
+// two with identical rules, one partially overlapping, one distinct — go
+// through upserts, updates, removals, and a delete, and every LMR must end
+// byte-identical to its rules evaluated over the primary's documents plus
+// the strong closure — through shared changesets, MemberCredits filtering
+// and encode-once frames. (That the group build equals the per-subscriber
+// build is core's TestCoalescingAblationParity.) Run under -race in CI.
+func TestCoalescedFanoutConvergence(t *testing.T) {
 	schema := workload.Schema()
 	gen := workload.Generator{Type: workload.PATH, RuleBase: 2}
-	prov, err := provider.NewWithOptions("mdp", schema, opts)
+	prov, err := provider.New("mdp", schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,38 +195,16 @@ func runFanoutStack(t *testing.T, opts core.Options) map[string]string {
 		})
 	}
 
-	dumps := map[string]string{}
 	for name, node := range nodes {
-		dumps[name] = repoDump(t, node)
-	}
-	for name, node := range nodes {
+		got, want := repoDump(t, node), expectedDump(t, prov.Engine(), node)
+		if got != want {
+			t.Errorf("%s cache differs from its rules over the primary:\ncached:\n%s\nexpected:\n%s", name, got, want)
+		}
+		if got == "" {
+			t.Errorf("%s converged to an empty cache", name)
+		}
 		if err := node.Close(); err != nil {
 			t.Errorf("close %s: %v", name, err)
 		}
-	}
-	return dumps
-}
-
-// TestCoalescedFanoutConvergence proves the tentpole's correctness claim
-// end to end over real wire connections: interest-group coalesced delivery
-// (shared changesets, MemberCredits filtering, encode-once frames) leaves
-// every LMR byte-identical to the per-subscriber ablation path, across
-// identical, partially-overlapping, and distinct rule sets, including
-// removal and forced-delete rounds. Run under -race in CI.
-func TestCoalescedFanoutConvergence(t *testing.T) {
-	coalesced := runFanoutStack(t, core.Options{})
-	ablation := runFanoutStack(t, core.Options{DisableInterestCoalescing: true})
-
-	for _, name := range []string{"lmr-a", "lmr-b", "lmr-c", "lmr-d"} {
-		if coalesced[name] != ablation[name] {
-			t.Errorf("%s state diverged\ncoalesced:\n%s\nablation:\n%s",
-				name, coalesced[name], ablation[name])
-		}
-	}
-	// Members of one interest group converge to identical state (their
-	// credit sets reference the same subscription IDs only if the engine
-	// assigned them identically, so compare a and b structurally).
-	if coalesced["lmr-a"] == "" {
-		t.Error("lmr-a converged to an empty cache; expected doc0 resources")
 	}
 }

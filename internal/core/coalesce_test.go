@@ -60,7 +60,7 @@ func TestInterestGroupGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := ps.GroupList()
+	groups := ps.Groups
 	if len(groups) != 3 {
 		t.Fatalf("groups = %d, want 3 ({lmr-a,lmr-b}, {lmr-c}, {lmr-d})", len(groups))
 	}
@@ -86,9 +86,9 @@ func TestInterestGroupGrouping(t *testing.T) {
 	if !reflect.DeepEqual(cs.MemberCredits, wantCredits) {
 		t.Errorf("MemberCredits = %v, want %v", cs.MemberCredits, wantCredits)
 	}
-	// The per-subscriber view aliases the shared changeset.
-	if ps.Changesets["lmr-a"] != cs || ps.Changesets["lmr-b"] != cs {
-		t.Error("Changesets map does not alias the shared group changeset")
+	// Both members read the one shared changeset.
+	if changesetOf(ps, "lmr-a") != cs || changesetOf(ps, "lmr-b") != cs {
+		t.Error("group members do not share the group changeset")
 	}
 
 	cGroup := groups[1]
@@ -144,7 +144,7 @@ func TestInterestGroupGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups = ps.GroupList()
+	groups = ps.Groups
 	if len(groups) != 1 || !reflect.DeepEqual(groups[0].Members, []string{"lmr-a", "lmr-b", "lmr-c"}) {
 		t.Fatalf("removal groups = %+v, want one group [lmr-a lmr-b lmr-c]", groups)
 	}
@@ -212,21 +212,15 @@ func ownedView(name string, cs *Changeset) string {
 }
 
 // TestCoalescingAblationParity drives the coalesced engine and the
-// DisableInterestCoalescing ablation through the same workload — upserts,
-// updates, removals, and a document delete — and checks every subscriber's
-// owned view of every publish is identical between the two. The ablation
-// reproduces the pre-group build: one single-member group per subscriber,
-// no MemberCredits.
+// per-subscriber reference build (perSubscriberChangesets) through the same
+// workload — upserts, updates, removals, and a document delete — and checks
+// every subscriber's owned view of every publish is identical between the
+// two. The reference reproduces the pre-group build: one single-member
+// group per subscriber, no MemberCredits.
 func TestCoalescingAblationParity(t *testing.T) {
-	build := func(opts Options) *Engine {
-		e, err := NewEngineWithOptions(paperSchema(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	co := build(Options{})
-	ab := build(Options{DisableInterestCoalescing: true})
+	co := newTestEngine(t)
+	ab := newTestEngine(t)
+	ab.perSubscriberChangesets = true
 	subscribers := []string{"lmr-a", "lmr-b", "lmr-c", "lmr-d"}
 
 	for _, e := range []*Engine{co, ab} {
@@ -255,14 +249,14 @@ func TestCoalescingAblationParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (ablation): %v", label, err)
 		}
-		for _, g := range psAb.GroupList() {
+		for _, g := range psAb.Groups {
 			if len(g.Members) != 1 || g.Changeset.MemberCredits != nil {
 				t.Errorf("%s: ablation produced a shared group %v", label, g.Members)
 			}
 		}
 		for _, sub := range subscribers {
-			got := ownedView(sub, psCo.Changesets[sub])
-			want := ownedView(sub, psAb.Changesets[sub])
+			got := ownedView(sub, changesetOf(psCo, sub))
+			want := ownedView(sub, changesetOf(psAb, sub))
 			if got != want {
 				t.Errorf("%s: %s diverged\ncoalesced:\n%s\nablation:\n%s", label, sub, got, want)
 			}

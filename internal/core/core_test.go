@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"mdv/internal/rdf"
@@ -21,6 +23,17 @@ func paperSchema() *rdf.Schema {
 	s.MustAddProperty("DataProvider", rdf.PropertyDef{
 		Name: "host", Type: rdf.TypeResource, RefClass: "CycleProvider", RefKind: rdf.WeakRef})
 	return s
+}
+
+// changesetOf returns the changeset ps delivers to subscriber: that of the
+// one group it is a member of, nil when the batch does not notify it.
+func changesetOf(ps *PublishSet, subscriber string) *Changeset {
+	for _, g := range ps.Groups {
+		if slices.Contains(g.Members, subscriber) {
+			return g.Changeset
+		}
+	}
+	return nil
 }
 
 func newTestEngine(t *testing.T) *Engine {
@@ -120,9 +133,9 @@ func TestFilterRunFigure9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 {
-		t.Fatalf("changeset = %+v", ps.Changesets)
+		t.Fatalf("groups = %+v", ps.Groups)
 	}
 	up := cs.Upserts[0]
 	if up.Resource.URIRef != "doc.rdf#host" {
@@ -161,8 +174,8 @@ func TestFilterNonMatchingDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.Subscribers()) != 0 {
-		t.Errorf("unexpected notifications: %v", ps.Subscribers())
+	if len(ps.Groups) != 0 {
+		t.Errorf("unexpected notifications: %v", ps.Groups)
 	}
 }
 
@@ -204,7 +217,7 @@ func TestRuleGroupsFigure6(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lmr := range []string{"lmr1", "lmr2"} {
-		cs := ps.Changesets[lmr]
+		cs := changesetOf(ps, lmr)
 		if cs == nil || len(cs.Upserts) != 1 || cs.Upserts[0].Resource.URIRef != "doc.rdf#host" {
 			t.Errorf("%s: changeset %+v", lmr, cs)
 		}
@@ -242,7 +255,7 @@ func TestOIDRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 || cs.Upserts[0].Resource.URIRef != "doc.rdf#host" {
 		t.Fatalf("OID match failed: %+v", cs)
 	}
@@ -268,8 +281,8 @@ func TestIncrementalCrossDocumentJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.Subscribers()) != 0 {
-		t.Fatalf("half a join matched: %v", ps.Subscribers())
+	if len(ps.Groups) != 0 {
+		t.Fatalf("half a join matched: %v", ps.Groups)
 	}
 	// Second document: the CycleProvider referencing it across documents.
 	d2 := rdf.NewDocument("cp.rdf")
@@ -280,7 +293,7 @@ func TestIncrementalCrossDocumentJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 || cs.Upserts[0].Resource.URIRef != "cp.rdf#c" {
 		t.Fatalf("cross-document join failed: %+v", cs)
 	}
@@ -302,7 +315,7 @@ func TestIncrementalCrossDocumentJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs = ps.Changesets["lmr2"]
+	cs = changesetOf(ps, "lmr2")
 	if cs == nil || len(cs.Upserts) != 1 || cs.Upserts[0].Resource.URIRef != "cp2.rdf#c" {
 		t.Fatalf("reverse-order join failed: %+v", cs)
 	}
@@ -349,7 +362,7 @@ func TestUpdateStartsMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 || cs.Upserts[0].Resource.URIRef != "doc.rdf#host" {
 		t.Fatalf("update did not trigger match: %+v", cs)
 	}
@@ -378,7 +391,7 @@ func TestUpdateStopsMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Removals) != 1 {
 		t.Fatalf("no removal published: %+v", cs)
 	}
@@ -414,7 +427,7 @@ func TestUpdateWrongCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil {
 		t.Fatal("no changeset")
 	}
@@ -470,7 +483,7 @@ func TestUpdateStillMatchingRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 {
 		t.Fatalf("refresh not published: %+v", cs)
 	}
@@ -504,7 +517,7 @@ func TestClosureUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.ClosureUpserts) != 1 || cs.ClosureUpserts[0].URIRef != "doc.rdf#info" {
 		t.Fatalf("closure update not published: %+v", cs)
 	}
@@ -527,7 +540,7 @@ func TestDeleteDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil {
 		t.Fatal("no changeset on delete")
 	}
@@ -619,7 +632,7 @@ func TestORRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 {
 		t.Fatalf("OR rule match: %+v", cs)
 	}
@@ -646,7 +659,7 @@ func TestNamedRuleExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 || cs.Upserts[0].Resource.URIRef != "doc.rdf#host" {
 		t.Fatalf("named-rule subscription: %+v", cs)
 	}
@@ -679,7 +692,7 @@ func TestBatchRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 5 {
 		t.Fatalf("batch matched %d resources, want 5", len(cs.Upserts))
 	}
@@ -738,11 +751,14 @@ func TestAblationsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []string
-		for _, s := range ps.Subscribers() {
-			for _, u := range ps.Changesets[s].Upserts {
-				out = append(out, s+":"+u.Resource.URIRef)
+		for _, g := range ps.Groups {
+			for _, s := range g.Members {
+				for _, u := range g.Changeset.Upserts {
+					out = append(out, s+":"+u.Resource.URIRef)
+				}
 			}
 		}
+		sort.Strings(out)
 		return out
 	}
 	base := run(Options{})
@@ -828,7 +844,7 @@ func TestSetValuedAnyOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 {
 		t.Fatalf("any-operator match failed: %+v", cs)
 	}
@@ -840,7 +856,7 @@ func TestSetValuedAnyOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.Subscribers()) != 0 {
+	if len(ps.Groups) != 0 {
 		t.Error("non-matching set-valued resource delivered")
 	}
 }
@@ -864,7 +880,7 @@ func TestWeakReferenceNotTransmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 {
 		t.Fatalf("match failed: %+v", cs)
 	}
@@ -896,7 +912,7 @@ func TestTransitiveStrongClosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 {
 		t.Fatal("no match")
 	}

@@ -16,8 +16,8 @@
 //
 // Registration of documents runs the filter (§3.4); re-registration and
 // deletion run it three times per §3.5 to compute removal candidates. The
-// engine produces a PublishSet per batch: the per-subscriber changesets an
-// MDP sends to its LMRs.
+// engine produces a PublishSet per batch: the changesets an MDP sends to
+// its LMRs, one per interest group.
 package core
 
 import (
@@ -43,17 +43,6 @@ type Options struct {
 	// (§3.3.4), instead of comparing the typed num_value columns through
 	// their ordered indexes. Ablation of the sub-linear triggering path.
 	DisableTypedIndexes bool
-	// DisableTextIndex makes `contains` triggering join every document atom
-	// against its whole FilterRulesCON (class, property) cohort with per-rule
-	// strings.Contains probes, as the paper's prototype does, instead of one
-	// Aho-Corasick pass over the rule constants (textindex.go). Ablation of
-	// the sub-linear text triggering path.
-	DisableTextIndex bool
-	// DisableInterestCoalescing builds one changeset per subscriber instead
-	// of one per interest group, with per-group URI caches disabled —
-	// the pre-coalescing per-subscriber delivery path, kept as the
-	// fan-out ablation.
-	DisableInterestCoalescing bool
 	// Shards partitions the triggering phase of every filter run across
 	// this many independent engine sections keyed by a stable hash of
 	// (class, property), evaluated concurrently and merged in shard order
@@ -134,10 +123,16 @@ type Engine struct {
 	// shards is the triggering machinery (shard.go): at least one section.
 	shards *shardSet
 
-	// text is the contains-rule substring index (textindex.go); nil under
-	// Options.DisableTextIndex, which leaves the CON triggering query in
-	// charge. Derived state: FilterRulesCON stays authoritative.
+	// text is the contains-rule substring index (textindex.go). Derived
+	// state: FilterRulesCON stays authoritative, and with text nil — which
+	// only TestTextIndexDifferential's reference engine sets — the CON
+	// triggering query over that table runs instead.
 	text *textIndex
+
+	// perSubscriberChangesets builds one changeset per subscriber instead of
+	// one per interest group, with the per-batch URI caches off. Set only by
+	// TestCoalescingAblationParity's reference engine.
+	perSubscriberChangesets bool
 
 	// obs holds the optional metrics and slow-publish-log hooks; zero value
 	// means fully disabled (one atomic nil load per instrumented site).

@@ -93,7 +93,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil || len(cs.Upserts) != 1 || cs.Upserts[0].Resource.URIRef != "doc2.rdf#host" {
 		t.Fatalf("restored engine does not filter: %+v", cs)
 	}
@@ -118,7 +118,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := ps.Changesets["lmr1"]; cs == nil || len(cs.Removals) != 1 {
+	if cs := changesetOf(ps, "lmr1"); cs == nil || len(cs.Removals) != 1 {
 		t.Errorf("restored engine update handling: %+v", cs)
 	}
 }

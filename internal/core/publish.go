@@ -67,56 +67,21 @@ type PublishGroup struct {
 	Changeset *Changeset
 }
 
-// PublishSet carries the changesets of one batch, grouped by interest.
-// Changesets indexes the same changesets per subscriber (members of one
-// group alias one *Changeset) for callers that address a single subscriber.
+// PublishSet carries the changesets of one batch: the distinct non-empty
+// changesets with their members, ordered by first member. A subscriber is a
+// member of at most one group.
 type PublishSet struct {
-	Changesets map[string]*Changeset
-	// Groups holds the distinct non-empty changesets with their members,
-	// ordered by first member. Nil on hand-constructed sets that fill only
-	// Changesets; GroupList synthesizes single-member groups for those.
 	Groups []PublishGroup
-}
-
-func newPublishSet() *PublishSet {
-	return &PublishSet{Changesets: make(map[string]*Changeset)}
 }
 
 // NewSingleSubscriberSet wraps one subscriber's changeset (initial fills,
 // replay paths) as a PublishSet.
 func NewSingleSubscriberSet(subscriber string, cs *Changeset) *PublishSet {
-	ps := &PublishSet{Changesets: map[string]*Changeset{subscriber: cs}}
+	ps := &PublishSet{}
 	if cs != nil && !cs.Empty() {
 		ps.Groups = []PublishGroup{{Members: []string{subscriber}, Changeset: cs}}
 	}
 	return ps
-}
-
-// Subscribers returns the subscribers with non-empty changesets, sorted.
-func (p *PublishSet) Subscribers() []string {
-	out := make([]string, 0, len(p.Changesets))
-	for s, cs := range p.Changesets {
-		if !cs.Empty() {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// GroupList returns the batch's delivery groups. Engine-built sets return
-// their computed groups; sets constructed by hand with only the Changesets
-// map get one single-member group per non-empty changeset.
-func (p *PublishSet) GroupList() []PublishGroup {
-	if p.Groups != nil {
-		return p.Groups
-	}
-	subs := p.Subscribers()
-	out := make([]PublishGroup, 0, len(subs))
-	for _, s := range subs {
-		out = append(out, PublishGroup{Members: []string{s}, Changeset: p.Changesets[s]})
-	}
-	return out
 }
 
 // interest is one subscriber's raw match outcome for a batch, collected
@@ -194,7 +159,7 @@ type builtUpsert struct {
 // union of their credits and a MemberCredits ownership map.
 func (e *Engine) buildPublishSet(before, after *matchSet, updated, deleted []*rdf.Resource,
 	holders map[string]map[string]bool) (*PublishSet, error) {
-	ps := newPublishSet()
+	ps := &PublishSet{}
 
 	// Phase 1: collect per-subscriber interests (URI/ID sets only; nothing
 	// expensive is built yet).
@@ -287,13 +252,13 @@ func (e *Engine) buildPublishSet(before, after *matchSet, updated, deleted []*rd
 		}
 	}
 
-	// Phase 2: group subscribers by interest signature. The ablation
-	// (DisableInterestCoalescing) keys by subscriber name, reproducing the
-	// per-subscriber build path end to end.
+	// Phase 2: group subscribers by interest signature. The reference path
+	// (perSubscriberChangesets) keys by subscriber name, reproducing the
+	// per-subscriber build end to end.
 	members := map[string][]string{} // signature -> member subscribers
 	for subscriber, in := range interests {
 		key := in.signature()
-		if e.opts.DisableInterestCoalescing {
+		if e.perSubscriberChangesets {
 			key = "\x00sub\x00" + subscriber
 		}
 		members[key] = append(members[key], subscriber)
@@ -309,14 +274,14 @@ func (e *Engine) buildPublishSet(before, after *matchSet, updated, deleted []*rd
 
 	// Phase 3: build each group's changeset once. The URI-level caches are
 	// shared across groups, so a resource delivered to several groups is
-	// fetched and closure-walked a single time per batch; the ablation gets
-	// fresh caches per group to preserve the old per-subscriber cost.
+	// fetched and closure-walked a single time per batch; the reference path
+	// gets fresh caches per group, as a per-subscriber build would.
 	sharedUpserts := map[string]*builtUpsert{}
 	sharedClosures := map[string]*rdf.Resource{}
 	for _, key := range keys {
 		group := members[key]
 		upCache, closCache := sharedUpserts, sharedClosures
-		if e.opts.DisableInterestCoalescing {
+		if e.perSubscriberChangesets {
 			upCache, closCache = map[string]*builtUpsert{}, map[string]*rdf.Resource{}
 		}
 		cs, err := e.buildGroupChangeset(group, interests, upCache, closCache)
@@ -324,9 +289,6 @@ func (e *Engine) buildPublishSet(before, after *matchSet, updated, deleted []*rd
 			return nil, err
 		}
 		e.stats.ChangesetsBuilt++
-		for _, subscriber := range group {
-			ps.Changesets[subscriber] = cs
-		}
 		if !cs.Empty() {
 			ps.Groups = append(ps.Groups, PublishGroup{Members: group, Changeset: cs})
 			e.stats.PublishGroups++

@@ -254,10 +254,10 @@ type shardRun struct {
 // and clear the scratch — on every return path, so a failed run leaves no
 // atoms behind to match in the next one. It touches only shard-local state
 // plus the caller-owned run record — never the engine. text is the engine's
-// shared contains-rule index (nil under the ablation): reading it from a
-// worker is safe because an atom's cohort key is its (class, property)
-// routing key, so this shard's part only ever touches cohorts no other
-// worker sees.
+// shared contains-rule index (nil on the differential's reference engine,
+// which runs the CON query instead): reading it from a worker is safe
+// because an atom's cohort key is its (class, property) routing key, so
+// this shard's part only ever touches cohorts no other worker sees.
 func (sh *engineShard) runTriggering(text *textIndex, part []preparedAtom, run *shardRun) (err error) {
 	rows := make([][]rdb.Value, len(part))
 	for i, pa := range part {

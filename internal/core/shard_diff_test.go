@@ -160,7 +160,7 @@ func renderPublishSet(ps *PublishSet) string {
 		return "<nil>"
 	}
 	var b strings.Builder
-	for _, g := range ps.GroupList() {
+	for _, g := range ps.Groups {
 		fmt.Fprintf(&b, "group %v\n", g.Members)
 		renderChangeset(&b, g.Changeset)
 	}

@@ -13,7 +13,7 @@ import (
 
 // Differential tests for the contains-rule substring index: an engine with
 // the text index enabled must be observationally identical to the
-// DisableTextIndex scan reference — same publish sets byte for byte, same
+// scan reference (e.text == nil) — same publish sets byte for byte, same
 // stats, same filter tables, same materialized matches — over randomized
 // mixes of register, rewrite, delete, subscribe, and unsubscribe heavy on the
 // contains edge cases the index must reproduce exactly: the empty constant
@@ -110,17 +110,16 @@ func runTextDifferential(t *testing.T, nShards int, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := NewEngineWithOptions(paperSchema(),
-		Options{Shards: nShards, DisableTextIndex: true})
+	scan, err := NewEngineWithOptions(paperSchema(), Options{Shards: nShards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if indexed.text == nil {
 		t.Fatal("indexed engine has no text index")
 	}
-	if scan.text != nil {
-		t.Fatal("ablated engine built a text index")
-	}
+	// The reference: without the index the CON triggering query runs. Set
+	// before any rule exists, so there is nothing to keep in step.
+	scan.text = nil
 
 	live := map[string]bool{}
 	var subs []int64
@@ -255,6 +254,15 @@ func runTextDifferential(t *testing.T, nShards int, seed int64) {
 	}
 	check(steps, "final")
 
+	// The two engines really took different mechanisms: the reference still
+	// has no index, and the indexed engine ran atoms through its automata.
+	if scan.text != nil {
+		t.Fatal("reference engine grew a text index: the differential compared the index with itself")
+	}
+	if indexed.text.scans.Load() == 0 {
+		t.Fatal("indexed engine never scanned an atom through the text index")
+	}
+
 	for _, id := range subs {
 		mi, err := indexed.MatchingResources(id)
 		if err != nil {
@@ -302,14 +310,11 @@ func runTextDifferential(t *testing.T, nShards int, seed int64) {
 		t.Fatal(err)
 	}
 	checkTextMirror(t, reIdx)
-	reScan, err := LoadWithOptions(bytes.NewReader(snap1.Bytes()), paperSchema(),
-		Options{Shards: nShards, DisableTextIndex: true})
+	reScan, err := LoadWithOptions(bytes.NewReader(snap1.Bytes()), paperSchema(), Options{Shards: nShards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reScan.text != nil {
-		t.Fatal("reloaded ablation built a text index")
-	}
+	reScan.text = nil
 	probe := textDiffDoc(rng, 11)
 	psScan, err := scan.RegisterDocument(probe)
 	if err != nil {

@@ -21,10 +21,11 @@ import (
 //
 // The index is derived state, exactly like the shards (shard.go): the
 // catalogue's FilterRulesCON table stays authoritative for persistence,
-// snapshots, and the DisableTextIndex scan path; the index is maintained
-// incrementally on subscribe/unsubscribe under the exclusive engine lock
-// and rebuilt from the canonical table on LoadWithOptions. Snapshots never
-// contain index state, so save/load determinism is untouched.
+// snapshots, and the scan path the differential test compares against
+// (e.text == nil); the index is maintained incrementally on
+// subscribe/unsubscribe under the exclusive engine lock and rebuilt from
+// the canonical table on LoadWithOptions. Snapshots never contain index
+// state, so save/load determinism is untouched.
 //
 // Semantics are pinned to the SQL CONTAINS baseline (internal/rdb/sql
 // expr.go): byte-wise, case-sensitive strings.Contains. Matching raw bytes
@@ -41,7 +42,7 @@ import (
 // collect is single-writer per cohort. The cohorts map itself is read-only
 // during runs. The scan/match counters are atomics so workers can bump them
 // without touching engine state (they are deliberately NOT part of
-// core.Stats: indexed and ablation engines must produce identical Stats for
+// core.Stats: indexed and scanning engines must produce identical Stats for
 // the differential tests).
 
 // conTrigIdx is the position of the CON operator in trigOpNames /
@@ -70,7 +71,7 @@ type textCohort struct {
 }
 
 // textIndex is the engine-wide contains-rule index, one cohort per
-// (class, property); nil on an engine with Options.DisableTextIndex.
+// (class, property).
 type textIndex struct {
 	cohorts map[textCohortKey]*textCohort
 	rules   int // live (rule, constant) entries across all cohorts
@@ -326,12 +327,8 @@ func (a *textAutomaton) scan(value string, out []int64) []int64 {
 
 // initTextIndex builds the engine's contains-rule index from the canonical
 // FilterRulesCON table — empty at bootstrap, populated after a snapshot
-// load. The ablation (Options.DisableTextIndex) leaves e.text nil and the
-// CON triggering query in charge.
+// load.
 func (e *Engine) initTextIndex() error {
-	if e.opts.DisableTextIndex {
-		return nil
-	}
 	e.text = newTextIndex()
 	rows, err := e.db.Query(`SELECT rule_id, class, property, value FROM FilterRulesCON`)
 	if err != nil {

@@ -39,7 +39,7 @@ func TestNumericEqualityLexicalVariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := ps.Changesets["lmr"]; cs == nil || len(cs.Upserts) != 1 {
+	if cs := changesetOf(ps, "lmr"); cs == nil || len(cs.Upserts) != 1 {
 		t.Errorf("8.50 did not match rule constant 8.5: %+v", cs)
 	}
 	// Integer lexical form of the same value.
@@ -50,7 +50,7 @@ func TestNumericEqualityLexicalVariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := ps.Changesets["lmr"]; cs == nil || len(cs.Upserts) != 1 {
+	if cs := changesetOf(ps, "lmr"); cs == nil || len(cs.Upserts) != 1 {
 		t.Errorf("12.0 did not match rule constant 12: %+v", cs)
 	}
 	// String equality must NOT be numeric: a title rule stays exact.
@@ -61,7 +61,7 @@ func TestNumericEqualityLexicalVariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := ps.Changesets["lmr"]; cs != nil {
+	if cs := changesetOf(ps, "lmr"); cs != nil {
 		for _, up := range cs.Upserts {
 			if up.Resource.URIRef == "c.rdf#o" {
 				t.Error("string equality coerced numerically")
@@ -84,7 +84,7 @@ func TestContainsOnBareVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := ps.Changesets["lmr"]; cs == nil || len(cs.Upserts) != 1 {
+	if cs := changesetOf(ps, "lmr"); cs == nil || len(cs.Upserts) != 1 {
 		t.Errorf("URI contains match failed: %+v", cs)
 	}
 	doc2 := rdf.NewDocument("munich.rdf")
@@ -93,7 +93,7 @@ func TestContainsOnBareVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.Subscribers()) != 0 {
+	if len(ps.Groups) != 0 {
 		t.Error("non-matching URI delivered")
 	}
 }
@@ -134,7 +134,7 @@ func TestAllComparisonOperatorsTrigger(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := map[int64]bool{}
-		if cs := ps.Changesets["lmr"]; cs != nil {
+		if cs := changesetOf(ps, "lmr"); cs != nil {
 			for _, up := range cs.Upserts {
 				for _, id := range up.SubIDs {
 					got[id] = true

@@ -27,13 +27,27 @@ func (e *Engine) RegisterDocument(doc *rdf.Document) (*PublishSet, error) {
 // strong-reference closures), removals for resources that no longer match
 // a subscription, and forced deletes for resources removed at the source.
 func (e *Engine) RegisterDocuments(docs []*rdf.Document) (*PublishSet, error) {
-	// The CPU-bound per-document work — schema validation, serialization,
-	// atom decomposition (§3.2), numeric-shadow parsing — is fanned out
-	// across a worker pool BEFORE the exclusive section, so the engine
-	// lock covers only the stored-version diff, table mutation, and the
-	// filter run, and concurrent readers are blocked for less of each
-	// registration.
 	tStart := time.Now()
+	prep, err := e.prepareDocuments(docs)
+	if err != nil {
+		return nil, err
+	}
+	e.observeStage(stagePrepare, tStart)
+
+	tLock := time.Now()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.observeStage(stageLockWait, tLock)
+	return e.registerLocked(docs, prep, tStart)
+}
+
+// prepareDocuments is the unlocked half of a registration: the CPU-bound
+// per-document work — schema validation, serialization, atom decomposition
+// (§3.2), numeric-shadow parsing — fanned out across a worker pool BEFORE
+// the exclusive section, so the engine lock covers only the stored-version
+// diff, table mutation, and the filter run, and concurrent readers are
+// blocked for less of each registration.
+func (e *Engine) prepareDocuments(docs []*rdf.Document) ([]preparedDoc, error) {
 	seen := map[string]bool{}
 	for _, doc := range docs {
 		if seen[doc.URI] {
@@ -47,13 +61,13 @@ func (e *Engine) RegisterDocuments(docs []*rdf.Document) (*PublishSet, error) {
 			return nil, pd.err
 		}
 	}
-	e.observeStage(stagePrepare, tStart)
+	return prep, nil
+}
 
-	tLock := time.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.observeStage(stageLockWait, tLock)
-
+// registerLocked is the exclusive half of a registration; the caller holds
+// e.mu. prep is prepareDocuments' result for docs, tStart when the
+// operation began.
+func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart time.Time) (*PublishSet, error) {
 	// Slow-publish attribution: arm the per-statement trace for this
 	// registration only when the slow log is configured (the trace maps cost
 	// allocations the hot path should not pay otherwise).
@@ -223,27 +237,35 @@ func (e *Engine) RegisterDocuments(docs []*rdf.Document) (*PublishSet, error) {
 // DeleteDocument removes a registered document and all its resources
 // (§2.2: "removing the complete document with all its content").
 func (e *Engine) DeleteDocument(uri string) (*PublishSet, error) {
+	tStart := time.Now()
+	// Re-register an empty version: every resource becomes deleted.
+	docs := []*rdf.Document{rdf.NewDocument(uri)}
+	prep, err := e.prepareDocuments(docs)
+	if err != nil {
+		return nil, err
+	}
+	e.observeStage(stagePrepare, tStart)
+
+	// One critical section across the existence check, the empty
+	// re-registration and the row delete: a registration of the same URI
+	// slipping between them would lose its Documents row and keep its
+	// Resources.
+	tLock := time.Now()
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.observeStage(stageLockWait, tLock)
 	stored, isNew, err := e.loadStoredDocument(uri)
 	if err != nil {
-		e.mu.Unlock()
 		return nil, err
 	}
 	if isNew || stored == nil {
-		e.mu.Unlock()
 		return nil, fmt.Errorf("core: document %s is not registered", uri)
 	}
-	e.mu.Unlock()
-	// Re-register an empty version: every resource becomes deleted.
-	empty := rdf.NewDocument(uri)
-	ps, err := e.RegisterDocuments([]*rdf.Document{empty})
+	ps, err := e.registerLocked(docs, prep, tStart)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	_, err = e.db.Exec(`DELETE FROM Documents WHERE uri = ?`, rdb.NewText(uri))
-	e.mu.Unlock()
-	if err != nil {
+	if _, err := e.db.Exec(`DELETE FROM Documents WHERE uri = ?`, rdb.NewText(uri)); err != nil {
 		return nil, err
 	}
 	return ps, nil

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"mdv/internal/rdf"
@@ -22,8 +24,8 @@ func TestNoOpReRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.Subscribers()) != 0 {
-		t.Errorf("no-op re-registration notified: %v", ps.Subscribers())
+	if len(ps.Groups) != 0 {
+		t.Errorf("no-op re-registration notified: %v", ps.Groups)
 	}
 	after := e.Stats()
 	if after.TriggeringMatches != before.TriggeringMatches {
@@ -63,7 +65,7 @@ func TestMixedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil {
 		t.Fatal("no changeset")
 	}
@@ -121,7 +123,7 @@ func TestClassChangeOnUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ps.Changesets["lmr1"]
+	cs := changesetOf(ps, "lmr1")
 	if cs == nil {
 		t.Fatal("no changeset")
 	}
@@ -155,7 +157,7 @@ func TestEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.Subscribers()) != 0 {
+	if len(ps.Groups) != 0 {
 		t.Error("empty batch notified")
 	}
 }
@@ -184,5 +186,55 @@ func TestSubscribeRejectsInvalidRuleCleanly(t *testing.T) {
 	// A valid rule still works afterwards.
 	if _, _, err := e.Subscribe("lmr1", example331); err != nil {
 		t.Errorf("engine unusable after failures: %v", err)
+	}
+}
+
+// TestDeleteDocumentIsAtomic races DeleteDocument against re-registrations
+// of the same URI. Whichever order they take, the document is either fully
+// there or fully gone: a Documents row exactly when there are Resources
+// rows. A delete that released the lock between its empty re-registration
+// and its row delete let a registration slip in between, leaving Resources
+// without a Documents row — after which the URI could never be registered
+// again. Several registrants and at least four Ps keep somebody spinning on
+// the engine lock when the delete lets go of it.
+func TestDeleteDocumentIsAtomic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	const registrants = 8
+	e := newTestEngine(t)
+	for i := 0; i < 1000; i++ {
+		if _, err := e.RegisterDocument(figure1Doc()); err != nil {
+			t.Fatalf("iteration %d: register: %v", i, err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make([]error, 1+registrants)
+		wg.Add(len(errs))
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[0] = e.DeleteDocument("doc.rdf")
+		}()
+		for k := 1; k <= registrants; k++ {
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[k] = e.RegisterDocument(figure1Doc())
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for k, err := range errs {
+			if err != nil {
+				t.Fatalf("iteration %d: goroutine %d (0 deletes, the rest register): %v", i, k, err)
+			}
+		}
+		docs, resources := e.count("Documents"), e.ResourceCount()
+		if (docs == 0) != (resources == 0) {
+			t.Fatalf("iteration %d: Documents=%d Resources=%d: delete and re-registration interleaved",
+				i, docs, resources)
+		}
+		if _, err := e.RegisterDocument(figure1Doc()); err != nil {
+			t.Fatalf("iteration %d: re-registration after the race: %v", i, err)
+		}
 	}
 }

@@ -72,6 +72,12 @@ func TestProxyForwards(t *testing.T) {
 	if got := p.ActiveLinks(); got != 1 {
 		t.Fatalf("ActiveLinks = %d, want 1", got)
 	}
+	// A pump counts a chunk after writing it, so the echo can be read
+	// before either counter has moved.
+	deadline := time.Now().Add(2 * time.Second)
+	for (p.Forwarded(Up) == 0 || p.Forwarded(Down) == 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if up, down := p.Forwarded(Up), p.Forwarded(Down); up == 0 || down == 0 {
 		t.Fatalf("Forwarded = up %d down %d, want both > 0", up, down)
 	}

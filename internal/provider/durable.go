@@ -193,9 +193,9 @@ type DurableOptions struct {
 	// to a full-state reset (an LMR can be ahead of a freshly restarted
 	// replica that has not caught up yet). Zero means 10s.
 	CatchupWait time.Duration
-	// EngineOptions configure the filter engine when the provider opens
-	// without a snapshot (benchmarks use DisableInterestCoalescing for the
-	// fan-out ablation). A snapshot-restored engine keeps default options.
+	// EngineOptions configure the filter engine, freshly created or
+	// restored from the snapshot (cmd/mdp sets Shards; snapshots carry no
+	// engine options).
 	EngineOptions core.Options
 }
 
@@ -512,7 +512,7 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 		}
 		stats.Replayed++
 		if ps != nil {
-			for _, g := range ps.GroupList() {
+			for _, g := range ps.Groups {
 				if _, err := p.appendPubLocked(g.Members, g.Changeset); err != nil {
 					return err
 				}

@@ -357,8 +357,7 @@ func (p *Provider) publishLocked(ps *core.PublishSet) (uint64, []delivery, error
 	// groups, not subscribers. Group order is deterministic (sorted by
 	// first member), so publish records replay in a stable order across
 	// recovery runs.
-	groups := ps.GroupList()
-	for _, g := range groups {
+	for _, g := range ps.Groups {
 		var seq uint64
 		if p.dur != nil {
 			var err error
@@ -376,8 +375,8 @@ func (p *Provider) publishLocked(ps *core.PublishSet) (uint64, []delivery, error
 		}
 		dels = append(dels, delivery{subs: g.Members, seq: seq, cs: g.Changeset, pubNano: pubNano})
 	}
-	if m := p.met.Load(); m != nil && len(groups) > 0 {
-		m.groupsPerPublish.Observe(float64(len(groups)))
+	if m := p.met.Load(); m != nil && len(ps.Groups) > 0 {
+		m.groupsPerPublish.Observe(float64(len(ps.Groups)))
 	}
 	return maxSeq, dels, nil
 }

@@ -49,6 +49,16 @@ type Repository struct {
 	// it are duplicates from an at-least-once replay and are skipped.
 	lastSeq uint64
 
+	// gcDue is set by every mutation that can leave a cached global resource
+	// unreachable — a credit or a resource removed, a strong edge that a
+	// rewrite did not keep, a global resource entering the cache (whether a
+	// credit or an edge holds it is its caller's business) — and cleared by
+	// the collector. While it is clear, roots and edges have only grown since
+	// the last sweep, so another sweep would drop nothing and ApplyPush
+	// skips it: an update that rewrites what is already cached, the steady
+	// state of a subscription, costs no walk over the whole cache.
+	gcDue bool
+
 	stats Stats
 
 	prep struct {
@@ -62,8 +72,10 @@ type Repository struct {
 		delCredit    *sql.Stmt
 		delCredits   *sql.Stmt
 		creditsOf    *sql.Stmt
+		hasCredit    *sql.Stmt
 		insEdge      *sql.Stmt
 		delEdgesFrom *sql.Stmt
+		edgesFrom    *sql.Stmt
 	}
 }
 
@@ -134,8 +146,10 @@ func New(name string, schema *rdf.Schema) (*Repository, error) {
 	p.delCredit = r.db.MustPrepare(`DELETE FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`)
 	p.delCredits = r.db.MustPrepare(`DELETE FROM CacheCredits WHERE uri_reference = ?`)
 	p.creditsOf = r.db.MustPrepare(`SELECT sub_id FROM CacheCredits WHERE uri_reference = ?`)
+	p.hasCredit = r.db.MustPrepare(`SELECT sub_id FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`)
 	p.insEdge = r.db.MustPrepare(`INSERT INTO CacheRefs (holder, target, property) VALUES (?, ?, ?)`)
 	p.delEdgesFrom = r.db.MustPrepare(`DELETE FROM CacheRefs WHERE holder = ?`)
+	p.edgesFrom = r.db.MustPrepare(`SELECT target FROM CacheRefs WHERE holder = ?`)
 	return r, nil
 }
 
@@ -240,8 +254,19 @@ func (r *Repository) storeResource(res *rdf.Resource, local bool) error {
 	if _, err := r.prep.delStmts.Exec(rdb.NewText(res.URIRef)); err != nil {
 		return err
 	}
+	oldEdges, err := r.prep.edgesFrom.Query(rdb.NewText(res.URIRef))
+	if err != nil {
+		return err
+	}
 	if _, err := r.prep.delEdgesFrom.Exec(rdb.NewText(res.URIRef)); err != nil {
 		return err
+	}
+	was, err := r.prep.getCache.Query(rdb.NewText(res.URIRef))
+	if err != nil {
+		return err
+	}
+	if !local && (was.Empty() || was.Data[0][1].Bool) {
+		r.gcDue = true // enters the cache as a global resource
 	}
 	if _, err := r.prep.delCache.Exec(rdb.NewText(res.URIRef)); err != nil {
 		return err
@@ -258,6 +283,7 @@ func (r *Repository) storeResource(res *rdf.Resource, local bool) error {
 			return err
 		}
 	}
+	kept := map[string]bool{}
 	for _, p := range res.Props {
 		if p.Value.Kind != rdf.ResourceRef {
 			continue
@@ -269,12 +295,19 @@ func (r *Repository) storeResource(res *rdf.Resource, local bool) error {
 			rdb.NewText(res.URIRef), rdb.NewText(p.Value.Ref), rdb.NewText(p.Name)); err != nil {
 			return err
 		}
+		kept[p.Value.Ref] = true
+	}
+	for _, row := range oldEdges.Data {
+		if !kept[row[0].Str] {
+			r.gcDue = true
+		}
 	}
 	return nil
 }
 
 // dropResource removes a resource entirely from the cache.
 func (r *Repository) dropResource(uriRef string) error {
+	r.gcDue = true
 	for _, st := range []*sql.Stmt{r.prep.delStmts, r.prep.delEdgesFrom, r.prep.delCredits, r.prep.delCache} {
 		if _, err := st.Exec(rdb.NewText(uriRef)); err != nil {
 			return err
@@ -292,8 +325,9 @@ func (r *Repository) LastSeq() uint64 {
 }
 
 // ApplyChangeset applies a published changeset (paper §2.2: MDPs "publish
-// updates, insertions, or deletions in the metadata to LMRs") and then runs
-// the garbage collector. Application is idempotent: re-applying a changeset
+// updates, insertions, or deletions in the metadata to LMRs") and then, if
+// it removed anything that held a resource (gcDue), runs the garbage
+// collector. Application is idempotent: re-applying a changeset
 // (an at-least-once redelivery) leaves the cache unchanged.
 func (r *Repository) ApplyChangeset(cs *core.Changeset) error {
 	return r.ApplyPush(0, false, cs)
@@ -330,6 +364,9 @@ func (r *Repository) ApplyPush(seq uint64, reset bool, cs *core.Changeset) error
 		r.lastSeq = seq
 	} else if seq > r.lastSeq {
 		r.lastSeq = seq
+	}
+	if !r.gcDue {
+		return nil
 	}
 	return r.gcLocked()
 }
@@ -390,8 +427,12 @@ func (r *Repository) applyLocked(cs *core.Changeset) error {
 		if owned != nil && !owned[rm.SubID] {
 			continue // another member's credit (would be a no-op anyway)
 		}
-		if _, err := r.prep.delCredit.Exec(rdb.NewText(rm.URIRef), rdb.NewInt(rm.SubID)); err != nil {
+		n, err := r.prep.delCredit.Exec(rdb.NewText(rm.URIRef), rdb.NewInt(rm.SubID))
+		if err != nil {
 			return err
+		}
+		if n > 0 {
+			r.gcDue = true
 		}
 		r.stats.RemovalsApplied++
 	}
@@ -431,9 +472,7 @@ func (r *Repository) applyUpsert(up core.Upsert) error {
 	}
 	for _, subID := range live {
 		// Idempotent credit insert.
-		rows, err := r.db.Query(
-			`SELECT sub_id FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`,
-			rdb.NewText(up.Resource.URIRef), rdb.NewInt(subID))
+		rows, err := r.prep.hasCredit.Query(rdb.NewText(up.Resource.URIRef), rdb.NewInt(subID))
 		if err != nil {
 			return err
 		}
@@ -542,14 +581,10 @@ func (r *Repository) gcLocked() error {
 		addRoot(row[0].Str)
 	}
 	// Mark over strong-reference edges.
-	refsFrom, err := r.db.Prepare(`SELECT target FROM CacheRefs WHERE holder = ?`)
-	if err != nil {
-		return err
-	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		targets, err := refsFrom.Query(rdb.NewText(cur))
+		targets, err := r.prep.edgesFrom.Query(rdb.NewText(cur))
 		if err != nil {
 			return err
 		}
@@ -576,6 +611,7 @@ func (r *Repository) gcLocked() error {
 		}
 		r.stats.ResourcesDropped++
 	}
+	r.gcDue = false
 	return nil
 }
 

@@ -2,6 +2,8 @@ package repository
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mdv/internal/core"
@@ -615,5 +617,88 @@ func TestApplyPushResetRewindsCursor(t *testing.T) {
 	}
 	if got := r.Stats().DuplicatesSkipped; got != 0 {
 		t.Errorf("DuplicatesSkipped = %d, want 0", got)
+	}
+}
+
+// TestSweepOnlyWhenDue: ApplyPush skips the collector unless the push could
+// have orphaned something (gcDue). Random pushes — upserts that move, drop and
+// cycle strong edges, removals, forced deletes, tombstoned credits, local
+// documents taking over and releasing global URIs — go to two repositories,
+// one of which is also swept after every push; after every push both must
+// cache the same resources (credits leave only with a dropped resource, so
+// they cannot differ first).
+func TestSweepOnlyWhenDue(t *testing.T) {
+	schema := testSchema()
+	schema.MustAddProperty("ServerInformation", rdf.PropertyDef{
+		Name: "mirror", Type: rdf.TypeResource, RefClass: "ServerInformation", RefKind: rdf.StrongRef})
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lazy, _ := New("lmr-test", schema)
+		eager, _ := New("lmr-test", schema)
+		info := func() *rdf.Resource { // a ServerInformation mirroring another one, itself, or nothing
+			res := infoResource(fmt.Sprintf("g#i%d", rng.Intn(4)), rng.Intn(100))
+			if k := rng.Intn(6); k < 4 {
+				res.Add("mirror", rdf.Ref(fmt.Sprintf("g#i%d", k)))
+			}
+			return res
+		}
+		for step := 0; step < 300; step++ {
+			cs, local, dropSub := &core.Changeset{}, (*rdf.Document)(nil), int64(0)
+			host := fmt.Sprintf("g#h%d", rng.Intn(5))
+			switch op := rng.Intn(12); {
+			case op < 5:
+				up := core.Upsert{Resource: hostResource(host, step)}
+				for sub := int64(1); sub <= 3; sub++ {
+					if rng.Intn(2) == 0 {
+						up.SubIDs = append(up.SubIDs, sub)
+					}
+				}
+				if rng.Intn(4) > 0 {
+					up.Closure = []*rdf.Resource{info(), info()}
+					up.Resource.Add("serverInformation", rdf.Ref(up.Closure[0].URIRef))
+				}
+				cs.Upserts = []core.Upsert{up}
+			case op < 7:
+				cs.Removals = []core.Removal{{URIRef: host, SubID: int64(1 + rng.Intn(3))}}
+			case op == 7:
+				cs.ForcedDeletes = []string{host, info().URIRef}[rng.Intn(2):][:1]
+			case op == 8:
+				cs.ClosureUpserts = []*rdf.Resource{info()}
+			case op == 9 && rng.Intn(8) == 0:
+				dropSub = int64(1 + rng.Intn(3))
+			case op == 10:
+				local = rdf.NewDocument("g") // local metadata under a global URI
+				res := local.NewResource(fmt.Sprintf("i%d", rng.Intn(4)), "ServerInformation")
+				res.Add("mirror", rdf.Ref(info().URIRef))
+			default:
+				lazy.DeleteLocalResource("g#i0")
+				eager.DeleteLocalResource("g#i0")
+			}
+			for _, r := range []*Repository{lazy, eager} {
+				var err error
+				switch {
+				case local != nil:
+					err = r.RegisterLocalDocument(local)
+				case dropSub != 0:
+					err = r.DropSubscriptionCredits(dropSub)
+				default:
+					err = r.ApplyChangeset(cs)
+				}
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			}
+			if local != nil {
+				continue // registering local metadata sweeps nothing by itself; the next push does
+			}
+			if _, err := eager.GC(); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := eager.Resources("")
+			got, _ := lazy.Resources("")
+			if !slices.Equal(uriList(got), uriList(want)) {
+				t.Fatalf("seed %d step %d: cached %v, a sweep after every push leaves %v", seed, step, uriList(got), uriList(want))
+			}
+		}
 	}
 }

@@ -53,8 +53,8 @@ func TestBaselineAgreesWithFilter(t *testing.T) {
 
 			// Flatten both to (rule ordinal, uri) pair sets.
 			engineSet := map[string]bool{}
-			for _, cs := range ps.Changesets {
-				for _, up := range cs.Upserts {
+			for _, g := range ps.Groups {
+				for _, up := range g.Changeset.Upserts {
 					for _, subID := range up.SubIDs {
 						engineSet[fmt.Sprintf("%d|%s", subToRule[subID], up.Resource.URIRef)] = true
 					}

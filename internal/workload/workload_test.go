@@ -25,8 +25,8 @@ func subscribeBase(t *testing.T, g Generator) *core.Engine {
 func matchedBy(t *testing.T, ps *core.PublishSet) map[string]int {
 	t.Helper()
 	out := map[string]int{}
-	for _, cs := range ps.Changesets {
-		for _, up := range cs.Upserts {
+	for _, g := range ps.Groups {
+		for _, up := range g.Changeset.Upserts {
 			out[up.Resource.URIRef] = len(up.SubIDs)
 		}
 	}
@@ -201,8 +201,8 @@ func TestScaleSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, cs := range ps.Changesets {
-		total += len(cs.Upserts)
+	for _, g := range ps.Groups {
+		total += len(g.Changeset.Upserts)
 	}
 	if total != 100 {
 		t.Errorf("matched %d, want 100", total)

@@ -120,7 +120,8 @@ type (
 	Removal = core.Removal
 	// EngineStats counts filter work (for experiments).
 	EngineStats = core.Stats
-	// EngineOptions tunes the filter engine (ablation switches).
+	// EngineOptions tunes the filter engine: the shard count and the
+	// paper's three ablation switches.
 	EngineOptions = core.Options
 )
 
