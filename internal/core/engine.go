@@ -196,13 +196,6 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// ResetStats zeroes the counters (between benchmark phases).
-func (e *Engine) ResetStats() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats = Stats{}
-}
-
 // ddl is the engine's relational schema (paper §3.3.4 and Figure 4/7/8/9).
 var ddl = []string{
 	// All metadata atoms ever registered: the MDP's database (RDF mapped to

@@ -8,12 +8,24 @@ import (
 	"mdv/internal/rdb"
 )
 
-// The planner turns a SelectStmt into a left-deep join plan. Relations are
-// joined in FROM order (the dialect is used by code we control — the MDV
-// filter — which lists tables in a good order); the planner's job is access
-// path selection: for each relation it picks a point index lookup, an index
-// prefix/range scan, or a full scan, based on the conjuncts available once
-// the preceding relations are bound.
+// The planner turns a SelectStmt into a left-deep join plan. It first fixes
+// the join order, then picks each relation's access path: a point index
+// lookup, an index prefix/range scan, or a full scan, based on the conjuncts
+// available once the preceding relations are bound.
+//
+// Join order is FROM order with one exception: the next relation placed is
+// the first remaining one that an `=` conjunct keys on relations already
+// placed (the equality an index lookup would use), falling back to the first
+// remaining relation only when none is connected. A FROM list in which every
+// relation is connected to those before it — every statement the MDV filter
+// issues — therefore plans exactly as written, while a list that names two
+// anchors before the tables linking them (the query language's translation
+// lists every Cache alias before any CacheStatements alias) is joined along
+// its links instead of across a cross product. The order deliberately does
+// not start from the relation with a constant-bound index: the filter's
+// join-rule queries start from the delta on purpose, and their constant
+// conjuncts (a rule group id, a class and property) select whole rule groups
+// or a whole class extension.
 
 // selectPlan is a fully compiled SELECT.
 type selectPlan struct {
@@ -83,10 +95,9 @@ type accessPath struct {
 
 // conjunct is one AND-term of the WHERE clause with its relation footprint.
 type conjunct struct {
-	expr    Expr
-	maxRel  int          // highest relation index referenced (-1: constants only)
-	relSet  map[int]bool // all referenced relation indexes
-	usedKey bool         // consumed as an index key equality; skip as filter
+	expr Expr
+	rels uint64 // bit i set: references the i-th FROM relation
+	used bool   // consumed as an index key equality or a filter
 }
 
 // buildSelectPlan compiles a SELECT against the database catalog.
@@ -94,10 +105,15 @@ func buildSelectPlan(db *rdb.Database, st *SelectStmt) (*selectPlan, error) {
 	if len(st.From) == 0 {
 		return nil, fmt.Errorf("sql: SELECT requires a FROM clause")
 	}
+	if len(st.From) > 64 {
+		return nil, fmt.Errorf("sql: more than 64 relations in FROM")
+	}
 	p := &selectPlan{sc: &scope{}, limit: st.Limit, offset: st.Offset, distinct: st.Distinct}
 
-	// Bind relations in FROM order.
+	// Bind relations in FROM order: env positions and * expansion follow it
+	// whatever the join order.
 	seen := map[string]bool{}
+	from := make([]*relPlan, 0, len(st.From))
 	for _, ref := range st.From {
 		t, err := db.Table(ref.Table)
 		if err != nil {
@@ -110,14 +126,14 @@ func buildSelectPlan(db *rdb.Database, st *SelectStmt) (*selectPlan, error) {
 		seen[alias] = true
 		rb := relBinding{alias: ref.Alias, def: t.Def(), start: p.sc.width()}
 		p.sc.rels = append(p.sc.rels, rb)
-		p.rels = append(p.rels, &relPlan{binding: rb, table: t})
+		from = append(from, &relPlan{binding: rb, table: t})
 	}
 
 	// Collect conjuncts from WHERE and JOIN ... ON conditions.
 	var conjuncts []*conjunct
 	addConjuncts := func(e Expr) error {
 		for _, c := range splitAnd(e) {
-			cj := &conjunct{expr: c, relSet: map[int]bool{}, maxRel: -1}
+			cj := &conjunct{expr: c}
 			if err := p.footprint(c, cj); err != nil {
 				return err
 			}
@@ -138,23 +154,27 @@ func buildSelectPlan(db *rdb.Database, st *SelectStmt) (*selectPlan, error) {
 		}
 	}
 
-	// Pick access paths and assign filters, relation by relation.
-	for i, rel := range p.rels {
-		if err := p.planAccess(i, rel, conjuncts); err != nil {
+	// Place relations in join order; as each is placed, pick its access path
+	// and attach the filters that just became evaluable.
+	var placed uint64
+	for range from {
+		ri := p.nextRel(placed, conjuncts)
+		placed |= 1 << ri
+		rel := from[ri]
+		p.rels = append(p.rels, rel)
+		if err := p.planAccess(ri, rel, placed, conjuncts); err != nil {
 			return nil, err
 		}
 		for _, cj := range conjuncts {
-			if cj.usedKey || cj.maxRel > i {
+			if cj.used || cj.rels&^placed != 0 {
 				continue
 			}
-			if cj.maxRel == i || (cj.maxRel < 0 && i == 0) {
-				ce, err := compileExpr(cj.expr, p.sc, nil)
-				if err != nil {
-					return nil, err
-				}
-				rel.filter = append(rel.filter, ce)
-				cj.maxRel = -2 // consumed
+			ce, err := compileExpr(cj.expr, p.sc, nil)
+			if err != nil {
+				return nil, err
 			}
+			rel.filter = append(rel.filter, ce)
+			cj.used = true
 		}
 	}
 
@@ -295,11 +315,7 @@ func (p *selectPlan) footprint(e Expr, cj *conjunct) error {
 		if err != nil {
 			return err
 		}
-		ri := p.relIndexOf(pos)
-		cj.relSet[ri] = true
-		if ri > cj.maxRel {
-			cj.maxRel = ri
-		}
+		cj.rels |= 1 << p.relIndexOf(pos)
 		return nil
 	case *BinaryExpr:
 		if err := p.footprint(ex.Left, cj); err != nil {
@@ -335,6 +351,7 @@ func (p *selectPlan) footprint(e Expr, cj *conjunct) error {
 	return fmt.Errorf("sql: unsupported expression %T", e)
 }
 
+// relIndexOf maps an env position to the FROM index of its relation.
 func (p *selectPlan) relIndexOf(pos int) int {
 	for i := len(p.sc.rels) - 1; i >= 0; i-- {
 		if pos >= p.sc.rels[i].start {
@@ -344,9 +361,73 @@ func (p *selectPlan) relIndexOf(pos int) int {
 	return 0
 }
 
+// nextRel returns the FROM index of the relation to join next: the first
+// unplaced one that an `=` conjunct keys on relations already placed, or the
+// first unplaced one when none is.
+func (p *selectPlan) nextRel(placed uint64, conjuncts []*conjunct) int {
+	if placed == 0 {
+		return 0 // nothing is placed yet for a conjunct to key on
+	}
+	first := -1
+	for ri := range p.sc.rels {
+		if placed&(1<<ri) != 0 {
+			continue
+		}
+		if first < 0 {
+			first = ri
+		}
+		connected := false
+		for _, cj := range conjuncts {
+			p.keyTerms(cj, ri, placed, func(_ int, op string, _ Expr, joined bool) {
+				connected = connected || (op == "=" && joined)
+			})
+			if connected {
+				return ri
+			}
+		}
+	}
+	return first
+}
+
+// keyTerms calls fn for each orientation of a comparison conjunct that puts
+// a bare column of relation ri on one side and, on the other, an expression
+// over constants and placed relations other than ri: the terms an index on
+// ri can be keyed or bounded by once the placed relations are bound. joined
+// reports whether that expression references a relation rather than only
+// constants.
+func (p *selectPlan) keyTerms(cj *conjunct, ri int, placed uint64, fn func(colIdx int, op string, value Expr, joined bool)) {
+	be, ok := cj.expr.(*BinaryExpr)
+	if !ok || cj.rels&(1<<ri) == 0 {
+		return
+	}
+	extract := func(colSide, valSide Expr, op string) {
+		cr, ok := colSide.(*ColumnRef)
+		if !ok {
+			return
+		}
+		pos, err := p.sc.resolve(cr)
+		if err != nil || p.relIndexOf(pos) != ri {
+			return
+		}
+		probe := &conjunct{}
+		if err := p.footprint(valSide, probe); err != nil || probe.rels&(1<<ri) != 0 || probe.rels&^placed != 0 {
+			return
+		}
+		fn(pos-p.sc.rels[ri].start, op, valSide, probe.rels != 0)
+	}
+	switch be.Op {
+	case "=":
+		extract(be.Left, be.Right, "=")
+		extract(be.Right, be.Left, "=")
+	case "<", "<=", ">", ">=":
+		extract(be.Left, be.Right, be.Op)
+		extract(be.Right, be.Left, flipOp(be.Op))
+	}
+}
+
 // eqCandidate is an equality conjunct usable as an index key component for
-// relation i: column of relation i on one side, an expression over earlier
-// relations/constants on the other.
+// a relation: a column of the relation on one side, an expression over
+// constants and relations placed before it on the other.
 type eqCandidate struct {
 	colIdx int // column index within the relation
 	value  Expr
@@ -360,48 +441,19 @@ type rangeCandidate struct {
 	cj     *conjunct
 }
 
-// planAccess selects the access path for relation i given the conjuncts.
-func (p *selectPlan) planAccess(i int, rel *relPlan, conjuncts []*conjunct) error {
+// planAccess selects the access path for rel, FROM index ri, which has just
+// been placed.
+func (p *selectPlan) planAccess(ri int, rel *relPlan, placed uint64, conjuncts []*conjunct) error {
 	var eqs []eqCandidate
 	var ranges []rangeCandidate
 	for _, cj := range conjuncts {
-		if cj.maxRel != i {
-			continue
-		}
-		be, ok := cj.expr.(*BinaryExpr)
-		if !ok {
-			continue
-		}
-		extract := func(colSide, valSide Expr, op string) {
-			cr, ok := colSide.(*ColumnRef)
-			if !ok {
-				return
+		p.keyTerms(cj, ri, placed, func(colIdx int, op string, value Expr, _ bool) {
+			if op == "=" {
+				eqs = append(eqs, eqCandidate{colIdx: colIdx, value: value, cj: cj})
+			} else {
+				ranges = append(ranges, rangeCandidate{colIdx: colIdx, op: op, value: value, cj: cj})
 			}
-			pos, err := p.sc.resolve(cr)
-			if err != nil || p.relIndexOf(pos) != i {
-				return
-			}
-			// The other side must reference only earlier relations.
-			probe := &conjunct{relSet: map[int]bool{}, maxRel: -1}
-			if err := p.footprint(valSide, probe); err != nil || probe.maxRel >= i {
-				return
-			}
-			colIdx := pos - rel.binding.start
-			switch op {
-			case "=":
-				eqs = append(eqs, eqCandidate{colIdx: colIdx, value: valSide, cj: cj})
-			case "<", "<=", ">", ">=":
-				ranges = append(ranges, rangeCandidate{colIdx: colIdx, op: op, value: valSide, cj: cj})
-			}
-		}
-		switch be.Op {
-		case "=":
-			extract(be.Left, be.Right, "=")
-			extract(be.Right, be.Left, "=")
-		case "<", "<=", ">", ">=":
-			extract(be.Left, be.Right, be.Op)
-			extract(be.Right, be.Left, flipOp(be.Op))
-		}
+		})
 	}
 
 	// Choose the index covering the longest equality prefix. Ties prefer a
@@ -469,7 +521,7 @@ func (p *selectPlan) planAccess(i int, rel *relPlan, conjuncts []*conjunct) erro
 				return err
 			}
 			keyExprs[k] = ce
-			eq.cj.usedKey = true
+			eq.cj.used = true
 		}
 		ap := accessPath{kind: accessIndexPoint, index: best.index, keyExprs: keyExprs}
 		if !best.point {
