@@ -108,12 +108,12 @@ func TestDecompositionFigure7(t *testing.T) {
 		t.Errorf("FilterRulesCON = %v", con.Data)
 	}
 	// Dependency graph: two join rules, each with two incoming edges.
-	deps, err := e.db.Query(`SELECT COUNT(*) FROM RuleDependencies`)
+	deps, err := e.db.Query(`SELECT source_rule FROM RuleDependencies`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := deps.Scalar(); n.Int != 4 {
-		t.Errorf("dependency edges = %d, want 4", n.Int)
+	if deps.Len() != 4 {
+		t.Errorf("dependency edges = %d, want 4", deps.Len())
 	}
 }
 

@@ -384,19 +384,15 @@ func (e *Engine) prepare() {
 		`SELECT class, doc_uri FROM Resources WHERE uri_reference = ?`)
 }
 
-// scalar counts for introspection and tests.
+// count returns a table's row count, for introspection and tests.
 func (e *Engine) count(table string) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	rows, err := e.db.Query(`SELECT COUNT(*) FROM ` + table)
+	t, err := e.db.Raw().Table(table)
 	if err != nil {
 		return -1
 	}
-	v, err := rows.Scalar()
-	if err != nil {
-		return -1
-	}
-	return int(v.Int)
+	return t.Len()
 }
 
 // AtomicRuleCount returns the number of atomic rules in the engine.

@@ -71,27 +71,22 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 		return nil, err
 	}
 	e.prepare()
-	// Restore the id counters from the stored maxima.
+	// Restore the id counters from the stored maxima (0 for an empty table).
 	var restoreErr error
-	maxOf := func(q string) int64 {
-		rows, err := e.db.Query(q)
+	maxOf := func(col, table string) int64 {
+		var m int64
+		err := e.db.QueryFunc(`SELECT `+col+` FROM `+table, nil, func(row []rdb.Value) error {
+			m = max(m, row[0].Int)
+			return nil
+		})
 		if err != nil {
 			restoreErr = err
-			return 0
 		}
-		v, err := rows.Scalar()
-		if err != nil {
-			restoreErr = err
-			return 0
-		}
-		if v.IsNull() {
-			return 0
-		}
-		return v.Int
+		return m
 	}
-	e.nextRuleID = maxOf(`SELECT MAX(rule_id) FROM AtomicRules`)
-	e.nextSubID = maxOf(`SELECT MAX(sub_id) FROM Subscriptions`)
-	e.nextGroupID = maxOf(`SELECT MAX(group_id) FROM RuleGroups`)
+	e.nextRuleID = maxOf("rule_id", "AtomicRules")
+	e.nextSubID = maxOf("sub_id", "Subscriptions")
+	e.nextGroupID = maxOf("group_id", "RuleGroups")
 	if restoreErr != nil {
 		return nil, restoreErr
 	}

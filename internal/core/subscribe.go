@@ -245,11 +245,11 @@ func (e *Engine) releaseInterned(interned []int64) error {
 			if err := e.rebuildGroupFeeds(gid); err != nil {
 				return err
 			}
-			mrows, err := e.db.Query(`SELECT COUNT(*) FROM JoinRules WHERE group_id = ?`, rdb.NewInt(gid))
+			mrows, err := e.db.Query(`SELECT rule_id FROM JoinRules WHERE group_id = ? LIMIT 1`, rdb.NewInt(gid))
 			if err != nil {
 				return err
 			}
-			if n, _ := mrows.Scalar(); n.Int == 0 {
+			if mrows.Empty() {
 				if _, err := e.db.Exec(`DELETE FROM RuleGroups WHERE group_id = ?`, rdb.NewInt(gid)); err != nil {
 					return err
 				}

@@ -13,15 +13,12 @@ func lowerName(s string) string { return strings.ToLower(s) }
 // table lookups are safe for concurrent use; row-level operations are
 // synchronized per table through each Table's RWMutex, so scans of
 // different goroutines run concurrently and block only on mutations of the
-// same table. The SQL layer above adds statement-level read/write
-// scheduling (sql.DB.stmtMu) and multi-statement read views (sql.ReadTxn)
-// on top of these per-table locks.
+// same table, and a writer only ever holds one table lock. The SQL layer
+// above adds statement-level read/write scheduling (sql.DB.stmtMu) and
+// multi-statement read views (sql.ReadTxn) on top of these per-table locks.
 type Database struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-	// writeMu serializes transactions (single-writer model). Auto-committed
-	// single statements do not take it.
-	writeMu sync.Mutex
 }
 
 // NewDatabase creates an empty database.
@@ -119,162 +116,4 @@ func (db *Database) CreateIndex(def IndexDef) (*Index, error) {
 		return nil, err
 	}
 	return t.createIndex(def)
-}
-
-// DropIndex removes an index from a table.
-func (db *Database) DropIndex(table, name string) error {
-	t, err := db.Table(table)
-	if err != nil {
-		return err
-	}
-	return t.dropIndex(name)
-}
-
-// Begin starts a transaction. Transactions follow a single-writer model:
-// Begin blocks until any other open transaction finishes. Reads outside a
-// transaction remain concurrent.
-func (db *Database) Begin() *Txn {
-	db.writeMu.Lock()
-	return &Txn{db: db}
-}
-
-// Txn is an undo-log transaction. All mutations performed through the
-// transaction are rolled back in reverse order on Rollback.
-type Txn struct {
-	db   *Database
-	undo []undoEntry
-	done bool
-}
-
-type undoOp uint8
-
-const (
-	undoInsert undoOp = iota // compensate with delete
-	undoUpdate               // compensate with update to old row
-	undoDelete               // compensate by re-inserting old row at its slot
-)
-
-type undoEntry struct {
-	op    undoOp
-	table *Table
-	rowID int64
-	old   Row
-}
-
-// Insert inserts a row within the transaction.
-func (tx *Txn) Insert(table string, row Row) (int64, error) {
-	if tx.done {
-		return 0, ErrTxnDone
-	}
-	t, err := tx.db.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	id, err := t.Insert(row)
-	if err != nil {
-		return 0, err
-	}
-	tx.undo = append(tx.undo, undoEntry{op: undoInsert, table: t, rowID: id})
-	return id, nil
-}
-
-// Update updates a row within the transaction.
-func (tx *Txn) Update(table string, rowID int64, row Row) error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	t, err := tx.db.Table(table)
-	if err != nil {
-		return err
-	}
-	old, ok := t.Get(rowID)
-	if !ok {
-		return fmt.Errorf("rdb: table %s: update row %d: %w", table, rowID, ErrNoSuchRow)
-	}
-	if err := t.Update(rowID, row); err != nil {
-		return err
-	}
-	tx.undo = append(tx.undo, undoEntry{op: undoUpdate, table: t, rowID: rowID, old: old})
-	return nil
-}
-
-// Delete deletes a row within the transaction.
-func (tx *Txn) Delete(table string, rowID int64) error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	t, err := tx.db.Table(table)
-	if err != nil {
-		return err
-	}
-	old, err := t.Delete(rowID)
-	if err != nil {
-		return err
-	}
-	tx.undo = append(tx.undo, undoEntry{op: undoDelete, table: t, rowID: rowID, old: old})
-	return nil
-}
-
-// Commit makes the transaction's changes final.
-func (tx *Txn) Commit() error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	tx.done = true
-	tx.undo = nil
-	tx.db.writeMu.Unlock()
-	return nil
-}
-
-// Rollback undoes every change made through the transaction, in reverse.
-func (tx *Txn) Rollback() error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	tx.done = true
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		e := tx.undo[i]
-		switch e.op {
-		case undoInsert:
-			if _, err := e.table.Delete(e.rowID); err != nil {
-				panic(fmt.Sprintf("rdb: rollback: undo insert: %v", err))
-			}
-		case undoUpdate:
-			if err := e.table.Update(e.rowID, e.old); err != nil {
-				panic(fmt.Sprintf("rdb: rollback: undo update: %v", err))
-			}
-		case undoDelete:
-			if err := e.table.reinsertAt(e.rowID, e.old); err != nil {
-				panic(fmt.Sprintf("rdb: rollback: undo delete: %v", err))
-			}
-		}
-	}
-	tx.undo = nil
-	tx.db.writeMu.Unlock()
-	return nil
-}
-
-// reinsertAt restores a previously deleted row at its original slot so that
-// row IDs recorded elsewhere in the undo log remain valid.
-func (t *Table) reinsertAt(rowID int64, row Row) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if rowID < 0 || rowID >= int64(len(t.rows)) || t.rows[rowID] != nil {
-		return fmt.Errorf("rdb: table %s: slot %d not free", t.def.Name, rowID)
-	}
-	// Remove the slot from the free list.
-	for i, f := range t.free {
-		if f == rowID {
-			t.free = append(t.free[:i], t.free[i+1:]...)
-			break
-		}
-	}
-	t.rows[rowID] = row.Clone()
-	t.live++
-	for _, ix := range t.indexes {
-		if err := ix.insert(t.rows[rowID], rowID); err != nil {
-			return err
-		}
-	}
-	return nil
 }

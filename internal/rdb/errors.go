@@ -6,8 +6,6 @@ import "errors"
 var (
 	// ErrNoSuchTable is returned when a statement references an undefined table.
 	ErrNoSuchTable = errors.New("no such table")
-	// ErrNoSuchIndex is returned when a statement references an undefined index.
-	ErrNoSuchIndex = errors.New("no such index")
 	// ErrNoSuchColumn is returned when a statement references an undefined column.
 	ErrNoSuchColumn = errors.New("no such column")
 	// ErrTableExists is returned by CreateTable for a duplicate table name.
@@ -18,6 +16,4 @@ var (
 	ErrNoSuchRow = errors.New("no such row")
 	// ErrUnordered is returned when a range scan is requested on a hash index.
 	ErrUnordered = errors.New("index does not support range scans")
-	// ErrTxnDone is returned when a finished transaction is used again.
-	ErrTxnDone = errors.New("transaction already committed or rolled back")
 )

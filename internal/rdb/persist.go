@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 )
 
@@ -26,12 +25,10 @@ type tableSnapshot struct {
 
 const snapshotVersion = 1
 
-// Save writes a point-in-time snapshot of the whole database. It acquires
-// a database-wide write quiesce: the transaction lock is held and every
-// table is read-locked simultaneously while rows are cloned, so the
-// snapshot is consistent across tables even with concurrent writers.
-// Encoding happens after the locks are released; only the clone phase
-// blocks writes.
+// Save writes a point-in-time snapshot of the whole database: every table
+// is read-locked simultaneously while rows are cloned, so the snapshot is
+// consistent across tables even with concurrent writers. Encoding happens
+// after the locks are released; only the clone phase blocks writes.
 func (db *Database) Save(w io.Writer) error {
 	snap, err := db.cloneQuiesced()
 	if err != nil {
@@ -45,13 +42,12 @@ func (db *Database) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// cloneQuiesced captures a cross-table-consistent copy of every table.
-// Lock order matches the transaction path (writeMu, then table locks), so
-// it cannot deadlock with writers; read locks are taken in sorted table
-// order and all held at once during cloning.
+// cloneQuiesced captures a cross-table-consistent copy of every table by
+// holding every table's read lock at the same time, which makes the snapshot
+// a single point in time. The read locks are taken in sorted table order and
+// a writer holds only one table lock at a time, so concurrent saves and
+// writers cannot deadlock.
 func (db *Database) cloneQuiesced() (*snapshot, error) {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
 	names := db.TableNames()
 	tables := make([]*Table, 0, len(names))
 	for _, name := range names {
@@ -125,38 +121,4 @@ func Load(r io.Reader) (*Database, error) {
 		}
 	}
 	return db, nil
-}
-
-// SaveFile saves the database atomically to a file (write temp, rename).
-func (db *Database) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := db.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile loads a database snapshot from a file.
-func LoadFile(path string) (*Database, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

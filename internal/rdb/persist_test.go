@@ -2,7 +2,7 @@ package rdb
 
 import (
 	"bytes"
-	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -97,31 +97,9 @@ func rowFingerprint(r Row) string {
 	return strings.Join(parts, "|")
 }
 
-func TestSaveFileLoadFile(t *testing.T) {
-	db := populated(t)
-	path := filepath.Join(t.TempDir(), "snap.db")
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, _ := db2.Table("providers")
-	if t2.Len() != 48 {
-		t.Errorf("Len = %d, want 48", t2.Len())
-	}
-}
-
 func TestLoadGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("garbage accepted")
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.db")); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 
@@ -139,10 +117,13 @@ func TestSaveEmptyDatabase(t *testing.T) {
 	}
 }
 
-// TestSaveQuiescesWriters: Save holds a database-wide write quiesce while
-// cloning, so a snapshot taken under concurrent transactions is consistent
-// ACROSS tables: a transaction inserting one row into each of two tables is
-// either entirely in the snapshot or entirely absent.
+// TestSaveQuiescesWriters: Save read-locks every table at once while it
+// clones, so a snapshot is one point in time across tables. A writer inserts
+// row i into left and then into right, so every snapshot must hold as many
+// rows in right as in left, or one fewer. Tables are cloned in name order,
+// and middle, which the writer never touches, sits between the two: a clone
+// that locks one table at a time lets the writer run for all of middle's
+// clone and shows right ahead of left.
 func TestSaveQuiescesWriters(t *testing.T) {
 	db := NewDatabase()
 	def := func(name string) TableDef {
@@ -150,34 +131,43 @@ func TestSaveQuiescesWriters(t *testing.T) {
 			{Name: "id", Type: KindInt, PrimaryKey: true},
 		}}
 	}
-	mustTable(t, db, def("left"))
-	mustTable(t, db, def("right"))
+	left := mustTable(t, db, def("left"))
+	middle := mustTable(t, db, def("middle"))
+	right := mustTable(t, db, def("right"))
+	for i := int64(0); i < 5000; i++ {
+		if _, err := middle.Insert(Row{NewInt(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := int64(0); i < 3000; i++ {
+		for i := int64(0); i < 20_000; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			tx := db.Begin()
-			if _, err := tx.Insert("left", Row{NewInt(i)}); err != nil {
+			if _, err := left.Insert(Row{NewInt(i)}); err != nil {
 				t.Error(err)
-				tx.Rollback()
 				return
 			}
-			if _, err := tx.Insert("right", Row{NewInt(i)}); err != nil {
+			if _, err := right.Insert(Row{NewInt(i)}); err != nil {
 				t.Error(err)
-				tx.Rollback()
 				return
 			}
-			tx.Commit()
 		}
 	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
 
+	for left.Len() == 0 {
+		runtime.Gosched()
+	}
 	for i := 0; i < 8; i++ {
 		var buf bytes.Buffer
 		if err := db.Save(&buf); err != nil {
@@ -189,12 +179,10 @@ func TestSaveQuiescesWriters(t *testing.T) {
 		}
 		l, _ := snap.Table("left")
 		r, _ := snap.Table("right")
-		if l.Len() != r.Len() {
+		if d := l.Len() - r.Len(); d < 0 || d > 1 {
 			t.Fatalf("inconsistent snapshot: left=%d right=%d", l.Len(), r.Len())
 		}
 	}
-	close(stop)
-	<-done
 }
 
 // TestSaveDeterministic: two databases with identical content — and the

@@ -25,12 +25,11 @@ func dmlDB(t *testing.T) *DB {
 
 func countWhere(t *testing.T, db *DB, where string) int {
 	t.Helper()
-	rows, err := db.Query(`SELECT COUNT(*) FROM r WHERE ` + where)
+	rows, err := db.Query(`SELECT id FROM r WHERE ` + where)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := rows.Scalar()
-	return int(v.Int)
+	return rows.Len()
 }
 
 func TestUpdateViaPrimaryKeyIndex(t *testing.T) {
@@ -96,8 +95,8 @@ func TestUpdateWithParamKey(t *testing.T) {
 
 func TestDeleteNoIndexFallsBackToScan(t *testing.T) {
 	db := dmlDB(t)
-	// No index on an expression: id % 2 = 0 must still work (full scan).
-	n, err := db.Exec(`DELETE FROM r WHERE id % 2 = 0`)
+	// No index on an expression: id - 25 >= 0 must still work (full scan).
+	n, err := db.Exec(`DELETE FROM r WHERE id - 25 >= 0`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,100 +1,75 @@
 package sql
 
 import (
-	"fmt"
+	"errors"
 	"sort"
 
 	"mdv/internal/rdb"
 )
 
-// run executes a compiled SELECT plan, invoking visit with the projected row
-// for every result. The env slices passed to visit are reused; visit must
-// copy values it keeps.
+// errLimitReached aborts the join once LIMIT rows have been emitted.
+var errLimitReached = errors.New("sql: limit reached")
+
+// sortRow is a projected row with its ORDER BY keys.
+type sortRow struct{ row, keys []rdb.Value }
+
+// run executes a compiled SELECT plan, invoking visit with a fresh projected
+// row for every result. Without ORDER BY rows stream out of the join as they
+// are found and LIMIT stops the join early; with it they are collected,
+// sorted (stably, ascending) and cut to LIMIT.
 func (p *selectPlan) run(params []rdb.Value, visit func(row []rdb.Value) error) error {
-	// Phase 1: join. Collect raw environments (grouping, ordering, and
-	// distinct need materialization anyway; for plain streaming queries we
-	// stream directly).
-	needMaterialize := p.grouped || len(p.orderBy) > 0
-
-	st := &streamState{}
-	if p.distinct {
-		st.distinctSeen = make(map[string]bool)
-	}
-	var envs [][]rdb.Value
-	emitEnv := func(env []rdb.Value) error {
-		if needMaterialize {
-			cp := make([]rdb.Value, len(env))
-			copy(cp, env)
-			envs = append(envs, cp)
-			return nil
-		}
-		return p.project(st, env, params, visit)
-	}
-
-	if !needMaterialize {
-		// Streaming path with DISTINCT/LIMIT handled inside project/emit.
-		err := p.bindRel(0, make([]rdb.Value, p.sc.width()), params, emitEnv)
-		if err == errLimitReached {
-			return nil
-		}
-		return err
-	}
-
-	if err := p.bindRel(0, make([]rdb.Value, p.sc.width()), params, emitEnv); err != nil {
-		return err
-	}
-
-	// Phase 2: grouping.
-	if p.grouped {
-		grouped, err := p.groupEnvs(envs, params)
-		if err != nil {
-			return err
-		}
-		envs = grouped
-	}
-
-	// Phase 3: order, distinct, limit, project.
-	return p.finish(envs, params, visit)
-}
-
-// errLimitReached aborts the join once LIMIT rows have been emitted in the
-// streaming path.
-var errLimitReached = fmt.Errorf("sql: limit reached")
-
-type streamState struct {
-	distinctSeen map[string]bool
-	emitted      int
-	skipped      int
-}
-
-// project evaluates the projection for one environment and applies
-// DISTINCT/OFFSET/LIMIT in streaming mode.
-func (p *selectPlan) project(st *streamState, env []rdb.Value, params []rdb.Value, visit func([]rdb.Value) error) error {
-	row := make([]rdb.Value, len(p.projExprs))
-	for i, ce := range p.projExprs {
-		v, err := ce(env, params)
-		if err != nil {
-			return err
-		}
-		row[i] = v
-	}
-	if p.distinct {
-		k := rdb.EncodeKeyString(rdb.Key(row))
-		if st.distinctSeen[k] {
-			return nil
-		}
-		st.distinctSeen[k] = true
-	}
-	if st.skipped < p.offset {
-		st.skipped++
+	if p.limit == 0 {
 		return nil
 	}
-	if err := visit(row); err != nil {
+	var seen map[string]bool
+	if p.distinct {
+		seen = make(map[string]bool)
+	}
+	var sorted []sortRow
+	emitted := 0
+	emit := func(env []rdb.Value) error {
+		row := make([]rdb.Value, len(p.proj))
+		for i, pos := range p.proj {
+			row[i] = env[pos]
+		}
+		if seen != nil {
+			k := rdb.EncodeKeyString(rdb.Key(row))
+			if seen[k] {
+				return nil
+			}
+			seen[k] = true
+		}
+		if len(p.orderBy) > 0 {
+			keys := make([]rdb.Value, len(p.orderBy))
+			for i, pos := range p.orderBy {
+				keys[i] = env[pos]
+			}
+			sorted = append(sorted, sortRow{row, keys})
+			return nil
+		}
+		if err := visit(row); err != nil {
+			return err
+		}
+		if emitted++; emitted == p.limit {
+			return errLimitReached
+		}
+		return nil
+	}
+	err := p.bindRel(0, make([]rdb.Value, p.sc.width()), params, emit)
+	if err == errLimitReached {
+		return nil
+	}
+	if err != nil {
 		return err
 	}
-	st.emitted++
-	if p.limit >= 0 && st.emitted >= p.limit {
-		return errLimitReached
+	sort.SliceStable(sorted, func(a, b int) bool { return rdb.CompareKeys(sorted[a].keys, sorted[b].keys) < 0 })
+	if p.limit >= 0 && p.limit < len(sorted) {
+		sorted = sorted[:p.limit]
+	}
+	for _, r := range sorted {
+		if err := visit(r.row); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -111,399 +86,91 @@ func (p *selectPlan) bindRel(i int, env []rdb.Value, params []rdb.Value, emit fu
 
 	tryRow := func(row rdb.Row) error {
 		copy(env[start:start+width], row)
-		for _, f := range rel.filter {
-			v, err := f(env, params)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				return nil
-			}
-			b, err := truthy(v)
-			if err != nil {
-				return err
-			}
-			if !b {
-				return nil
-			}
+		if ok, err := holds(rel.filter, env, params); !ok {
+			return err
 		}
 		return p.bindRel(i+1, env, params, emit)
 	}
 
-	switch rel.access.kind {
-	case accessIndexPoint, accessIndexPrefix:
-		key := make(rdb.Key, len(rel.access.keyExprs))
-		for k, ce := range rel.access.keyExprs {
-			v, err := ce(env, params)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				return nil // NULL never equals anything: no matches
-			}
-			key[k] = v
-		}
-		if rel.access.kind == accessIndexPoint {
-			for _, rowID := range rel.access.index.Lookup(key) {
-				row, ok := rel.table.Get(rowID)
-				if !ok {
-					continue
-				}
+	if rel.access.kind == accessFullScan {
+		// Scan holds the table read lock during visits; this is safe because
+		// the session serializes writer statements against readers, and
+		// mutating statements materialize their scan results before touching
+		// the table.
+		var scanErr error
+		rel.table.Scan(func(_ int64, row rdb.Row) bool {
+			scanErr = tryRow(row)
+			return scanErr == nil
+		})
+		return scanErr
+	}
+
+	key, ok, err := evalKey(rel.access.keyExprs, env, params)
+	if !ok {
+		return err // NULL never equals anything: no matches
+	}
+	if rel.access.kind == accessIndexPoint {
+		for _, rowID := range rel.access.index.Lookup(key) {
+			if row, ok := rel.table.Get(rowID); ok {
 				if err := tryRow(row); err != nil {
 					return err
 				}
 			}
-			return nil
 		}
-		var scanErr error
-		err := rel.access.index.ScanRange(key, key, func(_ rdb.Key, rowID int64) bool {
-			row, ok := rel.table.Get(rowID)
-			if !ok {
-				return true
-			}
-			if err := tryRow(row); err != nil {
-				scanErr = err
-				return false
-			}
-			return true
-		})
-		if err != nil {
+		return nil
+	}
+	// A prefix scan covers the equality prefix; a range scan adds low/high
+	// bounds on the next index column.
+	low, high := key, key
+	if rel.access.kind == accessIndexRange {
+		if low, ok, err = extendKey(key, rel.access.lowExpr, rdb.MinSentinel(), env, params); !ok {
 			return err
 		}
-		return scanErr
-
-	case accessIndexRange:
-		// The scan covers the equality prefix (keyExprs, possibly empty)
-		// plus low/high bounds on the next index column. A prefix-only end
-		// is inclusive of every key sharing the prefix (ScanRange truncates
-		// the comparison to the bound's length); with no prefix an open end
-		// falls back to a sentinel.
-		prefix := make(rdb.Key, 0, len(rel.access.keyExprs)+1)
-		for _, ce := range rel.access.keyExprs {
-			v, err := ce(env, params)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				return nil // NULL never equals anything: no matches
-			}
-			prefix = append(prefix, v)
-		}
-		low := append(rdb.Key{}, prefix...)
-		high := append(rdb.Key{}, prefix...)
-		if rel.access.lowExpr != nil {
-			v, err := rel.access.lowExpr(env, params)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				return nil
-			}
-			low = append(low, v)
-		} else if len(prefix) == 0 {
-			low = rdb.Key{rdb.MinSentinel()}
-		}
-		if rel.access.highExpr != nil {
-			v, err := rel.access.highExpr(env, params)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				return nil
-			}
-			high = append(high, v)
-		} else if len(prefix) == 0 {
-			high = rdb.Key{rdb.MaxSentinel()}
-		}
-		var scanErr error
-		err := rel.access.index.ScanRange(low, high, func(_ rdb.Key, rowID int64) bool {
-			row, ok := rel.table.Get(rowID)
-			if !ok {
-				return true
-			}
-			if err := tryRow(row); err != nil {
-				scanErr = err
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		return scanErr
-
-	default: // full scan. Scan holds the table read lock during visits;
-		// this is safe because the session serializes writer statements
-		// against readers, and mutating statements materialize their scan
-		// results before touching the table.
-		var scanErr error
-		rel.table.Scan(func(_ int64, row rdb.Row) bool {
-			if err := tryRow(row); err != nil {
-				scanErr = err
-				return false
-			}
-			return true
-		})
-		return scanErr
-	}
-}
-
-// groupEnvs buckets environments by the GROUP BY key, computes aggregates,
-// applies HAVING, and returns one extended environment per surviving group.
-// With no GROUP BY clause, all rows form a single group (and an empty input
-// still yields one group, per SQL semantics for global aggregates).
-func (p *selectPlan) groupEnvs(envs [][]rdb.Value, params []rdb.Value) ([][]rdb.Value, error) {
-	type group struct {
-		rep  []rdb.Value
-		accs []aggAcc
-	}
-	newGroup := func(rep []rdb.Value) *group {
-		g := &group{rep: rep, accs: make([]aggAcc, len(p.aggs))}
-		for i, spec := range p.aggs {
-			g.accs[i] = newAggAcc(spec.name)
-		}
-		return g
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, env := range envs {
-		keyVals := make(rdb.Key, len(p.groupBy))
-		for i, ce := range p.groupBy {
-			v, err := ce(env, params)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-		}
-		k := rdb.EncodeKeyString(keyVals)
-		g, ok := groups[k]
-		if !ok {
-			g = newGroup(env)
-			groups[k] = g
-			order = append(order, k)
-		}
-		for i, spec := range p.aggs {
-			if spec.arg == nil {
-				g.accs[i].add(rdb.NewInt(1), true)
-				continue
-			}
-			v, err := spec.arg(env, params)
-			if err != nil {
-				return nil, err
-			}
-			g.accs[i].add(v, false)
-		}
-	}
-	if len(groups) == 0 && len(p.groupBy) == 0 {
-		// Global aggregate over empty input: one group with empty rep.
-		g := newGroup(make([]rdb.Value, p.sc.width()))
-		groups[""] = g
-		order = append(order, "")
-	}
-	var out [][]rdb.Value
-	for _, k := range order {
-		g := groups[k]
-		ext := make([]rdb.Value, p.aggWidth)
-		copy(ext, g.rep)
-		for i, acc := range g.accs {
-			ext[p.sc.width()+i] = acc.result()
-		}
-		if p.having != nil {
-			v, err := p.having(ext, params)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			b, err := truthy(v)
-			if err != nil {
-				return nil, err
-			}
-			if !b {
-				continue
-			}
-		}
-		out = append(out, ext)
-	}
-	return out, nil
-}
-
-// finish applies ORDER BY, DISTINCT, OFFSET, and LIMIT to materialized
-// environments and projects the results.
-func (p *selectPlan) finish(envs [][]rdb.Value, params []rdb.Value, visit func([]rdb.Value) error) error {
-	type outRow struct {
-		proj []rdb.Value
-		keys []rdb.Value
-	}
-	rows := make([]outRow, 0, len(envs))
-	seen := map[string]bool{}
-	for _, env := range envs {
-		proj := make([]rdb.Value, len(p.projExprs))
-		for i, ce := range p.projExprs {
-			v, err := ce(env, params)
-			if err != nil {
-				return err
-			}
-			proj[i] = v
-		}
-		if p.distinct {
-			k := rdb.EncodeKeyString(rdb.Key(proj))
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		r := outRow{proj: proj}
-		if len(p.orderBy) > 0 {
-			r.keys = make([]rdb.Value, len(p.orderBy))
-			for i, o := range p.orderBy {
-				if o.ordinal > 0 {
-					r.keys[i] = proj[o.ordinal-1]
-					continue
-				}
-				v, err := o.expr(env, params)
-				if err != nil {
-					return err
-				}
-				r.keys[i] = v
-			}
-		}
-		rows = append(rows, r)
-	}
-	if len(p.orderBy) > 0 {
-		sort.SliceStable(rows, func(a, b int) bool {
-			for i, o := range p.orderBy {
-				c := rdb.Compare(rows[a].keys[i], rows[b].keys[i])
-				if c == 0 {
-					continue
-				}
-				if o.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	start := p.offset
-	if start > len(rows) {
-		start = len(rows)
-	}
-	end := len(rows)
-	if p.limit >= 0 && start+p.limit < end {
-		end = start + p.limit
-	}
-	for _, r := range rows[start:end] {
-		if err := visit(r.proj); err != nil {
+		if high, ok, err = extendKey(key, rel.access.highExpr, rdb.MaxSentinel(), env, params); !ok {
 			return err
 		}
 	}
-	return nil
+	var scanErr error
+	err = rel.access.index.ScanRange(low, high, func(_ rdb.Key, rowID int64) bool {
+		if row, ok := rel.table.Get(rowID); ok {
+			scanErr = tryRow(row)
+		}
+		return scanErr == nil
+	})
+	if err != nil {
+		return err
+	}
+	return scanErr
 }
 
-// aggAcc accumulates one aggregate over a group.
-type aggAcc interface {
-	add(v rdb.Value, star bool)
-	result() rdb.Value
+// evalKey evaluates index key expressions. ok is false when one fails or is
+// NULL.
+func evalKey(exprs []cexpr, env []rdb.Value, params []rdb.Value) (rdb.Key, bool, error) {
+	key := make(rdb.Key, len(exprs))
+	for i, ce := range exprs {
+		v, err := ce(env, params)
+		if err != nil || v.IsNull() {
+			return nil, false, err
+		}
+		key[i] = v
+	}
+	return key, true, nil
 }
 
-func newAggAcc(name string) aggAcc {
-	switch name {
-	case "COUNT":
-		return &countAcc{}
-	case "SUM":
-		return &sumAcc{}
-	case "AVG":
-		return &avgAcc{}
-	case "MIN":
-		return &minmaxAcc{min: true}
-	case "MAX":
-		return &minmaxAcc{}
-	default:
-		panic("sql: unknown aggregate " + name)
+// extendKey appends one evaluated range bound to an equality prefix. An open
+// bound leaves the prefix, which ScanRange treats as covering every key that
+// shares it, or with no prefix becomes the sentinel. ok is false when the
+// bound fails or is NULL.
+func extendKey(prefix rdb.Key, bound cexpr, sentinel rdb.Value, env []rdb.Value, params []rdb.Value) (rdb.Key, bool, error) {
+	if bound == nil {
+		if len(prefix) == 0 {
+			return rdb.Key{sentinel}, true, nil
+		}
+		return prefix, true, nil
 	}
-}
-
-type countAcc struct{ n int64 }
-
-func (a *countAcc) add(v rdb.Value, star bool) {
-	if star || !v.IsNull() {
-		a.n++
+	v, err := bound(env, params)
+	if err != nil || v.IsNull() {
+		return nil, false, err
 	}
-}
-func (a *countAcc) result() rdb.Value { return rdb.NewInt(a.n) }
-
-type sumAcc struct {
-	isFloat bool
-	i       int64
-	f       float64
-	any     bool
-}
-
-func (a *sumAcc) add(v rdb.Value, _ bool) {
-	switch v.Kind {
-	case rdb.KindInt:
-		a.i += v.Int
-		a.f += float64(v.Int)
-		a.any = true
-	case rdb.KindFloat:
-		a.isFloat = true
-		a.f += v.Float
-		a.any = true
-	}
-}
-func (a *sumAcc) result() rdb.Value {
-	if !a.any {
-		return rdb.Null()
-	}
-	if a.isFloat {
-		return rdb.NewFloat(a.f)
-	}
-	return rdb.NewInt(a.i)
-}
-
-type avgAcc struct {
-	sum float64
-	n   int64
-}
-
-func (a *avgAcc) add(v rdb.Value, _ bool) {
-	if v.IsNumeric() {
-		a.sum += v.AsFloat()
-		a.n++
-	}
-}
-func (a *avgAcc) result() rdb.Value {
-	if a.n == 0 {
-		return rdb.Null()
-	}
-	return rdb.NewFloat(a.sum / float64(a.n))
-}
-
-type minmaxAcc struct {
-	min bool
-	val rdb.Value
-	any bool
-}
-
-func (a *minmaxAcc) add(v rdb.Value, _ bool) {
-	if v.IsNull() {
-		return
-	}
-	if !a.any {
-		a.val = v
-		a.any = true
-		return
-	}
-	c := rdb.Compare(v, a.val)
-	if (a.min && c < 0) || (!a.min && c > 0) {
-		a.val = v
-	}
-}
-func (a *minmaxAcc) result() rdb.Value {
-	if !a.any {
-		return rdb.Null()
-	}
-	return a.val
+	return append(prefix[:len(prefix):len(prefix)], v), true, nil
 }

@@ -62,13 +62,12 @@ func TestExecBatch(t *testing.T) {
 }
 
 // TestExecBatchRequiresSingleRowInsert rejects statements the batch fast
-// path cannot amortize.
+// path cannot amortize; a multi-row INSERT does not parse at all.
 func TestExecBatchRequiresSingleRowInsert(t *testing.T) {
 	db := testDB(t)
 	for _, text := range []string{
 		`SELECT id FROM providers`,
 		`DELETE FROM services WHERE sid = ?`,
-		`INSERT INTO services (sid, pid) VALUES (1000, 1), (1001, 2)`,
 	} {
 		st, err := db.Prepare(text)
 		if err != nil {
@@ -77,5 +76,8 @@ func TestExecBatchRequiresSingleRowInsert(t *testing.T) {
 		if _, err := st.ExecBatch([][]rdb.Value{nil}); err == nil {
 			t.Errorf("ExecBatch accepted %q", text)
 		}
+	}
+	if _, err := db.Prepare(`INSERT INTO services (sid, pid) VALUES (1000, 1), (1001, 2)`); err == nil {
+		t.Error("multi-row INSERT prepared")
 	}
 }

@@ -2,10 +2,7 @@ package sql
 
 import (
 	"fmt"
-	"math"
-	"regexp"
 	"strings"
-	"sync"
 
 	"mdv/internal/rdb"
 )
@@ -59,15 +56,25 @@ func (sc *scope) resolve(ref *ColumnRef) (int, error) {
 	return found, nil
 }
 
+// resolveAll resolves a list of column references.
+func (sc *scope) resolveAll(refs []*ColumnRef) ([]int, error) {
+	out := make([]int, len(refs))
+	for i, ref := range refs {
+		pos, err := sc.resolve(ref)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = pos
+	}
+	return out, nil
+}
+
 // cexpr is a compiled expression: evaluated against a row environment and
 // the statement parameters.
 type cexpr func(env []rdb.Value, params []rdb.Value) (rdb.Value, error)
 
-// compileExpr compiles an AST expression against a scope. Aggregate nodes
-// are resolved through aggPos, which maps them to positions in the extended
-// environment built by the grouping operator; outside grouped queries
-// aggPos is nil and aggregates are rejected.
-func compileExpr(e Expr, sc *scope, aggPos map[*AggExpr]int) (cexpr, error) {
+// compileExpr compiles an AST expression against a scope.
+func compileExpr(e Expr, sc *scope) (cexpr, error) {
 	switch ex := e.(type) {
 	case *Literal:
 		v := ex.Value
@@ -91,116 +98,8 @@ func compileExpr(e Expr, sc *scope, aggPos map[*AggExpr]int) (cexpr, error) {
 			return env[pos], nil
 		}, nil
 
-	case *AggExpr:
-		if aggPos == nil {
-			return nil, fmt.Errorf("sql: aggregate %s used outside GROUP BY context", ex.Name)
-		}
-		pos, ok := aggPos[ex]
-		if !ok {
-			return nil, fmt.Errorf("sql: internal: unregistered aggregate %s", ex.Name)
-		}
-		return func(env []rdb.Value, _ []rdb.Value) (rdb.Value, error) {
-			return env[pos], nil
-		}, nil
-
-	case *UnaryExpr:
-		x, err := compileExpr(ex.X, sc, aggPos)
-		if err != nil {
-			return nil, err
-		}
-		switch ex.Op {
-		case "NOT":
-			return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-				v, err := x(env, params)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				if v.IsNull() {
-					return rdb.Null(), nil
-				}
-				b, err := truthy(v)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				return rdb.NewBool(!b), nil
-			}, nil
-		case "-":
-			return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-				v, err := x(env, params)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				switch v.Kind {
-				case rdb.KindNull:
-					return rdb.Null(), nil
-				case rdb.KindInt:
-					return rdb.NewInt(-v.Int), nil
-				case rdb.KindFloat:
-					return rdb.NewFloat(-v.Float), nil
-				}
-				return rdb.Null(), fmt.Errorf("sql: cannot negate %s", v.Kind)
-			}, nil
-		}
-		return nil, fmt.Errorf("sql: unknown unary operator %q", ex.Op)
-
-	case *IsNullExpr:
-		x, err := compileExpr(ex.X, sc, aggPos)
-		if err != nil {
-			return nil, err
-		}
-		not := ex.Not
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			v, err := x(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			return rdb.NewBool(v.IsNull() != not), nil
-		}, nil
-
-	case *InExpr:
-		x, err := compileExpr(ex.X, sc, aggPos)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]cexpr, len(ex.List))
-		for i, le := range ex.List {
-			ce, err := compileExpr(le, sc, aggPos)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = ce
-		}
-		not := ex.Not
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			v, err := x(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			if v.IsNull() {
-				return rdb.Null(), nil
-			}
-			sawNull := false
-			for _, ce := range list {
-				lv, err := ce(env, params)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				if lv.IsNull() {
-					sawNull = true
-					continue
-				}
-				if rdb.Equal(v, lv) {
-					return rdb.NewBool(!not), nil
-				}
-			}
-			if sawNull {
-				return rdb.Null(), nil
-			}
-			return rdb.NewBool(not), nil
-		}, nil
-
 	case *CastExpr:
-		x, err := compileExpr(ex.X, sc, aggPos)
+		x, err := compileExpr(ex.X, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -213,358 +112,80 @@ func compileExpr(e Expr, sc *scope, aggPos map[*AggExpr]int) (cexpr, error) {
 			return v.CoerceTo(kind)
 		}, nil
 
-	case *FuncExpr:
-		args := make([]cexpr, len(ex.Args))
-		for i, a := range ex.Args {
-			ce, err := compileExpr(a, sc, aggPos)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ce
-		}
-		return compileFunc(ex.Name, args)
-
 	case *BinaryExpr:
-		return compileBinary(ex, sc, aggPos)
+		op, ok := binaryOps[ex.Op]
+		if !ok {
+			return nil, fmt.Errorf("sql: unknown binary operator %q", ex.Op)
+		}
+		left, err := compileExpr(ex.Left, sc)
+		if err != nil {
+			return nil, err
+		}
+		right, err := compileExpr(ex.Right, sc)
+		if err != nil {
+			return nil, err
+		}
+		// Every operator yields NULL when either operand is NULL.
+		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
+			lv, err := left(env, params)
+			if err != nil {
+				return rdb.Null(), err
+			}
+			rv, err := right(env, params)
+			if err != nil {
+				return rdb.Null(), err
+			}
+			if lv.IsNull() || rv.IsNull() {
+				return rdb.Null(), nil
+			}
+			return op(lv, rv)
+		}, nil
 	}
 	return nil, fmt.Errorf("sql: unsupported expression %T", e)
 }
 
-func compileFunc(name string, args []cexpr) (cexpr, error) {
-	argc := map[string][2]int{
-		"LOWER": {1, 1}, "UPPER": {1, 1}, "LENGTH": {1, 1}, "ABS": {1, 1},
-		"COALESCE": {1, 64},
-	}
-	rng, ok := argc[name]
-	if !ok {
-		return nil, fmt.Errorf("sql: unknown function %q", name)
-	}
-	if len(args) < rng[0] || len(args) > rng[1] {
-		return nil, fmt.Errorf("sql: function %s: wrong argument count %d", name, len(args))
-	}
-	switch name {
-	case "LOWER", "UPPER":
-		upper := name == "UPPER"
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			v, err := args[0](env, params)
-			if err != nil || v.IsNull() {
-				return v, err
-			}
-			s, err := v.CoerceTo(rdb.KindText)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			if upper {
-				return rdb.NewText(strings.ToUpper(s.Str)), nil
-			}
-			return rdb.NewText(strings.ToLower(s.Str)), nil
-		}, nil
-	case "LENGTH":
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			v, err := args[0](env, params)
-			if err != nil || v.IsNull() {
-				return v, err
-			}
-			s, err := v.CoerceTo(rdb.KindText)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			return rdb.NewInt(int64(len(s.Str))), nil
-		}, nil
-	case "ABS":
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			v, err := args[0](env, params)
-			if err != nil || v.IsNull() {
-				return v, err
-			}
-			switch v.Kind {
-			case rdb.KindInt:
-				if v.Int < 0 {
-					return rdb.NewInt(-v.Int), nil
-				}
-				return v, nil
-			case rdb.KindFloat:
-				return rdb.NewFloat(math.Abs(v.Float)), nil
-			}
-			return rdb.Null(), fmt.Errorf("sql: ABS of non-numeric %s", v.Kind)
-		}, nil
-	case "COALESCE":
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			for _, a := range args {
-				v, err := a(env, params)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				if !v.IsNull() {
-					return v, nil
-				}
-			}
-			return rdb.Null(), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("sql: unknown function %q", name)
-}
-
-func compileBinary(ex *BinaryExpr, sc *scope, aggPos map[*AggExpr]int) (cexpr, error) {
-	left, err := compileExpr(ex.Left, sc, aggPos)
-	if err != nil {
-		return nil, err
-	}
-	right, err := compileExpr(ex.Right, sc, aggPos)
-	if err != nil {
-		return nil, err
-	}
-	switch ex.Op {
-	case "AND":
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			lv, err := left(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			// Kleene three-valued AND with short-circuit on FALSE.
-			if !lv.IsNull() {
-				lb, err := truthy(lv)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				if !lb {
-					return rdb.NewBool(false), nil
-				}
-			}
-			rv, err := right(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			if rv.IsNull() || lv.IsNull() {
-				if !rv.IsNull() {
-					if rb, err := truthy(rv); err != nil {
-						return rdb.Null(), err
-					} else if !rb {
-						return rdb.NewBool(false), nil
-					}
-				}
-				return rdb.Null(), nil
-			}
-			rb, err := truthy(rv)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			return rdb.NewBool(rb), nil
-		}, nil
-	case "OR":
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			lv, err := left(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			if !lv.IsNull() {
-				lb, err := truthy(lv)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				if lb {
-					return rdb.NewBool(true), nil
-				}
-			}
-			rv, err := right(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			if rv.IsNull() || lv.IsNull() {
-				if !rv.IsNull() {
-					if rb, err := truthy(rv); err != nil {
-						return rdb.Null(), err
-					} else if rb {
-						return rdb.NewBool(true), nil
-					}
-				}
-				return rdb.Null(), nil
-			}
-			rb, err := truthy(rv)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			return rdb.NewBool(rb), nil
-		}, nil
-	case "=", "!=", "<", "<=", ">", ">=":
-		op := ex.Op
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			lv, err := left(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			rv, err := right(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return rdb.Null(), nil
-			}
-			c := rdb.Compare(lv, rv)
-			var b bool
-			switch op {
-			case "=":
-				b = c == 0
-			case "!=":
-				b = c != 0
-			case "<":
-				b = c < 0
-			case "<=":
-				b = c <= 0
-			case ">":
-				b = c > 0
-			case ">=":
-				b = c >= 0
-			}
-			return rdb.NewBool(b), nil
-		}, nil
-	case "CONTAINS":
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			lv, err := left(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			rv, err := right(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return rdb.Null(), nil
-			}
-			ls, err := lv.CoerceTo(rdb.KindText)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			rs, err := rv.CoerceTo(rdb.KindText)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			return rdb.NewBool(strings.Contains(ls.Str, rs.Str)), nil
-		}, nil
-	case "LIKE":
-		// Fast path: literal pattern compiled once.
-		if lit, ok := ex.Right.(*Literal); ok && lit.Value.Kind == rdb.KindText {
-			re, err := likeToRegexp(lit.Value.Str)
-			if err != nil {
-				return nil, err
-			}
-			return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-				lv, err := left(env, params)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				if lv.IsNull() {
-					return rdb.Null(), nil
-				}
-				ls, err := lv.CoerceTo(rdb.KindText)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				return rdb.NewBool(re.MatchString(ls.Str)), nil
-			}, nil
+// compileAll compiles a list of expressions.
+func compileAll(es []Expr, sc *scope) ([]cexpr, error) {
+	out := make([]cexpr, len(es))
+	for i, e := range es {
+		ce, err := compileExpr(e, sc)
+		if err != nil {
+			return nil, err
 		}
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			lv, err := left(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			rv, err := right(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return rdb.Null(), nil
-			}
-			ls, err := lv.CoerceTo(rdb.KindText)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			rs, err := rv.CoerceTo(rdb.KindText)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			re, err := likeRegexpCached(rs.Str)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			return rdb.NewBool(re.MatchString(ls.Str)), nil
-		}, nil
-	case "+", "-", "*", "/", "%":
-		op := ex.Op
-		return func(env []rdb.Value, params []rdb.Value) (rdb.Value, error) {
-			lv, err := left(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			rv, err := right(env, params)
-			if err != nil {
-				return rdb.Null(), err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return rdb.Null(), nil
-			}
-			// String concatenation via +.
-			if op == "+" && (lv.Kind == rdb.KindText || rv.Kind == rdb.KindText) {
-				ls, err := lv.CoerceTo(rdb.KindText)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				rs, err := rv.CoerceTo(rdb.KindText)
-				if err != nil {
-					return rdb.Null(), err
-				}
-				return rdb.NewText(ls.Str + rs.Str), nil
-			}
-			if !lv.IsNumeric() || !rv.IsNumeric() {
-				return rdb.Null(), fmt.Errorf("sql: arithmetic on non-numeric values (%s %s %s)", lv.Kind, op, rv.Kind)
-			}
-			if lv.Kind == rdb.KindInt && rv.Kind == rdb.KindInt {
-				a, b := lv.Int, rv.Int
-				switch op {
-				case "+":
-					return rdb.NewInt(a + b), nil
-				case "-":
-					return rdb.NewInt(a - b), nil
-				case "*":
-					return rdb.NewInt(a * b), nil
-				case "/":
-					if b == 0 {
-						return rdb.Null(), fmt.Errorf("sql: division by zero")
-					}
-					return rdb.NewInt(a / b), nil
-				case "%":
-					if b == 0 {
-						return rdb.Null(), fmt.Errorf("sql: division by zero")
-					}
-					return rdb.NewInt(a % b), nil
-				}
-			}
-			a, b := lv.AsFloat(), rv.AsFloat()
-			switch op {
-			case "+":
-				return rdb.NewFloat(a + b), nil
-			case "-":
-				return rdb.NewFloat(a - b), nil
-			case "*":
-				return rdb.NewFloat(a * b), nil
-			case "/":
-				if b == 0 {
-					return rdb.Null(), fmt.Errorf("sql: division by zero")
-				}
-				return rdb.NewFloat(a / b), nil
-			case "%":
-				if b == 0 {
-					return rdb.Null(), fmt.Errorf("sql: division by zero")
-				}
-				return rdb.NewFloat(math.Mod(a, b)), nil
-			}
-			return rdb.Null(), fmt.Errorf("sql: unknown arithmetic operator %q", op)
-		}, nil
+		out[i] = ce
 	}
-	return nil, fmt.Errorf("sql: unknown binary operator %q", ex.Op)
+	return out, nil
 }
 
-// truthy converts a value to a boolean for WHERE/HAVING evaluation.
+// binaryOps evaluates each binary operator on two non-NULL operands.
+var binaryOps = map[string]func(a, b rdb.Value) (rdb.Value, error){
+	"=":  func(a, b rdb.Value) (rdb.Value, error) { return rdb.NewBool(rdb.Compare(a, b) == 0), nil },
+	"!=": func(a, b rdb.Value) (rdb.Value, error) { return rdb.NewBool(rdb.Compare(a, b) != 0), nil },
+	"<":  func(a, b rdb.Value) (rdb.Value, error) { return rdb.NewBool(rdb.Compare(a, b) < 0), nil },
+	"<=": func(a, b rdb.Value) (rdb.Value, error) { return rdb.NewBool(rdb.Compare(a, b) <= 0), nil },
+	">":  func(a, b rdb.Value) (rdb.Value, error) { return rdb.NewBool(rdb.Compare(a, b) > 0), nil },
+	">=": func(a, b rdb.Value) (rdb.Value, error) { return rdb.NewBool(rdb.Compare(a, b) >= 0), nil },
+	// CONTAINS matches substrings of the operands' text forms.
+	"CONTAINS": func(a, b rdb.Value) (rdb.Value, error) {
+		return rdb.NewBool(strings.Contains(a.String(), b.String())), nil
+	},
+	"+": func(a, b rdb.Value) (rdb.Value, error) { return add(a, b, 1) },
+	"-": func(a, b rdb.Value) (rdb.Value, error) { return add(a, b, -1) },
+}
+
+// add returns a + sign*b: INT when both operands are INT, FLOAT otherwise.
+func add(a, b rdb.Value, sign int64) (rdb.Value, error) {
+	if !a.IsNumeric() || !b.IsNumeric() {
+		return rdb.Null(), fmt.Errorf("sql: arithmetic on non-numeric values (%s, %s)", a.Kind, b.Kind)
+	}
+	if a.Kind == rdb.KindInt && b.Kind == rdb.KindInt {
+		return rdb.NewInt(a.Int + sign*b.Int), nil
+	}
+	return rdb.NewFloat(a.AsFloat() + float64(sign)*b.AsFloat()), nil
+}
+
+// truthy converts a condition's value to a boolean; NULL is false, so a
+// comparison with NULL never selects a row.
 func truthy(v rdb.Value) (bool, error) {
 	switch v.Kind {
 	case rdb.KindBool:
@@ -580,35 +201,16 @@ func truthy(v rdb.Value) (bool, error) {
 	}
 }
 
-// likeToRegexp translates a SQL LIKE pattern (% and _ wildcards) into an
-// anchored regular expression.
-func likeToRegexp(pattern string) (*regexp.Regexp, error) {
-	var sb strings.Builder
-	sb.WriteString("(?s)^")
-	for _, r := range pattern {
-		switch r {
-		case '%':
-			sb.WriteString(".*")
-		case '_':
-			sb.WriteString(".")
-		default:
-			sb.WriteString(regexp.QuoteMeta(string(r)))
+// holds reports whether every condition is true in env.
+func holds(conds []cexpr, env []rdb.Value, params []rdb.Value) (bool, error) {
+	for _, c := range conds {
+		v, err := c(env, params)
+		if err != nil {
+			return false, err
+		}
+		if b, err := truthy(v); err != nil || !b {
+			return false, err
 		}
 	}
-	sb.WriteString("$")
-	return regexp.Compile(sb.String())
-}
-
-var likeCache sync.Map // pattern string -> *regexp.Regexp
-
-func likeRegexpCached(pattern string) (*regexp.Regexp, error) {
-	if re, ok := likeCache.Load(pattern); ok {
-		return re.(*regexp.Regexp), nil
-	}
-	re, err := likeToRegexp(pattern)
-	if err != nil {
-		return nil, err
-	}
-	likeCache.Store(pattern, re)
-	return re, nil
+	return true, nil
 }

@@ -1,18 +1,29 @@
-// Package sql implements a SQL subset on top of the rdb engine: DDL
-// (CREATE/DROP TABLE, CREATE/DROP INDEX), DML (INSERT, UPDATE, DELETE,
-// INSERT ... SELECT), and queries (SELECT with multi-way joins, WHERE,
-// GROUP BY with aggregates, HAVING, ORDER BY, DISTINCT, LIMIT/OFFSET).
+// Package sql is the SQL front end of the rdb engine. Every statement it
+// runs is generated inside MDV — by the filter engine (internal/core), the
+// LMR cache (internal/repository), the query translator (internal/query) and
+// the baseline workload — and the dialect is exactly what those issue:
 //
-// The dialect includes a CONTAINS operator (substring match) because the MDV
-// rule language exposes it, and CAST, which the filter algorithm uses to
-// reconvert numeric constants stored as strings in the FilterRulesOP tables
-// (paper §3.3.4).
+//	CREATE TABLE t (col INT|FLOAT|TEXT|BOOL [PRIMARY KEY] [NOT NULL], ...)
+//	CREATE [UNIQUE] INDEX i ON t (col, ...) [USING HASH]
+//	DROP TABLE [IF EXISTS] t
+//	INSERT INTO t [(col, ...)] VALUES (expr, ...)
+//	UPDATE t SET col = expr, ... [WHERE cond AND ...]
+//	DELETE FROM t [WHERE cond AND ...]
+//	SELECT [DISTINCT] * | [alias.]col, ... FROM t [alias], ...
+//	    [WHERE cond AND ...] [ORDER BY [alias.]col, ...] [LIMIT n]
+//
+// An expr is a literal (number, 'string', TRUE, FALSE, NULL), a ? parameter,
+// an [alias.]col reference, CAST(expr AS type), or a + or - of those on
+// numbers. A cond is an expr, or two exprs compared with = != < <= > >= or
+// CONTAINS (substring match, which the MDV rule language exposes). CAST lets
+// the filter reconvert numeric constants stored as strings in the
+// FilterRules tables (paper §3.3.4). A comparison with NULL is never true,
+// and ORDER BY sorts ascending. Parse rejects everything else.
 package sql
 
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokenKind uint8
@@ -34,173 +45,84 @@ type token struct {
 }
 
 // keywords recognized by the lexer. Identifiers matching these
-// (case-insensitively) become tkKeyword tokens with upper-cased text.
+// (case-insensitively) become tkKeyword tokens with upper-cased text; every
+// other word is an identifier.
 var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true,
-	"SET": true, "DELETE": true, "CREATE": true, "TABLE": true, "INDEX": true,
-	"DROP": true, "ON": true, "AS": true, "DISTINCT": true, "GROUP": true,
-	"BY": true, "HAVING": true, "ORDER": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "OFFSET": true, "JOIN": true, "INNER": true, "PRIMARY": true,
-	"KEY": true, "UNIQUE": true, "NULL": true, "TRUE": true, "FALSE": true,
-	"IS": true, "IN": true, "LIKE": true, "CONTAINS": true, "CAST": true,
-	"USING": true, "HASH": true, "BTREE": true, "IF": true, "EXISTS": true,
-	"INT": true, "INTEGER": true, "FLOAT": true, "REAL": true, "DOUBLE": true,
-	"TEXT": true, "VARCHAR": true, "STRING": true, "BOOL": true, "BOOLEAN": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
+	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true, "AND": true,
+	"ORDER": true, "BY": true, "LIMIT": true, "INSERT": true, "INTO": true,
+	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
+	"UNIQUE": true, "TABLE": true, "INDEX": true, "ON": true, "USING": true,
+	"HASH": true, "DROP": true, "IF": true, "EXISTS": true, "PRIMARY": true,
+	"KEY": true, "NOT": true, "NULL": true, "TRUE": true, "FALSE": true,
+	"CONTAINS": true, "CAST": true, "AS": true,
+	"INT": true, "FLOAT": true, "TEXT": true, "BOOL": true,
 }
 
-type lexer struct {
-	src    string
-	pos    int
-	tokens []token
-}
-
-// lex tokenizes the whole input up front; the parser then walks the slice.
+// lex tokenizes the whole input up front; the parser then walks the slice,
+// which always ends with a tkEOF token.
 func lex(src string) ([]token, error) {
-	lx := &lexer{src: src}
+	var tokens []token
+	pos := 0
 	for {
-		tok, err := lx.next()
-		if err != nil {
-			return nil, err
+		for pos < len(src) && strings.IndexByte(" \t\r\n", src[pos]) >= 0 {
+			pos++
 		}
-		lx.tokens = append(lx.tokens, tok)
-		if tok.kind == tkEOF {
-			return lx.tokens, nil
+		if pos == len(src) {
+			return append(tokens, token{kind: tkEOF, pos: pos}), nil
 		}
-	}
-}
-
-func (lx *lexer) next() (token, error) {
-	lx.skipSpaceAndComments()
-	start := lx.pos
-	if lx.pos >= len(lx.src) {
-		return token{kind: tkEOF, pos: start}, nil
-	}
-	c := lx.src[lx.pos]
-	switch {
-	case c == '?':
-		lx.pos++
-		return token{kind: tkParam, text: "?", pos: start}, nil
-	case c == '\'':
-		return lx.lexString()
-	case isDigit(c) || (c == '.' && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1])):
-		return lx.lexNumber()
-	case isIdentStart(c):
-		return lx.lexIdent()
-	default:
-		return lx.lexSymbol()
-	}
-}
-
-func (lx *lexer) skipSpaceAndComments() {
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			lx.pos++
-			continue
-		}
-		if c == '-' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '-' {
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.pos++
-			}
-			continue
-		}
-		break
-	}
-}
-
-func (lx *lexer) lexString() (token, error) {
-	start := lx.pos
-	lx.pos++ // opening quote
-	var sb strings.Builder
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == '\'' {
-			// '' is an escaped quote.
-			if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				lx.pos += 2
-				continue
-			}
-			lx.pos++
-			return token{kind: tkString, text: sb.String(), pos: start}, nil
-		}
-		sb.WriteByte(c)
-		lx.pos++
-	}
-	return token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
-}
-
-func (lx *lexer) lexNumber() (token, error) {
-	start := lx.pos
-	seenDot, seenExp := false, false
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
+		start, c := pos, src[pos]
+		var tok token
 		switch {
-		case isDigit(c):
-			lx.pos++
-		case c == '.' && !seenDot && !seenExp:
-			seenDot = true
-			lx.pos++
-		case (c == 'e' || c == 'E') && !seenExp && lx.pos > start:
-			seenExp = true
-			lx.pos++
-			if lx.pos < len(lx.src) && (lx.src[lx.pos] == '+' || lx.src[lx.pos] == '-') {
-				lx.pos++
+		case c == '\'':
+			var sb strings.Builder
+			for pos++; ; pos++ {
+				if pos == len(src) {
+					return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+				}
+				if src[pos] == '\'' {
+					if pos+1 == len(src) || src[pos+1] != '\'' {
+						break
+					}
+					pos++ // '' is an escaped quote
+				}
+				sb.WriteByte(src[pos])
 			}
+			pos++ // closing quote
+			tok = token{kind: tkString, text: sb.String()}
+		case isDigit(c):
+			dot := false
+			for pos < len(src) && (isDigit(src[pos]) || src[pos] == '.' && !dot) {
+				dot = dot || src[pos] == '.'
+				pos++
+			}
+			tok = token{kind: tkNumber, text: src[start:pos]}
+		case isIdentStart(c):
+			for pos < len(src) && (isIdentStart(src[pos]) || isDigit(src[pos])) {
+				pos++
+			}
+			tok = token{kind: tkIdent, text: src[start:pos]}
+			if upper := strings.ToUpper(tok.text); keywords[upper] {
+				tok = token{kind: tkKeyword, text: upper}
+			}
+		case c == '?':
+			pos++
+			tok = token{kind: tkParam, text: "?"}
 		default:
-			return token{kind: tkNumber, text: lx.src[start:lx.pos], pos: start}, nil
+			if two := src[pos:min(pos+2, len(src))]; two == "<=" || two == ">=" || two == "!=" {
+				tok = token{kind: tkSymbol, text: two}
+			} else if strings.IndexByte("(),.*=<>+-", c) >= 0 {
+				tok = token{kind: tkSymbol, text: string(c)}
+			} else {
+				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
+			}
+			pos += len(tok.text)
 		}
+		tok.pos = start
+		tokens = append(tokens, tok)
 	}
-	return token{kind: tkNumber, text: lx.src[start:lx.pos], pos: start}, nil
 }
 
-func (lx *lexer) lexIdent() (token, error) {
-	start := lx.pos
-	for lx.pos < len(lx.src) && isIdentPart(lx.src[lx.pos]) {
-		lx.pos++
-	}
-	text := lx.src[start:lx.pos]
-	upper := strings.ToUpper(text)
-	if keywords[upper] {
-		return token{kind: tkKeyword, text: upper, pos: start}, nil
-	}
-	return token{kind: tkIdent, text: text, pos: start}, nil
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+func isIdentStart(c byte) bool {
+	return c == '_' || c == '#' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
-
-func (lx *lexer) lexSymbol() (token, error) {
-	start := lx.pos
-	two := ""
-	if lx.pos+1 < len(lx.src) {
-		two = lx.src[lx.pos : lx.pos+2]
-	}
-	switch two {
-	case "<=", ">=", "!=", "<>", "==":
-		lx.pos += 2
-		text := two
-		if text == "<>" {
-			text = "!="
-		}
-		if text == "==" {
-			text = "="
-		}
-		return token{kind: tkSymbol, text: text, pos: start}, nil
-	}
-	c := lx.src[lx.pos]
-	switch c {
-	case '(', ')', ',', '.', '*', '=', '<', '>', '+', '-', '/', '%', ';':
-		lx.pos++
-		return token{kind: tkSymbol, text: string(c), pos: start}, nil
-	}
-	r := rune(c)
-	if r > unicode.MaxASCII {
-		return token{}, fmt.Errorf("sql: unexpected character %q at offset %d", r, start)
-	}
-	return token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
-}
-
-func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || c == '#' || isAlpha(c) }
-func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
-func isAlpha(c byte) bool      { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') }

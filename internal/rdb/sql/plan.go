@@ -32,33 +32,10 @@ type selectPlan struct {
 	sc   *scope
 	rels []*relPlan
 
-	// Projection.
-	projExprs []cexpr
-	projNames []string
-
-	// Grouping.
-	grouped  bool
-	groupBy  []cexpr
-	aggs     []*aggSpec
-	having   cexpr
-	aggWidth int // env width + len(aggs)
-
+	proj     []int // env positions of the projected columns
+	orderBy  []int // env positions of the ORDER BY keys
 	distinct bool
-	orderBy  []orderPlan
 	limit    int
-	offset   int
-}
-
-type orderPlan struct {
-	expr    cexpr
-	desc    bool
-	ordinal int // >0: sort by projected column (1-based); expr is nil then
-}
-
-type aggSpec struct {
-	name string // COUNT, SUM, AVG, MIN, MAX
-	arg  cexpr  // nil for COUNT(*)
-	node *AggExpr
 }
 
 // relPlan is one relation in join order with its access path and the filter
@@ -102,13 +79,10 @@ type conjunct struct {
 
 // buildSelectPlan compiles a SELECT against the database catalog.
 func buildSelectPlan(db *rdb.Database, st *SelectStmt) (*selectPlan, error) {
-	if len(st.From) == 0 {
-		return nil, fmt.Errorf("sql: SELECT requires a FROM clause")
-	}
 	if len(st.From) > 64 {
 		return nil, fmt.Errorf("sql: more than 64 relations in FROM")
 	}
-	p := &selectPlan{sc: &scope{}, limit: st.Limit, offset: st.Offset, distinct: st.Distinct}
+	p := &selectPlan{sc: &scope{}, limit: st.Limit, distinct: st.Distinct}
 
 	// Bind relations in FROM order: env positions and * expansion follow it
 	// whatever the join order.
@@ -129,28 +103,11 @@ func buildSelectPlan(db *rdb.Database, st *SelectStmt) (*selectPlan, error) {
 		from = append(from, &relPlan{binding: rb, table: t})
 	}
 
-	// Collect conjuncts from WHERE and JOIN ... ON conditions.
-	var conjuncts []*conjunct
-	addConjuncts := func(e Expr) error {
-		for _, c := range splitAnd(e) {
-			cj := &conjunct{expr: c}
-			if err := p.footprint(c, cj); err != nil {
-				return err
-			}
-			conjuncts = append(conjuncts, cj)
-		}
-		return nil
-	}
-	if st.Where != nil {
-		if err := addConjuncts(st.Where); err != nil {
+	conjuncts := make([]*conjunct, len(st.Where))
+	for i, c := range st.Where {
+		conjuncts[i] = &conjunct{expr: c}
+		if err := p.footprint(c, conjuncts[i]); err != nil {
 			return nil, err
-		}
-	}
-	for _, ref := range st.From {
-		if ref.On != nil {
-			if err := addConjuncts(ref.On); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -169,7 +126,7 @@ func buildSelectPlan(db *rdb.Database, st *SelectStmt) (*selectPlan, error) {
 			if cj.used || cj.rels&^placed != 0 {
 				continue
 			}
-			ce, err := compileExpr(cj.expr, p.sc, nil)
+			ce, err := compileExpr(cj.expr, p.sc)
 			if err != nil {
 				return nil, err
 			}
@@ -178,177 +135,39 @@ func buildSelectPlan(db *rdb.Database, st *SelectStmt) (*selectPlan, error) {
 		}
 	}
 
-	// Grouping: collect aggregates from the projection, HAVING, and ORDER BY.
-	var aggNodes []*AggExpr
-	for _, item := range st.Items {
-		if !item.Star {
-			collectAggs(item.Expr, &aggNodes)
+	// Projection (* is every column in FROM order) and ORDER BY keys.
+	var err error
+	if st.Items == nil {
+		for pos := 0; pos < p.sc.width(); pos++ {
+			p.proj = append(p.proj, pos)
 		}
-	}
-	if st.Having != nil {
-		collectAggs(st.Having, &aggNodes)
-	}
-	for _, o := range st.OrderBy {
-		collectAggs(o.Expr, &aggNodes)
-	}
-	p.grouped = len(st.GroupBy) > 0 || len(aggNodes) > 0
-	var aggPos map[*AggExpr]int
-	if p.grouped {
-		aggPos = make(map[*AggExpr]int, len(aggNodes))
-		base := p.sc.width()
-		for _, a := range aggNodes {
-			var argExpr cexpr
-			if a.Arg != nil {
-				ce, err := compileExpr(a.Arg, p.sc, nil)
-				if err != nil {
-					return nil, err
-				}
-				argExpr = ce
-			}
-			aggPos[a] = base + len(p.aggs)
-			p.aggs = append(p.aggs, &aggSpec{name: a.Name, arg: argExpr, node: a})
-		}
-		p.aggWidth = base + len(p.aggs)
-		for _, g := range st.GroupBy {
-			ce, err := compileExpr(g, p.sc, nil)
-			if err != nil {
-				return nil, err
-			}
-			p.groupBy = append(p.groupBy, ce)
-		}
-		if st.Having != nil {
-			ce, err := compileExpr(st.Having, p.sc, aggPos)
-			if err != nil {
-				return nil, err
-			}
-			p.having = ce
-		}
-	} else if st.Having != nil {
-		return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
-	}
-
-	// Projection.
-	if err := p.buildProjection(st.Items, aggPos); err != nil {
+	} else if p.proj, err = p.sc.resolveAll(st.Items); err != nil {
 		return nil, err
 	}
-
-	// ORDER BY.
-	for _, o := range st.OrderBy {
-		op := orderPlan{desc: o.Desc}
-		if lit, ok := o.Expr.(*Literal); ok && lit.Value.Kind == rdb.KindInt {
-			n := int(lit.Value.Int)
-			if n < 1 || n > len(p.projExprs) {
-				return nil, fmt.Errorf("sql: ORDER BY position %d out of range", n)
-			}
-			op.ordinal = n
-		} else {
-			ce, err := compileExpr(o.Expr, p.sc, aggPos)
-			if err != nil {
-				return nil, err
-			}
-			op.expr = ce
-		}
-		p.orderBy = append(p.orderBy, op)
+	if p.orderBy, err = p.sc.resolveAll(st.OrderBy); err != nil {
+		return nil, err
 	}
 	return p, nil
-}
-
-// buildProjection compiles the select list, expanding * items.
-func (p *selectPlan) buildProjection(items []SelectItem, aggPos map[*AggExpr]int) error {
-	expand := func(rb relBinding) {
-		for ci := range rb.def.Columns {
-			pos := rb.start + ci
-			p.projExprs = append(p.projExprs, func(env []rdb.Value, _ []rdb.Value) (rdb.Value, error) {
-				return env[pos], nil
-			})
-			p.projNames = append(p.projNames, rb.def.Columns[ci].Name)
-		}
-	}
-	for _, item := range items {
-		if item.Star {
-			if item.StarTable == "" {
-				for _, rb := range p.sc.rels {
-					expand(rb)
-				}
-				continue
-			}
-			found := false
-			for _, rb := range p.sc.rels {
-				if strings.EqualFold(rb.alias, item.StarTable) {
-					expand(rb)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("sql: unknown table %q in %s.*", item.StarTable, item.StarTable)
-			}
-			continue
-		}
-		ce, err := compileExpr(item.Expr, p.sc, aggPos)
-		if err != nil {
-			return err
-		}
-		p.projExprs = append(p.projExprs, ce)
-		name := item.Alias
-		if name == "" {
-			if cr, ok := item.Expr.(*ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = fmt.Sprintf("col%d", len(p.projNames)+1)
-			}
-		}
-		p.projNames = append(p.projNames, name)
-	}
-	return nil
 }
 
 // footprint records which relations an expression references.
 func (p *selectPlan) footprint(e Expr, cj *conjunct) error {
 	switch ex := e.(type) {
-	case nil:
-		return nil
-	case *Literal, *Param:
-		return nil
 	case *ColumnRef:
 		pos, err := p.sc.resolve(ex)
 		if err != nil {
 			return err
 		}
 		cj.rels |= 1 << p.relIndexOf(pos)
-		return nil
 	case *BinaryExpr:
 		if err := p.footprint(ex.Left, cj); err != nil {
 			return err
 		}
 		return p.footprint(ex.Right, cj)
-	case *UnaryExpr:
-		return p.footprint(ex.X, cj)
-	case *IsNullExpr:
-		return p.footprint(ex.X, cj)
-	case *InExpr:
-		if err := p.footprint(ex.X, cj); err != nil {
-			return err
-		}
-		for _, le := range ex.List {
-			if err := p.footprint(le, cj); err != nil {
-				return err
-			}
-		}
-		return nil
 	case *CastExpr:
 		return p.footprint(ex.X, cj)
-	case *FuncExpr:
-		for _, a := range ex.Args {
-			if err := p.footprint(a, cj); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *AggExpr:
-		return fmt.Errorf("sql: aggregate not allowed in WHERE clause")
 	}
-	return fmt.Errorf("sql: unsupported expression %T", e)
+	return nil
 }
 
 // relIndexOf maps an env position to the FROM index of its relation.
@@ -516,7 +335,7 @@ func (p *selectPlan) planAccess(ri int, rel *relPlan, placed uint64, conjuncts [
 	if best != nil {
 		keyExprs := make([]cexpr, len(best.covered))
 		for k, eq := range best.covered {
-			ce, err := compileExpr(eq.value, p.sc, nil)
+			ce, err := compileExpr(eq.value, p.sc)
 			if err != nil {
 				return err
 			}
@@ -597,12 +416,12 @@ func (p *selectPlan) rangeBoundExprs(ranges []rangeCandidate, colIdx int) (low, 
 		}
 	}
 	if lowE != nil {
-		if low, err = compileExpr(lowE, p.sc, nil); err != nil {
+		if low, err = compileExpr(lowE, p.sc); err != nil {
 			return nil, nil, err
 		}
 	}
 	if highE != nil {
-		if high, err = compileExpr(highE, p.sc, nil); err != nil {
+		if high, err = compileExpr(highE, p.sc); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -621,38 +440,4 @@ func flipOp(op string) string {
 		return "<="
 	}
 	return op
-}
-
-// splitAnd flattens nested AND expressions into a conjunct list.
-func splitAnd(e Expr) []Expr {
-	if be, ok := e.(*BinaryExpr); ok && be.Op == "AND" {
-		return append(splitAnd(be.Left), splitAnd(be.Right)...)
-	}
-	return []Expr{e}
-}
-
-// collectAggs gathers aggregate nodes in evaluation order.
-func collectAggs(e Expr, out *[]*AggExpr) {
-	switch ex := e.(type) {
-	case *AggExpr:
-		*out = append(*out, ex)
-	case *BinaryExpr:
-		collectAggs(ex.Left, out)
-		collectAggs(ex.Right, out)
-	case *UnaryExpr:
-		collectAggs(ex.X, out)
-	case *IsNullExpr:
-		collectAggs(ex.X, out)
-	case *InExpr:
-		collectAggs(ex.X, out)
-		for _, le := range ex.List {
-			collectAggs(le, out)
-		}
-	case *CastExpr:
-		collectAggs(ex.X, out)
-	case *FuncExpr:
-		for _, a := range ex.Args {
-			collectAggs(a, out)
-		}
-	}
 }

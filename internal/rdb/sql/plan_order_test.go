@@ -22,7 +22,7 @@ func planOrder(p *selectPlan) string {
 }
 
 // openWith opens a database and runs the given DDL.
-func openWith(t *testing.T, ddl ...string) *DB {
+func openWith(t testing.TB, ddl ...string) *DB {
 	t.Helper()
 	db := Open()
 	for _, stmt := range ddl {
@@ -136,84 +136,92 @@ var engineDDL = []string{
 	`CREATE INDEX idx_ser_sub ON SubscriptionEndRules (sub_id)`,
 }
 
-// TestPlanKeepsEngineStatementOrder pins FROM order for every shape of
-// multi-relation statement the filter engine and the query language issue
-// (internal/core's triggering, group-delta, full-join, feed and
-// subscription queries; query.Translate with one variable).
+// trig is a triggering statement of one FilterRules table.
+func trig(table, cond string) string {
+	return `SELECT fr.rule_id, fd.uri_reference FROM FilterData fd, ` + table + ` fr WHERE ` + cond
+}
+
+// classProp is the (class, property) match every triggering statement but
+// ANY's starts with.
+const classProp = "fr.class = fd.class AND fr.property = fd.property"
+
+// engineStatements holds one statement of every shape of multi-relation
+// statement the filter engine and the query language issue
+// (internal/core's triggering, group-delta, full-join, feed and subscription
+// queries; query.Translate with one variable).
+var engineStatements = []string{
+	// Triggering (one per operator form).
+	trig("FilterRulesANY", "fd.property = 'rdf#subject' AND fr.class = fd.class"),
+	trig("FilterRulesEQ", classProp+" AND fr.value = fd.value"),
+	trig("FilterRulesCON", classProp+" AND fd.value CONTAINS fr.value"),
+	trig("FilterRulesLT", classProp+" AND fd.num_value < fr.num_value"),
+	trig("FilterRulesLT", classProp+" AND CAST(fd.value AS FLOAT) < CAST(fr.value AS FLOAT)"),
+	// Group delta, equi-join: partner by URI, by string value, by typed
+	// numeric value, and with a bare delta resource.
+	`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements sd, RuleResults rr, JoinRules jr
+		WHERE sd.uri_reference = ro.uri_reference AND sd.property = ? AND rr.uri_reference = sd.value
+		AND jr.left_rule = ro.rule_id AND jr.right_rule = rr.rule_id AND jr.group_id = ?`,
+	`SELECT jr.rule_id, rr.uri_reference FROM ResultObjects ro, Statements sd, Statements sf, RuleResults rr, JoinRules jr
+		WHERE sd.uri_reference = ro.uri_reference AND sd.property = ?
+		AND sf.class = ? AND sf.property = ? AND sf.value = sd.value AND rr.uri_reference = sf.uri_reference
+		AND jr.right_rule = ro.rule_id AND jr.left_rule = rr.rule_id AND jr.group_id = ?`,
+	`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements sd, Statements sf, RuleResults rr, JoinRules jr
+		WHERE sd.uri_reference = ro.uri_reference AND sd.property = ?
+		AND sf.class = ? AND sf.property = ? AND sf.num_value = sd.num_value AND rr.uri_reference = sf.uri_reference
+		AND jr.left_rule = ro.rule_id AND jr.right_rule = rr.rule_id AND jr.group_id = ?`,
+	`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements sf, RuleResults rr, JoinRules jr
+		WHERE sf.class = ? AND sf.property = ? AND sf.value = ro.uri_reference AND rr.uri_reference = sf.uri_reference
+		AND jr.left_rule = ro.rule_id AND jr.right_rule = rr.rule_id AND jr.group_id = ?`,
+	// Group delta, general comparison: typed and CAST forms.
+	`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements sd, JoinRules jr, RuleResults rr, Statements sf
+		WHERE sd.uri_reference = ro.uri_reference AND sd.property = ?
+		AND jr.group_id = ? AND jr.left_rule = ro.rule_id AND rr.rule_id = jr.right_rule
+		AND sf.uri_reference = rr.uri_reference AND sf.property = ? AND sd.num_value < sf.num_value`,
+	`SELECT jr.rule_id, rr.uri_reference FROM ResultObjects ro, Statements sd, JoinRules jr, RuleResults rr, Statements sf
+		WHERE sd.uri_reference = ro.uri_reference AND sd.property = ?
+		AND jr.group_id = ? AND jr.right_rule = ro.rule_id AND rr.rule_id = jr.left_rule
+		AND sf.uri_reference = rr.uri_reference AND sf.property = ?
+		AND CAST(sf.value AS FLOAT) = CAST(sd.value AS FLOAT)`,
+	// Group delta, self join.
+	`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements s1, Statements s2, JoinRules jr
+		WHERE s1.uri_reference = ro.uri_reference AND s1.property = ?
+		AND s2.uri_reference = ro.uri_reference AND s2.property = ?
+		AND s1.value != s2.value AND jr.group_id = ? AND jr.left_rule = ro.rule_id`,
+	// Full join at registration: by URI, by value, general comparison
+	// (rr is reached by the first-remaining fallback), self.
+	`SELECT rl.uri_reference FROM RuleResults rl, Statements sl, RuleResults rr
+		WHERE rl.rule_id = ? AND sl.uri_reference = rl.uri_reference AND sl.property = ?
+		AND rr.rule_id = ? AND rr.uri_reference = sl.value`,
+	`SELECT rl.uri_reference FROM RuleResults rl, RuleResults rr
+		WHERE rl.rule_id = ? AND rr.rule_id = ? AND rr.uri_reference = rl.uri_reference`,
+	`SELECT rr.uri_reference FROM RuleResults rl, Statements sl, Statements sr, RuleResults rr
+		WHERE rl.rule_id = ? AND sl.uri_reference = rl.uri_reference AND sl.property = ?
+		AND sr.class = ? AND sr.property = ? AND sr.num_value = sl.num_value
+		AND rr.rule_id = ? AND rr.uri_reference = sr.uri_reference`,
+	`SELECT rl.uri_reference FROM RuleResults rl, Statements sl, RuleResults rr, Statements sr
+		WHERE rl.rule_id = ? AND sl.uri_reference = rl.uri_reference AND sl.property = ?
+		AND rr.rule_id = ? AND sr.uri_reference = rr.uri_reference AND sr.property = ?
+		AND sl.num_value > sr.num_value`,
+	`SELECT rl.uri_reference FROM RuleResults rl, Statements s1, Statements s2
+		WHERE rl.rule_id = ? AND s1.uri_reference = rl.uri_reference AND s1.property = ?
+		AND s2.uri_reference = rl.uri_reference AND s2.property = ? AND s1.num_value <= s2.num_value`,
+	// Affected groups and subscription lookups.
+	`SELECT DISTINCT gf.group_id FROM GroupFeeds gf, ResultObjects ro
+		WHERE gf.source_rule = ro.rule_id AND gf.side = 'L'`,
+	`SELECT s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
+		WHERE ser.end_rule = ? AND s.sub_id = ser.sub_id`,
+	`SELECT s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
+		WHERE rr.uri_reference = ? AND ser.end_rule = rr.rule_id AND s.sub_id = ser.sub_id`,
+	// One query variable with a property access.
+	`SELECT DISTINCT r0.uri_reference FROM Cache r0, CacheStatements p1
+		WHERE r0.class = ? AND p1.uri_reference = r0.uri_reference AND p1.property = ? AND p1.value = ?`,
+}
+
+// TestPlanKeepsEngineStatementOrder pins FROM order for every statement in
+// engineStatements.
 func TestPlanKeepsEngineStatementOrder(t *testing.T) {
 	db := openWith(t, append(append([]string(nil), engineDDL...), cacheDDL...)...)
-	trig := func(table, cond string) string {
-		return `SELECT fr.rule_id, fd.uri_reference FROM FilterData fd, ` + table + ` fr WHERE ` + cond
-	}
-	cp := "fr.class = fd.class AND fr.property = fd.property"
-	cases := []string{
-		// Triggering (one per operator form).
-		trig("FilterRulesANY", "fd.property = 'rdf#subject' AND fr.class = fd.class"),
-		trig("FilterRulesEQ", cp+" AND fr.value = fd.value"),
-		trig("FilterRulesCON", cp+" AND fd.value CONTAINS fr.value"),
-		trig("FilterRulesLT", cp+" AND fd.num_value < fr.num_value"),
-		trig("FilterRulesLT", cp+" AND CAST(fd.value AS FLOAT) < CAST(fr.value AS FLOAT)"),
-		// Group delta, equi-join: partner by URI, by string value, by typed
-		// numeric value, and with a bare delta resource.
-		`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements sd, RuleResults rr, JoinRules jr
-			WHERE sd.uri_reference = ro.uri_reference AND sd.property = ? AND rr.uri_reference = sd.value
-			AND jr.left_rule = ro.rule_id AND jr.right_rule = rr.rule_id AND jr.group_id = ?`,
-		`SELECT jr.rule_id, rr.uri_reference FROM ResultObjects ro, Statements sd, Statements sf, RuleResults rr, JoinRules jr
-			WHERE sd.uri_reference = ro.uri_reference AND sd.property = ?
-			AND sf.class = ? AND sf.property = ? AND sf.value = sd.value AND rr.uri_reference = sf.uri_reference
-			AND jr.right_rule = ro.rule_id AND jr.left_rule = rr.rule_id AND jr.group_id = ?`,
-		`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements sd, Statements sf, RuleResults rr, JoinRules jr
-			WHERE sd.uri_reference = ro.uri_reference AND sd.property = ?
-			AND sf.class = ? AND sf.property = ? AND sf.num_value = sd.num_value AND rr.uri_reference = sf.uri_reference
-			AND jr.left_rule = ro.rule_id AND jr.right_rule = rr.rule_id AND jr.group_id = ?`,
-		`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements sf, RuleResults rr, JoinRules jr
-			WHERE sf.class = ? AND sf.property = ? AND sf.value = ro.uri_reference AND rr.uri_reference = sf.uri_reference
-			AND jr.left_rule = ro.rule_id AND jr.right_rule = rr.rule_id AND jr.group_id = ?`,
-		// Group delta, general comparison: typed and CAST forms.
-		`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements sd, JoinRules jr, RuleResults rr, Statements sf
-			WHERE sd.uri_reference = ro.uri_reference AND sd.property = ?
-			AND jr.group_id = ? AND jr.left_rule = ro.rule_id AND rr.rule_id = jr.right_rule
-			AND sf.uri_reference = rr.uri_reference AND sf.property = ? AND sd.num_value < sf.num_value`,
-		`SELECT jr.rule_id, rr.uri_reference FROM ResultObjects ro, Statements sd, JoinRules jr, RuleResults rr, Statements sf
-			WHERE sd.uri_reference = ro.uri_reference AND sd.property = ?
-			AND jr.group_id = ? AND jr.right_rule = ro.rule_id AND rr.rule_id = jr.left_rule
-			AND sf.uri_reference = rr.uri_reference AND sf.property = ?
-			AND CAST(sf.value AS FLOAT) = CAST(sd.value AS FLOAT)`,
-		// Group delta, self join.
-		`SELECT jr.rule_id, ro.uri_reference FROM ResultObjects ro, Statements s1, Statements s2, JoinRules jr
-			WHERE s1.uri_reference = ro.uri_reference AND s1.property = ?
-			AND s2.uri_reference = ro.uri_reference AND s2.property = ?
-			AND s1.value != s2.value AND jr.group_id = ? AND jr.left_rule = ro.rule_id`,
-		// Full join at registration: by URI, by value, general comparison
-		// (rr is reached by the first-remaining fallback), self.
-		`SELECT rl.uri_reference FROM RuleResults rl, Statements sl, RuleResults rr
-			WHERE rl.rule_id = ? AND sl.uri_reference = rl.uri_reference AND sl.property = ?
-			AND rr.rule_id = ? AND rr.uri_reference = sl.value`,
-		`SELECT rl.uri_reference FROM RuleResults rl, RuleResults rr
-			WHERE rl.rule_id = ? AND rr.rule_id = ? AND rr.uri_reference = rl.uri_reference`,
-		`SELECT rr.uri_reference FROM RuleResults rl, Statements sl, Statements sr, RuleResults rr
-			WHERE rl.rule_id = ? AND sl.uri_reference = rl.uri_reference AND sl.property = ?
-			AND sr.class = ? AND sr.property = ? AND sr.num_value = sl.num_value
-			AND rr.rule_id = ? AND rr.uri_reference = sr.uri_reference`,
-		`SELECT rl.uri_reference FROM RuleResults rl, Statements sl, RuleResults rr, Statements sr
-			WHERE rl.rule_id = ? AND sl.uri_reference = rl.uri_reference AND sl.property = ?
-			AND rr.rule_id = ? AND sr.uri_reference = rr.uri_reference AND sr.property = ?
-			AND sl.num_value > sr.num_value`,
-		`SELECT rl.uri_reference FROM RuleResults rl, Statements s1, Statements s2
-			WHERE rl.rule_id = ? AND s1.uri_reference = rl.uri_reference AND s1.property = ?
-			AND s2.uri_reference = rl.uri_reference AND s2.property = ? AND s1.num_value <= s2.num_value`,
-		// Affected groups and subscription lookups.
-		`SELECT DISTINCT gf.group_id FROM GroupFeeds gf, ResultObjects ro
-			WHERE gf.source_rule = ro.rule_id AND gf.side = 'L'`,
-		`SELECT s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
-			WHERE ser.end_rule = ? AND s.sub_id = ser.sub_id`,
-		`SELECT s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
-			WHERE rr.uri_reference = ? AND ser.end_rule = rr.rule_id AND s.sub_id = ser.sub_id`,
-		// One query variable with a property access.
-		`SELECT DISTINCT r0.uri_reference FROM Cache r0, CacheStatements p1
-			WHERE r0.class = ? AND p1.uri_reference = r0.uri_reference AND p1.property = ? AND p1.value = ?`,
-	}
-	for _, q := range cases {
+	for _, q := range engineStatements {
 		st, err := Parse(q)
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)

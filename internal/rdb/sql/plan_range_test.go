@@ -32,7 +32,7 @@ func rangeDB(t *testing.T) *DB {
 	return db
 }
 
-func mustExec(t *testing.T, db *DB, text string, params ...rdb.Value) {
+func mustExec(t testing.TB, db *DB, text string, params ...rdb.Value) {
 	t.Helper()
 	if _, err := db.Exec(text, params...); err != nil {
 		t.Fatalf("exec %q: %v", text, err)

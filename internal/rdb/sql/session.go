@@ -37,16 +37,12 @@ func NewDB(raw *rdb.Database) *DB { return &DB{raw: raw} }
 func Open() *DB { return NewDB(rdb.NewDatabase()) }
 
 // Raw exposes the underlying engine database (for persistence and direct
-// table access in tests).
+// table access).
 func (d *DB) Raw() *rdb.Database { return d.raw }
-
-// bumpPlanVersion invalidates cached plans after DDL.
-func (d *DB) bumpPlanVersion() { d.planVersion.Add(1) }
 
 // Rows is a fully materialized query result.
 type Rows struct {
-	Columns []string
-	Data    [][]rdb.Value
+	Data [][]rdb.Value
 }
 
 // Len returns the number of result rows.
@@ -55,84 +51,10 @@ func (r *Rows) Len() int { return len(r.Data) }
 // Empty reports whether the result has no rows.
 func (r *Rows) Empty() bool { return len(r.Data) == 0 }
 
-// Scalar returns the single value of a 1x1 result.
-func (r *Rows) Scalar() (rdb.Value, error) {
-	if len(r.Data) != 1 || len(r.Data[0]) != 1 {
-		return rdb.Null(), fmt.Errorf("sql: result is not scalar (%dx%d)", len(r.Data), len(r.Columns))
-	}
-	return r.Data[0][0], nil
-}
-
-// Col returns the position of the named column, or -1.
-func (r *Rows) Col(name string) int {
-	for i, c := range r.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Exec parses and executes a statement, returning the number of affected
-// rows (for DML; DDL returns 0).
-func (d *DB) Exec(query string, params ...rdb.Value) (int, error) {
-	st, err := Parse(query)
-	if err != nil {
-		return 0, err
-	}
-	return d.ExecStmt(st, params)
-}
-
-// Query parses and executes a SELECT, materializing all rows.
-func (d *DB) Query(query string, params ...rdb.Value) (*Rows, error) {
-	st, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: Query requires a SELECT statement")
-	}
-	return d.querySelect(sel, params)
-}
-
-// QueryFunc executes a SELECT, streaming each row to visit. The row slice is
-// owned by the callback (a fresh slice per row).
-func (d *DB) QueryFunc(query string, params []rdb.Value, visit func(row []rdb.Value) error) error {
-	st, err := Parse(query)
-	if err != nil {
-		return err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return fmt.Errorf("sql: QueryFunc requires a SELECT statement")
-	}
-	t0 := time.Now()
-	plan, err := buildSelectPlan(d.raw, sel)
-	if err != nil {
-		return err
-	}
-	defer d.observeSelect(plan, t0)
-	d.stmtMu.RLock()
-	defer d.stmtMu.RUnlock()
-	return plan.run(params, visit)
-}
-
-func (d *DB) querySelect(sel *SelectStmt, params []rdb.Value) (*Rows, error) {
-	t0 := time.Now()
-	plan, err := buildSelectPlan(d.raw, sel)
-	if err != nil {
-		return nil, err
-	}
-	defer d.observeSelect(plan, t0)
-	d.stmtMu.RLock()
-	defer d.stmtMu.RUnlock()
-	return runPlan(plan, params)
-}
-
-func runPlan(plan *selectPlan, params []rdb.Value) (*Rows, error) {
-	rows := &Rows{Columns: plan.projNames}
-	err := plan.run(params, func(row []rdb.Value) error {
+// collect runs a streaming query and materializes its rows.
+func collect(query func(visit func(row []rdb.Value) error) error) (*Rows, error) {
+	rows := &Rows{}
+	err := query(func(row []rdb.Value) error {
 		rows.Data = append(rows.Data, row)
 		return nil
 	})
@@ -142,153 +64,168 @@ func runPlan(plan *selectPlan, params []rdb.Value) (*Rows, error) {
 	return rows, nil
 }
 
-// ExecStmt executes an already parsed statement.
-func (d *DB) ExecStmt(st Statement, params []rdb.Value) (int, error) {
-	switch s := st.(type) {
-	case *SelectStmt:
-		rows, err := d.querySelect(s, params)
-		if err != nil {
-			return 0, err
-		}
-		return rows.Len(), nil
-	case *CreateTableStmt:
-		defer d.observeExec(opDDL, time.Now())
-		d.stmtMu.Lock()
-		defer d.stmtMu.Unlock()
-		defer d.bumpPlanVersion()
-		_, err := d.raw.CreateTable(s.Def)
-		if err != nil && s.IfNotExists && errors.Is(err, rdb.ErrTableExists) {
-			return 0, nil
-		}
-		return 0, err
-	case *CreateIndexStmt:
-		defer d.observeExec(opDDL, time.Now())
-		d.stmtMu.Lock()
-		defer d.stmtMu.Unlock()
-		defer d.bumpPlanVersion()
-		_, err := d.raw.CreateIndex(s.Def)
-		if err != nil && s.IfNotExists && errors.Is(err, rdb.ErrIndexExists) {
-			return 0, nil
-		}
-		return 0, err
-	case *DropTableStmt:
-		defer d.observeExec(opDDL, time.Now())
-		d.stmtMu.Lock()
-		defer d.stmtMu.Unlock()
-		defer d.bumpPlanVersion()
-		err := d.raw.DropTable(s.Name)
-		if err != nil && s.IfExists && errors.Is(err, rdb.ErrNoSuchTable) {
-			return 0, nil
-		}
-		return 0, err
-	case *DropIndexStmt:
-		defer d.observeExec(opDDL, time.Now())
-		d.stmtMu.Lock()
-		defer d.stmtMu.Unlock()
-		defer d.bumpPlanVersion()
-		return 0, d.raw.DropIndex(s.Table, s.Name)
-	case *InsertStmt:
-		defer d.observeExec(opInsert, time.Now())
-		d.stmtMu.Lock()
-		defer d.stmtMu.Unlock()
-		return d.execInsert(s, params)
-	case *UpdateStmt:
-		defer d.observeExec(opUpdate, time.Now())
-		d.stmtMu.Lock()
-		defer d.stmtMu.Unlock()
-		return d.execUpdate(s, params)
-	case *DeleteStmt:
-		defer d.observeExec(opDelete, time.Now())
-		d.stmtMu.Lock()
-		defer d.stmtMu.Unlock()
-		return d.execDelete(s, params)
-	default:
-		return 0, fmt.Errorf("sql: unsupported statement %T", st)
+var errNotSelect = errors.New("sql: statement is not a SELECT")
+
+// parseSelect parses a statement that must be a SELECT.
+func parseSelect(query string) (*SelectStmt, error) {
+	st, err := Parse(query)
+	if err != nil {
+		return nil, err
 	}
+	sel, ok := st.(*SelectStmt)
+	if !ok {
+		return nil, errNotSelect
+	}
+	return sel, nil
 }
 
-// execInsert handles INSERT ... VALUES and INSERT ... SELECT. The SELECT
-// source is fully materialized before the first row is inserted, so
-// inserting into a table read by the SELECT is well defined.
-func (d *DB) execInsert(s *InsertStmt, params []rdb.Value) (int, error) {
-	t, err := d.raw.Table(s.Table)
+// Exec parses and executes a DDL or DML statement, returning the number of
+// affected rows (DDL returns 0).
+func (d *DB) Exec(query string, params ...rdb.Value) (int, error) {
+	st, err := Parse(query)
 	if err != nil {
 		return 0, err
 	}
+	return d.exec(st, params)
+}
+
+// MustExec runs Exec and panics on error. For schema bootstrap code.
+func (d *DB) MustExec(query string, params ...rdb.Value) int {
+	n, err := d.Exec(query, params...)
+	if err != nil {
+		panic(fmt.Sprintf("sql: MustExec(%q): %v", query, err))
+	}
+	return n
+}
+
+// Query parses and executes a SELECT, materializing all rows.
+func (d *DB) Query(query string, params ...rdb.Value) (*Rows, error) {
+	return collect(func(visit func([]rdb.Value) error) error { return d.QueryFunc(query, params, visit) })
+}
+
+// QueryFunc parses and executes a SELECT, streaming each row to visit. The
+// row slice is owned by the callback (a fresh slice per row).
+func (d *DB) QueryFunc(query string, params []rdb.Value, visit func(row []rdb.Value) error) error {
+	sel, err := parseSelect(query)
+	if err != nil {
+		return err
+	}
+	return d.runSelect(func() (*selectPlan, error) { return buildSelectPlan(d.raw, sel) }, false, params, visit)
+}
+
+// runSelect gets a SELECT's plan and runs it under the shared statement
+// lock, unless the caller (a ReadTxn) already holds that lock.
+func (d *DB) runSelect(plan func() (*selectPlan, error), held bool, params []rdb.Value, visit func([]rdb.Value) error) error {
+	t0 := time.Now()
+	p, err := plan()
+	if err != nil {
+		return err
+	}
+	defer d.observeSelect(p, t0)
+	if !held {
+		d.stmtMu.RLock()
+		defer d.stmtMu.RUnlock()
+	}
+	return p.run(params, visit)
+}
+
+// exec executes a parsed DDL or DML statement under the exclusive statement
+// lock.
+func (d *DB) exec(st Statement, params []rdb.Value) (int, error) {
+	op := opDDL
+	switch st.(type) {
+	case *SelectStmt:
+		return 0, fmt.Errorf("sql: a SELECT must be run with Query")
+	case *InsertStmt:
+		op = opInsert
+	case *UpdateStmt:
+		op = opUpdate
+	case *DeleteStmt:
+		op = opDelete
+	}
+	defer d.observeExec(op, time.Now())
+	d.stmtMu.Lock()
+	defer d.stmtMu.Unlock()
+	switch s := st.(type) {
+	case *InsertStmt:
+		ins, err := d.planInsert(s)
+		if err == nil {
+			err = ins.insert(params)
+		}
+		if err != nil {
+			return 0, err
+		}
+		return 1, nil
+	case *UpdateStmt:
+		return d.execUpdate(s, params)
+	case *DeleteStmt:
+		return d.execDelete(s, params)
+	}
+	defer d.planVersion.Add(1) // DDL invalidates cached plans
+	var err error
+	switch s := st.(type) {
+	case *CreateTableStmt:
+		_, err = d.raw.CreateTable(s.Def)
+	case *CreateIndexStmt:
+		_, err = d.raw.CreateIndex(s.Def)
+	case *DropTableStmt:
+		if err = d.raw.DropTable(s.Name); s.IfExists && errors.Is(err, rdb.ErrNoSuchTable) {
+			err = nil
+		}
+	}
+	return 0, err
+}
+
+// insertPlan is an INSERT compiled against its table: the row position and
+// compiled value of each listed column.
+type insertPlan struct {
+	table  *rdb.Table
+	width  int
+	colPos []int
+	values []cexpr
+}
+
+func (d *DB) planInsert(s *InsertStmt) (*insertPlan, error) {
+	t, err := d.raw.Table(s.Table)
+	if err != nil {
+		return nil, err
+	}
 	def := t.Def()
-	// Map the statement's column list to row positions.
-	colPos := make([]int, 0, len(def.Columns))
+	ip := &insertPlan{table: t, width: len(def.Columns), colPos: make([]int, 0, len(def.Columns))}
 	if s.Columns == nil {
 		for i := range def.Columns {
-			colPos = append(colPos, i)
-		}
-	} else {
-		for _, c := range s.Columns {
-			ci := def.ColumnIndex(c)
-			if ci < 0 {
-				return 0, fmt.Errorf("sql: %w: %s.%s", rdb.ErrNoSuchColumn, s.Table, c)
-			}
-			colPos = append(colPos, ci)
+			ip.colPos = append(ip.colPos, i)
 		}
 	}
-
-	buildRow := func(vals []rdb.Value) (rdb.Row, error) {
-		if len(vals) != len(colPos) {
-			return nil, fmt.Errorf("sql: INSERT into %s: %d values for %d columns", s.Table, len(vals), len(colPos))
+	for _, c := range s.Columns {
+		ci := def.ColumnIndex(c)
+		if ci < 0 {
+			return nil, fmt.Errorf("sql: %w: %s.%s", rdb.ErrNoSuchColumn, s.Table, c)
 		}
-		row := make(rdb.Row, len(def.Columns))
-		for i := range row {
-			row[i] = rdb.Null()
-		}
-		for i, p := range colPos {
-			row[p] = vals[i]
-		}
-		return row, nil
+		ip.colPos = append(ip.colPos, ci)
 	}
+	if len(s.values) != len(ip.colPos) {
+		return nil, fmt.Errorf("sql: INSERT into %s: %d values for %d columns", s.Table, len(s.values), len(ip.colPos))
+	}
+	if ip.values, err = compileAll(s.values, &scope{}); err != nil {
+		return nil, err
+	}
+	return ip, nil
+}
 
-	var source [][]rdb.Value
-	if s.Select != nil {
-		plan, err := buildSelectPlan(d.raw, s.Select)
+// insert evaluates the values against params and inserts the row; columns
+// the statement does not list are NULL (the zero Value).
+func (ip *insertPlan) insert(params []rdb.Value) error {
+	row := make(rdb.Row, ip.width)
+	for i, ce := range ip.values {
+		v, err := ce(nil, params)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if err := plan.run(params, func(row []rdb.Value) error {
-			source = append(source, row)
-			return nil
-		}); err != nil {
-			return 0, err
-		}
-	} else {
-		emptySc := &scope{}
-		for _, exprRow := range s.Rows {
-			vals := make([]rdb.Value, len(exprRow))
-			for i, e := range exprRow {
-				ce, err := compileExpr(e, emptySc, nil)
-				if err != nil {
-					return 0, err
-				}
-				v, err := ce(nil, params)
-				if err != nil {
-					return 0, err
-				}
-				vals[i] = v
-			}
-			source = append(source, vals)
-		}
+		row[ip.colPos[i]] = v
 	}
-
-	n := 0
-	for _, vals := range source {
-		row, err := buildRow(vals)
-		if err != nil {
-			return n, err
-		}
-		if _, err := t.Insert(row); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
+	_, err := ip.table.Insert(row)
+	return err
 }
 
 // scanCandidates visits the rows a WHERE clause could match, using an index
@@ -298,144 +235,122 @@ func (d *DB) execInsert(s *InsertStmt, params []rdb.Value) (int, error) {
 // so the index is purely an access-path optimization — without it, UPDATE
 // and DELETE on large catalog tables (e.g. the per-rule refcount updates
 // during rule-base registration) degrade to O(table) per statement.
-func scanCandidates(t *rdb.Table, def rdb.TableDef, where Expr, params []rdb.Value,
+func scanCandidates(t *rdb.Table, def rdb.TableDef, where []Expr, params []rdb.Value,
 	visit func(id int64, row rdb.Row) bool) {
-	if where != nil {
-		for _, conj := range splitAnd(where) {
-			be, ok := conj.(*BinaryExpr)
-			if !ok || be.Op != "=" {
+	for _, conj := range where {
+		be, ok := conj.(*BinaryExpr)
+		if !ok || be.Op != "=" {
+			continue
+		}
+		colSide, valSide := be.Left, be.Right
+		if _, ok := colSide.(*ColumnRef); !ok {
+			colSide, valSide = be.Right, be.Left
+		}
+		cr, ok := colSide.(*ColumnRef)
+		if !ok {
+			continue
+		}
+		ci := def.ColumnIndex(cr.Column)
+		if ci < 0 {
+			continue
+		}
+		var val rdb.Value
+		switch v := valSide.(type) {
+		case *Literal:
+			val = v.Value
+		case *Param:
+			if v.Ordinal >= len(params) {
 				continue
 			}
-			colSide, valSide := be.Left, be.Right
-			if _, ok := colSide.(*ColumnRef); !ok {
-				colSide, valSide = be.Right, be.Left
-			}
-			cr, ok := colSide.(*ColumnRef)
-			if !ok {
+			val = params[v.Ordinal]
+		default:
+			continue
+		}
+		for _, ix := range t.Indexes() {
+			cols := ix.ColumnPositions()
+			if len(cols) == 0 || cols[0] != ci {
 				continue
 			}
-			ci := def.ColumnIndex(cr.Column)
-			if ci < 0 {
-				continue
-			}
-			var val rdb.Value
-			switch v := valSide.(type) {
-			case *Literal:
-				val = v.Value
-			case *Param:
-				if v.Ordinal >= len(params) {
-					continue
-				}
-				val = params[v.Ordinal]
-			default:
-				continue
-			}
-			for _, ix := range t.Indexes() {
-				cols := ix.ColumnPositions()
-				if len(cols) == 0 || cols[0] != ci {
-					continue
-				}
-				if len(cols) == 1 {
-					for _, id := range ix.Lookup(rdb.Key{val}) {
-						if row, ok := t.Get(id); ok {
-							if !visit(id, row) {
-								return
-							}
+			if len(cols) == 1 {
+				for _, id := range ix.Lookup(rdb.Key{val}) {
+					if row, ok := t.Get(id); ok {
+						if !visit(id, row) {
+							return
 						}
 					}
-					return
 				}
-				if ix.Ordered() {
-					key := rdb.Key{val}
-					stop := false
-					ix.ScanRange(key, key, func(_ rdb.Key, id int64) bool {
-						row, ok := t.Get(id)
-						if !ok {
-							return true
-						}
-						if !visit(id, row) {
-							stop = true
-							return false
-						}
-						return true
-					})
-					_ = stop
-					return
-				}
+				return
+			}
+			if ix.Ordered() {
+				key := rdb.Key{val}
+				ix.ScanRange(key, key, func(_ rdb.Key, id int64) bool {
+					row, ok := t.Get(id)
+					return !ok || visit(id, row)
+				})
+				return
 			}
 		}
 	}
 	t.Scan(visit)
 }
 
-// execUpdate evaluates the WHERE clause over the table, materializes the
-// matching row IDs and their new contents, then applies the updates.
+// scanWhere visits, through scanCandidates, the rows of t that satisfy
+// every WHERE condition. visit runs inside the scan and must not mutate t.
+func scanWhere(t *rdb.Table, sc *scope, where []Expr, params []rdb.Value, visit func(id int64, row rdb.Row) error) error {
+	conds, err := compileAll(where, sc)
+	if err != nil {
+		return err
+	}
+	scanCandidates(t, sc.rels[0].def, where, params, func(id int64, row rdb.Row) bool {
+		var ok bool
+		if ok, err = holds(conds, row, params); ok {
+			err = visit(id, row)
+		}
+		return err == nil
+	})
+	return err
+}
+
+// execUpdate materializes the IDs and new contents of the matching rows,
+// then applies the updates.
 func (d *DB) execUpdate(s *UpdateStmt, params []rdb.Value) (int, error) {
 	t, err := d.raw.Table(s.Table)
 	if err != nil {
 		return 0, err
 	}
-	def := t.Def()
-	sc := &scope{rels: []relBinding{{alias: s.Table, def: def, start: 0}}}
-
+	sc := &scope{rels: []relBinding{{alias: s.Table, def: t.Def()}}}
 	type setOp struct {
 		col int
 		val cexpr
 	}
 	sets := make([]setOp, len(s.Set))
-	for i, sc2 := range s.Set {
-		ci := def.ColumnIndex(sc2.Column)
-		if ci < 0 {
-			return 0, fmt.Errorf("sql: %w: %s.%s", rdb.ErrNoSuchColumn, s.Table, sc2.Column)
+	for i, set := range s.Set {
+		if sets[i].col = sc.rels[0].def.ColumnIndex(set.Column); sets[i].col < 0 {
+			return 0, fmt.Errorf("sql: %w: %s.%s", rdb.ErrNoSuchColumn, s.Table, set.Column)
 		}
-		ce, err := compileExpr(sc2.Value, sc, nil)
-		if err != nil {
+		if sets[i].val, err = compileExpr(set.Value, sc); err != nil {
 			return 0, err
 		}
-		sets[i] = setOp{col: ci, val: ce}
 	}
-	var where cexpr
-	if s.Where != nil {
-		ce, err := compileExpr(s.Where, sc, nil)
-		if err != nil {
-			return 0, err
-		}
-		where = ce
-	}
-
 	type pending struct {
 		id  int64
 		row rdb.Row
 	}
 	var updates []pending
-	var evalErr error
-	scanCandidates(t, def, s.Where, params, func(id int64, row rdb.Row) bool {
-		env := []rdb.Value(row)
-		if where != nil {
-			v, err := where(env, params)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			b, _ := truthy(v)
-			if v.IsNull() || !b {
-				return true
-			}
-		}
+	err = scanWhere(t, sc, s.Where, params, func(id int64, row rdb.Row) error {
 		newRow := row.Clone()
 		for _, op := range sets {
-			v, err := op.val(env, params)
+			v, err := op.val(row, params)
 			if err != nil {
-				evalErr = err
-				return false
+				return err
 			}
 			newRow[op.col] = v
 		}
-		updates = append(updates, pending{id: id, row: newRow})
-		return true
+		updates = append(updates, pending{id, newRow})
+		return nil
 	})
-	if evalErr != nil {
-		return 0, evalErr
+	if err != nil {
+		return 0, err
 	}
 	for _, u := range updates {
 		if err := t.Update(u.id, u.row); err != nil {
@@ -445,41 +360,20 @@ func (d *DB) execUpdate(s *UpdateStmt, params []rdb.Value) (int, error) {
 	return len(updates), nil
 }
 
-// execDelete materializes matching row IDs, then deletes them.
+// execDelete materializes the IDs of the matching rows, then deletes them.
 func (d *DB) execDelete(s *DeleteStmt, params []rdb.Value) (int, error) {
 	t, err := d.raw.Table(s.Table)
 	if err != nil {
 		return 0, err
 	}
-	def := t.Def()
-	sc := &scope{rels: []relBinding{{alias: s.Table, def: def, start: 0}}}
-	var where cexpr
-	if s.Where != nil {
-		ce, err := compileExpr(s.Where, sc, nil)
-		if err != nil {
-			return 0, err
-		}
-		where = ce
-	}
+	sc := &scope{rels: []relBinding{{alias: s.Table, def: t.Def()}}}
 	var ids []int64
-	var evalErr error
-	scanCandidates(t, def, s.Where, params, func(id int64, row rdb.Row) bool {
-		if where != nil {
-			v, err := where([]rdb.Value(row), params)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			b, _ := truthy(v)
-			if v.IsNull() || !b {
-				return true
-			}
-		}
+	err = scanWhere(t, sc, s.Where, params, func(id int64, _ rdb.Row) error {
 		ids = append(ids, id)
-		return true
+		return nil
 	})
-	if evalErr != nil {
-		return 0, evalErr
+	if err != nil {
+		return 0, err
 	}
 	for _, id := range ids {
 		if _, err := t.Delete(id); err != nil {
@@ -547,69 +441,32 @@ func (s *Stmt) selectPlanFor(sel *SelectStmt) (*selectPlan, error) {
 
 // Query executes a prepared SELECT.
 func (s *Stmt) Query(params ...rdb.Value) (*Rows, error) {
-	sel, ok := s.ast.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: prepared statement is not a SELECT")
-	}
-	t0 := time.Now()
-	plan, err := s.selectPlanFor(sel)
-	if err != nil {
-		return nil, err
-	}
-	defer s.db.observeSelect(plan, t0)
-	s.db.stmtMu.RLock()
-	defer s.db.stmtMu.RUnlock()
-	return runPlan(plan, params)
+	return collect(func(visit func([]rdb.Value) error) error { return s.QueryFunc(params, visit) })
 }
 
 // QueryFunc executes a prepared SELECT, streaming rows to visit.
 func (s *Stmt) QueryFunc(params []rdb.Value, visit func(row []rdb.Value) error) error {
 	sel, ok := s.ast.(*SelectStmt)
 	if !ok {
-		return fmt.Errorf("sql: prepared statement is not a SELECT")
+		return errNotSelect
 	}
-	t0 := time.Now()
-	plan, err := s.selectPlanFor(sel)
-	if err != nil {
-		return err
-	}
-	defer s.db.observeSelect(plan, t0)
-	s.db.stmtMu.RLock()
-	defer s.db.stmtMu.RUnlock()
-	return plan.run(params, visit)
+	return s.db.runSelect(func() (*selectPlan, error) { return s.selectPlanFor(sel) }, false, params, visit)
 }
 
-// Exec executes a prepared statement of any kind.
-func (s *Stmt) Exec(params ...rdb.Value) (int, error) {
-	if sel, ok := s.ast.(*SelectStmt); ok {
-		t0 := time.Now()
-		plan, err := s.selectPlanFor(sel)
-		if err != nil {
-			return 0, err
-		}
-		defer s.db.observeSelect(plan, t0)
-		s.db.stmtMu.RLock()
-		defer s.db.stmtMu.RUnlock()
-		rows, err := runPlan(plan, params)
-		if err != nil {
-			return 0, err
-		}
-		return rows.Len(), nil
-	}
-	return s.db.ExecStmt(s.ast, params)
-}
+// Exec executes a prepared DDL or DML statement.
+func (s *Stmt) Exec(params ...rdb.Value) (int, error) { return s.db.exec(s.ast, params) }
 
-// ExecBatch executes a prepared single-row INSERT ... VALUES statement once
-// per parameter row, acquiring the writer lock and compiling the value
-// expressions a single time for the whole batch. The filter engine loads its
-// per-run scratch atoms through this: row-at-a-time Exec pays one exclusive
-// lock round trip plus one expression compilation per atom, which dominates
-// the load cost of large publish batches. Rows inserted before a failing row
-// stay inserted — the same contract as issuing the inserts one by one.
+// ExecBatch executes a prepared INSERT once per parameter row, acquiring the
+// writer lock and compiling the value expressions a single time for the
+// whole batch. The filter engine loads its per-run scratch atoms through
+// this: row-at-a-time Exec pays one exclusive lock round trip plus one
+// expression compilation per atom, which dominates the load cost of large
+// publish batches. Rows inserted before a failing row stay inserted — the
+// same contract as issuing the inserts one by one.
 func (s *Stmt) ExecBatch(paramRows [][]rdb.Value) (int, error) {
 	ins, ok := s.ast.(*InsertStmt)
-	if !ok || ins.Select != nil || len(ins.Rows) != 1 {
-		return 0, fmt.Errorf("sql: ExecBatch requires a single-row INSERT ... VALUES statement")
+	if !ok {
+		return 0, fmt.Errorf("sql: ExecBatch requires an INSERT statement")
 	}
 	if len(paramRows) == 0 {
 		return 0, nil
@@ -617,67 +474,16 @@ func (s *Stmt) ExecBatch(paramRows [][]rdb.Value) (int, error) {
 	defer s.db.observeExec(opInsert, time.Now())
 	s.db.stmtMu.Lock()
 	defer s.db.stmtMu.Unlock()
-	t, err := s.db.raw.Table(ins.Table)
+	ip, err := s.db.planInsert(ins)
 	if err != nil {
 		return 0, err
 	}
-	def := t.Def()
-	colPos := make([]int, 0, len(def.Columns))
-	if ins.Columns == nil {
-		for i := range def.Columns {
-			colPos = append(colPos, i)
-		}
-	} else {
-		for _, c := range ins.Columns {
-			ci := def.ColumnIndex(c)
-			if ci < 0 {
-				return 0, fmt.Errorf("sql: %w: %s.%s", rdb.ErrNoSuchColumn, ins.Table, c)
-			}
-			colPos = append(colPos, ci)
-		}
-	}
-	exprRow := ins.Rows[0]
-	if len(exprRow) != len(colPos) {
-		return 0, fmt.Errorf("sql: INSERT into %s: %d values for %d columns",
-			ins.Table, len(exprRow), len(colPos))
-	}
-	emptySc := &scope{}
-	compiled := make([]cexpr, len(exprRow))
-	for i, ex := range exprRow {
-		ce, err := compileExpr(ex, emptySc, nil)
-		if err != nil {
-			return 0, err
-		}
-		compiled[i] = ce
-	}
-	n := 0
-	for _, params := range paramRows {
-		row := make(rdb.Row, len(def.Columns))
-		for i := range row {
-			row[i] = rdb.Null()
-		}
-		for i, ce := range compiled {
-			v, err := ce(nil, params)
-			if err != nil {
-				return n, err
-			}
-			row[colPos[i]] = v
-		}
-		if _, err := t.Insert(row); err != nil {
+	for n, params := range paramRows {
+		if err := ip.insert(params); err != nil {
 			return n, err
 		}
-		n++
 	}
-	return n, nil
-}
-
-// MustExec runs Exec and panics on error. For schema bootstrap code.
-func (d *DB) MustExec(query string, params ...rdb.Value) int {
-	n, err := d.Exec(query, params...)
-	if err != nil {
-		panic(fmt.Sprintf("sql: MustExec(%q): %v", query, err))
-	}
-	return n
+	return len(paramRows), nil
 }
 
 // ReadTxn is a multi-statement read-only view of the database: it holds the
@@ -719,54 +525,15 @@ func (d *DB) View(fn func(*ReadTxn) error) error {
 
 // Query parses and executes a SELECT inside the transaction.
 func (t *ReadTxn) Query(query string, params ...rdb.Value) (*Rows, error) {
-	st, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: Query requires a SELECT statement")
-	}
-	t0 := time.Now()
-	plan, err := buildSelectPlan(t.db.raw, sel)
-	if err != nil {
-		return nil, err
-	}
-	defer t.db.observeSelect(plan, t0)
-	return runPlan(plan, params)
+	return collect(func(visit func([]rdb.Value) error) error { return t.QueryFunc(query, params, visit) })
 }
 
 // QueryFunc executes a SELECT inside the transaction, streaming each row to
 // visit.
 func (t *ReadTxn) QueryFunc(query string, params []rdb.Value, visit func(row []rdb.Value) error) error {
-	st, err := Parse(query)
+	sel, err := parseSelect(query)
 	if err != nil {
 		return err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return fmt.Errorf("sql: QueryFunc requires a SELECT statement")
-	}
-	t0 := time.Now()
-	plan, err := buildSelectPlan(t.db.raw, sel)
-	if err != nil {
-		return err
-	}
-	defer t.db.observeSelect(plan, t0)
-	return plan.run(params, visit)
-}
-
-// QueryStmt executes a prepared SELECT inside the transaction.
-func (t *ReadTxn) QueryStmt(s *Stmt, params ...rdb.Value) (*Rows, error) {
-	sel, ok := s.ast.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: prepared statement is not a SELECT")
-	}
-	t0 := time.Now()
-	plan, err := s.selectPlanFor(sel)
-	if err != nil {
-		return nil, err
-	}
-	defer s.db.observeSelect(plan, t0)
-	return runPlan(plan, params)
+	return t.db.runSelect(func() (*selectPlan, error) { return buildSelectPlan(t.db.raw, sel) }, true, params, visit)
 }

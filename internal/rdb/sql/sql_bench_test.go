@@ -85,14 +85,3 @@ func BenchmarkPreparedInsertDelete(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkGroupByAggregate(b *testing.B) {
-	db := benchDB(b, 10000)
-	st := db.MustPrepare(`SELECT v, COUNT(*), MAX(id) FROM t GROUP BY v`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Query(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

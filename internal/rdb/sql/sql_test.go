@@ -63,7 +63,7 @@ func queryInts(t *testing.T, db *DB, q string, params ...rdb.Value) []int64 {
 	}
 	out := make([]int64, 0, rows.Len())
 	for _, r := range rows.Data {
-		out = append(out, r[0].AsInt())
+		out = append(out, r[0].Int)
 	}
 	return out
 }
@@ -74,11 +74,8 @@ func TestCreateInsertSelectBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Len() != 1 || rows.Data[0][0].Int != 7 {
+	if rows.Len() != 1 || rows.Data[0][0].Int != 7 || rows.Data[0][1].Str != "host07.uni-passau.de" {
 		t.Fatalf("got %+v", rows.Data)
-	}
-	if rows.Columns[0] != "id" || rows.Columns[1] != "host" {
-		t.Errorf("columns = %v", rows.Columns)
 	}
 }
 
@@ -88,15 +85,8 @@ func TestSelectStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Columns) != 5 {
-		t.Errorf("* expanded to %v", rows.Columns)
-	}
-	rows, err = db.Query(`SELECT p.* FROM providers p WHERE p.id = 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows.Columns) != 5 {
-		t.Errorf("p.* expanded to %v", rows.Columns)
+	if rows.Len() != 1 || len(rows.Data[0]) != 5 {
+		t.Errorf("* expanded to %v", rows.Data)
 	}
 }
 
@@ -113,15 +103,9 @@ func TestComparisonOperators(t *testing.T) {
 		{"memory = 160", 1},   // id 10
 		{"memory != 160", 19}, //
 		{"id > 5 AND id <= 8", 3},
-		{"id = 1 OR id = 2", 2},
-		{"NOT id = 1", 19},
-		{"id IN (1, 3, 5)", 3},
-		{"id NOT IN (1, 3, 5)", 17},
 		{"domain contains 'passau'", 10},
-		{"host LIKE 'host0%'", 9},
-		{"host LIKE 'host__.tum.de'", 10},
-		{"memory IS NULL", 0},
-		{"memory IS NOT NULL", 20},
+		{"memory + 16 = 48", 1}, // id 2
+		{"id - 1 >= memory - 16", 1},
 	}
 	for _, c := range cases {
 		got := len(queryInts(t, db, "SELECT id FROM providers WHERE "+c.where))
@@ -133,73 +117,63 @@ func TestComparisonOperators(t *testing.T) {
 
 func TestArithmeticAndFunctions(t *testing.T) {
 	db := testDB(t)
-	check := func(expr string, want rdb.Value) {
-		t.Helper()
-		rows, err := db.Query(`SELECT ` + expr + ` FROM providers WHERE id = 2`)
-		if err != nil {
-			t.Fatalf("%s: %v", expr, err)
-		}
-		got, err := rows.Scalar()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rdb.Equal(got, want) {
-			t.Errorf("%s = %v, want %v", expr, got, want)
+	for cond, want := range map[string]int{
+		"memory + 1 = 33":               1, // id 2
+		"memory - 2 = 30":               1,
+		"memory + 0.5 = 32.5":           1,
+		"memory - memory = 0":           20,
+		"CAST('42' AS INT) = 42":        20,
+		"CAST(memory AS TEXT) = '32'":   1,
+		"CAST('3.5' AS FLOAT) = 3.5":    20,
+		"CAST(memory AS FLOAT) > 300.5": 2, // 304, 320
+	} {
+		if got := len(queryInts(t, db, "SELECT id FROM providers WHERE "+cond)); got != want {
+			t.Errorf("WHERE %s: got %d rows, want %d", cond, got, want)
 		}
 	}
-	check(`memory + 1`, rdb.NewInt(33))
-	check(`memory - 2`, rdb.NewInt(30))
-	check(`memory * 2`, rdb.NewInt(64))
-	check(`memory / 4`, rdb.NewInt(8))
-	check(`memory % 5`, rdb.NewInt(2))
-	check(`memory + 0.5`, rdb.NewFloat(32.5))
-	check(`-memory`, rdb.NewInt(-32))
-	check(`LOWER('ABC')`, rdb.NewText("abc"))
-	check(`UPPER('abc')`, rdb.NewText("ABC"))
-	check(`LENGTH(domain)`, rdb.NewInt(6))
-	check(`ABS(0 - 5)`, rdb.NewInt(5))
-	check(`COALESCE(NULL, NULL, 7)`, rdb.NewInt(7))
-	check(`CAST('42' AS INT)`, rdb.NewInt(42))
-	check(`CAST(memory AS TEXT)`, rdb.NewText("32"))
-	check(`CAST('3.5' AS FLOAT)`, rdb.NewFloat(3.5))
-	check(`'a' + 'b'`, rdb.NewText("ab"))
-}
-
-func TestDivisionByZero(t *testing.T) {
-	db := testDB(t)
-	if _, err := db.Query(`SELECT 1/0 FROM providers WHERE id = 1`); err == nil {
-		t.Error("division by zero not reported")
+	// + on text is an error, not concatenation.
+	if _, err := db.Query(`SELECT id FROM providers WHERE host + 'x' = 'y'`); err == nil {
+		t.Error("arithmetic on TEXT accepted")
 	}
-	if _, err := db.Query(`SELECT 1%0 FROM providers WHERE id = 1`); err == nil {
-		t.Error("modulo by zero not reported")
+	// INT with INT stays INT (the INT column accepts it); INT with FLOAT is
+	// FLOAT (it does not). SET expressions see the row before the update.
+	if _, err := db.Exec(`UPDATE providers SET cpu = cpu + 1, memory = memory - 16 WHERE id = 2`); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.Query(`SELECT cpu, memory FROM providers WHERE id = 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows.Data[0]; got[0].Int != 301 || got[1].Int != 16 {
+		t.Errorf("after refcount-style update: %v", got)
+	}
+	if _, err := db.Exec(`UPDATE providers SET memory = memory + 0.5 WHERE id = 2`); err == nil {
+		t.Error("FLOAT result stored in an INT column")
 	}
 }
 
 func TestNullSemantics(t *testing.T) {
 	db := Open()
 	db.MustExec(`CREATE TABLE t (a INT, b INT)`)
-	db.MustExec(`INSERT INTO t (a, b) VALUES (1, NULL), (NULL, 2), (3, 3)`)
-	// NULL comparisons are never true.
-	if n := len(queryInts(t, db, `SELECT a FROM t WHERE b = NULL`)); n != 0 {
-		t.Errorf("b = NULL matched %d rows", n)
+	for _, r := range [][]rdb.Value{{rdb.NewInt(1), rdb.Null()}, {rdb.Null(), rdb.NewInt(2)}, {rdb.NewInt(3), rdb.NewInt(3)}} {
+		db.MustExec(`INSERT INTO t (a, b) VALUES (?, ?)`, r...)
 	}
-	if n := len(queryInts(t, db, `SELECT a FROM t WHERE b != NULL`)); n != 0 {
-		t.Errorf("b != NULL matched %d rows", n)
-	}
-	if n := len(queryInts(t, db, `SELECT b FROM t WHERE a IS NULL`)); n != 1 {
-		t.Errorf("IS NULL matched %d rows", n)
-	}
-	// NOT(NULL) stays NULL (filtered out).
-	if n := len(queryInts(t, db, `SELECT a FROM t WHERE NOT (b = 2)`)); n != 1 {
-		t.Errorf("NOT over NULL matched %d rows", n)
-	}
-	// Three-valued OR: NULL OR TRUE = TRUE.
-	if n := len(queryInts(t, db, `SELECT a FROM t WHERE b = 99 OR a = 1`)); n != 1 {
-		t.Errorf("OR with NULL matched %d rows", n)
-	}
-	// x IN (...) with NULL in list: no match is NULL, not FALSE.
-	if n := len(queryInts(t, db, `SELECT a FROM t WHERE a IN (99, NULL)`)); n != 0 {
-		t.Errorf("IN with NULL matched %d rows", n)
+	for cond, want := range map[string]int{
+		// A comparison with NULL is never true, whatever the operator.
+		"b = NULL":  0,
+		"b != NULL": 0,
+		"b != 2":    1,
+		"b < 5":     2,
+		// Arithmetic and CONTAINS over NULL are NULL.
+		"b + 1 > 0":          2,
+		"a CONTAINS '1'":     1,
+		"CAST(b AS INT) = b": 2,
+		// A NULL condition selects nothing.
+		"b": 2,
+	} {
+		if n := len(queryInts(t, db, `SELECT a FROM t WHERE `+cond)); n != want {
+			t.Errorf("WHERE %s matched %d rows, want %d", cond, n, want)
+		}
 	}
 }
 
@@ -217,23 +191,12 @@ func TestJoinImplicit(t *testing.T) {
 	}
 }
 
-func TestJoinExplicit(t *testing.T) {
-	db := testDB(t)
-	rows, err := db.Query(`
-		SELECT p.id, s.name FROM providers p JOIN services s ON s.pid = p.id
-		WHERE p.id = 3`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Len() != 2 {
-		t.Fatalf("got %d rows", rows.Len())
-	}
-}
-
 func TestThreeWayJoin(t *testing.T) {
 	db := testDB(t)
 	db.MustExec(`CREATE TABLE tags (sid INT, tag TEXT)`)
-	db.MustExec(`INSERT INTO tags (sid, tag) VALUES (1, 'fast'), (1, 'cheap'), (2, 'fast')`)
+	db.MustExec(`INSERT INTO tags (sid, tag) VALUES (1, 'fast')`)
+	db.MustExec(`INSERT INTO tags (sid, tag) VALUES (1, 'cheap')`)
+	db.MustExec(`INSERT INTO tags (sid, tag) VALUES (2, 'fast')`)
 	rows, err := db.Query(`
 		SELECT p.id, s.sid, g.tag
 		FROM providers p, services s, tags g
@@ -270,23 +233,21 @@ func TestSelfJoin(t *testing.T) {
 
 func TestOrderByLimitOffset(t *testing.T) {
 	db := testDB(t)
-	ids := queryInts(t, db, `SELECT id FROM providers ORDER BY memory DESC LIMIT 3`)
-	if len(ids) != 3 || ids[0] != 20 || ids[1] != 19 || ids[2] != 18 {
-		t.Errorf("ORDER BY DESC LIMIT: %v", ids)
+	ids := queryInts(t, db, `SELECT id FROM providers ORDER BY memory LIMIT 3`)
+	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
+		t.Errorf("ORDER BY LIMIT: %v", ids)
 	}
-	ids = queryInts(t, db, `SELECT id FROM providers ORDER BY id LIMIT 5 OFFSET 10`)
-	if len(ids) != 5 || ids[0] != 11 {
-		t.Errorf("OFFSET: %v", ids)
+	// Several keys, one of them not projected.
+	ids = queryInts(t, db, `SELECT id FROM providers p ORDER BY p.domain, memory LIMIT 3`)
+	if len(ids) != 3 || ids[0] != 2 || ids[1] != 4 || ids[2] != 6 {
+		t.Errorf("ORDER BY two keys: %v", ids)
 	}
-	// ORDER BY ordinal.
-	ids = queryInts(t, db, `SELECT id FROM providers ORDER BY 1 DESC LIMIT 2`)
-	if len(ids) != 2 || ids[0] != 20 {
-		t.Errorf("ORDER BY ordinal: %v", ids)
+	// LIMIT without ORDER BY stops the streaming join.
+	if ids = queryInts(t, db, `SELECT id FROM providers WHERE memory > 100 LIMIT 2`); len(ids) != 2 {
+		t.Errorf("streaming LIMIT: %v", ids)
 	}
-	// ORDER BY expression.
-	ids = queryInts(t, db, `SELECT id FROM providers ORDER BY 0 - id LIMIT 1`)
-	if len(ids) != 1 || ids[0] != 20 {
-		t.Errorf("ORDER BY expr: %v", ids)
+	if ids = queryInts(t, db, `SELECT id FROM providers LIMIT 0`); len(ids) != 0 {
+		t.Errorf("LIMIT 0: %v", ids)
 	}
 }
 
@@ -308,95 +269,19 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestAggregates(t *testing.T) {
-	db := testDB(t)
-	check := func(q string, want rdb.Value) {
-		t.Helper()
-		rows, err := db.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		got, err := rows.Scalar()
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		if !rdb.Equal(got, want) {
-			t.Errorf("%s = %v, want %v", q, got, want)
-		}
-	}
-	check(`SELECT COUNT(*) FROM providers`, rdb.NewInt(20))
-	check(`SELECT COUNT(*) FROM providers WHERE memory > 288`, rdb.NewInt(2))
-	check(`SELECT MIN(memory) FROM providers`, rdb.NewInt(16))
-	check(`SELECT MAX(memory) FROM providers`, rdb.NewInt(320))
-	check(`SELECT SUM(memory) FROM providers WHERE id <= 3`, rdb.NewInt(96))
-	check(`SELECT AVG(memory) FROM providers WHERE id <= 3`, rdb.NewFloat(32))
-	check(`SELECT COUNT(*) FROM providers WHERE id > 999`, rdb.NewInt(0))
-	// COUNT skips NULLs, COUNT(*) does not.
-	db.MustExec(`INSERT INTO providers (id, host, memory, cpu, domain) VALUES (21, 'x', NULL, NULL, NULL)`)
-	check(`SELECT COUNT(memory) FROM providers`, rdb.NewInt(20))
-	check(`SELECT COUNT(*) FROM providers`, rdb.NewInt(21))
-	// SUM over empty set is NULL.
-	rows, _ := db.Query(`SELECT SUM(memory) FROM providers WHERE id > 999`)
-	if v, _ := rows.Scalar(); !v.IsNull() {
-		t.Errorf("SUM over empty = %v, want NULL", v)
-	}
-}
-
-func TestGroupByHaving(t *testing.T) {
-	db := testDB(t)
-	rows, err := db.Query(`
-		SELECT domain, COUNT(*) AS n, MAX(memory) AS maxmem
-		FROM providers GROUP BY domain ORDER BY domain`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Len() != 2 {
-		t.Fatalf("groups: %d", rows.Len())
-	}
-	if rows.Data[0][0].Str != "tum.de" || rows.Data[0][1].Int != 10 || rows.Data[0][2].Int != 320 {
-		t.Errorf("group 0: %v", rows.Data[0])
-	}
-	if rows.Data[1][0].Str != "uni-passau.de" || rows.Data[1][2].Int != 304 {
-		t.Errorf("group 1: %v", rows.Data[1])
-	}
-	rows, err = db.Query(`
-		SELECT pid, COUNT(*) AS n FROM services GROUP BY pid HAVING COUNT(*) > 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Len() != 20 {
-		t.Errorf("HAVING groups: %d, want 20", rows.Len())
-	}
-	rows, err = db.Query(`
-		SELECT pid, COUNT(*) FROM services GROUP BY pid HAVING COUNT(*) > 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Len() != 0 {
-		t.Errorf("HAVING>2 groups: %d, want 0", rows.Len())
-	}
-}
-
 func TestUpdate(t *testing.T) {
 	db := testDB(t)
-	n, err := db.Exec(`UPDATE providers SET memory = memory * 2 WHERE domain = 'tum.de'`)
+	n, err := db.Exec(`UPDATE providers SET memory = memory + memory WHERE domain = 'tum.de'`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 10 {
 		t.Errorf("updated %d rows", n)
 	}
-	rows, _ := db.Query(`SELECT memory FROM providers WHERE id = 2`)
-	if v, _ := rows.Scalar(); v.Int != 64 {
-		t.Errorf("memory = %v", v)
-	}
-	// Index reflects new values.
-	ids := queryInts(t, db, `SELECT id FROM providers WHERE memory = 64`)
-	if len(ids) != 2 { // id 2 (32*2) and id 4 original 64? id4 is tum.de -> 128. id 2->64, id 4->128; original 64 was id4 (doubled). So memory=64: id 2 only... and id 4 no. Wait.
-		// Recompute: tum.de ids are even. id2:32->64, id4:64->128. uni-passau odd: id unchanged. 64 original: id 4 (changed) => only id 2 has 64.
-		if len(ids) != 1 || ids[0] != 2 {
-			t.Errorf("post-update index lookup: %v", ids)
-		}
+	// The index reflects the new values: tum.de has the even ids, so id 2
+	// goes 32 -> 64 and id 4, which had 64, goes to 128.
+	if ids := queryInts(t, db, `SELECT id FROM providers WHERE memory = 64`); len(ids) != 1 || ids[0] != 2 {
+		t.Errorf("post-update index lookup: %v", ids)
 	}
 	// UPDATE without WHERE hits everything.
 	n, err = db.Exec(`UPDATE providers SET cpu = 0`)
@@ -424,33 +309,8 @@ func TestDelete(t *testing.T) {
 	if n != 38 {
 		t.Errorf("deleted %d", n)
 	}
-	rows, _ := db.Query(`SELECT COUNT(*) FROM services`)
-	if v, _ := rows.Scalar(); v.Int != 0 {
-		t.Errorf("count after delete = %v", v)
-	}
-}
-
-func TestInsertSelect(t *testing.T) {
-	db := testDB(t)
-	db.MustExec(`CREATE TABLE rich (id INT, memory INT)`)
-	n, err := db.Exec(`INSERT INTO rich (id, memory) SELECT id, memory FROM providers WHERE memory >= 288`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Errorf("inserted %d", n)
-	}
-	// INSERT ... SELECT from the target table itself must not deadlock.
-	n, err = db.Exec(`INSERT INTO rich (id, memory) SELECT id, memory FROM rich`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Errorf("self-insert %d", n)
-	}
-	rows, _ := db.Query(`SELECT COUNT(*) FROM rich`)
-	if v, _ := rows.Scalar(); v.Int != 6 {
-		t.Errorf("total = %v", v)
+	if ids := queryInts(t, db, `SELECT sid FROM services`); len(ids) != 0 {
+		t.Errorf("rows after delete: %v", ids)
 	}
 }
 
@@ -459,9 +319,9 @@ func TestInsertColumnSubset(t *testing.T) {
 	if _, err := db.Exec(`INSERT INTO providers (id, host) VALUES (99, 'partial')`); err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := db.Query(`SELECT memory FROM providers WHERE id = 99`)
-	if v, _ := rows.Scalar(); !v.IsNull() {
-		t.Errorf("unlisted column = %v, want NULL", v)
+	rows, err := db.Query(`SELECT memory FROM providers WHERE id = 99`)
+	if err != nil || rows.Len() != 1 || !rows.Data[0][0].IsNull() {
+		t.Errorf("unlisted column = %v (%v), want NULL", rows, err)
 	}
 	// Omitting a NOT NULL column fails.
 	if _, err := db.Exec(`INSERT INTO providers (id) VALUES (100)`); err == nil {
@@ -540,11 +400,8 @@ func TestIfNotExistsAndIfExists(t *testing.T) {
 	if _, err := db.Exec(`CREATE TABLE providers (id INT)`); err == nil {
 		t.Error("duplicate CREATE TABLE accepted")
 	}
-	if _, err := db.Exec(`CREATE TABLE IF NOT EXISTS providers (id INT)`); err != nil {
-		t.Errorf("IF NOT EXISTS: %v", err)
-	}
-	if _, err := db.Exec(`CREATE INDEX IF NOT EXISTS idx_providers_memory ON providers (memory)`); err != nil {
-		t.Errorf("index IF NOT EXISTS: %v", err)
+	if _, err := db.Exec(`CREATE INDEX idx_providers_memory ON providers (memory)`); err == nil {
+		t.Error("duplicate CREATE INDEX accepted")
 	}
 	if _, err := db.Exec(`DROP TABLE IF EXISTS nonexistent`); err != nil {
 		t.Errorf("DROP IF EXISTS: %v", err)
@@ -554,30 +411,95 @@ func TestIfNotExistsAndIfExists(t *testing.T) {
 	}
 }
 
+// badStatements are rejected by Parse: malformed input, and one statement
+// per construct outside the dialect, which must fail rather than be read as
+// something else (a word outside the keyword list is an identifier, so
+// "FROM t GROUP BY" must not parse as a table aliased GROUP).
+var badStatements = []string{
+	``,
+	`SELEC id FROM t`,
+	`SELECT FROM t`,
+	`SELECT id FROM`,
+	`SELECT id FROM t WHERE`,
+	`INSERT INTO`,
+	`INSERT INTO t VALUES`,
+	`CREATE TABLE`,
+	`CREATE TABLE t`,
+	`CREATE TABLE t ()`,
+	`CREATE TABLE t (a UNKNOWNTYPE)`,
+	`SELECT 'unterminated FROM t`,
+	`SELECT id FROM t; SELECT 2`,
+	`SELECT id id2 id3 FROM t`,
+	`UPDATE t`,
+	`DELETE t`,
+	`SELECT a FROM t WHERE a @ 3`,
+	`CREATE TABLE t (a INT UNIQUE)`,
+	`CREATE UNIQUE TABLE t (a INT)`,
+	`SELECT a FROM t LIMIT 99999999999999999999`,
+	// Clauses.
+	`SELECT a FROM t GROUP BY a`,
+	`SELECT a FROM t g GROUP BY a`,
+	`SELECT a FROM t HAVING a > 1`,
+	`SELECT a FROM t ORDER BY a LIMIT 1 OFFSET 2`,
+	`SELECT a FROM t ORDER BY a DESC`,
+	`SELECT a FROM t ORDER BY a ASC`,
+	`SELECT a FROM t ORDER BY 1`,
+	// Joins and inserts.
+	`SELECT a FROM t JOIN u ON t.a = u.a`,
+	`SELECT a FROM t INNER JOIN u ON t.a = u.a`,
+	`INSERT INTO t (a) SELECT a FROM u`,
+	`INSERT INTO t (a) VALUES (1), (2)`,
+	// Expressions.
+	`SELECT a FROM t WHERE a = 1 OR a = 2`,
+	`SELECT a FROM t WHERE NOT a = 1`,
+	`SELECT a FROM t WHERE a IS NULL`,
+	`SELECT a FROM t WHERE a IS NOT NULL`,
+	`SELECT a FROM t WHERE a IN (1, 2)`,
+	`SELECT a FROM t WHERE a NOT IN (1, 2)`,
+	`SELECT a FROM t WHERE a LIKE 'x%'`,
+	`SELECT a FROM t WHERE a NOT CONTAINS 'x'`,
+	`SELECT a FROM t WHERE a * 2 = 4`,
+	`SELECT a FROM t WHERE a / 2 = 4`,
+	`SELECT a FROM t WHERE a % 2 = 0`,
+	`SELECT a FROM t WHERE a = -1`,
+	`SELECT a FROM t WHERE (a = 1)`,
+	`SELECT a FROM t WHERE a <> 1`,
+	`SELECT a FROM t WHERE a == 1`,
+	`SELECT a FROM t WHERE a = 1.5e3`,
+	`SELECT a FROM t WHERE LOWER(a) = 'x'`,
+	`SELECT a FROM t WHERE UPPER(a) = 'X'`,
+	`SELECT a FROM t WHERE LENGTH(a) = 1`,
+	`SELECT a FROM t WHERE ABS(a) = 1`,
+	`SELECT a FROM t WHERE COALESCE(a, 1) = 1`,
+	`SELECT a FROM t -- comment`,
+	// Aggregates and select-list features.
+	`SELECT COUNT(*) FROM t`,
+	`SELECT COUNT(a) FROM t`,
+	`SELECT SUM(a) FROM t`,
+	`SELECT AVG(a) FROM t`,
+	`SELECT MIN(a) FROM t`,
+	`SELECT MAX(a) FROM t`,
+	`SELECT a + 1 FROM t`,
+	`SELECT a AS b FROM t`,
+	`SELECT a b FROM t`,
+	`SELECT t.* FROM t`,
+	`SELECT * FROM t AS u`,
+	// DDL.
+	`CREATE TABLE IF NOT EXISTS t (a INT)`,
+	`CREATE INDEX IF NOT EXISTS i ON t (a)`,
+	`CREATE TABLE t (a INT, PRIMARY KEY (a))`,
+	`DROP INDEX i ON t`,
+	`CREATE TABLE t (a VARCHAR(8))`,
+	`CREATE TABLE t (a INTEGER)`,
+	`CREATE TABLE t (a REAL)`,
+	`CREATE TABLE t (a DOUBLE)`,
+	`CREATE TABLE t (a STRING)`,
+	`CREATE TABLE t (a BOOLEAN)`,
+	`CREATE INDEX i ON t (a) USING BTREE`,
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		``,
-		`SELEC id FROM t`,
-		`SELECT FROM t`,
-		`SELECT id FROM`,
-		`SELECT id FROM t WHERE`,
-		`INSERT INTO`,
-		`INSERT INTO t VALUES`,
-		`CREATE TABLE`,
-		`CREATE TABLE t`,
-		`CREATE TABLE t ()`,
-		`CREATE TABLE t (a UNKNOWNTYPE)`,
-		`SELECT 'unterminated FROM t`,
-		`SELECT id FROM t; SELECT 2`,
-		`SELECT id id2 id3 FROM t`,
-		`UPDATE t`,
-		`DELETE t`,
-		`SELECT a FROM t WHERE a @ 3`,
-		`CREATE TABLE t (a INT UNIQUE)`,
-		`CREATE UNIQUE TABLE t (a INT)`,
-		`SELECT COUNT(*) FROM t GROUP BY`,
-	}
-	for _, q := range bad {
+	for _, q := range badStatements {
 		if _, err := Parse(q); err == nil {
 			t.Errorf("accepted bad statement: %q", q)
 		}
@@ -586,24 +508,35 @@ func TestParseErrors(t *testing.T) {
 
 func TestSemanticErrors(t *testing.T) {
 	db := testDB(t)
-	bad := []string{
+	for _, q := range []string{
 		`SELECT nope FROM providers`,
 		`SELECT id FROM nonexistent`,
 		`SELECT x.id FROM providers p`,
-		`SELECT id FROM providers p, services s`, // ambiguous? no: id unique. use name
 		`SELECT sid FROM providers`,
-		`INSERT INTO providers (nope) VALUES (1)`,
-		`UPDATE providers SET nope = 1`,
-		`SELECT id FROM providers WHERE COUNT(*) > 1`,
 		`SELECT id FROM providers p, providers p`,
-	}
-	for _, q := range bad {
-		if q == `SELECT id FROM providers p, services s` {
-			continue
-		}
+		`SELECT id FROM providers ORDER BY nope`,
+		`SELECT id FROM providers WHERE host`,
+	} {
 		if _, err := db.Query(q); err == nil {
 			t.Errorf("accepted bad query: %q", q)
 		}
+	}
+	for _, q := range []string{
+		`INSERT INTO providers (nope) VALUES (1)`,
+		`INSERT INTO providers (id) VALUES (1, 2)`,
+		`UPDATE providers SET nope = 1`,
+		`SELECT id FROM providers`,
+		// A TEXT condition is an error in DML exactly as in a SELECT, not a
+		// condition that silently matches nothing.
+		`DELETE FROM providers WHERE host`,
+		`UPDATE providers SET cpu = 0 WHERE domain`,
+	} {
+		if _, err := db.Exec(q); err == nil {
+			t.Errorf("accepted bad statement: %q", q)
+		}
+	}
+	if ids := queryInts(t, db, `SELECT id FROM providers WHERE cpu = 0`); len(ids) != 0 {
+		t.Errorf("failed UPDATE changed rows %v", ids)
 	}
 	// Ambiguity check with genuinely ambiguous column.
 	db.MustExec(`CREATE TABLE dup1 (v INT)`)
@@ -630,19 +563,8 @@ func TestContainsOperator(t *testing.T) {
 	if len(ids) != 1 || ids[0] != 7 {
 		t.Errorf("CONTAINS: %v", ids)
 	}
-	ids = queryInts(t, db, `SELECT id FROM providers WHERE host NOT CONTAINS 'tum'`)
-	if len(ids) != 10 {
-		t.Errorf("NOT CONTAINS: %d", len(ids))
-	}
-}
-
-func TestComments(t *testing.T) {
-	db := testDB(t)
-	rows, err := db.Query("SELECT id -- trailing comment\nFROM providers -- another\nWHERE id = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Len() != 1 {
-		t.Errorf("comment query: %d rows", rows.Len())
+	// The text form of a number contains its digits.
+	if ids = queryInts(t, db, `SELECT id FROM providers WHERE memory CONTAINS '32'`); len(ids) != 2 {
+		t.Errorf("CONTAINS on INT: %v", ids) // 32 and 320
 	}
 }

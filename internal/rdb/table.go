@@ -45,10 +45,6 @@ func (t *Table) Len() int {
 func (t *Table) Insert(row Row) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.insertLocked(row)
-}
-
-func (t *Table) insertLocked(row Row) (int64, error) {
 	checked, err := t.def.checkRow(row)
 	if err != nil {
 		return 0, err
@@ -99,10 +95,6 @@ func (t *Table) Get(rowID int64) (Row, bool) {
 func (t *Table) Update(rowID int64, row Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.updateLocked(rowID, row)
-}
-
-func (t *Table) updateLocked(rowID int64, row Row) error {
 	if rowID < 0 || rowID >= int64(len(t.rows)) || t.rows[rowID] == nil {
 		return fmt.Errorf("rdb: table %s: update row %d: %w", t.def.Name, rowID, ErrNoSuchRow)
 	}
@@ -145,10 +137,6 @@ func (t *Table) updateLocked(rowID int64, row Row) error {
 func (t *Table) Delete(rowID int64) (Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.deleteLocked(rowID)
-}
-
-func (t *Table) deleteLocked(rowID int64) (Row, error) {
 	if rowID < 0 || rowID >= int64(len(t.rows)) || t.rows[rowID] == nil {
 		return nil, fmt.Errorf("rdb: table %s: delete row %d: %w", t.def.Name, rowID, ErrNoSuchRow)
 	}
@@ -174,28 +162,6 @@ func (t *Table) Scan(visit func(rowID int64, row Row) bool) {
 			continue
 		}
 		if !visit(int64(id), row) {
-			return
-		}
-	}
-}
-
-// ScanSnapshot visits a point-in-time copy of every live row without holding
-// the lock during visits, so the visit function may mutate the table.
-func (t *Table) ScanSnapshot(visit func(rowID int64, row Row) bool) {
-	type entry struct {
-		id  int64
-		row Row
-	}
-	t.mu.RLock()
-	snap := make([]entry, 0, t.live)
-	for id, row := range t.rows {
-		if row != nil {
-			snap = append(snap, entry{int64(id), row.Clone()})
-		}
-	}
-	t.mu.RUnlock()
-	for _, e := range snap {
-		if !visit(e.id, e.row) {
 			return
 		}
 	}
@@ -246,14 +212,4 @@ func (t *Table) createIndex(def IndexDef) (*Index, error) {
 	}
 	t.indexes[lowerName(def.Name)] = ix
 	return ix, nil
-}
-
-func (t *Table) dropIndex(name string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.indexes[lowerName(name)]; !ok {
-		return fmt.Errorf("rdb: %w: %s", ErrNoSuchIndex, name)
-	}
-	delete(t.indexes, lowerName(name))
-	return nil
 }

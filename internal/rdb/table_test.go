@@ -209,26 +209,6 @@ func TestScanAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestScanSnapshotAllowsMutation(t *testing.T) {
-	db := NewDatabase()
-	tbl := mustTable(t, db, testDef())
-	for i := 0; i < 5; i++ {
-		tbl.Insert(Row{NewInt(int64(i)), NewText("h"), Null(), Null()})
-	}
-	// Deleting while iterating a snapshot must not deadlock or skip.
-	n := 0
-	tbl.ScanSnapshot(func(id int64, row Row) bool {
-		if _, err := tbl.Delete(id); err != nil {
-			t.Errorf("delete during snapshot scan: %v", err)
-		}
-		n++
-		return true
-	})
-	if n != 5 || tbl.Len() != 0 {
-		t.Errorf("n=%d Len=%d", n, tbl.Len())
-	}
-}
-
 func TestCreateIndexOnPopulatedTable(t *testing.T) {
 	db := NewDatabase()
 	tbl := mustTable(t, db, testDef())
@@ -310,12 +290,6 @@ func TestIndexCatalogErrors(t *testing.T) {
 	if _, err := db.CreateIndex(IndexDef{Name: "i", Table: "providers", Columns: []string{"host"}}); !errors.Is(err, ErrIndexExists) {
 		t.Errorf("duplicate index: %v", err)
 	}
-	if err := db.DropIndex("providers", "i"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DropIndex("providers", "i"); !errors.Is(err, ErrNoSuchIndex) {
-		t.Errorf("double index drop: %v", err)
-	}
 }
 
 func TestHashIndexRangeScanRejected(t *testing.T) {
@@ -344,7 +318,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 200; k++ {
-				tbl.ScanSnapshot(func(_ int64, row Row) bool { return true })
+				tbl.Scan(func(_ int64, row Row) bool { return true })
 				tbl.Get(int64(k % 100))
 			}
 		}()
@@ -360,80 +334,4 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	if tbl.Len() != 300 {
 		t.Errorf("Len = %d", tbl.Len())
 	}
-}
-
-func TestTransactionCommitAndRollback(t *testing.T) {
-	db := NewDatabase()
-	tbl := mustTable(t, db, testDef())
-	base, _ := tbl.Insert(Row{NewInt(1), NewText("keep"), Null(), Null()})
-
-	// Commit path.
-	tx := db.Begin()
-	id2, err := tx.Insert("providers", Row{NewInt(2), NewText("b"), Null(), Null()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tbl.Get(id2); !ok {
-		t.Error("committed insert lost")
-	}
-
-	// Rollback path: insert + update + delete all undone.
-	tx = db.Begin()
-	tx.Insert("providers", Row{NewInt(3), NewText("c"), Null(), Null()})
-	tx.Update("providers", base, Row{NewInt(1), NewText("changed"), Null(), Null()})
-	tx.Delete("providers", id2)
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 2 {
-		t.Errorf("Len = %d after rollback", tbl.Len())
-	}
-	row, _ := tbl.Get(base)
-	if row[1].Str != "keep" {
-		t.Errorf("update not rolled back: %v", row)
-	}
-	if _, ok := tbl.Get(id2); !ok {
-		t.Error("delete not rolled back")
-	}
-	// Index consistency after rollback.
-	ix, _ := tbl.Index("providers_pk")
-	if len(ix.Lookup(Key{NewInt(3)})) != 0 {
-		t.Error("rolled-back insert left index entry")
-	}
-	if len(ix.Lookup(Key{NewInt(1)})) != 1 {
-		t.Error("rolled-back update lost index entry")
-	}
-
-	// Finished transactions reject reuse.
-	if _, err := tx.Insert("providers", Row{}); !errors.Is(err, ErrTxnDone) {
-		t.Errorf("reuse after rollback: %v", err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrTxnDone) {
-		t.Errorf("commit after rollback: %v", err)
-	}
-}
-
-func TestTransactionSingleWriter(t *testing.T) {
-	db := NewDatabase()
-	mustTable(t, db, testDef())
-	tx1 := db.Begin()
-	started := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		close(started)
-		tx2 := db.Begin() // must block until tx1 commits
-		tx2.Commit()
-		close(finished)
-	}()
-	<-started
-	select {
-	case <-finished:
-		t.Fatal("second transaction started before first committed")
-	default:
-	}
-	tx1.Commit()
-	<-finished
 }

@@ -1,6 +1,5 @@
 // Package rdb implements an embedded relational database engine: typed
-// tables, secondary indexes (hash and B+tree), snapshot persistence, and
-// undo-log transactions.
+// tables, secondary indexes (hash and B+tree), and snapshot persistence.
 //
 // The engine is the storage substrate of the MDV metadata management system.
 // The paper implements its publish & subscribe filter "using a standard
@@ -103,15 +102,6 @@ func (v Value) AsFloat() float64 {
 	return v.Float
 }
 
-// AsInt returns the value as an int64. Only valid for numeric kinds; FLOAT
-// values are truncated toward zero.
-func (v Value) AsInt() int64 {
-	if v.Kind == KindFloat {
-		return int64(v.Float)
-	}
-	return v.Int
-}
-
 // String renders the value for display and for canonical encodings such as
 // rule texts. TEXT values are rendered without quotes.
 func (v Value) String() string {
@@ -136,14 +126,6 @@ func (v Value) String() string {
 	default:
 		return "<invalid>"
 	}
-}
-
-// SQLLiteral renders the value as a SQL literal (TEXT quoted and escaped).
-func (v Value) SQLLiteral() string {
-	if v.Kind == KindText {
-		return "'" + strings.ReplaceAll(v.Str, "'", "''") + "'"
-	}
-	return v.String()
 }
 
 // typeRank orders kinds for cross-kind comparison. NULL sorts lowest (after
@@ -361,22 +343,8 @@ func CompareKeys(a, b Key) int {
 	}
 }
 
-// HashKey hashes a composite key consistently with CompareKeys equality.
-func HashKey(k Key) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range k {
-		hv := v.Hash()
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(hv >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
 // encodeKeyString encodes a key to a string usable as a Go map key, with the
-// same equality as CompareKeys. Used by hash indexes and hash joins.
+// same equality as CompareKeys. Used by hash indexes and DISTINCT.
 func encodeKeyString(k Key) string {
 	var sb strings.Builder
 	for _, v := range k {
@@ -410,5 +378,5 @@ func encodeKeyString(k Key) string {
 }
 
 // EncodeKeyString is the exported form of encodeKeyString for use by the SQL
-// executor's hash join and DISTINCT/GROUP BY operators.
+// executor's DISTINCT.
 func EncodeKeyString(k Key) string { return encodeKeyString(k) }

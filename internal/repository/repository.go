@@ -183,12 +183,11 @@ func (r *Repository) View(fn func() error) error {
 func (r *Repository) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	rows, err := r.db.Query(`SELECT COUNT(*) FROM Cache`)
+	t, err := r.db.Raw().Table("Cache")
 	if err != nil {
 		return -1
 	}
-	v, _ := rows.Scalar()
-	return int(v.Int)
+	return t.Len()
 }
 
 // Has reports whether a resource is cached.
