@@ -445,8 +445,7 @@ func parseOp(s string) (rules.Op, error) {
 }
 
 func (e *Engine) groupByID(id int64) (*groupInfo, error) {
-	rows, err := e.db.Query(`SELECT group_id, left_class, left_prop, op, right_prop, right_class,
-		register_side, is_self, group_key FROM RuleGroups WHERE group_id = ?`, rdb.NewInt(id))
+	rows, err := e.prep.groupByID.Query(rdb.NewInt(id))
 	if err != nil {
 		return nil, err
 	}

@@ -142,18 +142,26 @@ type Engine struct {
 // prepared holds the engine's prepared statements (the filter issues a
 // fixed query set; preparing them once keeps the hot path allocation-light).
 type prepared struct {
-	insStatement  *sql.Stmt
-	delStatements *sql.Stmt
-	insResource   *sql.Stmt
-	delResource   *sql.Stmt
-	stmtsOfURI    *sql.Stmt
-	resultHas     *sql.Stmt
-	resultIns     *sql.Stmt
-	resultDel     *sql.Stmt
-	resultObjIns  *sql.Stmt
-	subsOfEndRule *sql.Stmt
-	strongRefsTo  *sql.Stmt
-	resourceClass *sql.Stmt
+	insStatement   *sql.Stmt
+	delStatements  *sql.Stmt
+	insResource    *sql.Stmt
+	delResource    *sql.Stmt
+	stmtsOfURI     *sql.Stmt
+	resultHas      *sql.Stmt
+	resultIns      *sql.Stmt
+	resultDel      *sql.Stmt
+	resultObjIns   *sql.Stmt
+	resultObjClear *sql.Stmt
+	affectedGroups *sql.Stmt
+	groupByID      *sql.Stmt
+	subsOfEndRule  *sql.Stmt
+	subsOfURI      *sql.Stmt
+	strongRefsTo   *sql.Stmt
+	resourceClass  *sql.Stmt
+	docContent     *sql.Stmt
+	docIns         *sql.Stmt
+	docUpd         *sql.Stmt
+	docDel         *sql.Stmt
 }
 
 // NewEngine creates an engine with a fresh database.
@@ -374,14 +382,30 @@ func (e *Engine) prepare() {
 		`DELETE FROM RuleResults WHERE rule_id = ? AND uri_reference = ?`)
 	p.resultObjIns = e.db.MustPrepare(
 		`INSERT INTO ResultObjects (uri_reference, rule_id) VALUES (?, ?)`)
+	p.resultObjClear = e.db.MustPrepare(`DELETE FROM ResultObjects`)
+	// ResultObjects must come first: see evaluateDependentGroups.
+	p.affectedGroups = e.db.MustPrepare(`
+		SELECT DISTINCT gf.group_id, gf.side FROM ResultObjects ro, GroupFeeds gf
+		WHERE gf.source_rule = ro.rule_id`)
+	p.groupByID = e.db.MustPrepare(`
+		SELECT group_id, left_class, left_prop, op, right_prop, right_class,
+		register_side, is_self, group_key FROM RuleGroups WHERE group_id = ?`)
 	p.subsOfEndRule = e.db.MustPrepare(`
 		SELECT s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
 		WHERE ser.end_rule = ? AND s.sub_id = ser.sub_id`)
+	p.subsOfURI = e.db.MustPrepare(`
+		SELECT s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
+		WHERE rr.uri_reference = ? AND ser.end_rule = rr.rule_id AND s.sub_id = ser.sub_id`)
 	p.strongRefsTo = e.db.MustPrepare(`
 		SELECT uri_reference, class, property FROM Statements
 		WHERE property != '` + rdf.SubjectProperty + `' AND is_ref = TRUE AND value = ?`)
 	p.resourceClass = e.db.MustPrepare(
 		`SELECT class, doc_uri FROM Resources WHERE uri_reference = ?`)
+
+	p.docContent = e.db.MustPrepare(`SELECT content FROM Documents WHERE uri = ?`)
+	p.docIns = e.db.MustPrepare(`INSERT INTO Documents (uri, content) VALUES (?, ?)`)
+	p.docUpd = e.db.MustPrepare(`UPDATE Documents SET content = ? WHERE uri = ?`)
+	p.docDel = e.db.MustPrepare(`DELETE FROM Documents WHERE uri = ?`)
 }
 
 // count returns a table's row count, for introspection and tests.

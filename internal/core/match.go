@@ -151,7 +151,7 @@ func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, er
 	// Drop the run's scratch: leaving it resident would keep the engine's
 	// quiescent state from being byte-identical across a
 	// subscribe/unsubscribe cycle.
-	if _, err := e.db.Exec(`DELETE FROM ResultObjects`); err != nil {
+	if _, err := e.prep.resultObjClear.Exec(); err != nil {
 		return nil, err
 	}
 	return all, nil
@@ -182,16 +182,15 @@ func (e *Engine) noteMatch(rule int64, uri string, mode filterMode) (bool, error
 
 // loadResultObjects replaces the ResultObjects table with the delta.
 func (e *Engine) loadResultObjects(delta []matchPair) error {
-	if _, err := e.db.Exec(`DELETE FROM ResultObjects`); err != nil {
+	if _, err := e.prep.resultObjClear.Exec(); err != nil {
 		return err
 	}
-	ins := e.prep.resultObjIns
-	for _, p := range delta {
-		if _, err := ins.Exec(rdb.NewText(p.uri), rdb.NewInt(p.rule)); err != nil {
-			return err
-		}
+	rows := make([][]rdb.Value, len(delta))
+	for i, p := range delta {
+		rows[i] = []rdb.Value{rdb.NewText(p.uri), rdb.NewInt(p.rule)}
 	}
-	return nil
+	_, err := e.prep.resultObjIns.ExecBatch(rows)
+	return err
 }
 
 // evaluateDependentGroups finds the rule groups fed by the current
@@ -203,32 +202,18 @@ func (e *Engine) evaluateDependentGroups(all *matchSet, mode filterMode) ([]matc
 		group int64
 		side  byte // 'L' or 'R' delta side
 	}
-	var tasks []task
-	seen := map[task]bool{}
-	collect := func(q string, side byte) error {
-		rows, err := e.db.Query(q)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows.Data {
-			t := task{group: r[0].Int, side: side}
-			if !seen[t] {
-				seen[t] = true
-				tasks = append(tasks, t)
-			}
-		}
-		return nil
-	}
-	// GroupFeeds holds one row per (input rule, side, group), so this scans
-	// the groups the delta actually feeds — not every join rule sharing
-	// them (a shared triggering rule can feed the whole rule base).
-	if err := collect(`SELECT DISTINCT gf.group_id FROM GroupFeeds gf, ResultObjects ro
-		WHERE gf.source_rule = ro.rule_id AND gf.side = 'L'`, 'L'); err != nil {
+	// The statement starts at the delta and reaches GroupFeeds through its
+	// (source_rule, side, group_id) index, so it reads one row per
+	// (delta rule, side, group) edge — never the rest of the rule base. The
+	// planner keeps FROM order, so GroupFeeds named first would be scanned
+	// whole on every pass.
+	rows, err := e.prep.affectedGroups.Query()
+	if err != nil {
 		return nil, err
 	}
-	if err := collect(`SELECT DISTINCT gf.group_id FROM GroupFeeds gf, ResultObjects ro
-		WHERE gf.source_rule = ro.rule_id AND gf.side = 'R'`, 'R'); err != nil {
-		return nil, err
+	tasks := make([]task, 0, rows.Len())
+	for _, r := range rows.Data {
+		tasks = append(tasks, task{group: r[0].Int, side: r[1].Str[0]})
 	}
 	// Deterministic evaluation order.
 	sort.Slice(tasks, func(a, b int) bool {

@@ -523,10 +523,7 @@ func (e *Engine) strongHolders(uri string) (map[string]bool, error) {
 // subscribedRuleMatches returns the subscribers whose end rules the
 // resource currently matches.
 func (e *Engine) subscribedRuleMatches(uri string) (map[string]bool, error) {
-	rows, err := e.db.Query(`
-		SELECT s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
-		WHERE rr.uri_reference = ? AND ser.end_rule = rr.rule_id AND s.sub_id = ser.sub_id`,
-		rdb.NewText(uri))
+	rows, err := e.prep.subsOfURI.Query(rdb.NewText(uri))
 	if err != nil {
 		return nil, err
 	}

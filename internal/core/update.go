@@ -171,13 +171,11 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	}
 	for _, ch := range changes {
 		if ch.isNew {
-			if _, err := e.db.Exec(`INSERT INTO Documents (uri, content) VALUES (?, ?)`,
-				rdb.NewText(ch.doc.URI), rdb.NewText(ch.content)); err != nil {
+			if _, err := e.prep.docIns.Exec(rdb.NewText(ch.doc.URI), rdb.NewText(ch.content)); err != nil {
 				return nil, err
 			}
 		} else {
-			if _, err := e.db.Exec(`UPDATE Documents SET content = ? WHERE uri = ?`,
-				rdb.NewText(ch.content), rdb.NewText(ch.doc.URI)); err != nil {
+			if _, err := e.prep.docUpd.Exec(rdb.NewText(ch.content), rdb.NewText(ch.doc.URI)); err != nil {
 				return nil, err
 			}
 		}
@@ -265,7 +263,7 @@ func (e *Engine) DeleteDocument(uri string) (*PublishSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := e.db.Exec(`DELETE FROM Documents WHERE uri = ?`, rdb.NewText(uri)); err != nil {
+	if _, err := e.prep.docDel.Exec(rdb.NewText(uri)); err != nil {
 		return nil, err
 	}
 	return ps, nil
@@ -274,7 +272,7 @@ func (e *Engine) DeleteDocument(uri string) (*PublishSet, error) {
 // loadStoredDocument fetches and parses the stored version of a document.
 // isNew reports that no version is registered yet.
 func (e *Engine) loadStoredDocument(uri string) (doc *rdf.Document, isNew bool, err error) {
-	rows, err := e.db.Query(`SELECT content FROM Documents WHERE uri = ?`, rdb.NewText(uri))
+	rows, err := e.prep.docContent.Query(rdb.NewText(uri))
 	if err != nil {
 		return nil, false, err
 	}

@@ -147,3 +147,110 @@ func TestUpdateIndexedColumnItself(t *testing.T) {
 		t.Errorf("repeat update: n=%d err=%v", n, err)
 	}
 }
+
+// scanDB builds a table with a one-column index (a) and a two-column index
+// (a, b), created in the given order, and a hash index on (a, b, c) that only
+// a full key can use. Row i has a = i%4, b = i%3, c = "c<i%2>".
+func scanDB(t *testing.T, abFirst bool) *DB {
+	t.Helper()
+	ddl := []string{`CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c TEXT)`,
+		`CREATE INDEX i_a ON t (a)`, `CREATE INDEX i_ab ON t (a, b)`}
+	if abFirst {
+		ddl[1], ddl[2] = ddl[2], ddl[1]
+	}
+	db := openWith(t, append(ddl, `CREATE INDEX h_abc ON t (a, b, c) USING HASH`)...)
+	for i := 0; i < 60; i++ {
+		mustExec(t, db, `INSERT INTO t (id, a, b, c) VALUES (?, ?, ?, ?)`, rdb.NewInt(int64(i)),
+			rdb.NewInt(int64(i%4)), rdb.NewInt(int64(i%3)), rdb.NewText(fmt.Sprintf("c%d", i%2)))
+	}
+	return db
+}
+
+// scanCases are WHERE clauses with the number of rows scanCandidates must
+// visit for them and the number they match.
+var scanCases = []struct {
+	where   string
+	params  []rdb.Value
+	visits  int
+	matches int
+}{
+	// (a, b) is a full key of i_ab: a point lookup, whichever conjunct
+	// comes first; i_a alone would visit all 15 rows with a = 1.
+	{"a = ? AND b = ?", []rdb.Value{rdb.NewInt(1), rdb.NewInt(2)}, 5, 5},
+	{"b = ? AND a = ?", []rdb.Value{rdb.NewInt(2), rdb.NewInt(1)}, 5, 5},
+	// Only the hash index takes the whole key; i_ab would visit 5 rows.
+	{"a = 1 AND b = 2 AND c = 'c0'", nil, 0, 0},
+	// c does not extend any ordered prefix past a, and h_abc needs b too.
+	{"a = ? AND c = ?", []rdb.Value{rdb.NewInt(1), rdb.NewText("c1")}, 15, 15},
+	// No index is led by b: a full scan.
+	{"b = ? AND c = ?", []rdb.Value{rdb.NewInt(2), rdb.NewText("c1")}, 60, 10},
+	// The primary key is a full one-column key, as long as (a, b).
+	{"a = ? AND id = ?", []rdb.Value{rdb.NewInt(1), rdb.NewInt(5)}, 1, 1},
+}
+
+// TestScanCandidatesLongestPrefix: UPDATE and DELETE reach their rows through
+// the index with the longest `=`-bound prefix, whatever the order of the
+// indexes in the catalogue's map and of the conjuncts in the clause.
+func TestScanCandidatesLongestPrefix(t *testing.T) {
+	for _, abFirst := range []bool{false, true} {
+		db := scanDB(t, abFirst)
+		tbl, err := db.Raw().Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range scanCases {
+			st, err := Parse(`DELETE FROM t WHERE ` + tc.where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < 10; rep++ { // map order changes between calls
+				visits := 0
+				scanCandidates(tbl, tbl.Def(), st.(*DeleteStmt).Where, tc.params, func(int64, rdb.Row) bool {
+					visits++
+					return true
+				})
+				if visits != tc.visits {
+					t.Fatalf("abFirst=%v, %s: visited %d rows, want %d", abFirst, tc.where, visits, tc.visits)
+				}
+			}
+		}
+	}
+}
+
+// TestScanCandidatesKeepsAffectedRows: the index choice changes only how many
+// rows are visited, never which rows UPDATE and DELETE affect.
+func TestScanCandidatesKeepsAffectedRows(t *testing.T) {
+	count := func(db *DB, where string, params []rdb.Value) int {
+		rows, err := db.Query(`SELECT id FROM t WHERE `+where, params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows.Len()
+	}
+	for _, abFirst := range []bool{false, true} {
+		for _, tc := range scanCases {
+			db := scanDB(t, abFirst)
+			if got := count(db, tc.where, tc.params); got != tc.matches {
+				t.Fatalf("%s: SELECT found %d rows, want %d", tc.where, got, tc.matches)
+			}
+			n, err := db.Exec(`UPDATE t SET id = id + 1000 WHERE `+tc.where, tc.params...)
+			if err != nil || n != tc.matches {
+				t.Fatalf("%s: UPDATE affected %d rows (%v), want %d", tc.where, n, err, tc.matches)
+			}
+			if got := count(db, "id >= 1000", nil); got != tc.matches {
+				t.Fatalf("%s: %d rows updated, want %d", tc.where, got, tc.matches)
+			}
+			db = scanDB(t, abFirst)
+			n, err = db.Exec(`DELETE FROM t WHERE `+tc.where, tc.params...)
+			if err != nil || n != tc.matches {
+				t.Fatalf("%s: DELETE affected %d rows (%v), want %d", tc.where, n, err, tc.matches)
+			}
+			if got := count(db, tc.where, tc.params); got != 0 {
+				t.Fatalf("%s: %d matching rows survive DELETE", tc.where, got)
+			}
+			if got := count(db, "id >= 0", nil); got != 60-tc.matches {
+				t.Fatalf("%s: %d rows left, want %d", tc.where, got, 60-tc.matches)
+			}
+		}
+	}
+}

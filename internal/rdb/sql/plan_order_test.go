@@ -206,8 +206,7 @@ var engineStatements = []string{
 		WHERE rl.rule_id = ? AND s1.uri_reference = rl.uri_reference AND s1.property = ?
 		AND s2.uri_reference = rl.uri_reference AND s2.property = ? AND s1.num_value <= s2.num_value`,
 	// Affected groups and subscription lookups.
-	`SELECT DISTINCT gf.group_id FROM GroupFeeds gf, ResultObjects ro
-		WHERE gf.source_rule = ro.rule_id AND gf.side = 'L'`,
+	affectedGroups,
 	`SELECT s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
 		WHERE ser.end_rule = ? AND s.sub_id = ser.sub_id`,
 	`SELECT s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
@@ -215,6 +214,70 @@ var engineStatements = []string{
 	// One query variable with a property access.
 	`SELECT DISTINCT r0.uri_reference FROM Cache r0, CacheStatements p1
 		WHERE r0.class = ? AND p1.uri_reference = r0.uri_reference AND p1.property = ? AND p1.value = ?`,
+}
+
+// affectedGroups is the filter's affected-group statement: the rule groups,
+// and the side of each, that the delta in ResultObjects feeds.
+const affectedGroups = `SELECT DISTINCT gf.group_id, gf.side FROM ResultObjects ro, GroupFeeds gf
+	WHERE gf.source_rule = ro.rule_id`
+
+// TestPlanAffectedGroupsStartsFromDelta: the affected-group statement scans
+// only the delta and reaches GroupFeeds through idx_gf_pk's source_rule
+// prefix. Written GroupFeeds first with a constant side, as it used to be,
+// it scanned all of GroupFeeds — one row per (input rule, side, group) of
+// the whole rule base — on every pass of the fixpoint.
+func TestPlanAffectedGroupsStartsFromDelta(t *testing.T) {
+	db := openWith(t, engineDDL...)
+	type step struct {
+		alias string
+		kind  accessKind
+		index string
+	}
+	check := func(text string, want []step) {
+		t.Helper()
+		plan := planOf(t, db, text)
+		if len(plan.rels) != len(want) {
+			t.Fatalf("%d relations planned, want %d", len(plan.rels), len(want))
+		}
+		for i, rel := range plan.rels {
+			got := step{alias: rel.binding.alias, kind: rel.access.kind}
+			if rel.access.index != nil {
+				got.index = rel.access.index.Def.Name
+			}
+			if got != want[i] {
+				t.Errorf("relation %d planned as %+v, want %+v in\n%s", i, got, want[i], text)
+			}
+		}
+	}
+	check(affectedGroups, []step{
+		{"ro", accessFullScan, ""},
+		{"gf", accessIndexPrefix, "idx_gf_pk"},
+	})
+	check(`SELECT DISTINCT gf.group_id FROM GroupFeeds gf, ResultObjects ro
+		WHERE gf.source_rule = ro.rule_id AND gf.side = 'L'`, []step{
+		{"gf", accessFullScan, ""},
+		{"ro", accessIndexPoint, "idx_ro_rule"},
+	})
+
+	feeds := []struct {
+		rule  int64
+		side  string
+		group int64
+	}{{1, "L", 10}, {1, "R", 11}, {2, "L", 10}, {3, "L", 12}}
+	for _, f := range feeds {
+		mustExec(t, db, `INSERT INTO GroupFeeds VALUES (?, ?, ?)`,
+			rdb.NewInt(f.rule), rdb.NewText(f.side), rdb.NewInt(f.group))
+	}
+	for _, rule := range []int64{1, 2} {
+		mustExec(t, db, `INSERT INTO ResultObjects VALUES ('u', ?)`, rdb.NewInt(rule))
+	}
+	rows, err := db.Query(affectedGroups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(rowsFingerprint(rows), " "); got != "INT:10|TEXT:L INT:11|TEXT:R" {
+		t.Fatalf("affected groups %s, want 10/L and 11/R once each", got)
+	}
 }
 
 // TestPlanKeepsEngineStatementOrder pins FROM order for every statement in

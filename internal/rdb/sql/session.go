@@ -228,15 +228,20 @@ func (ip *insertPlan) insert(params []rdb.Value) error {
 	return err
 }
 
-// scanCandidates visits the rows a WHERE clause could match, using an index
-// point lookup when the clause contains an equality between an indexed
-// column and a constant/parameter, and falling back to a full scan
-// otherwise. The WHERE clause itself is always re-evaluated by the caller,
-// so the index is purely an access-path optimization — without it, UPDATE
-// and DELETE on large catalog tables (e.g. the per-rule refcount updates
-// during rule-base registration) degrade to O(table) per statement.
+// scanCandidates visits the rows a WHERE clause could match. Like the SELECT
+// planner's planAccess, it picks the index whose longest column prefix the
+// clause binds by `=` to constants or parameters: a full key is a point
+// lookup, a shorter prefix a range scan of an ordered index; with no such
+// index it scans the table. The WHERE clause itself is always re-evaluated by
+// the caller, so the index is purely an access-path optimization — without
+// it, UPDATE and DELETE on large catalog tables (e.g. the per-rule refcount
+// updates during rule-base registration) degrade to O(table) per statement,
+// and with only a one-column prefix the per-match
+// `DELETE FROM RuleResults WHERE rule_id = ? AND uri_reference = ?` walks
+// every result of the rule.
 func scanCandidates(t *rdb.Table, def rdb.TableDef, where []Expr, params []rdb.Value,
 	visit func(id int64, row rdb.Row) bool) {
+	bound := map[int]rdb.Value{} // column position → the value `=` binds it to
 	for _, conj := range where {
 		be, ok := conj.(*BinaryExpr)
 		if !ok || be.Op != "=" {
@@ -251,47 +256,72 @@ func scanCandidates(t *rdb.Table, def rdb.TableDef, where []Expr, params []rdb.V
 			continue
 		}
 		ci := def.ColumnIndex(cr.Column)
-		if ci < 0 {
+		if _, dup := bound[ci]; ci < 0 || dup {
 			continue
 		}
-		var val rdb.Value
 		switch v := valSide.(type) {
 		case *Literal:
-			val = v.Value
+			bound[ci] = v.Value
 		case *Param:
-			if v.Ordinal >= len(params) {
-				continue
-			}
-			val = params[v.Ordinal]
-		default:
-			continue
-		}
-		for _, ix := range t.Indexes() {
-			cols := ix.ColumnPositions()
-			if len(cols) == 0 || cols[0] != ci {
-				continue
-			}
-			if len(cols) == 1 {
-				for _, id := range ix.Lookup(rdb.Key{val}) {
-					if row, ok := t.Get(id); ok {
-						if !visit(id, row) {
-							return
-						}
-					}
-				}
-				return
-			}
-			if ix.Ordered() {
-				key := rdb.Key{val}
-				ix.ScanRange(key, key, func(_ rdb.Key, id int64) bool {
-					row, ok := t.Get(id)
-					return !ok || visit(id, row)
-				})
-				return
+			if v.Ordinal < len(params) {
+				bound[ci] = params[v.Ordinal]
 			}
 		}
 	}
-	t.Scan(visit)
+
+	// Longest bound prefix wins; ties prefer a full key, then a unique
+	// index, then the lower name, so the choice never depends on map order.
+	type choice struct {
+		index *rdb.Index
+		key   rdb.Key
+		point bool
+	}
+	better := func(c, b *choice) bool {
+		if len(c.key) != len(b.key) {
+			return len(c.key) > len(b.key)
+		}
+		if c.point != b.point {
+			return c.point
+		}
+		if c.index.Def.Unique != b.index.Def.Unique {
+			return c.index.Def.Unique
+		}
+		return c.index.Def.Name < b.index.Def.Name
+	}
+	var best *choice
+	for _, ix := range t.Indexes() {
+		cols := ix.ColumnPositions()
+		c := &choice{index: ix}
+		for _, cp := range cols {
+			v, ok := bound[cp]
+			if !ok {
+				break
+			}
+			c.key = append(c.key, v)
+		}
+		c.point = len(c.key) == len(cols)
+		if len(c.key) == 0 || (!c.point && !ix.Ordered()) {
+			continue // a hash index needs the full key
+		}
+		if best == nil || better(c, best) {
+			best = c
+		}
+	}
+	switch {
+	case best == nil:
+		t.Scan(visit)
+	case best.point:
+		for _, id := range best.index.Lookup(best.key) {
+			if row, ok := t.Get(id); ok && !visit(id, row) {
+				return
+			}
+		}
+	default:
+		best.index.ScanRange(best.key, best.key, func(_ rdb.Key, id int64) bool {
+			row, ok := t.Get(id)
+			return !ok || visit(id, row)
+		})
+	}
 }
 
 // scanWhere visits, through scanCandidates, the rows of t that satisfy
@@ -458,10 +488,10 @@ func (s *Stmt) Exec(params ...rdb.Value) (int, error) { return s.db.exec(s.ast, 
 
 // ExecBatch executes a prepared INSERT once per parameter row, acquiring the
 // writer lock and compiling the value expressions a single time for the
-// whole batch. The filter engine loads its per-run scratch atoms through
-// this: row-at-a-time Exec pays one exclusive lock round trip plus one
-// expression compilation per atom, which dominates the load cost of large
-// publish batches. Rows inserted before a failing row stay inserted — the
+// whole batch. The filter engine loads its per-run scratch (the atoms and
+// each fixpoint pass's delta) through this: row-at-a-time Exec pays one
+// exclusive lock round trip plus one expression compilation per row, which
+// dominates the load cost of large publish batches. Rows inserted before a failing row stay inserted — the
 // same contract as issuing the inserts one by one.
 func (s *Stmt) ExecBatch(paramRows [][]rdb.Value) (int, error) {
 	ins, ok := s.ast.(*InsertStmt)
