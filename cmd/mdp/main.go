@@ -71,7 +71,6 @@ func main() {
 		ioTimeout  = flag.Duration("io-timeout", 10*time.Second, "per-message write deadline on subscriber connections (0 disables)")
 		sendQueue  = flag.Int("send-queue", 256, "bounded per-subscriber send queue; overflow disconnects the subscriber")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; also enables mutex/block profiling; empty disables)")
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "triggering shards of the filter engine (1 = unpartitioned)")
 		metricsOn  = flag.String("metrics", "", "serve Prometheus /metrics on this address (e.g. localhost:6060; shares the pprof mux; empty disables)")
 		slowThresh = flag.Duration("slow-threshold", 0, "log publishes slower than this, with the dominating rule groups and statements (0 disables)")
 		replicaOf  = flag.String("replica-of", "", "run as a read replica of the primary MDP at this address (requires -data)")
@@ -106,8 +105,8 @@ func main() {
 	}
 	if *pprofAddr != "" {
 		// Contended-lock visibility: sample one in 100 mutex contention
-		// events and blocking events of ~100µs and up, so the per-shard
-		// statement locks and the engine lock show up in the mutex/block
+		// events and blocking events of ~100µs and up, so the statement
+		// locks and the engine lock show up in the mutex/block
 		// profiles (see the README capture recipe).
 		runtime.SetMutexProfileFraction(100)
 		runtime.SetBlockProfileRate(100_000)
@@ -128,14 +127,12 @@ func main() {
 		log.Fatalf("mdp: parse schema: %v", err)
 	}
 
-	engOpts := mdv.EngineOptions{Shards: *shards}
-
 	var prov *mdv.Provider
 	if *dataDir != "" {
 		var stats *mdv.RecoveryStats
 		var err error
 		prov, stats, err = mdv.OpenDurableProviderWithStats(*name, schema, *dataDir,
-			mdv.DurableOptions{Sync: syncPolicy, Replica: *replicaOf != "", EngineOptions: engOpts})
+			mdv.DurableOptions{Sync: syncPolicy, Replica: *replicaOf != ""})
 		if err != nil {
 			log.Fatalf("mdp: open durable store: %v", err)
 		}
@@ -144,7 +141,7 @@ func main() {
 	}
 	if prov == nil && *snapshot != "" {
 		if sf, err := os.Open(*snapshot); err == nil {
-			engine, lerr := mdv.LoadEngineWithOptions(sf, schema, engOpts)
+			engine, lerr := mdv.LoadEngine(sf, schema)
 			sf.Close()
 			if lerr != nil {
 				log.Fatalf("mdp: load snapshot: %v", lerr)
@@ -155,7 +152,7 @@ func main() {
 	}
 	if prov == nil {
 		var err error
-		prov, err = mdv.NewProviderWithOptions(*name, schema, engOpts)
+		prov, err = mdv.NewProvider(*name, schema)
 		if err != nil {
 			log.Fatalf("mdp: %v", err)
 		}
@@ -267,8 +264,8 @@ func main() {
 	if *advAddr != "" {
 		prov.SetAdvertiseAddr(*advAddr)
 	}
-	log.Printf("mdp %q listening on %s (schema: %d classes, role %s, epoch %d, engine shards %d)",
-		*name, listenAddr, len(schema.Classes()), prov.Role(), prov.Epoch(), prov.Engine().ShardCount())
+	log.Printf("mdp %q listening on %s (schema: %d classes, role %s, epoch %d)",
+		*name, listenAddr, len(schema.Classes()), prov.Role(), prov.Epoch())
 
 	if followPrimary != "" {
 		if err := startFollower(followPrimary); err != nil {

@@ -206,17 +206,12 @@ func (e *Engine) internTrigger(spec triggerSpec, ctx *internCtx) (int64, error) 
 	if err != nil {
 		return 0, err
 	}
-	// The catalogue row (persisted) and its copy in the owning shard (what
-	// triggering reads).
 	row := filterRuleRow(spec, table, id)
 	if _, err := e.db.Exec(filterRuleInsert(table, len(row)), row...); err != nil {
 		return 0, err
 	}
-	if err := e.shards.insertRule(table, row); err != nil {
-		return 0, err
-	}
 	// Contains rules additionally enter the substring index (derived state,
-	// rebuilt from the catalogue on load like the shards).
+	// rebuilt from FilterRulesCON on load).
 	if e.text != nil && table == "FilterRulesCON" {
 		e.text.insert(spec.class, spec.property, spec.value.Lexical(), id)
 	}
@@ -226,6 +221,33 @@ func (e *Engine) internTrigger(spec triggerSpec, ctx *internCtx) (int64, error) 
 		return 0, err
 	}
 	return id, nil
+}
+
+// filterRuleRow builds the filter-table row of a triggering rule in the
+// table's column order: (rule_id, class) for ANY, plus (property, value) for
+// the string operators, plus num_value for the numeric ones.
+func filterRuleRow(spec triggerSpec, table string, id int64) []rdb.Value {
+	row := []rdb.Value{rdb.NewInt(id), rdb.NewText(spec.class)}
+	if spec.any {
+		return row
+	}
+	row = append(row, rdb.NewText(spec.property), rdb.NewText(spec.value.Lexical()))
+	if numericFilterTable(table) {
+		row = append(row, numValue(spec.value.Lexical()))
+	}
+	return row
+}
+
+// filterRuleInsert renders the INSERT of a full-width filter-table row.
+func filterRuleInsert(table string, width int) string {
+	return `INSERT INTO ` + table + ` VALUES (?` + strings.Repeat(", ?", width-1) + `)`
+}
+
+// trigTableNames are the per-operator filter tables, index-aligned with
+// trigOpNames.
+var trigTableNames = [numTrigOps]string{
+	"FilterRulesANY", "FilterRulesEQ", "FilterRulesEQN", "FilterRulesNE", "FilterRulesNEN",
+	"FilterRulesCON", "FilterRulesLT", "FilterRulesLE", "FilterRulesGT", "FilterRulesGE",
 }
 
 // numericFilterTable reports whether a FilterRules table carries the typed

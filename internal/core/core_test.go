@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"mdv/internal/rdf"
@@ -919,4 +920,131 @@ func TestTransitiveStrongClosure(t *testing.T) {
 	if len(cs.Upserts[0].Closure) != 2 {
 		t.Errorf("transitive closure = %v, want info and rack", len(cs.Upserts[0].Closure))
 	}
+}
+
+// TestEngineConcurrentPublishesAndReaders hammers one engine with parallel
+// writers and readers under -race: publishes must not race the engine's
+// RW-locked read surface, and the final state must equal a control engine
+// fed the same documents serially.
+func TestEngineConcurrentPublishesAndReaders(t *testing.T) {
+	e, control := newTestEngine(t), newTestEngine(t)
+	rules := []string{
+		`search CycleProvider c register c`,
+		`search CycleProvider c register c where c.serverPort >= 0`,
+		`search CycleProvider c register c where c.serverHost contains 'example'`,
+		`search ServerInformation s register s where s.memory > 10`,
+		`search CycleProvider c, ServerInformation s register s where c.serverInformation = s and c.serverPort > 0`,
+	}
+	var subs []int64
+	for _, r := range rules {
+		id, _, err := e.Subscribe("lmr1", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := control.Subscribe("lmr1", r); err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, id)
+	}
+
+	const writers = 4
+	const docsPerWriter = 20
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < docsPerWriter; i++ {
+				doc := rdf.NewDocument(fmt.Sprintf("w%d-%d.rdf", w, i))
+				cp := doc.NewResource("cp", "CycleProvider")
+				cp.Add("serverHost", rdf.Lit("h.example.org"))
+				cp.Add("serverPort", rdf.Lit(fmt.Sprint(i+1)))
+				cp.Add("serverInformation", rdf.Ref(doc.URI+"#si"))
+				si := doc.NewResource("si", "ServerInformation")
+				si.Add("memory", rdf.Lit(fmt.Sprint(16*(i+1))))
+				si.Add("cpu", rdf.Lit("600"))
+				if _, err := e.RegisterDocument(doc); err != nil {
+					t.Errorf("register: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := e.Browse("CycleProvider", "example"); err != nil {
+					t.Errorf("browse: %v", err)
+					return
+				}
+				// FilterRuns and the deprecated ShardedFilterRuns are bumped
+				// at different points of one run: a torn copy tells them apart.
+				if st := e.Stats(); st.ShardedFilterRuns != st.FilterRuns {
+					t.Errorf("stats torn: %d filter runs, %d triggering runs", st.FilterRuns, st.ShardedFilterRuns)
+					return
+				}
+				if _, err := e.MatchingResources(subs[0]); err != nil {
+					t.Errorf("matches: %v", err)
+					return
+				}
+				if _, err := e.Subscriptions(); err != nil {
+					t.Errorf("subscriptions: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+
+	// Feed the control engine the same documents serially; every
+	// subscription must hold identical matches and no scratch may be left
+	// after the concurrent episode.
+	for w := 0; w < writers; w++ {
+		for i := 0; i < docsPerWriter; i++ {
+			doc := rdf.NewDocument(fmt.Sprintf("w%d-%d.rdf", w, i))
+			cp := doc.NewResource("cp", "CycleProvider")
+			cp.Add("serverHost", rdf.Lit("h.example.org"))
+			cp.Add("serverPort", rdf.Lit(fmt.Sprint(i+1)))
+			cp.Add("serverInformation", rdf.Ref(doc.URI+"#si"))
+			si := doc.NewResource("si", "ServerInformation")
+			si.Add("memory", rdf.Lit(fmt.Sprint(16*(i+1))))
+			si.Add("cpu", rdf.Lit("600"))
+			if _, err := control.RegisterDocument(doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, id := range subs {
+		got, err := e.MatchingResources(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := control.MatchingResources(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gu := make([]string, len(got))
+		for i, r := range got {
+			gu[i] = r.URIRef
+		}
+		wu := make([]string, len(want))
+		for i, r := range want {
+			wu[i] = r.URIRef
+		}
+		if fmt.Sprint(gu) != fmt.Sprint(wu) {
+			t.Errorf("sub %d: concurrent matches %v, serial control %v", id, gu, wu)
+		}
+	}
+	checkNoScratch(t, e)
 }

@@ -43,19 +43,10 @@ type Options struct {
 	// (§3.3.4), instead of comparing the typed num_value columns through
 	// their ordered indexes. Ablation of the sub-linear triggering path.
 	DisableTypedIndexes bool
-	// Shards partitions the triggering phase of every filter run across
-	// this many independent engine sections keyed by a stable hash of
-	// (class, property), evaluated concurrently and merged in shard order
-	// so the output is byte-identical for any count. 0 or 1 build one
-	// section, the degenerate partition; cmd/mdp defaults its -shards flag
-	// to GOMAXPROCS.
+	// Deprecated: Shards is ignored. Triggering runs in one section on the
+	// engine's own filter tables; the field remains only because the bench
+	// module still sets it, and goes with that module's next revision.
 	Shards int
-}
-
-// effectiveShards resolves the configured shard count to the number of
-// sections the engine builds, between 1 and maxShards.
-func (o Options) effectiveShards() int {
-	return min(max(o.Shards, 1), maxShards)
 }
 
 // Stats counts engine work, exposed for the performance experiments.
@@ -78,10 +69,10 @@ type Stats struct {
 	GroupedSubscribers int
 	ChangesetsBuilt    int
 	UpsertsBuilt       int
-	// Triggering-section counters: ShardedFilterRuns counts filter runs
-	// whose phase 1 ran through the shard sections — every run, so it equals
-	// FilterRuns — and ShardSectionsRun how many sections those runs
-	// actually executed (shards no atom routed to are skipped).
+	// Deprecated: ShardedFilterRuns equals FilterRuns, and ShardSectionsRun
+	// counts the filter runs that loaded at least one atom. Both remain only
+	// because the bench module still reports them, and go with that module's
+	// next revision.
 	ShardedFilterRuns int
 	ShardSectionsRun  int
 }
@@ -119,9 +110,6 @@ type Engine struct {
 
 	prep  prepared
 	cache stmtCache
-
-	// shards is the triggering machinery (shard.go): at least one section.
-	shards *shardSet
 
 	// text is the contains-rule substring index (textindex.go). Derived
 	// state: FilterRulesCON stays authoritative, and with text nil — which
@@ -162,6 +150,12 @@ type prepared struct {
 	docIns         *sql.Stmt
 	docUpd         *sql.Stmt
 	docDel         *sql.Stmt
+
+	// The filter run's phase 1: load the atoms into FilterData, run the
+	// triggering queries (index-aligned with trigOpNames), clear the scratch.
+	filterDataIns   *sql.Stmt
+	filterDataClear *sql.Stmt
+	trig            [numTrigOps]*sql.Stmt
 }
 
 // NewEngine creates an engine with a fresh database.
@@ -176,9 +170,6 @@ func NewEngineWithOptions(schema *rdf.Schema, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.prepare()
-	if err := e.initShards(); err != nil {
-		return nil, err
-	}
 	if err := e.initTextIndex(); err != nil {
 		return nil, err
 	}
@@ -333,6 +324,20 @@ var ddl = []string{
 	`CREATE INDEX idx_rr_rule ON RuleResults (rule_id)`,
 	`CREATE INDEX idx_rr_uri ON RuleResults (uri_reference)`,
 
+	// Transient per-run input atoms (paper Figure 4), joined against the
+	// filter tables by the triggering queries. num_value mirrors
+	// Statements.num_value for the typed triggering joins.
+	`CREATE TABLE FilterData (
+		uri_reference TEXT NOT NULL,
+		class TEXT NOT NULL,
+		property TEXT NOT NULL,
+		value TEXT NOT NULL,
+		num_value FLOAT,
+		is_ref BOOL NOT NULL
+	)`,
+	`CREATE INDEX idx_fd_cp ON FilterData (class, property)`,
+	`CREATE INDEX idx_fd_uri ON FilterData (uri_reference)`,
+
 	// Transient per-iteration results (paper Figure 9).
 	`CREATE TABLE ResultObjects (uri_reference TEXT NOT NULL, rule_id INT NOT NULL)`,
 	`CREATE INDEX idx_ro_rule ON ResultObjects (rule_id)`,
@@ -406,6 +411,46 @@ func (e *Engine) prepare() {
 	p.docIns = e.db.MustPrepare(`INSERT INTO Documents (uri, content) VALUES (?, ?)`)
 	p.docUpd = e.db.MustPrepare(`UPDATE Documents SET content = ? WHERE uri = ?`)
 	p.docDel = e.db.MustPrepare(`DELETE FROM Documents WHERE uri = ?`)
+
+	p.filterDataIns = e.db.MustPrepare(
+		`INSERT INTO FilterData (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`)
+	p.filterDataClear = e.db.MustPrepare(`DELETE FROM FilterData`)
+	for i, text := range trigQueryTexts(e.opts.DisableTypedIndexes) {
+		p.trig[i] = e.db.MustPrepare(text)
+	}
+}
+
+// trigQueryTexts renders the ten triggering queries (paper §3.4,
+// "Determination of Affected Triggering Rules"): FilterData joined against
+// each filter table, in trigOpNames order. The typed form compares the
+// parsed num_value columns through the ordered (class, property, num_value)
+// indexes; the CAST form is the paper's string-reconverting scan, kept as an
+// ablation.
+func trigQueryTexts(disableTyped bool) [numTrigOps]string {
+	numCmp := func(op string) string {
+		if disableTyped {
+			return "CAST(fd.value AS FLOAT) " + op + " CAST(fr.value AS FLOAT)"
+		}
+		return "fd.num_value " + op + " fr.num_value"
+	}
+	sel := func(table, cond string) string {
+		return `
+		SELECT fr.rule_id, fd.uri_reference FROM FilterData fd, ` + table + ` fr
+		WHERE ` + cond
+	}
+	cp := "fr.class = fd.class AND fr.property = fd.property"
+	return [numTrigOps]string{
+		sel("FilterRulesANY", "fd.property = '"+rdf.SubjectProperty+"' AND fr.class = fd.class"),
+		sel("FilterRulesEQ", cp+" AND fr.value = fd.value"),
+		sel("FilterRulesEQN", cp+" AND "+numCmp("=")),
+		sel("FilterRulesNE", cp+" AND fd.value != fr.value"),
+		sel("FilterRulesNEN", cp+" AND "+numCmp("!=")),
+		sel("FilterRulesCON", cp+" AND fd.value CONTAINS fr.value"),
+		sel("FilterRulesLT", cp+" AND "+numCmp("<")),
+		sel("FilterRulesLE", cp+" AND "+numCmp("<=")),
+		sel("FilterRulesGT", cp+" AND "+numCmp(">")),
+		sel("FilterRulesGE", cp+" AND "+numCmp(">=")),
+	}
 }
 
 // count returns a table's row count, for introspection and tests.

@@ -109,10 +109,9 @@ func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, er
 
 	// Phase 1: affected triggering rules (Figure 9, initial iteration):
 	// load the atoms into the FilterData scratch and join them against the
-	// filter tables, partitioned across the shard sections with a
-	// deterministic shard-order merge (shard.go). Matches are collected first
-	// and the materialization bookkeeping runs after: mutating statements
-	// must not run inside a streaming query.
+	// filter tables. Matches are collected first and the materialization
+	// bookkeeping runs after: mutating statements must not run inside a
+	// streaming query.
 	tTrig := time.Now()
 	trigPairs, err := e.collectTriggering(atoms)
 	if err != nil {
@@ -160,6 +159,54 @@ func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, er
 type matchPair struct {
 	rule int64
 	uri  string
+}
+
+// numTrigOps is the number of triggering operators (ANY plus the nine
+// predicate forms of paper §3.3.4).
+const numTrigOps = 10
+
+// trigOpNames are the triggering operators in the order collectTriggering
+// runs their queries.
+var trigOpNames = [numTrigOps]string{"ANY", "EQ", "EQN", "NE", "NEN", "CON", "LT", "LE", "GT", "GE"}
+
+// collectTriggering loads the atoms into FilterData, runs the ten
+// triggering queries in trigOpNames order — the contains slot through the
+// substring index when the engine has one — and clears the scratch on every
+// return path, so a failed run leaves no atoms behind to match in the next
+// one.
+func (e *Engine) collectTriggering(atoms []preparedAtom) (pairs []matchPair, err error) {
+	e.stats.ShardedFilterRuns++
+	if len(atoms) == 0 {
+		return nil, nil
+	}
+	e.stats.ShardSectionsRun++
+	rows := make([][]rdb.Value, len(atoms))
+	for i, pa := range atoms {
+		a := pa.stmt
+		rows[i] = []rdb.Value{rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
+			rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)}
+	}
+	defer func() {
+		if _, cerr := e.prep.filterDataClear.Exec(); err == nil {
+			err = cerr
+		}
+	}()
+	if _, err := e.prep.filterDataIns.ExecBatch(rows); err != nil {
+		return nil, err
+	}
+	for j, st := range e.prep.trig {
+		tq := time.Now()
+		if j == conTrigIdx && e.text != nil {
+			pairs = e.text.collect(atoms, pairs)
+		} else if err := st.QueryFunc(nil, func(row []rdb.Value) error {
+			pairs = append(pairs, matchPair{rule: row[0].Int, uri: row[1].Str})
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		e.traceTrig(trigOpNames[j], time.Since(tq))
+	}
+	return pairs, nil
 }
 
 // noteMatch handles materialization bookkeeping for a derived match and

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -32,17 +31,7 @@ type engineMetrics struct {
 	stage     [stageCount]*metrics.Histogram
 	publish   *metrics.Histogram
 	batchDocs *metrics.Histogram
-	// Per-shard triggering instrumentation: section duration and
-	// dispatch-to-start delay per shard id, plus the per-run max/mean
-	// imbalance ratio.
-	shardTrig      []*metrics.Histogram
-	shardWait      []*metrics.Histogram
-	shardImbalance *metrics.Histogram
 }
-
-// shardRatioBuckets grade the per-run imbalance ratio: 1.0 is a perfectly
-// balanced fan-out, ~N means one of N shards did all the work.
-var shardRatioBuckets = []float64{1, 1.25, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 
 // slowOpLog is the -slow-threshold configuration: publishes slower than
 // threshold log a per-trigger-table / per-join-group time breakdown.
@@ -66,22 +55,6 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 		metrics.TimeBuckets)
 	m.batchDocs = reg.Histogram("mdv_publish_batch_docs",
 		"documents per registration batch", metrics.SizeBuckets)
-	n := e.ShardCount()
-	reg.Gauge("mdv_engine_shards",
-		"triggering sections of this engine (1 = unpartitioned)").SetInt(int64(n))
-	m.shardTrig = make([]*metrics.Histogram, n)
-	m.shardWait = make([]*metrics.Histogram, n)
-	for i := 0; i < n; i++ {
-		lbl := metrics.L("shard", strconv.Itoa(i))
-		m.shardTrig[i] = reg.Histogram("mdv_shard_triggering_seconds",
-			"per-shard triggering section duration in seconds", metrics.TimeBuckets, lbl)
-		m.shardWait[i] = reg.Histogram("mdv_shard_lock_wait_seconds",
-			"delay between shard dispatch and section start (core/lock queueing) in seconds",
-			metrics.TimeBuckets, lbl)
-	}
-	m.shardImbalance = reg.Histogram("mdv_shard_imbalance_ratio",
-		"per-run max/mean shard triggering time across all shards (1.0 = perfectly balanced)",
-		shardRatioBuckets)
 	if e.text != nil {
 		reg.GaugeFunc("mdv_text_index_rules",
 			"live contains-rule constants in the substring index", func() float64 {
@@ -125,8 +98,6 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 				mk("join_matches", s.JoinMatches),
 				mk("atomic_rules_shared", s.AtomicRulesShared),
 				mk("atomic_rules_created", s.AtomicRulesCreated),
-				mk("sharded_filter_runs", s.ShardedFilterRuns),
-				mk("shard_sections_run", s.ShardSectionsRun),
 			}
 		})
 	e.obs.met.Store(m)
@@ -142,35 +113,6 @@ func (e *Engine) SetSlowOpLog(threshold time.Duration, logf func(format string, 
 		return
 	}
 	e.obs.slow.Store(&slowOpLog{threshold: threshold, logf: logf})
-}
-
-// observeShards records the per-shard section metrics of one triggering
-// run and its imbalance ratio: max shard busy time over the mean across ALL
-// shards (idle shards count as zero work, so a run whose atoms
-// all land on one of four shards reads ~4). Called by the merge barrier on
-// the coordinator only.
-func (e *Engine) observeShards(runs []shardRun) {
-	m := e.obs.met.Load()
-	if m == nil {
-		return
-	}
-	var max, sum time.Duration
-	for i := range runs {
-		run := &runs[i]
-		if run.atoms == 0 {
-			continue
-		}
-		m.shardTrig[i].Observe(run.busy.Seconds())
-		m.shardWait[i].Observe(run.wait.Seconds())
-		sum += run.busy
-		if run.busy > max {
-			max = run.busy
-		}
-	}
-	if sum > 0 {
-		mean := sum.Seconds() / float64(len(runs))
-		m.shardImbalance.Observe(max.Seconds() / mean)
-	}
 }
 
 // observeStage records one pipeline stage duration.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"mdv/internal/rdb"
 	"mdv/internal/rdb/sql"
@@ -49,10 +50,8 @@ func Load(r io.Reader, schema *rdf.Schema) (*Engine, error) {
 	return LoadWithOptions(r, schema, Options{})
 }
 
-// LoadWithOptions is Load with explicit engine options. Shard state is
-// derived, never persisted: snapshots are identical regardless of the shard
-// configuration of the engine that wrote them, and the loaded engine
-// rebuilds its shards from the FilterRules catalogue.
+// LoadWithOptions is Load with explicit engine options (snapshots carry no
+// options).
 func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, error) {
 	raw, err := rdb.Load(r)
 	if err != nil {
@@ -65,10 +64,18 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 			return nil, fmt.Errorf("core: snapshot is not an engine snapshot (missing %s)", table)
 		}
 	}
-	// Snapshots written before the FilterData scratch moved into the shards
-	// carry an empty engine-database copy; drop it so it is not re-saved.
+	// FilterData is per-run scratch. Snapshots carry it empty, stale, or not
+	// at all (engines that kept it outside the engine database); recreate it
+	// fresh from ddl's FilterData statements either way.
 	if _, err := e.db.Exec(`DROP TABLE IF EXISTS FilterData`); err != nil {
 		return nil, err
+	}
+	for _, stmt := range ddl {
+		if strings.Contains(stmt, " FilterData (") {
+			if _, err := e.db.Exec(stmt); err != nil {
+				return nil, err
+			}
+		}
 	}
 	e.prepare()
 	// Restore the id counters from the stored maxima (0 for an empty table).
@@ -112,11 +119,8 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 			e.named[name] = normalized[0]
 		}
 	}
-	if err := e.initShards(); err != nil {
-		return nil, err
-	}
 	// The text index is derived state, never serialized: rebuild it from the
-	// catalogue's FilterRulesCON rows, like the shards above.
+	// FilterRulesCON rows.
 	if err := e.initTextIndex(); err != nil {
 		return nil, err
 	}

@@ -10,14 +10,10 @@ import (
 
 // TestEngineSnapshotRoundTrip: a saved engine restores with its metadata,
 // rules, materializations, subscriptions, and named rules intact, and
-// continues to filter correctly. Snapshots carry no shard state: one saved
-// by a 4-section engine loads into a 1-section engine and back, re-saving
-// byte-identically each time.
+// continues to filter correctly. The snapshot carries the FilterData
+// scratch table empty, and a loaded engine re-saves it byte-identically.
 func TestEngineSnapshotRoundTrip(t *testing.T) {
-	e, err := NewEngineWithOptions(paperSchema(), Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t)
 	if err := e.RegisterNamedRule("Passau",
 		`search CycleProvider c register c where c.serverHost contains 'uni-passau.de'`); err != nil {
 		t.Fatal(err)
@@ -39,26 +35,16 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.DB().Raw().HasTable("FilterData") || restored.DB().Raw().HasTable("FilterData") {
-		t.Error("the engine database holds a FilterData table; the scratch belongs to the shards")
+	if !e.DB().Raw().HasTable("FilterData") || !restored.DB().Raw().HasTable("FilterData") {
+		t.Error("the engine database has no FilterData table; triggering runs on the engine's own tables")
 	}
-	for _, n := range []int{1, 4} {
-		hop, err := LoadWithOptions(bytes.NewReader(snap), paperSchema(), Options{Shards: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hop.ShardCount() != n {
-			t.Fatalf("loaded engine has %d shards, want %d", hop.ShardCount(), n)
-		}
-		checkShardMirror(t, hop)
-		var again bytes.Buffer
-		if err := hop.Save(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), snap) {
-			t.Fatalf("snapshot re-saved by a %d-shard engine differs from the one it loaded", n)
-		}
-		snap = again.Bytes()
+	checkNoScratch(t, restored)
+	var again bytes.Buffer
+	if err := restored.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), snap) {
+		t.Fatal("snapshot re-saved by the loaded engine differs from the one it loaded")
 	}
 
 	// State survived.
@@ -97,10 +83,11 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if cs == nil || len(cs.Upserts) != 1 || cs.Upserts[0].Resource.URIRef != "doc2.rdf#host" {
 		t.Fatalf("restored engine does not filter: %+v", cs)
 	}
-	// Default options build one triggering section, and it ran.
-	if st := restored.Stats(); restored.ShardCount() != 1 || st.ShardSectionsRun != st.FilterRuns || st.FilterRuns == 0 {
-		t.Errorf("default engine: %d shards, %d sections over %d filter runs; want one section per run",
-			restored.ShardCount(), st.ShardSectionsRun, st.FilterRuns)
+	// The deprecated triggering counters keep their meaning: every run
+	// counts, and every run here loaded atoms.
+	if st := restored.Stats(); st.ShardedFilterRuns != st.FilterRuns || st.ShardSectionsRun != st.FilterRuns || st.FilterRuns == 0 {
+		t.Errorf("deprecated counters: %d triggering runs and %d with atoms over %d filter runs; want all equal",
+			st.ShardedFilterRuns, st.ShardSectionsRun, st.FilterRuns)
 	}
 	sub2, _, err := restored.Subscribe("lmr2", `search Passau p register p where p.serverPort >= 0`)
 	if err != nil {

@@ -227,9 +227,6 @@ func (e *Engine) releaseInterned(interned []int64) error {
 					return err
 				}
 			}
-			if err := e.shards.deleteRule(id); err != nil {
-				return err
-			}
 			continue
 		}
 		// Join rule: remove from its group; drop the group when empty.

@@ -19,11 +19,10 @@ import (
 // occurs in it — O(|value| + matches) per atom, independent of the rule
 // base.
 //
-// The index is derived state, exactly like the shards (shard.go): the
-// catalogue's FilterRulesCON table stays authoritative for persistence,
-// snapshots, and the scan path the differential test compares against
-// (e.text == nil); the index is maintained incrementally on
-// subscribe/unsubscribe under the exclusive engine lock and rebuilt from
+// The index is derived state: the FilterRulesCON table stays authoritative
+// for persistence, snapshots, and the scan path the differential test
+// compares against (e.text == nil); the index is maintained incrementally
+// on subscribe/unsubscribe under the exclusive engine lock and rebuilt from
 // the canonical table on LoadWithOptions. Snapshots never contain index
 // state, so save/load determinism is untouched.
 //
@@ -34,14 +33,11 @@ import (
 // true), which the index models with a per-cohort empty-rule list since an
 // automaton has no useful empty pattern.
 //
-// Concurrency: mutation (insert/remove/rebuild) happens only under the
-// exclusive engine lock with no filter run active. During a sharded filter
-// run, shard workers read the index concurrently — but an atom's cohort key
-// is exactly its (class, property) routing key, so each cohort is only ever
-// touched by its home shard's worker, and the lazy automaton rebuild inside
-// collect is single-writer per cohort. The cohorts map itself is read-only
-// during runs. The scan/match counters are atomics so workers can bump them
-// without touching engine state (they are deliberately NOT part of
+// Concurrency: mutation (insert/remove/rebuild) and the scans of a filter
+// run, including the lazy automaton rebuild inside collect, happen under the
+// exclusive engine lock; the rule and node gauges read under the shared
+// lock. Only the scan/match counters are read without it: /metrics loads
+// them lock-free, so they are atomics (and deliberately NOT part of
 // core.Stats: indexed and scanning engines must produce identical Stats for
 // the differential tests).
 
@@ -52,8 +48,7 @@ const conTrigIdx = 5
 // textCohortKey identifies one (class, property) cohort of contains rules.
 // Bare-variable rules (`where c contains 'x'`, matching the URIref) carry
 // property == rdf.SubjectProperty like their FilterData subject atoms, so
-// they form an ordinary cohort and route to the same shard as the atoms
-// that trigger them.
+// they form an ordinary cohort keyed like the atoms that trigger them.
 type textCohortKey struct {
 	class    string
 	property string
@@ -77,8 +72,8 @@ type textIndex struct {
 	rules   int // live (rule, constant) entries across all cohorts
 
 	// scans counts atom values run through a cohort automaton; matches
-	// counts the candidate (rule, atom) pairs emitted. Atomics: bumped by
-	// shard workers during parallel triggering.
+	// counts the candidate (rule, atom) pairs emitted. Atomics: /metrics
+	// reads them without the engine lock.
 	scans   atomic.Int64
 	matches atomic.Int64
 }

@@ -162,13 +162,12 @@ func TestAllComparisonOperatorsTrigger(t *testing.T) {
 }
 
 // TestFailedTriggeringLeavesNoScratch: a triggering query that fails midway
-// through a section must not leave the batch's atoms in the shard's
-// FilterData, where they would match (or fail) again in the next run. Under
+// through must not leave the batch's atoms in FilterData, where they would match (or fail) again in the next run. Under
 // the CAST ablation a non-numeric value in a numerically compared property
 // makes the LT query fail after the atoms were loaded.
 func TestFailedTriggeringLeavesNoScratch(t *testing.T) {
 	mk := func() *Engine {
-		e, err := NewEngineWithOptions(floatSchema(), Options{DisableTypedIndexes: true, Shards: 2})
+		e, err := NewEngineWithOptions(floatSchema(), Options{DisableTypedIndexes: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +192,7 @@ func TestFailedTriggeringLeavesNoScratch(t *testing.T) {
 	if _, err := e.runFilter(bad, modeCollect); err == nil {
 		t.Fatal("triggering accepted a value CAST rejects; the test drives no failure")
 	}
-	checkShardMirror(t, e)
+	checkNoScratch(t, e)
 
 	doc := offerDoc("a.rdf", "3", "no match here")
 	got, err := e.RegisterDocument(doc)

@@ -11,15 +11,14 @@ import (
 
 // filterStateTables is every table the subscribe path writes: the atomic
 // rule catalog, the dependency graph, join groups with their feed edges,
-// the ten operator filter tables, materialized results, the transient
-// per-iteration table, and the subscription bookkeeping itself. (The other
-// transient table, FilterData, lives in the shards: checkShardMirror.)
+// the ten operator filter tables, materialized results, the two transient
+// per-run tables, and the subscription bookkeeping itself.
 var filterStateTables = []string{
 	"AtomicRules", "RuleDependencies", "JoinRules", "GroupFeeds", "RuleGroups",
 	"FilterRulesANY", "FilterRulesEQ", "FilterRulesEQN", "FilterRulesNE",
 	"FilterRulesNEN", "FilterRulesCON", "FilterRulesLT", "FilterRulesLE",
 	"FilterRulesGT", "FilterRulesGE",
-	"RuleResults", "ResultObjects",
+	"RuleResults", "FilterData", "ResultObjects",
 	"Subscriptions", "SubscriptionEndRules", "SubscriptionAtomicRules",
 }
 
@@ -69,23 +68,23 @@ var unsubscribeDiffRules = []string{
 // second subscriber and an interleaved publish that materialized results —
 // every filter table is byte-identical to its pre-subscribe contents, and a
 // subsequent publish performs exactly the filter work a never-subscribed
-// engine performs (no leaked rows keep matching). The shards' copies of the
-// filter tables and their FilterData scratch are checked alongside, for the
-// one-section engine and a partitioned one.
+// engine performs (no leaked rows keep matching). It runs with the
+// deprecated Options.Shards at 1 and at 4, which must change nothing.
 func TestUnsubscribeRestoresFilterState(t *testing.T) {
-	for _, n := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			testUnsubscribeRestoresFilterState(t, n)
+	for _, nShards := range []int{1, 4} {
+		nShards := nShards
+		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
+			runUnsubscribeRestoresFilterState(t, Options{Shards: nShards})
 		})
 	}
 }
 
-func testUnsubscribeRestoresFilterState(t *testing.T, nShards int) {
-	e, err := NewEngineWithOptions(paperSchema(), Options{Shards: nShards})
+func runUnsubscribeRestoresFilterState(t *testing.T, opts Options) {
+	e, err := NewEngineWithOptions(paperSchema(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	control, err := NewEngineWithOptions(paperSchema(), Options{Shards: nShards})
+	control, err := NewEngineWithOptions(paperSchema(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func testUnsubscribeRestoresFilterState(t *testing.T, nShards int) {
 		subIDs = append(subIDs, id)
 	}
 
-	checkShardMirror(t, e)
+	checkNoScratch(t, e)
 	during := dumpFilterState(t, e)
 	if during == before {
 		t.Fatal("subscribing changed no filter table; the differential proves nothing")
@@ -159,7 +158,7 @@ func testUnsubscribeRestoresFilterState(t *testing.T, nShards int) {
 		t.Errorf("filter state after unsubscribe differs from pre-subscribe state:\n%s",
 			diffDumps(before, after))
 	}
-	checkShardMirror(t, e)
+	checkNoScratch(t, e)
 
 	// Future publishes must cost exactly what they cost an engine that never
 	// saw the subscriptions: compare the Stats delta of a fresh registration

@@ -194,8 +194,7 @@ type DurableOptions struct {
 	// replica that has not caught up yet). Zero means 10s.
 	CatchupWait time.Duration
 	// EngineOptions configure the filter engine, freshly created or
-	// restored from the snapshot (cmd/mdp sets Shards; snapshots carry no
-	// engine options).
+	// restored from the snapshot (snapshots carry no engine options).
 	EngineOptions core.Options
 }
 
@@ -822,8 +821,8 @@ func writeSnapshot(w io.Writer, seq, epoch uint64, engine *core.Engine) error {
 // readSnapshot parses a snapshot written by writeSnapshotFile, either
 // format version. V1 snapshots (pre-epoch) report epoch 0; the caller
 // treats that as "epoch unknown" and keeps its default. The engine options
-// configure the restored engine (snapshots carry no shard or ablation
-// state; shard maps are rebuilt from the canonical tables).
+// configure the restored engine (snapshots carry no ablation state;
+// derived state is rebuilt from the canonical tables).
 func readSnapshot(r io.Reader, schema *rdf.Schema, opts core.Options) (uint64, uint64, *core.Engine, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagicV2))

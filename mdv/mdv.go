@@ -120,8 +120,8 @@ type (
 	Removal = core.Removal
 	// EngineStats counts filter work (for experiments).
 	EngineStats = core.Stats
-	// EngineOptions tunes the filter engine: the shard count and the
-	// paper's three ablation switches.
+	// EngineOptions tunes the filter engine: the paper's three ablation
+	// switches.
 	EngineOptions = core.Options
 )
 
@@ -150,8 +150,8 @@ func LoadEngine(r io.Reader, schema *Schema) (*Engine, error) {
 }
 
 // LoadEngineWithOptions is LoadEngine with explicit engine options
-// (snapshots carry no shard or ablation configuration; the loaded engine
-// rebuilds derived state such as its shard map from the canonical tables).
+// (snapshots carry no ablation configuration; the loaded engine rebuilds
+// derived state such as its substring index from the canonical tables).
 func LoadEngineWithOptions(r io.Reader, schema *Schema, opts EngineOptions) (*Engine, error) {
 	return core.LoadWithOptions(r, schema, opts)
 }
