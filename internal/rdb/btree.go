@@ -1,15 +1,27 @@
 package rdb
 
-// bptree is an in-memory B+tree mapping composite keys to row IDs. Keys in
-// the tree are made unique by appending the row ID as a final INT component,
-// so non-unique indexes need no postings lists and deletion is exact.
+import "cmp"
+
+// bptree is an in-memory B+tree over the rows of one table, ordered by the
+// indexed columns. A leaf entry is the stored row itself plus its row ID: the
+// key is never copied into the leaf, it is read through the tree's column
+// positions. This is safe because a stored row is never written in place
+// (see Table). The row ID is the final key component, so entries are unique,
+// non-unique indexes need no postings lists and deletion is exact.
 //
-// Leaves are linked for range scans. The order (max children per internal
-// node) is fixed; leaves hold up to order-1 entries.
+// Inner nodes hold separators: a copy of the key columns plus the row ID of
+// the entry that started the right subtree when its leaf split. Separators
+// never reference a row, so a deleted row is not kept alive by the tree.
+//
+// Insert and delete search with the (row, ID) pair itself, comparing entry
+// against entry, and allocate nothing for the search. Leaves are linked for
+// range scans. The order (max children per internal node) is fixed; leaves
+// hold up to order-1 entries.
 
 const btreeOrder = 64
 
 type bptree struct {
+	cols   []int // positions of the key columns in a stored row
 	root   btnode
 	height int // 1 = root is a leaf
 	size   int
@@ -17,36 +29,93 @@ type bptree struct {
 
 type btnode interface{}
 
+// btentry is a leaf slot: a stored table row and its row ID.
+type btentry struct {
+	row Row
+	id  int64
+}
+
 type btleaf struct {
-	keys []Key
-	rows []int64
-	next *btleaf
+	entries []btentry
+	next    *btleaf
+}
+
+// btsep is an inner-node separator: the key columns and row ID of the first
+// entry of a subtree, copied out of its row.
+type btsep struct {
+	key Key
+	id  int64
 }
 
 type btinner struct {
-	// keys[i] is the smallest key in children[i+1]'s subtree.
-	keys     []Key
+	// seps[i] is the smallest entry in children[i+1]'s subtree.
+	seps     []btsep
 	children []btnode
 }
 
-func newBPTree() *bptree {
-	return &bptree{root: &btleaf{}, height: 1}
+func newBPTree(cols []int) *bptree {
+	return &bptree{cols: cols, root: &btleaf{}, height: 1}
 }
 
-// fullKey materializes the tree key for (key, rowID).
-func fullKey(key Key, rowID int64) Key {
-	fk := make(Key, len(key)+1)
-	copy(fk, key)
-	fk[len(key)] = NewInt(rowID)
-	return fk
+// cmpEntries orders two leaf entries by (key, row ID).
+func (t *bptree) cmpEntries(a, b btentry) int {
+	for _, p := range t.cols {
+		if c := Compare(a.row[p], b.row[p]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
-// search returns the index of the first element in keys >= k.
-func searchKeys(keys []Key, k Key) int {
-	lo, hi := 0, len(keys)
+// cmpEntrySep orders a leaf entry against a separator by (key, row ID).
+func (t *bptree) cmpEntrySep(e btentry, s btsep) int {
+	for i, p := range t.cols {
+		if c := Compare(e.row[p], s.key[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(e.id, s.id)
+}
+
+// boundBefore reports whether a scan bound sorts before the entry. A bound
+// covers a prefix of the key columns and has no row ID; when the entry's key
+// starts with the bound, the shorter bound sorts first.
+func (t *bptree) boundBefore(bound Key, e btentry) bool {
+	for i, v := range bound {
+		if c := Compare(v, e.row[t.cols[i]]); c != 0 {
+			return c < 0
+		}
+	}
+	return true
+}
+
+// boundBeforeSep is boundBefore against a separator.
+func boundBeforeSep(bound Key, s btsep) bool {
+	for i, v := range bound {
+		if c := Compare(v, s.key[i]); c != 0 {
+			return c < 0
+		}
+	}
+	return true
+}
+
+// pastHigh reports whether the row's key, truncated to the bound's length,
+// sorts after the high bound, so prefix bounds behave inclusively.
+func (t *bptree) pastHigh(row Row, high Key) bool {
+	for i := range high {
+		if c := Compare(row[t.cols[i]], high[i]); c != 0 {
+			return c > 0
+		}
+	}
+	return false
+}
+
+// child returns which child of an inner node should contain the entry.
+func (t *bptree) child(n *btinner, e btentry) int {
+	lo, hi := 0, len(n.seps)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if CompareKeys(keys[mid], k) < 0 {
+		if t.cmpEntrySep(e, n.seps[mid]) >= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -55,12 +124,12 @@ func searchKeys(keys []Key, k Key) int {
 	return lo
 }
 
-// childIndex returns which child of an inner node should contain key k.
-func (n *btinner) childIndex(k Key) int {
-	lo, hi := 0, len(n.keys)
+// search returns the position of the first leaf entry >= e.
+func (t *bptree) search(leaf *btleaf, e btentry) int {
+	lo, hi := 0, len(leaf.entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if CompareKeys(n.keys[mid], k) <= 0 {
+		if t.cmpEntries(leaf.entries[mid], e) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -69,133 +138,146 @@ func (n *btinner) childIndex(k Key) int {
 	return lo
 }
 
-// Insert adds (key, rowID) to the tree.
-func (t *bptree) Insert(key Key, rowID int64) {
-	fk := fullKey(key, rowID)
-	splitKey, newNode := t.insert(t.root, t.height, fk, rowID)
+// Insert adds the stored row under rowID to the tree. The tree keeps a
+// reference to row, which must not be modified afterwards.
+func (t *bptree) Insert(row Row, rowID int64) {
+	sep, newNode := t.insert(t.root, t.height, btentry{row, rowID})
 	if newNode != nil {
-		t.root = &btinner{keys: []Key{splitKey}, children: []btnode{t.root, newNode}}
+		t.root = &btinner{seps: []btsep{sep}, children: []btnode{t.root, newNode}}
 		t.height++
 	}
 	t.size++
 }
 
-// insert recursively inserts and returns a (splitKey, newRightSibling) pair
-// if the visited node split, else (nil, nil).
-func (t *bptree) insert(n btnode, height int, fk Key, rowID int64) (Key, btnode) {
+// insert recursively inserts and returns a (separator, newRightSibling)
+// pair if the visited node split, else a nil node.
+func (t *bptree) insert(n btnode, height int, e btentry) (btsep, btnode) {
 	if height == 1 {
 		leaf := n.(*btleaf)
-		i := searchKeys(leaf.keys, fk)
-		leaf.keys = append(leaf.keys, nil)
-		copy(leaf.keys[i+1:], leaf.keys[i:])
-		leaf.keys[i] = fk
-		leaf.rows = append(leaf.rows, 0)
-		copy(leaf.rows[i+1:], leaf.rows[i:])
-		leaf.rows[i] = rowID
-		if len(leaf.keys) < btreeOrder {
-			return nil, nil
+		i := t.search(leaf, e)
+		leaf.entries = append(leaf.entries, btentry{})
+		copy(leaf.entries[i+1:], leaf.entries[i:])
+		leaf.entries[i] = e
+		if len(leaf.entries) < btreeOrder {
+			return btsep{}, nil
 		}
-		// Split the leaf in half.
-		mid := len(leaf.keys) / 2
+		// Split the leaf in half. The vacated slots are cleared so the left
+		// leaf's spare capacity references no row.
+		mid := len(leaf.entries) / 2
 		right := &btleaf{
-			keys: append([]Key(nil), leaf.keys[mid:]...),
-			rows: append([]int64(nil), leaf.rows[mid:]...),
-			next: leaf.next,
+			entries: append([]btentry(nil), leaf.entries[mid:]...),
+			next:    leaf.next,
 		}
-		leaf.keys = leaf.keys[:mid:mid]
-		leaf.rows = leaf.rows[:mid:mid]
+		clear(leaf.entries[mid:])
+		leaf.entries = leaf.entries[:mid:mid]
 		leaf.next = right
-		return right.keys[0], right
+		first := right.entries[0]
+		key := make(Key, len(t.cols))
+		for i, p := range t.cols {
+			key[i] = first.row[p]
+		}
+		return btsep{key, first.id}, right
 	}
 	inner := n.(*btinner)
-	ci := inner.childIndex(fk)
-	splitKey, newChild := t.insert(inner.children[ci], height-1, fk, rowID)
+	ci := t.child(inner, e)
+	sep, newChild := t.insert(inner.children[ci], height-1, e)
 	if newChild == nil {
-		return nil, nil
+		return btsep{}, nil
 	}
-	inner.keys = append(inner.keys, nil)
-	copy(inner.keys[ci+1:], inner.keys[ci:])
-	inner.keys[ci] = splitKey
+	inner.seps = append(inner.seps, btsep{})
+	copy(inner.seps[ci+1:], inner.seps[ci:])
+	inner.seps[ci] = sep
 	inner.children = append(inner.children, nil)
 	copy(inner.children[ci+2:], inner.children[ci+1:])
 	inner.children[ci+1] = newChild
 	if len(inner.children) < btreeOrder {
-		return nil, nil
+		return btsep{}, nil
 	}
-	// Split the inner node; the middle key moves up.
-	mid := len(inner.keys) / 2
-	upKey := inner.keys[mid]
+	// Split the inner node; the middle separator moves up.
+	mid := len(inner.seps) / 2
+	up := inner.seps[mid]
 	right := &btinner{
-		keys:     append([]Key(nil), inner.keys[mid+1:]...),
+		seps:     append([]btsep(nil), inner.seps[mid+1:]...),
 		children: append([]btnode(nil), inner.children[mid+1:]...),
 	}
-	inner.keys = inner.keys[:mid:mid]
+	clear(inner.seps[mid:])
+	clear(inner.children[mid+1:])
+	inner.seps = inner.seps[:mid:mid]
 	inner.children = inner.children[: mid+1 : mid+1]
-	return upKey, right
+	return up, right
 }
 
-// Delete removes (key, rowID) from the tree. It reports whether the entry
-// was found. Underfull nodes are not rebalanced — deleted space is reclaimed
-// on the next snapshot reload, which rebuilds indexes from scratch. This
-// trades worst-case tree height for simplicity; the MDV workloads are
-// insert-heavy.
-func (t *bptree) Delete(key Key, rowID int64) bool {
-	fk := fullKey(key, rowID)
+// Delete removes the entry (row, rowID) from the tree; row must hold the key
+// the entry was inserted with. It reports whether the entry was found.
+// Underfull nodes are not rebalanced — deleted space is reclaimed on the next
+// snapshot reload, which rebuilds indexes from scratch. This trades
+// worst-case tree height for simplicity; the MDV workloads are insert-heavy.
+// The vacated slot is cleared, so the leaf keeps no deleted row alive.
+func (t *bptree) Delete(row Row, rowID int64) bool {
+	e := btentry{row, rowID}
 	n := t.root
 	for h := t.height; h > 1; h-- {
 		inner := n.(*btinner)
-		n = inner.children[inner.childIndex(fk)]
+		n = inner.children[t.child(inner, e)]
 	}
 	leaf := n.(*btleaf)
-	i := searchKeys(leaf.keys, fk)
-	if i >= len(leaf.keys) || CompareKeys(leaf.keys[i], fk) != 0 {
+	i := t.search(leaf, e)
+	if i >= len(leaf.entries) || t.cmpEntries(leaf.entries[i], e) != 0 {
 		return false
 	}
-	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-	leaf.rows = append(leaf.rows[:i], leaf.rows[i+1:]...)
+	last := len(leaf.entries) - 1
+	copy(leaf.entries[i:], leaf.entries[i+1:])
+	leaf.entries[last] = btentry{}
+	leaf.entries = leaf.entries[:last]
 	t.size--
 	return true
 }
 
-// ScanRange visits every (key, rowID) with low <= key <= high in key order,
-// where key is the user key (without the rowID tiebreak). Bounds may use
-// sentinel values and may be shorter than the full key (prefix scans). The
-// visit function returns false to stop early.
-func (t *bptree) ScanRange(low, high Key, visit func(key Key, rowID int64) bool) {
-	// The stored keys have a trailing rowID component; a low bound of
-	// (v1..vk) must start at the first stored key >= (v1..vk, -inf), which
-	// prefix comparison already gives us (shorter key sorts first).
+// ScanRange visits every (row, rowID) whose key satisfies low <= key <= high,
+// in (key, row ID) order. Bounds may use sentinel values and may be shorter
+// than the key (prefix scans), but not longer. The visited row is the stored
+// row and must not be modified. The visit function returns false to stop
+// early.
+func (t *bptree) ScanRange(low, high Key, visit func(row Row, rowID int64) bool) {
 	n := t.root
 	for h := t.height; h > 1; h-- {
 		inner := n.(*btinner)
-		n = inner.children[inner.childIndex(low)]
+		lo, hi := 0, len(inner.seps)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if boundBeforeSep(low, inner.seps[mid]) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		n = inner.children[lo]
 	}
 	leaf := n.(*btleaf)
-	i := searchKeys(leaf.keys, low)
-	for leaf != nil {
-		for ; i < len(leaf.keys); i++ {
-			fk := leaf.keys[i]
-			userKey := fk[:len(fk)-1]
-			// Compare the user key against the high bound, truncating to the
-			// bound's length so prefix bounds behave inclusively.
-			cmpKey := userKey
-			if len(high) < len(cmpKey) {
-				cmpKey = cmpKey[:len(high)]
-			}
-			if CompareKeys(cmpKey, high) > 0 {
+	lo, hi := 0, len(leaf.entries)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if t.boundBefore(low, leaf.entries[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	for i := lo; leaf != nil; leaf, i = leaf.next, 0 {
+		for ; i < len(leaf.entries); i++ {
+			e := &leaf.entries[i]
+			if t.pastHigh(e.row, high) {
 				return
 			}
-			if !visit(userKey, leaf.rows[i]) {
+			if !visit(e.row, e.id) {
 				return
 			}
 		}
-		leaf = leaf.next
-		i = 0
 	}
 }
 
 // ScanAll visits every entry in key order.
-func (t *bptree) ScanAll(visit func(key Key, rowID int64) bool) {
+func (t *bptree) ScanAll(visit func(row Row, rowID int64) bool) {
 	t.ScanRange(Key{MinSentinel()}, Key{MaxSentinel()}, visit)
 }
 

@@ -9,7 +9,7 @@ import (
 
 func collectRange(t *bptree, low, high Key) []int64 {
 	var out []int64
-	t.ScanRange(low, high, func(_ Key, rowID int64) bool {
+	t.ScanRange(low, high, func(_ Row, rowID int64) bool {
 		out = append(out, rowID)
 		return true
 	})
@@ -17,16 +17,16 @@ func collectRange(t *bptree, low, high Key) []int64 {
 }
 
 func TestBPTreeInsertAndScanOrder(t *testing.T) {
-	tr := newBPTree()
+	tr := newBPTree([]int{0})
 	// Insert in reverse to exercise ordering.
 	for i := 999; i >= 0; i-- {
-		tr.Insert(Key{NewInt(int64(i))}, int64(i))
+		tr.Insert(Row{NewInt(int64(i))}, int64(i))
 	}
 	if tr.Len() != 1000 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	var got []int64
-	tr.ScanAll(func(k Key, rowID int64) bool {
+	tr.ScanAll(func(_ Row, rowID int64) bool {
 		got = append(got, rowID)
 		return true
 	})
@@ -41,9 +41,9 @@ func TestBPTreeInsertAndScanOrder(t *testing.T) {
 }
 
 func TestBPTreeRangeScanBounds(t *testing.T) {
-	tr := newBPTree()
+	tr := newBPTree([]int{0})
 	for i := 0; i < 100; i++ {
-		tr.Insert(Key{NewInt(int64(i * 2))}, int64(i))
+		tr.Insert(Row{NewInt(int64(i * 2))}, int64(i))
 	}
 	// [10, 20] covers keys 10,12,...,20 => rows 5..10.
 	got := collectRange(tr, Key{NewInt(10)}, Key{NewInt(20)})
@@ -70,9 +70,9 @@ func TestBPTreeRangeScanBounds(t *testing.T) {
 }
 
 func TestBPTreeDuplicateKeys(t *testing.T) {
-	tr := newBPTree()
+	tr := newBPTree([]int{0})
 	for i := 0; i < 50; i++ {
-		tr.Insert(Key{NewText("same")}, int64(i))
+		tr.Insert(Row{NewText("same")}, int64(i))
 	}
 	got := collectRange(tr, Key{NewText("same")}, Key{NewText("same")})
 	if len(got) != 50 {
@@ -84,7 +84,7 @@ func TestBPTreeDuplicateKeys(t *testing.T) {
 			t.Fatalf("duplicate order broken at %d: %d", i, id)
 		}
 	}
-	if !tr.Delete(Key{NewText("same")}, 25) {
+	if !tr.Delete(Row{NewText("same")}, 25) {
 		t.Fatal("delete of existing duplicate failed")
 	}
 	got = collectRange(tr, Key{NewText("same")}, Key{NewText("same")})
@@ -99,15 +99,15 @@ func TestBPTreeDuplicateKeys(t *testing.T) {
 }
 
 func TestBPTreeDeleteMissing(t *testing.T) {
-	tr := newBPTree()
-	tr.Insert(Key{NewInt(1)}, 1)
-	if tr.Delete(Key{NewInt(1)}, 2) {
+	tr := newBPTree([]int{0})
+	tr.Insert(Row{NewInt(1)}, 1)
+	if tr.Delete(Row{NewInt(1)}, 2) {
 		t.Error("delete with wrong rowID should fail")
 	}
-	if tr.Delete(Key{NewInt(2)}, 1) {
+	if tr.Delete(Row{NewInt(2)}, 1) {
 		t.Error("delete of absent key should fail")
 	}
-	if !tr.Delete(Key{NewInt(1)}, 1) {
+	if !tr.Delete(Row{NewInt(1)}, 1) {
 		t.Error("delete of present entry should succeed")
 	}
 	if tr.Len() != 0 {
@@ -116,11 +116,11 @@ func TestBPTreeDeleteMissing(t *testing.T) {
 }
 
 func TestBPTreeCompositeKeyPrefixScan(t *testing.T) {
-	tr := newBPTree()
+	tr := newBPTree([]int{0, 1})
 	// Key = (class, property); 10 classes x 10 properties.
 	for c := 0; c < 10; c++ {
 		for p := 0; p < 10; p++ {
-			tr.Insert(Key{NewInt(int64(c)), NewInt(int64(p))}, int64(c*10+p))
+			tr.Insert(Row{NewInt(int64(c)), NewInt(int64(p))}, int64(c*10+p))
 		}
 	}
 	// Prefix scan on class 3 only (short bounds).
@@ -141,12 +141,12 @@ func TestBPTreeCompositeKeyPrefixScan(t *testing.T) {
 }
 
 func TestBPTreeScanEarlyStop(t *testing.T) {
-	tr := newBPTree()
+	tr := newBPTree([]int{0})
 	for i := 0; i < 500; i++ {
-		tr.Insert(Key{NewInt(int64(i))}, int64(i))
+		tr.Insert(Row{NewInt(int64(i))}, int64(i))
 	}
 	n := 0
-	tr.ScanAll(func(Key, int64) bool {
+	tr.ScanAll(func(Row, int64) bool {
 		n++
 		return n < 7
 	})
@@ -159,19 +159,19 @@ func TestBPTreeScanEarlyStop(t *testing.T) {
 // insert/delete interleavings.
 func TestBPTreeMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tr := newBPTree()
+	tr := newBPTree([]int{0})
 	ref := map[int64]int64{} // rowID -> key value
 	nextID := int64(0)
 	for step := 0; step < 20000; step++ {
 		if rng.Intn(3) != 0 || len(ref) == 0 {
 			k := int64(rng.Intn(2000))
-			tr.Insert(Key{NewInt(k)}, nextID)
+			tr.Insert(Row{NewInt(k)}, nextID)
 			ref[nextID] = k
 			nextID++
 		} else {
 			// Delete a random live entry.
 			for id, k := range ref {
-				if !tr.Delete(Key{NewInt(k)}, id) {
+				if !tr.Delete(Row{NewInt(k)}, id) {
 					t.Fatalf("delete of live entry (%d,%d) failed", k, id)
 				}
 				delete(ref, id)
@@ -195,7 +195,7 @@ func TestBPTreeMatchesReferenceModel(t *testing.T) {
 		return want[a].id < want[b].id
 	})
 	var got []pair
-	tr.ScanAll(func(k Key, id int64) bool {
+	tr.ScanAll(func(k Row, id int64) bool {
 		got = append(got, pair{k[0].Int, id})
 		return true
 	})
@@ -213,10 +213,10 @@ func TestBPTreeMatchesReferenceModel(t *testing.T) {
 // over its span.
 func TestBPTreeRangeProperty(t *testing.T) {
 	f := func(keys []int16) bool {
-		tr := newBPTree()
+		tr := newBPTree([]int{0})
 		counts := map[int64]int{}
 		for i, k := range keys {
-			tr.Insert(Key{NewInt(int64(k))}, int64(i))
+			tr.Insert(Row{NewInt(int64(k))}, int64(i))
 			counts[int64(k)]++
 		}
 		for k, want := range counts {

@@ -3,7 +3,9 @@ package rdb
 import "fmt"
 
 // Index is a secondary index over a table. It maps composite keys, extracted
-// from the indexed columns of each row, to row IDs.
+// from the indexed columns of each row, to row IDs. A B+tree index holds the
+// stored rows themselves and reads their keys through colPos; a hash index
+// maps the encoded key to row IDs.
 type Index struct {
 	Def     IndexDef
 	colPos  []int // positions of indexed columns in the table row
@@ -17,7 +19,7 @@ func newIndex(def IndexDef, colPos []int) *Index {
 	if def.Kind == IndexHash {
 		idx.hash = make(map[string][]int64)
 	} else {
-		idx.btree = newBPTree()
+		idx.btree = newBPTree(colPos)
 	}
 	return idx
 }
@@ -31,31 +33,36 @@ func (ix *Index) keyOf(row Row) Key {
 	return k
 }
 
-// insert adds the row to the index, enforcing uniqueness if required.
-// Rows containing NULL in any key column are exempt from the uniqueness
-// check, matching the usual SQL treatment of NULLs in unique indexes.
-func (ix *Index) insert(row Row, rowID int64) error {
-	key := ix.keyOf(row)
-	if ix.Def.Unique && !keyHasNull(key) {
-		if ids := ix.lookup(key); len(ids) > 0 {
-			return fmt.Errorf("rdb: unique index %s: duplicate key (%s)", ix.Def.Name, keyString(key))
-		}
+// checkUnique reports a uniqueness violation that inserting row would cause.
+// Rows containing NULL in any key column are exempt, matching the usual SQL
+// treatment of NULLs in unique indexes.
+func (ix *Index) checkUnique(table string, row Row) error {
+	if !ix.Def.Unique {
+		return nil
 	}
-	if ix.hash != nil {
-		s := encodeKeyString(key)
-		ix.hash[s] = append(ix.hash[s], rowID)
-		ix.hashLen++
-	} else {
-		ix.btree.Insert(key, rowID)
+	key := ix.keyOf(row)
+	if !keyHasNull(key) && len(ix.lookup(key)) > 0 {
+		return fmt.Errorf("rdb: table %s: unique index %s: duplicate key (%s)", table, ix.Def.Name, keyString(key))
 	}
 	return nil
 }
 
+// insert adds the stored row to the index. Uniqueness is the caller's check
+// (checkUnique). A B+tree index keeps a reference to row.
+func (ix *Index) insert(row Row, rowID int64) {
+	if ix.hash != nil {
+		s := encodeKeyString(ix.keyOf(row))
+		ix.hash[s] = append(ix.hash[s], rowID)
+		ix.hashLen++
+	} else {
+		ix.btree.Insert(row, rowID)
+	}
+}
+
 // remove deletes the (row, rowID) entry from the index.
 func (ix *Index) remove(row Row, rowID int64) {
-	key := ix.keyOf(row)
 	if ix.hash != nil {
-		s := encodeKeyString(key)
+		s := encodeKeyString(ix.keyOf(row))
 		ids := ix.hash[s]
 		for i, id := range ids {
 			if id == rowID {
@@ -70,7 +77,7 @@ func (ix *Index) remove(row Row, rowID int64) {
 		}
 		ix.hashLen--
 	} else {
-		ix.btree.Delete(key, rowID)
+		ix.btree.Delete(row, rowID)
 	}
 }
 
@@ -79,13 +86,13 @@ func (ix *Index) lookup(key Key) []int64 {
 	if ix.hash != nil {
 		return ix.hash[encodeKeyString(key)]
 	}
+	// A full-length bound scans exactly the entries with that key.
+	if len(key) != len(ix.colPos) {
+		return nil
+	}
 	var out []int64
-	ix.btree.ScanRange(key, key, func(k Key, rowID int64) bool {
-		// ScanRange treats a short high bound as a prefix bound; require an
-		// exact full-key match for point lookups.
-		if len(k) == len(key) && CompareKeys(k, key) == 0 {
-			out = append(out, rowID)
-		}
+	ix.btree.ScanRange(key, key, func(_ Row, rowID int64) bool {
+		out = append(out, rowID)
 		return true
 	})
 	return out
@@ -94,11 +101,18 @@ func (ix *Index) lookup(key Key) []int64 {
 // Lookup returns the row IDs matching the key. Exported for the SQL planner.
 func (ix *Index) Lookup(key Key) []int64 { return ix.lookup(key) }
 
-// ScanRange visits index entries with low <= key <= high in order. Only
-// valid for B+tree indexes; hash indexes return ErrUnordered.
-func (ix *Index) ScanRange(low, high Key, visit func(key Key, rowID int64) bool) error {
+// ScanRange visits the rows whose key satisfies low <= key <= high, in key
+// order, with their row IDs. A bound shorter than the key covers every key
+// that starts with it; a bound may not be longer than the key. The visited
+// row is the table's stored row: it must not be modified, and it stays valid
+// after the table changes. Only valid for B+tree indexes; hash indexes
+// return ErrUnordered.
+func (ix *Index) ScanRange(low, high Key, visit func(row Row, rowID int64) bool) error {
 	if ix.btree == nil {
 		return fmt.Errorf("rdb: index %s: %w", ix.Def.Name, ErrUnordered)
+	}
+	if len(low) > len(ix.colPos) || len(high) > len(ix.colPos) {
+		return fmt.Errorf("rdb: index %s: scan bound longer than its %d-column key", ix.Def.Name, len(ix.colPos))
 	}
 	ix.btree.ScanRange(low, high, visit)
 	return nil

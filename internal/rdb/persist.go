@@ -26,9 +26,10 @@ type tableSnapshot struct {
 const snapshotVersion = 1
 
 // Save writes a point-in-time snapshot of the whole database: every table
-// is read-locked simultaneously while rows are cloned, so the snapshot is
-// consistent across tables even with concurrent writers. Encoding happens
-// after the locks are released; only the clone phase blocks writes.
+// is read-locked simultaneously while its row references are captured, so
+// the snapshot is consistent across tables even with concurrent writers.
+// Stored rows are never written in place, so encoding happens after the
+// locks are released; only the capture phase blocks writes.
 func (db *Database) Save(w io.Writer) error {
 	snap, err := db.cloneQuiesced()
 	if err != nil {
@@ -42,7 +43,7 @@ func (db *Database) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// cloneQuiesced captures a cross-table-consistent copy of every table by
+// cloneQuiesced captures a cross-table-consistent view of every table by
 // holding every table's read lock at the same time, which makes the snapshot
 // a single point in time. The read locks are taken in sorted table order and
 // a writer holds only one table lock at a time, so concurrent saves and
@@ -71,7 +72,7 @@ func (db *Database) cloneQuiesced() (*snapshot, error) {
 		ts.Def.Columns = append([]ColumnDef(nil), t.def.Columns...)
 		for _, row := range t.rows {
 			if row != nil {
-				ts.Rows = append(ts.Rows, row.Clone())
+				ts.Rows = append(ts.Rows, row)
 			}
 		}
 		// Indexes live in a map; emit them sorted so two databases with

@@ -69,7 +69,7 @@ func BenchmarkBTreeRangeScan100(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		ix.ScanRange(Key{NewInt(int64(i % 1000))}, Key{NewInt(int64(i % 1000))},
-			func(Key, int64) bool { n++; return true })
+			func(Row, int64) bool { n++; return true })
 	}
 }
 

@@ -75,12 +75,13 @@ func (d *TableDef) Validate() error {
 
 // checkRow verifies that a row conforms to the table definition: correct
 // arity, NOT NULL constraints, and value kinds assignable to column types
-// (INT is accepted for FLOAT columns and widened).
+// (INT is accepted for FLOAT columns and widened). It returns the one copy
+// of the row that the table stores, with the widening applied.
 func (d *TableDef) checkRow(row Row) (Row, error) {
 	if len(row) != len(d.Columns) {
 		return nil, fmt.Errorf("rdb: table %s: row has %d values, want %d", d.Name, len(row), len(d.Columns))
 	}
-	out := row
+	out := row.Clone()
 	for i := range d.Columns {
 		c := &d.Columns[i]
 		v := row[i]
@@ -96,9 +97,6 @@ func (d *TableDef) checkRow(row Row) (Row, error) {
 		// Widen INT to FLOAT transparently; reject everything else to keep
 		// stored data strictly typed.
 		if c.Type == KindFloat && v.Kind == KindInt {
-			if &out[0] == &row[0] {
-				out = row.Clone()
-			}
 			out[i] = NewFloat(float64(v.Int))
 			continue
 		}

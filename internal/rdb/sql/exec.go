@@ -109,7 +109,7 @@ func (p *selectPlan) bindRel(i int, env []rdb.Value, params []rdb.Value, emit fu
 	if !ok {
 		return err // NULL never equals anything: no matches
 	}
-	if rel.access.kind == accessIndexPoint {
+	if rel.access.kind == accessIndexPoint && !rel.access.index.Ordered() {
 		for _, rowID := range rel.access.index.Lookup(key) {
 			if row, ok := rel.table.Get(rowID); ok {
 				if err := tryRow(row); err != nil {
@@ -119,8 +119,9 @@ func (p *selectPlan) bindRel(i int, env []rdb.Value, params []rdb.Value, emit fu
 		}
 		return nil
 	}
-	// A prefix scan covers the equality prefix; a range scan adds low/high
-	// bounds on the next index column.
+	// A B+tree point lookup scans its full key; a prefix scan covers the
+	// equality prefix; a range scan adds low/high bounds on the next index
+	// column. The index hands out the stored rows, which tryRow only copies.
 	low, high := key, key
 	if rel.access.kind == accessIndexRange {
 		if low, ok, err = extendKey(key, rel.access.lowExpr, rdb.MinSentinel(), env, params); !ok {
@@ -131,10 +132,8 @@ func (p *selectPlan) bindRel(i int, env []rdb.Value, params []rdb.Value, emit fu
 		}
 	}
 	var scanErr error
-	err = rel.access.index.ScanRange(low, high, func(_ rdb.Key, rowID int64) bool {
-		if row, ok := rel.table.Get(rowID); ok {
-			scanErr = tryRow(row)
-		}
+	err = rel.access.index.ScanRange(low, high, func(row rdb.Row, _ int64) bool {
+		scanErr = tryRow(row)
 		return scanErr == nil
 	})
 	if err != nil {

@@ -310,16 +310,16 @@ func scanCandidates(t *rdb.Table, def rdb.TableDef, where []Expr, params []rdb.V
 	switch {
 	case best == nil:
 		t.Scan(visit)
-	case best.point:
+	case !best.index.Ordered():
 		for _, id := range best.index.Lookup(best.key) {
 			if row, ok := t.Get(id); ok && !visit(id, row) {
 				return
 			}
 		}
 	default:
-		best.index.ScanRange(best.key, best.key, func(_ rdb.Key, id int64) bool {
-			row, ok := t.Get(id)
-			return !ok || visit(id, row)
+		// A full key scans exactly its point; a shorter one its prefix.
+		best.index.ScanRange(best.key, best.key, func(row rdb.Row, id int64) bool {
+			return visit(id, row)
 		})
 	}
 }

@@ -8,6 +8,13 @@ import (
 // Table is a heap table: rows live in a slice and are addressed by stable
 // row IDs (slot positions). Deleted slots are tombstoned (nil row) and
 // reused by later inserts. Secondary indexes map keys to row IDs.
+//
+// A stored row is never written in place. Insert stores its own copy of the
+// caller's row, and Update swaps a new row into the slot only after it has
+// removed the old row's index entries and inserted the new row's. B+tree
+// index entries, Get, Scan, Index.ScanRange and snapshots therefore share
+// the stored rows instead of copying them: a row handed out stays valid,
+// and unchanged, after the table moves on.
 type Table struct {
 	mu      sync.RWMutex
 	def     TableDef
@@ -40,96 +47,85 @@ func (t *Table) Len() int {
 	return t.live
 }
 
-// Insert validates and stores a row, maintaining all indexes. It returns the
-// new row's ID.
+// checkUnique reports the first uniqueness violation that storing row would
+// cause.
+func (t *Table) checkUnique(row Row) error {
+	for _, ix := range t.indexes {
+		if err := ix.checkUnique(t.def.Name, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Insert validates and stores a copy of row, maintaining all indexes. It
+// returns the new row's ID. On a uniqueness violation the table is left
+// unchanged.
 func (t *Table) Insert(row Row) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	checked, err := t.def.checkRow(row)
+	stored, err := t.def.checkRow(row)
 	if err != nil {
 		return 0, err
 	}
-	checked = checked.Clone()
-	// Check every unique index before touching any of them, so a violation
-	// leaves the table unchanged.
-	for _, ix := range t.indexes {
-		if ix.Def.Unique {
-			key := ix.keyOf(checked)
-			if !keyHasNull(key) && len(ix.lookup(key)) > 0 {
-				return 0, fmt.Errorf("rdb: table %s: unique index %s: duplicate key (%s)",
-					t.def.Name, ix.Def.Name, keyString(key))
-			}
-		}
+	if err := t.checkUnique(stored); err != nil {
+		return 0, err
 	}
 	var id int64
 	if n := len(t.free); n > 0 {
 		id = t.free[n-1]
 		t.free = t.free[:n-1]
-		t.rows[id] = checked
+		t.rows[id] = stored
 	} else {
 		id = int64(len(t.rows))
-		t.rows = append(t.rows, checked)
+		t.rows = append(t.rows, stored)
 	}
 	t.live++
 	for _, ix := range t.indexes {
-		// Cannot fail: uniqueness was pre-checked above.
-		if err := ix.insert(checked, id); err != nil {
-			panic(fmt.Sprintf("rdb: internal: index insert failed after pre-check: %v", err))
-		}
+		ix.insert(stored, id)
 	}
 	return id, nil
 }
 
-// Get returns a copy of the row with the given ID, if it is live.
+// Get returns the stored row with the given ID, if it is live. The row must
+// not be modified (the same contract as Scan).
 func (t *Table) Get(rowID int64) (Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if rowID < 0 || rowID >= int64(len(t.rows)) || t.rows[rowID] == nil {
 		return nil, false
 	}
-	return t.rows[rowID].Clone(), true
+	return t.rows[rowID], true
 }
 
-// Update replaces the row with the given ID, maintaining all indexes.
-// On a uniqueness violation the row is left unchanged.
+// Update replaces the row with the given ID by a copy of row, maintaining
+// all indexes. On a uniqueness violation the row is left unchanged.
 func (t *Table) Update(rowID int64, row Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if rowID < 0 || rowID >= int64(len(t.rows)) || t.rows[rowID] == nil {
 		return fmt.Errorf("rdb: table %s: update row %d: %w", t.def.Name, rowID, ErrNoSuchRow)
 	}
-	checked, err := t.def.checkRow(row)
+	stored, err := t.def.checkRow(row)
 	if err != nil {
 		return err
 	}
-	checked = checked.Clone()
 	old := t.rows[rowID]
 	// Remove the old entries first so an update that keeps the key does not
-	// collide with itself, then insert the new entries; on violation restore.
+	// collide with itself; on a violation put them back.
 	for _, ix := range t.indexes {
 		ix.remove(old, rowID)
 	}
-	var failed error
-	done := make([]*Index, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		if err := ix.insert(checked, rowID); err != nil {
-			failed = err
-			break
-		}
-		done = append(done, ix)
-	}
-	if failed != nil {
-		for _, ix := range done {
-			ix.remove(checked, rowID)
-		}
+	if err := t.checkUnique(stored); err != nil {
 		for _, ix := range t.indexes {
-			if err := ix.insert(old, rowID); err != nil {
-				panic(fmt.Sprintf("rdb: internal: index restore failed: %v", err))
-			}
+			ix.insert(old, rowID)
 		}
-		return failed
+		return err
 	}
-	t.rows[rowID] = checked
+	for _, ix := range t.indexes {
+		ix.insert(stored, rowID)
+	}
+	t.rows[rowID] = stored
 	return nil
 }
 
@@ -150,10 +146,10 @@ func (t *Table) Delete(rowID int64) (Row, error) {
 	return old, nil
 }
 
-// Scan visits every live row in row-ID order. The visited row must not be
-// modified; the visit function returns false to stop early. Scan holds the
-// table read lock for its duration; the visit function must not call
-// mutating methods of the same table.
+// Scan visits every live row in row-ID order. The visited row is the stored
+// row and must not be modified; the visit function returns false to stop
+// early. Scan holds the table read lock for its duration; the visit function
+// must not call mutating methods of the same table.
 func (t *Table) Scan(visit func(rowID int64, row Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -206,9 +202,10 @@ func (t *Table) createIndex(def IndexDef) (*Index, error) {
 		if row == nil {
 			continue
 		}
-		if err := ix.insert(row, int64(id)); err != nil {
+		if err := ix.checkUnique(t.def.Name, row); err != nil {
 			return nil, err
 		}
+		ix.insert(row, int64(id))
 	}
 	t.indexes[lowerName(def.Name)] = ix
 	return ix, nil

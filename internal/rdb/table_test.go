@@ -115,6 +115,39 @@ func TestInsertTypeChecking(t *testing.T) {
 	}
 }
 
+// The table stores its own copy of a row, whether or not it widens a value:
+// writing the caller's row afterwards changes nothing stored, and widening
+// never writes the caller's row.
+func TestInsertAndUpdateStoreTheirOwnCopy(t *testing.T) {
+	db := NewDatabase()
+	tbl := mustTable(t, db, testDef())
+	for _, load := range []Value{NewFloat(0.5), NewInt(3)} {
+		row := Row{NewInt(1), NewText("h"), NewInt(64), load}
+		id, err := tbl.Insert(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row[3] != load {
+			t.Fatalf("Insert wrote the caller's row: %v", row)
+		}
+		row[1] = NewText("caller")
+		if got, _ := tbl.Get(id); got[1] != NewText("h") {
+			t.Fatalf("stored row follows the caller's insert row: %v", got)
+		}
+		upd := Row{NewInt(1), NewText("u"), NewInt(64), load}
+		if err := tbl.Update(id, upd); err != nil {
+			t.Fatal(err)
+		}
+		upd[1] = NewText("caller")
+		if got, _ := tbl.Get(id); got[1] != NewText("u") || got[3].Kind != KindFloat {
+			t.Fatalf("stored row follows the caller's update row: %v", got)
+		}
+		if _, err := tbl.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPrimaryKeyUniqueness(t *testing.T) {
 	db := NewDatabase()
 	tbl := mustTable(t, db, testDef())
@@ -297,7 +330,7 @@ func TestHashIndexRangeScanRejected(t *testing.T) {
 	tbl := mustTable(t, db, testDef())
 	db.CreateIndex(IndexDef{Name: "h", Table: "providers", Columns: []string{"host"}, Kind: IndexHash})
 	ix, _ := tbl.Index("h")
-	err := ix.ScanRange(Key{MinSentinel()}, Key{MaxSentinel()}, func(Key, int64) bool { return true })
+	err := ix.ScanRange(Key{MinSentinel()}, Key{MaxSentinel()}, func(Row, int64) bool { return true })
 	if !errors.Is(err, ErrUnordered) {
 		t.Errorf("range scan on hash index: %v", err)
 	}
