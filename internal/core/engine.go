@@ -239,7 +239,7 @@ var ddl = []string{
 		rule_text TEXT NOT NULL,
 		refcount INT NOT NULL
 	)`,
-	`CREATE UNIQUE INDEX idx_ar_text ON AtomicRules (rule_text) USING HASH`,
+	`CREATE UNIQUE INDEX idx_ar_text ON AtomicRules (rule_text)`,
 
 	// The global dependency graph (paper §3.3.2): source feeds target.
 	// side is 'L' or 'R' (which input of the join rule the source feeds).
@@ -286,7 +286,7 @@ var ddl = []string{
 		is_self BOOL NOT NULL,
 		group_key TEXT NOT NULL
 	)`,
-	`CREATE UNIQUE INDEX idx_rg_key ON RuleGroups (group_key) USING HASH`,
+	`CREATE UNIQUE INDEX idx_rg_key ON RuleGroups (group_key)`,
 
 	// Triggering-rule filter tables (paper §3.3.4, Figure 8). One table per
 	// operator. The paper stores numeric constants as strings and

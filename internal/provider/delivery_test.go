@@ -11,7 +11,7 @@ import (
 // block metadata administration; the failure is observable via
 // OnDeliveryError.
 func TestDeliveryFailureDoesNotFailRegistration(t *testing.T) {
-	p, err := New("mdp", batcherSchema())
+	p, err := New("mdp", testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestDeliveryFailureDoesNotFailRegistration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.RegisterDocument(batcherDoc(1, 80)); err != nil {
+	if err := p.RegisterDocument(testDoc(1, 80)); err != nil {
 		t.Fatalf("registration failed due to broken subscriber: %v", err)
 	}
 	if len(failures) != 1 || failures[0] != "broken" {

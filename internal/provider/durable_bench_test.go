@@ -36,7 +36,7 @@ func BenchmarkPublishDurable(b *testing.B) {
 		for i := 0; i < uriSpace; i += 64 {
 			docs := make([]*rdf.Document, 64)
 			for j := range docs {
-				docs[j] = batcherDoc(i+j, 80)
+				docs[j] = testDoc(i+j, 80)
 			}
 			if err := p.RegisterDocuments(docs); err != nil {
 				b.Fatal(err)
@@ -65,7 +65,7 @@ func BenchmarkPublishDurable(b *testing.B) {
 					// publish path (and its WAL pub records) is exercised,
 					// not just the no-op re-registration fast path.
 					v := atomic.AddInt64(&n, 1)
-					docs[j] = batcherDoc(int(v%uriSpace), int(v%9000)+1)
+					docs[j] = testDoc(int(v%uriSpace), int(v%9000)+1)
 				}
 				if err := p.RegisterDocuments(docs); err != nil {
 					b.Fatal(err)
@@ -83,21 +83,21 @@ func BenchmarkPublishDurable(b *testing.B) {
 		open func(b *testing.B) *Provider
 	}{
 		{"no-wal", func(b *testing.B) *Provider {
-			p, err := New("mdp", batcherSchema())
+			p, err := New("mdp", testSchema())
 			if err != nil {
 				b.Fatal(err)
 			}
 			return p
 		}},
 		{"wal-always", func(b *testing.B) *Provider {
-			p, err := OpenDurable("mdp", batcherSchema(), b.TempDir(), DurableOptions{Sync: changelog.SyncAlways})
+			p, err := OpenDurable("mdp", testSchema(), b.TempDir(), DurableOptions{Sync: changelog.SyncAlways})
 			if err != nil {
 				b.Fatal(err)
 			}
 			return p
 		}},
 		{"wal-group", func(b *testing.B) *Provider {
-			p, err := OpenDurable("mdp", batcherSchema(), b.TempDir(), DurableOptions{Sync: changelog.SyncGroup})
+			p, err := OpenDurable("mdp", testSchema(), b.TempDir(), DurableOptions{Sync: changelog.SyncGroup})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func BenchmarkPublishDurable(b *testing.B) {
 		// The gap between wal-none and no-wal is the record-encoding CPU
 		// cost; the gap between wal-group and wal-none is the fsync cost.
 		{"wal-none", func(b *testing.B) *Provider {
-			p, err := OpenDurable("mdp", batcherSchema(), b.TempDir(), DurableOptions{Sync: changelog.SyncNone})
+			p, err := OpenDurable("mdp", testSchema(), b.TempDir(), DurableOptions{Sync: changelog.SyncNone})
 			if err != nil {
 				b.Fatal(err)
 			}

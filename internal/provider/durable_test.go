@@ -54,7 +54,7 @@ const durRule = `search CycleProvider c register c where c.serverPort > 0`
 // was fsynced before each acknowledgment, so this models kill -9).
 func TestDurableCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	wantResources := p.Engine().ResourceCount()
 	// No Close, no snapshot: the provider is simply abandoned.
 
-	p2, stats, err := OpenDurableWithStats("mdp", batcherSchema(), dir, DurableOptions{})
+	p2, stats, err := OpenDurableWithStats("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	// The recovered provider keeps publishing on the replayed subscription.
 	var c collector
 	p2.Attach("lmr", c.apply)
-	if err := p2.RegisterDocument(batcherDoc(100, 80)); err != nil {
+	if err := p2.RegisterDocument(testDoc(100, 80)); err != nil {
 		t.Fatal(err)
 	}
 	if c.count() != 1 {
@@ -112,7 +112,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 // log; a later recovery loads it and replays only the tail past it.
 func TestDurableSnapshotAndTailReplay(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestDurableSnapshotAndTailReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,13 +129,13 @@ func TestDurableSnapshotAndTailReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 4; i < 6; i++ { // tail past the snapshot
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := p.Engine().ResourceCount()
 
-	p2, stats, err := OpenDurableWithStats("mdp", batcherSchema(), dir, DurableOptions{})
+	p2, stats, err := OpenDurableWithStats("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestDurableSnapshotAndTailReplay(t *testing.T) {
 func TestDurableTruncation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments so every operation rotates.
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{SegmentSize: 64})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestDurableTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestDurableTruncation(t *testing.T) {
 // records past its cursor, in order.
 func TestResumeReplaysMissedChangesets(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestResumeReplaysMissedChangesets(t *testing.T) {
 	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RegisterDocument(batcherDoc(0, 80)); err != nil {
+	if err := p.RegisterDocument(testDoc(0, 80)); err != nil {
 		t.Fatal(err)
 	}
 	cursor := c.last().seq
@@ -212,7 +212,7 @@ func TestResumeReplaysMissedChangesets(t *testing.T) {
 
 	// Published while detached.
 	for i := 1; i < 4; i++ {
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,7 +279,7 @@ func TestResumeReplaysMissedChangesets(t *testing.T) {
 // Resume delivers one full-state reset changeset.
 func TestResumeFallsBackToReset(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{SegmentSize: 64})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestResumeFallsBackToReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +337,7 @@ func TestResumeFallsBackToReset(t *testing.T) {
 // recovery; the recovered engine no longer publishes to the subscriber.
 func TestDurableUnsubscribeReplay(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestDurableUnsubscribeReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Abandon without Close.
-	p2, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{})
+	p2, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,19 +369,19 @@ func TestDurableSyncPolicies(t *testing.T) {
 	for _, sync := range []changelog.SyncPolicy{changelog.SyncGroup, changelog.SyncAlways, changelog.SyncNone} {
 		t.Run(fmt.Sprint(sync), func(t *testing.T) {
 			dir := t.TempDir()
-			p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{Sync: sync})
+			p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{Sync: sync})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
-				if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+				if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if err := p.Close(); err != nil {
 				t.Fatal(err)
 			}
-			p2, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{Sync: sync})
+			p2, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{Sync: sync})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -455,14 +455,14 @@ func chopLastRecord(t *testing.T, walDir string) {
 // sequence and a second recovery silently skips it.
 func TestSnapshotAheadOfLostTail(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RegisterDocument(batcherDoc(0, 80)); err != nil {
+	if err := p.RegisterDocument(testDoc(0, 80)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Ack("lmr", p.LogSeq()); err != nil { // the async ack record
@@ -478,7 +478,7 @@ func TestSnapshotAheadOfLostTail(t *testing.T) {
 	// Crash: the ack record had been buffered but never fsynced.
 	chopLastRecord(t, filepath.Join(dir, "wal"))
 
-	p2, stats, err := OpenDurableWithStats("mdp", batcherSchema(), dir, DurableOptions{})
+	p2, stats, err := OpenDurableWithStats("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,12 +490,12 @@ func TestSnapshotAheadOfLostTail(t *testing.T) {
 	}
 	// An acknowledged operation in the danger window, then a second crash
 	// (abandon without snapshot).
-	if err := p2.RegisterDocument(batcherDoc(1, 80)); err != nil {
+	if err := p2.RegisterDocument(testDoc(1, 80)); err != nil {
 		t.Fatal(err)
 	}
 	want := p2.Engine().ResourceCount()
 
-	p3, _, err := OpenDurableWithStats("mdp", batcherSchema(), dir, DurableOptions{})
+	p3, _, err := OpenDurableWithStats("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,11 +514,11 @@ func TestSnapshotAheadOfLostTail(t *testing.T) {
 // duplicates.
 func TestLostDeliveredTailForcesReset(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := repository.New("lmr", batcherSchema())
+	repo, err := repository.New("lmr", testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,10 +526,10 @@ func TestLostDeliveredTailForcesReset(t *testing.T) {
 	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RegisterDocument(batcherDoc(0, 80)); err != nil {
+	if err := p.RegisterDocument(testDoc(0, 80)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RegisterDocument(batcherDoc(1, 80)); err != nil {
+	if err := p.RegisterDocument(testDoc(1, 80)); err != nil {
 		t.Fatal(err)
 	}
 	if repo.Len() != 2 {
@@ -544,7 +544,7 @@ func TestLostDeliveredTailForcesReset(t *testing.T) {
 	chopLastRecord(t, filepath.Join(dir, "wal"))
 	chopLastRecord(t, filepath.Join(dir, "wal"))
 
-	p2, stats, err := OpenDurableWithStats("mdp", batcherSchema(), dir, DurableOptions{})
+	p2, stats, err := OpenDurableWithStats("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestLostDeliveredTailForcesReset(t *testing.T) {
 	}
 	// Live pushes after the reset must apply: the cursor was rebased and
 	// the sequences are fresh.
-	if err := p2.RegisterDocument(batcherDoc(2, 80)); err != nil {
+	if err := p2.RegisterDocument(testDoc(2, 80)); err != nil {
 		t.Fatal(err)
 	}
 	if !repo.Has("b2.rdf#cp") {
@@ -599,12 +599,12 @@ func TestLostDeliveredTailForcesReset(t *testing.T) {
 func TestRecoverRefusesLogTruncatedPastSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments so every operation rotates and truncation bites.
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{SegmentSize: 64})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -616,7 +616,7 @@ func TestRecoverRefusesLogTruncatedPastSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 3; i < 6; i++ {
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -630,7 +630,7 @@ func TestRecoverRefusesLogTruncatedPastSnapshot(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapshotFile), staleSnap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = OpenDurableWithStats("mdp", batcherSchema(), dir, DurableOptions{SegmentSize: 64})
+	_, _, err = OpenDurableWithStats("mdp", testSchema(), dir, DurableOptions{SegmentSize: 64})
 	if err == nil {
 		t.Fatal("recovery accepted a log truncated past the snapshot (operations silently lost)")
 	}

@@ -11,14 +11,14 @@ import (
 // restart recovers the term.
 func TestPromoteBumpsEpochDurably(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenDurable("r1", batcherSchema(), dir, DurableOptions{Replica: true})
+	r, err := OpenDurable("r1", testSchema(), dir, DurableOptions{Replica: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Epoch(); got != 1 {
 		t.Fatalf("birth epoch = %d, want 1", got)
 	}
-	if err := r.RegisterDocument(batcherDoc(1, 80)); err == nil {
+	if err := r.RegisterDocument(testDoc(1, 80)); err == nil {
 		t.Fatal("replica without a proxy accepted a write")
 	}
 	epoch, err := r.Promote()
@@ -38,7 +38,7 @@ func TestPromoteBumpsEpochDurably(t *testing.T) {
 	if again, err := r.Promote(); err != nil || again != 2 {
 		t.Fatalf("re-promote = (%d, %v), want (2, nil)", again, err)
 	}
-	if err := r.RegisterDocument(batcherDoc(1, 80)); err != nil {
+	if err := r.RegisterDocument(testDoc(1, 80)); err != nil {
 		t.Fatalf("write after promotion: %v", err)
 	}
 	if err := r.Close(); err != nil {
@@ -46,7 +46,7 @@ func TestPromoteBumpsEpochDurably(t *testing.T) {
 	}
 
 	// The epoch record replays: a restart serves the same term.
-	r2, err := OpenDurable("r1", batcherSchema(), dir, DurableOptions{})
+	r2, err := OpenDurable("r1", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPromoteBumpsEpochDurably(t *testing.T) {
 // fenced and counted; a stamp above it fences the write AND steps the
 // primary down (the stamp is proof of a newer term).
 func TestFenceRejectsStaleAndAdoptsHigher(t *testing.T) {
-	p, err := OpenDurable("p", batcherSchema(), t.TempDir(), DurableOptions{})
+	p, err := OpenDurable("p", testSchema(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +106,19 @@ func TestFenceRejectsStaleAndAdoptsHigher(t *testing.T) {
 // returns the typed retryable NoPrimaryError carrying its last-known
 // topology, and stays compatible with errors.Is(err, ErrNotPrimary).
 func TestDemotedReplicaDegradesGracefully(t *testing.T) {
-	p, err := OpenDurable("p", batcherSchema(), t.TempDir(), DurableOptions{})
+	p, err := OpenDurable("p", testSchema(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.RegisterDocument(batcherDoc(1, 80)); err != nil {
+	if err := p.RegisterDocument(testDoc(1, 80)); err != nil {
 		t.Fatal(err)
 	}
 	p.SetTopologyHint("", []string{"a:1", "b:2"})
 	if !p.ObserveEpoch(2, "b:2") {
 		t.Fatal("ObserveEpoch(higher) did not demote the primary")
 	}
-	err = p.RegisterDocument(batcherDoc(2, 80))
+	err = p.RegisterDocument(testDoc(2, 80))
 	if err == nil {
 		t.Fatal("demoted node accepted a write with no primary")
 	}
@@ -147,12 +147,12 @@ func TestDemotedReplicaDegradesGracefully(t *testing.T) {
 // instead of refusing the install.
 func TestInstallSnapshotRewindsDivergentTail(t *testing.T) {
 	// New primary: shorter history, higher term.
-	np, err := OpenDurable("new-primary", batcherSchema(), t.TempDir(), DurableOptions{})
+	np, err := OpenDurable("new-primary", testSchema(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer np.Close()
-	if err := np.RegisterDocument(batcherDoc(1, 80)); err != nil {
+	if err := np.RegisterDocument(testDoc(1, 80)); err != nil {
 		t.Fatal(err)
 	}
 	np.bumpEpoch(2)
@@ -162,13 +162,13 @@ func TestInstallSnapshotRewindsDivergentTail(t *testing.T) {
 	}
 
 	// Old primary: longer (divergent) history at the old term.
-	op, err := OpenDurable("old-primary", batcherSchema(), t.TempDir(), DurableOptions{})
+	op, err := OpenDurable("old-primary", testSchema(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer op.Close()
 	for i := 0; i < 5; i++ {
-		if err := op.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := op.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // two deliveries overlapping in time (the turnstile serializes the
 // delivery stage in publish order).
 func TestDeliveryOrderSurvivesPipelining(t *testing.T) {
-	p, err := OpenDurable("mdp", batcherSchema(), t.TempDir(), DurableOptions{})
+	p, err := OpenDurable("mdp", testSchema(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDeliveryOrderSurvivesPipelining(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < docsPerWriter; i++ {
-				if err := p.RegisterDocument(batcherDoc(w*docsPerWriter+i, 80)); err != nil {
+				if err := p.RegisterDocument(testDoc(w*docsPerWriter+i, 80)); err != nil {
 					t.Errorf("register: %v", err)
 					return
 				}
@@ -72,7 +72,7 @@ func TestDeliveryOrderSurvivesPipelining(t *testing.T) {
 // proceeds while registration N's delivery fan-out is still in flight: the
 // engine work no longer serializes behind a blocked subscriber.
 func TestPublishPipelineOverlapsDelivery(t *testing.T) {
-	p, err := New("mdp", batcherSchema())
+	p, err := New("mdp", testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,9 @@ func TestPublishPipelineOverlapsDelivery(t *testing.T) {
 	}
 
 	done := make(chan error, 2)
-	go func() { done <- p.RegisterDocument(batcherDoc(0, 80)) }()
+	go func() { done <- p.RegisterDocument(testDoc(0, 80)) }()
 	<-entered // registration 0 is mid-delivery, outside pubMu
-	go func() { done <- p.RegisterDocument(batcherDoc(1, 81)) }()
+	go func() { done <- p.RegisterDocument(testDoc(1, 81)) }()
 
 	// Registration 1's engine run must complete while registration 0's
 	// delivery is still blocked; its delivery then waits its turn.

@@ -35,13 +35,13 @@ func shipLog(t *testing.T, primary, replica *Provider) {
 // and its publishes (delivered to subscribers attached at the replica),
 // and the replica's log copy is verbatim.
 func TestApplyReplicatedMirrorsPrimary(t *testing.T) {
-	primary, err := OpenDurable("primary", batcherSchema(), t.TempDir(), DurableOptions{})
+	primary, err := OpenDurable("primary", testSchema(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
 	replicaDir := t.TempDir()
-	replica, err := OpenDurable("replica", batcherSchema(), replicaDir, DurableOptions{Replica: true})
+	replica, err := OpenDurable("replica", testSchema(), replicaDir, DurableOptions{Replica: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestApplyReplicatedMirrorsPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := primary.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := primary.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,11 +136,11 @@ func TestApplyReplicatedMirrorsPrimary(t *testing.T) {
 	}
 
 	// Writes on the replica are refused without a proxy, proxied with one.
-	if err := replica.RegisterDocument(batcherDoc(50, 80)); !errors.Is(err, ErrNotPrimary) {
+	if err := replica.RegisterDocument(testDoc(50, 80)); !errors.Is(err, ErrNotPrimary) {
 		t.Errorf("replica write without proxy: err = %v, want ErrNotPrimary", err)
 	}
 	replica.SetWriteProxy(primary)
-	if err := replica.RegisterDocument(batcherDoc(50, 80)); err != nil {
+	if err := replica.RegisterDocument(testDoc(50, 80)); err != nil {
 		t.Fatal(err)
 	}
 	shipLog(t, primary, replica)
@@ -154,7 +154,7 @@ func TestApplyReplicatedMirrorsPrimary(t *testing.T) {
 	if err := replica.Close(); err != nil {
 		t.Fatal(err)
 	}
-	replica2, stats, err := OpenDurableWithStats("replica", batcherSchema(), replicaDir, DurableOptions{Replica: true})
+	replica2, stats, err := OpenDurableWithStats("replica", testSchema(), replicaDir, DurableOptions{Replica: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestApplyReplicatedMirrorsPrimary(t *testing.T) {
 // TestApplyReplicatedPinsGaps: a sequence jump in the stream (a reserved
 // range on the primary) is reserved locally so numbering stays aligned.
 func TestApplyReplicatedPinsGaps(t *testing.T) {
-	replica, err := OpenDurable("replica", batcherSchema(), t.TempDir(), DurableOptions{Replica: true})
+	replica, err := OpenDurable("replica", testSchema(), t.TempDir(), DurableOptions{Replica: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestApplyReplicatedPinsGaps(t *testing.T) {
 // and the stream continues from there; a restart recovers from the
 // persisted snapshot copy.
 func TestInstallSnapshotBootstrap(t *testing.T) {
-	primary, err := OpenDurable("primary", batcherSchema(), t.TempDir(), DurableOptions{})
+	primary, err := OpenDurable("primary", testSchema(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestInstallSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := primary.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := primary.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestInstallSnapshotBootstrap(t *testing.T) {
 	}
 
 	replicaDir := t.TempDir()
-	replica, err := OpenDurable("replica", batcherSchema(), replicaDir, DurableOptions{Replica: true})
+	replica, err := OpenDurable("replica", testSchema(), replicaDir, DurableOptions{Replica: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestInstallSnapshotBootstrap(t *testing.T) {
 	}
 
 	// The stream continues past the snapshot.
-	if err := primary.RegisterDocument(batcherDoc(10, 80)); err != nil {
+	if err := primary.RegisterDocument(testDoc(10, 80)); err != nil {
 		t.Fatal(err)
 	}
 	shipLog(t, primary, replica)
@@ -252,7 +252,7 @@ func TestInstallSnapshotBootstrap(t *testing.T) {
 	}
 
 	// Restart recovers from the installed snapshot + the streamed tail.
-	replica2, stats, err := OpenDurableWithStats("replica", batcherSchema(), replicaDir, DurableOptions{Replica: true})
+	replica2, stats, err := OpenDurableWithStats("replica", testSchema(), replicaDir, DurableOptions{Replica: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestInstallSnapshotBootstrap(t *testing.T) {
 // TestReplicaAckLocalOnly: acks on a replica update truncation bookkeeping
 // without appending to the verbatim log copy.
 func TestReplicaAckLocalOnly(t *testing.T) {
-	replica, err := OpenDurable("replica", batcherSchema(), t.TempDir(), DurableOptions{Replica: true})
+	replica, err := OpenDurable("replica", testSchema(), t.TempDir(), DurableOptions{Replica: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +297,13 @@ func TestReplicaAckLocalOnly(t *testing.T) {
 // DeliveryStats with its lag, and a connected follower's ack pins
 // truncation while a disconnected one does not.
 func TestFollowerStatsAndTruncationPinning(t *testing.T) {
-	primary, err := OpenDurable("primary", batcherSchema(), t.TempDir(), DurableOptions{SegmentSize: 256})
+	primary, err := OpenDurable("primary", testSchema(), t.TempDir(), DurableOptions{SegmentSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
 	for i := 0; i < 6; i++ {
-		if err := primary.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := primary.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,12 +346,12 @@ func TestFollowerStatsAndTruncationPinning(t *testing.T) {
 // restarted replica is answered once the stream catches up (no reset), and
 // reset if it cannot within the bound.
 func TestReplicaResumeWaitsForCatchup(t *testing.T) {
-	primary, err := OpenDurable("primary", batcherSchema(), t.TempDir(), DurableOptions{})
+	primary, err := OpenDurable("primary", testSchema(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	replica, err := OpenDurable("replica", batcherSchema(), t.TempDir(), DurableOptions{Replica: true, CatchupWait: 200 * time.Millisecond})
+	replica, err := OpenDurable("replica", testSchema(), t.TempDir(), DurableOptions{Replica: true, CatchupWait: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestReplicaResumeWaitsForCatchup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := primary.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := primary.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}

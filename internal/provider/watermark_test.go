@@ -17,11 +17,11 @@ func TestWatermarkSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments so every record rotates and truncation actually removes
 	// the early watermark record.
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{SegmentSize: 64})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := repository.New("lmr", batcherSchema())
+	repo, err := repository.New("lmr", testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestWatermarkSurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,7 +48,7 @@ func TestWatermarkSurvivesCompaction(t *testing.T) {
 	}
 	// One more delivered registration, then crash before its records are
 	// fsynced (chop the op and pub records off the tail).
-	if err := p.RegisterDocument(batcherDoc(2, 80)); err != nil {
+	if err := p.RegisterDocument(testDoc(2, 80)); err != nil {
 		t.Fatal(err)
 	}
 	deliveredSeq := repo.LastSeq()
@@ -58,7 +58,7 @@ func TestWatermarkSurvivesCompaction(t *testing.T) {
 	chopLastRecord(t, filepath.Join(dir, "wal"))
 	chopLastRecord(t, filepath.Join(dir, "wal"))
 
-	p2, _, err := OpenDurableWithStats("mdp", batcherSchema(), dir, DurableOptions{SegmentSize: 64})
+	p2, _, err := OpenDurableWithStats("mdp", testSchema(), dir, DurableOptions{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestWatermarkSurvivesCompaction(t *testing.T) {
 		t.Errorf("LogSeq after recovery = %d, below delivered seq %d: lost sequences can be reissued", got, deliveredSeq)
 	}
 	// The subscriber's cursor sits on the swallowed push: resume must reset.
-	repo2, err := repository.New("lmr", batcherSchema())
+	repo2, err := repository.New("lmr", testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestWatermarkSurvivesCompaction(t *testing.T) {
 // recovery-local state).
 func TestWatermarkChunkBoundaryCrash(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenDurable("mdp", batcherSchema(), dir, DurableOptions{})
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := repository.New("lmr", batcherSchema())
+	repo, err := repository.New("lmr", testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestWatermarkChunkBoundaryCrash(t *testing.T) {
 	}
 	// Publish until the claim advances past its first chunk (a second
 	// watermark record is written at the boundary).
-	if err := p.RegisterDocument(batcherDoc(0, 80)); err != nil {
+	if err := p.RegisterDocument(testDoc(0, 80)); err != nil {
 		t.Fatal(err)
 	}
 	firstClaim := p.dur.claim
@@ -117,7 +117,7 @@ func TestWatermarkChunkBoundaryCrash(t *testing.T) {
 		if i > watermarkChunk {
 			t.Fatalf("claim never advanced past %d after %d registrations", firstClaim, i)
 		}
-		if err := p.RegisterDocument(batcherDoc(i, 80)); err != nil {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestWatermarkChunkBoundaryCrash(t *testing.T) {
 	// One more delivered registration inside the fresh chunk, then crash:
 	// its op and pub records die unsynced, while the boundary watermark
 	// record — fsynced before its covered pushes went out — survives.
-	if err := p.RegisterDocument(batcherDoc(watermarkChunk, 80)); err != nil {
+	if err := p.RegisterDocument(testDoc(watermarkChunk, 80)); err != nil {
 		t.Fatal(err)
 	}
 	deliveredSeq := repo.LastSeq()
@@ -135,7 +135,7 @@ func TestWatermarkChunkBoundaryCrash(t *testing.T) {
 	chopLastRecord(t, filepath.Join(dir, "wal"))
 	chopLastRecord(t, filepath.Join(dir, "wal"))
 
-	p2, _, err := OpenDurableWithStats("mdp", batcherSchema(), dir, DurableOptions{})
+	p2, _, err := OpenDurableWithStats("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWatermarkChunkBoundaryCrash(t *testing.T) {
 	// Second generation: p2's recovery must have PERSISTED the lost range
 	// (a consolidated watermark record at the tail), not just computed it —
 	// otherwise this reopen sees a gap-free log and forgets it.
-	p3, _, err := OpenDurableWithStats("mdp", batcherSchema(), dir, DurableOptions{})
+	p3, _, err := OpenDurableWithStats("mdp", testSchema(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestWatermarkChunkBoundaryCrash(t *testing.T) {
 		t.Errorf("lost range forgotten after second recovery: seq %d not in %v", deliveredSeq, p3.dur.lost)
 	}
 	// A cursor inside the lost range still forces a full-state reset.
-	repo3, err := repository.New("lmr", batcherSchema())
+	repo3, err := repository.New("lmr", testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func (b *byteStream) next() int {
 // FuzzBPTree runs random insert, delete and update sequences against a
 // B+tree index over 1–3 key columns and checks it, after every operation,
 // against a slice sorted by CompareKeys over (key, row ID): ScanRange with
-// point, prefix, range and open bounds, Lookup and Len. The key columns sit
+// point, prefix, range and open bounds, lookup and Len. The key columns sit
 // in reverse order behind a payload column, so every comparison goes through
 // the index's column positions. Run it with
 //
@@ -50,7 +50,7 @@ func FuzzBPTree(f *testing.F) {
 		for i := range colPos {
 			colPos[i] = ncols - i // column 0 is the payload
 		}
-		ix := newIndex(IndexDef{Name: "fuzz", Kind: IndexBTree}, colPos)
+		ix := newIndex(IndexDef{Name: "fuzz"}, colPos)
 		type entry struct {
 			row     Row
 			id      int64
@@ -153,13 +153,13 @@ func FuzzBPTree(f *testing.F) {
 					want = append(want, e.id)
 				}
 			}
-			got := ix.Lookup(probe)
+			got := lookup(ix, probe)
 			if len(got) != len(want) {
-				t.Fatalf("Lookup(%v) = %v, want %v", probe, got, want)
+				t.Fatalf("lookup(%v) = %v, want %v", probe, got, want)
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("Lookup(%v) = %v, want %v", probe, got, want)
+					t.Fatalf("lookup(%v) = %v, want %v", probe, got, want)
 				}
 			}
 		}

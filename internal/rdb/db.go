@@ -51,7 +51,6 @@ func (db *Database) CreateTable(def TableDef) (*Table, error) {
 			Table:   def.Name,
 			Columns: cols,
 			Unique:  true,
-			Kind:    IndexBTree,
 		})
 		if err != nil {
 			db.mu.Lock()

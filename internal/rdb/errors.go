@@ -14,6 +14,4 @@ var (
 	ErrIndexExists = errors.New("index already exists")
 	// ErrNoSuchRow is returned when a row ID does not identify a live row.
 	ErrNoSuchRow = errors.New("no such row")
-	// ErrUnordered is returned when a range scan is requested on a hash index.
-	ErrUnordered = errors.New("index does not support range scans")
 )

@@ -11,10 +11,10 @@ func populated(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase()
 	tbl := mustTable(t, db, testDef())
-	if _, err := db.CreateIndex(IndexDef{Name: "idx_mem", Table: "providers", Columns: []string{"memory"}, Kind: IndexBTree}); err != nil {
+	if _, err := db.CreateIndex(IndexDef{Name: "idx_mem", Table: "providers", Columns: []string{"memory"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex(IndexDef{Name: "idx_host", Table: "providers", Columns: []string{"host"}, Kind: IndexHash}); err != nil {
+	if _, err := db.CreateIndex(IndexDef{Name: "idx_host", Table: "providers", Columns: []string{"host"}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -64,12 +64,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if ix.Len() != t2.Len() {
 		t.Errorf("index Len %d, table Len %d", ix.Len(), t2.Len())
 	}
-	if ids := ix.Lookup(Key{NewInt(16)}); len(ids) != 1 {
+	if ids := lookup(ix, Key{NewInt(16)}); len(ids) != 1 {
 		t.Errorf("lookup after reload: %v", ids)
 	}
 	hx, ok := t2.Index("idx_host")
-	if !ok || hx.Def.Kind != IndexHash {
-		t.Fatal("hash index not rebuilt with correct kind")
+	if !ok {
+		t.Fatal("idx_host not rebuilt")
+	}
+	if ids := lookup(hx, Key{NewText("hostc")}); len(ids) != 9 { // row 7 was deleted
+		t.Errorf("text lookup after reload: %v", ids)
 	}
 	// Primary key uniqueness still enforced.
 	if _, err := t2.Insert(Row{NewInt(1), NewText("x"), Null(), Null()}); err == nil {

@@ -105,28 +105,10 @@ func (d *TableDef) checkRow(row Row) (Row, error) {
 	return out, nil
 }
 
-// IndexKind selects the physical index structure.
-type IndexKind uint8
-
-const (
-	// IndexBTree is an order-preserving B+tree index supporting range scans.
-	IndexBTree IndexKind = iota
-	// IndexHash is a hash index supporting equality lookups only.
-	IndexHash
-)
-
-func (k IndexKind) String() string {
-	if k == IndexHash {
-		return "HASH"
-	}
-	return "BTREE"
-}
-
 // IndexDef describes a secondary index over a table.
 type IndexDef struct {
 	Name    string
 	Table   string
 	Columns []string // indexed columns, in key order
 	Unique  bool
-	Kind    IndexKind
 }

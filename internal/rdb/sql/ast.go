@@ -10,7 +10,7 @@ type CreateTableStmt struct {
 	Def rdb.TableDef
 }
 
-// CreateIndexStmt is CREATE [UNIQUE] INDEX name ON table (cols) [USING HASH].
+// CreateIndexStmt is CREATE [UNIQUE] INDEX name ON table (cols).
 type CreateIndexStmt struct {
 	Def rdb.IndexDef
 }

@@ -7,15 +7,16 @@ import (
 	"mdv/internal/rdb"
 )
 
-// Tests for the index-assisted UPDATE/DELETE path (scanCandidates): the
-// optimization must never change which rows a statement affects.
+// Tests for the index-assisted UPDATE/DELETE path: both reach their rows
+// through the SELECT planner's access path, which must never change which
+// rows a statement affects.
 
 func dmlDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open()
 	db.MustExec(`CREATE TABLE r (id INT PRIMARY KEY, grp INT, name TEXT)`)
 	db.MustExec(`CREATE INDEX i_grp ON r (grp)`)
-	db.MustExec(`CREATE INDEX i_name ON r (name) USING HASH`)
+	db.MustExec(`CREATE INDEX i_name ON r (name)`)
 	for i := 0; i < 50; i++ {
 		db.MustExec(`INSERT INTO r (id, grp, name) VALUES (?, ?, ?)`,
 			rdb.NewInt(int64(i)), rdb.NewInt(int64(i%5)), rdb.NewText(fmt.Sprintf("n%d", i%7)))
@@ -61,7 +62,7 @@ func TestUpdateViaSecondaryIndexWithResidual(t *testing.T) {
 	}
 }
 
-func TestDeleteViaHashIndex(t *testing.T) {
+func TestDeleteViaTextIndex(t *testing.T) {
 	db := dmlDB(t)
 	before := countWhere(t, db, `name = 'n3'`)
 	n, err := db.Exec(`DELETE FROM r WHERE name = 'n3'`)
@@ -149,8 +150,8 @@ func TestUpdateIndexedColumnItself(t *testing.T) {
 }
 
 // scanDB builds a table with a one-column index (a) and a two-column index
-// (a, b), created in the given order, and a hash index on (a, b, c) that only
-// a full key can use. Row i has a = i%4, b = i%3, c = "c<i%2>".
+// (a, b), created in the given order, and a three-column index (a, b, c).
+// Row i has a = i%4, b = i%3, c = "c<i%2>".
 func scanDB(t *testing.T, abFirst bool) *DB {
 	t.Helper()
 	ddl := []string{`CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c TEXT)`,
@@ -158,7 +159,7 @@ func scanDB(t *testing.T, abFirst bool) *DB {
 	if abFirst {
 		ddl[1], ddl[2] = ddl[2], ddl[1]
 	}
-	db := openWith(t, append(ddl, `CREATE INDEX h_abc ON t (a, b, c) USING HASH`)...)
+	db := openWith(t, append(ddl, `CREATE INDEX i_abc ON t (a, b, c)`)...)
 	for i := 0; i < 60; i++ {
 		mustExec(t, db, `INSERT INTO t (id, a, b, c) VALUES (?, ?, ?, ?)`, rdb.NewInt(int64(i)),
 			rdb.NewInt(int64(i%4)), rdb.NewInt(int64(i%3)), rdb.NewText(fmt.Sprintf("c%d", i%2)))
@@ -166,8 +167,8 @@ func scanDB(t *testing.T, abFirst bool) *DB {
 	return db
 }
 
-// scanCases are WHERE clauses with the number of rows scanCandidates must
-// visit for them and the number they match.
+// scanCases are WHERE clauses with the number of candidate rows their access
+// path must visit and the number they match.
 var scanCases = []struct {
 	where   string
 	params  []rdb.Value
@@ -178,37 +179,44 @@ var scanCases = []struct {
 	// comes first; i_a alone would visit all 15 rows with a = 1.
 	{"a = ? AND b = ?", []rdb.Value{rdb.NewInt(1), rdb.NewInt(2)}, 5, 5},
 	{"b = ? AND a = ?", []rdb.Value{rdb.NewInt(2), rdb.NewInt(1)}, 5, 5},
-	// Only the hash index takes the whole key; i_ab would visit 5 rows.
+	// Only i_abc takes the whole key; i_ab would visit 5 rows.
 	{"a = 1 AND b = 2 AND c = 'c0'", nil, 0, 0},
-	// c does not extend any ordered prefix past a, and h_abc needs b too.
+	// c does not extend any prefix past a: i_a's full key wins the tie.
 	{"a = ? AND c = ?", []rdb.Value{rdb.NewInt(1), rdb.NewText("c1")}, 15, 15},
 	// No index is led by b: a full scan.
 	{"b = ? AND c = ?", []rdb.Value{rdb.NewInt(2), rdb.NewText("c1")}, 60, 10},
 	// The primary key is a full one-column key, as long as (a, b).
 	{"a = ? AND id = ?", []rdb.Value{rdb.NewInt(1), rdb.NewInt(5)}, 1, 1},
+	// A range on the primary key is a range scan, as in a SELECT; its bounds
+	// are inclusive, and the filter drops id = 20.
+	{"id >= ? AND id < ? AND b = 0", []rdb.Value{rdb.NewInt(10), rdb.NewInt(20)}, 11, 3},
 }
 
-// TestScanCandidatesLongestPrefix: UPDATE and DELETE reach their rows through
-// the index with the longest `=`-bound prefix, whatever the order of the
-// indexes in the catalogue's map and of the conjuncts in the clause.
+// TestScanCandidatesLongestPrefix: the candidate rows UPDATE and DELETE scan
+// come through the index with the longest `=`-bound prefix, whatever the
+// order of the indexes in the catalogue's map and of the conjuncts in the
+// clause.
 func TestScanCandidatesLongestPrefix(t *testing.T) {
 	for _, abFirst := range []bool{false, true} {
 		db := scanDB(t, abFirst)
-		tbl, err := db.Raw().Table("t")
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, tc := range scanCases {
 			st, err := Parse(`DELETE FROM t WHERE ` + tc.where)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 10; rep++ { // map order changes between calls
+				p, err := db.planDML("t", nil, st.(*DeleteStmt).Where)
+				if err != nil {
+					t.Fatal(err)
+				}
 				visits := 0
-				scanCandidates(tbl, tbl.Def(), st.(*DeleteStmt).Where, tc.params, func(int64, rdb.Row) bool {
+				err = p.rel.visit(nil, tc.params, func(int64, rdb.Row) error {
 					visits++
-					return true
+					return nil
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
 				if visits != tc.visits {
 					t.Fatalf("abFirst=%v, %s: visited %d rows, want %d", abFirst, tc.where, visits, tc.visits)
 				}
@@ -218,7 +226,7 @@ func TestScanCandidatesLongestPrefix(t *testing.T) {
 }
 
 // TestScanCandidatesKeepsAffectedRows: the index choice changes only how many
-// rows are visited, never which rows UPDATE and DELETE affect.
+// candidate rows are visited, never which rows UPDATE and DELETE affect.
 func TestScanCandidatesKeepsAffectedRows(t *testing.T) {
 	count := func(db *DB, where string, params []rdb.Value) int {
 		rows, err := db.Query(`SELECT id FROM t WHERE `+where, params...)

@@ -74,7 +74,7 @@ func (p *selectPlan) run(params []rdb.Value, visit func(row []rdb.Value) error) 
 	return nil
 }
 
-// bindRel binds relation i by scanning its access path, evaluating its
+// bindRel binds relation i by visiting its access path, evaluating its
 // filters, and recursing to the next relation.
 func (p *selectPlan) bindRel(i int, env []rdb.Value, params []rdb.Value, emit func([]rdb.Value) error) error {
 	if i == len(p.rels) {
@@ -83,45 +83,39 @@ func (p *selectPlan) bindRel(i int, env []rdb.Value, params []rdb.Value, emit fu
 	rel := p.rels[i]
 	start := rel.binding.start
 	width := len(rel.binding.def.Columns)
-
-	tryRow := func(row rdb.Row) error {
+	return rel.visit(env, params, func(_ int64, row rdb.Row) error {
 		copy(env[start:start+width], row)
 		if ok, err := holds(rel.filter, env, params); !ok {
 			return err
 		}
 		return p.bindRel(i+1, env, params, emit)
-	}
+	})
+}
 
+// visit calls fn with the ID and stored row of every row the relation's
+// access path reaches once env binds the relations placed before it: the
+// whole table, or the index entries of a point key, a prefix or a range.
+// The caller re-checks the filters; fn must not modify the row. SELECT
+// joins and UPDATE / DELETE reach their rows through this one loop.
+func (rel *relPlan) visit(env []rdb.Value, params []rdb.Value, fn func(id int64, row rdb.Row) error) error {
+	var fnErr error
 	if rel.access.kind == accessFullScan {
 		// Scan holds the table read lock during visits; this is safe because
 		// the session serializes writer statements against readers, and
 		// mutating statements materialize their scan results before touching
 		// the table.
-		var scanErr error
-		rel.table.Scan(func(_ int64, row rdb.Row) bool {
-			scanErr = tryRow(row)
-			return scanErr == nil
+		rel.table.Scan(func(id int64, row rdb.Row) bool {
+			fnErr = fn(id, row)
+			return fnErr == nil
 		})
-		return scanErr
+		return fnErr
 	}
-
 	key, ok, err := evalKey(rel.access.keyExprs, env, params)
 	if !ok {
 		return err // NULL never equals anything: no matches
 	}
-	if rel.access.kind == accessIndexPoint && !rel.access.index.Ordered() {
-		for _, rowID := range rel.access.index.Lookup(key) {
-			if row, ok := rel.table.Get(rowID); ok {
-				if err := tryRow(row); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	// A B+tree point lookup scans its full key; a prefix scan covers the
-	// equality prefix; a range scan adds low/high bounds on the next index
-	// column. The index hands out the stored rows, which tryRow only copies.
+	// A point lookup scans its full key; a prefix scan covers the equality
+	// prefix; a range scan adds low/high bounds on the next index column.
 	low, high := key, key
 	if rel.access.kind == accessIndexRange {
 		if low, ok, err = extendKey(key, rel.access.lowExpr, rdb.MinSentinel(), env, params); !ok {
@@ -131,15 +125,14 @@ func (p *selectPlan) bindRel(i int, env []rdb.Value, params []rdb.Value, emit fu
 			return err
 		}
 	}
-	var scanErr error
-	err = rel.access.index.ScanRange(low, high, func(row rdb.Row, _ int64) bool {
-		scanErr = tryRow(row)
-		return scanErr == nil
+	err = rel.access.index.ScanRange(low, high, func(row rdb.Row, id int64) bool {
+		fnErr = fn(id, row)
+		return fnErr == nil
 	})
 	if err != nil {
 		return err
 	}
-	return scanErr
+	return fnErr
 }
 
 // evalKey evaluates index key expressions. ok is false when one fails or is

@@ -4,7 +4,7 @@
 // the baseline workload — and the dialect is exactly what those issue:
 //
 //	CREATE TABLE t (col INT|FLOAT|TEXT|BOOL [PRIMARY KEY] [NOT NULL], ...)
-//	CREATE [UNIQUE] INDEX i ON t (col, ...) [USING HASH]
+//	CREATE [UNIQUE] INDEX i ON t (col, ...)
 //	DROP TABLE [IF EXISTS] t
 //	INSERT INTO t [(col, ...)] VALUES (expr, ...)
 //	UPDATE t SET col = expr, ... [WHERE cond AND ...]
@@ -51,11 +51,10 @@ var keywords = map[string]bool{
 	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true, "AND": true,
 	"ORDER": true, "BY": true, "LIMIT": true, "INSERT": true, "INTO": true,
 	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
-	"UNIQUE": true, "TABLE": true, "INDEX": true, "ON": true, "USING": true,
-	"HASH": true, "DROP": true, "IF": true, "EXISTS": true, "PRIMARY": true,
-	"KEY": true, "NOT": true, "NULL": true, "TRUE": true, "FALSE": true,
-	"CONTAINS": true, "CAST": true, "AS": true,
-	"INT": true, "FLOAT": true, "TEXT": true, "BOOL": true,
+	"UNIQUE": true, "TABLE": true, "INDEX": true, "ON": true, "DROP": true,
+	"IF": true, "EXISTS": true, "PRIMARY": true, "KEY": true, "NOT": true,
+	"NULL": true, "TRUE": true, "FALSE": true, "CONTAINS": true, "CAST": true,
+	"AS": true, "INT": true, "FLOAT": true, "TEXT": true, "BOOL": true,
 }
 
 // lex tokenizes the whole input up front; the parser then walks the slice,

@@ -45,12 +45,12 @@ func (d *DB) EnableMetrics(reg *metrics.Registry) {
 			metrics.TimeBuckets, metrics.L("op", opNames[op]))
 	}
 	m.planHits = reg.Counter("mdv_sql_plan_cache_total",
-		"prepared-statement plan cache lookups", metrics.L("result", "hit"))
+		"prepared-statement plan cache lookups (SELECT, INSERT, UPDATE, DELETE)", metrics.L("result", "hit"))
 	m.planMisses = reg.Counter("mdv_sql_plan_cache_total",
-		"prepared-statement plan cache lookups", metrics.L("result", "miss"))
+		"prepared-statement plan cache lookups (SELECT, INSERT, UPDATE, DELETE)", metrics.L("result", "miss"))
 	for k := range m.access {
 		m.access[k] = reg.Counter("mdv_sql_access_paths_total",
-			"relation access paths executed, by kind", metrics.L("path", accessNames[k]))
+			"relation access paths executed by SELECT, UPDATE and DELETE, by kind", metrics.L("path", accessNames[k]))
 	}
 	d.met.Store(m)
 }
@@ -66,6 +66,13 @@ func (d *DB) observeSelect(p *selectPlan, t0 time.Time) {
 	m.stmtTotal[opSelect].Inc()
 	m.stmtSeconds[opSelect].ObserveSince(t0)
 	for _, rel := range p.rels {
+		m.access[rel.access.kind].Inc()
+	}
+}
+
+// observeAccess records the access path of an UPDATE or DELETE execution.
+func (d *DB) observeAccess(rel *relPlan) {
+	if m := d.met.Load(); m != nil {
 		m.access[rel.access.kind].Inc()
 	}
 }

@@ -165,10 +165,6 @@ func (p *parser) parseCreate() Statement {
 	p.expect(tkKeyword, "ON")
 	def.Table = p.ident()
 	def.Columns = p.parenIdents()
-	if p.accept(tkKeyword, "USING") {
-		p.expect(tkKeyword, "HASH")
-		def.Kind = rdb.IndexHash
-	}
 	return &CreateIndexStmt{Def: def}
 }
 

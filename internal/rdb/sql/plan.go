@@ -276,9 +276,8 @@ func (p *selectPlan) planAccess(ri int, rel *relPlan, placed uint64, conjuncts [
 	}
 
 	// Choose the index covering the longest equality prefix. Ties prefer a
-	// full-key point lookup, then an ordered index whose next column carries
-	// a range bound (prefix + range beats a plain prefix scan), then a
-	// unique index.
+	// full-key point lookup, then an index whose next column carries a range
+	// bound (prefix + range beats a plain prefix scan), then a unique index.
 	type choice struct {
 		index   *rdb.Index
 		covered []eqCandidate // one per covered prefix column
@@ -321,9 +320,6 @@ func (p *selectPlan) planAccess(ri int, rel *relPlan, placed uint64, conjuncts [
 			continue
 		}
 		point := len(covered) == len(cols)
-		if !point && !ix.Ordered() {
-			continue // hash index needs the full key
-		}
 		c := &choice{index: ix, covered: covered, point: point}
 		if !point {
 			c.ranged = hasRangeOn(ranges, cols[len(covered)])
@@ -345,8 +341,8 @@ func (p *selectPlan) planAccess(ri int, rel *relPlan, placed uint64, conjuncts [
 		ap := accessPath{kind: accessIndexPoint, index: best.index, keyExprs: keyExprs}
 		if !best.point {
 			ap.kind = accessIndexPrefix
-			// An ordered index narrows further with range bounds on the
-			// column right after the equality prefix. The range conjuncts
+			// The index narrows further with range bounds on the column
+			// right after the equality prefix. The range conjuncts
 			// stay in the filter list (bounds are applied inclusively;
 			// exclusivity and NULL semantics are re-checked).
 			if best.ranged {
@@ -362,13 +358,10 @@ func (p *selectPlan) planAccess(ri int, rel *relPlan, placed uint64, conjuncts [
 		return nil
 	}
 
-	// Fall back to a range scan on a B+tree index whose first column has a
-	// range conjunct. The conjunct stays in the filter list (bounds are
-	// applied inclusively; exclusivity and NULL semantics are re-checked).
+	// Fall back to a range scan on an index whose first column has a range
+	// conjunct. The conjunct stays in the filter list (bounds are applied
+	// inclusively; exclusivity and NULL semantics are re-checked).
 	for _, ix := range indexes {
-		if !ix.Ordered() {
-			continue
-		}
 		first := ix.ColumnPositions()[0]
 		if !hasRangeOn(ranges, first) {
 			continue

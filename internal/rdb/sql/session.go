@@ -86,7 +86,7 @@ func (d *DB) Exec(query string, params ...rdb.Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return d.exec(st, params)
+	return d.exec(st, func() (any, error) { return d.compile(st) }, params)
 }
 
 // MustExec runs Exec and panics on error. For schema bootstrap code.
@@ -129,9 +129,25 @@ func (d *DB) runSelect(plan func() (*selectPlan, error), held bool, params []rdb
 	return p.run(params, visit)
 }
 
+// compile builds the plan of a SELECT (*selectPlan), an INSERT
+// (*insertPlan), or an UPDATE or DELETE (*dmlPlan). DDL has no plan.
+func (d *DB) compile(st Statement) (any, error) {
+	switch s := st.(type) {
+	case *SelectStmt:
+		return buildSelectPlan(d.raw, s)
+	case *InsertStmt:
+		return d.planInsert(s)
+	case *UpdateStmt:
+		return d.planDML(s.Table, s.Set, s.Where)
+	case *DeleteStmt:
+		return d.planDML(s.Table, nil, s.Where)
+	}
+	return nil, nil
+}
+
 // exec executes a parsed DDL or DML statement under the exclusive statement
-// lock.
-func (d *DB) exec(st Statement, params []rdb.Value) (int, error) {
+// lock; plan supplies a DML statement's compiled plan.
+func (d *DB) exec(st Statement, plan func() (any, error), params []rdb.Value) (int, error) {
 	op := opDDL
 	switch st.(type) {
 	case *SelectStmt:
@@ -146,20 +162,20 @@ func (d *DB) exec(st Statement, params []rdb.Value) (int, error) {
 	defer d.observeExec(op, time.Now())
 	d.stmtMu.Lock()
 	defer d.stmtMu.Unlock()
-	switch s := st.(type) {
-	case *InsertStmt:
-		ins, err := d.planInsert(s)
-		if err == nil {
-			err = ins.insert(params)
-		}
+	if op != opDDL {
+		p, err := plan()
 		if err != nil {
 			return 0, err
 		}
-		return 1, nil
-	case *UpdateStmt:
-		return d.execUpdate(s, params)
-	case *DeleteStmt:
-		return d.execDelete(s, params)
+		if ins, ok := p.(*insertPlan); ok {
+			if err := ins.insert(params); err != nil {
+				return 0, err
+			}
+			return 1, nil
+		}
+		dml := p.(*dmlPlan)
+		d.observeAccess(dml.rel)
+		return dml.run(params)
 	}
 	defer d.planVersion.Add(1) // DDL invalidates cached plans
 	var err error
@@ -228,208 +244,104 @@ func (ip *insertPlan) insert(params []rdb.Value) error {
 	return err
 }
 
-// scanCandidates visits the rows a WHERE clause could match. Like the SELECT
-// planner's planAccess, it picks the index whose longest column prefix the
-// clause binds by `=` to constants or parameters: a full key is a point
-// lookup, a shorter prefix a range scan of an ordered index; with no such
-// index it scans the table. The WHERE clause itself is always re-evaluated by
-// the caller, so the index is purely an access-path optimization — without
-// it, UPDATE and DELETE on large catalog tables (e.g. the per-rule refcount
-// updates during rule-base registration) degrade to O(table) per statement,
-// and with only a one-column prefix the per-match
-// `DELETE FROM RuleResults WHERE rule_id = ? AND uri_reference = ?` walks
-// every result of the rule.
-func scanCandidates(t *rdb.Table, def rdb.TableDef, where []Expr, params []rdb.Value,
-	visit func(id int64, row rdb.Row) bool) {
-	bound := map[int]rdb.Value{} // column position → the value `=` binds it to
-	for _, conj := range where {
-		be, ok := conj.(*BinaryExpr)
-		if !ok || be.Op != "=" {
-			continue
-		}
-		colSide, valSide := be.Left, be.Right
-		if _, ok := colSide.(*ColumnRef); !ok {
-			colSide, valSide = be.Right, be.Left
-		}
-		cr, ok := colSide.(*ColumnRef)
-		if !ok {
-			continue
-		}
-		ci := def.ColumnIndex(cr.Column)
-		if _, dup := bound[ci]; ci < 0 || dup {
-			continue
-		}
-		switch v := valSide.(type) {
-		case *Literal:
-			bound[ci] = v.Value
-		case *Param:
-			if v.Ordinal < len(params) {
-				bound[ci] = params[v.Ordinal]
-			}
-		}
-	}
-
-	// Longest bound prefix wins; ties prefer a full key, then a unique
-	// index, then the lower name, so the choice never depends on map order.
-	type choice struct {
-		index *rdb.Index
-		key   rdb.Key
-		point bool
-	}
-	better := func(c, b *choice) bool {
-		if len(c.key) != len(b.key) {
-			return len(c.key) > len(b.key)
-		}
-		if c.point != b.point {
-			return c.point
-		}
-		if c.index.Def.Unique != b.index.Def.Unique {
-			return c.index.Def.Unique
-		}
-		return c.index.Def.Name < b.index.Def.Name
-	}
-	var best *choice
-	for _, ix := range t.Indexes() {
-		cols := ix.ColumnPositions()
-		c := &choice{index: ix}
-		for _, cp := range cols {
-			v, ok := bound[cp]
-			if !ok {
-				break
-			}
-			c.key = append(c.key, v)
-		}
-		c.point = len(c.key) == len(cols)
-		if len(c.key) == 0 || (!c.point && !ix.Ordered()) {
-			continue // a hash index needs the full key
-		}
-		if best == nil || better(c, best) {
-			best = c
-		}
-	}
-	switch {
-	case best == nil:
-		t.Scan(visit)
-	case !best.index.Ordered():
-		for _, id := range best.index.Lookup(best.key) {
-			if row, ok := t.Get(id); ok && !visit(id, row) {
-				return
-			}
-		}
-	default:
-		// A full key scans exactly its point; a shorter one its prefix.
-		best.index.ScanRange(best.key, best.key, func(row rdb.Row, id int64) bool {
-			return visit(id, row)
-		})
-	}
+// dmlPlan is an UPDATE or DELETE compiled as a one-relation SELECT plan, so
+// it reaches its rows through the planner's access path. sets is nil for a
+// DELETE.
+type dmlPlan struct {
+	rel  *relPlan
+	sets []setOp
 }
 
-// scanWhere visits, through scanCandidates, the rows of t that satisfy
-// every WHERE condition. visit runs inside the scan and must not mutate t.
-func scanWhere(t *rdb.Table, sc *scope, where []Expr, params []rdb.Value, visit func(id int64, row rdb.Row) error) error {
-	conds, err := compileAll(where, sc)
-	if err != nil {
-		return err
-	}
-	scanCandidates(t, sc.rels[0].def, where, params, func(id int64, row rdb.Row) bool {
-		var ok bool
-		if ok, err = holds(conds, row, params); ok {
-			err = visit(id, row)
-		}
-		return err == nil
-	})
-	return err
+// setOp is one compiled SET assignment: the row position and its new value.
+type setOp struct {
+	col int
+	val cexpr
 }
 
-// execUpdate materializes the IDs and new contents of the matching rows,
-// then applies the updates.
-func (d *DB) execUpdate(s *UpdateStmt, params []rdb.Value) (int, error) {
-	t, err := d.raw.Table(s.Table)
+// planDML compiles an UPDATE of table, or a DELETE when set is nil.
+func (d *DB) planDML(table string, set []SetClause, where []Expr) (*dmlPlan, error) {
+	sel, err := buildSelectPlan(d.raw, &SelectStmt{From: []TableRef{{Table: table, Alias: table}}, Where: where, Limit: -1})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	sc := &scope{rels: []relBinding{{alias: s.Table, def: t.Def()}}}
-	type setOp struct {
-		col int
-		val cexpr
-	}
-	sets := make([]setOp, len(s.Set))
-	for i, set := range s.Set {
-		if sets[i].col = sc.rels[0].def.ColumnIndex(set.Column); sets[i].col < 0 {
-			return 0, fmt.Errorf("sql: %w: %s.%s", rdb.ErrNoSuchColumn, s.Table, set.Column)
+	p := &dmlPlan{rel: sel.rels[0]}
+	for _, sc := range set {
+		op := setOp{col: p.rel.binding.def.ColumnIndex(sc.Column)}
+		if op.col < 0 {
+			return nil, fmt.Errorf("sql: %w: %s.%s", rdb.ErrNoSuchColumn, table, sc.Column)
 		}
-		if sets[i].val, err = compileExpr(set.Value, sc); err != nil {
-			return 0, err
+		if op.val, err = compileExpr(sc.Value, sel.sc); err != nil {
+			return nil, err
 		}
+		p.sets = append(p.sets, op)
 	}
+	return p, nil
+}
+
+// run materializes the IDs of the matching rows, and for an UPDATE their new
+// contents, then applies them: the table is not touched while its rows are
+// visited.
+func (p *dmlPlan) run(params []rdb.Value) (int, error) {
 	type pending struct {
 		id  int64
 		row rdb.Row
 	}
-	var updates []pending
-	err = scanWhere(t, sc, s.Where, params, func(id int64, row rdb.Row) error {
+	var todo []pending
+	// The plan's one relation starts the env: its key expressions read none
+	// of it, and its filters and SET values read the row itself.
+	err := p.rel.visit(nil, params, func(id int64, row rdb.Row) error {
+		if ok, err := holds(p.rel.filter, row, params); !ok {
+			return err
+		}
+		if p.sets == nil {
+			todo = append(todo, pending{id: id})
+			return nil
+		}
 		newRow := row.Clone()
-		for _, op := range sets {
+		for _, op := range p.sets {
 			v, err := op.val(row, params)
 			if err != nil {
 				return err
 			}
 			newRow[op.col] = v
 		}
-		updates = append(updates, pending{id, newRow})
+		todo = append(todo, pending{id, newRow})
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	for _, u := range updates {
-		if err := t.Update(u.id, u.row); err != nil {
+	for _, u := range todo {
+		if p.sets == nil {
+			_, err = p.rel.table.Delete(u.id)
+		} else {
+			err = p.rel.table.Update(u.id, u.row)
+		}
+		if err != nil {
 			return 0, err
 		}
 	}
-	return len(updates), nil
+	return len(todo), nil
 }
 
-// execDelete materializes the IDs of the matching rows, then deletes them.
-func (d *DB) execDelete(s *DeleteStmt, params []rdb.Value) (int, error) {
-	t, err := d.raw.Table(s.Table)
-	if err != nil {
-		return 0, err
-	}
-	sc := &scope{rels: []relBinding{{alias: s.Table, def: t.Def()}}}
-	var ids []int64
-	err = scanWhere(t, sc, s.Where, params, func(id int64, _ rdb.Row) error {
-		ids = append(ids, id)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	for _, id := range ids {
-		if _, err := t.Delete(id); err != nil {
-			return 0, err
-		}
-	}
-	return len(ids), nil
-}
-
-// Stmt is a prepared statement: the parse tree is cached, and for SELECTs
-// the compiled plan is cached too and re-validated against catalog changes.
-// A Stmt is safe for concurrent use: plans are immutable once built and
-// every execution allocates its own cursor state, so concurrent Query /
-// QueryFunc calls share the cached plan without any per-execution lock.
+// Stmt is a prepared statement: the parse tree is cached, and so is the
+// compiled plan of a SELECT, INSERT, UPDATE or DELETE, re-validated against
+// catalog changes. A Stmt is safe for concurrent use: plans are immutable
+// once built and every execution allocates its own cursor state, so
+// concurrent executions share the cached plan without any per-execution
+// lock.
 type Stmt struct {
 	db  *DB
 	ast Statement
 
-	// cached is the compiled SELECT plan tagged with the catalog version
-	// it was built against. Racing rebuilds after DDL are benign: the
-	// plans are equivalent and the last store wins.
+	// cached is the compiled plan tagged with the catalog version it was
+	// built against. Racing rebuilds after DDL are benign: the plans are
+	// equivalent and the last store wins.
 	cached atomic.Pointer[cachedPlan]
 }
 
 type cachedPlan struct {
-	plan *selectPlan
+	plan any // as compile returns it
 	ver  uint64
 }
 
@@ -452,16 +364,16 @@ func (d *DB) MustPrepare(query string) *Stmt {
 	return st
 }
 
-// selectPlanFor returns a cached plan for the prepared SELECT, rebuilding it
-// if DDL has run since it was compiled.
-func (s *Stmt) selectPlanFor(sel *SelectStmt) (*selectPlan, error) {
+// plan returns the statement's cached plan, rebuilding it if DDL has run
+// since it was compiled.
+func (s *Stmt) plan() (any, error) {
 	ver := s.db.planVersion.Load()
 	if c := s.cached.Load(); c != nil && c.ver == ver {
 		s.db.observePlanCache(true)
 		return c.plan, nil
 	}
 	s.db.observePlanCache(false)
-	plan, err := buildSelectPlan(s.db.raw, sel)
+	plan, err := s.db.compile(s.ast)
 	if err != nil {
 		return nil, err
 	}
@@ -476,26 +388,30 @@ func (s *Stmt) Query(params ...rdb.Value) (*Rows, error) {
 
 // QueryFunc executes a prepared SELECT, streaming rows to visit.
 func (s *Stmt) QueryFunc(params []rdb.Value, visit func(row []rdb.Value) error) error {
-	sel, ok := s.ast.(*SelectStmt)
-	if !ok {
+	if _, ok := s.ast.(*SelectStmt); !ok {
 		return errNotSelect
 	}
-	return s.db.runSelect(func() (*selectPlan, error) { return s.selectPlanFor(sel) }, false, params, visit)
+	return s.db.runSelect(func() (*selectPlan, error) {
+		p, err := s.plan()
+		if err != nil {
+			return nil, err
+		}
+		return p.(*selectPlan), nil
+	}, false, params, visit)
 }
 
 // Exec executes a prepared DDL or DML statement.
-func (s *Stmt) Exec(params ...rdb.Value) (int, error) { return s.db.exec(s.ast, params) }
+func (s *Stmt) Exec(params ...rdb.Value) (int, error) { return s.db.exec(s.ast, s.plan, params) }
 
 // ExecBatch executes a prepared INSERT once per parameter row, acquiring the
-// writer lock and compiling the value expressions a single time for the
-// whole batch. The filter engine loads its per-run scratch (the atoms and
-// each fixpoint pass's delta) through this: row-at-a-time Exec pays one
-// exclusive lock round trip plus one expression compilation per row, which
-// dominates the load cost of large publish batches. Rows inserted before a failing row stay inserted — the
-// same contract as issuing the inserts one by one.
+// writer lock and fetching the cached plan a single time for the whole
+// batch. The filter engine loads its per-run scratch (the atoms and each
+// fixpoint pass's delta) through this: row-at-a-time Exec pays one exclusive
+// lock round trip per row, which dominates the load cost of large publish
+// batches. Rows inserted before a failing row stay inserted — the same
+// contract as issuing the inserts one by one.
 func (s *Stmt) ExecBatch(paramRows [][]rdb.Value) (int, error) {
-	ins, ok := s.ast.(*InsertStmt)
-	if !ok {
+	if _, ok := s.ast.(*InsertStmt); !ok {
 		return 0, fmt.Errorf("sql: ExecBatch requires an INSERT statement")
 	}
 	if len(paramRows) == 0 {
@@ -504,12 +420,13 @@ func (s *Stmt) ExecBatch(paramRows [][]rdb.Value) (int, error) {
 	defer s.db.observeExec(opInsert, time.Now())
 	s.db.stmtMu.Lock()
 	defer s.db.stmtMu.Unlock()
-	ip, err := s.db.planInsert(ins)
+	p, err := s.plan()
 	if err != nil {
 		return 0, err
 	}
+	ins := p.(*insertPlan)
 	for n, params := range paramRows {
-		if err := ip.insert(params); err != nil {
+		if err := ins.insert(params); err != nil {
 			return n, err
 		}
 	}

@@ -14,7 +14,7 @@ func benchDB(b *testing.B, rows int) *DB {
 	b.Helper()
 	db := Open()
 	db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, k TEXT, v INT)`)
-	db.MustExec(`CREATE INDEX ik ON t (k) USING HASH`)
+	db.MustExec(`CREATE INDEX ik ON t (k)`)
 	db.MustExec(`CREATE INDEX iv ON t (v)`)
 	ins := db.MustPrepare(`INSERT INTO t (id, k, v) VALUES (?, ?, ?)`)
 	for i := 0; i < rows; i++ {

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func testDB(t *testing.T) *DB {
 			domain TEXT
 		)`,
 		`CREATE INDEX idx_providers_memory ON providers (memory)`,
-		`CREATE INDEX idx_providers_domain ON providers (domain) USING HASH`,
+		`CREATE INDEX idx_providers_domain ON providers (domain)`,
 		`CREATE TABLE services (
 			sid INT PRIMARY KEY,
 			pid INT NOT NULL,
@@ -267,6 +268,24 @@ func TestDistinct(t *testing.T) {
 	if rows.Len() != 2 || rows.Data[0][0].Str != "tum.de" {
 		t.Errorf("DISTINCT+ORDER: %+v", rows.Data)
 	}
+	// -0 and +0 compare equal: DISTINCT keeps one of them, and an index
+	// lookup of one finds both.
+	db.MustExec(`CREATE TABLE f (x FLOAT)`)
+	db.MustExec(`CREATE INDEX i_x ON f (x)`)
+	for _, v := range []float64{0, math.Copysign(0, -1)} {
+		db.MustExec(`INSERT INTO f (x) VALUES (?)`, rdb.NewFloat(v))
+	}
+	for q, want := range map[string]int{
+		`SELECT DISTINCT x FROM f`:      1,
+		`SELECT x FROM f WHERE x = 0.0`: 2,
+	} {
+		if rows, err = db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if rows.Len() != want {
+			t.Errorf("%s: %d rows, want %d", q, rows.Len(), want)
+		}
+	}
 }
 
 func TestUpdate(t *testing.T) {
@@ -364,6 +383,37 @@ func TestPreparedStatements(t *testing.T) {
 	}
 	if rows.Len() != 1 {
 		t.Errorf("after DDL: %d rows", rows.Len())
+	}
+}
+
+// TestPreparedDMLPlanCache: a prepared UPDATE or DELETE compiles its plan
+// once and reuses it until DDL runs; the rebuilt plan takes the index the
+// DDL created.
+func TestPreparedDMLPlanCache(t *testing.T) {
+	db := testDB(t)
+	upd := db.MustPrepare(`UPDATE services SET price = price + 1.0 WHERE name = ?`)
+	del := db.MustPrepare(`DELETE FROM services WHERE name = ?`)
+	exec := func(st *Stmt, name string) *dmlPlan {
+		t.Helper()
+		if n, err := st.Exec(rdb.NewText(name)); err != nil || n != 1 {
+			t.Fatalf("%s: %d rows (%v), want 1", name, n, err)
+		}
+		return st.cached.Load().plan.(*dmlPlan)
+	}
+	for _, st := range []*Stmt{upd, del} {
+		first := exec(st, "svc1")
+		if first.rel.access.kind != accessFullScan {
+			t.Fatalf("no index on name, yet access kind %d", first.rel.access.kind)
+		}
+		if exec(st, "svc2") != first {
+			t.Error("plan rebuilt although no DDL ran")
+		}
+	}
+	db.MustExec(`CREATE INDEX idx_services_name ON services (name)`)
+	for _, st := range []*Stmt{upd, del} {
+		if p := exec(st, "svc3"); p.rel.access.kind != accessIndexPoint {
+			t.Errorf("after CREATE INDEX: access kind %d, want a point lookup", p.rel.access.kind)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ func storedRowsDB(t *testing.T) (*DB, *rdb.Table) {
 	db := Open()
 	mustExec(t, db, `CREATE TABLE r (id INT PRIMARY KEY, grp INT, name TEXT, score FLOAT)`)
 	mustExec(t, db, `CREATE INDEX i_grp_name ON r (grp, name)`)
-	mustExec(t, db, `CREATE INDEX i_name ON r (name) USING HASH`)
+	mustExec(t, db, `CREATE INDEX i_name ON r (name)`)
 	for i := 0; i < 40; i++ {
 		// score is given as INT, so the table widens it to FLOAT.
 		mustExec(t, db, `INSERT INTO r (id, grp, name, score) VALUES (?, ?, ?, ?)`,
@@ -84,16 +84,15 @@ func TestSelectCallersCannotWriteStoredRows(t *testing.T) {
 	cases := []struct {
 		path, query string
 		kind        accessKind
-		ordered     bool
 	}{
-		{"hash point lookup", `SELECT * FROM r WHERE name = 'n3'`, accessIndexPoint, false},
-		{"B+tree point lookup", `SELECT * FROM r WHERE id = 7`, accessIndexPoint, true},
-		{"B+tree prefix scan", `SELECT * FROM r WHERE grp = 2`, accessIndexPrefix, true},
-		{"B+tree range scan", `SELECT * FROM r WHERE id >= 10 AND id < 20`, accessIndexRange, true},
-		{"full scan", `SELECT * FROM r WHERE score > 3.0`, accessFullScan, false},
+		{"TEXT point lookup", `SELECT * FROM r WHERE name = 'n3'`, accessIndexPoint},
+		{"INT point lookup", `SELECT * FROM r WHERE id = 7`, accessIndexPoint},
+		{"prefix scan", `SELECT * FROM r WHERE grp = 2`, accessIndexPrefix},
+		{"range scan", `SELECT * FROM r WHERE id >= 10 AND id < 20`, accessIndexRange},
+		{"full scan", `SELECT * FROM r WHERE score > 3.0`, accessFullScan},
 	}
 	for _, c := range cases {
-		if a := planOf(t, db, c.query).rels[0].access; a.kind != c.kind || (a.index != nil && a.index.Ordered() != c.ordered) {
+		if a := planOf(t, db, c.query).rels[0].access; a.kind != c.kind {
 			t.Fatalf("%s: %q planned as access kind %d", c.path, c.query, a.kind)
 		}
 		want := queryRows(t, db, c.query)
@@ -118,9 +117,9 @@ func TestSelectCallersCannotWriteStoredRows(t *testing.T) {
 
 func TestUpdateAndDeleteNeverWriteStoredRows(t *testing.T) {
 	db, tbl := storedRowsDB(t)
-	// Each statement reaches its rows through one scanCandidates path: a
-	// B+tree point lookup, a B+tree prefix scan, a hash point lookup and a
-	// full scan.
+	// Each statement reaches its rows through one access path: an INT point
+	// lookup, a prefix scan, a TEXT point lookup, a range scan and a full
+	// scan.
 	cases := []struct {
 		stmt, where string
 		deletes     bool
@@ -128,10 +127,12 @@ func TestUpdateAndDeleteNeverWriteStoredRows(t *testing.T) {
 		{`UPDATE r SET score = score - 100.0`, `id = 7`, false},
 		{`UPDATE r SET score = score - 100.0`, `grp = 1`, false},
 		{`UPDATE r SET score = score - 100.0`, `name = 'n4'`, false},
+		{`UPDATE r SET score = score - 100.0`, `id >= 30 AND id < 34`, false},
 		{`UPDATE r SET score = score - 100.0`, `score > 15.0`, false},
 		{`DELETE FROM r`, `id = 3`, true},
 		{`DELETE FROM r`, `grp = 2`, true},
 		{`DELETE FROM r`, `name = 'n1'`, true},
+		{`DELETE FROM r`, `id > 35`, true},
 		{`DELETE FROM r`, `score < 0.0 - 150.0`, true},
 	}
 	for _, c := range cases {
@@ -165,11 +166,10 @@ func TestUpdateAndDeleteNeverWriteStoredRows(t *testing.T) {
 
 func TestUpdateOfIndexedColumnMovesTheEntry(t *testing.T) {
 	db, tbl := storedRowsDB(t)
-	old, ok := tbl.Get(5)
+	old, ok := captureStored(tbl).copies[5]
 	if !ok {
 		t.Fatal("row 5 missing")
 	}
-	old = old.Clone()
 	if old[1] != rdb.NewInt(1) || old[2] != rdb.NewText("n0") {
 		t.Fatalf("fixture changed: row 5 is %v", old)
 	}
@@ -178,11 +178,11 @@ func TestUpdateOfIndexedColumnMovesTheEntry(t *testing.T) {
 		query string
 		want  []int64
 	}{
-		{`SELECT id FROM r WHERE grp = 42`, []int64{5}},                           // B+tree prefix, new key
-		{`SELECT id FROM r WHERE grp = 42 AND name = 'renamed'`, []int64{5}},      // B+tree point, new key
-		{`SELECT id FROM r WHERE name = 'renamed'`, []int64{5}},                   // hash point, new key
+		{`SELECT id FROM r WHERE grp = 42`, []int64{5}},                           // prefix, new key
+		{`SELECT id FROM r WHERE grp = 42 AND name = 'renamed'`, []int64{5}},      // point, new key
+		{`SELECT id FROM r WHERE name = 'renamed'`, []int64{5}},                   // TEXT point, new key
 		{`SELECT id FROM r WHERE grp = 1 AND name = 'n0' AND id = 5`, nil},        // old key
-		{`SELECT id FROM r WHERE name = 'n0' AND id >= 5 AND id <= 5`, nil},       // old hash key
+		{`SELECT id FROM r WHERE name = 'n0' AND id >= 5 AND id <= 5`, nil},       // old TEXT key
 		{`SELECT id FROM r WHERE grp = 1 AND id >= 0 AND id <= 9`, []int64{1, 9}}, // old prefix
 	} {
 		if got := queryIDs(t, db, c.query); !reflect.DeepEqual(got, c.want) {

@@ -11,10 +11,10 @@ import (
 //
 // A stored row is never written in place. Insert stores its own copy of the
 // caller's row, and Update swaps a new row into the slot only after it has
-// removed the old row's index entries and inserted the new row's. B+tree
-// index entries, Get, Scan, Index.ScanRange and snapshots therefore share
-// the stored rows instead of copying them: a row handed out stays valid,
-// and unchanged, after the table moves on.
+// removed the old row's index entries and inserted the new row's. Index
+// entries, Scan, Index.ScanRange and snapshots therefore share the stored
+// rows instead of copying them: a row handed out stays valid, and
+// unchanged, after the table moves on.
 type Table struct {
 	mu      sync.RWMutex
 	def     TableDef
@@ -85,17 +85,6 @@ func (t *Table) Insert(row Row) (int64, error) {
 		ix.insert(stored, id)
 	}
 	return id, nil
-}
-
-// Get returns the stored row with the given ID, if it is live. The row must
-// not be modified (the same contract as Scan).
-func (t *Table) Get(rowID int64) (Row, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if rowID < 0 || rowID >= int64(len(t.rows)) || t.rows[rowID] == nil {
-		return nil, false
-	}
-	return t.rows[rowID], true
 }
 
 // Update replaces the row with the given ID by a copy of row, maintaining

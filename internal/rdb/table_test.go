@@ -57,7 +57,7 @@ func TestInsertGetDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, ok := tbl.Get(id)
+	row, ok := getRow(tbl, id)
 	if !ok {
 		t.Fatal("row not found")
 	}
@@ -74,7 +74,7 @@ func TestInsertGetDelete(t *testing.T) {
 	if old[0].Int != 1 {
 		t.Errorf("Delete returned %v", old)
 	}
-	if _, ok := tbl.Get(id); ok {
+	if _, ok := getRow(tbl, id); ok {
 		t.Error("deleted row still visible")
 	}
 	if tbl.Len() != 0 {
@@ -109,7 +109,7 @@ func TestInsertTypeChecking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, _ := tbl.Get(id)
+	row, _ := getRow(tbl, id)
 	if row[3].Kind != KindFloat || row[3].Float != 3.0 {
 		t.Errorf("INT not widened: %v", row[3])
 	}
@@ -131,7 +131,7 @@ func TestInsertAndUpdateStoreTheirOwnCopy(t *testing.T) {
 			t.Fatalf("Insert wrote the caller's row: %v", row)
 		}
 		row[1] = NewText("caller")
-		if got, _ := tbl.Get(id); got[1] != NewText("h") {
+		if got, _ := getRow(tbl, id); got[1] != NewText("h") {
 			t.Fatalf("stored row follows the caller's insert row: %v", got)
 		}
 		upd := Row{NewInt(1), NewText("u"), NewInt(64), load}
@@ -139,7 +139,7 @@ func TestInsertAndUpdateStoreTheirOwnCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		upd[1] = NewText("caller")
-		if got, _ := tbl.Get(id); got[1] != NewText("u") || got[3].Kind != KindFloat {
+		if got, _ := getRow(tbl, id); got[1] != NewText("u") || got[3].Kind != KindFloat {
 			t.Fatalf("stored row follows the caller's update row: %v", got)
 		}
 		if _, err := tbl.Delete(id); err != nil {
@@ -166,7 +166,7 @@ func TestPrimaryKeyUniqueness(t *testing.T) {
 func TestUpdateMaintainsIndexes(t *testing.T) {
 	db := NewDatabase()
 	tbl := mustTable(t, db, testDef())
-	if _, err := db.CreateIndex(IndexDef{Name: "idx_host", Table: "providers", Columns: []string{"host"}, Kind: IndexHash}); err != nil {
+	if _, err := db.CreateIndex(IndexDef{Name: "idx_host", Table: "providers", Columns: []string{"host"}}); err != nil {
 		t.Fatal(err)
 	}
 	id, _ := tbl.Insert(Row{NewInt(1), NewText("old"), Null(), Null()})
@@ -174,10 +174,10 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, _ := tbl.Index("idx_host")
-	if ids := ix.Lookup(Key{NewText("old")}); len(ids) != 0 {
+	if ids := lookup(ix, Key{NewText("old")}); len(ids) != 0 {
 		t.Error("stale index entry for old value")
 	}
-	if ids := ix.Lookup(Key{NewText("new")}); len(ids) != 1 || ids[0] != id {
+	if ids := lookup(ix, Key{NewText("new")}); len(ids) != 1 || ids[0] != id {
 		t.Errorf("index not updated: %v", ids)
 	}
 }
@@ -191,13 +191,13 @@ func TestUpdateUniquenessRollback(t *testing.T) {
 	if err := tbl.Update(id1, Row{NewInt(2), NewText("a"), Null(), Null()}); err == nil {
 		t.Fatal("conflicting update accepted")
 	}
-	row, ok := tbl.Get(id1)
+	row, ok := getRow(tbl, id1)
 	if !ok || row[0].Int != 1 {
 		t.Errorf("row changed after failed update: %v", row)
 	}
 	// Index entries must still find both rows.
 	ix, _ := tbl.Index("providers_pk")
-	if len(ix.Lookup(Key{NewInt(1)})) != 1 || len(ix.Lookup(Key{NewInt(2)})) != 1 {
+	if len(lookup(ix, Key{NewInt(1)})) != 1 || len(lookup(ix, Key{NewInt(2)})) != 1 {
 		t.Error("index entries lost after failed update")
 	}
 	// Self-keeping update (same PK) must succeed.
@@ -248,14 +248,14 @@ func TestCreateIndexOnPopulatedTable(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tbl.Insert(Row{NewInt(int64(i)), NewText("h"), NewInt(int64(i % 4)), Null()})
 	}
-	ix, err := db.CreateIndex(IndexDef{Name: "idx_mem", Table: "providers", Columns: []string{"memory"}, Kind: IndexBTree})
+	ix, err := db.CreateIndex(IndexDef{Name: "idx_mem", Table: "providers", Columns: []string{"memory"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ix.Len() != 20 {
 		t.Errorf("index Len = %d", ix.Len())
 	}
-	if ids := ix.Lookup(Key{NewInt(2)}); len(ids) != 5 {
+	if ids := lookup(ix, Key{NewInt(2)}); len(ids) != 5 {
 		t.Errorf("lookup found %d rows, want 5", len(ids))
 	}
 }
@@ -263,7 +263,7 @@ func TestCreateIndexOnPopulatedTable(t *testing.T) {
 func TestUniqueIndexNullExemption(t *testing.T) {
 	db := NewDatabase()
 	tbl := mustTable(t, db, testDef())
-	if _, err := db.CreateIndex(IndexDef{Name: "u_mem", Table: "providers", Columns: []string{"memory"}, Unique: true, Kind: IndexBTree}); err != nil {
+	if _, err := db.CreateIndex(IndexDef{Name: "u_mem", Table: "providers", Columns: []string{"memory"}, Unique: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Multiple NULLs allowed in a unique index.
@@ -325,20 +325,6 @@ func TestIndexCatalogErrors(t *testing.T) {
 	}
 }
 
-func TestHashIndexRangeScanRejected(t *testing.T) {
-	db := NewDatabase()
-	tbl := mustTable(t, db, testDef())
-	db.CreateIndex(IndexDef{Name: "h", Table: "providers", Columns: []string{"host"}, Kind: IndexHash})
-	ix, _ := tbl.Index("h")
-	err := ix.ScanRange(Key{MinSentinel()}, Key{MaxSentinel()}, func(Row, int64) bool { return true })
-	if !errors.Is(err, ErrUnordered) {
-		t.Errorf("range scan on hash index: %v", err)
-	}
-	if ix.Ordered() {
-		t.Error("hash index reports Ordered")
-	}
-}
-
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	db := NewDatabase()
 	tbl := mustTable(t, db, testDef())
@@ -352,7 +338,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 200; k++ {
 				tbl.Scan(func(_ int64, row Row) bool { return true })
-				tbl.Get(int64(k % 100))
+				getRow(tbl, int64(k%100))
 			}
 		}()
 	}
@@ -367,4 +353,24 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	if tbl.Len() != 300 {
 		t.Errorf("Len = %d", tbl.Len())
 	}
+}
+
+// getRow returns the stored row with the given ID, if it is live.
+func getRow(tbl *Table, rowID int64) (Row, bool) {
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	if rowID < 0 || rowID >= int64(len(tbl.rows)) || tbl.rows[rowID] == nil {
+		return nil, false
+	}
+	return tbl.rows[rowID], true
+}
+
+// lookup returns, in index order, the IDs of the rows whose key is key.
+func lookup(ix *Index, key Key) []int64 {
+	var ids []int64
+	ix.ScanRange(key, key, func(_ Row, rowID int64) bool {
+		ids = append(ids, rowID)
+		return true
+	})
+	return ids
 }

@@ -210,29 +210,7 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // equally, including the INT/FLOAT numeric coercion (1 and 1.0 hash alike).
 func (v Value) Hash() uint64 {
 	h := fnv.New64a()
-	switch v.Kind {
-	case KindNull:
-		h.Write([]byte{0})
-	case KindBool:
-		if v.Bool {
-			h.Write([]byte{1, 1})
-		} else {
-			h.Write([]byte{1, 0})
-		}
-	case KindInt, KindFloat:
-		// Hash the float64 bit pattern so 1 and 1.0 collide as required.
-		f := v.AsFloat()
-		bits := math.Float64bits(f)
-		var buf [9]byte
-		buf[0] = 2
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	case KindText:
-		h.Write([]byte{3})
-		h.Write([]byte(v.Str))
-	}
+	h.Write([]byte(EncodeKeyString(Key{v})))
 	return h.Sum64()
 }
 
@@ -343,9 +321,9 @@ func CompareKeys(a, b Key) int {
 	}
 }
 
-// encodeKeyString encodes a key to a string usable as a Go map key, with the
-// same equality as CompareKeys. Used by hash indexes and DISTINCT.
-func encodeKeyString(k Key) string {
+// EncodeKeyString encodes a key to a string usable as a Go map key, with
+// the same equality as CompareKeys. The SQL executor's DISTINCT uses it.
+func EncodeKeyString(k Key) string {
 	var sb strings.Builder
 	for _, v := range k {
 		switch v.Kind {
@@ -360,7 +338,14 @@ func encodeKeyString(k Key) string {
 			}
 		case KindInt, KindFloat:
 			sb.WriteByte(2)
-			bits := math.Float64bits(v.AsFloat())
+			f := v.AsFloat()
+			switch {
+			case f == 0:
+				f = 0 // Compare holds -0 and +0 equal
+			case math.IsNaN(f):
+				f = math.NaN() // and every NaN equal
+			}
+			bits := math.Float64bits(f)
 			for i := 0; i < 8; i++ {
 				sb.WriteByte(byte(bits >> (8 * i)))
 			}
@@ -376,7 +361,3 @@ func encodeKeyString(k Key) string {
 	}
 	return sb.String()
 }
-
-// EncodeKeyString is the exported form of encodeKeyString for use by the SQL
-// executor's DISTINCT.
-func EncodeKeyString(k Key) string { return encodeKeyString(k) }

@@ -224,14 +224,24 @@ func TestEncodeKeyStringInjective(t *testing.T) {
 	// Keys that must not collide: text boundary ambiguity.
 	k1 := Key{NewText("ab"), NewText("c")}
 	k2 := Key{NewText("a"), NewText("bc")}
-	if encodeKeyString(k1) == encodeKeyString(k2) {
+	if EncodeKeyString(k1) == EncodeKeyString(k2) {
 		t.Error("length prefixing failed: composite text keys collide")
 	}
 	// Numeric coercion must collide intentionally.
 	k3 := Key{NewInt(1)}
 	k4 := Key{NewFloat(1.0)}
-	if encodeKeyString(k3) != encodeKeyString(k4) {
+	if EncodeKeyString(k3) != EncodeKeyString(k4) {
 		t.Error("1 and 1.0 should encode identically")
+	}
+	// So must the values Compare holds equal although their bits differ:
+	// -0 and +0, and NaNs with different payloads.
+	negZero := NewFloat(math.Copysign(0, -1))
+	if EncodeKeyString(Key{negZero}) != EncodeKeyString(Key{NewFloat(0)}) || negZero.Hash() != NewInt(0).Hash() {
+		t.Error("-0 and 0 should encode identically")
+	}
+	otherNaN := NewFloat(math.Float64frombits(math.Float64bits(math.NaN()) ^ 1))
+	if !Equal(otherNaN, NewFloat(math.NaN())) || EncodeKeyString(Key{otherNaN}) != EncodeKeyString(Key{NewFloat(math.NaN())}) {
+		t.Error("NaNs should encode identically")
 	}
 }
 
@@ -240,7 +250,7 @@ func TestEncodeKeyStringProperty(t *testing.T) {
 	f := func(a1, a2, b1, b2 string) bool {
 		ka := Key{NewText(a1), NewText(a2)}
 		kb := Key{NewText(b1), NewText(b2)}
-		enc := encodeKeyString(ka) == encodeKeyString(kb)
+		enc := EncodeKeyString(ka) == EncodeKeyString(kb)
 		cmp := CompareKeys(ka, kb) == 0
 		return enc == cmp
 	}

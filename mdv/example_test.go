@@ -30,23 +30,3 @@ func Example() {
 	}
 	// Output: doc.rdf#host pirates.uni-passau.de
 }
-
-// ExampleNewBatcher shows periodic batch registration: documents queue and
-// flush through the filter together.
-func ExampleNewBatcher() {
-	schema := mdv.NewSchema()
-	schema.MustAddProperty("Service", mdv.PropertyDef{Name: "kind", Type: mdv.TypeString})
-
-	provider, _ := mdv.NewProvider("mdp", schema)
-	batcher := mdv.NewBatcher(provider, 3, 0) // flush every 3 documents
-
-	for i := 1; i <= 3; i++ {
-		doc := mdv.NewDocument(fmt.Sprintf("svc%d.rdf", i))
-		doc.NewResource("s", "Service").Add("kind", mdv.Lit("cache"))
-		batcher.Register(doc)
-	}
-	batcher.Close()
-	rs, _ := provider.Browse("Service", "")
-	fmt.Println(len(rs), "services registered")
-	// Output: 3 services registered
-}

@@ -37,7 +37,6 @@ package mdv
 
 import (
 	"io"
-	"time"
 
 	"mdv/internal/backoff"
 	"mdv/internal/changelog"
@@ -269,16 +268,6 @@ func IsFenced(err error) bool { return provider.IsFenced(err) }
 // nil when none answers as one).
 func ProbeForPrimary(addrs []string, cfg ClientConfig) (string, *TopologyView) {
 	return replica.ProbeForPrimary(addrs, cfg)
-}
-
-// Batcher queues registrations and flushes them through the filter in
-// batches (size- or delay-triggered), the deployment policy the paper's
-// batch-size experiments inform.
-type Batcher = provider.Batcher
-
-// NewBatcher creates a batching registrar in front of a provider.
-func NewBatcher(p *Provider, maxBatch int, maxDelay time.Duration) *Batcher {
-	return provider.NewBatcher(p, maxBatch, maxDelay)
 }
 
 // RepositoryNode is a Local Metadata Repository (LMR): the middle-tier
