@@ -430,6 +430,8 @@ func (e *Engine) internGroup(spec joinSpec, ruleID int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	e.joinProps.add(&groupInfo{id: gid, leftClass: spec.leftClass, leftProp: spec.leftProp,
+		rightProp: spec.rightProp, rightClass: spec.rightClass, self: spec.self})
 	return gid, nil
 }
 

@@ -447,20 +447,18 @@ func TestUpdateWrongCandidate(t *testing.T) {
 	if sawCpuRemoval {
 		t.Error("still-matching cpu subscription wrongly got a removal")
 	}
-	// The cpu subscription keeps the resource: it should receive the
-	// updated content as an upsert (§3.5 case three).
+	// The cpu subscription keeps the host, whose content did not change, and
+	// caches the updated ServerInformation through the host's strong
+	// reference: it must receive the new version (§3.5 case three), here as
+	// a closure upsert.
 	found := false
-	for _, up := range cs.Upserts {
-		if up.Resource.URIRef == "doc.rdf#host" {
-			for _, id := range up.SubIDs {
-				if id == cpuID {
-					found = true
-				}
-			}
+	for _, res := range cs.ClosureUpserts {
+		if v, _ := res.Get("memory"); res.URIRef == "doc.rdf#info" && v.String() == "32" {
+			found = true
 		}
 	}
 	if !found {
-		t.Error("cpu subscription did not receive the refreshed resource")
+		t.Errorf("cpu subscription did not receive the refreshed resource: %+v", cs)
 	}
 }
 

@@ -15,9 +15,9 @@
 //   - subscriptions mapping end rules to subscribers.
 //
 // Registration of documents runs the filter (§3.4); re-registration and
-// deletion run it three times per §3.5 to compute removal candidates. The
-// engine produces a PublishSet per batch: the changesets an MDP sends to
-// its LMRs, one per interest group.
+// deletion run §3.5's executions over the atoms that changed, then re-check
+// the retracted candidates. The engine produces a PublishSet per batch: the
+// changesets an MDP sends to its LMRs, one per interest group.
 package core
 
 import (
@@ -117,6 +117,10 @@ type Engine struct {
 	// triggering query over that table runs instead.
 	text *textIndex
 
+	// joinProps says which join-rule groups read each (class, property);
+	// derived from RuleGroups (joinprops.go).
+	joinProps joinProps
+
 	// perSubscriberChangesets builds one changeset per subscriber instead of
 	// one per interest group, with the per-batch URI caches off. Set only by
 	// TestCoalescingAblationParity's reference engine.
@@ -132,6 +136,7 @@ type Engine struct {
 type prepared struct {
 	insStatement   *sql.Stmt
 	delStatements  *sql.Stmt
+	delStatement   *sql.Stmt
 	insResource    *sql.Stmt
 	delResource    *sql.Stmt
 	stmtsOfURI     *sql.Stmt
@@ -144,6 +149,8 @@ type prepared struct {
 	groupByID      *sql.Stmt
 	subsOfEndRule  *sql.Stmt
 	subsOfURI      *sql.Stmt
+	seedInputs     *sql.Stmt
+	ruleKind       *sql.Stmt
 	strongRefsTo   *sql.Stmt
 	resourceClass  *sql.Stmt
 	docContent     *sql.Stmt
@@ -165,7 +172,8 @@ func NewEngine(schema *rdf.Schema) (*Engine, error) {
 
 // NewEngineWithOptions creates an engine with explicit options.
 func NewEngineWithOptions(schema *rdf.Schema, opts Options) (*Engine, error) {
-	e := &Engine{db: sql.Open(), schema: schema, opts: opts, named: map[string]*rules.NormalRule{}}
+	e := &Engine{db: sql.Open(), schema: schema, opts: opts, named: map[string]*rules.NormalRule{},
+		joinProps: joinProps{}}
 	if err := e.bootstrap(); err != nil {
 		return nil, err
 	}
@@ -373,6 +381,8 @@ func (e *Engine) prepare() {
 	p.insStatement = e.db.MustPrepare(
 		`INSERT INTO Statements (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`)
 	p.delStatements = e.db.MustPrepare(`DELETE FROM Statements WHERE uri_reference = ?`)
+	p.delStatement = e.db.MustPrepare(`DELETE FROM Statements
+		WHERE uri_reference = ? AND property = ? AND value = ? AND class = ? AND is_ref = ?`)
 	p.insResource = e.db.MustPrepare(
 		`INSERT INTO Resources (uri_reference, doc_uri, class) VALUES (?, ?, ?)`)
 	p.delResource = e.db.MustPrepare(`DELETE FROM Resources WHERE uri_reference = ?`)
@@ -399,11 +409,17 @@ func (e *Engine) prepare() {
 		SELECT s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
 		WHERE ser.end_rule = ? AND s.sub_id = ser.sub_id`)
 	p.subsOfURI = e.db.MustPrepare(`
-		SELECT s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
+		SELECT s.sub_id, s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
 		WHERE rr.uri_reference = ? AND ser.end_rule = rr.rule_id AND s.sub_id = ser.sub_id`)
+	// A resource's materialized matches that feed one side of one group:
+	// its results by idx_rr_uri, each probed in GroupFeeds by idx_gf_pk.
+	p.seedInputs = e.db.MustPrepare(`
+		SELECT rr.rule_id FROM RuleResults rr, GroupFeeds gf
+		WHERE rr.uri_reference = ? AND gf.source_rule = rr.rule_id AND gf.side = ? AND gf.group_id = ?`)
 	p.strongRefsTo = e.db.MustPrepare(`
 		SELECT uri_reference, class, property FROM Statements
 		WHERE property != '` + rdf.SubjectProperty + `' AND is_ref = TRUE AND value = ?`)
+	p.ruleKind = e.db.MustPrepare(`SELECT kind FROM AtomicRules WHERE rule_id = ?`)
 	p.resourceClass = e.db.MustPrepare(
 		`SELECT class, doc_uri FROM Resources WHERE uri_reference = ?`)
 

@@ -71,6 +71,35 @@ func (m *matchSet) has(rule int64, uri string) bool {
 	return m.byRule[rule][uri]
 }
 
+// remove deletes a match and reports whether it was present.
+func (m *matchSet) remove(rule int64, uri string) bool {
+	set := m.byRule[rule]
+	if !set[uri] {
+		return false
+	}
+	delete(set, uri)
+	if len(set) == 0 {
+		delete(m.byRule, rule)
+	}
+	return true
+}
+
+// uriList returns the sorted distinct resources the set has matches on.
+func (m *matchSet) uriList() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, set := range m.byRule {
+		for uri := range set {
+			if !seen[uri] {
+				seen[uri] = true
+				out = append(out, uri)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // uris returns the sorted matches of one rule.
 func (m *matchSet) uris(rule int64) []string {
 	set := m.byRule[rule]
@@ -91,20 +120,44 @@ const (
 	modeMaterialize filterMode = iota
 	// modeCollect finds matches of the given atoms without touching
 	// RuleResults; propagation is deduplicated within the run only. Used
-	// for the old-version run of §3.5 (the caller unmaterializes the
-	// result afterwards) and for the candidate re-check run.
+	// for the first execution of §3.5 (the caller unmaterializes the result
+	// afterwards).
 	modeCollect
+	// modeRecheck materializes like modeMaterialize, but every match on a
+	// resource whose atoms the run was given propagates, materialized or
+	// not, so the join groups it feeds are evaluated again. The run returns
+	// only the matches it materialized. Used for §3.5's second execution,
+	// which re-derives retracted candidates whose support never changed.
+	modeRecheck
 )
 
 // runFilter executes the filter algorithm (paper §3.4) over the given
 // atoms: loads them into FilterData, determines affected triggering rules,
 // then iteratively evaluates dependent join rules until no new results
-// appear. It returns every (atomic rule, resource) match derived in this
-// run.
-func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, error) {
+// appear. seeds add, to the first join iteration, the materialized matches
+// through which changed join properties reach their groups (joinSeeds). It
+// returns every (atomic rule, resource) match derived in this run; see
+// modeRecheck for that mode's result.
+func (e *Engine) runFilter(atoms []preparedAtom, seeds []seedKey, mode filterMode) (*matchSet, error) {
 	e.stats.FilterRuns++
 
 	all := newMatchSet()
+	var fresh *matchSet
+	var own map[string]bool
+	if mode == modeRecheck {
+		fresh = newMatchSet()
+		own = make(map[string]bool)
+		for _, pa := range atoms {
+			own[pa.stmt.URIRef] = true
+		}
+	}
+	note := func(p matchPair) (bool, error) {
+		isNew, err := e.noteMatch(p.rule, p.uri, mode)
+		if isNew && fresh != nil {
+			fresh.add(p.rule, p.uri)
+		}
+		return isNew || own[p.uri], err
+	}
 	var delta []matchPair
 
 	// Phase 1: affected triggering rules (Figure 9, initial iteration):
@@ -122,13 +175,17 @@ func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, er
 			continue
 		}
 		e.stats.TriggeringMatches++
-		isNew, err := e.noteMatch(p.rule, p.uri, mode)
+		propagate, err := note(p)
 		if err != nil {
 			return nil, err
 		}
-		if isNew {
+		if propagate {
 			delta = append(delta, p)
 		}
+	}
+	delta, err = e.addSeeds(delta, seeds)
+	if err != nil {
+		return nil, err
 	}
 	e.observeStage(stageTriggering, tTrig)
 
@@ -140,7 +197,7 @@ func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, er
 		if err := e.loadResultObjects(delta); err != nil {
 			return nil, err
 		}
-		next, err := e.evaluateDependentGroups(all, mode)
+		next, err := e.evaluateDependentGroups(all, note)
 		if err != nil {
 			return nil, err
 		}
@@ -152,6 +209,9 @@ func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, er
 	// subscribe/unsubscribe cycle.
 	if _, err := e.prep.resultObjClear.Exec(); err != nil {
 		return nil, err
+	}
+	if fresh != nil {
+		return fresh, nil
 	}
 	return all, nil
 }
@@ -210,10 +270,11 @@ func (e *Engine) collectTriggering(atoms []preparedAtom) (pairs []matchPair, err
 }
 
 // noteMatch handles materialization bookkeeping for a derived match and
-// reports whether it should propagate to the next iteration.
+// reports whether it is new: always in modeCollect, and otherwise when it
+// was not materialized before.
 func (e *Engine) noteMatch(rule int64, uri string, mode filterMode) (bool, error) {
 	switch mode {
-	case modeMaterialize:
+	case modeMaterialize, modeRecheck:
 		has, err := e.hasResult(rule, uri)
 		if err != nil {
 			return false, err
@@ -243,8 +304,9 @@ func (e *Engine) loadResultObjects(delta []matchPair) error {
 // evaluateDependentGroups finds the rule groups fed by the current
 // ResultObjects and evaluates each once per affected side (§3.3.3: grouped
 // join rules are evaluated together; §3.4: inputs are the delta plus the
-// materialized results of the other side).
-func (e *Engine) evaluateDependentGroups(all *matchSet, mode filterMode) ([]matchPair, error) {
+// materialized results of the other side). note records a derived match and
+// reports whether it propagates to the next iteration.
+func (e *Engine) evaluateDependentGroups(all *matchSet, note func(matchPair) (bool, error)) ([]matchPair, error) {
 	type task struct {
 		group int64
 		side  byte // 'L' or 'R' delta side
@@ -294,11 +356,11 @@ func (e *Engine) evaluateDependentGroups(all *matchSet, mode filterMode) ([]matc
 				continue
 			}
 			e.stats.JoinMatches++
-			isNew, err := e.noteMatch(p.rule, p.uri, mode)
+			propagate, err := note(p)
 			if err != nil {
 				return nil, err
 			}
-			if isNew {
+			if propagate {
 				next = append(next, p)
 			}
 		}

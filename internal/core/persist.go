@@ -119,9 +119,12 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 			e.named[name] = normalized[0]
 		}
 	}
-	// The text index is derived state, never serialized: rebuild it from the
-	// FilterRulesCON rows.
+	// The text index and the join-property map are derived state, never
+	// serialized: rebuild them from the FilterRulesCON and RuleGroups rows.
 	if err := e.initTextIndex(); err != nil {
+		return nil, err
+	}
+	if err := e.loadJoinProps(); err != nil {
 		return nil, err
 	}
 	return e, nil

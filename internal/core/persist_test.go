@@ -108,6 +108,19 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if cs := changesetOf(ps, "lmr1"); cs == nil || len(cs.Removals) != 1 {
 		t.Errorf("restored engine update handling: %+v", cs)
 	}
+	// Re-pointing the host's reference moves no triggering match; only the
+	// join-property map, rebuilt on load, reaches the join it feeds.
+	doc2c := doc2b.Clone()
+	host2, _ := doc2c.Find("doc2.rdf#host")
+	host2.Set("serverInformation", rdf.Ref("doc.rdf#info"))
+	if ps, err = restored.RegisterDocument(doc2c); err != nil {
+		t.Fatal(err)
+	}
+	if cs := changesetOf(ps, "lmr1"); cs == nil || len(cs.Upserts) != 1 || cs.Upserts[0].Resource.URIRef != "doc2.rdf#host" {
+		t.Errorf("restored engine missed the re-pointed reference: %+v", cs)
+	} else if ids := cs.Upserts[0].SubIDs; len(ids) != 1 || ids[0] != subID {
+		t.Errorf("re-pointed host credited to %v, want [%d]", ids, subID)
+	}
 }
 
 // TestLoadRejectsNonEngineSnapshot: a plain database snapshot without the

@@ -153,11 +153,14 @@ type builtUpsert struct {
 	closure []*rdf.Resource
 }
 
-// buildPublishSet turns the before/after match sets of a registration batch
-// into changesets, one per interest group: subscribers whose batch outcome
-// is identical share a single changeset built once (compute-once), with the
-// union of their credits and a MemberCredits ownership map.
-func (e *Engine) buildPublishSet(before, after *matchSet, updated, deleted []*rdf.Resource,
+// buildPublishSet turns the outcome of a registration batch into
+// changesets, one per interest group: subscribers whose batch outcome is
+// identical share a single changeset built once (compute-once), with the
+// union of their credits and a MemberCredits ownership map. before holds
+// phase 1's candidates, after the matches phases 3 and 4 derived, lost the
+// candidates that stayed retracted; changed lists the updated resources
+// whose content changed.
+func (e *Engine) buildPublishSet(before, after, lost *matchSet, changed []string, deleted []*rdf.Resource,
 	holders map[string]map[string]bool) (*PublishSet, error) {
 	ps := &PublishSet{}
 
@@ -178,7 +181,7 @@ func (e *Engine) buildPublishSet(before, after *matchSet, updated, deleted []*rd
 		return in
 	}
 
-	// Upserts: after-matches of subscribed end rules.
+	// Upserts: derived matches of subscribed end rules.
 	for rule := range after.byRule {
 		subs, err := e.subscribersOf(rule)
 		if err != nil {
@@ -193,10 +196,24 @@ func (e *Engine) buildPublishSet(before, after *matchSet, updated, deleted []*rd
 			}
 		}
 	}
+	// An updated resource travels to every subscription it matches now,
+	// whether or not the update moved that match: its content changed.
+	for _, uri := range changed {
+		subs, err := e.subscriptionsMatching(uri)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range subs {
+			interestOf(s.subscriber).upsertIDs(uri)[s.subID] = true
+		}
+	}
 
-	// Removals: before-matches of subscribed end rules that are no longer
-	// materialized (the "true candidates" of §3.5).
-	for rule := range before.byRule {
+	// Removals: candidates of subscribed end rules that stayed retracted
+	// (the "true candidates" of §3.5) — unless the subscription still
+	// matches the resource through another of its end rules (an OR rule):
+	// a removal drops the subscription's credit, not one end rule's.
+	still := map[string]map[int64]bool{}
+	for rule := range lost.byRule {
 		subs, err := e.subscribersOf(rule)
 		if err != nil {
 			return nil, err
@@ -204,30 +221,35 @@ func (e *Engine) buildPublishSet(before, after *matchSet, updated, deleted []*rd
 		if len(subs) == 0 {
 			continue
 		}
-		for _, uri := range before.uris(rule) {
-			still, err := e.hasResult(rule, uri)
-			if err != nil {
-				return nil, err
-			}
-			if still {
-				continue // wrong candidate: it still matches
+		for _, uri := range lost.uris(rule) {
+			if still[uri] == nil {
+				matching, err := e.subscriptionsMatching(uri)
+				if err != nil {
+					return nil, err
+				}
+				still[uri] = make(map[int64]bool, len(matching))
+				for _, s := range matching {
+					still[uri][s.subID] = true
+				}
 			}
 			for _, s := range subs {
-				interestOf(s.subscriber).removalIDs(uri)[s.subID] = true
+				if !still[uri][s.subID] {
+					interestOf(s.subscriber).removalIDs(uri)[s.subID] = true
+				}
 			}
 		}
 	}
 
 	// Closure updates: an updated resource may be cached by subscribers
 	// only through strong references from rule-matched resources.
-	for _, r := range updated {
-		for subscriber := range holders[r.URIRef] {
+	for _, uri := range changed {
+		for subscriber := range holders[uri] {
 			in := interestOf(subscriber)
 			// Skip subscribers already receiving the resource as an upsert.
-			if in.upserts[r.URIRef] != nil {
+			if in.upserts[uri] != nil {
 				continue
 			}
-			in.closures[r.URIRef] = true
+			in.closures[uri] = true
 		}
 	}
 
@@ -507,12 +529,12 @@ func (e *Engine) strongHolders(uri string) (map[string]bool, error) {
 			}
 			visited[referrer] = true
 			// Does the referrer match any subscribed end rule?
-			subs, err := e.subscribedRuleMatches(referrer)
+			subs, err := e.subscriptionsMatching(referrer)
 			if err != nil {
 				return nil, err
 			}
-			for s := range subs {
-				subscribers[s] = true
+			for _, s := range subs {
+				subscribers[s.subscriber] = true
 			}
 			queue = append(queue, referrer)
 		}
@@ -520,16 +542,16 @@ func (e *Engine) strongHolders(uri string) (map[string]bool, error) {
 	return subscribers, nil
 }
 
-// subscribedRuleMatches returns the subscribers whose end rules the
+// subscriptionsMatching returns the subscriptions whose end rules the
 // resource currently matches.
-func (e *Engine) subscribedRuleMatches(uri string) (map[string]bool, error) {
+func (e *Engine) subscriptionsMatching(uri string) ([]subscriberRef, error) {
 	rows, err := e.prep.subsOfURI.Query(rdb.NewText(uri))
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]bool{}
-	for _, row := range rows.Data {
-		out[row[0].Str] = true
+	out := make([]subscriberRef, len(rows.Data))
+	for i, row := range rows.Data {
+		out[i] = subscriberRef{subID: row[0].Int, subscriber: row[1].Str}
 	}
 	return out, nil
 }

@@ -3,6 +3,8 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -174,9 +176,233 @@ func engineMatches(t *testing.T, e *core.Engine, subID int64) []string {
 	return out
 }
 
-// TestFilterSoundnessRandomized drives randomized workloads through the
-// engine and checks the materialized matches against the reference after
-// every mutation batch.
+// soundnessRun drives one randomized workload and checks, after every step,
+// three oracles (check): each subscription's matches against the
+// from-scratch reference, RuleResults against a fresh engine fed the same
+// subscriptions and the current documents, and a per-subscriber cache model
+// built only from the published changesets.
+type soundnessRun struct {
+	t      *testing.T
+	schema *rdf.Schema
+	e      *core.Engine
+	ref    *reference
+	subs   []soundnessSub
+	models map[string]*cacheModel
+}
+
+type soundnessSub struct {
+	id         int64
+	subscriber string
+	rule       string
+}
+
+func newSoundnessRun(t *testing.T, schema *rdf.Schema) *soundnessRun {
+	e, err := core.NewEngine(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &soundnessRun{t: t, schema: schema, e: e,
+		ref:    &reference{schema: schema, docs: map[string]*rdf.Document{}},
+		models: map[string]*cacheModel{}}
+}
+
+func (r *soundnessRun) model(subscriber string) *cacheModel {
+	m := r.models[subscriber]
+	if m == nil {
+		m = &cacheModel{credits: map[string]map[int64]bool{}, content: map[string]string{}}
+		r.models[subscriber] = m
+	}
+	return m
+}
+
+func (r *soundnessRun) subscribe(subscriber, rule string) {
+	r.t.Helper()
+	id, fill, err := r.e.Subscribe(subscriber, rule)
+	if err != nil {
+		r.t.Fatalf("subscribe %q: %v", rule, err)
+	}
+	r.model(subscriber).apply(subscriber, fill)
+	r.subs = append(r.subs, soundnessSub{id: id, subscriber: subscriber, rule: rule})
+}
+
+// register re-registers documents (new or updated) as one batch.
+func (r *soundnessRun) register(docs ...*rdf.Document) {
+	r.t.Helper()
+	for _, d := range docs {
+		r.ref.docs[d.URI] = d
+	}
+	ps, err := r.e.RegisterDocuments(docs)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.publish(ps)
+}
+
+func (r *soundnessRun) delete(uri string) {
+	r.t.Helper()
+	delete(r.ref.docs, uri)
+	ps, err := r.e.DeleteDocument(uri)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.publish(ps)
+}
+
+func (r *soundnessRun) publish(ps *core.PublishSet) {
+	for _, g := range ps.Groups {
+		for _, member := range g.Members {
+			r.model(member).apply(member, g.Changeset)
+		}
+	}
+}
+
+func (r *soundnessRun) check(step string) {
+	t := r.t
+	t.Helper()
+	fingerprints := map[string]string{}
+	for _, d := range r.ref.docs {
+		for _, res := range d.Resources {
+			fingerprints[res.URIRef] = res.Fingerprint()
+		}
+	}
+	for _, s := range r.subs {
+		want := r.ref.matches(t, s.rule)
+		if got := engineMatches(t, r.e, s.id); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s: rule %q:\n engine %v\n naive  %v", step, s.rule, got, want)
+		}
+		m := r.model(s.subscriber)
+		cached := m.credited(s.id)
+		if strings.Join(cached, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s: rule %q: the changesets leave %s caching\n %v\nwant\n %v",
+				step, s.rule, s.subscriber, cached, want)
+		}
+		for _, uri := range cached {
+			if m.content[uri] != fingerprints[uri] {
+				t.Fatalf("%s: %s caches %s as\n %q\nthe current version is\n %q",
+					step, s.subscriber, uri, m.content[uri], fingerprints[uri])
+			}
+		}
+	}
+	fresh, err := core.NewEngine(r.schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range r.subs {
+		if _, _, err := fresh.Subscribe(s.subscriber, s.rule); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var docs []*rdf.Document
+	for _, uri := range sortedKeys(r.ref.docs) {
+		docs = append(docs, r.ref.docs[uri])
+	}
+	if len(docs) > 0 {
+		if _, err := fresh.RegisterDocuments(docs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := ruleResults(t, r.e), ruleResults(t, fresh); got != want {
+		t.Fatalf("%s: RuleResults differ from a fresh engine's:\n got:\n%s\nwant:\n%s", step, got, want)
+	}
+}
+
+// ruleResults renders an engine's RuleResults keyed by atomic rule text, with
+// every rule id inside a join rule's text replaced by that rule's own text,
+// so engines whose ids differ compare equal.
+func ruleResults(t *testing.T, e *core.Engine) string {
+	t.Helper()
+	rows, err := e.DB().Query(`SELECT rule_id, rule_text FROM AtomicRules`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := map[string]string{}
+	for _, row := range rows.Data {
+		texts[fmt.Sprint(row[0].Int)] = row[1].Str
+	}
+	idRef := regexp.MustCompile(`\bR(\d+)\b`)
+	var expand func(text string) string
+	expand = func(text string) string {
+		return idRef.ReplaceAllStringFunc(text, func(m string) string {
+			return "(" + expand(texts[m[1:]]) + ")"
+		})
+	}
+	rows, err = e.DB().Query(`SELECT rule_id, uri_reference FROM RuleResults`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, row := range rows.Data {
+		out = append(out, expand(texts[fmt.Sprint(row[0].Int)])+" -> "+row[1].Str)
+	}
+	sort.Strings(out)
+	return strings.Join(out, "\n")
+}
+
+// cacheModel is what one subscriber holds after applying every changeset
+// published to it, the way an LMR's repository applies them: credited
+// subscriptions per resource, and each cached resource's content.
+type cacheModel struct {
+	credits map[string]map[int64]bool
+	content map[string]string // uri -> fingerprint
+}
+
+func (m *cacheModel) apply(subscriber string, cs *core.Changeset) {
+	if cs == nil {
+		return
+	}
+	var owned map[int64]bool
+	if cs.MemberCredits != nil {
+		owned = map[int64]bool{}
+		for _, id := range cs.MemberCredits[subscriber] {
+			owned[id] = true
+		}
+	}
+	mine := func(id int64) bool { return owned == nil || owned[id] }
+	for _, up := range cs.Upserts {
+		m.content[up.Resource.URIRef] = up.Resource.Fingerprint()
+		for _, res := range up.Closure {
+			m.content[res.URIRef] = res.Fingerprint()
+		}
+		for _, id := range up.SubIDs {
+			if mine(id) {
+				if m.credits[up.Resource.URIRef] == nil {
+					m.credits[up.Resource.URIRef] = map[int64]bool{}
+				}
+				m.credits[up.Resource.URIRef][id] = true
+			}
+		}
+	}
+	for _, res := range cs.ClosureUpserts {
+		if _, cached := m.content[res.URIRef]; cached {
+			m.content[res.URIRef] = res.Fingerprint()
+		}
+	}
+	for _, rm := range cs.Removals {
+		if mine(rm.SubID) {
+			delete(m.credits[rm.URIRef], rm.SubID)
+		}
+	}
+	for _, uri := range cs.ForcedDeletes {
+		delete(m.credits, uri)
+		delete(m.content, uri)
+	}
+}
+
+// credited lists the resources the model caches for one subscription.
+func (m *cacheModel) credited(subID int64) []string {
+	var out []string
+	for uri, ids := range m.credits {
+		if ids[subID] {
+			out = append(out, uri)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestFilterSoundnessRandomized drives randomized workloads of whole-document
+// registrations, replacements and deletions through the engine and checks
+// the three oracles after every mutation batch.
 func TestFilterSoundnessRandomized(t *testing.T) {
 	seeds := []int64{1, 7, 42, 99, 1234, 77777}
 	if testing.Short() {
@@ -186,81 +412,249 @@ func TestFilterSoundnessRandomized(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			schema := soundnessSchema()
-			e, err := core.NewEngine(schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := &reference{schema: schema, docs: map[string]*rdf.Document{}}
-
+			r := newSoundnessRun(t, soundnessSchema())
 			// Random subscriptions (registered before and between data).
-			type sub struct {
-				id   int64
-				rule string
-			}
-			var subs []sub
-			addSub := func() {
-				rule := randomRule(rng)
-				id, _, err := e.Subscribe("lmr", rule)
-				if err != nil {
-					t.Fatalf("subscribe %q: %v", rule, err)
-				}
-				subs = append(subs, sub{id: id, rule: rule})
-			}
 			for i := 0; i < 8; i++ {
-				addSub()
-			}
-
-			check := func(step string) {
-				t.Helper()
-				for _, s := range subs {
-					got := engineMatches(t, e, s.id)
-					want := ref.matches(t, s.rule)
-					if strings.Join(got, ",") != strings.Join(want, ",") {
-						t.Fatalf("%s: rule %q:\n engine %v\n naive  %v",
-							step, s.rule, got, want)
-					}
-				}
+				r.subscribe("lmr", randomRule(rng))
 			}
 
 			nextDoc := 0
 			for step := 0; step < 20; step++ {
 				switch op := rng.Intn(10); {
-				case op < 5 || len(ref.docs) == 0: // register a fresh batch
+				case op < 5 || len(r.ref.docs) == 0: // register a fresh batch
 					n := 1 + rng.Intn(3)
 					var docs []*rdf.Document
 					for i := 0; i < n; i++ {
-						d := randomDoc(rng, nextDoc)
+						docs = append(docs, randomDoc(rng, nextDoc))
 						nextDoc++
-						docs = append(docs, d)
-						ref.docs[d.URI] = d
 					}
-					if _, err := e.RegisterDocuments(docs); err != nil {
-						t.Fatal(err)
-					}
-					check(fmt.Sprintf("step %d register %d", step, n))
+					r.register(docs...)
+					r.check(fmt.Sprintf("step %d register %d", step, n))
 				case op < 8: // update an existing document
-					uris := sortedKeys(ref.docs)
+					uris := sortedKeys(r.ref.docs)
 					uri := uris[rng.Intn(len(uris))]
 					var num int
 					fmt.Sscanf(uri, "doc%d.rdf", &num)
-					d := randomDoc(rng, num)
-					ref.docs[uri] = d
-					if _, err := e.RegisterDocument(d); err != nil {
-						t.Fatal(err)
-					}
-					check(fmt.Sprintf("step %d update %s", step, uri))
+					r.register(randomDoc(rng, num))
+					r.check(fmt.Sprintf("step %d update %s", step, uri))
 				case op < 9: // delete a document
-					uris := sortedKeys(ref.docs)
+					uris := sortedKeys(r.ref.docs)
 					uri := uris[rng.Intn(len(uris))]
-					delete(ref.docs, uri)
-					if _, err := e.DeleteDocument(uri); err != nil {
-						t.Fatal(err)
-					}
-					check(fmt.Sprintf("step %d delete %s", step, uri))
+					r.delete(uri)
+					r.check(fmt.Sprintf("step %d delete %s", step, uri))
 				default: // register another subscription mid-stream
-					addSub()
-					check(fmt.Sprintf("step %d subscribe", step))
+					r.subscribe("lmr", randomRule(rng))
+					r.check(fmt.Sprintf("step %d subscribe", step))
+				}
+			}
+		})
+	}
+}
+
+// partialSchema is soundnessSchema with set values: a host lists themes and
+// may reference several ServerInformation resources.
+func partialSchema() *rdf.Schema {
+	s := rdf.NewSchema()
+	s.MustAddProperty("CycleProvider", rdf.PropertyDef{Name: "serverHost", Type: rdf.TypeString})
+	s.MustAddProperty("CycleProvider", rdf.PropertyDef{Name: "serverPort", Type: rdf.TypeInteger})
+	s.MustAddProperty("CycleProvider", rdf.PropertyDef{Name: "synthValue", Type: rdf.TypeInteger})
+	s.MustAddProperty("CycleProvider", rdf.PropertyDef{Name: "theme", Type: rdf.TypeString, SetValued: true})
+	s.MustAddProperty("CycleProvider", rdf.PropertyDef{Name: "serverInformation", Type: rdf.TypeResource,
+		RefClass: "ServerInformation", RefKind: rdf.StrongRef, SetValued: true})
+	s.MustAddProperty("ServerInformation", rdf.PropertyDef{Name: "memory", Type: rdf.TypeInteger})
+	s.MustAddProperty("ServerInformation", rdf.PropertyDef{Name: "cpu", Type: rdf.TypeInteger})
+	return s
+}
+
+// randomPartialRule draws a rule of randomRule's kinds or one that reads the
+// set values, compares two hosts' values, or compares two of one host's. A
+// theme != rule matches through several values of one host, so removing one
+// of them retracts a match another value still supports.
+func randomPartialRule(rng *rand.Rand) string {
+	switch rng.Intn(7) {
+	case 0:
+		return fmt.Sprintf(`search CycleProvider c register c where c.theme? = 't%d'`, rng.Intn(4))
+	case 1:
+		return `search CycleProvider c register c where c.theme? contains '1'`
+	case 4:
+		return fmt.Sprintf(`search CycleProvider c register c where c.theme? != 't%d'`, rng.Intn(4))
+	case 2:
+		return fmt.Sprintf(
+			`search CycleProvider c, CycleProvider d register c where c.synthValue = d.synthValue and d.serverPort %s %d`,
+			randomOp(rng), rng.Intn(40))
+	case 3:
+		return `search CycleProvider c register c where c.serverPort < c.synthValue`
+	default:
+		return randomRule(rng)
+	}
+}
+
+// partialDoc draws document i: a host with themes and references, usually
+// to ServerInformation resources that other hosts reference too.
+func partialDoc(rng *rand.Rand, i int) *rdf.Document {
+	doc := rdf.NewDocument(fmt.Sprintf("doc%d.rdf", i))
+	host := doc.NewResource("host", "CycleProvider")
+	host.Add("serverHost", rdf.Lit(fmt.Sprintf("h%d.%s", i, []string{"uni-passau.de", "tum.de"}[rng.Intn(2)])))
+	host.Add("serverPort", rdf.Lit(fmt.Sprint(rng.Intn(40))))
+	host.Add("synthValue", rdf.Lit(fmt.Sprint(rng.Intn(6))))
+	for n := rng.Intn(3); n > 0; n-- {
+		host.Add("theme", rdf.Lit(fmt.Sprintf("t%d", rng.Intn(4))))
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		host.Add("serverInformation", rdf.Ref(infoTarget(rng, doc)))
+	}
+	if rng.Intn(3) > 0 {
+		addInfo(rng, doc)
+	}
+	return doc
+}
+
+// infoTarget picks a reference target: this document's info or one of the
+// first three documents' infos, which many hosts share (and which may not
+// exist).
+func infoTarget(rng *rand.Rand, doc *rdf.Document) string {
+	if rng.Intn(3) == 0 {
+		return doc.QualifyID("info")
+	}
+	return fmt.Sprintf("doc%d.rdf#info", rng.Intn(3))
+}
+
+func addInfo(rng *rand.Rand, doc *rdf.Document) {
+	info := doc.NewResource("info", "ServerInformation")
+	info.Add("memory", rdf.Lit(fmt.Sprint(rng.Intn(40))))
+	info.Add("cpu", rdf.Lit(fmt.Sprint(rng.Intn(40))))
+}
+
+// mutate returns a copy of doc with one partial change and names it.
+func mutate(rng *rand.Rand, doc *rdf.Document) (*rdf.Document, string) {
+	d := doc.Clone()
+	host, _ := d.Find(d.QualifyID("host"))
+	info, hasInfo := d.Find(d.QualifyID("info"))
+	switch rng.Intn(7) {
+	case 0:
+		if hasInfo && rng.Intn(2) == 0 {
+			info.Set([]string{"memory", "cpu"}[rng.Intn(2)], rdf.Lit(fmt.Sprint(rng.Intn(40))))
+			return d, "info literal"
+		}
+		switch rng.Intn(3) {
+		case 0:
+			host.Set("serverPort", rdf.Lit(fmt.Sprint(rng.Intn(40))))
+		case 1:
+			host.Set("synthValue", rdf.Lit(fmt.Sprint(rng.Intn(6))))
+		default:
+			host.Set("serverHost", rdf.Lit(fmt.Sprintf("x%d.%s", rng.Intn(9), []string{"uni-passau.de", "tum.de"}[rng.Intn(2)])))
+		}
+		return d, "host literal"
+	case 1:
+		host.Add("theme", rdf.Lit(fmt.Sprintf("t%d", rng.Intn(4))))
+		return d, "set value added"
+	case 2:
+		if !removeOne(rng, host, "theme") {
+			host.Add("theme", rdf.Lit("t1"))
+		}
+		return d, "set value removed"
+	case 3:
+		removeAll(host, "serverInformation")
+		host.Add("serverInformation", rdf.Ref(infoTarget(rng, d)))
+		return d, "reference re-pointed"
+	case 4:
+		if rng.Intn(2) == 0 || !removeOne(rng, host, "serverInformation") {
+			host.Add("serverInformation", rdf.Ref(infoTarget(rng, d)))
+		}
+		return d, "reference set changed"
+	case 5:
+		// A lexical variant of a number: 7 -> 07 -> 007.
+		target, prop := host, []string{"serverPort", "synthValue"}[rng.Intn(2)]
+		if hasInfo && rng.Intn(2) == 0 {
+			target, prop = info, "memory"
+		}
+		v, _ := target.Get(prop)
+		target.Set(prop, rdf.Lit("0"+v.String()))
+		return d, "lexical variant"
+	default:
+		if hasInfo {
+			d.Resources = slices.DeleteFunc(d.Resources, func(r *rdf.Resource) bool { return r == info })
+			return d, "resource dropped"
+		}
+		addInfo(rng, d)
+		return d, "resource added"
+	}
+}
+
+func removeOne(rng *rand.Rand, r *rdf.Resource, name string) bool {
+	var at []int
+	for i, p := range r.Props {
+		if p.Name == name {
+			at = append(at, i)
+		}
+	}
+	if len(at) == 0 {
+		return false
+	}
+	i := at[rng.Intn(len(at))]
+	r.Props = append(r.Props[:i:i], r.Props[i+1:]...)
+	return true
+}
+
+func removeAll(r *rdf.Resource, name string) {
+	r.Props = slices.DeleteFunc(r.Props, func(p rdf.Property) bool { return p.Name == name })
+}
+
+// TestFilterSoundnessPartialUpdates drives partial updates — a literal
+// changed, a set value added or removed, a reference re-pointed, a lexical
+// variant, a resource added to or dropped from a document — over hosts that
+// share ServerInformation resources, and checks the three oracles after
+// every step. Subscriptions are split over two subscribers so interest
+// groups share changesets.
+func TestFilterSoundnessPartialUpdates(t *testing.T) {
+	seeds := []int64{3, 11, 2024, 31337}
+	if testing.Short() {
+		seeds = seeds[:2]
+	}
+	for _, seed := range seeds {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			r := newSoundnessRun(t, partialSchema())
+			subscriber := func() string { return []string{"lmr1", "lmr2"}[rng.Intn(2)] }
+			for i := 0; i < 10; i++ {
+				r.subscribe(subscriber(), randomPartialRule(rng))
+			}
+			nextDoc := 0
+			var docs []*rdf.Document
+			for ; nextDoc < 6; nextDoc++ {
+				docs = append(docs, partialDoc(rng, nextDoc))
+			}
+			r.register(docs...)
+			r.check("initial registration")
+			for step := 0; step < 30; step++ {
+				uris := sortedKeys(r.ref.docs)
+				switch op := rng.Intn(20); {
+				case op < 13 && len(uris) > 0: // one partial update
+					uri := uris[rng.Intn(len(uris))]
+					d, what := mutate(rng, r.ref.docs[uri])
+					r.register(d)
+					r.check(fmt.Sprintf("step %d %s: %s", step, uri, what))
+				case op < 15 && len(uris) > 1: // two partial updates in one batch
+					a, b := rng.Intn(len(uris)), rng.Intn(len(uris)-1)
+					if b >= a {
+						b++
+					}
+					da, wa := mutate(rng, r.ref.docs[uris[a]])
+					db, wb := mutate(rng, r.ref.docs[uris[b]])
+					r.register(da, db)
+					r.check(fmt.Sprintf("step %d batch %s: %s, %s: %s", step, uris[a], wa, uris[b], wb))
+				case op < 17: // a new document
+					r.register(partialDoc(rng, nextDoc))
+					nextDoc++
+					r.check(fmt.Sprintf("step %d register", step))
+				case op < 18 && len(uris) > 0:
+					uri := uris[rng.Intn(len(uris))]
+					r.delete(uri)
+					r.check(fmt.Sprintf("step %d delete %s", step, uri))
+				default:
+					r.subscribe(subscriber(), randomPartialRule(rng))
+					r.check(fmt.Sprintf("step %d subscribe", step))
 				}
 			}
 		})

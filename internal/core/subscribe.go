@@ -247,9 +247,14 @@ func (e *Engine) releaseInterned(interned []int64) error {
 				return err
 			}
 			if mrows.Empty() {
+				g, err := e.groupByID(gid)
+				if err != nil {
+					return err
+				}
 				if _, err := e.db.Exec(`DELETE FROM RuleGroups WHERE group_id = ?`, rdb.NewInt(gid)); err != nil {
 					return err
 				}
+				e.joinProps.remove(g)
 			}
 		}
 	}

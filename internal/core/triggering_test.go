@@ -189,7 +189,7 @@ func TestFailedTriggeringLeavesNoScratch(t *testing.T) {
 			bad[i].stmt.Value = "not-a-number"
 		}
 	}
-	if _, err := e.runFilter(bad, modeCollect); err == nil {
+	if _, err := e.runFilter(bad, nil, modeCollect); err == nil {
 		t.Fatal("triggering accepted a value CAST rejects; the test drives no failure")
 	}
 	checkNoScratch(t, e)

@@ -87,9 +87,13 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 		}
 	}()
 
-	var added, updatedNew, updatedOld, deleted []*rdf.Resource
+	var added, deleted []*rdf.Resource
+	var updates []resourceDelta
 	var changes []docChange
-	atoms := map[*rdf.Resource][]preparedAtom{}
+	// current holds the decomposition of every resource of the batch's new
+	// document versions, by URI: the full new atoms phase 3 re-runs for a
+	// resource that phase 1 retracted something from.
+	current := map[string][]preparedAtom{}
 
 	for i, doc := range docs {
 		old, isNew, err := e.loadStoredDocument(doc.URI)
@@ -98,12 +102,13 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 		}
 		diff := rdf.DiffDocuments(old, doc)
 		added = append(added, diff.Added...)
-		updatedNew = append(updatedNew, diff.Updated...)
-		updatedOld = append(updatedOld, diff.OldUpdated...)
 		deleted = append(deleted, diff.Deleted...)
+		for j, r := range diff.Updated {
+			updates = append(updates, diffResource(diff.OldUpdated[j], r, prep[i].atoms[r]))
+		}
 		changes = append(changes, docChange{doc: doc, content: prep[i].content, isNew: isNew})
 		for r, pa := range prep[i].atoms {
-			atoms[r] = pa
+			current[r.URIRef] = pa
 		}
 	}
 
@@ -120,34 +125,53 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	}
 
 	e.stats.DocumentsRegistered += len(docs)
-	e.stats.ResourcesRegistered += len(added) + len(updatedNew)
+	e.stats.ResourcesRegistered += len(added) + len(updates)
 
 	// Capture, before any state changes, which subscribers may cache the
 	// soon-to-change resources via strong references: the reverse closure
 	// must be computed while the old statements and materializations are
 	// still in place.
 	holders := map[string]map[string]bool{}
-	for _, group := range [][]*rdf.Resource{updatedOld, deleted} {
-		for _, r := range group {
-			h, err := e.strongHolders(r.URIRef)
-			if err != nil {
-				return nil, err
-			}
-			holders[r.URIRef] = h
+	for _, d := range updates {
+		h, err := e.strongHolders(d.uri)
+		if err != nil {
+			return nil, err
 		}
+		holders[d.uri] = h
+	}
+	for _, r := range deleted {
+		h, err := e.strongHolders(r.URIRef)
+		if err != nil {
+			return nil, err
+		}
+		holders[r.URIRef] = h
 	}
 
-	// Phase 1 (§3.5, first filter execution): run the filter over the OLD
-	// versions of updated and deleted resources. The matches are the
-	// candidate set — every (rule, resource) pair whose support involves
+	// A changed atom of a join property reaches the join groups that read it
+	// through the resource's own input matches, which its triggering matches
+	// may not move (a re-pointed reference, a changed join value). Both
+	// filter executions seed them, so the first retracts the joins over the
+	// old value and the third derives those over the new one.
+	var seeds []seedKey
+	for _, d := range updates {
+		seeds = e.joinSeeds(d, seeds)
+	}
+
+	// Phase 1 (§3.5, first filter execution): run the filter over the atoms
+	// that left (Δ⁻): those of updated resources missing from their new
+	// version and every atom of a deleted resource. The matches are the
+	// candidate set — every (rule, resource) pair whose support may involve
 	// the old data — and their materializations are retracted.
-	var before *matchSet
-	if len(updatedOld)+len(deleted) > 0 {
-		var oldAtoms []preparedAtom
-		for _, r := range append(append([]*rdf.Resource{}, updatedOld...), deleted...) {
-			oldAtoms = append(oldAtoms, atomsOf(atoms, r)...)
-		}
-		m, err := e.runFilter(oldAtoms, modeCollect)
+	var minus []preparedAtom
+	for _, d := range updates {
+		minus = append(minus, d.minus...)
+	}
+	for _, r := range deleted {
+		minus = append(minus, decomposeResource(r)...)
+	}
+	before := newMatchSet()
+	if len(minus)+len(seeds) > 0 {
+		m, err := e.runFilter(minus, seeds, modeCollect)
 		if err != nil {
 			return nil, err
 		}
@@ -155,18 +179,36 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 			return nil, err
 		}
 		before = m
-	} else {
-		before = newMatchSet()
 	}
 
 	// Phase 2 (§3.5: "the modified metadata is written into the database"):
-	// apply the data changes.
-	for _, r := range append(append([]*rdf.Resource{}, updatedOld...), deleted...) {
+	// apply the data changes — for an updated resource, only its changed
+	// Statements rows.
+	for _, r := range deleted {
 		if _, err := e.prep.delStatements.Exec(rdb.NewText(r.URIRef)); err != nil {
 			return nil, err
 		}
 		if _, err := e.prep.delResource.Exec(rdb.NewText(r.URIRef)); err != nil {
 			return nil, err
+		}
+	}
+	for _, d := range updates {
+		for _, a := range d.drop {
+			if _, err := e.prep.delStatement.Exec(rdb.NewText(a.URIRef), rdb.NewText(a.Property),
+				rdb.NewText(a.Value), rdb.NewText(a.Class), rdb.NewBool(a.IsRef)); err != nil {
+				return nil, err
+			}
+		}
+		if err := e.insertStatements(d.add); err != nil {
+			return nil, err
+		}
+		if d.old.Class != d.new.Class {
+			if _, err := e.prep.delResource.Exec(rdb.NewText(d.uri)); err != nil {
+				return nil, err
+			}
+			if err := e.insertResource(changes, d.new); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for _, ch := range changes {
@@ -180,56 +222,239 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 			}
 		}
 	}
-	for _, group := range [][]*rdf.Resource{added, updatedNew} {
-		for _, r := range group {
-			docURI, err := e.docURIOf(changes, r.URIRef)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := e.prep.insResource.Exec(
-				rdb.NewText(r.URIRef), rdb.NewText(docURI), rdb.NewText(r.Class)); err != nil {
-				return nil, err
-			}
-			for _, pa := range atomsOf(atoms, r) {
-				a := pa.stmt
-				if _, err := e.prep.insStatement.Exec(
-					rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-					rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)); err != nil {
-					return nil, err
-				}
-			}
+	for _, r := range added {
+		if err := e.insertResource(changes, r); err != nil {
+			return nil, err
+		}
+		if err := e.insertStatements(current[r.URIRef]); err != nil {
+			return nil, err
 		}
 	}
 
 	// Phase 3 (§3.5, final filter execution; for new documents this is the
-	// only effective one): run the filter over the new and modified data,
-	// materializing the derived matches.
-	var after *matchSet
-	if len(added)+len(updatedNew) > 0 {
-		var newAtoms []preparedAtom
-		for _, r := range append(append([]*rdf.Resource{}, added...), updatedNew...) {
-			newAtoms = append(newAtoms, atomsOf(atoms, r)...)
+	// only effective one): run the filter over the atoms that came (Δ⁺), and
+	// over every current atom of a resource phase 1 retracted something
+	// from, materializing the derived matches.
+	var plus []preparedAtom
+	for _, r := range added {
+		plus = append(plus, current[r.URIRef]...)
+	}
+	retractedFrom := before.uriList()
+	touched := make(map[string]bool, len(retractedFrom))
+	for _, uri := range retractedFrom {
+		touched[uri] = true
+	}
+	for _, d := range updates {
+		if !touched[d.uri] {
+			plus = append(plus, d.plus...)
 		}
-		m, err := e.runFilter(newAtoms, modeMaterialize)
+	}
+	retracted, err := e.currentAtoms(retractedFrom, current)
+	if err != nil {
+		return nil, err
+	}
+	plus = append(plus, retracted...)
+	after := newMatchSet()
+	if len(plus)+len(seeds) > 0 {
+		m, err := e.runFilter(plus, seeds, modeMaterialize)
 		if err != nil {
 			return nil, err
 		}
 		after = m
-	} else {
-		after = newMatchSet()
 	}
 
-	// Phase 4: determine true candidates (§3.5, second execution). A
-	// candidate (rule, resource) from phase 1 is a "wrong candidate" iff it
-	// is materialized again — either re-derived in phase 3 or never really
-	// retracted. RuleResults membership after phase 3 is exactly that test.
+	// Phase 4 (§3.5, second execution): a candidate that is not materialized
+	// again may still be supported by data the changed atoms never reached —
+	// another host referencing the same ServerInformation. Re-check such
+	// candidates against the current data; what comes back was a wrong
+	// candidate, what stays out is a true one.
+	lost, err := e.rederive(before, after, current)
+	if err != nil {
+		return nil, err
+	}
+
 	tCS := time.Now()
-	ps, err := e.buildPublishSet(before, after, updatedNew, deleted, holders)
+	changed := make([]string, len(updates))
+	for i, d := range updates {
+		changed[i] = d.uri
+	}
+	ps, err := e.buildPublishSet(before, after, lost, changed, deleted, holders)
 	if err != nil {
 		return nil, err
 	}
 	e.observeStage(stageChangeset, tCS)
 	return ps, nil
+}
+
+// rederive is §3.5's second execution. A triggering candidate reads only
+// its own resource's atoms, which phase 3 ran in full, so one that is still
+// retracted is a true candidate. A join candidate may still be supported by
+// data the changed atoms never reached — another host referencing the same
+// ServerInformation. rederive re-runs the filter over the current atoms of
+// every resource with such a candidate, in modeRecheck: each of those
+// resources' matches reaches the join groups it feeds even when it is
+// materialized already, so a join match whose other support never changed
+// is derived again. Re-derived candidates join after (they publish as
+// upserts). It repeats until a pass brings no candidate back and returns
+// the candidates that stay retracted.
+func (e *Engine) rederive(before, after *matchSet, current map[string][]preparedAtom) (*matchSet, error) {
+	lost, joins := newMatchSet(), newMatchSet()
+	for rule, uris := range before.byRule {
+		isJoin, err := e.isJoinRule(rule)
+		if err != nil {
+			return nil, err
+		}
+		for uri := range uris {
+			has, err := e.hasResult(rule, uri)
+			if err != nil {
+				return nil, err
+			}
+			if !has {
+				lost.add(rule, uri)
+				if isJoin {
+					joins.add(rule, uri)
+				}
+			}
+		}
+	}
+	for len(joins.byRule) > 0 {
+		atoms, err := e.currentAtoms(joins.uriList(), current)
+		if err != nil {
+			return nil, err
+		}
+		if len(atoms) == 0 {
+			break // every remaining candidate's resource is gone
+		}
+		back, err := e.runFilter(atoms, nil, modeRecheck)
+		if err != nil {
+			return nil, err
+		}
+		returned := false
+		for rule, uris := range back.byRule {
+			for uri := range uris {
+				after.add(rule, uri)
+				lost.remove(rule, uri)
+				if joins.remove(rule, uri) {
+					returned = true
+				}
+			}
+		}
+		if !returned {
+			break
+		}
+	}
+	return lost, nil
+}
+
+// isJoinRule reports whether an atomic rule is a join rule.
+func (e *Engine) isJoinRule(rule int64) (bool, error) {
+	rows, err := e.prep.ruleKind.Query(rdb.NewInt(rule))
+	if err != nil {
+		return false, err
+	}
+	return !rows.Empty() && rows.Data[0][0].Str == kindJoin, nil
+}
+
+// currentAtoms returns the current atoms of the given resources, in order:
+// the batch's decomposition where the resource is part of it, the stored
+// Statements rows otherwise. A resource that no longer exists has none.
+func (e *Engine) currentAtoms(uris []string, current map[string][]preparedAtom) ([]preparedAtom, error) {
+	var out []preparedAtom
+	for _, uri := range uris {
+		if pa, ok := current[uri]; ok {
+			out = append(out, pa...)
+			continue
+		}
+		rows, err := e.prep.stmtsOfURI.Query(rdb.NewText(uri))
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range rows.Data {
+			a := rdf.Statement{URIRef: row[0].Str, Class: row[1].Str, Property: row[2].Str,
+				Value: row[3].Str, IsRef: row[4].Bool}
+			out = append(out, preparedAtom{stmt: a, num: numValue(a.Value)})
+		}
+	}
+	return out, nil
+}
+
+// insertResource records a batch resource in the Resources catalog.
+func (e *Engine) insertResource(changes []docChange, r *rdf.Resource) error {
+	docURI, err := e.docURIOf(changes, r.URIRef)
+	if err != nil {
+		return err
+	}
+	_, err = e.prep.insResource.Exec(rdb.NewText(r.URIRef), rdb.NewText(docURI), rdb.NewText(r.Class))
+	return err
+}
+
+// insertStatements stores atoms as Statements rows.
+func (e *Engine) insertStatements(atoms []preparedAtom) error {
+	for _, pa := range atoms {
+		a := pa.stmt
+		if _, err := e.prep.insStatement.Exec(
+			rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
+			rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// resourceDelta is the atom-level difference between the stored and the
+// new version of an updated resource. Atoms compare as whole statements,
+// values by their lexical form, so 7 → 007 is a change.
+type resourceDelta struct {
+	uri      string
+	old, new *rdf.Resource
+	// minus (Δ⁻) and plus (Δ⁺) are the distinct atoms only the old and only
+	// the new version has: what the first and the third filter execution
+	// run over.
+	minus, plus []preparedAtom
+	// drop lists the atoms whose Statements rows phase 2 deletes, add the
+	// rows it inserts after: every atom whose multiplicity changed, so a
+	// set value listed twice keeps its rows in step with the document.
+	drop []rdf.Statement
+	add  []preparedAtom
+}
+
+// diffResource computes the atom-level delta of an updated resource. newAtoms
+// is the new version's prepared decomposition.
+func diffResource(old, new *rdf.Resource, newAtoms []preparedAtom) resourceDelta {
+	d := resourceDelta{uri: new.URIRef, old: old, new: new}
+	oldAtoms := decomposeResource(old)
+	oldN := make(map[rdf.Statement]int, len(oldAtoms))
+	for _, pa := range oldAtoms {
+		oldN[pa.stmt]++
+	}
+	newN := make(map[rdf.Statement]int, len(newAtoms))
+	for _, pa := range newAtoms {
+		newN[pa.stmt]++
+	}
+	seen := map[rdf.Statement]bool{}
+	for _, pa := range oldAtoms {
+		a := pa.stmt
+		if newN[a] == oldN[a] || seen[a] {
+			continue
+		}
+		seen[a] = true
+		d.drop = append(d.drop, a)
+		if newN[a] == 0 {
+			d.minus = append(d.minus, pa)
+		}
+	}
+	for _, pa := range newAtoms {
+		a := pa.stmt
+		if newN[a] == oldN[a] {
+			continue
+		}
+		d.add = append(d.add, pa)
+		if oldN[a] == 0 && !seen[a] {
+			seen[a] = true
+			d.plus = append(d.plus, pa)
+		}
+	}
+	return d
 }
 
 // DeleteDocument removes a registered document and all its resources
@@ -324,16 +549,6 @@ func decomposeResource(r *rdf.Resource) []preparedAtom {
 		out[i] = preparedAtom{stmt: a, num: numValue(a.Value)}
 	}
 	return out
-}
-
-// atomsOf returns a resource's precomputed decomposition, computing it on
-// the spot when the resource was not part of the prepared batch (the old
-// version of an updated resource, loaded from the Documents table).
-func atomsOf(m map[*rdf.Resource][]preparedAtom, r *rdf.Resource) []preparedAtom {
-	if pa, ok := m[r]; ok {
-		return pa
-	}
-	return decomposeResource(r)
 }
 
 // preparedDoc is the per-document output of prepareBatch: everything a

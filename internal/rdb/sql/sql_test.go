@@ -618,3 +618,17 @@ func TestContainsOperator(t *testing.T) {
 		t.Errorf("CONTAINS on INT: %v", ids) // 32 and 320
 	}
 }
+
+// TestDistinctKeepsIntegersAbove2To53: DISTINCT tells apart INT values that
+// round to the same float64.
+func TestDistinctKeepsIntegersAbove2To53(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE big (x INT NOT NULL)`)
+	for _, x := range []int64{1 << 53, 1<<53 + 1, 1<<53 + 1} {
+		db.MustExec(`INSERT INTO big (x) VALUES (?)`, rdb.NewInt(x))
+	}
+	got := queryInts(t, db, `SELECT DISTINCT x FROM big ORDER BY x`)
+	if want := []int64{1 << 53, 1<<53 + 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("SELECT DISTINCT = %v, want %v", got, want)
+	}
+}

@@ -56,13 +56,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed SQL value. The zero Value is NULL.
+// Value is a dynamically typed SQL value. The zero Value is NULL. Kind and
+// Bool lead so they share one word: a Value is 40 bytes, not 48, and every
+// stored row and index probe carries several.
 type Value struct {
 	Kind  Kind
+	Bool  bool
 	Int   int64
 	Float float64
 	Str   string
-	Bool  bool
 }
 
 // Null returns the NULL value.
@@ -152,7 +154,10 @@ func typeRank(k Kind) int {
 
 // Compare defines a total order over values, used by B+tree indexes and
 // ORDER BY. Values of different kinds are ordered by type rank, except that
-// INT and FLOAT compare numerically with each other. It returns -1, 0, or +1.
+// INT and FLOAT compare numerically with each other — exactly, not through
+// float64, so 2^53+1 sorts above the FLOAT 2^53 it would round to. NaN sorts
+// below every other number and equals itself; -0 equals +0. It returns -1,
+// 0, or +1.
 func Compare(a, b Value) int {
 	ra, rb := typeRank(a.Kind), typeRank(b.Kind)
 	if ra != rb {
@@ -174,30 +179,65 @@ func Compare(a, b Value) int {
 		return 1
 	case KindText:
 		return strings.Compare(a.Str, b.Str)
-	default: // numeric rank: INT and/or FLOAT
-		if a.Kind == KindInt && b.Kind == KindInt {
-			switch {
-			case a.Int < b.Int:
-				return -1
-			case a.Int > b.Int:
-				return 1
-			default:
-				return 0
-			}
-		}
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		case math.IsNaN(af) && !math.IsNaN(bf):
-			return -1
-		case !math.IsNaN(af) && math.IsNaN(bf):
-			return 1
-		default:
-			return 0
-		}
+	}
+	// Numeric rank: INT and/or FLOAT.
+	switch {
+	case a.Kind == KindInt && b.Kind == KindInt:
+		return cmpInt(a.Int, b.Int)
+	case a.Kind == KindInt:
+		return -compareFloatInt(b.Float, a.Int)
+	case b.Kind == KindInt:
+		return compareFloatInt(a.Float, b.Int)
+	}
+	af, bf := a.Float, b.Float
+	switch {
+	case af < bf:
+		return -1
+	case af > bf:
+		return 1
+	case math.IsNaN(af) && !math.IsNaN(bf):
+		return -1
+	case !math.IsNaN(af) && math.IsNaN(bf):
+		return 1
+	default:
+		return 0
+	}
+}
+
+func cmpInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// compareFloatInt compares a FLOAT with an INT exactly: through the float's
+// integral part, which converts to int64 without loss whenever it is in
+// range, and then its fraction.
+func compareFloatInt(f float64, i int64) int {
+	switch {
+	case math.IsNaN(f):
+		return -1
+	case f < -(1 << 63):
+		return -1
+	case f >= 1<<63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmpInt(int64(t), i); c != 0 {
+		return c
+	}
+	switch frac := f - t; {
+	case frac > 0:
+		return 1
+	case frac < 0:
+		return -1
+	default:
+		return 0
 	}
 }
 
@@ -337,15 +377,22 @@ func EncodeKeyString(k Key) string {
 				sb.WriteByte(0)
 			}
 		case KindInt, KindFloat:
-			sb.WriteByte(2)
-			f := v.AsFloat()
-			switch {
-			case f == 0:
-				f = 0 // Compare holds -0 and +0 equal
-			case math.IsNaN(f):
-				f = math.NaN() // and every NaN equal
+			// A number equal to some int64 — every INT, and every integral
+			// FLOAT in range, -0 included — encodes as that int64, so it
+			// meets Compare's exact INT/FLOAT equality; any other FLOAT
+			// encodes its bits, with every NaN made one.
+			bits, tag := uint64(v.Int), byte(2)
+			if f := v.Float; v.Kind == KindFloat {
+				if t := math.Trunc(f); t == f && f >= -(1<<63) && f < 1<<63 {
+					bits = uint64(int64(f))
+				} else {
+					if math.IsNaN(f) {
+						f = math.NaN()
+					}
+					bits, tag = math.Float64bits(f), 4
+				}
 			}
-			bits := math.Float64bits(f)
+			sb.WriteByte(tag)
 			for i := 0; i < 8; i++ {
 				sb.WriteByte(byte(bits >> (8 * i)))
 			}

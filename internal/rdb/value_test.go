@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -256,5 +257,74 @@ func TestEncodeKeyStringProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueSize pins the field order that packs Kind and Bool into one word.
+func TestValueSize(t *testing.T) {
+	if got := reflect.TypeOf(Value{}).Size(); got != 40 {
+		t.Errorf("Value is %d bytes, want 40", got)
+	}
+}
+
+// TestCompareIntFloatExact: INT and FLOAT compare exactly, not through a
+// float64 that rounds integers above 2^53.
+func TestCompareIntFloatExact(t *testing.T) {
+	const p53 = 1 << 53
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{NewInt(p53 + 1), NewFloat(p53), 1},
+		{NewFloat(p53), NewInt(p53 + 1), -1},
+		{NewInt(p53), NewFloat(p53), 0},
+		{NewInt(p53 + 1), NewFloat(p53 + 2), -1},
+		{NewInt(math.MaxInt64), NewFloat(1 << 63), -1},
+		{NewInt(math.MinInt64), NewFloat(-(1 << 63)), 0},
+		{NewInt(0), NewFloat(math.Copysign(0, -1)), 0},
+		{NewInt(-1), NewFloat(-0.5), -1},
+		{NewInt(2), NewFloat(2.5), -1},
+		{NewInt(-3), NewFloat(-2.5), -1},
+		{NewInt(math.MinInt64), NewFloat(math.Inf(-1)), 1},
+		{NewInt(math.MaxInt64), NewFloat(math.Inf(1)), -1},
+		{NewInt(math.MinInt64), NewFloat(math.NaN()), 1},
+	}
+	for _, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v %v, %v %v) = %d, want %d", c.a.Kind, c.a, c.b.Kind, c.b, got, c.want)
+		}
+	}
+}
+
+// TestNumericOrderProperties: over values near 2^53, the int64 and float
+// limits, ±0, NaN and ±Inf, Compare is antisymmetric and transitive, and
+// EncodeKeyString (hence Hash and DISTINCT) agrees with its equality.
+func TestNumericOrderProperties(t *testing.T) {
+	var vals []Value
+	for _, n := range []int64{0, 1, -1, 1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<53 + 2, -(1 << 53) - 1,
+		math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 1} {
+		vals = append(vals, NewInt(n))
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1 << 53, 1<<53 + 2, 1<<52 + 0.5,
+		-(1 << 53), 1 << 63, -(1 << 63), math.Nextafter(1<<63, 0), math.Nextafter(-(1 << 63), 0),
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000001), math.MaxFloat64} {
+		vals = append(vals, NewFloat(f))
+	}
+	name := func(v Value) string { return v.Kind.String() + " " + v.String() }
+	for _, a := range vals {
+		for _, b := range vals {
+			ab, ba := Compare(a, b), Compare(b, a)
+			if ab != -ba {
+				t.Errorf("antisymmetry: %s vs %s: %d and %d", name(a), name(b), ab, ba)
+			}
+			if same := EncodeKeyString(Key{a}) == EncodeKeyString(Key{b}); same != (ab == 0) {
+				t.Errorf("key encoding: %s vs %s compare %d but encode equal = %v", name(a), name(b), ab, same)
+			}
+			for _, c := range vals {
+				if ab <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
+					t.Errorf("transitivity: %s <= %s <= %s but %s > %s", name(a), name(b), name(c), name(a), name(c))
+				}
+			}
+		}
 	}
 }
