@@ -2,29 +2,12 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"mdv/internal/rdb"
 	"mdv/internal/rdf"
 	"mdv/internal/rules"
 )
-
-// numValue parses a lexical into the typed numeric column value, mirroring
-// CAST(x AS FLOAT) exactly (same trimming, same accepted forms, so Inf and
-// NaN lexicals of float-typed properties round-trip). Text that does not
-// parse yields NULL, which no comparison matches — where CAST would abort
-// the whole query instead. The two are indistinguishable through the public
-// API: schema validation guarantees numeric-typed properties hold parseable
-// lexicals, and the rule normalizer rejects ordering operators on
-// non-numeric operands.
-func numValue(s string) rdb.Value {
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return rdb.Null()
-	}
-	return rdb.NewFloat(f)
-}
 
 // Atomic rule kinds stored in AtomicRules.kind.
 const (
@@ -41,6 +24,15 @@ type triggerSpec struct {
 	op       rules.Op
 	value    rules.Const
 	numeric  bool // comparison reconverts via CAST (paper §3.3.4)
+}
+
+// key is the (class, property) of the atoms the rule can match: an ANY rule
+// matches a resource by its rdf#subject atom.
+func (t triggerSpec) key() classProp {
+	if t.any {
+		return classProp{t.class, rdf.SubjectProperty}
+	}
+	return classProp{t.class, t.property}
 }
 
 // text returns the canonical rule text used for deduplication (§3.3.4:
@@ -210,6 +202,7 @@ func (e *Engine) internTrigger(spec triggerSpec, ctx *internCtx) (int64, error) 
 	if _, err := e.db.Exec(filterRuleInsert(table, len(row)), row...); err != nil {
 		return 0, err
 	}
+	e.trigProps[spec.key()]++
 	// Contains rules additionally enter the substring index (derived state,
 	// rebuilt from FilterRulesCON on load).
 	if e.text != nil && table == "FilterRulesCON" {
@@ -233,7 +226,7 @@ func filterRuleRow(spec triggerSpec, table string, id int64) []rdb.Value {
 	}
 	row = append(row, rdb.NewText(spec.property), rdb.NewText(spec.value.Lexical()))
 	if numericFilterTable(table) {
-		row = append(row, numValue(spec.value.Lexical()))
+		row = append(row, rdb.NumValue(spec.value.Lexical()))
 	}
 	return row
 }
@@ -736,7 +729,7 @@ func (e *Engine) initializeTrigger(id int64, spec triggerSpec) error {
 				// Typed path: the (class, property, num_value) statement
 				// index answers this with a point lookup or range scan.
 				lhs = "num_value"
-				cmpParam = numValue(spec.value.Lexical())
+				cmpParam = rdb.NumValue(spec.value.Lexical())
 			}
 		}
 		q = `SELECT uri_reference FROM Statements WHERE class = ? AND property = ? AND ` +

@@ -1046,3 +1046,65 @@ func TestEngineConcurrentPublishesAndReaders(t *testing.T) {
 	}
 	checkNoScratch(t, e)
 }
+
+// TestClosureCarriesNewStrongTargets: schema A → B → C → D, every reference
+// strong, and a subscription to A. When B, cached only through A, gains its
+// strong reference to C, the closure upsert of B carries C and D with it
+// (§2.4: strongly referenced resources travel with the referencing one);
+// the subscriber caches neither yet.
+func TestClosureCarriesNewStrongTargets(t *testing.T) {
+	s := rdf.NewSchema()
+	strong := func(from, prop, to string) {
+		s.MustAddProperty(from, rdf.PropertyDef{Name: prop, Type: rdf.TypeResource, RefClass: to, RefKind: rdf.StrongRef})
+	}
+	strong("A", "b", "B")
+	strong("B", "c", "C")
+	strong("C", "d", "D")
+	s.MustAddProperty("B", rdf.PropertyDef{Name: "name", Type: rdf.TypeString})
+	s.MustAddProperty("D", rdf.PropertyDef{Name: "label", Type: rdf.TypeString})
+	e, err := NewEngine(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Subscribe("lmr1", `search A a register a`); err != nil {
+		t.Fatal(err)
+	}
+	version := func(linked bool) *rdf.Document {
+		doc := rdf.NewDocument("d.rdf")
+		doc.NewResource("a", "A").Add("b", rdf.Ref(doc.QualifyID("b")))
+		b := doc.NewResource("b", "B")
+		b.Add("name", rdf.Lit("x"))
+		if linked {
+			b.Add("c", rdf.Ref(doc.QualifyID("c")))
+		}
+		doc.NewResource("c", "C").Add("d", rdf.Ref(doc.QualifyID("d")))
+		doc.NewResource("d", "D").Add("label", rdf.Lit("y"))
+		return doc
+	}
+	ps, err := e.RegisterDocument(version(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := changesetOf(ps, "lmr1")
+	if cs == nil || len(cs.Upserts) != 1 || len(cs.Upserts[0].Closure) != 1 {
+		t.Fatalf("first version: want a with closure [b], got %+v", cs)
+	}
+	ps, err = e.RegisterDocument(version(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs = changesetOf(ps, "lmr1")
+	if cs == nil {
+		t.Fatal("the update of b notifies no one")
+	}
+	var got []string
+	for _, res := range cs.ClosureUpserts {
+		got = append(got, res.URIRef)
+	}
+	if want := []string{"d.rdf#b", "d.rdf#c", "d.rdf#d"}; !slices.Equal(got, want) {
+		t.Errorf("closure upserts = %v, want %v", got, want)
+	}
+	if len(cs.Upserts) != 0 {
+		t.Errorf("unchanged a re-sent: %v", upsertURIs(cs))
+	}
+}

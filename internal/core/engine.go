@@ -121,6 +121,11 @@ type Engine struct {
 	// derived from RuleGroups (joinprops.go).
 	joinProps joinProps
 
+	// trigProps counts the triggering rules that compare each
+	// (class, property), an ANY rule under (class, rdf#subject); derived
+	// from the FilterRules tables (match.go).
+	trigProps map[classProp]int
+
 	// perSubscriberChangesets builds one changeset per subscriber instead of
 	// one per interest group, with the per-batch URI caches off. Set only by
 	// TestCoalescingAblationParity's reference engine.
@@ -173,7 +178,7 @@ func NewEngine(schema *rdf.Schema) (*Engine, error) {
 // NewEngineWithOptions creates an engine with explicit options.
 func NewEngineWithOptions(schema *rdf.Schema, opts Options) (*Engine, error) {
 	e := &Engine{db: sql.Open(), schema: schema, opts: opts, named: map[string]*rules.NormalRule{},
-		joinProps: joinProps{}}
+		joinProps: joinProps{}, trigProps: map[classProp]int{}}
 	if err := e.bootstrap(); err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"mdv/internal/rdb"
 	"mdv/internal/rdb/sql"
+	"mdv/internal/rdf"
 	"mdv/internal/rules"
 )
 
@@ -229,23 +230,31 @@ const numTrigOps = 10
 // runs their queries.
 var trigOpNames = [numTrigOps]string{"ANY", "EQ", "EQN", "NE", "NEN", "CON", "LT", "LE", "GT", "GE"}
 
-// collectTriggering loads the atoms into FilterData, runs the ten
-// triggering queries in trigOpNames order — the contains slot through the
-// substring index when the engine has one — and clears the scratch on every
-// return path, so a failed run leaves no atoms behind to match in the next
-// one.
+// collectTriggering loads the atoms some triggering rule can match into
+// FilterData, runs the ten triggering queries in trigOpNames order — the
+// contains slot through the substring index when the engine has one — and
+// clears the scratch on every return path, so a failed run leaves no atoms
+// behind to match in the next one. Every triggering query equates the
+// atom's class and property with the rule's, so an atom whose
+// (class, property) trigProps does not count matches nothing and is never
+// loaded; a run with no other atom issues no statement.
 func (e *Engine) collectTriggering(atoms []preparedAtom) (pairs []matchPair, err error) {
 	e.stats.ShardedFilterRuns++
-	if len(atoms) == 0 {
+	var live []preparedAtom
+	var rows [][]rdb.Value
+	for _, pa := range atoms {
+		a := pa.stmt
+		if e.trigProps[classProp{a.Class, a.Property}] == 0 {
+			continue
+		}
+		live = append(live, pa)
+		rows = append(rows, []rdb.Value{rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
+			rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)})
+	}
+	if len(live) == 0 {
 		return nil, nil
 	}
 	e.stats.ShardSectionsRun++
-	rows := make([][]rdb.Value, len(atoms))
-	for i, pa := range atoms {
-		a := pa.stmt
-		rows[i] = []rdb.Value{rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-			rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)}
-	}
 	defer func() {
 		if _, cerr := e.prep.filterDataClear.Exec(); err == nil {
 			err = cerr
@@ -257,7 +266,7 @@ func (e *Engine) collectTriggering(atoms []preparedAtom) (pairs []matchPair, err
 	for j, st := range e.prep.trig {
 		tq := time.Now()
 		if j == conTrigIdx && e.text != nil {
-			pairs = e.text.collect(atoms, pairs)
+			pairs = e.text.collect(live, pairs)
 		} else if err := st.QueryFunc(nil, func(row []rdb.Value) error {
 			pairs = append(pairs, matchPair{rule: row[0].Int, uri: row[1].Str})
 			return nil
@@ -267,6 +276,31 @@ func (e *Engine) collectTriggering(atoms []preparedAtom) (pairs []matchPair, err
 		e.traceTrig(trigOpNames[j], time.Since(tq))
 	}
 	return pairs, nil
+}
+
+// loadTrigProps rebuilds the triggering-property counts from the
+// FilterRules tables.
+func (e *Engine) loadTrigProps() error {
+	e.trigProps = map[classProp]int{}
+	for _, table := range trigTableNames {
+		rows, err := e.db.Query(`SELECT * FROM ` + table)
+		if err != nil {
+			return err
+		}
+		for _, row := range rows.Data {
+			e.trigProps[trigRowKey(row)]++
+		}
+	}
+	return nil
+}
+
+// trigRowKey is the trigProps key of a filter-table row: (rule_id, class)
+// for ANY, (rule_id, class, property, value[, num_value]) for the others.
+func trigRowKey(row []rdb.Value) classProp {
+	if len(row) == 2 {
+		return classProp{row[1].Str, rdf.SubjectProperty}
+	}
+	return classProp{row[1].Str, row[2].Str}
 }
 
 // noteMatch handles materialization bookkeeping for a derived match and

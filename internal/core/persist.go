@@ -119,12 +119,16 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 			e.named[name] = normalized[0]
 		}
 	}
-	// The text index and the join-property map are derived state, never
-	// serialized: rebuild them from the FilterRulesCON and RuleGroups rows.
+	// The text index and the join- and triggering-property maps are derived
+	// state, never serialized: rebuild them from the FilterRules and
+	// RuleGroups rows.
 	if err := e.initTextIndex(); err != nil {
 		return nil, err
 	}
 	if err := e.loadJoinProps(); err != nil {
+		return nil, err
+	}
+	if err := e.loadTrigProps(); err != nil {
 		return nil, err
 	}
 	return e, nil

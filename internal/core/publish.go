@@ -158,9 +158,9 @@ type builtUpsert struct {
 // identical share a single changeset built once (compute-once), with the
 // union of their credits and a MemberCredits ownership map. before holds
 // phase 1's candidates, after the matches phases 3 and 4 derived, lost the
-// candidates that stayed retracted; changed lists the updated resources
-// whose content changed.
-func (e *Engine) buildPublishSet(before, after, lost *matchSet, changed []string, deleted []*rdf.Resource,
+// candidates that stayed retracted; updates are the updated resources whose
+// content changed.
+func (e *Engine) buildPublishSet(before, after, lost *matchSet, updates []resourceDelta, deleted []*rdf.Resource,
 	holders map[string]map[string]bool) (*PublishSet, error) {
 	ps := &PublishSet{}
 
@@ -198,13 +198,13 @@ func (e *Engine) buildPublishSet(before, after, lost *matchSet, changed []string
 	}
 	// An updated resource travels to every subscription it matches now,
 	// whether or not the update moved that match: its content changed.
-	for _, uri := range changed {
-		subs, err := e.subscriptionsMatching(uri)
+	for _, d := range updates {
+		subs, err := e.subscriptionsMatching(d.uri)
 		if err != nil {
 			return nil, err
 		}
 		for _, s := range subs {
-			interestOf(s.subscriber).upsertIDs(uri)[s.subID] = true
+			interestOf(s.subscriber).upsertIDs(d.uri)[s.subID] = true
 		}
 	}
 
@@ -241,15 +241,30 @@ func (e *Engine) buildPublishSet(before, after, lost *matchSet, changed []string
 	}
 
 	// Closure updates: an updated resource may be cached by subscribers
-	// only through strong references from rule-matched resources.
-	for _, uri := range changed {
-		for subscriber := range holders[uri] {
+	// only through strong references from rule-matched resources. What its
+	// new strong references reach travels with it (§2.4), since such a
+	// subscriber caches none of that through this resource yet.
+	for _, d := range updates {
+		if len(holders[d.uri]) == 0 {
+			continue
+		}
+		grown, err := e.strongReach(d.uri, e.newStrongTargets(d))
+		if err != nil {
+			return nil, err
+		}
+		for subscriber := range holders[d.uri] {
 			in := interestOf(subscriber)
-			// Skip subscribers already receiving the resource as an upsert.
-			if in.upserts[uri] != nil {
+			// Skip subscribers already receiving the resource as an upsert:
+			// the upsert carries its closure.
+			if in.upserts[d.uri] != nil {
 				continue
 			}
-			in.closures[uri] = true
+			in.closures[d.uri] = true
+			for _, res := range grown {
+				if in.upserts[res.URIRef] == nil {
+					in.closures[res.URIRef] = true
+				}
+			}
 		}
 	}
 
@@ -471,37 +486,58 @@ func sortedIDs(ids map[int64]bool) []int64 {
 // referenced by [strong references] are always transmitted together with
 // the referencing resource").
 func (e *Engine) strongClosure(res *rdf.Resource) ([]*rdf.Resource, error) {
-	visited := map[string]bool{res.URIRef: true}
+	return e.strongReach(res.URIRef, e.strongTargets(res))
+}
+
+// strongReach returns the resources targets name and those reachable from
+// them over strong references, transitively, excluding root, sorted by URI.
+// Dangling targets are skipped: there is nothing to transmit.
+func (e *Engine) strongReach(root string, targets []string) ([]*rdf.Resource, error) {
+	visited := map[string]bool{root: true}
 	var out []*rdf.Resource
-	queue := []*rdf.Resource{res}
+	queue := targets
 	for len(queue) > 0 {
-		cur := queue[0]
+		target := queue[0]
 		queue = queue[1:]
-		for _, p := range cur.Props {
-			if p.Value.Kind != rdf.ResourceRef {
-				continue
-			}
-			if !e.schema.IsStrongReference(cur.Class, p.Name) {
-				continue
-			}
-			target := p.Value.Ref
-			if visited[target] {
-				continue
-			}
-			visited[target] = true
-			tres, ok, err := e.getResourceLocked(target)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue // dangling reference; nothing to transmit
-			}
-			out = append(out, tres)
-			queue = append(queue, tres)
+		if visited[target] {
+			continue
 		}
+		visited[target] = true
+		tres, ok, err := e.getResourceLocked(target)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		out = append(out, tres)
+		queue = append(queue, e.strongTargets(tres)...)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].URIRef < out[b].URIRef })
 	return out, nil
+}
+
+// strongTargets lists the resources res references strongly.
+func (e *Engine) strongTargets(res *rdf.Resource) []string {
+	var out []string
+	for _, p := range res.Props {
+		if p.Value.Kind == rdf.ResourceRef && e.schema.IsStrongReference(res.Class, p.Name) {
+			out = append(out, p.Value.Ref)
+		}
+	}
+	return out
+}
+
+// newStrongTargets lists the strong references an update added to a
+// resource (its Δ⁺ reference atoms of strong properties).
+func (e *Engine) newStrongTargets(d resourceDelta) []string {
+	var out []string
+	for _, pa := range d.plus {
+		if a := pa.stmt; a.IsRef && e.schema.IsStrongReference(a.Class, a.Property) {
+			out = append(out, a.Value)
+		}
+	}
+	return out
 }
 
 // strongHolders finds the subscribers that may cache the given resource via

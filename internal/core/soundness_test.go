@@ -113,7 +113,7 @@ func (ref *reference) matches(t *testing.T, ruleText string) []string {
 	for _, stmt := range []string{
 		`CREATE TABLE Cache (uri_reference TEXT PRIMARY KEY, class TEXT NOT NULL, local BOOL NOT NULL)`,
 		`CREATE TABLE CacheStatements (uri_reference TEXT NOT NULL, class TEXT NOT NULL,
-			property TEXT NOT NULL, value TEXT NOT NULL, is_ref BOOL NOT NULL)`,
+			property TEXT NOT NULL, value TEXT NOT NULL, num_value FLOAT, is_ref BOOL NOT NULL)`,
 		`CREATE INDEX idx_cstmt_uri ON CacheStatements (uri_reference, property)`,
 		`CREATE INDEX idx_cstmt_cpv ON CacheStatements (class, property, value)`,
 	} {
@@ -127,10 +127,10 @@ func (ref *reference) matches(t *testing.T, ruleText string) []string {
 				db.MustExec(`INSERT INTO Cache (uri_reference, class, local) VALUES (?, ?, FALSE)`,
 					rdb.NewText(a.URIRef), rdb.NewText(a.Class))
 			}
-			db.MustExec(`INSERT INTO CacheStatements (uri_reference, class, property, value, is_ref)
-				VALUES (?, ?, ?, ?, ?)`,
+			db.MustExec(`INSERT INTO CacheStatements (uri_reference, class, property, value, num_value, is_ref)
+				VALUES (?, ?, ?, ?, ?, ?)`,
 				rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-				rdb.NewText(a.Value), rdb.NewBool(a.IsRef))
+				rdb.NewText(a.Value), rdb.NumValue(a.Value), rdb.NewBool(a.IsRef))
 		}
 	}
 	r, err := rules.Parse(ruleText)

@@ -210,22 +210,8 @@ func (e *Engine) releaseInterned(interned []int64) error {
 			return err
 		}
 		if kind == kindTrigger {
-			// Release the rule's substring-index entry before its canonical
-			// CON row (the row carries the cohort key the removal needs).
-			if e.text != nil {
-				crows, err := e.db.Query(
-					`SELECT class, property, value FROM FilterRulesCON WHERE rule_id = ?`, rdb.NewInt(id))
-				if err != nil {
-					return err
-				}
-				for _, cr := range crows.Data {
-					e.text.remove(cr[0].Str, cr[1].Str, cr[2].Str, id)
-				}
-			}
-			for _, table := range trigTableNames {
-				if _, err := e.db.Exec(`DELETE FROM `+table+` WHERE rule_id = ?`, rdb.NewInt(id)); err != nil {
-					return err
-				}
+			if err := e.dropTrigger(id); err != nil {
+				return err
 			}
 			continue
 		}
@@ -257,6 +243,33 @@ func (e *Engine) releaseInterned(interned []int64) error {
 				e.joinProps.remove(g)
 			}
 		}
+	}
+	return nil
+}
+
+// dropTrigger deletes a triggering rule's filter-table row and releases its
+// entries in the derived state: its trigProps count and, for a contains rule,
+// its substring-index entry (released first: the row carries the cohort key
+// the removal needs).
+func (e *Engine) dropTrigger(id int64) error {
+	for _, table := range trigTableNames {
+		rows, err := e.db.Query(`SELECT * FROM `+table+` WHERE rule_id = ?`, rdb.NewInt(id))
+		if err != nil {
+			return err
+		}
+		if rows.Empty() {
+			continue
+		}
+		row := rows.Data[0]
+		cp := trigRowKey(row)
+		if e.trigProps[cp]--; e.trigProps[cp] <= 0 {
+			delete(e.trigProps, cp)
+		}
+		if e.text != nil && table == "FilterRulesCON" {
+			e.text.remove(cp.class, cp.property, row[3].Str, id)
+		}
+		_, err = e.db.Exec(`DELETE FROM `+table+` WHERE rule_id = ?`, rdb.NewInt(id))
+		return err
 	}
 	return nil
 }

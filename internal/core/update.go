@@ -274,11 +274,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	}
 
 	tCS := time.Now()
-	changed := make([]string, len(updates))
-	for i, d := range updates {
-		changed[i] = d.uri
-	}
-	ps, err := e.buildPublishSet(before, after, lost, changed, deleted, holders)
+	ps, err := e.buildPublishSet(before, after, lost, updates, deleted, holders)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +368,7 @@ func (e *Engine) currentAtoms(uris []string, current map[string][]preparedAtom) 
 		for _, row := range rows.Data {
 			a := rdf.Statement{URIRef: row[0].Str, Class: row[1].Str, Property: row[2].Str,
 				Value: row[3].Str, IsRef: row[4].Bool}
-			out = append(out, preparedAtom{stmt: a, num: numValue(a.Value)})
+			out = append(out, preparedAtom{stmt: a, num: rdb.NumValue(a.Value)})
 		}
 	}
 	return out, nil
@@ -546,7 +542,7 @@ func decomposeResource(r *rdf.Resource) []preparedAtom {
 	as := singleResourceAtoms(r)
 	out := make([]preparedAtom, len(as))
 	for i, a := range as {
-		out[i] = preparedAtom{stmt: a, num: numValue(a.Value)}
+		out[i] = preparedAtom{stmt: a, num: rdb.NumValue(a.Value)}
 	}
 	return out
 }

@@ -3,7 +3,11 @@
 // the rule language" and that "search requests are translated into SQL join
 // queries"; this package does exactly that: a query is parsed and
 // normalized with the rule machinery, then translated into one SQL join
-// query over the cache tables and executed locally.
+// query over the cache tables and executed locally. The translation
+// compares numbers through the cache's typed num_value column and starts
+// the join from the atom a constant binds most selectively, so a query
+// reads the index entries its constants select rather than scanning the
+// class.
 package query
 
 import (
@@ -25,11 +29,15 @@ type Result = rdf.Resource
 type Evaluator struct {
 	db     *sql.DB
 	schema *rdf.Schema
+	// statementsOf reads one result resource's atoms for its
+	// reconstruction; prepared once, so its plan is built once.
+	statementsOf *sql.Stmt
 }
 
 // NewEvaluator creates an evaluator over a repository's database.
 func NewEvaluator(db *sql.DB, schema *rdf.Schema) *Evaluator {
-	return &Evaluator{db: db, schema: schema}
+	return &Evaluator{db: db, schema: schema, statementsOf: db.MustPrepare(
+		`SELECT property, value, is_ref, class FROM CacheStatements WHERE uri_reference = ?`)}
 }
 
 // Evaluate runs a query in the MDV query language and returns the matching
@@ -109,34 +117,37 @@ func (ev *Evaluator) evaluateURIsTxn(txn *sql.ReadTxn, src string) ([]string, er
 }
 
 func (ev *Evaluator) getResource(txn *sql.ReadTxn, uriRef string) (*rdf.Resource, bool, error) {
-	rows, err := txn.Query(
-		`SELECT property, value, is_ref, class FROM CacheStatements WHERE uri_reference = ?`,
-		rdb.NewText(uriRef))
-	if err != nil {
-		return nil, false, err
-	}
-	if rows.Empty() {
-		return nil, false, nil
-	}
-	res := &rdf.Resource{URIRef: uriRef}
-	for _, row := range rows.Data {
+	var res *rdf.Resource
+	err := txn.QueryStmt(ev.statementsOf, []rdb.Value{rdb.NewText(uriRef)}, func(row []rdb.Value) error {
+		if res == nil {
+			res = &rdf.Resource{URIRef: uriRef}
+		}
 		res.Class = row[3].Str
 		prop, value, isRef := row[0].Str, row[1].Str, row[2].Bool
-		if prop == rdf.SubjectProperty {
-			continue
-		}
-		if isRef {
+		switch {
+		case prop == rdf.SubjectProperty:
+		case isRef:
 			res.Add(prop, rdf.Ref(value))
-		} else {
+		default:
 			res.Add(prop, rdf.Lit(value))
 		}
+		return nil
+	})
+	if err != nil || res == nil {
+		return nil, false, err
 	}
 	return res, true, nil
 }
 
 // Translate turns one normalized query into a SQL join query over the cache
-// tables (Cache anchors the class of each variable; every property access
-// joins one CacheStatements alias). It returns the SQL text and parameters;
+// tables: one Cache alias anchors the class of each variable, and every
+// property access joins one CacheStatements alias, restricted to its
+// variable's class so the (class, property, …) indexes apply. Numeric
+// comparisons compare the typed num_value column against a FLOAT parameter
+// made by rdb.NumValue, the coercion the MDP's filter tables use. The FROM
+// list starts with the alias that carries the most selective constant
+// comparison (=, then a range, then CONTAINS), and the planner joins outward
+// from it along the equality links. It returns the SQL text and parameters;
 // the single result column is the registered variable's URI reference.
 func Translate(nr *rules.NormalRule, schema *rdf.Schema) (string, []rdb.Value, error) {
 	var from []string
@@ -145,84 +156,107 @@ func Translate(nr *rules.NormalRule, schema *rdf.Schema) (string, []rdb.Value, e
 
 	// One Cache anchor per variable.
 	anchor := map[string]string{}
+	class := map[string]string{}
 	for i, b := range nr.Search {
 		alias := fmt.Sprintf("r%d", i)
 		anchor[b.Var] = alias
+		class[b.Var] = b.Extension
 		from = append(from, "Cache "+alias)
 		where = append(where, alias+".class = ?")
 		params = append(params, rdb.NewText(b.Extension))
 	}
-
-	// One CacheStatements alias per property access.
-	nProps := 0
-	propAlias := func(v, prop string) string {
-		nProps++
-		alias := fmt.Sprintf("p%d", nProps)
-		from = append(from, "CacheStatements "+alias)
-		where = append(where,
-			alias+".uri_reference = "+anchor[v]+".uri_reference",
-			alias+".property = ?")
-		params = append(params, rdb.NewText(prop))
-		return alias + ".value"
-	}
-
-	// operandSQL renders one operand, emitting joins as needed. Constant
-	// parameters are deferred: their ? appears in the comparison condition,
-	// which is appended after any property-join conditions, so the caller
-	// appends them to params only once the condition itself is appended.
-	var deferred []rdb.Value
-	operandSQL := func(o rules.Operand) (string, bool, error) {
-		switch {
-		case o.Kind == rules.OperandConst:
-			deferred = append(deferred, rdb.NewText(o.Const.Lexical()))
-			return "?", o.Const.Kind != rules.ConstString, nil
-		case len(o.Path) == 0:
-			return anchor[o.Var] + ".uri_reference", false, nil
-		default:
-			step := o.Path[0]
-			numeric := false
-			if b, ok := nr.Binding(o.Var); ok {
-				if c, ok := schema.Class(b.Extension); ok {
-					if def, ok := c.Property(step.Property); ok {
-						numeric = def.Type == rdf.TypeInteger || def.Type == rdf.TypeFloat
-					}
-				}
-			}
-			return propAlias(o.Var, step.Property), numeric, nil
-		}
-	}
-
-	for _, p := range nr.Where {
-		deferred = deferred[:0]
-		lhs, lNum, err := operandSQL(p.Left)
-		if err != nil {
-			return "", nil, err
-		}
-		rhs, rNum, err := operandSQL(p.Right)
-		if err != nil {
-			return "", nil, err
-		}
-		var cond string
-		switch p.Op {
-		case rules.OpContains:
-			cond = lhs + " CONTAINS " + rhs
-		case rules.OpLt, rules.OpLe, rules.OpGt, rules.OpGe:
-			cond = "CAST(" + lhs + " AS FLOAT) " + p.Op.String() + " CAST(" + rhs + " AS FLOAT)"
-		default: // = and !=
-			if lNum && rNum {
-				cond = "CAST(" + lhs + " AS FLOAT) " + p.Op.String() + " CAST(" + rhs + " AS FLOAT)"
-			} else {
-				cond = lhs + " " + p.Op.String() + " " + rhs
-			}
-		}
-		where = append(where, cond)
-		params = append(params, deferred...)
-	}
-
 	regAnchor, ok := anchor[nr.Register]
 	if !ok {
 		return "", nil, fmt.Errorf("query: register variable %q unbound", nr.Register)
 	}
+
+	// operand is one rendered side of a comparison: a constant, a bare
+	// variable (its anchor's URI reference), or a property of a variable
+	// (a CacheStatements alias, joined on first use).
+	type operand struct {
+		alias   string // "" for a constant
+		prop    bool   // alias is a CacheStatements alias
+		c       rules.Const
+		numeric bool
+	}
+	nProps := 0
+	operandOf := func(o rules.Operand) operand {
+		switch {
+		case o.Kind == rules.OperandConst:
+			return operand{c: o.Const, numeric: o.Const.Kind != rules.ConstString}
+		case len(o.Path) == 0:
+			return operand{alias: anchor[o.Var]}
+		}
+		prop := o.Path[0].Property
+		nProps++
+		alias := fmt.Sprintf("p%d", nProps)
+		from = append(from, "CacheStatements "+alias)
+		where = append(where,
+			alias+".uri_reference = "+anchor[o.Var]+".uri_reference",
+			alias+".class = ?",
+			alias+".property = ?")
+		params = append(params, rdb.NewText(class[o.Var]), rdb.NewText(prop))
+		return operand{alias: alias, prop: true, numeric: schema.IsNumeric(class[o.Var], prop)}
+	}
+
+	// lead is the alias whose constant comparison the join starts from;
+	// leadRank orders the comparisons by selectivity.
+	lead, leadRank := "", 3
+	for _, p := range nr.Where {
+		l, r := operandOf(p.Left), operandOf(p.Right)
+		typed := p.Op.Numeric() || (p.Op == rules.OpEq || p.Op == rules.OpNe) && l.numeric && r.numeric
+		var condParams []rdb.Value
+		sqlOf := func(o operand) string {
+			switch {
+			case o.alias == "" && typed:
+				condParams = append(condParams, rdb.NumValue(o.c.Lexical()))
+				return "?"
+			case o.alias == "":
+				condParams = append(condParams, rdb.NewText(o.c.Lexical()))
+				return "?"
+			case !o.prop:
+				return o.alias + ".uri_reference"
+			case typed:
+				return o.alias + ".num_value"
+			default:
+				return o.alias + ".value"
+			}
+		}
+		op := p.Op.String()
+		if p.Op == rules.OpContains {
+			op = "CONTAINS"
+		}
+		lhs, rhs := sqlOf(l), sqlOf(r)
+		where = append(where, lhs+" "+op+" "+rhs)
+		params = append(params, condParams...)
+
+		if (l.alias == "") == (r.alias == "") {
+			continue // not a comparison of a relation with a constant
+		}
+		alias := l.alias + r.alias
+		rank := 3
+		switch {
+		case p.Op == rules.OpEq:
+			rank = 0
+		case p.Op.Numeric():
+			rank = 1
+		case p.Op == rules.OpContains:
+			rank = 2
+		}
+		if rank < leadRank {
+			lead, leadRank = alias, rank
+		}
+	}
+	if lead != "" {
+		for i, f := range from {
+			if strings.HasSuffix(f, " "+lead) {
+				copy(from[1:i+1], from[:i])
+				from[0] = f
+				break
+			}
+		}
+	}
+
 	text := "SELECT DISTINCT " + regAnchor + ".uri_reference FROM " + strings.Join(from, ", ")
 	if len(where) > 0 {
 		text += " WHERE " + strings.Join(where, " AND ")

@@ -52,25 +52,25 @@ func TestTranslateShapes(t *testing.T) {
 		},
 		{
 			`search CycleProvider c register c where c.serverPort = 80`,
-			[]string{"CacheStatements p1", "p1.property = ?", "CAST(p1.value AS FLOAT) = CAST(? AS FLOAT)"},
-			3,
+			[]string{"FROM CacheStatements p1, Cache r0", "p1.class = ?", "p1.property = ?", "p1.num_value = ?"},
+			4,
 		},
 		{
 			`search CycleProvider c register c where c.serverHost contains 'de'`,
-			[]string{"p1.value CONTAINS ?"},
-			3,
+			[]string{"FROM CacheStatements p1, Cache r0", "p1.class = ?", "p1.value CONTAINS ?"},
+			4,
 		},
 		{
 			`search CycleProvider c register c where c = 'doc.rdf#host'`,
-			[]string{"r0.uri_reference = ?"},
+			[]string{"FROM Cache r0 WHERE", "r0.uri_reference = ?"},
 			2,
 		},
 		{
 			`search CycleProvider c, ServerInformation s register c
 			 where c.serverInformation = s and s.memory > 64`,
-			[]string{"Cache r0", "Cache r1", "p1.value = r1.uri_reference",
-				"CAST(p2.value AS FLOAT) > CAST(? AS FLOAT)"},
-			5,
+			[]string{"FROM CacheStatements p2, Cache r0, Cache r1, CacheStatements p1",
+				"p1.value = r1.uri_reference", "p2.class = ?", "p2.num_value > ?"},
+			7,
 		},
 	}
 	for _, c := range cases {
@@ -101,13 +101,13 @@ func TestTranslateConstLeftParamOrder(t *testing.T) {
 	for _, stmt := range []string{
 		`CREATE TABLE Cache (uri_reference TEXT PRIMARY KEY, class TEXT NOT NULL, local BOOL NOT NULL)`,
 		`CREATE TABLE CacheStatements (uri_reference TEXT NOT NULL, class TEXT NOT NULL,
-			property TEXT NOT NULL, value TEXT NOT NULL, is_ref BOOL NOT NULL)`,
+			property TEXT NOT NULL, value TEXT NOT NULL, num_value FLOAT, is_ref BOOL NOT NULL)`,
 	} {
 		db.MustExec(stmt)
 	}
 	db.MustExec(`INSERT INTO Cache (uri_reference, class, local) VALUES ('d#1', 'CycleProvider', FALSE)`)
-	db.MustExec(`INSERT INTO CacheStatements (uri_reference, class, property, value, is_ref)
-		VALUES ('d#1', 'CycleProvider', 'serverPort', '99', FALSE)`)
+	db.MustExec(`INSERT INTO CacheStatements (uri_reference, class, property, value, num_value, is_ref)
+		VALUES ('d#1', 'CycleProvider', 'serverPort', '99', 99.0, FALSE)`)
 
 	ev := NewEvaluator(db, translateSchema())
 	uris, err := ev.EvaluateURIs(`search CycleProvider c register c where 50 < c.serverPort`)
@@ -131,7 +131,7 @@ func TestEvaluatorErrors(t *testing.T) {
 	db := sql.Open()
 	db.MustExec(`CREATE TABLE Cache (uri_reference TEXT PRIMARY KEY, class TEXT NOT NULL, local BOOL NOT NULL)`)
 	db.MustExec(`CREATE TABLE CacheStatements (uri_reference TEXT NOT NULL, class TEXT NOT NULL,
-		property TEXT NOT NULL, value TEXT NOT NULL, is_ref BOOL NOT NULL)`)
+		property TEXT NOT NULL, value TEXT NOT NULL, num_value FLOAT, is_ref BOOL NOT NULL)`)
 	ev := NewEvaluator(db, translateSchema())
 	for _, q := range []string{
 		`not a query`,
@@ -149,7 +149,7 @@ func TestEvaluatorResourceReconstruction(t *testing.T) {
 	db := sql.Open()
 	db.MustExec(`CREATE TABLE Cache (uri_reference TEXT PRIMARY KEY, class TEXT NOT NULL, local BOOL NOT NULL)`)
 	db.MustExec(`CREATE TABLE CacheStatements (uri_reference TEXT NOT NULL, class TEXT NOT NULL,
-		property TEXT NOT NULL, value TEXT NOT NULL, is_ref BOOL NOT NULL)`)
+		property TEXT NOT NULL, value TEXT NOT NULL, num_value FLOAT, is_ref BOOL NOT NULL)`)
 	db.MustExec(`INSERT INTO Cache (uri_reference, class, local) VALUES ('d#1', 'CycleProvider', FALSE)`)
 	for _, row := range [][3]interface{}{
 		{"serverHost", "h.example.org", false},

@@ -209,28 +209,80 @@ func (t *bptree) insert(n btnode, height int, e btentry) (btsep, btnode) {
 
 // Delete removes the entry (row, rowID) from the tree; row must hold the key
 // the entry was inserted with. It reports whether the entry was found.
-// Underfull nodes are not rebalanced — deleted space is reclaimed on the next
-// snapshot reload, which rebuilds indexes from scratch. This trades
-// worst-case tree height for simplicity; the MDV workloads are insert-heavy.
-// The vacated slot is cleared, so the leaf keeps no deleted row alive.
+// Underfull nodes are not merged, but a node left empty is unlinked from its
+// parent (and a leaf from the leaf chain), and a root left with one child is
+// replaced by it: keys that only grow — a version, a timestamp — insert at
+// the right edge and empty the leftmost leaves, which would otherwise stay
+// allocated for the table's lifetime. The vacated slots are cleared, so the
+// tree keeps no deleted row alive.
 func (t *bptree) Delete(row Row, rowID int64) bool {
-	e := btentry{row, rowID}
-	n := t.root
-	for h := t.height; h > 1; h-- {
-		inner := n.(*btinner)
-		n = inner.children[t.child(inner, e)]
-	}
-	leaf := n.(*btleaf)
-	i := t.search(leaf, e)
-	if i >= len(leaf.entries) || t.cmpEntries(leaf.entries[i], e) != 0 {
+	found, empty := t.delete(t.root, nil, t.height, btentry{row, rowID})
+	if !found {
 		return false
 	}
-	last := len(leaf.entries) - 1
-	copy(leaf.entries[i:], leaf.entries[i+1:])
-	leaf.entries[last] = btentry{}
-	leaf.entries = leaf.entries[:last]
 	t.size--
+	if empty && t.height > 1 {
+		t.root, t.height = &btleaf{}, 1
+	}
+	for t.height > 1 {
+		inner := t.root.(*btinner)
+		if len(inner.children) != 1 {
+			break
+		}
+		t.root = inner.children[0]
+		t.height--
+	}
 	return true
+}
+
+// delete removes e from the subtree n of the given height and reports
+// whether it was found and whether n is now empty. left is the subtree of
+// the same height just before n (nil for the first one): at height 1 it is
+// the leaf whose next pointer names n.
+func (t *bptree) delete(n, left btnode, height int, e btentry) (found, empty bool) {
+	if height == 1 {
+		leaf := n.(*btleaf)
+		i := t.search(leaf, e)
+		if i >= len(leaf.entries) || t.cmpEntries(leaf.entries[i], e) != 0 {
+			return false, false
+		}
+		last := len(leaf.entries) - 1
+		copy(leaf.entries[i:], leaf.entries[i+1:])
+		leaf.entries[last] = btentry{}
+		leaf.entries = leaf.entries[:last]
+		if last > 0 {
+			return true, false
+		}
+		if left != nil {
+			left.(*btleaf).next = leaf.next
+		}
+		return true, true
+	}
+	inner := n.(*btinner)
+	ci := t.child(inner, e)
+	var childLeft btnode
+	if ci > 0 {
+		childLeft = inner.children[ci-1]
+	} else if left != nil {
+		l := left.(*btinner)
+		childLeft = l.children[len(l.children)-1]
+	}
+	found, empty = t.delete(inner.children[ci], childLeft, height-1, e)
+	if !empty {
+		return found, false
+	}
+	// Drop the empty child and the separator that starts it (the first
+	// separator when it is the first child): its range joins a neighbour's.
+	if len(inner.seps) > 0 {
+		si := max(ci-1, 0)
+		copy(inner.seps[si:], inner.seps[si+1:])
+		inner.seps[len(inner.seps)-1] = btsep{}
+		inner.seps = inner.seps[:len(inner.seps)-1]
+	}
+	copy(inner.children[ci:], inner.children[ci+1:])
+	inner.children[len(inner.children)-1] = nil
+	inner.children = inner.children[:len(inner.children)-1]
+	return true, len(inner.children) == 0
 }
 
 // ScanRange visits every (row, rowID) whose key satisfies low <= key <= high,

@@ -231,3 +231,48 @@ func TestBPTreeRangeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBPTreeSlidingKeysStayBounded: a window of keys that only grow — insert
+// the newest, delete the oldest, as an indexed version or timestamp column
+// does — keeps the tree the size of the window. The emptied leftmost leaves
+// are unlinked from their parents and from the leaf chain, and scans still
+// see exactly the window.
+func TestBPTreeSlidingKeysStayBounded(t *testing.T) {
+	const window, steps = 500, 50000
+	tr := newBPTree([]int{0})
+	rows := map[int64]Row{}
+	for id := int64(0); id < steps; id++ {
+		rows[id] = Row{NewFloat(float64(id))}
+		tr.Insert(rows[id], id)
+		if old := id - window; old >= 0 {
+			if !tr.Delete(rows[old], old) {
+				t.Fatalf("delete of %d missed", old)
+			}
+			delete(rows, old)
+		}
+	}
+	leaves := 0
+	n := tr.root
+	for h := tr.height; h > 1; h-- {
+		n = n.(*btinner).children[0]
+	}
+	for leaf := n.(*btleaf); leaf != nil; leaf = leaf.next {
+		if len(leaf.entries) == 0 {
+			t.Fatal("an empty leaf is still in the chain")
+		}
+		leaves++
+	}
+	// The window fits in window/(btreeOrder/2) half-full leaves; the
+	// rightmost leaves are filled to one half by the splits, so allow twice
+	// that, and a height a fresh tree of the window would have.
+	if max := 2*window/(btreeOrder/2) + 2; leaves > max {
+		t.Errorf("%d leaves hold a window of %d keys, want at most %d", leaves, window, max)
+	}
+	if tr.height > 3 {
+		t.Errorf("height %d for %d keys", tr.height, window)
+	}
+	got := collectRange(tr, Key{MinSentinel()}, Key{MaxSentinel()})
+	if len(got) != window || got[0] != steps-window || got[window-1] != steps-1 {
+		t.Fatalf("scan sees %d entries from %d to %d", len(got), got[0], got[len(got)-1])
+	}
+}

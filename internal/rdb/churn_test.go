@@ -25,9 +25,10 @@ func liveHeap() uint64 {
 // The stated remainder is what the table keeps by design once it is empty:
 //   - one row slot and one free-list entry per deleted row, with a quarter
 //     more for append's spare capacity;
-//   - the leaves, which are never rebalanced: a leaf held at least half an
-//     order of entries before the deletes, and its entry array has at most
-//     btreeOrder slots of one row reference and one row ID (32 bytes);
+//   - the leaves, counted as if all stayed (a leaf is not merged while it
+//     holds an entry): a leaf held at least half an order of entries
+//     before the deletes, and its entry array has at most btreeOrder
+//     slots of one row reference and one row ID (32 bytes);
 //   - one separator per leaf in the inner nodes: a key copy of at most two
 //     values, its row ID and a child pointer, with spare capacity, counted
 //     generously at 512 bytes to absorb the runtime's own small allocations.

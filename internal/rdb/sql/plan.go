@@ -18,14 +18,15 @@ import (
 // placed (the equality an index lookup would use), falling back to the first
 // remaining relation only when none is connected. A FROM list in which every
 // relation is connected to those before it — every statement the MDV filter
-// issues — therefore plans exactly as written, while a list that names two
-// anchors before the tables linking them (the query language's translation
-// lists every Cache alias before any CacheStatements alias) is joined along
-// its links instead of across a cross product. The order deliberately does
-// not start from the relation with a constant-bound index: the filter's
-// join-rule queries start from the delta on purpose, and their constant
-// conjuncts (a rule group id, a class and property) select whole rule groups
-// or a whole class extension.
+// issues — therefore plans exactly as written, while a list that names a
+// relation before the tables linking it to the rest (the query language's
+// translation names first the alias its most selective constant comparison
+// binds, then the Cache aliases, then the other CacheStatements aliases) is
+// joined outward along its links instead of across a cross product. The
+// planner deliberately does not pick the relation with a constant-bound
+// index itself: the filter's join-rule queries start from the delta on
+// purpose, and their constant conjuncts (a rule group id, a class and
+// property) select whole rule groups or a whole class extension.
 
 // selectPlan is a fully compiled SELECT.
 type selectPlan struct {

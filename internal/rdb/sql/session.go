@@ -388,6 +388,12 @@ func (s *Stmt) Query(params ...rdb.Value) (*Rows, error) {
 
 // QueryFunc executes a prepared SELECT, streaming rows to visit.
 func (s *Stmt) QueryFunc(params []rdb.Value, visit func(row []rdb.Value) error) error {
+	return s.querySelect(false, params, visit)
+}
+
+// querySelect runs a prepared SELECT with its cached plan; held says the
+// caller holds the shared statement lock already (a ReadTxn).
+func (s *Stmt) querySelect(held bool, params []rdb.Value, visit func(row []rdb.Value) error) error {
 	if _, ok := s.ast.(*SelectStmt); !ok {
 		return errNotSelect
 	}
@@ -397,7 +403,7 @@ func (s *Stmt) QueryFunc(params []rdb.Value, visit func(row []rdb.Value) error) 
 			return nil, err
 		}
 		return p.(*selectPlan), nil
-	}, false, params, visit)
+	}, held, params, visit)
 }
 
 // Exec executes a prepared DDL or DML statement.
@@ -483,4 +489,13 @@ func (t *ReadTxn) QueryFunc(query string, params []rdb.Value, visit func(row []r
 		return err
 	}
 	return t.db.runSelect(func() (*selectPlan, error) { return buildSelectPlan(t.db.raw, sel) }, true, params, visit)
+}
+
+// QueryStmt executes a prepared SELECT of the transaction's database inside
+// the transaction, with the statement's cached plan.
+func (t *ReadTxn) QueryStmt(s *Stmt, params []rdb.Value, visit func(row []rdb.Value) error) error {
+	if s.db != t.db {
+		return fmt.Errorf("sql: statement prepared on another database")
+	}
+	return s.querySelect(true, params, visit)
 }

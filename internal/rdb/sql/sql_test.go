@@ -632,3 +632,34 @@ func TestDistinctKeepsIntegersAbove2To53(t *testing.T) {
 		t.Errorf("SELECT DISTINCT = %v, want %v", got, want)
 	}
 }
+
+// TestReadTxnQueryStmt: a prepared SELECT runs inside a read transaction
+// with its cached plan, and a statement of another database is refused.
+func TestReadTxnQueryStmt(t *testing.T) {
+	db := openWith(t, `CREATE TABLE kv (k TEXT PRIMARY KEY, v INT NOT NULL)`)
+	mustExec(t, db, `INSERT INTO kv (k, v) VALUES ('a', 1)`)
+	mustExec(t, db, `INSERT INTO kv (k, v) VALUES ('b', 2)`)
+	st := db.MustPrepare(`SELECT v FROM kv WHERE k = ?`)
+	other := openWith(t, `CREATE TABLE kv (k TEXT PRIMARY KEY, v INT NOT NULL)`).MustPrepare(`SELECT v FROM kv WHERE k = ?`)
+	err := db.View(func(txn *ReadTxn) error {
+		var got []int64
+		for _, k := range []string{"a", "b", "c"} {
+			if err := txn.QueryStmt(st, []rdb.Value{rdb.NewText(k)}, func(row []rdb.Value) error {
+				got = append(got, row[0].Int)
+				return nil
+			}); err != nil {
+				return err
+			}
+		}
+		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+			t.Errorf("got %v, want [1 2]", got)
+		}
+		if err := txn.QueryStmt(other, []rdb.Value{rdb.NewText("a")}, func([]rdb.Value) error { return nil }); err == nil {
+			t.Error("a statement of another database ran in the transaction")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -254,6 +254,21 @@ func (v Value) Hash() uint64 {
 	return h.Sum64()
 }
 
+// NumValue is the typed numeric shadow of a lexical form: the FLOAT that
+// CAST(s AS FLOAT) yields (same trimming, same accepted forms, so Inf and
+// NaN lexicals round-trip), or NULL where CAST would fail, which no
+// comparison matches. The MDP's statements and filter rules and the LMR's
+// cache fill their num_value columns with it, and a query compares against a
+// parameter made by it, so a rule and a query with the same predicate agree
+// by construction.
+func NumValue(s string) Value {
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return Null()
+	}
+	return NewFloat(f)
+}
+
 // CoerceTo converts the value to the target kind, if a lossless or standard
 // SQL conversion exists. It implements CAST semantics: numeric<->numeric,
 // anything->TEXT via String, TEXT->numeric via parsing, and NULL->anything
@@ -288,11 +303,11 @@ func (v Value) CoerceTo(k Kind) (Value, error) {
 		case KindInt:
 			return NewFloat(float64(v.Int)), nil
 		case KindText:
-			f, err := strconv.ParseFloat(strings.TrimSpace(v.Str), 64)
-			if err != nil {
+			f := NumValue(v.Str)
+			if f.Kind == KindNull {
 				return Null(), fmt.Errorf("rdb: cannot cast %q to FLOAT", v.Str)
 			}
-			return NewFloat(f), nil
+			return f, nil
 		case KindBool:
 			if v.Bool {
 				return NewFloat(1), nil

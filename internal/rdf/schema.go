@@ -248,6 +248,20 @@ func (s *Schema) IsStrongReference(class, property string) bool {
 	return p.Type == TypeResource && p.RefKind == StrongRef
 }
 
+// IsNumeric reports whether class.property is declared integer- or
+// float-typed: the properties whose values compare as numbers.
+func (s *Schema) IsNumeric(class, property string) bool {
+	c, ok := s.Class(class)
+	if !ok {
+		return false
+	}
+	p, ok := c.Property(property)
+	if !ok {
+		return false
+	}
+	return p.Type == TypeInteger || p.Type == TypeFloat
+}
+
 // ParseSchema reads a schema from its RDF Schema (XML) serialization. The
 // accepted subset:
 //

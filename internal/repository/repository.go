@@ -67,6 +67,7 @@ type Repository struct {
 		getCache     *sql.Stmt
 		insStmt      *sql.Stmt
 		delStmts     *sql.Stmt
+		delStmt      *sql.Stmt
 		stmtsOf      *sql.Stmt
 		insCredit    *sql.Stmt
 		delCredit    *sql.Stmt
@@ -76,6 +77,7 @@ type Repository struct {
 		insEdge      *sql.Stmt
 		delEdgesFrom *sql.Stmt
 		edgesFrom    *sql.Stmt
+		holderOf     *sql.Stmt
 	}
 }
 
@@ -101,16 +103,22 @@ var ddl = []string{
 	`CREATE INDEX idx_cache_class ON Cache (class)`,
 
 	// Property atoms of cached resources; the query language evaluates as
-	// SQL joins over this table.
+	// SQL joins over this table. num_value is the typed shadow of a numeric
+	// property's value (rdb.NumValue, the MDP's coercion), NULL for every
+	// other property, whose values the query language never compares as
+	// numbers; its ordered (class, property, num_value) index serves
+	// numeric comparisons as point lookups and range scans.
 	`CREATE TABLE CacheStatements (
 		uri_reference TEXT NOT NULL,
 		class TEXT NOT NULL,
 		property TEXT NOT NULL,
 		value TEXT NOT NULL,
+		num_value FLOAT,
 		is_ref BOOL NOT NULL
 	)`,
 	`CREATE INDEX idx_cstmt_uri ON CacheStatements (uri_reference, property)`,
 	`CREATE INDEX idx_cstmt_cpv ON CacheStatements (class, property, value)`,
+	`CREATE INDEX idx_cstmt_cpn ON CacheStatements (class, property, num_value)`,
 
 	// Credits: which subscriptions a cached resource matches (the LMR-side
 	// view of §3.5's per-rule matching).
@@ -138,10 +146,12 @@ func New(name string, schema *rdf.Schema) (*Repository, error) {
 	p.delCache = r.db.MustPrepare(`DELETE FROM Cache WHERE uri_reference = ?`)
 	p.getCache = r.db.MustPrepare(`SELECT class, local FROM Cache WHERE uri_reference = ?`)
 	p.insStmt = r.db.MustPrepare(
-		`INSERT INTO CacheStatements (uri_reference, class, property, value, is_ref) VALUES (?, ?, ?, ?, ?)`)
+		`INSERT INTO CacheStatements (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`)
 	p.delStmts = r.db.MustPrepare(`DELETE FROM CacheStatements WHERE uri_reference = ?`)
 	p.stmtsOf = r.db.MustPrepare(
-		`SELECT property, value, is_ref FROM CacheStatements WHERE uri_reference = ?`)
+		`SELECT property, value, is_ref, class FROM CacheStatements WHERE uri_reference = ?`)
+	p.delStmt = r.db.MustPrepare(`DELETE FROM CacheStatements
+		WHERE uri_reference = ? AND property = ? AND value = ? AND class = ? AND is_ref = ?`)
 	p.insCredit = r.db.MustPrepare(`INSERT INTO CacheCredits (uri_reference, sub_id) VALUES (?, ?)`)
 	p.delCredit = r.db.MustPrepare(`DELETE FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`)
 	p.delCredits = r.db.MustPrepare(`DELETE FROM CacheCredits WHERE uri_reference = ?`)
@@ -149,7 +159,8 @@ func New(name string, schema *rdf.Schema) (*Repository, error) {
 	p.hasCredit = r.db.MustPrepare(`SELECT sub_id FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`)
 	p.insEdge = r.db.MustPrepare(`INSERT INTO CacheRefs (holder, target, property) VALUES (?, ?, ?)`)
 	p.delEdgesFrom = r.db.MustPrepare(`DELETE FROM CacheRefs WHERE holder = ?`)
-	p.edgesFrom = r.db.MustPrepare(`SELECT target FROM CacheRefs WHERE holder = ?`)
+	p.edgesFrom = r.db.MustPrepare(`SELECT target, property FROM CacheRefs WHERE holder = ?`)
+	p.holderOf = r.db.MustPrepare(`SELECT holder FROM CacheRefs WHERE target = ? LIMIT 1`)
 	return r, nil
 }
 
@@ -247,58 +258,112 @@ func (r *Repository) CreditsOf(uriRef string) ([]int64, error) {
 }
 
 // storeResource writes (or rewrites) a resource's cache entry, statements,
-// and strong-reference edges. Credits are managed by the caller.
+// and strong-reference edges. Credits are managed by the caller. A rewrite
+// writes only what changed, as the MDP's phase 2 does (§3.5): an update
+// usually changes one atom of a resource, and every CacheStatements row
+// written costs an entry in each of its three indexes.
 func (r *Repository) storeResource(res *rdf.Resource, local bool) error {
-	// Replace any previous version.
-	if _, err := r.prep.delStmts.Exec(rdb.NewText(res.URIRef)); err != nil {
-		return err
-	}
-	oldEdges, err := r.prep.edgesFrom.Query(rdb.NewText(res.URIRef))
-	if err != nil {
-		return err
-	}
-	if _, err := r.prep.delEdgesFrom.Exec(rdb.NewText(res.URIRef)); err != nil {
-		return err
-	}
-	was, err := r.prep.getCache.Query(rdb.NewText(res.URIRef))
+	uri := rdb.NewText(res.URIRef)
+	was, err := r.prep.getCache.Query(uri)
 	if err != nil {
 		return err
 	}
 	if !local && (was.Empty() || was.Data[0][1].Bool) {
 		r.gcDue = true // enters the cache as a global resource
 	}
-	if _, err := r.prep.delCache.Exec(rdb.NewText(res.URIRef)); err != nil {
+	if was.Empty() || was.Data[0][0].Str != res.Class || was.Data[0][1].Bool != local {
+		if _, err := r.prep.delCache.Exec(uri); err != nil {
+			return err
+		}
+		if _, err := r.prep.insCache.Exec(uri, rdb.NewText(res.Class), rdb.NewBool(local)); err != nil {
+			return err
+		}
+	}
+	if err := r.storeStatements(res); err != nil {
 		return err
 	}
-	if _, err := r.prep.insCache.Exec(
-		rdb.NewText(res.URIRef), rdb.NewText(res.Class), rdb.NewBool(local)); err != nil {
+	return r.storeEdges(res)
+}
+
+// storeStatements rewrites the statements of a resource whose multiplicity
+// differs between the cached version and res: it deletes every row of such
+// a statement and inserts it as often as res has it. Values compare by
+// their lexical form, so 7 → 007 is a change.
+func (r *Repository) storeStatements(res *rdf.Resource) error {
+	old, err := r.prep.stmtsOf.Query(rdb.NewText(res.URIRef))
+	if err != nil {
 		return err
 	}
-	doc := rdf.Document{Resources: []*rdf.Resource{res}}
-	for _, a := range doc.Statements() {
+	oldN := make(map[rdf.Statement]int, old.Len())
+	for _, row := range old.Data {
+		oldN[rdf.Statement{URIRef: res.URIRef, Class: row[3].Str, Property: row[0].Str,
+			Value: row[1].Str, IsRef: row[2].Bool}]++
+	}
+	atoms := (&rdf.Document{Resources: []*rdf.Resource{res}}).Statements()
+	newN := make(map[rdf.Statement]int, len(atoms))
+	for _, a := range atoms {
+		newN[a]++
+	}
+	for a, n := range oldN {
+		if newN[a] == n {
+			continue
+		}
+		if _, err := r.prep.delStmt.Exec(rdb.NewText(a.URIRef), rdb.NewText(a.Property),
+			rdb.NewText(a.Value), rdb.NewText(a.Class), rdb.NewBool(a.IsRef)); err != nil {
+			return err
+		}
+	}
+	for _, a := range atoms {
+		if newN[a] == oldN[a] {
+			continue
+		}
+		num := rdb.Null()
+		if r.schema.IsNumeric(a.Class, a.Property) {
+			num = rdb.NumValue(a.Value)
+		}
 		if _, err := r.prep.insStmt.Exec(
 			rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-			rdb.NewText(a.Value), rdb.NewBool(a.IsRef)); err != nil {
+			rdb.NewText(a.Value), num, rdb.NewBool(a.IsRef)); err != nil {
 			return err
 		}
 	}
-	kept := map[string]bool{}
+	return nil
+}
+
+// storeEdges rewrites a resource's strong-reference edges unless they are
+// unchanged, and marks the collector due when an edge is not kept.
+func (r *Repository) storeEdges(res *rdf.Resource) error {
+	uri := rdb.NewText(res.URIRef)
+	old, err := r.prep.edgesFrom.Query(uri)
+	if err != nil {
+		return err
+	}
+	var targets, props []string
 	for _, p := range res.Props {
-		if p.Value.Kind != rdf.ResourceRef {
-			continue
+		if p.Value.Kind == rdf.ResourceRef && r.schema.IsStrongReference(res.Class, p.Name) {
+			targets, props = append(targets, p.Value.Ref), append(props, p.Name)
 		}
-		if !r.schema.IsStrongReference(res.Class, p.Name) {
-			continue
-		}
-		if _, err := r.prep.insEdge.Exec(
-			rdb.NewText(res.URIRef), rdb.NewText(p.Value.Ref), rdb.NewText(p.Name)); err != nil {
-			return err
-		}
-		kept[p.Value.Ref] = true
 	}
-	for _, row := range oldEdges.Data {
+	same := len(old.Data) == len(targets)
+	kept := make(map[string]bool, len(targets))
+	for i, target := range targets {
+		kept[target] = true
+		same = same && old.Data[i][0].Str == target && old.Data[i][1].Str == props[i]
+	}
+	for _, row := range old.Data {
 		if !kept[row[0].Str] {
 			r.gcDue = true
+		}
+	}
+	if same {
+		return nil
+	}
+	if _, err := r.prep.delEdgesFrom.Exec(uri); err != nil {
+		return err
+	}
+	for i, target := range targets {
+		if _, err := r.prep.insEdge.Exec(uri, rdb.NewText(target), rdb.NewText(props[i])); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -413,14 +478,31 @@ func (r *Repository) applyLocked(cs *core.Changeset) error {
 		}
 		r.stats.UpsertsApplied++
 	}
-	for _, res := range cs.ClosureUpserts {
-		// Refresh content only if actually cached; no credit changes.
-		if r.hasLocked(res.URIRef) {
+	// A closure entry refreshes a cached resource, or enters the cache when
+	// a cached resource strongly references it: a new closure member of an
+	// updated resource (§2.4). No credit changes. Entries are retried until
+	// a pass stores none, so a member may come before its holder.
+	pending := cs.ClosureUpserts
+	for len(pending) > 0 {
+		var rest []*rdf.Resource
+		for _, res := range pending {
+			held, err := r.heldLocked(res.URIRef)
+			if err != nil {
+				return err
+			}
+			if !held {
+				rest = append(rest, res)
+				continue
+			}
 			if err := r.storeResource(res, false); err != nil {
 				return err
 			}
 			r.stats.ClosureUpserts++
 		}
+		if len(rest) == len(pending) {
+			break
+		}
+		pending = rest
 	}
 	for _, rm := range cs.Removals {
 		if owned != nil && !owned[rm.SubID] {
@@ -452,6 +534,19 @@ func (r *Repository) hasLocked(uriRef string) bool {
 		return false
 	}
 	return !rows.Empty()
+}
+
+// heldLocked reports whether a resource is cached or strongly referenced by
+// a cached one.
+func (r *Repository) heldLocked(uriRef string) (bool, error) {
+	if r.hasLocked(uriRef) {
+		return true, nil
+	}
+	rows, err := r.prep.holderOf.Query(rdb.NewText(uriRef))
+	if err != nil {
+		return false, err
+	}
+	return !rows.Empty(), nil
 }
 
 func (r *Repository) applyUpsert(up core.Upsert) error {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"mdv/internal/core"
@@ -236,6 +238,126 @@ func TestClosureUpsertRefreshesOnlyCached(t *testing.T) {
 	}
 	if r.Has("d#other") {
 		t.Error("uncached closure upsert created a cache entry")
+	}
+}
+
+// TestClosureUpsertStoresNewStrongTargets: schema A → B → C → D, every
+// reference strong; A is credited and caches B. When B gains its reference
+// to C, the push carries C and D as closure entries the LMR does not cache
+// yet. Each enters the cache because a cached resource strongly references
+// it once the entries it depends on are applied, even though the push lists
+// the members before their holder.
+func TestClosureUpsertStoresNewStrongTargets(t *testing.T) {
+	s := rdf.NewSchema()
+	strong := func(from, prop, to string) {
+		s.MustAddProperty(from, rdf.PropertyDef{Name: prop, Type: rdf.TypeResource, RefClass: to, RefKind: rdf.StrongRef})
+	}
+	strong("A", "b", "B")
+	strong("B", "c", "C")
+	strong("C", "d", "D")
+	s.MustAddProperty("D", rdf.PropertyDef{Name: "label", Type: rdf.TypeString})
+	r, err := New("lmr-test", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &rdf.Resource{URIRef: "d#a", Class: "A"}
+	a.Add("b", rdf.Ref("d#b"))
+	b := &rdf.Resource{URIRef: "d#b", Class: "B"}
+	if err := r.ApplyChangeset(&core.Changeset{Upserts: []core.Upsert{{
+		Resource: a, SubIDs: []int64{1}, Closure: []*rdf.Resource{b},
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	linked := &rdf.Resource{URIRef: "d#b", Class: "B"}
+	linked.Add("c", rdf.Ref("d#c"))
+	c := &rdf.Resource{URIRef: "d#c", Class: "C"}
+	c.Add("d", rdf.Ref("d#d"))
+	d := &rdf.Resource{URIRef: "d#d", Class: "D"}
+	d.Add("label", rdf.Lit("y"))
+	if err := r.ApplyChangeset(&core.Changeset{
+		ClosureUpserts: []*rdf.Resource{d, c, linked},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, uri := range []string{"d#a", "d#b", "d#c", "d#d"} {
+		if !r.Has(uri) {
+			t.Errorf("%s is not cached after B gained its strong reference", uri)
+		}
+	}
+	if st := r.Stats(); st.ClosureUpserts != 3 {
+		t.Errorf("closure upserts applied = %d, want 3", st.ClosureUpserts)
+	}
+}
+
+// TestRewriteEqualsFreshStore: rewriting a cached resource writes only the
+// rows that changed, and leaves exactly the rows — num_value included — and
+// edges a fresh cache stores for the last version. Versions change values
+// (7 → 007 too), repeat set values, add and drop strong references, and
+// change the class.
+func TestRewriteEqualsFreshStore(t *testing.T) {
+	s := testSchema()
+	s.MustAddProperty("CycleProvider", rdf.PropertyDef{Name: "ports", Type: rdf.TypeInteger, SetValued: true})
+	s.MustAddProperty("ServerInformation", rdf.PropertyDef{
+		Name: "peer", Type: rdf.TypeResource, RefClass: "CycleProvider", RefKind: rdf.StrongRef})
+	version := func(rng *rand.Rand) *rdf.Resource {
+		if rng.Intn(5) == 0 {
+			r := infoResource("d#x", rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				r.Add("peer", rdf.Ref("d#p"))
+			}
+			return r
+		}
+		r := hostResource("d#x", 80)
+		r.Set("serverPort", rdf.Lit([]string{"7", "007", "8"}[rng.Intn(3)]))
+		for k := rng.Intn(4); k > 0; k-- {
+			r.Add("ports", rdf.Lit([]string{"1", "2", "01"}[rng.Intn(3)]))
+		}
+		if rng.Intn(2) == 0 {
+			r.Add("serverInformation", rdf.Ref([]string{"d#i", "d#j"}[rng.Intn(2)]))
+		}
+		return r
+	}
+	dump := func(r *Repository) string {
+		t.Helper()
+		var b strings.Builder
+		for _, q := range []string{
+			`SELECT class, local FROM Cache WHERE uri_reference = 'd#x'`,
+			`SELECT class, property, value, num_value, is_ref FROM CacheStatements WHERE uri_reference = 'd#x'`,
+			`SELECT target, property FROM CacheRefs WHERE holder = 'd#x'`,
+		} {
+			rows, err := r.DB().Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lines []string
+			for _, row := range rows.Data {
+				lines = append(lines, fmt.Sprint(row))
+			}
+			sort.Strings(lines)
+			b.WriteString(strings.Join(lines, "\n") + "\n--\n")
+		}
+		return b.String()
+	}
+	rng := rand.New(rand.NewSource(7))
+	r, err := New("lmr-test", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 300; step++ {
+		res := version(rng)
+		if err := r.ApplyChangeset(&core.Changeset{Upserts: []core.Upsert{{Resource: res, SubIDs: []int64{1}}}}); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New("fresh", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.ApplyChangeset(&core.Changeset{Upserts: []core.Upsert{{Resource: res, SubIDs: []int64{1}}}}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := dump(r), dump(fresh); got != want {
+			t.Fatalf("step %d: rewritten cache\n%s\nfresh cache\n%s", step, got, want)
+		}
 	}
 }
 

@@ -38,9 +38,10 @@ func NewBaseline(schema *rdf.Schema) (*Baseline, error) {
 		`CREATE INDEX idx_cache_class ON Cache (class)`,
 		`CREATE TABLE CacheStatements (
 			uri_reference TEXT NOT NULL, class TEXT NOT NULL,
-			property TEXT NOT NULL, value TEXT NOT NULL, is_ref BOOL NOT NULL)`,
+			property TEXT NOT NULL, value TEXT NOT NULL, num_value FLOAT, is_ref BOOL NOT NULL)`,
 		`CREATE INDEX idx_cstmt_uri ON CacheStatements (uri_reference, property)`,
 		`CREATE INDEX idx_cstmt_cpv ON CacheStatements (class, property, value)`,
+		`CREATE INDEX idx_cstmt_cpn ON CacheStatements (class, property, num_value)`,
 	}
 	for _, stmt := range ddl {
 		if _, err := db.Exec(stmt); err != nil {
@@ -90,10 +91,10 @@ func (b *Baseline) Register(docs []*rdf.Document) (map[int64][]string, error) {
 				batch[a.URIRef] = true
 			}
 			if _, err := b.db.Exec(
-				`INSERT INTO CacheStatements (uri_reference, class, property, value, is_ref)
-				 VALUES (?, ?, ?, ?, ?)`,
+				`INSERT INTO CacheStatements (uri_reference, class, property, value, num_value, is_ref)
+				 VALUES (?, ?, ?, ?, ?, ?)`,
 				rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-				rdb.NewText(a.Value), rdb.NewBool(a.IsRef)); err != nil {
+				rdb.NewText(a.Value), rdb.NumValue(a.Value), rdb.NewBool(a.IsRef)); err != nil {
 				return nil, err
 			}
 		}
