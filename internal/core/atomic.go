@@ -462,7 +462,9 @@ func parseOp(s string) (rules.Op, error) {
 }
 
 func (e *Engine) groupByID(id int64) (*groupInfo, error) {
-	rows, err := e.prep.groupByID.Query(rdb.NewInt(id))
+	rows, err := e.db.Query(`
+		SELECT group_id, left_class, left_prop, op, right_prop, right_class,
+		register_side, is_self, group_key FROM RuleGroups WHERE group_id = ?`, rdb.NewInt(id))
 	if err != nil {
 		return nil, err
 	}
@@ -806,7 +808,8 @@ func sqlCompare(op rules.Op, numeric bool) (string, bool) {
 
 // hasResult reports whether (rule, uri) is materialized.
 func (e *Engine) hasResult(rule int64, uri string) (bool, error) {
-	rows, err := e.prep.resultHas.Query(rdb.NewInt(rule), rdb.NewText(uri))
+	rows, err := e.db.Query(`SELECT rule_id FROM RuleResults WHERE rule_id = ? AND uri_reference = ? LIMIT 1`,
+		rdb.NewInt(rule), rdb.NewText(uri))
 	if err != nil {
 		return false, err
 	}
@@ -815,13 +818,13 @@ func (e *Engine) hasResult(rule int64, uri string) (bool, error) {
 
 // materialize records (rule, uri) in RuleResults.
 func (e *Engine) materialize(rule int64, uri string) error {
-	_, err := e.prep.resultIns.Exec(rdb.NewInt(rule), rdb.NewText(uri))
+	_, err := e.db.Exec(`INSERT INTO RuleResults (rule_id, uri_reference) VALUES (?, ?)`, rdb.NewInt(rule), rdb.NewText(uri))
 	return err
 }
 
 // unmaterialize removes (rule, uri) from RuleResults.
 func (e *Engine) unmaterialize(rule int64, uri string) error {
-	_, err := e.prep.resultDel.Exec(rdb.NewInt(rule), rdb.NewText(uri))
+	_, err := e.db.Exec(`DELETE FROM RuleResults WHERE rule_id = ? AND uri_reference = ?`, rdb.NewInt(rule), rdb.NewText(uri))
 	return err
 }
 

@@ -108,9 +108,6 @@ type Engine struct {
 	// in the schema or another subscription rule").
 	named map[string]*rules.NormalRule
 
-	prep  prepared
-	cache stmtCache
-
 	// text is the contains-rule substring index (textindex.go). Derived
 	// state: FilterRulesCON stays authoritative, and with text nil — which
 	// only TestTextIndexDifferential's reference engine sets — the CON
@@ -136,40 +133,6 @@ type Engine struct {
 	obs engineObs
 }
 
-// prepared holds the engine's prepared statements (the filter issues a
-// fixed query set; preparing them once keeps the hot path allocation-light).
-type prepared struct {
-	insStatement   *sql.Stmt
-	delStatements  *sql.Stmt
-	delStatement   *sql.Stmt
-	insResource    *sql.Stmt
-	delResource    *sql.Stmt
-	stmtsOfURI     *sql.Stmt
-	resultHas      *sql.Stmt
-	resultIns      *sql.Stmt
-	resultDel      *sql.Stmt
-	resultObjIns   *sql.Stmt
-	resultObjClear *sql.Stmt
-	affectedGroups *sql.Stmt
-	groupByID      *sql.Stmt
-	subsOfEndRule  *sql.Stmt
-	subsOfURI      *sql.Stmt
-	seedInputs     *sql.Stmt
-	ruleKind       *sql.Stmt
-	strongRefsTo   *sql.Stmt
-	resourceClass  *sql.Stmt
-	docContent     *sql.Stmt
-	docIns         *sql.Stmt
-	docUpd         *sql.Stmt
-	docDel         *sql.Stmt
-
-	// The filter run's phase 1: load the atoms into FilterData, run the
-	// triggering queries (index-aligned with trigOpNames), clear the scratch.
-	filterDataIns   *sql.Stmt
-	filterDataClear *sql.Stmt
-	trig            [numTrigOps]*sql.Stmt
-}
-
 // NewEngine creates an engine with a fresh database.
 func NewEngine(schema *rdf.Schema) (*Engine, error) {
 	return NewEngineWithOptions(schema, Options{})
@@ -182,7 +145,6 @@ func NewEngineWithOptions(schema *rdf.Schema, opts Options) (*Engine, error) {
 	if err := e.bootstrap(); err != nil {
 		return nil, err
 	}
-	e.prepare()
 	if err := e.initTextIndex(); err != nil {
 		return nil, err
 	}
@@ -381,72 +343,14 @@ func (e *Engine) bootstrap() error {
 	return nil
 }
 
-func (e *Engine) prepare() {
-	p := &e.prep
-	p.insStatement = e.db.MustPrepare(
-		`INSERT INTO Statements (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`)
-	p.delStatements = e.db.MustPrepare(`DELETE FROM Statements WHERE uri_reference = ?`)
-	p.delStatement = e.db.MustPrepare(`DELETE FROM Statements
-		WHERE uri_reference = ? AND property = ? AND value = ? AND class = ? AND is_ref = ?`)
-	p.insResource = e.db.MustPrepare(
-		`INSERT INTO Resources (uri_reference, doc_uri, class) VALUES (?, ?, ?)`)
-	p.delResource = e.db.MustPrepare(`DELETE FROM Resources WHERE uri_reference = ?`)
-	p.stmtsOfURI = e.db.MustPrepare(
-		`SELECT uri_reference, class, property, value, is_ref FROM Statements WHERE uri_reference = ?`)
+// The ten triggering queries (paper §3.4, "Determination of Affected
+// Triggering Rules"): FilterData joined against each filter table, in
+// trigOpNames order. The typed form compares the parsed num_value columns
+// through the ordered (class, property, num_value) indexes; the CAST form is
+// the paper's string-reconverting scan, kept as an ablation
+// (Options.DisableTypedIndexes).
+var typedTrigSQL, castTrigSQL = trigQueryTexts(false), trigQueryTexts(true)
 
-	p.resultHas = e.db.MustPrepare(
-		`SELECT rule_id FROM RuleResults WHERE rule_id = ? AND uri_reference = ? LIMIT 1`)
-	p.resultIns = e.db.MustPrepare(
-		`INSERT INTO RuleResults (rule_id, uri_reference) VALUES (?, ?)`)
-	p.resultDel = e.db.MustPrepare(
-		`DELETE FROM RuleResults WHERE rule_id = ? AND uri_reference = ?`)
-	p.resultObjIns = e.db.MustPrepare(
-		`INSERT INTO ResultObjects (uri_reference, rule_id) VALUES (?, ?)`)
-	p.resultObjClear = e.db.MustPrepare(`DELETE FROM ResultObjects`)
-	// ResultObjects must come first: see evaluateDependentGroups.
-	p.affectedGroups = e.db.MustPrepare(`
-		SELECT DISTINCT gf.group_id, gf.side FROM ResultObjects ro, GroupFeeds gf
-		WHERE gf.source_rule = ro.rule_id`)
-	p.groupByID = e.db.MustPrepare(`
-		SELECT group_id, left_class, left_prop, op, right_prop, right_class,
-		register_side, is_self, group_key FROM RuleGroups WHERE group_id = ?`)
-	p.subsOfEndRule = e.db.MustPrepare(`
-		SELECT s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
-		WHERE ser.end_rule = ? AND s.sub_id = ser.sub_id`)
-	p.subsOfURI = e.db.MustPrepare(`
-		SELECT s.sub_id, s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
-		WHERE rr.uri_reference = ? AND ser.end_rule = rr.rule_id AND s.sub_id = ser.sub_id`)
-	// A resource's materialized matches that feed one side of one group:
-	// its results by idx_rr_uri, each probed in GroupFeeds by idx_gf_pk.
-	p.seedInputs = e.db.MustPrepare(`
-		SELECT rr.rule_id FROM RuleResults rr, GroupFeeds gf
-		WHERE rr.uri_reference = ? AND gf.source_rule = rr.rule_id AND gf.side = ? AND gf.group_id = ?`)
-	p.strongRefsTo = e.db.MustPrepare(`
-		SELECT uri_reference, class, property FROM Statements
-		WHERE property != '` + rdf.SubjectProperty + `' AND is_ref = TRUE AND value = ?`)
-	p.ruleKind = e.db.MustPrepare(`SELECT kind FROM AtomicRules WHERE rule_id = ?`)
-	p.resourceClass = e.db.MustPrepare(
-		`SELECT class, doc_uri FROM Resources WHERE uri_reference = ?`)
-
-	p.docContent = e.db.MustPrepare(`SELECT content FROM Documents WHERE uri = ?`)
-	p.docIns = e.db.MustPrepare(`INSERT INTO Documents (uri, content) VALUES (?, ?)`)
-	p.docUpd = e.db.MustPrepare(`UPDATE Documents SET content = ? WHERE uri = ?`)
-	p.docDel = e.db.MustPrepare(`DELETE FROM Documents WHERE uri = ?`)
-
-	p.filterDataIns = e.db.MustPrepare(
-		`INSERT INTO FilterData (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`)
-	p.filterDataClear = e.db.MustPrepare(`DELETE FROM FilterData`)
-	for i, text := range trigQueryTexts(e.opts.DisableTypedIndexes) {
-		p.trig[i] = e.db.MustPrepare(text)
-	}
-}
-
-// trigQueryTexts renders the ten triggering queries (paper §3.4,
-// "Determination of Affected Triggering Rules"): FilterData joined against
-// each filter table, in trigOpNames order. The typed form compares the
-// parsed num_value columns through the ordered (class, property, num_value)
-// indexes; the CAST form is the paper's string-reconverting scan, kept as an
-// ablation.
 func trigQueryTexts(disableTyped bool) [numTrigOps]string {
 	numCmp := func(op string) string {
 		if disableTyped {

@@ -126,7 +126,13 @@ func (e *Engine) addSeeds(delta []matchPair, seeds []seedKey) ([]matchPair, erro
 	}
 	for _, s := range seeds {
 		for _, gs := range e.joinProps[s.cp] {
-			rows, err := e.prep.seedInputs.Query(rdb.NewText(s.uri), rdb.NewText(string(gs.side)), rdb.NewInt(gs.group))
+			// The resource's materialized matches that feed this side of this
+			// group: its results by idx_rr_uri, each probed in GroupFeeds by
+			// idx_gf_pk.
+			rows, err := e.db.Query(`
+				SELECT rr.rule_id FROM RuleResults rr, GroupFeeds gf
+				WHERE rr.uri_reference = ? AND gf.source_rule = rr.rule_id AND gf.side = ? AND gf.group_id = ?`,
+				rdb.NewText(s.uri), rdb.NewText(string(gs.side)), rdb.NewInt(gs.group))
 			if err != nil {
 				return nil, err
 			}

@@ -3,47 +3,12 @@ package core
 import (
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mdv/internal/rdb"
-	"mdv/internal/rdb/sql"
 	"mdv/internal/rdf"
 	"mdv/internal/rules"
 )
-
-// stmtCache caches prepared statements for the dynamically shaped join
-// queries (shape depends on operator and which operands access properties;
-// classes and property names are passed as parameters). It is RW-locked so
-// concurrent readers resolving an already cached shape never serialize;
-// only a cache miss takes the exclusive lock to prepare and insert.
-type stmtCache struct {
-	mu sync.RWMutex
-	m  map[string]*sql.Stmt
-}
-
-func (e *Engine) cachedStmt(text string) (*sql.Stmt, error) {
-	e.cache.mu.RLock()
-	st, ok := e.cache.m[text]
-	e.cache.mu.RUnlock()
-	if ok {
-		return st, nil
-	}
-	e.cache.mu.Lock()
-	defer e.cache.mu.Unlock()
-	if e.cache.m == nil {
-		e.cache.m = make(map[string]*sql.Stmt)
-	}
-	if st, ok := e.cache.m[text]; ok {
-		return st, nil
-	}
-	st, err := e.db.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	e.cache.m[text] = st
-	return st, nil
-}
 
 // matchSet accumulates (rule, uri) matches of one filter run.
 type matchSet struct {
@@ -208,7 +173,7 @@ func (e *Engine) runFilter(atoms []preparedAtom, seeds []seedKey, mode filterMod
 	// Drop the run's scratch: leaving it resident would keep the engine's
 	// quiescent state from being byte-identical across a
 	// subscribe/unsubscribe cycle.
-	if _, err := e.prep.resultObjClear.Exec(); err != nil {
+	if _, err := e.db.Exec(clearResultObjects); err != nil {
 		return nil, err
 	}
 	if fresh != nil {
@@ -256,18 +221,23 @@ func (e *Engine) collectTriggering(atoms []preparedAtom) (pairs []matchPair, err
 	}
 	e.stats.ShardSectionsRun++
 	defer func() {
-		if _, cerr := e.prep.filterDataClear.Exec(); err == nil {
+		if _, cerr := e.db.Exec(`DELETE FROM FilterData`); err == nil {
 			err = cerr
 		}
 	}()
-	if _, err := e.prep.filterDataIns.ExecBatch(rows); err != nil {
+	if _, err := e.db.ExecBatch(`INSERT INTO FilterData (uri_reference, class, property, value, num_value, is_ref)
+		VALUES (?, ?, ?, ?, ?, ?)`, rows); err != nil {
 		return nil, err
 	}
-	for j, st := range e.prep.trig {
+	texts := &typedTrigSQL
+	if e.opts.DisableTypedIndexes {
+		texts = &castTrigSQL
+	}
+	for j, text := range texts {
 		tq := time.Now()
 		if j == conTrigIdx && e.text != nil {
 			pairs = e.text.collect(live, pairs)
-		} else if err := st.QueryFunc(nil, func(row []rdb.Value) error {
+		} else if err := e.db.QueryFunc(text, nil, func(row []rdb.Value) error {
 			pairs = append(pairs, matchPair{rule: row[0].Int, uri: row[1].Str})
 			return nil
 		}); err != nil {
@@ -322,16 +292,19 @@ func (e *Engine) noteMatch(rule int64, uri string, mode filterMode) (bool, error
 	}
 }
 
+// clearResultObjects empties the per-iteration results.
+const clearResultObjects = `DELETE FROM ResultObjects`
+
 // loadResultObjects replaces the ResultObjects table with the delta.
 func (e *Engine) loadResultObjects(delta []matchPair) error {
-	if _, err := e.prep.resultObjClear.Exec(); err != nil {
+	if _, err := e.db.Exec(clearResultObjects); err != nil {
 		return err
 	}
 	rows := make([][]rdb.Value, len(delta))
 	for i, p := range delta {
 		rows[i] = []rdb.Value{rdb.NewText(p.uri), rdb.NewInt(p.rule)}
 	}
-	_, err := e.prep.resultObjIns.ExecBatch(rows)
+	_, err := e.db.ExecBatch(`INSERT INTO ResultObjects (uri_reference, rule_id) VALUES (?, ?)`, rows)
 	return err
 }
 
@@ -350,7 +323,9 @@ func (e *Engine) evaluateDependentGroups(all *matchSet, note func(matchPair) (bo
 	// (delta rule, side, group) edge — never the rest of the rule base. The
 	// planner keeps FROM order, so GroupFeeds named first would be scanned
 	// whole on every pass.
-	rows, err := e.prep.affectedGroups.Query()
+	rows, err := e.db.Query(`
+		SELECT DISTINCT gf.group_id, gf.side FROM ResultObjects ro, GroupFeeds gf
+		WHERE gf.source_rule = ro.rule_id`)
 	if err != nil {
 		return nil, err
 	}
@@ -407,12 +382,8 @@ func (e *Engine) evaluateDependentGroups(all *matchSet, note func(matchPair) (bo
 // Rules").
 func (e *Engine) evalGroupDelta(g *groupInfo, deltaSide byte) ([]matchPair, error) {
 	text, params := e.buildGroupSQL(g, deltaSide)
-	st, err := e.cachedStmt(text)
-	if err != nil {
-		return nil, err
-	}
 	var out []matchPair
-	err = st.QueryFunc(params, func(row []rdb.Value) error {
+	err := e.db.QueryFunc(text, params, func(row []rdb.Value) error {
 		out = append(out, matchPair{rule: row[0].Int, uri: row[1].Str})
 		return nil
 	})
@@ -424,12 +395,8 @@ func (e *Engine) evalGroupDelta(g *groupInfo, deltaSide byte) ([]matchPair, erro
 // materialization against already stored metadata).
 func (e *Engine) evalJoinFull(g *groupInfo, leftRule, rightRule int64) ([]string, error) {
 	text, params := e.buildFullJoinSQL(g, leftRule, rightRule)
-	st, err := e.cachedStmt(text)
-	if err != nil {
-		return nil, err
-	}
 	var out []string
-	err = st.QueryFunc(params, func(row []rdb.Value) error {
+	err := e.db.QueryFunc(text, params, func(row []rdb.Value) error {
 		out = append(out, row[0].Str)
 		return nil
 	})
@@ -674,7 +641,9 @@ type subscriberRef struct {
 }
 
 func (e *Engine) subscribersOf(endRule int64) ([]subscriberRef, error) {
-	rows, err := e.prep.subsOfEndRule.Query(rdb.NewInt(endRule))
+	rows, err := e.db.Query(`
+		SELECT s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
+		WHERE ser.end_rule = ? AND s.sub_id = ser.sub_id`, rdb.NewInt(endRule))
 	if err != nil {
 		return nil, err
 	}

@@ -77,7 +77,6 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 			}
 		}
 	}
-	e.prepare()
 	// Restore the id counters from the stored maxima (0 for an empty table).
 	var restoreErr error
 	maxOf := func(col, table string) int64 {

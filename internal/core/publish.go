@@ -551,7 +551,9 @@ func (e *Engine) strongHolders(uri string) (map[string]bool, error) {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		rows, err := e.prep.strongRefsTo.Query(rdb.NewText(cur))
+		rows, err := e.db.Query(`
+			SELECT uri_reference, class, property FROM Statements
+			WHERE property != '`+rdf.SubjectProperty+`' AND is_ref = TRUE AND value = ?`, rdb.NewText(cur))
 		if err != nil {
 			return nil, err
 		}
@@ -581,7 +583,9 @@ func (e *Engine) strongHolders(uri string) (map[string]bool, error) {
 // subscriptionsMatching returns the subscriptions whose end rules the
 // resource currently matches.
 func (e *Engine) subscriptionsMatching(uri string) ([]subscriberRef, error) {
-	rows, err := e.prep.subsOfURI.Query(rdb.NewText(uri))
+	rows, err := e.db.Query(`
+		SELECT s.sub_id, s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
+		WHERE rr.uri_reference = ? AND ser.end_rule = rr.rule_id AND s.sub_id = ser.sub_id`, rdb.NewText(uri))
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"mdv/internal/rdb"
 	"mdv/internal/rdf"
 )
 
@@ -183,7 +186,7 @@ func TestFailedTriggeringLeavesNoScratch(t *testing.T) {
 	}
 	e, fresh := mk(), mk()
 
-	bad := decomposeResource(offerDoc("bad.rdf", "1", "leaky").Resources[0])
+	bad := e.decomposeResource(offerDoc("bad.rdf", "1", "leaky").Resources[0])
 	for i := range bad {
 		if bad[i].stmt.Property == "price" {
 			bad[i].stmt.Value = "not-a-number"
@@ -209,4 +212,70 @@ func TestFailedTriggeringLeavesNoScratch(t *testing.T) {
 	if g, w := e.Stats().TriggeringMatches, fresh.Stats().TriggeringMatches; g != w {
 		t.Errorf("publish after a failed run derived %d triggering matches, a fresh engine %d", g, w)
 	}
+}
+
+// TestTextAtomsStoreNoNumValue: only a property the schema declares numeric
+// stores a num_value — a 64 KiB title and a numeric-looking one store NULL,
+// on registration and on update — and the matches stay those of string and
+// numeric comparison: the contains and string-equality rules read value,
+// the range rule reads the price's num_value.
+func TestTextAtomsStoreNoNumValue(t *testing.T) {
+	e, err := NewEngine(floatSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := map[string]int64{}
+	for name, rule := range map[string]string{
+		"lt":  `search Offer o register o where o.price < 5`,
+		"con": `search Offer o register o where o.title contains 'leak'`,
+		"eq":  `search Offer o register o where o.title = '42'`,
+	} {
+		id, _, err := e.Subscribe(name, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[name] = id
+	}
+	long := strings.Repeat("x", 64<<10-4)
+	check := func(stage string, want map[string][]string) {
+		t.Helper()
+		err := e.DB().QueryFunc(`SELECT property, value, num_value FROM Statements`, nil, func(row []rdb.Value) error {
+			if numeric := row[0].Str == "price"; numeric == row[2].IsNull() {
+				t.Errorf("%s: %s = %.20q stores num_value %v", stage, row[0].Str, row[1].Str, row[2])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, uris := range want {
+			res, err := e.MatchingResources(subs[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, r := range res {
+				got = append(got, r.URIRef)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(uris) {
+				t.Errorf("%s: %s matches %v, want %v", stage, name, got, uris)
+			}
+		}
+	}
+	for _, doc := range []*rdf.Document{offerDoc("a.rdf", "3", "42"), offerDoc("b.rdf", "9", long+"leak")} {
+		if _, err := e.RegisterDocument(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("registered", map[string][]string{"lt": {"a.rdf#o"}, "con": {"b.rdf#o"}, "eq": {"a.rdf#o"}})
+	for _, doc := range []*rdf.Document{offerDoc("a.rdf", "7", "42"), offerDoc("b.rdf", "1", long+"leak!")} {
+		if _, err := e.RegisterDocument(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("updated", map[string][]string{"lt": {"b.rdf#o"}, "con": {"b.rdf#o"}, "eq": {"a.rdf#o"}})
+	if _, err := e.RegisterDocument(offerDoc("b.rdf", "1", long)); err != nil {
+		t.Fatal(err)
+	}
+	check("contains lost", map[string][]string{"lt": {"b.rdf#o"}, "con": nil, "eq": {"a.rdf#o"}})
 }

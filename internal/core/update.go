@@ -104,7 +104,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 		added = append(added, diff.Added...)
 		deleted = append(deleted, diff.Deleted...)
 		for j, r := range diff.Updated {
-			updates = append(updates, diffResource(diff.OldUpdated[j], r, prep[i].atoms[r]))
+			updates = append(updates, e.diffResource(diff.OldUpdated[j], r, prep[i].atoms[r]))
 		}
 		changes = append(changes, docChange{doc: doc, content: prep[i].content, isNew: isNew})
 		for r, pa := range prep[i].atoms {
@@ -114,7 +114,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 
 	// Reject cross-document URI collisions for added resources.
 	for _, r := range added {
-		rows, err := e.prep.resourceClass.Query(rdb.NewText(r.URIRef))
+		rows, err := e.db.Query(`SELECT class, doc_uri FROM Resources WHERE uri_reference = ?`, rdb.NewText(r.URIRef))
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +167,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 		minus = append(minus, d.minus...)
 	}
 	for _, r := range deleted {
-		minus = append(minus, decomposeResource(r)...)
+		minus = append(minus, e.decomposeResource(r)...)
 	}
 	before := newMatchSet()
 	if len(minus)+len(seeds) > 0 {
@@ -185,16 +185,18 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	// apply the data changes — for an updated resource, only its changed
 	// Statements rows.
 	for _, r := range deleted {
-		if _, err := e.prep.delStatements.Exec(rdb.NewText(r.URIRef)); err != nil {
+		if _, err := e.db.Exec(`DELETE FROM Statements WHERE uri_reference = ?`, rdb.NewText(r.URIRef)); err != nil {
 			return nil, err
 		}
-		if _, err := e.prep.delResource.Exec(rdb.NewText(r.URIRef)); err != nil {
+		if _, err := e.db.Exec(deleteResource, rdb.NewText(r.URIRef)); err != nil {
 			return nil, err
 		}
 	}
 	for _, d := range updates {
 		for _, a := range d.drop {
-			if _, err := e.prep.delStatement.Exec(rdb.NewText(a.URIRef), rdb.NewText(a.Property),
+			if _, err := e.db.Exec(`DELETE FROM Statements
+				WHERE uri_reference = ? AND property = ? AND value = ? AND class = ? AND is_ref = ?`,
+				rdb.NewText(a.URIRef), rdb.NewText(a.Property),
 				rdb.NewText(a.Value), rdb.NewText(a.Class), rdb.NewBool(a.IsRef)); err != nil {
 				return nil, err
 			}
@@ -203,7 +205,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 			return nil, err
 		}
 		if d.old.Class != d.new.Class {
-			if _, err := e.prep.delResource.Exec(rdb.NewText(d.uri)); err != nil {
+			if _, err := e.db.Exec(deleteResource, rdb.NewText(d.uri)); err != nil {
 				return nil, err
 			}
 			if err := e.insertResource(changes, d.new); err != nil {
@@ -213,11 +215,13 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	}
 	for _, ch := range changes {
 		if ch.isNew {
-			if _, err := e.prep.docIns.Exec(rdb.NewText(ch.doc.URI), rdb.NewText(ch.content)); err != nil {
+			if _, err := e.db.Exec(`INSERT INTO Documents (uri, content) VALUES (?, ?)`,
+				rdb.NewText(ch.doc.URI), rdb.NewText(ch.content)); err != nil {
 				return nil, err
 			}
 		} else {
-			if _, err := e.prep.docUpd.Exec(rdb.NewText(ch.content), rdb.NewText(ch.doc.URI)); err != nil {
+			if _, err := e.db.Exec(`UPDATE Documents SET content = ? WHERE uri = ?`,
+				rdb.NewText(ch.content), rdb.NewText(ch.doc.URI)); err != nil {
 				return nil, err
 			}
 		}
@@ -344,12 +348,19 @@ func (e *Engine) rederive(before, after *matchSet, current map[string][]prepared
 
 // isJoinRule reports whether an atomic rule is a join rule.
 func (e *Engine) isJoinRule(rule int64) (bool, error) {
-	rows, err := e.prep.ruleKind.Query(rdb.NewInt(rule))
+	rows, err := e.db.Query(`SELECT kind FROM AtomicRules WHERE rule_id = ?`, rdb.NewInt(rule))
 	if err != nil {
 		return false, err
 	}
 	return !rows.Empty() && rows.Data[0][0].Str == kindJoin, nil
 }
+
+// statementsOf reads a resource's stored atoms with their numeric shadows.
+const statementsOf = `SELECT uri_reference, class, property, value, is_ref, num_value
+	FROM Statements WHERE uri_reference = ?`
+
+// deleteResource removes a resource from the Resources catalog.
+const deleteResource = `DELETE FROM Resources WHERE uri_reference = ?`
 
 // currentAtoms returns the current atoms of the given resources, in order:
 // the batch's decomposition where the resource is part of it, the stored
@@ -361,14 +372,14 @@ func (e *Engine) currentAtoms(uris []string, current map[string][]preparedAtom) 
 			out = append(out, pa...)
 			continue
 		}
-		rows, err := e.prep.stmtsOfURI.Query(rdb.NewText(uri))
+		rows, err := e.db.Query(statementsOf, rdb.NewText(uri))
 		if err != nil {
 			return nil, err
 		}
 		for _, row := range rows.Data {
 			a := rdf.Statement{URIRef: row[0].Str, Class: row[1].Str, Property: row[2].Str,
 				Value: row[3].Str, IsRef: row[4].Bool}
-			out = append(out, preparedAtom{stmt: a, num: rdb.NumValue(a.Value)})
+			out = append(out, preparedAtom{stmt: a, num: row[5]})
 		}
 	}
 	return out, nil
@@ -380,7 +391,8 @@ func (e *Engine) insertResource(changes []docChange, r *rdf.Resource) error {
 	if err != nil {
 		return err
 	}
-	_, err = e.prep.insResource.Exec(rdb.NewText(r.URIRef), rdb.NewText(docURI), rdb.NewText(r.Class))
+	_, err = e.db.Exec(`INSERT INTO Resources (uri_reference, doc_uri, class) VALUES (?, ?, ?)`,
+		rdb.NewText(r.URIRef), rdb.NewText(docURI), rdb.NewText(r.Class))
 	return err
 }
 
@@ -388,7 +400,8 @@ func (e *Engine) insertResource(changes []docChange, r *rdf.Resource) error {
 func (e *Engine) insertStatements(atoms []preparedAtom) error {
 	for _, pa := range atoms {
 		a := pa.stmt
-		if _, err := e.prep.insStatement.Exec(
+		if _, err := e.db.Exec(
+			`INSERT INTO Statements (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`,
 			rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
 			rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)); err != nil {
 			return err
@@ -416,9 +429,9 @@ type resourceDelta struct {
 
 // diffResource computes the atom-level delta of an updated resource. newAtoms
 // is the new version's prepared decomposition.
-func diffResource(old, new *rdf.Resource, newAtoms []preparedAtom) resourceDelta {
+func (e *Engine) diffResource(old, new *rdf.Resource, newAtoms []preparedAtom) resourceDelta {
 	d := resourceDelta{uri: new.URIRef, old: old, new: new}
-	oldAtoms := decomposeResource(old)
+	oldAtoms := e.decomposeResource(old)
 	oldN := make(map[rdf.Statement]int, len(oldAtoms))
 	for _, pa := range oldAtoms {
 		oldN[pa.stmt]++
@@ -484,7 +497,7 @@ func (e *Engine) DeleteDocument(uri string) (*PublishSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := e.prep.docDel.Exec(rdb.NewText(uri)); err != nil {
+	if _, err := e.db.Exec(`DELETE FROM Documents WHERE uri = ?`, rdb.NewText(uri)); err != nil {
 		return nil, err
 	}
 	return ps, nil
@@ -493,7 +506,7 @@ func (e *Engine) DeleteDocument(uri string) (*PublishSet, error) {
 // loadStoredDocument fetches and parses the stored version of a document.
 // isNew reports that no version is registered yet.
 func (e *Engine) loadStoredDocument(uri string) (doc *rdf.Document, isNew bool, err error) {
-	rows, err := e.prep.docContent.Query(rdb.NewText(uri))
+	rows, err := e.db.Query(`SELECT content FROM Documents WHERE uri = ?`, rdb.NewText(uri))
 	if err != nil {
 		return nil, false, err
 	}
@@ -531,18 +544,24 @@ func singleResourceAtoms(r *rdf.Resource) []rdf.Statement {
 
 // preparedAtom is one decomposed statement (paper §3.2) together with its
 // pre-parsed numeric shadow value (what the Statements and FilterData
-// num_value columns store).
+// num_value columns store): NULL unless the schema declares the property
+// numeric. Only numeric properties are compared as numbers — the rule
+// normalizer types every other operand as a string — so no triggering or
+// join query reads a text atom's num_value.
 type preparedAtom struct {
 	stmt rdf.Statement
 	num  rdb.Value
 }
 
 // decomposeResource decomposes one resource into prepared atoms.
-func decomposeResource(r *rdf.Resource) []preparedAtom {
+func (e *Engine) decomposeResource(r *rdf.Resource) []preparedAtom {
 	as := singleResourceAtoms(r)
 	out := make([]preparedAtom, len(as))
 	for i, a := range as {
-		out[i] = preparedAtom{stmt: a, num: rdb.NumValue(a.Value)}
+		out[i] = preparedAtom{stmt: a, num: rdb.Null()}
+		if e.schema.IsNumeric(a.Class, a.Property) {
+			out[i].num = rdb.NumValue(a.Value)
+		}
 	}
 	return out
 }
@@ -599,7 +618,7 @@ func (e *Engine) prepareDoc(doc *rdf.Document) preparedDoc {
 	pd.content = rdf.DocumentString(doc)
 	pd.atoms = make(map[*rdf.Resource][]preparedAtom, len(doc.Resources))
 	for _, r := range doc.Resources {
-		pd.atoms[r] = decomposeResource(r)
+		pd.atoms[r] = e.decomposeResource(r)
 	}
 	return pd
 }
@@ -614,7 +633,7 @@ func (e *Engine) GetResource(uriRef string) (*rdf.Resource, bool, error) {
 // getResourceLocked is GetResource for callers already holding e.mu in
 // either mode.
 func (e *Engine) getResourceLocked(uriRef string) (*rdf.Resource, bool, error) {
-	rows, err := e.prep.stmtsOfURI.Query(rdb.NewText(uriRef))
+	rows, err := e.db.Query(statementsOf, rdb.NewText(uriRef))
 	if err != nil {
 		return nil, false, err
 	}

@@ -29,15 +29,11 @@ type Result = rdf.Resource
 type Evaluator struct {
 	db     *sql.DB
 	schema *rdf.Schema
-	// statementsOf reads one result resource's atoms for its
-	// reconstruction; prepared once, so its plan is built once.
-	statementsOf *sql.Stmt
 }
 
 // NewEvaluator creates an evaluator over a repository's database.
 func NewEvaluator(db *sql.DB, schema *rdf.Schema) *Evaluator {
-	return &Evaluator{db: db, schema: schema, statementsOf: db.MustPrepare(
-		`SELECT property, value, is_ref, class FROM CacheStatements WHERE uri_reference = ?`)}
+	return &Evaluator{db: db, schema: schema}
 }
 
 // Evaluate runs a query in the MDV query language and returns the matching
@@ -118,21 +114,22 @@ func (ev *Evaluator) evaluateURIsTxn(txn *sql.ReadTxn, src string) ([]string, er
 
 func (ev *Evaluator) getResource(txn *sql.ReadTxn, uriRef string) (*rdf.Resource, bool, error) {
 	var res *rdf.Resource
-	err := txn.QueryStmt(ev.statementsOf, []rdb.Value{rdb.NewText(uriRef)}, func(row []rdb.Value) error {
-		if res == nil {
-			res = &rdf.Resource{URIRef: uriRef}
-		}
-		res.Class = row[3].Str
-		prop, value, isRef := row[0].Str, row[1].Str, row[2].Bool
-		switch {
-		case prop == rdf.SubjectProperty:
-		case isRef:
-			res.Add(prop, rdf.Ref(value))
-		default:
-			res.Add(prop, rdf.Lit(value))
-		}
-		return nil
-	})
+	err := txn.QueryFunc(`SELECT property, value, is_ref, class FROM CacheStatements WHERE uri_reference = ?`,
+		[]rdb.Value{rdb.NewText(uriRef)}, func(row []rdb.Value) error {
+			if res == nil {
+				res = &rdf.Resource{URIRef: uriRef}
+			}
+			res.Class = row[3].Str
+			prop, value, isRef := row[0].Str, row[1].Str, row[2].Bool
+			switch {
+			case prop == rdf.SubjectProperty:
+			case isRef:
+				res.Add(prop, rdf.Ref(value))
+			default:
+				res.Add(prop, rdf.Lit(value))
+			}
+			return nil
+		})
 	if err != nil || res == nil {
 		return nil, false, err
 	}

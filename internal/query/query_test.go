@@ -1,9 +1,11 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"mdv/internal/metrics"
 	"mdv/internal/rdb"
 	"mdv/internal/rdb/sql"
 	"mdv/internal/rdf"
@@ -174,5 +176,52 @@ func TestEvaluatorResourceReconstruction(t *testing.T) {
 	}
 	if v, _ := r.Get("serverInformation"); v.Kind != rdf.ResourceRef || v.Ref != "d#si" {
 		t.Errorf("reference property lost: %+v", v)
+	}
+}
+
+// TestQueryShapePlannedOnce: a query's constants are parameters of its SQL
+// text, so repeating a query shape with other constants reuses the plan the
+// database's statement table holds: no plan miss after the first query of
+// each shape.
+func TestQueryShapePlannedOnce(t *testing.T) {
+	db := sql.Open()
+	db.MustExec(`CREATE TABLE Cache (uri_reference TEXT PRIMARY KEY, class TEXT NOT NULL, local BOOL NOT NULL)`)
+	db.MustExec(`CREATE TABLE CacheStatements (uri_reference TEXT NOT NULL, class TEXT NOT NULL,
+		property TEXT NOT NULL, value TEXT NOT NULL, num_value FLOAT, is_ref BOOL NOT NULL)`)
+	db.MustExec(`CREATE INDEX idx_cstmt_cpn ON CacheStatements (class, property, num_value)`)
+	for port := 80; port < 84; port++ {
+		uri := rdb.NewText(fmt.Sprintf("d#%d", port))
+		db.MustExec(`INSERT INTO Cache (uri_reference, class, local) VALUES (?, 'CycleProvider', FALSE)`, uri)
+		db.MustExec(`INSERT INTO CacheStatements (uri_reference, class, property, value, num_value, is_ref)
+			VALUES (?, 'CycleProvider', 'serverPort', ?, ?, FALSE)`,
+			uri, rdb.NewText(fmt.Sprint(port)), rdb.NewFloat(float64(port)))
+	}
+	reg := metrics.NewRegistry()
+	db.EnableMetrics(reg)
+	misses := reg.Counter("mdv_sql_plan_cache_total", "", metrics.L("result", "miss"))
+	hits := reg.Counter("mdv_sql_plan_cache_total", "", metrics.L("result", "hit"))
+	ev := NewEvaluator(db, translateSchema())
+	shapes := []string{
+		`search CycleProvider c register c where c.serverPort = %[1]d`,
+		`search CycleProvider c register c where c.serverPort > %[1]d and c.serverHost contains 'x%[1]d'`,
+	}
+	var firstMisses, firstHits uint64
+	ports := []int{80, 81, 82, 83}
+	for round, port := range ports {
+		for _, shape := range shapes {
+			if _, err := ev.EvaluateURIs(fmt.Sprintf(shape, port)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 0 {
+			firstMisses, firstHits = misses.Value(), hits.Value()
+		}
+	}
+	if firstMisses != uint64(len(shapes)) || misses.Value() != firstMisses {
+		t.Errorf("plan misses: %d after the first round, %d after all; want %d both times",
+			firstMisses, misses.Value(), len(shapes))
+	}
+	if want := firstHits + uint64((len(ports)-1)*len(shapes)); hits.Value() != want {
+		t.Errorf("plan hits: %d, want %d", hits.Value(), want)
 	}
 }

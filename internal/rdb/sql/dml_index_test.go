@@ -79,9 +79,8 @@ func TestDeleteViaTextIndex(t *testing.T) {
 
 func TestUpdateWithParamKey(t *testing.T) {
 	db := dmlDB(t)
-	st := db.MustPrepare(`UPDATE r SET grp = grp + 100 WHERE id = ?`)
 	for i := 0; i < 5; i++ {
-		n, err := st.Exec(rdb.NewInt(int64(i)))
+		n, err := db.Exec(`UPDATE r SET grp = grp + 100 WHERE id = ?`, rdb.NewInt(int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,14 +7,12 @@ import (
 	"mdv/internal/rdb"
 )
 
+const insertService = `INSERT INTO services (sid, pid, name, price) VALUES (?, ?, ?, ?)`
+
 // TestExecBatch proves the amortized insert path is equivalent to executing
-// the prepared single-row INSERT once per parameter row.
+// the single-row INSERT once per parameter row.
 func TestExecBatch(t *testing.T) {
 	db := testDB(t)
-	batch, err := db.Prepare(`INSERT INTO services (sid, pid, name, price) VALUES (?, ?, ?, ?)`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rows [][]rdb.Value
 	for i := 0; i < 25; i++ {
 		rows = append(rows, []rdb.Value{
@@ -22,7 +20,7 @@ func TestExecBatch(t *testing.T) {
 			rdb.NewText(fmt.Sprintf("batch%d", i)), rdb.NewFloat(float64(i) / 4),
 		})
 	}
-	n, err := batch.ExecBatch(rows)
+	n, err := db.ExecBatch(insertService, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +31,8 @@ func TestExecBatch(t *testing.T) {
 	// A control database receives the same rows one Exec at a time; both
 	// must answer queries identically.
 	control := testDB(t)
-	single, err := control.Prepare(`INSERT INTO services (sid, pid, name, price) VALUES (?, ?, ?, ?)`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range rows {
-		if _, err := single.Exec(r...); err != nil {
+		if _, err := control.Exec(insertService, r...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,7 +50,7 @@ func TestExecBatch(t *testing.T) {
 	}
 
 	// An empty batch is a no-op.
-	if n, err := batch.ExecBatch(nil); err != nil || n != 0 {
+	if n, err := db.ExecBatch(insertService, nil); err != nil || n != 0 {
 		t.Fatalf("empty batch: n=%d err=%v, want 0, nil", n, err)
 	}
 }
@@ -68,16 +62,13 @@ func TestExecBatchRequiresSingleRowInsert(t *testing.T) {
 	for _, text := range []string{
 		`SELECT id FROM providers`,
 		`DELETE FROM services WHERE sid = ?`,
+		`INSERT INTO services (sid, pid) VALUES (1000, 1), (1001, 2)`,
 	} {
-		st, err := db.Prepare(text)
-		if err != nil {
-			t.Fatalf("prepare %s: %v", text, err)
-		}
-		if _, err := st.ExecBatch([][]rdb.Value{nil}); err == nil {
+		if _, err := db.ExecBatch(text, [][]rdb.Value{nil}); err == nil {
 			t.Errorf("ExecBatch accepted %q", text)
 		}
 	}
-	if _, err := db.Prepare(`INSERT INTO services (sid, pid) VALUES (1000, 1), (1001, 2)`); err == nil {
-		t.Error("multi-row INSERT prepared")
+	if _, err := Parse(`INSERT INTO services (sid, pid) VALUES (1000, 1), (1001, 2)`); err == nil {
+		t.Error("multi-row INSERT parsed")
 	}
 }

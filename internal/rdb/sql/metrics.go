@@ -34,7 +34,7 @@ var accessNames = [4]string{"full_scan", "index_point", "index_prefix", "index_r
 
 // EnableMetrics registers this database's instruments on reg and starts
 // recording. Before the first call every instrumentation site is a nil
-// pointer load; statements already prepared keep working.
+// pointer load.
 func (d *DB) EnableMetrics(reg *metrics.Registry) {
 	m := &dbMetrics{}
 	for op := stmtOp(0); op < opCount; op++ {
@@ -45,9 +45,9 @@ func (d *DB) EnableMetrics(reg *metrics.Registry) {
 			metrics.TimeBuckets, metrics.L("op", opNames[op]))
 	}
 	m.planHits = reg.Counter("mdv_sql_plan_cache_total",
-		"prepared-statement plan cache lookups (SELECT, INSERT, UPDATE, DELETE)", metrics.L("result", "hit"))
+		"statement table plan lookups (SELECT, INSERT, UPDATE, DELETE)", metrics.L("result", "hit"))
 	m.planMisses = reg.Counter("mdv_sql_plan_cache_total",
-		"prepared-statement plan cache lookups (SELECT, INSERT, UPDATE, DELETE)", metrics.L("result", "miss"))
+		"statement table plan lookups (SELECT, INSERT, UPDATE, DELETE)", metrics.L("result", "miss"))
 	for k := range m.access {
 		m.access[k] = reg.Counter("mdv_sql_access_paths_total",
 			"relation access paths executed by SELECT, UPDATE and DELETE, by kind", metrics.L("path", accessNames[k]))
@@ -87,7 +87,7 @@ func (d *DB) observeExec(op stmtOp, t0 time.Time) {
 	m.stmtSeconds[op].ObserveSince(t0)
 }
 
-// observePlanCache records a prepared-statement plan cache lookup.
+// observePlanCache records a statement table plan lookup.
 func (d *DB) observePlanCache(hit bool) {
 	m := d.met.Load()
 	if m == nil {

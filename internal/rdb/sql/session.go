@@ -15,19 +15,45 @@ import (
 // under the shared statement lock, writer statements (DDL and DML) run
 // exclusively. This, together with the materialize-before-mutate execution
 // of DML, makes every statement deadlock-free and atomic with respect to
-// other statements. Compiled SELECT plans are immutable and allocate all
-// cursor state per execution, so any number of goroutines may run the same
-// prepared statement concurrently; multi-statement read consistency is
+// other statements. Every statement runs by its SQL text: the DB keeps each
+// text's parse and compiled plan in its statement table, so a text is
+// parsed and planned once, not per call. Compiled plans are immutable and
+// allocate all cursor state per execution, so any number of goroutines may
+// run the same text concurrently; multi-statement read consistency is
 // available through BeginRead/View.
 type DB struct {
 	raw *rdb.Database
 	// stmtMu gives readers shared and writers exclusive access per statement.
 	stmtMu sync.RWMutex
-	// planVersion invalidates cached prepared-statement plans after DDL.
+	// planVersion invalidates the statement table's plans after DDL.
 	planVersion atomic.Uint64
+	// table maps a SQL text to its *stmtEntry. A lookup takes no lock;
+	// tableMu serializes insertions, which stop at stmtTableCap (tableLen).
+	table    sync.Map
+	tableMu  sync.Mutex
+	tableLen int
 	// met is the optional instrument bundle (see EnableMetrics); nil until
 	// metrics are enabled, making the disabled path one atomic load.
 	met atomic.Pointer[dbMetrics]
+}
+
+// stmtTableCap bounds the statement table. The engine and the repository
+// issue fewer than a hundred texts each, but query texts come from clients
+// over the wire, one per query shape; a text arriving when the table is full
+// is parsed and planned for its own execution only.
+const stmtTableCap = 1024
+
+// stmtEntry is one SQL text's parse and its compiled plan, re-validated
+// against catalog changes. Racing rebuilds after DDL are benign: the plans
+// are equivalent and the last store wins.
+type stmtEntry struct {
+	ast    Statement
+	cached atomic.Pointer[cachedPlan]
+}
+
+type cachedPlan struct {
+	plan any // as compile returns it
+	ver  uint64
 }
 
 // NewDB wraps an existing engine database.
@@ -64,69 +90,171 @@ func collect(query func(visit func(row []rdb.Value) error) error) (*Rows, error)
 	return rows, nil
 }
 
-var errNotSelect = errors.New("sql: statement is not a SELECT")
-
-// parseSelect parses a statement that must be a SELECT.
-func parseSelect(query string) (*SelectStmt, error) {
-	st, err := Parse(query)
+// statement returns text's entry in the statement table, parsing it on
+// first use. A text that fails to parse is not retained; past stmtTableCap a
+// new text gets an entry of its own that is dropped after the call.
+func (d *DB) statement(text string) (*stmtEntry, error) {
+	if e, ok := d.table.Load(text); ok {
+		return e.(*stmtEntry), nil
+	}
+	ast, err := Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, errNotSelect
+	e := &stmtEntry{ast: ast}
+	d.tableMu.Lock()
+	defer d.tableMu.Unlock()
+	if d.tableLen < stmtTableCap {
+		if prev, loaded := d.table.LoadOrStore(text, e); loaded {
+			return prev.(*stmtEntry), nil
+		}
+		d.tableLen++
 	}
-	return sel, nil
+	return e, nil
 }
 
-// Exec parses and executes a DDL or DML statement, returning the number of
-// affected rows (DDL returns 0).
-func (d *DB) Exec(query string, params ...rdb.Value) (int, error) {
-	st, err := Parse(query)
+// plan returns the entry's compiled plan, rebuilding it if DDL has run
+// since it was compiled.
+func (d *DB) plan(e *stmtEntry) (any, error) {
+	ver := d.planVersion.Load()
+	if c := e.cached.Load(); c != nil && c.ver == ver {
+		d.observePlanCache(true)
+		return c.plan, nil
+	}
+	d.observePlanCache(false)
+	plan, err := d.compile(e.ast)
+	if err != nil {
+		return nil, err
+	}
+	e.cached.Store(&cachedPlan{plan: plan, ver: ver})
+	return plan, nil
+}
+
+// opOf classifies a parsed statement.
+func opOf(st Statement) stmtOp {
+	switch st.(type) {
+	case *SelectStmt:
+		return opSelect
+	case *InsertStmt:
+		return opInsert
+	case *UpdateStmt:
+		return opUpdate
+	case *DeleteStmt:
+		return opDelete
+	}
+	return opDDL
+}
+
+// Exec executes a DDL or DML statement, returning the number of affected
+// rows (DDL returns 0).
+func (d *DB) Exec(text string, params ...rdb.Value) (int, error) {
+	e, err := d.statement(text)
 	if err != nil {
 		return 0, err
 	}
-	return d.exec(st, func() (any, error) { return d.compile(st) }, params)
+	op := opOf(e.ast)
+	if op == opSelect {
+		return 0, fmt.Errorf("sql: a SELECT must be run with Query")
+	}
+	defer d.observeExec(op, time.Now())
+	d.stmtMu.Lock()
+	defer d.stmtMu.Unlock()
+	if op == opDDL {
+		return 0, d.execDDL(e.ast)
+	}
+	p, err := d.plan(e)
+	if err != nil {
+		return 0, err
+	}
+	if ins, ok := p.(*insertPlan); ok {
+		if err := ins.insert(params); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}
+	dml := p.(*dmlPlan)
+	d.observeAccess(dml.rel)
+	return dml.run(params)
 }
 
 // MustExec runs Exec and panics on error. For schema bootstrap code.
-func (d *DB) MustExec(query string, params ...rdb.Value) int {
-	n, err := d.Exec(query, params...)
+func (d *DB) MustExec(text string, params ...rdb.Value) int {
+	n, err := d.Exec(text, params...)
 	if err != nil {
-		panic(fmt.Sprintf("sql: MustExec(%q): %v", query, err))
+		panic(fmt.Sprintf("sql: MustExec(%q): %v", text, err))
 	}
 	return n
 }
 
-// Query parses and executes a SELECT, materializing all rows.
-func (d *DB) Query(query string, params ...rdb.Value) (*Rows, error) {
-	return collect(func(visit func([]rdb.Value) error) error { return d.QueryFunc(query, params, visit) })
-}
-
-// QueryFunc parses and executes a SELECT, streaming each row to visit. The
-// row slice is owned by the callback (a fresh slice per row).
-func (d *DB) QueryFunc(query string, params []rdb.Value, visit func(row []rdb.Value) error) error {
-	sel, err := parseSelect(query)
+// ExecBatch executes an INSERT once per parameter row, acquiring the writer
+// lock and fetching the plan a single time for the whole batch. The filter
+// engine loads its per-run scratch (the atoms and each fixpoint pass's
+// delta) through this: row-at-a-time Exec pays one exclusive lock round
+// trip per row, which dominates the load cost of large publish batches.
+// Rows inserted before a failing row stay inserted — the same contract as
+// issuing the inserts one by one.
+func (d *DB) ExecBatch(text string, paramRows [][]rdb.Value) (int, error) {
+	e, err := d.statement(text)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return d.runSelect(func() (*selectPlan, error) { return buildSelectPlan(d.raw, sel) }, false, params, visit)
+	if opOf(e.ast) != opInsert {
+		return 0, fmt.Errorf("sql: ExecBatch requires an INSERT statement")
+	}
+	if len(paramRows) == 0 {
+		return 0, nil
+	}
+	defer d.observeExec(opInsert, time.Now())
+	d.stmtMu.Lock()
+	defer d.stmtMu.Unlock()
+	p, err := d.plan(e)
+	if err != nil {
+		return 0, err
+	}
+	ins := p.(*insertPlan)
+	for n, params := range paramRows {
+		if err := ins.insert(params); err != nil {
+			return n, err
+		}
+	}
+	return len(paramRows), nil
 }
 
-// runSelect gets a SELECT's plan and runs it under the shared statement
-// lock, unless the caller (a ReadTxn) already holds that lock.
-func (d *DB) runSelect(plan func() (*selectPlan, error), held bool, params []rdb.Value, visit func([]rdb.Value) error) error {
+// Query executes a SELECT, materializing all rows.
+func (d *DB) Query(text string, params ...rdb.Value) (*Rows, error) {
+	return collect(func(visit func([]rdb.Value) error) error { return d.QueryFunc(text, params, visit) })
+}
+
+// QueryFunc executes a SELECT, streaming each row to visit. The row slice
+// is owned by the callback (a fresh slice per row).
+func (d *DB) QueryFunc(text string, params []rdb.Value, visit func(row []rdb.Value) error) error {
+	return d.query(text, false, params, visit)
+}
+
+var errNotSelect = errors.New("sql: statement is not a SELECT")
+
+// query runs a SELECT with its table plan under the shared statement lock,
+// unless the caller (a ReadTxn) already holds that lock.
+func (d *DB) query(text string, held bool, params []rdb.Value, visit func([]rdb.Value) error) error {
 	t0 := time.Now()
-	p, err := plan()
+	e, err := d.statement(text)
 	if err != nil {
 		return err
 	}
-	defer d.observeSelect(p, t0)
+	if opOf(e.ast) != opSelect {
+		return errNotSelect
+	}
+	p, err := d.plan(e)
+	if err != nil {
+		return err
+	}
+	sel := p.(*selectPlan)
+	defer d.observeSelect(sel, t0)
 	if !held {
 		d.stmtMu.RLock()
 		defer d.stmtMu.RUnlock()
 	}
-	return p.run(params, visit)
+	return sel.run(params, visit)
 }
 
 // compile builds the plan of a SELECT (*selectPlan), an INSERT
@@ -145,39 +273,10 @@ func (d *DB) compile(st Statement) (any, error) {
 	return nil, nil
 }
 
-// exec executes a parsed DDL or DML statement under the exclusive statement
-// lock; plan supplies a DML statement's compiled plan.
-func (d *DB) exec(st Statement, plan func() (any, error), params []rdb.Value) (int, error) {
-	op := opDDL
-	switch st.(type) {
-	case *SelectStmt:
-		return 0, fmt.Errorf("sql: a SELECT must be run with Query")
-	case *InsertStmt:
-		op = opInsert
-	case *UpdateStmt:
-		op = opUpdate
-	case *DeleteStmt:
-		op = opDelete
-	}
-	defer d.observeExec(op, time.Now())
-	d.stmtMu.Lock()
-	defer d.stmtMu.Unlock()
-	if op != opDDL {
-		p, err := plan()
-		if err != nil {
-			return 0, err
-		}
-		if ins, ok := p.(*insertPlan); ok {
-			if err := ins.insert(params); err != nil {
-				return 0, err
-			}
-			return 1, nil
-		}
-		dml := p.(*dmlPlan)
-		d.observeAccess(dml.rel)
-		return dml.run(params)
-	}
-	defer d.planVersion.Add(1) // DDL invalidates cached plans
+// execDDL runs a DDL statement; the caller holds the exclusive statement
+// lock. Every DDL statement invalidates the table's plans.
+func (d *DB) execDDL(st Statement) error {
+	defer d.planVersion.Add(1)
 	var err error
 	switch s := st.(type) {
 	case *CreateTableStmt:
@@ -189,7 +288,7 @@ func (d *DB) exec(st Statement, plan func() (any, error), params []rdb.Value) (i
 			err = nil
 		}
 	}
-	return 0, err
+	return err
 }
 
 // insertPlan is an INSERT compiled against its table: the row position and
@@ -324,127 +423,12 @@ func (p *dmlPlan) run(params []rdb.Value) (int, error) {
 	return len(todo), nil
 }
 
-// Stmt is a prepared statement: the parse tree is cached, and so is the
-// compiled plan of a SELECT, INSERT, UPDATE or DELETE, re-validated against
-// catalog changes. A Stmt is safe for concurrent use: plans are immutable
-// once built and every execution allocates its own cursor state, so
-// concurrent executions share the cached plan without any per-execution
-// lock.
-type Stmt struct {
-	db  *DB
-	ast Statement
-
-	// cached is the compiled plan tagged with the catalog version it was
-	// built against. Racing rebuilds after DDL are benign: the plans are
-	// equivalent and the last store wins.
-	cached atomic.Pointer[cachedPlan]
-}
-
-type cachedPlan struct {
-	plan any // as compile returns it
-	ver  uint64
-}
-
-// Prepare parses a statement for repeated execution.
-func (d *DB) Prepare(query string) (*Stmt, error) {
-	ast, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{db: d, ast: ast}, nil
-}
-
-// MustPrepare is Prepare, panicking on parse errors. Intended for statically
-// known statements (the MDV filter's fixed query set).
-func (d *DB) MustPrepare(query string) *Stmt {
-	st, err := d.Prepare(query)
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
-// plan returns the statement's cached plan, rebuilding it if DDL has run
-// since it was compiled.
-func (s *Stmt) plan() (any, error) {
-	ver := s.db.planVersion.Load()
-	if c := s.cached.Load(); c != nil && c.ver == ver {
-		s.db.observePlanCache(true)
-		return c.plan, nil
-	}
-	s.db.observePlanCache(false)
-	plan, err := s.db.compile(s.ast)
-	if err != nil {
-		return nil, err
-	}
-	s.cached.Store(&cachedPlan{plan: plan, ver: ver})
-	return plan, nil
-}
-
-// Query executes a prepared SELECT.
-func (s *Stmt) Query(params ...rdb.Value) (*Rows, error) {
-	return collect(func(visit func([]rdb.Value) error) error { return s.QueryFunc(params, visit) })
-}
-
-// QueryFunc executes a prepared SELECT, streaming rows to visit.
-func (s *Stmt) QueryFunc(params []rdb.Value, visit func(row []rdb.Value) error) error {
-	return s.querySelect(false, params, visit)
-}
-
-// querySelect runs a prepared SELECT with its cached plan; held says the
-// caller holds the shared statement lock already (a ReadTxn).
-func (s *Stmt) querySelect(held bool, params []rdb.Value, visit func(row []rdb.Value) error) error {
-	if _, ok := s.ast.(*SelectStmt); !ok {
-		return errNotSelect
-	}
-	return s.db.runSelect(func() (*selectPlan, error) {
-		p, err := s.plan()
-		if err != nil {
-			return nil, err
-		}
-		return p.(*selectPlan), nil
-	}, held, params, visit)
-}
-
-// Exec executes a prepared DDL or DML statement.
-func (s *Stmt) Exec(params ...rdb.Value) (int, error) { return s.db.exec(s.ast, s.plan, params) }
-
-// ExecBatch executes a prepared INSERT once per parameter row, acquiring the
-// writer lock and fetching the cached plan a single time for the whole
-// batch. The filter engine loads its per-run scratch (the atoms and each
-// fixpoint pass's delta) through this: row-at-a-time Exec pays one exclusive
-// lock round trip per row, which dominates the load cost of large publish
-// batches. Rows inserted before a failing row stay inserted — the same
-// contract as issuing the inserts one by one.
-func (s *Stmt) ExecBatch(paramRows [][]rdb.Value) (int, error) {
-	if _, ok := s.ast.(*InsertStmt); !ok {
-		return 0, fmt.Errorf("sql: ExecBatch requires an INSERT statement")
-	}
-	if len(paramRows) == 0 {
-		return 0, nil
-	}
-	defer s.db.observeExec(opInsert, time.Now())
-	s.db.stmtMu.Lock()
-	defer s.db.stmtMu.Unlock()
-	p, err := s.plan()
-	if err != nil {
-		return 0, err
-	}
-	ins := p.(*insertPlan)
-	for n, params := range paramRows {
-		if err := ins.insert(params); err != nil {
-			return n, err
-		}
-	}
-	return len(paramRows), nil
-}
-
 // ReadTxn is a multi-statement read-only view of the database: it holds the
 // shared statement lock for its whole lifetime, so no writer statement (DML
 // or DDL) interleaves between its queries, while other readers — including
 // other ReadTxns — proceed concurrently. Obtain one with BeginRead and
 // release it with End (or use View). The owning goroutine must not run
-// writer statements, nor plain DB/Stmt query methods (they would re-acquire
+// writer statements, nor plain DB query methods (they would re-acquire
 // the read lock and can deadlock behind a waiting writer), between
 // BeginRead and End; use the ReadTxn's own methods instead.
 type ReadTxn struct {
@@ -476,26 +460,14 @@ func (d *DB) View(fn func(*ReadTxn) error) error {
 	return fn(t)
 }
 
-// Query parses and executes a SELECT inside the transaction.
-func (t *ReadTxn) Query(query string, params ...rdb.Value) (*Rows, error) {
-	return collect(func(visit func([]rdb.Value) error) error { return t.QueryFunc(query, params, visit) })
+// Query executes a SELECT inside the transaction.
+func (t *ReadTxn) Query(text string, params ...rdb.Value) (*Rows, error) {
+	return collect(func(visit func([]rdb.Value) error) error { return t.QueryFunc(text, params, visit) })
 }
 
 // QueryFunc executes a SELECT inside the transaction, streaming each row to
-// visit.
-func (t *ReadTxn) QueryFunc(query string, params []rdb.Value, visit func(row []rdb.Value) error) error {
-	sel, err := parseSelect(query)
-	if err != nil {
-		return err
-	}
-	return t.db.runSelect(func() (*selectPlan, error) { return buildSelectPlan(t.db.raw, sel) }, true, params, visit)
-}
-
-// QueryStmt executes a prepared SELECT of the transaction's database inside
-// the transaction, with the statement's cached plan.
-func (t *ReadTxn) QueryStmt(s *Stmt, params []rdb.Value, visit func(row []rdb.Value) error) error {
-	if s.db != t.db {
-		return fmt.Errorf("sql: statement prepared on another database")
-	}
-	return s.querySelect(true, params, visit)
+// visit. Its statement-table lookup takes no lock beyond the shared one the
+// transaction holds.
+func (t *ReadTxn) QueryFunc(text string, params []rdb.Value, visit func(row []rdb.Value) error) error {
+	return t.db.query(text, true, params, visit)
 }

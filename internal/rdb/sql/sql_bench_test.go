@@ -8,7 +8,7 @@ import (
 )
 
 // Microbenchmarks of the SQL layer — the cost building blocks of the
-// filter's prepared statements.
+// filter's statements, each run by its text through the statement table.
 
 func benchDB(b *testing.B, rows int) *DB {
 	b.Helper()
@@ -16,9 +16,8 @@ func benchDB(b *testing.B, rows int) *DB {
 	db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, k TEXT, v INT)`)
 	db.MustExec(`CREATE INDEX ik ON t (k)`)
 	db.MustExec(`CREATE INDEX iv ON t (v)`)
-	ins := db.MustPrepare(`INSERT INTO t (id, k, v) VALUES (?, ?, ?)`)
 	for i := 0; i < rows; i++ {
-		if _, err := ins.Exec(rdb.NewInt(int64(i)), rdb.NewText(fmt.Sprintf("k%d", i)),
+		if _, err := db.Exec(`INSERT INTO t (id, k, v) VALUES (?, ?, ?)`, rdb.NewInt(int64(i)), rdb.NewText(fmt.Sprintf("k%d", i)),
 			rdb.NewInt(int64(i%1000))); err != nil {
 			b.Fatal(err)
 		}
@@ -36,19 +35,7 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-func BenchmarkPreparedPointSelect(b *testing.B) {
-	db := benchDB(b, 100000)
-	st := db.MustPrepare(`SELECT v FROM t WHERE id = ?`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := st.Query(rdb.NewInt(int64(i % 100000)))
-		if err != nil || rows.Len() != 1 {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkUnpreparedPointSelect(b *testing.B) {
+func BenchmarkPointSelect(b *testing.B) {
 	db := benchDB(b, 100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,26 +48,23 @@ func BenchmarkUnpreparedPointSelect(b *testing.B) {
 
 func BenchmarkIndexedJoin(b *testing.B) {
 	db := benchDB(b, 10000)
-	st := db.MustPrepare(`SELECT a.id FROM t a, t b WHERE a.v = ? AND b.id = a.id`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Query(rdb.NewInt(int64(i % 1000))); err != nil {
+		if _, err := db.Query(`SELECT a.id FROM t a, t b WHERE a.v = ? AND b.id = a.id`, rdb.NewInt(int64(i%1000))); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkPreparedInsertDelete(b *testing.B) {
+func BenchmarkInsertDelete(b *testing.B) {
 	db := benchDB(b, 0)
-	ins := db.MustPrepare(`INSERT INTO t (id, k, v) VALUES (?, ?, ?)`)
-	del := db.MustPrepare(`DELETE FROM t WHERE id = ?`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := rdb.NewInt(int64(i))
-		if _, err := ins.Exec(id, rdb.NewText("k"), rdb.NewInt(1)); err != nil {
+		if _, err := db.Exec(`INSERT INTO t (id, k, v) VALUES (?, ?, ?)`, id, rdb.NewText("k"), rdb.NewInt(1)); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := del.Exec(id); err != nil {
+		if _, err := db.Exec(`DELETE FROM t WHERE id = ?`, id); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -350,16 +350,13 @@ func TestInsertColumnSubset(t *testing.T) {
 
 func TestPreparedStatements(t *testing.T) {
 	db := testDB(t)
-	st, err := db.Prepare(`SELECT id FROM providers WHERE memory = ? AND domain = ?`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const sel = `SELECT id FROM providers WHERE memory = ? AND domain = ?`
 	for i := 1; i <= 20; i++ {
 		dom := "uni-passau.de"
 		if i%2 == 0 {
 			dom = "tum.de"
 		}
-		rows, err := st.Query(rdb.NewInt(int64(i*16)), rdb.NewText(dom))
+		rows, err := db.Query(sel, rdb.NewInt(int64(i*16)), rdb.NewText(dom))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,17 +364,13 @@ func TestPreparedStatements(t *testing.T) {
 			t.Fatalf("i=%d: %+v", i, rows.Data)
 		}
 	}
-	// Prepared DML.
-	ins, err := db.Prepare(`INSERT INTO services (sid, pid, name, price) VALUES (?, ?, ?, ?)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ins.Exec(rdb.NewInt(100), rdb.NewInt(1), rdb.NewText("x"), rdb.NewFloat(1)); err != nil {
+	// DML with parameters.
+	if _, err := db.Exec(insertService, rdb.NewInt(100), rdb.NewInt(1), rdb.NewText("x"), rdb.NewFloat(1)); err != nil {
 		t.Fatal(err)
 	}
 	// Plan survives DDL via re-validation.
 	db.MustExec(`CREATE TABLE unrelated (x INT)`)
-	rows, err := st.Query(rdb.NewInt(16), rdb.NewText("uni-passau.de"))
+	rows, err := db.Query(sel, rdb.NewInt(16), rdb.NewText("uni-passau.de"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,21 +379,21 @@ func TestPreparedStatements(t *testing.T) {
 	}
 }
 
-// TestPreparedDMLPlanCache: a prepared UPDATE or DELETE compiles its plan
+// TestPreparedDMLPlanCache: an UPDATE or DELETE text compiles its plan
 // once and reuses it until DDL runs; the rebuilt plan takes the index the
 // DDL created.
 func TestPreparedDMLPlanCache(t *testing.T) {
 	db := testDB(t)
-	upd := db.MustPrepare(`UPDATE services SET price = price + 1.0 WHERE name = ?`)
-	del := db.MustPrepare(`DELETE FROM services WHERE name = ?`)
-	exec := func(st *Stmt, name string) *dmlPlan {
+	upd := `UPDATE services SET price = price + 1.0 WHERE name = ?`
+	del := `DELETE FROM services WHERE name = ?`
+	exec := func(text, name string) *dmlPlan {
 		t.Helper()
-		if n, err := st.Exec(rdb.NewText(name)); err != nil || n != 1 {
+		if n, err := db.Exec(text, rdb.NewText(name)); err != nil || n != 1 {
 			t.Fatalf("%s: %d rows (%v), want 1", name, n, err)
 		}
-		return st.cached.Load().plan.(*dmlPlan)
+		return tableEntry(db, text).cached.Load().plan.(*dmlPlan)
 	}
-	for _, st := range []*Stmt{upd, del} {
+	for _, st := range []string{upd, del} {
 		first := exec(st, "svc1")
 		if first.rel.access.kind != accessFullScan {
 			t.Fatalf("no index on name, yet access kind %d", first.rel.access.kind)
@@ -410,7 +403,7 @@ func TestPreparedDMLPlanCache(t *testing.T) {
 		}
 	}
 	db.MustExec(`CREATE INDEX idx_services_name ON services (name)`)
-	for _, st := range []*Stmt{upd, del} {
+	for _, st := range []string{upd, del} {
 		if p := exec(st, "svc3"); p.rel.access.kind != accessIndexPoint {
 			t.Errorf("after CREATE INDEX: access kind %d, want a point lookup", p.rel.access.kind)
 		}
@@ -633,18 +626,21 @@ func TestDistinctKeepsIntegersAbove2To53(t *testing.T) {
 	}
 }
 
-// TestReadTxnQueryStmt: a prepared SELECT runs inside a read transaction
-// with its cached plan, and a statement of another database is refused.
+// TestReadTxnQueryStmt: a SELECT run inside a read transaction uses the
+// plan the statement table holds for its text, built outside it.
 func TestReadTxnQueryStmt(t *testing.T) {
 	db := openWith(t, `CREATE TABLE kv (k TEXT PRIMARY KEY, v INT NOT NULL)`)
 	mustExec(t, db, `INSERT INTO kv (k, v) VALUES ('a', 1)`)
 	mustExec(t, db, `INSERT INTO kv (k, v) VALUES ('b', 2)`)
-	st := db.MustPrepare(`SELECT v FROM kv WHERE k = ?`)
-	other := openWith(t, `CREATE TABLE kv (k TEXT PRIMARY KEY, v INT NOT NULL)`).MustPrepare(`SELECT v FROM kv WHERE k = ?`)
+	const sel = `SELECT v FROM kv WHERE k = ?`
+	if _, err := db.Query(sel, rdb.NewText("a")); err != nil {
+		t.Fatal(err)
+	}
+	plan := tableEntry(db, sel).cached.Load()
 	err := db.View(func(txn *ReadTxn) error {
 		var got []int64
 		for _, k := range []string{"a", "b", "c"} {
-			if err := txn.QueryStmt(st, []rdb.Value{rdb.NewText(k)}, func(row []rdb.Value) error {
+			if err := txn.QueryFunc(sel, []rdb.Value{rdb.NewText(k)}, func(row []rdb.Value) error {
 				got = append(got, row[0].Int)
 				return nil
 			}); err != nil {
@@ -654,8 +650,8 @@ func TestReadTxnQueryStmt(t *testing.T) {
 		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 			t.Errorf("got %v, want [1 2]", got)
 		}
-		if err := txn.QueryStmt(other, []rdb.Value{rdb.NewText("a")}, func([]rdb.Value) error { return nil }); err == nil {
-			t.Error("a statement of another database ran in the transaction")
+		if tableEntry(db, sel).cached.Load() != plan {
+			t.Error("the transaction rebuilt the text's plan")
 		}
 		return nil
 	})

@@ -60,25 +60,6 @@ type Repository struct {
 	gcDue bool
 
 	stats Stats
-
-	prep struct {
-		insCache     *sql.Stmt
-		delCache     *sql.Stmt
-		getCache     *sql.Stmt
-		insStmt      *sql.Stmt
-		delStmts     *sql.Stmt
-		delStmt      *sql.Stmt
-		stmtsOf      *sql.Stmt
-		insCredit    *sql.Stmt
-		delCredit    *sql.Stmt
-		delCredits   *sql.Stmt
-		creditsOf    *sql.Stmt
-		hasCredit    *sql.Stmt
-		insEdge      *sql.Stmt
-		delEdgesFrom *sql.Stmt
-		edgesFrom    *sql.Stmt
-		holderOf     *sql.Stmt
-	}
 }
 
 // Stats counts repository activity.
@@ -133,6 +114,15 @@ var ddl = []string{
 	`CREATE INDEX idx_refs_target ON CacheRefs (target)`,
 }
 
+// SQL texts run from more than one place.
+const (
+	cacheEntry      = `SELECT class, local FROM Cache WHERE uri_reference = ?`
+	deleteCache     = `DELETE FROM Cache WHERE uri_reference = ?`
+	statementsOf    = `SELECT property, value, is_ref, class FROM CacheStatements WHERE uri_reference = ?`
+	edgesFrom       = `SELECT target, property FROM CacheRefs WHERE holder = ?`
+	deleteEdgesFrom = `DELETE FROM CacheRefs WHERE holder = ?`
+)
+
 // New creates an empty repository.
 func New(name string, schema *rdf.Schema) (*Repository, error) {
 	r := &Repository{name: name, schema: schema, db: sql.Open(), deadSubs: map[int64]bool{}}
@@ -141,26 +131,6 @@ func New(name string, schema *rdf.Schema) (*Repository, error) {
 			return nil, fmt.Errorf("repository: bootstrap: %w", err)
 		}
 	}
-	p := &r.prep
-	p.insCache = r.db.MustPrepare(`INSERT INTO Cache (uri_reference, class, local) VALUES (?, ?, ?)`)
-	p.delCache = r.db.MustPrepare(`DELETE FROM Cache WHERE uri_reference = ?`)
-	p.getCache = r.db.MustPrepare(`SELECT class, local FROM Cache WHERE uri_reference = ?`)
-	p.insStmt = r.db.MustPrepare(
-		`INSERT INTO CacheStatements (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`)
-	p.delStmts = r.db.MustPrepare(`DELETE FROM CacheStatements WHERE uri_reference = ?`)
-	p.stmtsOf = r.db.MustPrepare(
-		`SELECT property, value, is_ref, class FROM CacheStatements WHERE uri_reference = ?`)
-	p.delStmt = r.db.MustPrepare(`DELETE FROM CacheStatements
-		WHERE uri_reference = ? AND property = ? AND value = ? AND class = ? AND is_ref = ?`)
-	p.insCredit = r.db.MustPrepare(`INSERT INTO CacheCredits (uri_reference, sub_id) VALUES (?, ?)`)
-	p.delCredit = r.db.MustPrepare(`DELETE FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`)
-	p.delCredits = r.db.MustPrepare(`DELETE FROM CacheCredits WHERE uri_reference = ?`)
-	p.creditsOf = r.db.MustPrepare(`SELECT sub_id FROM CacheCredits WHERE uri_reference = ?`)
-	p.hasCredit = r.db.MustPrepare(`SELECT sub_id FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`)
-	p.insEdge = r.db.MustPrepare(`INSERT INTO CacheRefs (holder, target, property) VALUES (?, ?, ?)`)
-	p.delEdgesFrom = r.db.MustPrepare(`DELETE FROM CacheRefs WHERE holder = ?`)
-	p.edgesFrom = r.db.MustPrepare(`SELECT target, property FROM CacheRefs WHERE holder = ?`)
-	p.holderOf = r.db.MustPrepare(`SELECT holder FROM CacheRefs WHERE target = ? LIMIT 1`)
 	return r, nil
 }
 
@@ -205,7 +175,8 @@ func (r *Repository) Len() int {
 func (r *Repository) Has(uriRef string) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.hasLocked(uriRef)
+	has, _ := r.hasLocked(uriRef)
+	return has
 }
 
 // Get reconstructs a cached resource.
@@ -216,7 +187,7 @@ func (r *Repository) Get(uriRef string) (*rdf.Resource, bool, error) {
 }
 
 func (r *Repository) getLocked(uriRef string) (*rdf.Resource, bool, error) {
-	rows, err := r.prep.getCache.Query(rdb.NewText(uriRef))
+	rows, err := r.db.Query(cacheEntry, rdb.NewText(uriRef))
 	if err != nil {
 		return nil, false, err
 	}
@@ -224,7 +195,7 @@ func (r *Repository) getLocked(uriRef string) (*rdf.Resource, bool, error) {
 		return nil, false, nil
 	}
 	res := &rdf.Resource{URIRef: uriRef, Class: rows.Data[0][0].Str}
-	stmts, err := r.prep.stmtsOf.Query(rdb.NewText(uriRef))
+	stmts, err := r.db.Query(statementsOf, rdb.NewText(uriRef))
 	if err != nil {
 		return nil, false, err
 	}
@@ -246,7 +217,7 @@ func (r *Repository) getLocked(uriRef string) (*rdf.Resource, bool, error) {
 func (r *Repository) CreditsOf(uriRef string) ([]int64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	rows, err := r.prep.creditsOf.Query(rdb.NewText(uriRef))
+	rows, err := r.db.Query(`SELECT sub_id FROM CacheCredits WHERE uri_reference = ?`, rdb.NewText(uriRef))
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +235,7 @@ func (r *Repository) CreditsOf(uriRef string) ([]int64, error) {
 // written costs an entry in each of its three indexes.
 func (r *Repository) storeResource(res *rdf.Resource, local bool) error {
 	uri := rdb.NewText(res.URIRef)
-	was, err := r.prep.getCache.Query(uri)
+	was, err := r.db.Query(cacheEntry, uri)
 	if err != nil {
 		return err
 	}
@@ -272,10 +243,11 @@ func (r *Repository) storeResource(res *rdf.Resource, local bool) error {
 		r.gcDue = true // enters the cache as a global resource
 	}
 	if was.Empty() || was.Data[0][0].Str != res.Class || was.Data[0][1].Bool != local {
-		if _, err := r.prep.delCache.Exec(uri); err != nil {
+		if _, err := r.db.Exec(deleteCache, uri); err != nil {
 			return err
 		}
-		if _, err := r.prep.insCache.Exec(uri, rdb.NewText(res.Class), rdb.NewBool(local)); err != nil {
+		if _, err := r.db.Exec(`INSERT INTO Cache (uri_reference, class, local) VALUES (?, ?, ?)`,
+			uri, rdb.NewText(res.Class), rdb.NewBool(local)); err != nil {
 			return err
 		}
 	}
@@ -290,7 +262,7 @@ func (r *Repository) storeResource(res *rdf.Resource, local bool) error {
 // a statement and inserts it as often as res has it. Values compare by
 // their lexical form, so 7 → 007 is a change.
 func (r *Repository) storeStatements(res *rdf.Resource) error {
-	old, err := r.prep.stmtsOf.Query(rdb.NewText(res.URIRef))
+	old, err := r.db.Query(statementsOf, rdb.NewText(res.URIRef))
 	if err != nil {
 		return err
 	}
@@ -308,7 +280,9 @@ func (r *Repository) storeStatements(res *rdf.Resource) error {
 		if newN[a] == n {
 			continue
 		}
-		if _, err := r.prep.delStmt.Exec(rdb.NewText(a.URIRef), rdb.NewText(a.Property),
+		if _, err := r.db.Exec(`DELETE FROM CacheStatements
+			WHERE uri_reference = ? AND property = ? AND value = ? AND class = ? AND is_ref = ?`,
+			rdb.NewText(a.URIRef), rdb.NewText(a.Property),
 			rdb.NewText(a.Value), rdb.NewText(a.Class), rdb.NewBool(a.IsRef)); err != nil {
 			return err
 		}
@@ -321,7 +295,8 @@ func (r *Repository) storeStatements(res *rdf.Resource) error {
 		if r.schema.IsNumeric(a.Class, a.Property) {
 			num = rdb.NumValue(a.Value)
 		}
-		if _, err := r.prep.insStmt.Exec(
+		if _, err := r.db.Exec(
+			`INSERT INTO CacheStatements (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`,
 			rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
 			rdb.NewText(a.Value), num, rdb.NewBool(a.IsRef)); err != nil {
 			return err
@@ -334,7 +309,7 @@ func (r *Repository) storeStatements(res *rdf.Resource) error {
 // unchanged, and marks the collector due when an edge is not kept.
 func (r *Repository) storeEdges(res *rdf.Resource) error {
 	uri := rdb.NewText(res.URIRef)
-	old, err := r.prep.edgesFrom.Query(uri)
+	old, err := r.db.Query(edgesFrom, uri)
 	if err != nil {
 		return err
 	}
@@ -358,11 +333,12 @@ func (r *Repository) storeEdges(res *rdf.Resource) error {
 	if same {
 		return nil
 	}
-	if _, err := r.prep.delEdgesFrom.Exec(uri); err != nil {
+	if _, err := r.db.Exec(deleteEdgesFrom, uri); err != nil {
 		return err
 	}
 	for i, target := range targets {
-		if _, err := r.prep.insEdge.Exec(uri, rdb.NewText(target), rdb.NewText(props[i])); err != nil {
+		if _, err := r.db.Exec(`INSERT INTO CacheRefs (holder, target, property) VALUES (?, ?, ?)`,
+			uri, rdb.NewText(target), rdb.NewText(props[i])); err != nil {
 			return err
 		}
 	}
@@ -372,8 +348,13 @@ func (r *Repository) storeEdges(res *rdf.Resource) error {
 // dropResource removes a resource entirely from the cache.
 func (r *Repository) dropResource(uriRef string) error {
 	r.gcDue = true
-	for _, st := range []*sql.Stmt{r.prep.delStmts, r.prep.delEdgesFrom, r.prep.delCredits, r.prep.delCache} {
-		if _, err := st.Exec(rdb.NewText(uriRef)); err != nil {
+	for _, text := range []string{
+		`DELETE FROM CacheStatements WHERE uri_reference = ?`,
+		deleteEdgesFrom,
+		`DELETE FROM CacheCredits WHERE uri_reference = ?`,
+		deleteCache,
+	} {
+		if _, err := r.db.Exec(text, rdb.NewText(uriRef)); err != nil {
 			return err
 		}
 	}
@@ -508,7 +489,8 @@ func (r *Repository) applyLocked(cs *core.Changeset) error {
 		if owned != nil && !owned[rm.SubID] {
 			continue // another member's credit (would be a no-op anyway)
 		}
-		n, err := r.prep.delCredit.Exec(rdb.NewText(rm.URIRef), rdb.NewInt(rm.SubID))
+		n, err := r.db.Exec(`DELETE FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`,
+			rdb.NewText(rm.URIRef), rdb.NewInt(rm.SubID))
 		if err != nil {
 			return err
 		}
@@ -518,7 +500,11 @@ func (r *Repository) applyLocked(cs *core.Changeset) error {
 		r.stats.RemovalsApplied++
 	}
 	for _, uri := range cs.ForcedDeletes {
-		if r.hasLocked(uri) {
+		has, err := r.hasLocked(uri)
+		if err != nil {
+			return err
+		}
+		if has {
 			if err := r.dropResource(uri); err != nil {
 				return err
 			}
@@ -528,21 +514,21 @@ func (r *Repository) applyLocked(cs *core.Changeset) error {
 	return nil
 }
 
-func (r *Repository) hasLocked(uriRef string) bool {
-	rows, err := r.prep.getCache.Query(rdb.NewText(uriRef))
+func (r *Repository) hasLocked(uriRef string) (bool, error) {
+	rows, err := r.db.Query(cacheEntry, rdb.NewText(uriRef))
 	if err != nil {
-		return false
+		return false, err
 	}
-	return !rows.Empty()
+	return !rows.Empty(), nil
 }
 
 // heldLocked reports whether a resource is cached or strongly referenced by
 // a cached one.
 func (r *Repository) heldLocked(uriRef string) (bool, error) {
-	if r.hasLocked(uriRef) {
-		return true, nil
+	if has, err := r.hasLocked(uriRef); has || err != nil {
+		return has, err
 	}
-	rows, err := r.prep.holderOf.Query(rdb.NewText(uriRef))
+	rows, err := r.db.Query(`SELECT holder FROM CacheRefs WHERE target = ? LIMIT 1`, rdb.NewText(uriRef))
 	if err != nil {
 		return false, err
 	}
@@ -556,22 +542,27 @@ func (r *Repository) applyUpsert(up core.Upsert) error {
 			live = append(live, subID)
 		}
 	}
-	if len(live) == 0 && !r.hasLocked(up.Resource.URIRef) {
-		// Every credit is tombstoned and the resource is not otherwise
-		// cached: do not admit it at all.
-		return nil
+	if len(live) == 0 {
+		has, err := r.hasLocked(up.Resource.URIRef)
+		if err != nil || !has {
+			// Every credit is tombstoned and the resource is not otherwise
+			// cached: do not admit it at all.
+			return err
+		}
 	}
 	if err := r.storeResource(up.Resource, false); err != nil {
 		return err
 	}
 	for _, subID := range live {
 		// Idempotent credit insert.
-		rows, err := r.prep.hasCredit.Query(rdb.NewText(up.Resource.URIRef), rdb.NewInt(subID))
+		rows, err := r.db.Query(`SELECT sub_id FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`,
+			rdb.NewText(up.Resource.URIRef), rdb.NewInt(subID))
 		if err != nil {
 			return err
 		}
 		if rows.Empty() {
-			if _, err := r.prep.insCredit.Exec(rdb.NewText(up.Resource.URIRef), rdb.NewInt(subID)); err != nil {
+			if _, err := r.db.Exec(`INSERT INTO CacheCredits (uri_reference, sub_id) VALUES (?, ?)`,
+				rdb.NewText(up.Resource.URIRef), rdb.NewInt(subID)); err != nil {
 				return err
 			}
 		}
@@ -620,7 +611,7 @@ func (r *Repository) RegisterLocalDocument(doc *rdf.Document) error {
 func (r *Repository) DeleteLocalResource(uriRef string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rows, err := r.prep.getCache.Query(rdb.NewText(uriRef))
+	rows, err := r.db.Query(cacheEntry, rdb.NewText(uriRef))
 	if err != nil {
 		return err
 	}
@@ -678,7 +669,7 @@ func (r *Repository) gcLocked() error {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		targets, err := r.prep.edgesFrom.Query(rdb.NewText(cur))
+		targets, err := r.db.Query(edgesFrom, rdb.NewText(cur))
 		if err != nil {
 			return err
 		}

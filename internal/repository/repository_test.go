@@ -824,3 +824,26 @@ func TestSweepOnlyWhenDue(t *testing.T) {
 		}
 	}
 }
+
+// TestApplySurfacesStatementErrors: a statement that fails while a changeset
+// is applied fails the application — a forced delete, a closure entry and a
+// tombstoned upsert each check the cache first, and a failed check is not
+// "not cached".
+func TestApplySurfacesStatementErrors(t *testing.T) {
+	for name, cs := range map[string]*core.Changeset{
+		"forced delete":  {ForcedDeletes: []string{"d#h"}},
+		"closure upsert": {ClosureUpserts: []*rdf.Resource{infoResource("d#i", 92)}},
+		"tombstoned":     {Upserts: []core.Upsert{{Resource: hostResource("d#h", 80), SubIDs: []int64{7}}}},
+	} {
+		r := newRepo(t)
+		if err := r.DropSubscriptionCredits(7); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.DB().Exec(`DROP TABLE Cache`); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ApplyChangeset(cs); err == nil {
+			t.Errorf("%s: applied over a missing Cache table", name)
+		}
+	}
+}
