@@ -181,7 +181,13 @@ func main() {
 	if err := admin2.RegisterDocument(doc(7, "eu", 1024)); err != nil {
 		log.Fatal(err)
 	}
-	waitFor(func() bool { return lmrEU.Repository().Has("fed/provider7.rdf#cp") })
+	waitFor(func() bool {
+		_, ok, err := lmrEU.Repository().Get("fed/provider7.rdf#cp")
+		if err != nil {
+			log.Fatal(err)
+		}
+		return ok
+	})
 	rs, err := lmrEU.Query(`search CycleProvider c register c where c.serverInformation.memory = 1024`)
 	if err != nil {
 		log.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"mdv/internal/lmr"
 	"mdv/internal/provider"
 	"mdv/internal/rdf"
+	"mdv/internal/repository"
 	"mdv/internal/wire"
 )
 
@@ -407,4 +408,15 @@ func TestMidStreamResetReconnects(t *testing.T) {
 	waitUntil(t, "reset subscriber converged after reconnect", func() bool {
 		return fingerprint(t, node) == fingerprint(t, control)
 	})
+}
+
+// cached reports whether the repository holds uri, failing the test when
+// the lookup itself fails.
+func cached(t *testing.T, r *repository.Repository, uri string) bool {
+	t.Helper()
+	_, ok, err := r.Get(uri)
+	if err != nil {
+		t.Fatalf("get %s: %v", uri, err)
+	}
+	return ok
 }

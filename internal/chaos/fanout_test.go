@@ -187,7 +187,7 @@ func TestCoalescedFanoutConvergence(t *testing.T) {
 		wantSet := want[name]
 		waitUntil(t, name+" convergence", func() bool {
 			for uri, present := range wantSet {
-				if node.Repository().Has(uri) != present {
+				if cached(t, node.Repository(), uri) != present {
 					return false
 				}
 			}

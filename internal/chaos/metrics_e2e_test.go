@@ -62,7 +62,7 @@ func TestMetricsWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "push applied", func() bool {
-		return node.Repository().Has("host1.rdf#cp")
+		return cached(t, node.Repository(), "host1.rdf#cp")
 	})
 
 	text, err := cli.Metrics()

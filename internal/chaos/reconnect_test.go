@@ -125,6 +125,6 @@ func TestReconnectBackoffResetsAfterFlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "post-flap push", func() bool {
-		return node.Repository().Has("host1.rdf#cp")
+		return cached(t, node.Repository(), "host1.rdf#cp")
 	})
 }

@@ -285,7 +285,7 @@ func filterTableFor(spec triggerSpec) (string, error) {
 }
 
 // internJoin returns the rule id of the join rule, creating it (with its
-// group and dependency edges) and initializing its materialization if new.
+// group and group-feed edges) and initializing its materialization if new.
 func (e *Engine) internJoin(spec joinSpec, ctx *internCtx) (int64, error) {
 	spec = spec.orient()
 	text := spec.text()
@@ -321,19 +321,6 @@ func (e *Engine) internJoin(spec joinSpec, ctx *internCtx) (int64, error) {
 		rdb.NewInt(id), rdb.NewInt(spec.leftRule), rdb.NewInt(spec.rightRule), rdb.NewInt(groupID)); err != nil {
 		return 0, err
 	}
-	// Dependency edges: the inputs feed this rule (paper Figure 5/7).
-	if _, err := e.db.Exec(
-		`INSERT INTO RuleDependencies (source_rule, target_rule, side) VALUES (?, ?, 'L')`,
-		rdb.NewInt(spec.leftRule), rdb.NewInt(id)); err != nil {
-		return 0, err
-	}
-	if !spec.self {
-		if _, err := e.db.Exec(
-			`INSERT INTO RuleDependencies (source_rule, target_rule, side) VALUES (?, ?, 'R')`,
-			rdb.NewInt(spec.rightRule), rdb.NewInt(id)); err != nil {
-			return 0, err
-		}
-	}
 	// Group feed edges (deduplicated; self groups have a single input side).
 	if err := e.addGroupFeed(spec.leftRule, 'L', groupID); err != nil {
 		return 0, err
@@ -345,7 +332,7 @@ func (e *Engine) internJoin(spec joinSpec, ctx *internCtx) (int64, error) {
 	}
 	ctx.interned = append(ctx.interned, id)
 	ctx.created = append(ctx.created, id)
-	if err := e.initializeJoin(id, spec); err != nil {
+	if err := e.initializeJoin(id, groupID, spec); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -760,28 +747,70 @@ func (e *Engine) initializeTrigger(id int64, spec triggerSpec) error {
 	return nil
 }
 
-// initializeJoin evaluates a freshly created join rule over the full
-// materialized results of its inputs.
-func (e *Engine) initializeJoin(id int64, spec joinSpec) error {
-	g := &groupInfo{
-		leftClass: spec.leftClass, leftProp: spec.leftProp, op: spec.op,
-		rightProp: spec.rightProp, rightClass: spec.rightClass,
-		registerSide: spec.registerSide, self: spec.self, numeric: spec.numeric,
-	}
-	matches, err := e.evalJoinFull(g, spec.leftRule, spec.rightRule)
+// initializeJoin bootstraps a freshly created join rule's materialization
+// as one delta step of the filter (§3.4): the smaller of its two
+// materialized inputs goes into ResultObjects as the delta, and its group's
+// query evaluates that side against the other input's results, restricted
+// to the new rule. A self rule has its left input only. Seeding from the
+// smaller side keeps the delta, and with it the partner lookups, small.
+func (e *Engine) initializeJoin(id, groupID int64, spec joinSpec) (err error) {
+	side := byte('L')
+	delta, err := e.inputDelta(spec.leftRule)
 	if err != nil {
 		return err
 	}
-	for _, uri := range matches {
-		if has, err := e.hasResult(id, uri); err != nil {
+	if !spec.self {
+		right, err := e.inputDelta(spec.rightRule)
+		if err != nil {
 			return err
-		} else if !has {
-			if err := e.materialize(id, uri); err != nil {
-				return err
-			}
+		}
+		if len(right) < len(delta) {
+			side, delta = 'R', right
+		}
+	}
+	if len(delta) == 0 {
+		return nil
+	}
+	defer func() {
+		if _, cerr := e.db.Exec(clearResultObjects); err == nil {
+			err = cerr
+		}
+	}()
+	if err := e.loadResultObjects(delta); err != nil {
+		return err
+	}
+	g := &groupInfo{
+		id: groupID, leftClass: spec.leftClass, leftProp: spec.leftProp, op: spec.op,
+		rightProp: spec.rightProp, rightClass: spec.rightClass,
+		registerSide: spec.registerSide, self: spec.self, numeric: spec.numeric,
+	}
+	pairs, err := e.evalGroupDelta(g, side, id)
+	if err != nil {
+		return err
+	}
+	seen := map[string]bool{}
+	for _, p := range pairs {
+		if seen[p.uri] {
+			continue
+		}
+		seen[p.uri] = true
+		if err := e.materialize(id, p.uri); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// inputDelta returns an atomic rule's materialized results as filter delta
+// pairs.
+func (e *Engine) inputDelta(rule int64) ([]matchPair, error) {
+	var out []matchPair
+	err := e.db.QueryFunc(`SELECT uri_reference FROM RuleResults WHERE rule_id = ?`,
+		[]rdb.Value{rdb.NewInt(rule)}, func(row []rdb.Value) error {
+			out = append(out, matchPair{rule: rule, uri: row[0].Str})
+			return nil
+		})
+	return out, err
 }
 
 // sqlCompare maps a rule operator to the SQL comparison and whether both

@@ -108,13 +108,19 @@ func TestDecompositionFigure7(t *testing.T) {
 		con.Data[0][1].Str != "serverHost" || con.Data[0][2].Str != "uni-passau.de" {
 		t.Errorf("FilterRulesCON = %v", con.Data)
 	}
-	// Dependency graph: two join rules, each with two incoming edges.
-	deps, err := e.db.Query(`SELECT source_rule FROM RuleDependencies`)
+	// Dependency graph: two join rules, each with two incoming edges (its
+	// left and right inputs in JoinRules).
+	deps, err := e.db.Query(`SELECT rule_id, left_rule, right_rule FROM JoinRules`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deps.Len() != 4 {
-		t.Errorf("dependency edges = %d, want 4", deps.Len())
+	edges := map[[2]int64]bool{}
+	for _, r := range deps.Data {
+		edges[[2]int64{r[1].Int, r[0].Int}] = true
+		edges[[2]int64{r[2].Int, r[0].Int}] = true
+	}
+	if len(edges) != 4 {
+		t.Errorf("dependency edges = %d, want 4", len(edges))
 	}
 }
 
@@ -600,7 +606,7 @@ func TestUnsubscribeSweepsRules(t *testing.T) {
 		t.Errorf("groups after full unsubscribe = %d, want 0", got)
 	}
 	// Filter tables swept too.
-	for _, table := range []string{"FilterRulesANY", "FilterRulesGT", "RuleResults", "RuleDependencies", "JoinRules"} {
+	for _, table := range []string{"FilterRulesANY", "FilterRulesGT", "RuleResults", "JoinRules", "GroupFeeds"} {
 		if n := e.count(table); n != 0 {
 			t.Errorf("%s has %d rows after unsubscribe", table, n)
 		}

@@ -7,17 +7,21 @@
 //
 //   - the registered metadata itself (Statements, Resources, Documents);
 //   - the decomposed subscription rules: AtomicRules with their kinds
-//     (triggering vs. join), the global dependency graph
-//     (RuleDependencies), join-rule groups (RuleGroups/JoinRules), and the
-//     per-operator filter tables FilterRulesANY/EQ/EQN/NE/CON/LT/LE/GT/GE
-//     (§3.3.4);
+//     (triggering vs. join), join rules with their inputs and groups
+//     (JoinRules/RuleGroups), the group feed edges (GroupFeeds) — JoinRules'
+//     input columns and GroupFeeds are the global dependency graph — and
+//     the per-operator filter tables FilterRulesANY/EQ/EQN/NE/NEN/CON/LT/
+//     LE/GT/GE (§3.3.4);
 //   - materialized results of every atomic rule (RuleResults, §3.4);
 //   - subscriptions mapping end rules to subscribers.
 //
 // Registration of documents runs the filter (§3.4); re-registration and
 // deletion run §3.5's executions over the atoms that changed, then re-check
-// the retracted candidates. The engine produces a PublishSet per batch: the
-// changesets an MDP sends to its LMRs, one per interest group.
+// the retracted candidates. A new join rule's first materialization is one
+// filter delta step over the smaller of its inputs (initializeJoin), so the
+// group query of match.go is the only join evaluator. The engine produces a
+// PublishSet per batch: the changesets an MDP sends to its LMRs, one per
+// interest group; subscription fills go through the same group builder.
 package core
 
 import (
@@ -216,18 +220,9 @@ var ddl = []string{
 	)`,
 	`CREATE UNIQUE INDEX idx_ar_text ON AtomicRules (rule_text)`,
 
-	// The global dependency graph (paper §3.3.2): source feeds target.
-	// side is 'L' or 'R' (which input of the join rule the source feeds).
-	`CREATE TABLE RuleDependencies (
-		source_rule INT NOT NULL,
-		target_rule INT NOT NULL,
-		side TEXT NOT NULL
-	)`,
-	`CREATE INDEX idx_dep_source ON RuleDependencies (source_rule)`,
-	`CREATE INDEX idx_dep_target ON RuleDependencies (target_rule)`,
-
 	// Join rules with their group assignment (paper §3.3.3, Figure 7).
-	// left_prop/right_prop empty means the bare resource (its URI).
+	// left_rule and right_rule are the rule's inputs: with GroupFeeds they
+	// are the global dependency graph (paper §3.3.2).
 	`CREATE TABLE JoinRules (
 		rule_id INT PRIMARY KEY,
 		left_rule INT NOT NULL,

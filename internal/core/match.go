@@ -355,7 +355,7 @@ func (e *Engine) evaluateDependentGroups(all *matchSet, note func(matchPair) (bo
 		}
 		e.stats.JoinEvaluations++
 		t0 := time.Now()
-		pairs, err := e.evalGroupDelta(g, t.side)
+		pairs, err := e.evalGroupDelta(g, t.side, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -379,25 +379,12 @@ func (e *Engine) evaluateDependentGroups(all *matchSet, note func(matchPair) (bo
 
 // evalGroupDelta evaluates one rule group with the delta on the given side
 // and the materialized results on the other (§3.4, "Evaluation of Join
-// Rules").
-func (e *Engine) evalGroupDelta(g *groupInfo, deltaSide byte) ([]matchPair, error) {
-	text, params := e.buildGroupSQL(g, deltaSide)
+// Rules"); a non-zero rule restricts the evaluation to that member.
+func (e *Engine) evalGroupDelta(g *groupInfo, deltaSide byte, rule int64) ([]matchPair, error) {
+	text, params := e.buildGroupSQL(g, deltaSide, rule)
 	var out []matchPair
 	err := e.db.QueryFunc(text, params, func(row []rdb.Value) error {
 		out = append(out, matchPair{rule: row[0].Int, uri: row[1].Str})
-		return nil
-	})
-	return out, err
-}
-
-// evalJoinFull evaluates one join rule over the full materialized results
-// of both inputs (used when a new rule is registered, to bootstrap its own
-// materialization against already stored metadata).
-func (e *Engine) evalJoinFull(g *groupInfo, leftRule, rightRule int64) ([]string, error) {
-	text, params := e.buildFullJoinSQL(g, leftRule, rightRule)
-	var out []string
-	err := e.db.QueryFunc(text, params, func(row []rdb.Value) error {
-		out = append(out, row[0].Str)
 		return nil
 	})
 	return out, err
@@ -441,9 +428,13 @@ func numCol(expr string) string {
 // (the same rule-base-size dependence the paper measures for COMP-style
 // predicates), though typed engines at least skip the per-row CAST.
 //
+// A non-zero rule restricts the query to that one member (jr.rule_id = ?):
+// a new join rule's bootstrap is this query with one input's full result as
+// the delta (initializeJoin). The filter passes 0 and evaluates every member.
+//
 // Classes and property names are parameters; only the operator and operand
 // shapes are baked into the text, so the statement cache stays small.
-func (e *Engine) buildGroupSQL(g *groupInfo, deltaSide byte) (string, []rdb.Value) {
+func (e *Engine) buildGroupSQL(g *groupInfo, deltaSide byte, rule int64) (string, []rdb.Value) {
 	// View the join from the delta side: d* is the delta input, f* the full
 	// (materialized) side.
 	dProp, fProp := g.leftProp, g.rightProp
@@ -473,9 +464,7 @@ func (e *Engine) buildGroupSQL(g *groupInfo, deltaSide byte) (string, []rdb.Valu
 			e.compareSQL("s1.value", "s2.value", g.op, g.numeric),
 			"jr.group_id = ?", dRule+" = ro.rule_id")
 		params = append(params, rdb.NewText(g.leftProp), rdb.NewText(g.rightProp), rdb.NewInt(g.id))
-		text := "SELECT jr.rule_id, ro.uri_reference FROM " + strings.Join(from, ", ") +
-			" WHERE " + strings.Join(where, " AND ")
-		return text, params
+		return groupSelect("ro.uri_reference", from, where, params, rule)
 	}
 
 	from = append(from, "ResultObjects ro")
@@ -500,7 +489,6 @@ func (e *Engine) buildGroupSQL(g *groupInfo, deltaSide byte) (string, []rdb.Valu
 	// the typed (class, property, num_value) one (unavailable under the
 	// CAST ablation, which must reconvert and therefore enumerate).
 	eqJoin := op == rules.OpEq && (!g.numeric || !e.opts.DisableTypedIndexes)
-	var outFull string
 	if eqJoin {
 		// Resolve the full-side resource through value indexes, then check
 		// group membership: jr is probed by (left_rule, right_rule).
@@ -524,7 +512,6 @@ func (e *Engine) buildGroupSQL(g *groupInfo, deltaSide byte) (string, []rdb.Valu
 		from = append(from, "JoinRules jr")
 		where = append(where, dRule+" = ro.rule_id", fRule+" = rr.rule_id", "jr.group_id = ?")
 		params = append(params, rdb.NewInt(g.id))
-		outFull = "rr.uri_reference"
 	} else {
 		// General comparison: enumerate members, then the full side's
 		// materialized results, and compare.
@@ -539,85 +526,22 @@ func (e *Engine) buildGroupSQL(g *groupInfo, deltaSide byte) (string, []rdb.Valu
 			fullVal = "sf.value"
 		}
 		where = append(where, cmp(deltaVal, fullVal))
-		outFull = "rr.uri_reference"
 	}
 	out := "ro.uri_reference"
 	if !outDelta {
-		out = outFull
+		out = "rr.uri_reference"
 	}
-	text := "SELECT jr.rule_id, " + out + " FROM " + strings.Join(from, ", ") +
-		" WHERE " + strings.Join(where, " AND ")
-	return text, params
+	return groupSelect(out, from, where, params, rule)
 }
 
-// buildFullJoinSQL constructs the full-evaluation query for one join rule
-// (both sides from RuleResults), used at rule registration time.
-func (e *Engine) buildFullJoinSQL(g *groupInfo, leftRule, rightRule int64) (string, []rdb.Value) {
-	var from []string
-	var where []string
-	var params []rdb.Value
-
-	if g.self {
-		from = append(from, "RuleResults rl", "Statements s1", "Statements s2")
-		where = append(where, "rl.rule_id = ?",
-			"s1.uri_reference = rl.uri_reference", "s1.property = ?",
-			"s2.uri_reference = rl.uri_reference", "s2.property = ?",
-			e.compareSQL("s1.value", "s2.value", g.op, g.numeric))
-		params = append(params, rdb.NewInt(leftRule), rdb.NewText(g.leftProp), rdb.NewText(g.rightProp))
-		return "SELECT rl.uri_reference FROM " + strings.Join(from, ", ") +
-			" WHERE " + strings.Join(where, " AND "), params
+// groupSelect renders a group query selecting (jr.rule_id, out), restricted
+// to member rule when it is non-zero.
+func groupSelect(out string, from, where []string, params []rdb.Value, rule int64) (string, []rdb.Value) {
+	if rule != 0 {
+		where = append(where, "jr.rule_id = ?")
+		params = append(params, rdb.NewInt(rule))
 	}
-
-	from = append(from, "RuleResults rl")
-	where = append(where, "rl.rule_id = ?")
-	params = append(params, rdb.NewInt(leftRule))
-	leftVal := "rl.uri_reference"
-	if g.leftProp != "" {
-		from = append(from, "Statements sl")
-		where = append(where, "sl.uri_reference = rl.uri_reference", "sl.property = ?")
-		params = append(params, rdb.NewText(g.leftProp))
-		leftVal = "sl.value"
-	}
-
-	eqJoin := g.op == rules.OpEq && (!g.numeric || !e.opts.DisableTypedIndexes)
-	var rightURI string
-	switch {
-	case eqJoin && g.rightProp == "":
-		from = append(from, "RuleResults rr")
-		where = append(where, "rr.rule_id = ?", "rr.uri_reference = "+leftVal)
-		params = append(params, rdb.NewInt(rightRule))
-		rightURI = "rr.uri_reference"
-	case eqJoin && g.rightProp != "":
-		join := "sr.value = " + leftVal
-		if g.numeric {
-			join = "sr.num_value = " + numCol(leftVal)
-		}
-		from = append(from, "Statements sr", "RuleResults rr")
-		where = append(where,
-			"sr.class = ?", "sr.property = ?", join,
-			"rr.rule_id = ?", "rr.uri_reference = sr.uri_reference")
-		params = append(params, rdb.NewText(g.rightClass), rdb.NewText(g.rightProp), rdb.NewInt(rightRule))
-		rightURI = "rr.uri_reference"
-	default:
-		from = append(from, "RuleResults rr")
-		where = append(where, "rr.rule_id = ?")
-		params = append(params, rdb.NewInt(rightRule))
-		rightVal := "rr.uri_reference"
-		if g.rightProp != "" {
-			from = append(from, "Statements sr")
-			where = append(where, "sr.uri_reference = rr.uri_reference", "sr.property = ?")
-			params = append(params, rdb.NewText(g.rightProp))
-			rightVal = "sr.value"
-		}
-		where = append(where, e.compareSQL(leftVal, rightVal, g.op, g.numeric))
-		rightURI = "rr.uri_reference"
-	}
-
-	out := "rl.uri_reference"
-	if g.registerSide == 'R' {
-		out = rightURI
-	}
-	return "SELECT " + out + " FROM " + strings.Join(from, ", ") +
+	return "SELECT jr.rule_id, " + out + " FROM " + strings.Join(from, ", ") +
 		" WHERE " + strings.Join(where, " AND "), params
 }
 

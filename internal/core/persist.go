@@ -77,6 +77,11 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 			}
 		}
 	}
+	// Older snapshots also carry a table of dependency edges that nothing
+	// reads: JoinRules' inputs and GroupFeeds hold the same graph.
+	if _, err := e.db.Exec(`DROP TABLE IF EXISTS RuleDependencies`); err != nil {
+		return nil, err
+	}
 	// Restore the id counters from the stored maxima (0 for an empty table).
 	var restoreErr error
 	maxOf := func(col, table string) int64 {

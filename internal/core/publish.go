@@ -321,11 +321,12 @@ func (e *Engine) buildPublishSet(before, after, lost *matchSet, updates []resour
 		if e.perSubscriberChangesets {
 			upCache, closCache = map[string]*builtUpsert{}, map[string]*rdf.Resource{}
 		}
-		cs, err := e.buildGroupChangeset(group, interests, upCache, closCache)
+		cs, built, err := e.buildGroupChangeset(group, interests, upCache, closCache)
 		if err != nil {
 			return nil, err
 		}
 		e.stats.ChangesetsBuilt++
+		e.stats.UpsertsBuilt += built
 		if !cs.Empty() {
 			ps.Groups = append(ps.Groups, PublishGroup{Members: group, Changeset: cs})
 			e.stats.PublishGroups++
@@ -338,10 +339,12 @@ func (e *Engine) buildPublishSet(before, after, lost *matchSet, updates []resour
 // buildGroupChangeset materializes the shared changeset of one interest
 // group. All members have equal URI sets in every section (same signature);
 // per-URI subscription IDs are unioned, with MemberCredits recording which
-// IDs belong to which member when the group has several.
+// IDs belong to which member when the group has several. It also returns
+// how many upserts it fetched and closure-walked rather than found in
+// upCache; the caller counts them, since fills run under the shared lock.
 func (e *Engine) buildGroupChangeset(group []string, interests map[string]*interest,
-	upCache map[string]*builtUpsert, closCache map[string]*rdf.Resource) (*Changeset, error) {
-	cs := &Changeset{}
+	upCache map[string]*builtUpsert, closCache map[string]*rdf.Resource) (cs *Changeset, built int, err error) {
+	cs = &Changeset{}
 	rep := interests[group[0]]
 
 	// Upserts, sorted by URI.
@@ -355,7 +358,7 @@ func (e *Engine) buildGroupChangeset(group []string, interests map[string]*inter
 		if base == nil {
 			res, ok, err := e.getResourceLocked(uri)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if !ok {
 				// Raced with deletion inside the batch; remember the miss
@@ -365,11 +368,11 @@ func (e *Engine) buildGroupChangeset(group []string, interests map[string]*inter
 			}
 			closure, err := e.strongClosure(res)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			base = &builtUpsert{res: res, closure: closure}
 			upCache[uri] = base
-			e.stats.UpsertsBuilt++
+			built++
 		}
 		if base.res == nil {
 			continue // cached deletion race
@@ -414,7 +417,7 @@ func (e *Engine) buildGroupChangeset(group []string, interests map[string]*inter
 		if !cached {
 			res, ok, err := e.getResourceLocked(uri)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if ok {
 				cur = res
@@ -451,25 +454,7 @@ func (e *Engine) buildGroupChangeset(group []string, interests map[string]*inter
 			cs.MemberCredits[subscriber] = sortedIDs(owned)
 		}
 	}
-	return cs, nil
-}
-
-// buildUpsert assembles a standalone upsert with its strong-reference
-// closure (initial fills and resubscribe fills; the batch path goes through
-// buildGroupChangeset's caches instead).
-func (e *Engine) buildUpsert(uri string, subIDs map[int64]bool) (*Upsert, error) {
-	res, ok, err := e.getResourceLocked(uri)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil // raced with deletion inside the batch
-	}
-	closure, err := e.strongClosure(res)
-	if err != nil {
-		return nil, err
-	}
-	return &Upsert{Resource: res, SubIDs: sortedIDs(subIDs), Closure: closure}, nil
+	return cs, built, nil
 }
 
 func sortedIDs(ids map[int64]bool) []int64 {

@@ -43,7 +43,6 @@ func (e *Engine) Subscribe(subscriber, ruleText string) (int64, *Changeset, erro
 	}
 
 	ctx := &internCtx{}
-	endRules := make([]int64, 0, len(normalized))
 	for _, nr := range normalized {
 		end, err := e.decomposeNormalRule(nr, ctx)
 		if err != nil {
@@ -53,7 +52,6 @@ func (e *Engine) Subscribe(subscriber, ruleText string) (int64, *Changeset, erro
 			e.db.Exec(`DELETE FROM Subscriptions WHERE sub_id = ?`, rdb.NewInt(subID))
 			return 0, nil, err
 		}
-		endRules = append(endRules, end)
 		if _, err := e.db.Exec(`INSERT INTO SubscriptionEndRules (sub_id, end_rule) VALUES (?, ?)`,
 			rdb.NewInt(subID), rdb.NewInt(end)); err != nil {
 			return 0, nil, err
@@ -67,26 +65,9 @@ func (e *Engine) Subscribe(subscriber, ruleText string) (int64, *Changeset, erro
 	}
 
 	// Initial cache fill: current matches of the end rules.
-	cs := &Changeset{}
-	delivered := map[string]bool{}
-	for _, end := range endRules {
-		uris, err := e.ruleResultsOfLocked(end)
-		if err != nil {
-			return 0, nil, err
-		}
-		for _, uri := range uris {
-			if delivered[uri] {
-				continue
-			}
-			delivered[uri] = true
-			up, err := e.buildUpsert(uri, map[int64]bool{subID: true})
-			if err != nil {
-				return 0, nil, err
-			}
-			if up != nil {
-				cs.Upserts = append(cs.Upserts, *up)
-			}
-		}
+	cs, err := e.fillChangeset(subscriber, []int64{subID})
+	if err != nil {
+		return 0, nil, err
 	}
 	return subID, cs, nil
 }
@@ -99,48 +80,42 @@ func (e *Engine) Subscribe(subscriber, ruleText string) (int64, *Changeset, erro
 func (e *Engine) ResubscribeFill(subscriber string) (*Changeset, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	subRows, err := e.db.Query(`SELECT sub_id FROM Subscriptions WHERE subscriber = ?`,
+	rows, err := e.db.Query(`SELECT sub_id FROM Subscriptions WHERE subscriber = ?`,
 		rdb.NewText(subscriber))
 	if err != nil {
 		return nil, err
 	}
-	credits := map[string]map[int64]bool{}
-	for _, row := range subRows.Data {
-		subID := row[0].Int
-		endRows, err := e.db.Query(`SELECT end_rule FROM SubscriptionEndRules WHERE sub_id = ?`,
-			rdb.NewInt(subID))
+	subIDs := make([]int64, 0, rows.Len())
+	for _, row := range rows.Data {
+		subIDs = append(subIDs, row[0].Int)
+	}
+	return e.fillChangeset(subscriber, subIDs)
+}
+
+// fillChangeset builds the full-state changeset of some of one subscriber's
+// subscriptions: every resource an end rule of theirs matches, credited to
+// them. It goes through the publish path's group builder as a one-member
+// interest group, so a fill and a batch upsert carry the same content.
+func (e *Engine) fillChangeset(subscriber string, subIDs []int64) (*Changeset, error) {
+	in := &interest{upserts: map[string]map[int64]bool{}}
+	for _, subID := range subIDs {
+		ends, err := e.endRulesOfLocked(subID)
 		if err != nil {
 			return nil, err
 		}
-		for _, er := range endRows.Data {
-			uris, err := e.ruleResultsOfLocked(er[0].Int)
+		for _, end := range ends {
+			uris, err := e.ruleResultsOfLocked(end)
 			if err != nil {
 				return nil, err
 			}
 			for _, uri := range uris {
-				if credits[uri] == nil {
-					credits[uri] = map[int64]bool{}
-				}
-				credits[uri][subID] = true
+				in.upsertIDs(uri)[subID] = true
 			}
 		}
 	}
-	uris := make([]string, 0, len(credits))
-	for uri := range credits {
-		uris = append(uris, uri)
-	}
-	sort.Strings(uris)
-	cs := &Changeset{}
-	for _, uri := range uris {
-		up, err := e.buildUpsert(uri, credits[uri])
-		if err != nil {
-			return nil, err
-		}
-		if up != nil {
-			cs.Upserts = append(cs.Upserts, *up)
-		}
-	}
-	return cs, nil
+	cs, _, err := e.buildGroupChangeset([]string{subscriber}, map[string]*interest{subscriber: in},
+		map[string]*builtUpsert{}, map[string]*rdf.Resource{})
+	return cs, err
 }
 
 // Unsubscribe removes a subscription and releases its atomic rules. Atomic
@@ -201,12 +176,6 @@ func (e *Engine) releaseInterned(interned []int64) error {
 			return err
 		}
 		if _, err := e.db.Exec(`DELETE FROM RuleResults WHERE rule_id = ?`, rdb.NewInt(id)); err != nil {
-			return err
-		}
-		if _, err := e.db.Exec(`DELETE FROM RuleDependencies WHERE source_rule = ?`, rdb.NewInt(id)); err != nil {
-			return err
-		}
-		if _, err := e.db.Exec(`DELETE FROM RuleDependencies WHERE target_rule = ?`, rdb.NewInt(id)); err != nil {
 			return err
 		}
 		if kind == kindTrigger {

@@ -10,11 +10,11 @@ import (
 )
 
 // filterStateTables is every table the subscribe path writes: the atomic
-// rule catalog, the dependency graph, join groups with their feed edges,
-// the ten operator filter tables, materialized results, the two transient
-// per-run tables, and the subscription bookkeeping itself.
+// rule catalog, join rules and groups with their feed edges (together the
+// dependency graph), the ten operator filter tables, materialized results,
+// the two transient per-run tables, and the subscription bookkeeping itself.
 var filterStateTables = []string{
-	"AtomicRules", "RuleDependencies", "JoinRules", "GroupFeeds", "RuleGroups",
+	"AtomicRules", "JoinRules", "GroupFeeds", "RuleGroups",
 	"FilterRulesANY", "FilterRulesEQ", "FilterRulesEQN", "FilterRulesNE",
 	"FilterRulesNEN", "FilterRulesCON", "FilterRulesLT", "FilterRulesLE",
 	"FilterRulesGT", "FilterRulesGE",
@@ -49,8 +49,7 @@ func dumpFilterState(t *testing.T, e *Engine) string {
 // unsubscribeDiffRules cover every filter table and both rule kinds:
 // class-only (ANY), string and numeric equality/inequality, contains, all
 // four range operators, OR-splitting (several end rules per subscription),
-// and reference joins that create join rules, rule groups, group feeds,
-// and dependency edges.
+// and reference joins that create join rules, rule groups and group feeds.
 var unsubscribeDiffRules = []string{
 	`search CycleProvider c register c`,
 	`search CycleProvider c register c where c.serverHost = 'pirates.uni-passau.de'`,

@@ -9,6 +9,7 @@ import (
 	"mdv/internal/lmr"
 	"mdv/internal/provider"
 	"mdv/internal/rdf"
+	"mdv/internal/repository"
 )
 
 func testSchema() *rdf.Schema {
@@ -57,10 +58,10 @@ func TestInProcessThreeTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !node.Repository().Has("doc1.rdf#host") {
+	if !cached(t, node.Repository(), "doc1.rdf#host") {
 		t.Fatal("initial fill missing")
 	}
-	if !node.Repository().Has("doc1.rdf#info") {
+	if !cached(t, node.Repository(), "doc1.rdf#info") {
 		t.Fatal("initial fill missing strong closure")
 	}
 
@@ -71,10 +72,10 @@ func TestInProcessThreeTier(t *testing.T) {
 	if err := mdp.RegisterDocument(providerDoc(3, 16)); err != nil {
 		t.Fatal(err)
 	}
-	if !node.Repository().Has("doc2.rdf#host") {
+	if !cached(t, node.Repository(), "doc2.rdf#host") {
 		t.Error("matching document not published")
 	}
-	if node.Repository().Has("doc3.rdf#host") {
+	if cached(t, node.Repository(), "doc3.rdf#host") {
 		t.Error("non-matching document published")
 	}
 
@@ -92,7 +93,7 @@ func TestInProcessThreeTier(t *testing.T) {
 	if err := mdp.RegisterDocument(doc); err != nil {
 		t.Fatal(err)
 	}
-	if node.Repository().Has("doc1.rdf#host") {
+	if cached(t, node.Repository(), "doc1.rdf#host") {
 		t.Error("stale resource survived update")
 	}
 
@@ -215,7 +216,7 @@ func TestWireEndToEnd(t *testing.T) {
 	if err := admin.RegisterDocument(providerDoc(2, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if !eventually(func() bool { return node.Repository().Has("doc2.rdf#host") }) {
+	if !eventually(func() bool { return cached(t, node.Repository(), "doc2.rdf#host") }) {
 		t.Fatal("push notification did not arrive")
 	}
 
@@ -250,7 +251,7 @@ func TestWireEndToEnd(t *testing.T) {
 	if err := admin.DeleteDocument("doc2.rdf"); err != nil {
 		t.Fatal(err)
 	}
-	if !eventually(func() bool { return !node.Repository().Has("doc2.rdf#host") }) {
+	if !eventually(func() bool { return !cached(t, node.Repository(), "doc2.rdf#host") }) {
 		t.Fatal("deletion push did not arrive")
 	}
 
@@ -292,4 +293,15 @@ func eventually(cond func() bool) bool {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return cond()
+}
+
+// cached reports whether the repository holds uri, failing the test when
+// the lookup itself fails.
+func cached(t *testing.T, r *repository.Repository, uri string) bool {
+	t.Helper()
+	_, ok, err := r.Get(uri)
+	if err != nil {
+		t.Fatalf("get %s: %v", uri, err)
+	}
+	return ok
 }

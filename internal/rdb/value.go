@@ -13,7 +13,6 @@ package rdb
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -245,14 +244,6 @@ func compareFloatInt(f float64, i int64) int {
 // Note that under this definition NULL equals NULL; SQL three-valued
 // comparison semantics are implemented in the expression evaluator, not here.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
-// Hash returns a hash of the value consistent with Equal: equal values hash
-// equally, including the INT/FLOAT numeric coercion (1 and 1.0 hash alike).
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(EncodeKeyString(Key{v})))
-	return h.Sum64()
-}
 
 // NumValue is the typed numeric shadow of a lexical form: the FLOAT that
 // CAST(s AS FLOAT) yields (same trimming, same accepted forms, so Inf and

@@ -97,7 +97,7 @@ func TestCompareNaN(t *testing.T) {
 	}
 }
 
-func TestHashConsistentWithEqual(t *testing.T) {
+func TestKeyEncodingConsistentWithEqual(t *testing.T) {
 	pairs := [][2]Value{
 		{NewInt(1), NewFloat(1.0)},
 		{NewText("x"), NewText("x")},
@@ -108,13 +108,13 @@ func TestHashConsistentWithEqual(t *testing.T) {
 		if !Equal(p[0], p[1]) {
 			t.Fatalf("expected %v == %v", p[0], p[1])
 		}
-		if p[0].Hash() != p[1].Hash() {
-			t.Errorf("equal values %v, %v have different hashes", p[0], p[1])
+		if EncodeKeyString(Key{p[0]}) != EncodeKeyString(Key{p[1]}) {
+			t.Errorf("equal values %v, %v have different key encodings", p[0], p[1])
 		}
 	}
 }
 
-// Property: Compare is antisymmetric and Equal values hash identically.
+// Property: Compare is antisymmetric and Equal values encode identically.
 func TestCompareAntisymmetryProperty(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := NewInt(a), NewInt(b)
@@ -128,7 +128,7 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 		if Compare(va, vb) != -Compare(vb, va) {
 			return false
 		}
-		if Equal(va, vb) && va.Hash() != vb.Hash() {
+		if Equal(va, vb) && EncodeKeyString(Key{va}) != EncodeKeyString(Key{vb}) {
 			return false
 		}
 		return true
@@ -138,12 +138,12 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 	}
 }
 
-// Property: int/float coercion equality implies hash equality.
-func TestIntFloatHashProperty(t *testing.T) {
+// Property: int/float coercion equality implies key-encoding equality.
+func TestIntFloatKeyProperty(t *testing.T) {
 	f := func(n int32) bool {
 		i := NewInt(int64(n))
 		fl := NewFloat(float64(n))
-		return Equal(i, fl) && i.Hash() == fl.Hash()
+		return Equal(i, fl) && EncodeKeyString(Key{i}) == EncodeKeyString(Key{fl})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -237,7 +237,8 @@ func TestEncodeKeyStringInjective(t *testing.T) {
 	// So must the values Compare holds equal although their bits differ:
 	// -0 and +0, and NaNs with different payloads.
 	negZero := NewFloat(math.Copysign(0, -1))
-	if EncodeKeyString(Key{negZero}) != EncodeKeyString(Key{NewFloat(0)}) || negZero.Hash() != NewInt(0).Hash() {
+	if EncodeKeyString(Key{negZero}) != EncodeKeyString(Key{NewFloat(0)}) ||
+		EncodeKeyString(Key{negZero}) != EncodeKeyString(Key{NewInt(0)}) {
 		t.Error("-0 and 0 should encode identically")
 	}
 	otherNaN := NewFloat(math.Float64frombits(math.Float64bits(math.NaN()) ^ 1))

@@ -171,14 +171,6 @@ func (r *Repository) Len() int {
 	return t.Len()
 }
 
-// Has reports whether a resource is cached.
-func (r *Repository) Has(uriRef string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	has, _ := r.hasLocked(uriRef)
-	return has
-}
-
 // Get reconstructs a cached resource.
 func (r *Repository) Get(uriRef string) (*rdf.Resource, bool, error) {
 	r.mu.RLock()

@@ -78,7 +78,7 @@ func TestApplyUpsertAndGet(t *testing.T) {
 	if len(credits) != 0 {
 		t.Errorf("closure credits = %v", credits)
 	}
-	if !r.Has("d#i") {
+	if !cached(t, r, "d#i") {
 		t.Error("closure resource not cached")
 	}
 }
@@ -94,14 +94,14 @@ func TestRemovalDropsWithLastCredit(t *testing.T) {
 	if err := r.ApplyChangeset(&core.Changeset{Removals: []core.Removal{{URIRef: "d#h", SubID: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Has("d#h") {
+	if !cached(t, r, "d#h") {
 		t.Fatal("resource dropped while still credited")
 	}
 	// Remove the last credit: GC collects it.
 	if err := r.ApplyChangeset(&core.Changeset{Removals: []core.Removal{{URIRef: "d#h", SubID: 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#h") {
+	if cached(t, r, "d#h") {
 		t.Error("resource survived last credit removal")
 	}
 	st := r.Stats()
@@ -127,7 +127,7 @@ func TestGCClosureChain(t *testing.T) {
 	if err := r.ApplyChangeset(&core.Changeset{Removals: []core.Removal{{URIRef: "d#h", SubID: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#h") || r.Has("d#i") {
+	if cached(t, r, "d#h") || cached(t, r, "d#i") {
 		t.Error("closure chain not collected")
 	}
 	if r.Len() != 0 {
@@ -153,16 +153,16 @@ func TestGCSharedClosureSurvives(t *testing.T) {
 	if err := r.ApplyChangeset(&core.Changeset{Removals: []core.Removal{{URIRef: "d#h1", SubID: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#h1") {
+	if cached(t, r, "d#h1") {
 		t.Error("h1 not collected")
 	}
-	if !r.Has("d#i") {
+	if !cached(t, r, "d#i") {
 		t.Error("shared closure resource collected while still referenced")
 	}
 	if err := r.ApplyChangeset(&core.Changeset{Removals: []core.Removal{{URIRef: "d#h2", SubID: 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#i") {
+	if cached(t, r, "d#i") {
 		t.Error("orphaned closure resource survived")
 	}
 }
@@ -186,7 +186,7 @@ func TestGCCycleCollected(t *testing.T) {
 	if err := r.ApplyChangeset(&core.Changeset{Removals: []core.Removal{{URIRef: "d#a", SubID: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#a") || r.Has("d#b") {
+	if cached(t, r, "d#a") || cached(t, r, "d#b") {
 		t.Error("strong-reference cycle leaked (mark-and-sweep should reclaim it)")
 	}
 }
@@ -200,7 +200,7 @@ func TestForcedDelete(t *testing.T) {
 	if err := r.ApplyChangeset(&core.Changeset{ForcedDeletes: []string{"d#h", "d#unknown"}}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#h") {
+	if cached(t, r, "d#h") {
 		t.Error("forced delete ignored")
 	}
 	if r.Stats().ForcedDeletes != 1 {
@@ -236,7 +236,7 @@ func TestClosureUpsertRefreshesOnlyCached(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#other") {
+	if cached(t, r, "d#other") {
 		t.Error("uncached closure upsert created a cache entry")
 	}
 }
@@ -280,7 +280,7 @@ func TestClosureUpsertStoresNewStrongTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, uri := range []string{"d#a", "d#b", "d#c", "d#d"} {
-		if !r.Has(uri) {
+		if !cached(t, r, uri) {
 			t.Errorf("%s is not cached after B gained its strong reference", uri)
 		}
 	}
@@ -369,14 +369,14 @@ func TestLocalMetadata(t *testing.T) {
 	if err := r.RegisterLocalDocument(doc); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Has("local.rdf#svc") {
+	if !cached(t, r, "local.rdf#svc") {
 		t.Fatal("local resource not stored")
 	}
 	// Local resources are GC roots.
 	if _, err := r.GC(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Has("local.rdf#svc") {
+	if !cached(t, r, "local.rdf#svc") {
 		t.Error("GC collected a local resource")
 	}
 	// Schema violations rejected.
@@ -389,7 +389,7 @@ func TestLocalMetadata(t *testing.T) {
 	if err := r.DeleteLocalResource("local.rdf#svc"); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("local.rdf#svc") {
+	if cached(t, r, "local.rdf#svc") {
 		t.Error("local resource survived deletion")
 	}
 	if err := r.DeleteLocalResource("local.rdf#svc"); err == nil {
@@ -415,10 +415,10 @@ func TestDropSubscriptionCredits(t *testing.T) {
 	if err := r.DropSubscriptionCredits(1); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#h1") {
+	if cached(t, r, "d#h1") {
 		t.Error("h1 survived subscription drop")
 	}
-	if !r.Has("d#h2") {
+	if !cached(t, r, "d#h2") {
 		t.Error("h2 dropped despite second subscription")
 	}
 }
@@ -592,7 +592,7 @@ func TestTombstonedSubscriptionCredits(t *testing.T) {
 	if err := r.DropSubscriptionCredits(1); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#h") {
+	if cached(t, r, "d#h") {
 		t.Fatal("resource survived unsubscribe")
 	}
 	// Late-arriving changeset for the dead subscription.
@@ -600,7 +600,7 @@ func TestTombstonedSubscriptionCredits(t *testing.T) {
 	if err := r.ApplyChangeset(late); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#h") {
+	if cached(t, r, "d#h") {
 		t.Error("dead subscription resurrected a cache entry")
 	}
 	// A live subscription sharing the upsert still works.
@@ -608,7 +608,7 @@ func TestTombstonedSubscriptionCredits(t *testing.T) {
 	if err := r.ApplyChangeset(mixed); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Has("d#h2") {
+	if !cached(t, r, "d#h2") {
 		t.Fatal("live subscription's upsert dropped")
 	}
 	credits, _ := r.CreditsOf("d#h2")
@@ -637,7 +637,7 @@ func TestApplyPushDeduplicatesBySequence(t *testing.T) {
 	if err := r.ApplyPush(3, false, up("d#c", 80)); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#b") || r.Has("d#c") {
+	if cached(t, r, "d#b") || cached(t, r, "d#c") {
 		t.Error("duplicate push was applied")
 	}
 	if got := r.Stats().DuplicatesSkipped; got != 2 {
@@ -647,7 +647,7 @@ func TestApplyPushDeduplicatesBySequence(t *testing.T) {
 	if err := r.ApplyPush(0, false, up("d#d", 80)); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Has("d#d") {
+	if !cached(t, r, "d#d") {
 		t.Error("unsequenced push was skipped")
 	}
 	if r.LastSeq() != 5 {
@@ -657,8 +657,8 @@ func TestApplyPushDeduplicatesBySequence(t *testing.T) {
 	if err := r.ApplyPush(6, false, up("d#e", 80)); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Has("d#e") || r.LastSeq() != 6 {
-		t.Errorf("seq 6: Has=%v LastSeq=%d", r.Has("d#e"), r.LastSeq())
+	if !cached(t, r, "d#e") || r.LastSeq() != 6 {
+		t.Errorf("seq 6: Has=%v LastSeq=%d", cached(t, r, "d#e"), r.LastSeq())
 	}
 }
 
@@ -684,13 +684,13 @@ func TestApplyPushResetDropsGlobalKeepsLocal(t *testing.T) {
 	if err := r.ApplyPush(9, true, fresh); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#old1") || r.Has("d#old2") {
+	if cached(t, r, "d#old1") || cached(t, r, "d#old2") {
 		t.Error("stale global resources survived the reset")
 	}
-	if !r.Has("d#new") {
+	if !cached(t, r, "d#new") {
 		t.Error("reset changeset content missing")
 	}
-	if !r.Has("local.rdf#mine") {
+	if !cached(t, r, "local.rdf#mine") {
 		t.Error("local resource dropped by reset")
 	}
 	if r.LastSeq() != 9 {
@@ -721,7 +721,7 @@ func TestApplyPushResetRewindsCursor(t *testing.T) {
 	if err := r.ApplyPush(3, true, up("d#base", 81)); err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("d#pre") {
+	if cached(t, r, "d#pre") {
 		t.Error("stale global resource survived the reset")
 	}
 	if r.LastSeq() != 3 {
@@ -731,7 +731,7 @@ func TestApplyPushResetRewindsCursor(t *testing.T) {
 	if err := r.ApplyPush(4, false, up("d#live", 82)); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Has("d#live") {
+	if !cached(t, r, "d#live") {
 		t.Error("live push after reset skipped as duplicate (lost update)")
 	}
 	if r.LastSeq() != 4 {
@@ -828,7 +828,7 @@ func TestSweepOnlyWhenDue(t *testing.T) {
 // TestApplySurfacesStatementErrors: a statement that fails while a changeset
 // is applied fails the application — a forced delete, a closure entry and a
 // tombstoned upsert each check the cache first, and a failed check is not
-// "not cached".
+// "not cached". Get surfaces the same failure to its callers.
 func TestApplySurfacesStatementErrors(t *testing.T) {
 	for name, cs := range map[string]*core.Changeset{
 		"forced delete":  {ForcedDeletes: []string{"d#h"}},
@@ -846,4 +846,22 @@ func TestApplySurfacesStatementErrors(t *testing.T) {
 			t.Errorf("%s: applied over a missing Cache table", name)
 		}
 	}
+	r := newRepo(t)
+	if _, err := r.DB().Exec(`DROP TABLE Cache`); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Get("d#h"); err == nil {
+		t.Error("Get over a missing Cache table returned no error")
+	}
+}
+
+// cached reports whether the repository holds uri, failing the test when
+// the lookup itself fails.
+func cached(t *testing.T, r *Repository, uri string) bool {
+	t.Helper()
+	_, ok, err := r.Get(uri)
+	if err != nil {
+		t.Fatalf("get %s: %v", uri, err)
+	}
+	return ok
 }

@@ -145,7 +145,7 @@ func TestDurableResumeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "post-reconnect publish", func() bool {
-		return flaky.Repository().Has("host100.rdf#cp")
+		return cached(t, flaky.Repository(), "host100.rdf#cp")
 	})
 }
 
@@ -230,6 +230,6 @@ func TestDurableProviderRestartOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "reconnected node converged on recovered provider", func() bool {
-		return node.Repository().Len() == 7 && node.Repository().Has("host50.rdf#cp")
+		return node.Repository().Len() == 7 && cached(t, node.Repository(), "host50.rdf#cp")
 	})
 }

@@ -95,7 +95,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if _, err := node2.AddSubscription(`search CycleProvider c register c`); err != nil {
 		t.Fatal(err)
 	}
-	if !node2.Repository().Has("doc.rdf#host") {
+	if !cached(t, node2.Repository(), "doc.rdf#host") {
 		t.Error("restored provider lost metadata")
 	}
 }
@@ -163,4 +163,17 @@ func TestPublicAPIWire(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// cached reports whether a node's cache holds uri, failing the test when the
+// lookup itself fails.
+func cached(t *testing.T, repo interface {
+	Get(string) (*mdv.Resource, bool, error)
+}, uri string) bool {
+	t.Helper()
+	_, ok, err := repo.Get(uri)
+	if err != nil {
+		t.Fatalf("get %s: %v", uri, err)
+	}
+	return ok
 }
