@@ -7,7 +7,7 @@ package client
 
 import (
 	"context"
-	"encoding/json"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,24 +119,11 @@ func (c *MDP) PeerEpoch() uint64 { return c.conn.PeerEpoch() }
 // clears the stamp.
 func (c *MDP) SetWriteEpoch(epoch uint64) { c.writeEpoch.Store(epoch) }
 
-func (c *MDP) onPush(kind string, body json.RawMessage) {
-	switch kind {
-	case wire.KindChangeset:
-		var push wire.ChangesetPush
-		if err := json.Unmarshal(body, &push); err != nil {
-			return
-		}
-		c.applyPush(&push)
-	case wire.KindChangesetBatch:
-		// Coalesced replay frame: apply each element in order, exactly as
-		// if it had arrived as its own push.
-		var batch wire.ChangesetBatchPush
-		if err := json.Unmarshal(body, &batch); err != nil {
-			return
-		}
-		for i := range batch.Pushes {
-			c.applyPush(&batch.Pushes[i])
-		}
+// onPush applies the changesets of a push frame in order; a coalesced
+// replay batch applies exactly as if each had arrived as its own push.
+func (c *MDP) onPush(m *wire.Message) {
+	for i := range m.Pushes {
+		c.applyPush(&m.Pushes[i])
 	}
 }
 
@@ -188,10 +175,23 @@ func (c *MDP) DeleteDocument(uri string) error {
 func (c *MDP) Subscribe(subscriber, rule string) (int64, *core.Changeset, error) {
 	var resp wire.SubscribeResponse
 	err := c.call(wire.KindSubscribe, &wire.SubscribeRequest{Subscriber: subscriber, Rule: rule, Epoch: c.writeEpoch.Load()}, &resp)
+	return subscribed(&resp, err)
+}
+
+// subscribed unpacks a subscribe call's outcome; the initial fill travels
+// in the binary changeset encoding.
+func subscribed(resp *wire.SubscribeResponse, err error) (int64, *core.Changeset, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return resp.SubID, resp.Initial, nil
+	if resp.Initial == nil {
+		return resp.SubID, nil, nil
+	}
+	initial, _, err := core.DecodeChangeset(resp.Initial)
+	if err != nil {
+		return 0, nil, fmt.Errorf("client: subscribe initial fill: %w", err)
+	}
+	return resp.SubID, initial, nil
 }
 
 // Unsubscribe removes a subscription.
@@ -272,10 +272,7 @@ func (c *MDP) RegisterDocumentsContext(ctx context.Context, docs []*rdf.Document
 func (c *MDP) SubscribeContext(ctx context.Context, subscriber, rule string) (int64, *core.Changeset, error) {
 	var resp wire.SubscribeResponse
 	err := c.conn.CallContext(ctx, wire.KindSubscribe, &wire.SubscribeRequest{Subscriber: subscriber, Rule: rule, Epoch: c.writeEpoch.Load()}, &resp)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.SubID, resp.Initial, nil
+	return subscribed(&resp, err)
 }
 
 // EnablePushMetrics registers the end-to-end propagation-lag histogram on

@@ -62,7 +62,9 @@ const (
 	// Resume and ApplyReplicated so those logs replay, never written.
 	recPub = "pub"
 	// recPubGroup is the publish record of an interest group: one
-	// changeset, one sequence, one or more member subscribers.
+	// changeset, one sequence, one or more member subscribers. It is
+	// written in binary (appendPubGroupRecord); JSON pub_group records of
+	// older logs are still read.
 	recPubGroup  = "pub_group"
 	recAck       = "ack"
 	recWatermark = "watermark"
@@ -72,7 +74,8 @@ const (
 	recEpoch = "epoch"
 )
 
-// logRecord is the JSON payload of one changelog record.
+// logRecord is one decoded changelog record. Every kind but pub_group is
+// written as JSON; see parseRecord.
 type logRecord struct {
 	Kind       string     `json:"kind"`
 	Docs       []wire.Doc `json:"docs,omitempty"`       // register
@@ -90,9 +93,69 @@ type logRecord struct {
 	// records, so a second crash cannot forget that a range's pushes were
 	// delivered but their records died. Consolidated records (written by
 	// recovery and Compact) carry the full list.
-	Lost      [][2]uint64     `json:"lost,omitempty"`      // watermark
-	Changeset *core.Changeset `json:"changeset,omitempty"` // pub
-	Epoch     uint64          `json:"epoch,omitempty"`     // epoch
+	Lost [][2]uint64 `json:"lost,omitempty"` // watermark
+	// Changeset is the changeset of a legacy JSON pub or pub_group record.
+	Changeset *core.Changeset `json:"changeset,omitempty"`
+	Epoch     uint64          `json:"epoch,omitempty"` // epoch
+	// enc is the encoded changeset of a binary pub_group record, a subslice
+	// of the parsed payload.
+	enc []byte
+}
+
+// pubGroupTag opens a binary pub_group record. JSON records open with '{'.
+//
+//	record = pubGroupTag uvarint(len(members)) members changeset
+//	member = uvarint(len) bytes
+//
+// changeset is the core.AppendChangeset encoding that the record's push
+// frames carry too.
+const pubGroupTag = 0x01
+
+// appendPubGroupRecord encodes a pub_group record. It returns the record
+// and the changeset encoding inside it.
+func appendPubGroupRecord(members []string, cs *core.Changeset) (rec, enc []byte) {
+	rec = append(rec, pubGroupTag)
+	rec = binary.AppendUvarint(rec, uint64(len(members)))
+	for _, m := range members {
+		rec = binary.AppendUvarint(rec, uint64(len(m)))
+		rec = append(rec, m...)
+	}
+	start := len(rec)
+	rec = core.AppendChangeset(rec, cs)
+	return rec, rec[start:]
+}
+
+var errMalformedPubGroup = errors.New("provider: malformed pub_group record")
+
+// parseRecord decodes a changelog record payload. A binary pub_group
+// record's changeset is not decoded: rec.enc points at its encoding inside
+// payload.
+func parseRecord(payload []byte) (*logRecord, error) {
+	if len(payload) == 0 || payload[0] != pubGroupTag {
+		var rec logRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return nil, err
+		}
+		return &rec, nil
+	}
+	rec := &logRecord{Kind: recPubGroup}
+	b := payload[1:]
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)) {
+		return nil, errMalformedPubGroup
+	}
+	b = b[k:]
+	rec.Subscribers = make([]string, n)
+	for i := range rec.Subscribers {
+		l, k := binary.Uvarint(b)
+		if k <= 0 || l > uint64(len(b)-k) {
+			return nil, errMalformedPubGroup
+		}
+		rec.Subscribers[i] = string(b[k : k+int(l)])
+		b = b[k+int(l):]
+	}
+	rec.enc = b
+	return rec, nil
 }
 
 // durableState is the changelog side of a durable provider.
@@ -323,9 +386,12 @@ func (p *Provider) logOpLocked(rec *logRecord) (uint64, error) {
 }
 
 // appendPubLocked appends one publish record for an interest group (of one
-// or more members); caller holds pubMu.
-func (p *Provider) appendPubLocked(members []string, cs *core.Changeset) (uint64, error) {
-	return p.logOpLocked(&logRecord{Kind: recPubGroup, Subscribers: members, Changeset: cs})
+// or more members) and returns its sequence and the changeset's encoding,
+// which the group's push frames reuse; caller holds pubMu.
+func (p *Provider) appendPubLocked(members []string, cs *core.Changeset) (uint64, []byte, error) {
+	rec, enc := appendPubGroupRecord(members, cs)
+	seq, err := p.dur.log.Append(rec)
+	return seq, enc, err
 }
 
 // claimDeliveredLocked makes the durable delivered-watermark cover seq;
@@ -408,8 +474,11 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 	// delivered-watermark claim; publish records need no replay here (they
 	// are read on demand by Resume).
 	err := p.dur.log.Replay(p.dur.log.OldestSeq(), func(seq uint64, payload []byte) error {
-		var rec logRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if len(payload) > 0 && payload[0] == pubGroupTag {
+			return nil // binary publish record: nothing to recover from it
+		}
+		rec, err := parseRecord(payload)
+		if err != nil {
 			if seq <= stats.SnapshotSeq {
 				return nil // tolerated: pre-snapshot ops are not needed for state
 			}
@@ -418,7 +487,7 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 		switch rec.Kind {
 		case recRegister, recDelete, recSubscribe, recUnsubscribe, recNamedRule:
 			if seq > stats.SnapshotSeq {
-				ops = append(ops, op{seq: seq, rec: rec})
+				ops = append(ops, op{seq: seq, rec: *rec})
 			}
 		case recAck:
 			if rec.AckSeq > p.dur.acked[rec.Subscriber] {
@@ -512,7 +581,7 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 		stats.Replayed++
 		if ps != nil {
 			for _, g := range ps.Groups {
-				if _, err := p.appendPubLocked(g.Members, g.Changeset); err != nil {
+				if _, _, err := p.appendPubLocked(g.Members, g.Changeset); err != nil {
 					return err
 				}
 			}
@@ -636,33 +705,30 @@ func (p *Provider) Resume(subscriber string, fromSeq uint64) (uint64, error) {
 			p.pubMu.Unlock()
 			return 0, err
 		}
-		dels = append(dels, delivery{subs: []string{subscriber}, seq: latest, reset: true, cs: fill, sync: true})
+		dels = append(dels, delivery{subs: []string{subscriber}, sync: true,
+			pushes: []pushItem{{seq: latest, reset: true, cs: fill}}})
 	} else {
 		// Consecutive replay records for the cursor coalesce into batched
 		// pushes (bounded by replayBatchLimit), so a long catch-up pays one
 		// frame and one queue slot per batch instead of per record.
-		var batch []wire.ChangesetPush
+		var batch []pushItem
 		flush := func() {
-			switch len(batch) {
-			case 0:
-			case 1:
-				dels = append(dels, delivery{subs: []string{subscriber},
-					seq: batch[0].Seq, cs: batch[0].Changeset, sync: true})
-				batch = nil
-			default:
-				dels = append(dels, delivery{subs: []string{subscriber},
-					seq: batch[len(batch)-1].Seq, batch: batch, sync: true})
+			if len(batch) == 0 {
+				return
+			}
+			dels = append(dels, delivery{subs: []string{subscriber}, sync: true, pushes: batch})
+			if len(batch) > 1 {
 				p.replayCoalescedRecords.Add(uint64(len(batch)))
 				p.replayCoalescedBatches.Add(1)
-				batch = nil
 			}
+			batch = nil
 		}
 		err := p.dur.log.Replay(fromSeq+1, func(seq uint64, payload []byte) error {
-			var rec logRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
+			rec, err := parseRecord(payload)
+			if err != nil {
 				return fmt.Errorf("provider: changelog record %d: %w", seq, err)
 			}
-			mine := rec.Changeset != nil &&
+			mine := (rec.Changeset != nil || rec.enc != nil) &&
 				(rec.Kind == recPub && rec.Subscriber == subscriber ||
 					rec.Kind == recPubGroup && containsString(rec.Subscribers, subscriber))
 			if !mine {
@@ -670,8 +736,14 @@ func (p *Provider) Resume(subscriber string, fromSeq uint64) (uint64, error) {
 			}
 			// Replays block on queue backpressure (sync) rather than drop:
 			// the backlog can exceed any queue bound, and the resuming
-			// subscriber is actively draining it.
-			batch = append(batch, wire.ChangesetPush{Seq: seq, Changeset: rec.Changeset})
+			// subscriber is actively draining it. A binary record's changeset
+			// bytes go into the frame as they are, copied out of the replay
+			// buffer, which is only valid during this callback.
+			u := pushItem{seq: seq, cs: rec.Changeset}
+			if rec.enc != nil {
+				u.enc = append([]byte(nil), rec.enc...)
+			}
+			batch = append(batch, u)
 			if len(batch) >= replayBatchLimit {
 				flush()
 			}

@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -243,8 +244,8 @@ func TestResumeReplaysMissedChangesets(t *testing.T) {
 	// writes pub_group like any other, never the pre-group pub kind.
 	var groupRecs int
 	err = p.dur.log.Replay(1, func(seq uint64, payload []byte) error {
-		var rec logRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := parseRecord(payload)
+		if err != nil {
 			return err
 		}
 		switch rec.Kind {
@@ -271,6 +272,79 @@ func TestResumeReplaysMissedChangesets(t *testing.T) {
 	}
 	if c3.count() != 0 {
 		t.Errorf("pushes after current resume = %d, want 0", c3.count())
+	}
+}
+
+// TestResumeReplaysMixedRecordFormats: a log written by an older provider
+// holds JSON pub_group records; the upgraded provider appends binary ones
+// after them. A Resume from the start replays both kinds, in sequence
+// order, with their changesets intact.
+func TestResumeReplaysMixedRecordFormats(t *testing.T) {
+	dir := t.TempDir()
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var live collector
+	p.Attach("lmr", live.apply)
+	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+		t.Fatal(err)
+	}
+	type want struct {
+		seq uint64
+		cs  *core.Changeset
+	}
+	var wants []want
+	legacy := []*core.Changeset{
+		{Upserts: []core.Upsert{{Resource: testDoc(90, 80).Resources[0], SubIDs: []int64{1}}}},
+		{
+			Removals:      []core.Removal{{URIRef: "b90.rdf#cp", SubID: 1}},
+			MemberCredits: map[string][]int64{"lmr": {1}, "other": nil},
+		},
+	}
+	p.lockPub()
+	for _, cs := range legacy {
+		payload, err := json.Marshal(&logRecord{Kind: recPubGroup, Subscribers: []string{"lmr", "other"}, Changeset: cs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := p.dur.log.Append(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants = append(wants, want{seq, cs})
+	}
+	p.unlockPub()
+	for i := 0; i < 3; i++ {
+		if err := p.RegisterDocument(testDoc(i, 80)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live.count() != 3 {
+		t.Fatalf("live pushes = %d, want 3", live.count())
+	}
+	for _, ps := range live.pushes {
+		wants = append(wants, want{ps.seq, ps.cs})
+	}
+
+	var replay collector
+	p.Detach("lmr")
+	p.Attach("lmr", replay.apply)
+	if _, err := p.Resume("lmr", 0); err != nil {
+		t.Fatal(err)
+	}
+	if replay.count() != len(wants) {
+		t.Fatalf("replayed %d pushes, want %d (2 JSON records, then 3 binary)", replay.count(), len(wants))
+	}
+	for i, w := range wants {
+		got := replay.pushes[i]
+		if got.seq != w.seq || got.reset {
+			t.Errorf("push %d: seq %d (reset %v), want seq %d", i, got.seq, got.reset, w.seq)
+		}
+		if !bytes.Equal(core.AppendChangeset(nil, got.cs), core.AppendChangeset(nil, w.cs)) {
+			t.Errorf("push %d (seq %d): replayed changeset %+v, want %+v", i, w.seq, got.cs, w.cs)
+		}
 	}
 }
 

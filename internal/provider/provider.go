@@ -185,23 +185,50 @@ func (t *deliveryTurnstile) done() {
 	t.mu.Unlock()
 }
 
-// delivery is one changeset delivery collected under pubMu and performed
-// by the delivery stage: one changeset (or one coalesced replay batch)
-// addressed to every member of an interest group.
+// delivery is one delivery collected under pubMu and performed by the
+// delivery stage: one changeset push (or one coalesced replay batch of
+// them) addressed to every member of an interest group.
 type delivery struct {
 	// subs are the receiving subscribers — one interest group. Group
 	// members share the changeset and its sequence.
-	subs  []string
+	subs []string
+	sync bool
+	// pushes are delivered in order: one per publish, several (ascending
+	// sequence) for a coalesced resume replay.
+	pushes []pushItem
+}
+
+// pushItem is one changeset push. A publish builds it with both forms of
+// the changeset; a replay of a binary changelog record starts with the
+// encoding only, a replay of a legacy JSON record with the struct only.
+// The missing form is derived when a receiver needs it: the struct for
+// in-process subscribers (Attach), the encoding for push frames.
+type pushItem struct {
 	seq   uint64
 	reset bool
-	cs    *core.Changeset
-	sync  bool
 	// pubNano is the publish-time wall clock carried on live pushes for the
 	// receiver's end-to-end propagation-lag histogram; 0 on resume replays.
 	pubNano int64
-	// batch, when non-nil, carries coalesced replay pushes in ascending
-	// sequence order instead of cs; seq is the last element's sequence.
-	batch []wire.ChangesetPush
+	cs      *core.Changeset
+	enc     []byte
+}
+
+func (u *pushItem) changeset() (*core.Changeset, error) {
+	if u.cs == nil {
+		cs, _, err := core.DecodeChangeset(u.enc)
+		if err != nil {
+			return nil, fmt.Errorf("provider: push %d: %w", u.seq, err)
+		}
+		u.cs = cs
+	}
+	return u.cs, nil
+}
+
+func (u *pushItem) encoded() []byte {
+	if u.enc == nil {
+		u.enc = core.AppendChangeset(nil, u.cs)
+	}
+	return u.enc
 }
 
 // deliverInTurn waits for the operation's turn at the delivery stage,
@@ -358,22 +385,24 @@ func (p *Provider) publishLocked(ps *core.PublishSet) (uint64, []delivery, error
 	// first member), so publish records replay in a stable order across
 	// recovery runs.
 	for _, g := range ps.Groups {
-		var seq uint64
+		u := pushItem{cs: g.Changeset, pubNano: pubNano}
 		if p.dur != nil {
+			// The publish record and the push frame carry the same changeset
+			// bytes: encoded here, once per group.
 			var err error
-			seq, err = p.appendPubLocked(g.Members, g.Changeset)
+			u.seq, u.enc, err = p.appendPubLocked(g.Members, g.Changeset)
 			if err != nil {
 				return maxSeq, dels, err
 			}
-			maxSeq = seq
+			maxSeq = u.seq
 			// The push reaches the subscriber before this operation's
 			// group-commit fsync returns, so the delivered-watermark must
 			// durably cover its sequence first (no-op within a claimed chunk).
-			if err := p.claimDeliveredLocked(seq); err != nil {
+			if err := p.claimDeliveredLocked(u.seq); err != nil {
 				return maxSeq, dels, err
 			}
 		}
-		dels = append(dels, delivery{subs: g.Members, seq: seq, cs: g.Changeset, pubNano: pubNano})
+		dels = append(dels, delivery{subs: g.Members, pushes: []pushItem{u}})
 	}
 	if m := p.met.Load(); m != nil && len(ps.Groups) > 0 {
 		m.groupsPerPublish.Observe(float64(len(ps.Groups)))
@@ -403,6 +432,7 @@ func (p *Provider) deliver(d delivery) {
 	}
 	var fns []fnTarget
 	var conns []connTarget
+	lastSeq := d.pushes[len(d.pushes)-1].seq
 	p.mu.Lock()
 	for _, subscriber := range d.subs {
 		for _, fn := range p.attached[subscriber] {
@@ -412,8 +442,8 @@ func (p *Provider) deliver(d delivery) {
 			conns = append(conns, connTarget{subscriber, c})
 		}
 		counters := p.countersLocked(subscriber)
-		if d.seq > counters.lastSeq {
-			counters.lastSeq = d.seq
+		if lastSeq > counters.lastSeq {
+			counters.lastSeq = lastSeq
 		}
 	}
 	p.mu.Unlock()
@@ -423,32 +453,27 @@ func (p *Provider) deliver(d delivery) {
 		}
 	}
 	for _, t := range fns {
-		if d.batch != nil {
-			for i := range d.batch {
-				b := &d.batch[i]
-				report(t.subscriber, t.fn(b.Seq, b.Reset, b.Changeset))
+		for i := range d.pushes {
+			u := &d.pushes[i]
+			cs, err := u.changeset()
+			if err == nil {
+				err = t.fn(u.seq, u.reset, cs)
 			}
-		} else {
-			report(t.subscriber, t.fn(d.seq, d.reset, d.cs))
+			report(t.subscriber, err)
 		}
 	}
 	if len(conns) == 0 {
 		return
 	}
-	// Encode the push frame once; every member connection enqueues the
-	// same buffer (the group shares one sequence, so frames need no
-	// per-member stamping).
-	kind := wire.KindChangeset
-	var body interface{} = &wire.ChangesetPush{Seq: d.seq, Reset: d.reset, Changeset: d.cs, PubUnixNano: d.pubNano}
-	if d.batch != nil {
-		kind = wire.KindChangesetBatch
-		body = &wire.ChangesetBatchPush{Pushes: d.batch}
+	// Frame the pushes once; every member connection enqueues the same
+	// buffer (the group shares one sequence, so frames need no per-member
+	// stamping).
+	elems := make([]wire.EncodedPush, len(d.pushes))
+	for i := range d.pushes {
+		u := &d.pushes[i]
+		elems[i] = wire.EncodedPush{Seq: u.seq, Reset: u.reset, PubUnixNano: u.pubNano, Changeset: u.encoded()}
 	}
-	payload, err := json.Marshal(body)
-	var frame []byte
-	if err == nil {
-		frame, err = wire.EncodeMessage(&wire.Message{ID: 0, Kind: kind, Body: payload})
-	}
+	frame, err := wire.EncodePushFrame(elems)
 	if err != nil {
 		for _, t := range conns {
 			report(t.subscriber, err)
@@ -459,10 +484,7 @@ func (p *Provider) deliver(d delivery) {
 		p.encodeSavedBytes.Add(uint64(len(frame)) * uint64(len(conns)-1))
 	}
 	// Changesets handed to a queue per push: batches count each element.
-	perPush := uint64(1)
-	if d.batch != nil {
-		perPush = uint64(len(d.batch))
-	}
+	perPush := uint64(len(d.pushes))
 	// Counter updates accumulate locally and land under ONE p.mu
 	// acquisition, instead of re-locking per connection.
 	enqueued := map[string]uint64{}
@@ -894,7 +916,11 @@ func (p *Provider) handle(conn *wire.ServerConn, kind string, body json.RawMessa
 		if err != nil {
 			return nil, err
 		}
-		return &wire.SubscribeResponse{SubID: id, Initial: initial}, nil
+		resp := &wire.SubscribeResponse{SubID: id}
+		if initial != nil {
+			resp.Initial = core.AppendChangeset(nil, initial)
+		}
+		return resp, nil
 	case wire.KindUnsubscribe:
 		var req wire.UnsubscribeRequest
 		if err := wire.Decode(body, &req); err != nil {

@@ -21,7 +21,6 @@ package provider
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -327,8 +326,8 @@ func (p *Provider) ApplyReplicated(seq uint64, payload []byte, sentNano int64) e
 		p.unlockPub()
 		return fmt.Errorf("provider: replicated record %d landed at local seq %d (log diverged)", seq, got)
 	}
-	var rec logRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := parseRecord(payload)
+	if err != nil {
 		p.unlockPub()
 		return fmt.Errorf("provider: replicated record %d: %w", seq, err)
 	}
@@ -339,14 +338,17 @@ func (p *Provider) ApplyReplicated(seq uint64, payload []byte, sentNano int64) e
 		// follow in the stream. An application error is the deterministic
 		// replay of an operation that failed identically on the primary
 		// (operations are logged before application there).
-		p.replayOp(&rec)
-	case recPub:
-		if rec.Changeset != nil {
-			dels = append(dels, delivery{subs: []string{rec.Subscriber}, seq: seq, cs: rec.Changeset, pubNano: sentNano})
+		p.replayOp(rec)
+	case recPub, recPubGroup:
+		subs := rec.Subscribers
+		if rec.Kind == recPub {
+			subs = []string{rec.Subscriber}
 		}
-	case recPubGroup:
-		if rec.Changeset != nil {
-			dels = append(dels, delivery{subs: rec.Subscribers, seq: seq, cs: rec.Changeset, pubNano: sentNano})
+		// rec.enc points into payload, which outlives the delivery: it
+		// completes before this call returns.
+		if rec.Changeset != nil || rec.enc != nil {
+			dels = append(dels, delivery{subs: subs,
+				pushes: []pushItem{{seq: seq, cs: rec.Changeset, enc: rec.enc, pubNano: sentNano}}})
 		}
 	case recAck:
 		p.mu.Lock()
@@ -445,7 +447,8 @@ func (p *Provider) InstallSnapshot(data []byte) (uint64, error) {
 			p.unlockPub()
 			return 0, err
 		}
-		dels = append(dels, delivery{subs: []string{name}, seq: snapSeq, reset: true, cs: fill, sync: true})
+		dels = append(dels, delivery{subs: []string{name}, sync: true,
+			pushes: []pushItem{{seq: snapSeq, reset: true, cs: fill}}})
 	}
 	p.unlockPubAndDeliver(dels)
 	return snapSeq, nil

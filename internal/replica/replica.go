@@ -458,11 +458,11 @@ type session struct {
 // onPush dispatches server-initiated messages on the stream connection. It
 // runs on the connection's read loop, so records apply strictly in arrival
 // order and a slow apply backpressures the stream naturally.
-func (s *session) onPush(kind string, body json.RawMessage) {
-	switch kind {
+func (s *session) onPush(m *wire.Message) {
+	switch m.Kind {
 	case wire.KindReplRecord:
 		var push wire.ReplRecordPush
-		if err := json.Unmarshal(body, &push); err != nil {
+		if err := json.Unmarshal(m.Body, &push); err != nil {
 			s.f.logf("replica %s: bad record push: %v", s.f.opts.Name, err)
 			return
 		}
@@ -486,7 +486,7 @@ func (s *session) onPush(kind string, body json.RawMessage) {
 		}
 	case wire.KindReplSnapshotChunk:
 		var chunk wire.ReplSnapshotChunk
-		if err := json.Unmarshal(body, &chunk); err != nil {
+		if err := json.Unmarshal(m.Body, &chunk); err != nil {
 			s.f.logf("replica %s: bad snapshot chunk: %v", s.f.opts.Name, err)
 			return
 		}

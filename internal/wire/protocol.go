@@ -36,7 +36,7 @@ const (
 	KindChangeset = "changeset"
 	// KindChangesetBatch is a push carrying several coalesced changesets
 	// in publish order (resume replays for lagging cursors amortize frame
-	// and queue overhead this way).
+	// and queue overhead this way). Both kinds are binary push frames.
 	KindChangesetBatch = "changeset_batch"
 	// KindResume asks a durable MDP to replay the changesets published
 	// since the subscriber's acknowledged sequence number.
@@ -219,10 +219,12 @@ type SubscribeRequest struct {
 	Epoch      uint64 `json:"epoch,omitempty"`
 }
 
-// SubscribeResponse returns the subscription id and the initial cache fill.
+// SubscribeResponse returns the subscription id and the initial cache fill,
+// in the binary changeset encoding (core.AppendChangeset; absent when the
+// provider returned none).
 type SubscribeResponse struct {
-	SubID   int64           `json:"sub_id"`
-	Initial *core.Changeset `json:"initial"`
+	SubID   int64  `json:"sub_id"`
+	Initial []byte `json:"initial,omitempty"`
 }
 
 // UnsubscribeRequest removes a subscription.
@@ -252,12 +254,14 @@ type AttachRequest struct {
 	Subscriber string `json:"subscriber"`
 }
 
-// ChangesetPush is the body of a KindChangeset push. Seq is the publish
-// record's changelog sequence number (0 when the MDP runs without a
-// changelog); the subscriber acknowledges it and resumes from it after a
-// reconnect. Reset marks a full-state changeset: the subscriber must drop
-// its cached global metadata and rebuild from this changeset (sent when
-// the MDP can no longer prove a gap-free replay, e.g. after truncation).
+// ChangesetPush is one pushed changeset. Seq is the publish record's
+// changelog sequence number (0 when the MDP runs without a changelog); the
+// subscriber acknowledges it and resumes from it after a reconnect. Reset
+// marks a full-state changeset: the subscriber must drop its cached global
+// metadata and rebuild from this changeset (sent when the MDP can no longer
+// prove a gap-free replay, e.g. after truncation). Pushes travel as binary
+// frames (EncodePushFrame) and arrive decoded in Message.Pushes; the JSON
+// tags serve tools that still frame a push as a JSON envelope.
 type ChangesetPush struct {
 	Seq       uint64          `json:"seq,omitempty"`
 	Reset     bool            `json:"reset,omitempty"`
@@ -269,14 +273,6 @@ type ChangesetPush struct {
 	// propagation-lag histogram; skew between the two clocks is the
 	// measurement's error bar.
 	PubUnixNano int64 `json:"pub_unix_nano,omitempty"`
-}
-
-// ChangesetBatchPush is the body of a KindChangesetBatch push: consecutive
-// changesets coalesced into one frame, ordered by ascending Seq. The
-// receiver applies them exactly as if each had arrived as its own
-// KindChangeset push.
-type ChangesetBatchPush struct {
-	Pushes []ChangesetPush `json:"pushes"`
 }
 
 // ResumeRequest asks for a replay of publishes missed since FromSeq.

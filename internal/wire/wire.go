@@ -1,8 +1,10 @@
-// Package wire implements MDV's network protocol: length-prefixed JSON
-// messages over TCP, with synchronous request/response calls and
-// asynchronous server pushes (the MDP publishing changesets to attached
-// LMRs). The same message plumbing serves both tiers' servers (MDP and
-// LMR).
+// Package wire implements MDV's network protocol: length-prefixed messages
+// over TCP, with synchronous request/response calls and asynchronous server
+// pushes (the MDP publishing changesets to attached LMRs). Requests,
+// responses and control pushes are JSON envelopes; changeset pushes, whose
+// size grows with the metadata they carry, are binary frames (see
+// EncodePushFrame). The same message plumbing serves both tiers' servers
+// (MDP and LMR).
 //
 // Fault tolerance. Wide-area links stall, half-die, and reset; the wire
 // layer bounds the damage:
@@ -40,6 +42,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"mdv/internal/core"
 )
 
 // MaxMessageSize bounds a single message (16 MiB): a malformed or malicious
@@ -71,7 +75,11 @@ const (
 // v3 added interest-group coalesced delivery: changeset pushes may carry a
 // member_credits ownership map, and resume replays may arrive as
 // changeset_batch pushes.
-const ProtocolVersion = 3
+//
+// v4 made changeset pushes binary frames (EncodePushFrame) carrying the
+// changeset bytes of the changelog's publish record, and a subscribe
+// response's initial fill binary too.
+const ProtocolVersion = 4
 
 // KindHello is the version handshake request, handled below the request
 // handler like the liveness messages.
@@ -158,6 +166,9 @@ type Message struct {
 	Kind  string          `json:"kind,omitempty"`
 	Error string          `json:"error,omitempty"`
 	Body  json.RawMessage `json:"body,omitempty"`
+	// Pushes holds the decoded changesets of a binary push frame (Kind
+	// KindChangeset or KindChangesetBatch, no Body), in publish order.
+	Pushes []ChangesetPush `json:"-"`
 }
 
 // encBufPool recycles the frame-assembly buffers of WriteMessage. Writer
@@ -205,7 +216,8 @@ func EncodeMessage(m *Message) ([]byte, error) {
 	return frame, nil
 }
 
-// ReadMessage reads one framed message.
+// ReadMessage reads one framed message: a JSON envelope, or a binary
+// changeset push frame, told apart by the payload's first byte.
 func ReadMessage(r io.Reader) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -219,11 +231,113 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
+	if n > 0 && (payload[0] == tagPush || payload[0] == tagPushBatch) {
+		return decodePushFrame(payload)
+	}
 	var m Message
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return nil, fmt.Errorf("wire: unmarshal: %w", err)
 	}
 	return &m, nil
+}
+
+// Binary changeset push frames. After the 4-byte length comes a tag byte
+// that no JSON envelope starts with, then
+//
+//	push = uvarint(seq) reset varint(pub_unix_nano) changeset
+//
+// where reset is 0x00 or 0x01 and changeset is the self-delimiting
+// core.AppendChangeset encoding. A tagPush frame holds one push; a
+// tagPushBatch frame holds two or more back to back (a coalesced replay).
+const (
+	tagPush      = 0x01
+	tagPushBatch = 0x02
+)
+
+// EncodedPush is one changeset push whose changeset is already encoded
+// (core.AppendChangeset), as a changelog publish record holds it.
+type EncodedPush struct {
+	Seq         uint64
+	Reset       bool
+	PubUnixNano int64
+	Changeset   []byte
+}
+
+// EncodePushFrame frames one push, or several as a batch, into a byte
+// slice that can be enqueued verbatim on any number of connections
+// (NotifyEncoded). The changeset bytes are copied, never re-encoded.
+func EncodePushFrame(pushes []EncodedPush) ([]byte, error) {
+	size := 1
+	for _, p := range pushes {
+		size += 2*binary.MaxVarintLen64 + 1 + len(p.Changeset)
+	}
+	frame := make([]byte, 4, 4+size)
+	tag := byte(tagPush)
+	if len(pushes) > 1 {
+		tag = tagPushBatch
+	}
+	frame = append(frame, tag)
+	for _, p := range pushes {
+		frame = binary.AppendUvarint(frame, p.Seq)
+		reset := byte(0)
+		if p.Reset {
+			reset = 1
+		}
+		frame = append(frame, reset)
+		frame = binary.AppendVarint(frame, p.PubUnixNano)
+		frame = append(frame, p.Changeset...)
+	}
+	if len(frame)-4 > MaxMessageSize {
+		return nil, fmt.Errorf("wire: push frame of %d bytes exceeds limit", len(frame)-4)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame, nil
+}
+
+var errMalformedPush = errors.New("wire: malformed push frame header")
+
+// decodePushFrame decodes a binary push frame's payload (tag onwards). It
+// accepts only canonical frames, the ones EncodePushFrame produces.
+func decodePushFrame(payload []byte) (*Message, error) {
+	m := &Message{Kind: KindChangeset}
+	if payload[0] == tagPushBatch {
+		m.Kind = KindChangesetBatch
+	}
+	b := payload[1:]
+	for len(b) > 0 {
+		seq, n := canonicalUvarint(b)
+		if n <= 0 || n >= len(b) || b[n] > 1 {
+			return nil, errMalformedPush
+		}
+		push := ChangesetPush{Seq: seq, Reset: b[n] == 1}
+		b = b[n+1:]
+		nano, n := canonicalUvarint(b)
+		if n <= 0 {
+			return nil, errMalformedPush
+		}
+		push.PubUnixNano = int64(nano>>1) ^ -int64(nano&1)
+		cs, used, err := core.DecodeChangeset(b[n:])
+		if err != nil {
+			return nil, fmt.Errorf("wire: push frame: %w", err)
+		}
+		push.Changeset = cs
+		b = b[n+used:]
+		m.Pushes = append(m.Pushes, push)
+	}
+	if want := m.Kind == KindChangesetBatch; len(m.Pushes) == 0 || (len(m.Pushes) > 1) != want {
+		return nil, fmt.Errorf("wire: %s frame with %d pushes", m.Kind, len(m.Pushes))
+	}
+	return m, nil
+}
+
+// canonicalUvarint is binary.Uvarint that also rejects non-minimal
+// encodings (n <= 0 on any failure).
+func canonicalUvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
 }
 
 // Error taxonomy.
@@ -553,6 +667,9 @@ func (c *ServerConn) send(m *Message) error {
 }
 
 func (c *ServerConn) enqueue(o outbound) error {
+	if c.isClosed() {
+		return ErrClosed
+	}
 	select {
 	case c.sendCh <- o:
 		c.enqueued.Add(1)
@@ -582,6 +699,12 @@ func (c *ServerConn) NotifyEncoded(frame []byte) error {
 }
 
 func (c *ServerConn) notify(o outbound) error {
+	// A closed connection must fail every send. Without this check the
+	// select below picks at random between a queue slot the writer freed
+	// before it exited and the closed channel.
+	if c.isClosed() {
+		return ErrClosed
+	}
 	select {
 	case c.sendCh <- o:
 		c.enqueued.Add(1)
@@ -610,6 +733,15 @@ func (c *ServerConn) NotifySync(kind string, body interface{}) error {
 // NotifySyncEncoded is NotifySync for a pre-encoded frame.
 func (c *ServerConn) NotifySyncEncoded(frame []byte) error {
 	return c.enqueue(outbound{frame: frame})
+}
+
+func (c *ServerConn) isClosed() bool {
+	select {
+	case <-c.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // Close closes the underlying connection and releases the writer.
@@ -659,7 +791,7 @@ type Client struct {
 	peerEpoch atomic.Uint64
 	// OnPush handles server-initiated messages. Set before issuing calls
 	// that provoke pushes; safe to leave nil (pushes are dropped).
-	OnPush func(kind string, body json.RawMessage)
+	OnPush func(m *Message)
 }
 
 // Dial connects to a wire server with a zero Config.
@@ -747,7 +879,7 @@ func (c *Client) readLoop() {
 				continue
 			}
 			if c.OnPush != nil {
-				c.OnPush(m.Kind, m.Body)
+				c.OnPush(m)
 			}
 			continue
 		}

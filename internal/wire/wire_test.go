@@ -154,10 +154,10 @@ func TestServerPush(t *testing.T) {
 	}
 	defer c.Close()
 	got := make(chan string, 1)
-	c.OnPush = func(kind string, body json.RawMessage) {
+	c.OnPush = func(m *Message) {
 		var req echoReq
-		json.Unmarshal(body, &req)
-		got <- kind + ":" + req.Text
+		json.Unmarshal(m.Body, &req)
+		got <- m.Kind + ":" + req.Text
 	}
 	if err := c.Call("push-me", nil, nil); err != nil {
 		t.Fatal(err)
