@@ -9,7 +9,7 @@
 //     are appended to the log BEFORE they are applied to the engine, in
 //     pubMu order, so the log order equals the apply order and replay is
 //     deterministic.
-//   - The resulting per-subscriber changesets are appended as publish
+//   - The resulting per-interest-group changesets are appended as publish
 //     records right after the apply, still under pubMu, so they share the
 //     operation's group-commit fsync.
 //   - An operation is acknowledged to the caller only after WaitDurable:
@@ -49,22 +49,23 @@ import (
 	"mdv/internal/wire"
 )
 
-// Changelog record kinds. Op records precede their application; pub
-// records follow it; ack records are advisory bookkeeping for truncation;
-// watermark records durably bound how far deliveries may have gotten.
+// Changelog record kinds. Op records precede their application (applyOp);
+// pub records follow it; ack records are advisory bookkeeping for
+// truncation; watermark records durably bound how far deliveries may have
+// gotten (foldRecord reads both, and epoch records).
 const (
 	recRegister    = "register"
 	recDelete      = "delete"
 	recSubscribe   = "subscribe"
 	recUnsubscribe = "unsubscribe"
 	recNamedRule   = "named_rule"
-	// recPub is the per-subscriber publish record of pre-group logs: read by
-	// Resume and ApplyReplicated so those logs replay, never written.
+	// recPub is the per-subscriber publish record of pre-group logs, never
+	// written: parseRecord reads it as a one-member pub_group.
 	recPub = "pub"
 	// recPubGroup is the publish record of an interest group: one
 	// changeset, one sequence, one or more member subscribers. It is
-	// written in binary (appendPubGroupRecord); JSON pub_group records of
-	// older logs are still read.
+	// written in binary (appendPubGroupRecord); parseRecord gives JSON
+	// pub_group records of older logs the binary record's shape.
 	recPubGroup  = "pub_group"
 	recAck       = "ack"
 	recWatermark = "watermark"
@@ -97,9 +98,12 @@ type logRecord struct {
 	// Changeset is the changeset of a legacy JSON pub or pub_group record.
 	Changeset *core.Changeset `json:"changeset,omitempty"`
 	Epoch     uint64          `json:"epoch,omitempty"` // epoch
-	// enc is the encoded changeset of a binary pub_group record, a subslice
-	// of the parsed payload.
+	// enc is the encoded changeset of a pub_group record: a subslice of a
+	// binary record's payload, or the encoding of a legacy JSON changeset.
 	enc []byte
+	// docs are a live register's decoded documents: applyOp uses them
+	// instead of parsing Docs, which only a durable provider fills.
+	docs []*rdf.Document
 }
 
 // pubGroupTag opens a binary pub_group record. JSON records open with '{'.
@@ -127,35 +131,60 @@ func appendPubGroupRecord(members []string, cs *core.Changeset) (rec, enc []byte
 
 var errMalformedPubGroup = errors.New("provider: malformed pub_group record")
 
-// parseRecord decodes a changelog record payload. A binary pub_group
-// record's changeset is not decoded: rec.enc points at its encoding inside
-// payload.
+// parseRecord decodes a changelog record payload. A publish record's
+// changeset is not decoded: rec.enc holds its encoding, inside payload for
+// a binary record. A legacy JSON pub or pub_group record is given the same
+// shape (kind pub_group, Subscribers, enc), so no reader tells them apart.
 func parseRecord(payload []byte) (*logRecord, error) {
 	if len(payload) == 0 || payload[0] != pubGroupTag {
 		var rec logRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return nil, err
 		}
+		if rec.Kind == recPub || rec.Kind == recPubGroup {
+			if rec.Changeset == nil {
+				return nil, fmt.Errorf("provider: %s record without a changeset", rec.Kind)
+			}
+			if rec.Kind == recPub {
+				rec.Kind, rec.Subscribers = recPubGroup, []string{rec.Subscriber}
+			}
+			rec.enc = core.AppendChangeset(nil, rec.Changeset)
+		}
 		return &rec, nil
 	}
 	rec := &logRecord{Kind: recPubGroup}
 	b := payload[1:]
-	n, k := binary.Uvarint(b)
+	n, k := uvarint(b)
 	if k <= 0 || n > uint64(len(b)) {
 		return nil, errMalformedPubGroup
 	}
 	b = b[k:]
 	rec.Subscribers = make([]string, n)
 	for i := range rec.Subscribers {
-		l, k := binary.Uvarint(b)
+		l, k := uvarint(b)
 		if k <= 0 || l > uint64(len(b)-k) {
 			return nil, errMalformedPubGroup
 		}
 		rec.Subscribers[i] = string(b[k : k+int(l)])
 		b = b[k+int(l):]
 	}
+	// The changeset fills the rest of the record: push frames carry these
+	// bytes as they are, so nothing may trail it.
+	if l, k := uvarint(b); k <= 0 || l != uint64(len(b)-k) {
+		return nil, errMalformedPubGroup
+	}
 	rec.enc = b
 	return rec, nil
+}
+
+// uvarint reads a uvarint in its minimal encoding, the only one
+// appendPubGroupRecord writes; k <= 0 reports anything else.
+func uvarint(b []byte) (n uint64, k int) {
+	n, k = binary.Uvarint(b)
+	if k > 1 && b[k-1] == 0 {
+		return 0, 0
+	}
+	return n, k
 }
 
 // durableState is the changelog side of a durable provider.
@@ -372,15 +401,13 @@ func (p *Provider) ReplayLog(from uint64, fn func(seq uint64, payload []byte) er
 	return p.dur.log.Replay(from, fn)
 }
 
-// logOpLocked appends one input-operation record; caller holds pubMu. On a
-// non-durable provider it is a no-op returning sequence 0.
-func (p *Provider) logOpLocked(rec *logRecord) (uint64, error) {
-	if p.dur == nil {
-		return 0, nil
-	}
+// appendRecord appends one JSON changelog record (every kind but
+// pub_group) and returns its sequence. Input operations, watermarks and
+// epochs are appended under pubMu, which orders them; acks need no order.
+func (p *Provider) appendRecord(rec *logRecord) (uint64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return 0, fmt.Errorf("provider: marshal log record: %w", err)
+		return 0, fmt.Errorf("provider: marshal %s record: %w", rec.Kind, err)
 	}
 	return p.dur.log.Append(payload)
 }
@@ -429,11 +456,7 @@ func (p *Provider) claimDeliveredLocked(seq uint64) error {
 // watermark state — and waits for its fsync. The caller holds pubMu (or
 // runs recovery, before the provider is shared).
 func (p *Provider) appendWatermarkLocked(claim uint64) error {
-	payload, err := json.Marshal(&logRecord{Kind: recWatermark, Watermark: claim, Lost: p.dur.lost})
-	if err != nil {
-		return fmt.Errorf("provider: marshal watermark record: %w", err)
-	}
-	wseq, err := p.dur.log.Append(payload)
+	wseq, err := p.appendRecord(&logRecord{Kind: recWatermark, Watermark: claim, Lost: p.dur.lost})
 	if err != nil {
 		return err
 	}
@@ -462,17 +485,12 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 		return fmt.Errorf("provider: changelog starts at seq %d but the snapshot covers only up to %d: operations in between are lost",
 			oldest, stats.SnapshotSeq)
 	}
-	type op struct {
-		seq uint64
-		rec logRecord
-	}
-	var ops []op
-	var claim uint64
+	var ops []*logRecord
 	// Phase 1: scan the whole retained log. Collect the operations past
-	// the snapshot to re-apply, the ack watermarks (acks recorded before
-	// the snapshot sequence may not have been truncated yet), and the
-	// delivered-watermark claim; publish records need no replay here (they
-	// are read on demand by Resume).
+	// the snapshot to re-apply, and fold in the ack watermarks (acks
+	// recorded before the snapshot sequence may not have been truncated
+	// yet), the delivered-watermark claim and the epoch; publish records
+	// need no replay here (they are read on demand by Resume).
 	err := p.dur.log.Replay(p.dur.log.OldestSeq(), func(seq uint64, payload []byte) error {
 		if len(payload) > 0 && payload[0] == pubGroupTag {
 			return nil // binary publish record: nothing to recover from it
@@ -484,24 +502,10 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 			}
 			return fmt.Errorf("provider: changelog record %d: %w", seq, err)
 		}
-		switch rec.Kind {
-		case recRegister, recDelete, recSubscribe, recUnsubscribe, recNamedRule:
-			if seq > stats.SnapshotSeq {
-				ops = append(ops, op{seq: seq, rec: *rec})
-			}
-		case recAck:
-			if rec.AckSeq > p.dur.acked[rec.Subscriber] {
-				p.dur.acked[rec.Subscriber] = rec.AckSeq
-			}
-		case recWatermark:
-			if rec.Watermark > claim {
-				claim = rec.Watermark
-			}
-			for _, r := range rec.Lost {
-				p.dur.addLost(r[0], r[1])
-			}
-		case recEpoch:
-			p.bumpEpoch(rec.Epoch)
+		if !isOp(rec.Kind) {
+			p.foldRecord(rec)
+		} else if seq > stats.SnapshotSeq {
+			ops = append(ops, rec)
 		}
 		return nil
 	})
@@ -519,7 +523,8 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 	// a cursor inside it refers to pushes whose records no longer exist,
 	// so Resume must force a full-state reset.
 	tail := p.dur.log.LastSeq()
-	if p.replica.Load() {
+	replica := p.replica.Load()
+	if replica {
 		// A follower's log must stay a verbatim prefix of the primary's:
 		// recovery appends nothing — no watermark re-append, no regenerated
 		// publish records — and reserves only the snapshot coverage, never
@@ -535,43 +540,30 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 			}
 			p.dur.streamFloor = stats.SnapshotSeq
 		}
-		p.dur.claim = claim
-		for _, o := range ops {
-			if _, err := p.replayOp(&o.rec); err != nil {
-				stats.Skipped++
-				continue
+	} else {
+		if floor := max(stats.SnapshotSeq, p.dur.claim); floor > tail {
+			if err := p.dur.log.Reserve(floor); err != nil {
+				return err
 			}
-			stats.Replayed++
+			p.dur.addLost(tail+1, floor)
 		}
-		return nil
-	}
-	floor := stats.SnapshotSeq
-	if claim > floor {
-		floor = claim
-	}
-	if floor > tail {
-		if err := p.dur.log.Reserve(floor); err != nil {
-			return err
-		}
-		p.dur.addLost(tail+1, floor)
-	}
-	p.dur.claim = claim
-	// Re-persist the consolidated delivered-watermark state at the log tail.
-	// Without this, the newly computed lost range lives only in memory (a
-	// second crash would forget that its pushes were delivered), and a later
-	// Compact could truncate the segment holding the only watermark record —
-	// leaving the next recovery with claim 0 and the delivered-but-unsynced
-	// range back in circulation.
-	if claim > 0 || len(p.dur.lost) > 0 {
-		if err := p.appendWatermarkLocked(claim); err != nil {
-			return err
+		// Re-persist the consolidated delivered-watermark state at the log
+		// tail. Without this, the newly computed lost range lives only in
+		// memory (a second crash would forget that its pushes were
+		// delivered), and a later Compact could truncate the segment holding
+		// the only watermark record — leaving the next recovery with claim 0
+		// and the delivered-but-unsynced range back in circulation.
+		if p.dur.claim > 0 || len(p.dur.lost) > 0 {
+			if err := p.appendWatermarkLocked(p.dur.claim); err != nil {
+				return err
+			}
 		}
 	}
-	// Phase 2: re-apply in log order. Appending the regenerated publish
-	// records happens after the scan, so the replay iterator never chases
+	// Phase 2: re-apply in log order. A primary appends the regenerated
+	// publish records, after the scan, so the replay iterator never chases
 	// its own appends.
-	for _, o := range ops {
-		ps, err := p.replayOp(&o.rec)
+	for _, rec := range ops {
+		ps, _, _, err := p.applyOp(rec)
 		if err != nil {
 			// The operation failed identically when first applied (ops are
 			// logged before application; the engine is deterministic).
@@ -579,43 +571,48 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 			continue
 		}
 		stats.Replayed++
-		if ps != nil {
-			for _, g := range ps.Groups {
-				if _, _, err := p.appendPubLocked(g.Members, g.Changeset); err != nil {
-					return err
-				}
+		if ps == nil || replica {
+			continue
+		}
+		for _, g := range ps.Groups {
+			if _, _, err := p.appendPubLocked(g.Members, g.Changeset); err != nil {
+				return err
 			}
 		}
 	}
 	return p.dur.log.Sync()
 }
 
-// replayOp applies one logged input operation to the engine.
-func (p *Provider) replayOp(rec *logRecord) (*core.PublishSet, error) {
+// isOp reports whether kind is an input operation's record (see applyOp).
+func isOp(kind string) bool {
+	switch kind {
+	case recRegister, recDelete, recSubscribe, recUnsubscribe, recNamedRule:
+		return true
+	}
+	return false
+}
+
+// foldRecord folds an ack, watermark or epoch record into the provider's
+// bookkeeping; other kinds leave it unchanged. Recovery's scan and a
+// replica's stream apply read these records through it. The caller holds
+// pubMu or runs recovery.
+func (p *Provider) foldRecord(rec *logRecord) {
 	switch rec.Kind {
-	case recRegister:
-		docs, err := decodeDocs(rec.Docs)
-		if err != nil {
-			return nil, err
+	case recAck:
+		p.mu.Lock()
+		if rec.AckSeq > p.dur.acked[rec.Subscriber] {
+			p.dur.acked[rec.Subscriber] = rec.AckSeq
 		}
-		return p.Engine().RegisterDocuments(docs)
-	case recDelete:
-		return p.Engine().DeleteDocument(rec.URI)
-	case recSubscribe:
-		_, initial, err := p.Engine().Subscribe(rec.Subscriber, rec.Rule)
-		if err != nil {
-			return nil, err
+		p.mu.Unlock()
+	case recWatermark:
+		if rec.Watermark > p.dur.claim {
+			p.dur.claim = rec.Watermark
 		}
-		if initial == nil || initial.Empty() {
-			return nil, nil
+		for _, r := range rec.Lost {
+			p.dur.addLost(r[0], r[1])
 		}
-		return core.NewSingleSubscriberSet(rec.Subscriber, initial), nil
-	case recUnsubscribe:
-		return nil, p.Engine().Unsubscribe(rec.SubID)
-	case recNamedRule:
-		return nil, p.Engine().RegisterNamedRule(rec.Name, rec.Rule)
-	default:
-		return nil, fmt.Errorf("provider: unknown op kind %q", rec.Kind)
+	case recEpoch:
+		p.bumpEpoch(rec.Epoch)
 	}
 }
 
@@ -638,11 +635,7 @@ func (p *Provider) Ack(subscriber string, seq uint64) error {
 		// truncation, but is never appended to the verbatim log copy.
 		return nil
 	}
-	payload, err := json.Marshal(&logRecord{Kind: recAck, Subscriber: subscriber, AckSeq: seq})
-	if err != nil {
-		return err
-	}
-	_, err = p.dur.log.Append(payload)
+	_, err := p.appendRecord(&logRecord{Kind: recAck, Subscriber: subscriber, AckSeq: seq})
 	return err
 }
 
@@ -700,13 +693,12 @@ func (p *Provider) Resume(subscriber string, fromSeq uint64) (uint64, error) {
 		fromSeq >= p.dur.streamFloor
 	var dels []delivery
 	if !gapFree {
-		fill, err := p.Engine().ResubscribeFill(subscriber)
+		d, err := p.resetDelivery(subscriber, latest)
 		if err != nil {
 			p.pubMu.Unlock()
 			return 0, err
 		}
-		dels = append(dels, delivery{subs: []string{subscriber}, sync: true,
-			pushes: []pushItem{{seq: latest, reset: true, cs: fill}}})
+		dels = append(dels, d)
 	} else {
 		// Consecutive replay records for the cursor coalesce into batched
 		// pushes (bounded by replayBatchLimit), so a long catch-up pays one
@@ -728,22 +720,15 @@ func (p *Provider) Resume(subscriber string, fromSeq uint64) (uint64, error) {
 			if err != nil {
 				return fmt.Errorf("provider: changelog record %d: %w", seq, err)
 			}
-			mine := (rec.Changeset != nil || rec.enc != nil) &&
-				(rec.Kind == recPub && rec.Subscriber == subscriber ||
-					rec.Kind == recPubGroup && containsString(rec.Subscribers, subscriber))
-			if !mine {
+			if rec.Kind != recPubGroup || !containsString(rec.Subscribers, subscriber) {
 				return nil
 			}
 			// Replays block on queue backpressure (sync) rather than drop:
 			// the backlog can exceed any queue bound, and the resuming
-			// subscriber is actively draining it. A binary record's changeset
+			// subscriber is actively draining it. The record's changeset
 			// bytes go into the frame as they are, copied out of the replay
 			// buffer, which is only valid during this callback.
-			u := pushItem{seq: seq, cs: rec.Changeset}
-			if rec.enc != nil {
-				u.enc = append([]byte(nil), rec.enc...)
-			}
-			batch = append(batch, u)
+			batch = append(batch, pushItem{seq: seq, enc: append([]byte(nil), rec.enc...)})
 			if len(batch) >= replayBatchLimit {
 				flush()
 			}
@@ -761,6 +746,14 @@ func (p *Provider) Resume(subscriber string, fromSeq uint64) (uint64, error) {
 	return latest, nil
 }
 
+// resetDelivery builds a full-state reset for subscriber at seq: one fill
+// rebuilding its cache from the live match sets. The caller holds pubMu.
+func (p *Provider) resetDelivery(subscriber string, seq uint64) (delivery, error) {
+	fill, err := p.Engine().ResubscribeFill(subscriber)
+	return delivery{subs: []string{subscriber}, sync: true,
+		pushes: []pushItem{{seq: seq, reset: true, cs: fill}}}, err
+}
+
 // Compact writes a snapshot covering the current changelog sequence, then
 // removes changelog segments that are both covered by the snapshot and
 // acknowledged by every subscriber with live subscriptions. Registrations
@@ -771,7 +764,9 @@ func (p *Provider) Compact() error {
 	}
 	p.pubMu.Lock()
 	seq := p.dur.log.LastSeq()
-	err := writeSnapshotFile(filepath.Join(p.dur.dir, snapshotFile), seq, p.Epoch(), p.Engine())
+	err := writeSnapshotFile(filepath.Join(p.dur.dir, snapshotFile), func(w io.Writer) error {
+		return writeSnapshot(w, seq, p.Epoch(), p.Engine())
+	})
 	if err == nil && !p.replica.Load() && (p.dur.claim > 0 || len(p.dur.lost) > 0) {
 		// The truncation below may drop the segment holding the latest
 		// watermark record; re-establish the delivered-watermark state at
@@ -826,30 +821,26 @@ func (p *Provider) truncationWatermark(snapSeq uint64) (uint64, error) {
 	return watermark, nil
 }
 
-// writeSnapshotFile writes header (magic + covered log sequence + epoch)
-// and the engine state, atomically (temp file, fsync, rename).
-func writeSnapshotFile(path string, seq, epoch uint64, engine *core.Engine) error {
+// writeSnapshotFile replaces the snapshot file at path with what write
+// produces (writeSnapshot's format), atomically: temp file, fsync, rename.
+func writeSnapshotFile(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
 	w := bufio.NewWriter(f)
-	if err := writeSnapshot(w, seq, epoch, engine); err != nil {
-		return fail(err)
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

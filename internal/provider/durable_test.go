@@ -241,18 +241,20 @@ func TestResumeReplaysMissedChangesets(t *testing.T) {
 		prev = ps.seq
 	}
 	// Those pushes were replayed from group records: a single-member group
-	// writes pub_group like any other, never the pre-group pub kind.
+	// writes a binary pub_group like any other, never a JSON publish record
+	// (parseRecord reads the pre-group pub kind as a pub_group, so the raw
+	// payload is what tells them apart).
 	var groupRecs int
 	err = p.dur.log.Replay(1, func(seq uint64, payload []byte) error {
 		rec, err := parseRecord(payload)
 		if err != nil {
 			return err
 		}
-		switch rec.Kind {
-		case recPub:
-			t.Errorf("record %d has the pre-group pub kind", seq)
-		case recPubGroup:
+		if rec.Kind == recPubGroup {
 			groupRecs++
+			if payload[0] != pubGroupTag {
+				t.Errorf("publish record %d is JSON (%.20q), want the binary pub_group", seq, payload)
+			}
 		}
 		return nil
 	})

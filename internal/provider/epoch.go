@@ -17,7 +17,6 @@
 package provider
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -115,12 +114,7 @@ func (p *Provider) Promote() (uint64, error) {
 		return epoch, nil
 	}
 	newEpoch := p.epoch.Load() + 1
-	payload, err := json.Marshal(&logRecord{Kind: recEpoch, Epoch: newEpoch})
-	if err != nil {
-		p.unlockPub()
-		return 0, fmt.Errorf("provider: marshal epoch record: %w", err)
-	}
-	seq, err := p.dur.log.Append(payload)
+	seq, err := p.appendRecord(&logRecord{Kind: recEpoch, Epoch: newEpoch})
 	if err != nil {
 		p.unlockPub()
 		return 0, err

@@ -536,26 +536,8 @@ func (p *Provider) RegisterDocuments(docs []*rdf.Document) error {
 		}
 		return w.RegisterDocuments(docs)
 	}
-	p.lockPub()
-	durSeq, err := p.logOpLocked(&logRecord{Kind: recRegister, Docs: encodeDocs(docs)})
-	if err != nil {
-		p.unlockPub()
-		return err
-	}
-	ps, err := p.Engine().RegisterDocuments(docs)
-	if err != nil {
-		p.unlockPub()
-		return err
-	}
-	pubSeq, dels, pubErr := p.publishLocked(ps)
-	p.unlockPubAndDeliver(dels)
-	if pubSeq > durSeq {
-		durSeq = pubSeq
-	}
-	if pubErr != nil {
-		return pubErr
-	}
-	return p.awaitDurable(durSeq)
+	_, _, err := p.write(&logRecord{Kind: recRegister, docs: docs})
+	return err
 }
 
 // DeleteDocument removes a document and publishes the resulting changesets.
@@ -567,26 +549,8 @@ func (p *Provider) DeleteDocument(uri string) error {
 		}
 		return w.DeleteDocument(uri)
 	}
-	p.lockPub()
-	durSeq, err := p.logOpLocked(&logRecord{Kind: recDelete, URI: uri})
-	if err != nil {
-		p.unlockPub()
-		return err
-	}
-	ps, err := p.Engine().DeleteDocument(uri)
-	if err != nil {
-		p.unlockPub()
-		return err
-	}
-	pubSeq, dels, pubErr := p.publishLocked(ps)
-	p.unlockPubAndDeliver(dels)
-	if pubSeq > durSeq {
-		durSeq = pubSeq
-	}
-	if pubErr != nil {
-		return pubErr
-	}
-	return p.awaitDurable(durSeq)
+	_, _, err := p.write(&logRecord{Kind: recDelete, URI: uri})
+	return err
 }
 
 // Subscribe registers a subscription and returns its id and the initial
@@ -608,36 +572,7 @@ func (p *Provider) Subscribe(subscriber, rule string) (int64, *core.Changeset, e
 		}
 		return w.Subscribe(subscriber, rule)
 	}
-	p.lockPub()
-	durSeq, err := p.logOpLocked(&logRecord{Kind: recSubscribe, Subscriber: subscriber, Rule: rule})
-	if err != nil {
-		p.unlockPub()
-		return 0, nil, err
-	}
-	subID, initial, err := p.Engine().Subscribe(subscriber, rule)
-	if err != nil {
-		p.unlockPub()
-		return 0, nil, err
-	}
-	var dels []delivery
-	if initial != nil && !initial.Empty() {
-		ps := core.NewSingleSubscriberSet(subscriber, initial)
-		var pubSeq uint64
-		var pubErr error
-		pubSeq, dels, pubErr = p.publishLocked(ps)
-		if pubSeq > durSeq {
-			durSeq = pubSeq
-		}
-		if pubErr != nil {
-			p.unlockPubAndDeliver(dels)
-			return 0, nil, pubErr
-		}
-	}
-	p.unlockPubAndDeliver(dels)
-	if err := p.awaitDurable(durSeq); err != nil {
-		return 0, nil, err
-	}
-	return subID, initial, nil
+	return p.write(&logRecord{Kind: recSubscribe, Subscriber: subscriber, Rule: rule})
 }
 
 // Unsubscribe removes a subscription. It participates in the publish order
@@ -651,18 +586,82 @@ func (p *Provider) Unsubscribe(subID int64) error {
 		}
 		return w.Unsubscribe(subID)
 	}
+	_, _, err := p.write(&logRecord{Kind: recUnsubscribe, SubID: subID})
+	return err
+}
+
+// write runs one input operation on the primary: under pubMu it appends the
+// operation's record (durable providers), applies it to the engine and
+// sequences its publish set; it then delivers in publish order and returns
+// once the records are durable. Unsubscribe and named-rule registration
+// publish nothing and release pubMu without a delivery ticket; the other
+// operations take one even when they publish nothing. A subscribe returns
+// its subscription id and initial fill.
+func (p *Provider) write(rec *logRecord) (int64, *core.Changeset, error) {
 	p.lockPub()
-	durSeq, err := p.logOpLocked(&logRecord{Kind: recUnsubscribe, SubID: subID})
+	var durSeq uint64
+	if p.dur != nil {
+		if rec.Kind == recRegister {
+			rec.Docs = encodeDocs(rec.docs)
+		}
+		var err error
+		if durSeq, err = p.appendRecord(rec); err != nil {
+			p.unlockPub()
+			return 0, nil, err
+		}
+	}
+	ps, subID, initial, err := p.applyOp(rec)
 	if err != nil {
 		p.unlockPub()
-		return err
+		return 0, nil, err
 	}
-	err = p.Engine().Unsubscribe(subID)
-	p.unlockPub()
-	if err != nil {
-		return err
+	if rec.Kind == recUnsubscribe || rec.Kind == recNamedRule {
+		p.unlockPub()
+	} else {
+		pubSeq, dels, pubErr := p.publishLocked(ps)
+		p.unlockPubAndDeliver(dels)
+		if pubErr != nil {
+			return 0, nil, pubErr
+		}
+		durSeq = max(durSeq, pubSeq)
 	}
-	return p.awaitDurable(durSeq)
+	if err := p.awaitDurable(durSeq); err != nil {
+		return 0, nil, err
+	}
+	return subID, initial, nil
+}
+
+// applyOp applies one input-operation record to the engine: live writes,
+// recovery and a replica's stream all run an operation through it. It
+// returns the operation's publish set, and for a subscribe also the
+// subscription id and the initial fill (published as a one-subscriber set
+// when it is not empty).
+func (p *Provider) applyOp(rec *logRecord) (ps *core.PublishSet, subID int64, initial *core.Changeset, err error) {
+	eng := p.Engine()
+	switch rec.Kind {
+	case recRegister:
+		docs := rec.docs
+		if docs == nil {
+			if docs, err = decodeDocs(rec.Docs); err != nil {
+				return nil, 0, nil, err
+			}
+		}
+		ps, err = eng.RegisterDocuments(docs)
+	case recDelete:
+		ps, err = eng.DeleteDocument(rec.URI)
+	case recSubscribe:
+		subID, initial, err = eng.Subscribe(rec.Subscriber, rec.Rule)
+		if err == nil && initial != nil && !initial.Empty() {
+			ps = core.NewSingleSubscriberSet(rec.Subscriber, initial)
+		}
+	case recUnsubscribe:
+		err = eng.Unsubscribe(rec.SubID)
+	case recNamedRule:
+		err = eng.RegisterNamedRule(rec.Name, rec.Rule)
+	default:
+		err = fmt.Errorf("provider: unknown op kind %q", rec.Kind)
+	}
+	return ps, subID, initial, err
 }
 
 // Browse lists resources of a class (paper §2.2's user browsing at an MDP).
@@ -686,18 +685,8 @@ func (p *Provider) RegisterNamedRule(name, rule string) error {
 		}
 		return w.RegisterNamedRule(name, rule)
 	}
-	p.lockPub()
-	durSeq, err := p.logOpLocked(&logRecord{Kind: recNamedRule, Name: name, Rule: rule})
-	if err != nil {
-		p.unlockPub()
-		return err
-	}
-	err = p.Engine().RegisterNamedRule(name, rule)
-	p.unlockPub()
-	if err != nil {
-		return err
-	}
-	return p.awaitDurable(durSeq)
+	_, _, err := p.write(&logRecord{Kind: recNamedRule, Name: name, Rule: rule})
+	return err
 }
 
 func encodeDocs(docs []*rdf.Document) []wire.Doc {

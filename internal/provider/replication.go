@@ -23,7 +23,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -297,6 +297,12 @@ func (p *Provider) ApplyReplicated(seq uint64, payload []byte, sentNano int64) e
 	if !p.replica.Load() {
 		return ErrNotReplica
 	}
+	// Parse before anything reaches the local log: a record the replica
+	// cannot read would make its next recovery fail.
+	rec, err := parseRecord(payload)
+	if err != nil {
+		return fmt.Errorf("provider: replicated record %d: %w", seq, err)
+	}
 	p.lockPub()
 	// Recheck under the publish lock: a Promote that flipped the role while
 	// this record waited must win — a primary appends nothing replicated.
@@ -326,48 +332,24 @@ func (p *Provider) ApplyReplicated(seq uint64, payload []byte, sentNano int64) e
 		p.unlockPub()
 		return fmt.Errorf("provider: replicated record %d landed at local seq %d (log diverged)", seq, got)
 	}
-	rec, err := parseRecord(payload)
-	if err != nil {
-		p.unlockPub()
-		return fmt.Errorf("provider: replicated record %d: %w", seq, err)
-	}
 	var dels []delivery
-	switch rec.Kind {
-	case recRegister, recDelete, recSubscribe, recUnsubscribe, recNamedRule:
+	switch {
+	case isOp(rec.Kind):
 		// The publish set is discarded: the primary's own publish records
 		// follow in the stream. An application error is the deterministic
 		// replay of an operation that failed identically on the primary
 		// (operations are logged before application there).
-		p.replayOp(rec)
-	case recPub, recPubGroup:
-		subs := rec.Subscribers
-		if rec.Kind == recPub {
-			subs = []string{rec.Subscriber}
-		}
+		p.applyOp(rec)
+	case rec.Kind == recPubGroup:
 		// rec.enc points into payload, which outlives the delivery: it
 		// completes before this call returns.
-		if rec.Changeset != nil || rec.enc != nil {
-			dels = append(dels, delivery{subs: subs,
-				pushes: []pushItem{{seq: seq, cs: rec.Changeset, enc: rec.enc, pubNano: sentNano}}})
-		}
-	case recAck:
-		p.mu.Lock()
-		if rec.AckSeq > p.dur.acked[rec.Subscriber] {
-			p.dur.acked[rec.Subscriber] = rec.AckSeq
-		}
-		p.mu.Unlock()
-	case recWatermark:
-		if rec.Watermark > p.dur.claim {
-			p.dur.claim = rec.Watermark
-		}
-		for _, r := range rec.Lost {
-			p.dur.addLost(r[0], r[1])
-		}
-	case recEpoch:
-		// The primary's promotion record: this follower now serves term
-		// rec.Epoch (the record is already appended verbatim above, so the
-		// term survives a local restart too).
-		p.bumpEpoch(rec.Epoch)
+		dels = append(dels, delivery{subs: rec.Subscribers,
+			pushes: []pushItem{{seq: seq, enc: rec.enc, pubNano: sentNano}}})
+	default:
+		// Ack, watermark and epoch records. An epoch record is the primary's
+		// promotion: this follower now serves its term, and the record,
+		// appended above, keeps it so across a local restart.
+		p.foldRecord(rec)
 	}
 	p.unlockPubAndDeliver(dels)
 	return nil
@@ -414,7 +396,10 @@ func (p *Provider) InstallSnapshot(data []byte) (uint64, error) {
 	}
 	// Persist first: if we crash right after the rename, recovery loads
 	// this snapshot and resumes streaming from its coverage.
-	if err := writeSnapshotBytes(filepath.Join(p.dur.dir, snapshotFile), data); err != nil {
+	if err := writeSnapshotFile(filepath.Join(p.dur.dir, snapshotFile), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		p.unlockPub()
 		return 0, err
 	}
@@ -442,39 +427,13 @@ func (p *Provider) InstallSnapshot(data []byte) (uint64, error) {
 	p.mu.Unlock()
 	var dels []delivery
 	for name := range names {
-		fill, err := p.Engine().ResubscribeFill(name)
+		d, err := p.resetDelivery(name, snapSeq)
 		if err != nil {
 			p.unlockPub()
 			return 0, err
 		}
-		dels = append(dels, delivery{subs: []string{name}, sync: true,
-			pushes: []pushItem{{seq: snapSeq, reset: true, cs: fill}}})
+		dels = append(dels, d)
 	}
 	p.unlockPubAndDeliver(dels)
 	return snapSeq, nil
-}
-
-// writeSnapshotBytes atomically persists already-serialized snapshot bytes
-// (a shipped bootstrap snapshot is in the exact snapshot-file format).
-func writeSnapshotBytes(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
 }

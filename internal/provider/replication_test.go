@@ -190,6 +190,48 @@ func TestApplyReplicatedPinsGaps(t *testing.T) {
 	}
 }
 
+// TestApplyReplicatedRefusesUnreadableRecord: a streamed record the
+// replica cannot parse is refused before anything reaches its log copy —
+// neither the record nor a gap reservation ahead of it — so the replica's
+// next recovery does not trip over it.
+func TestApplyReplicatedRefusesUnreadableRecord(t *testing.T) {
+	dir := t.TempDir()
+	replica, err := OpenDurable("replica", testSchema(), dir, DurableOptions{Replica: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []byte(`{"kind":"named_rule","name":"r","rule":"` + durRule + `"}`)
+	if err := replica.ApplyReplicated(1, good, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		seq     uint64
+		payload []byte
+	}{
+		{2, []byte("not a record")},
+		{5, []byte("not a record")},              // past a gap
+		{2, []byte{pubGroupTag, 1, 3, 'l', 'm'}}, // member name cut short
+	} {
+		if err := replica.ApplyReplicated(bad.seq, bad.payload, 0); err == nil {
+			t.Errorf("ApplyReplicated(%d, %q) accepted an unreadable record", bad.seq, bad.payload)
+		}
+		if got := replica.LogSeq(); got != 1 {
+			t.Fatalf("after refusing record %d (%q): log seq = %d, want 1", bad.seq, bad.payload, got)
+		}
+	}
+	if err := replica.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDurable("replica", testSchema(), dir, DurableOptions{Replica: true})
+	if err != nil {
+		t.Fatalf("reopen after refused records: %v", err)
+	}
+	defer reopened.Close()
+	if got := reopened.LogSeq(); got != 1 {
+		t.Errorf("reopened log seq = %d, want 1", got)
+	}
+}
+
 // TestInstallSnapshotBootstrap: a shipped snapshot installs mid-life —
 // engine swapped, log pinned at the coverage, attached subscribers reset —
 // and the stream continues from there; a restart recovers from the

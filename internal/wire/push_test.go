@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -188,6 +190,38 @@ func TestNotifyOnClosedConnAlwaysFails(t *testing.T) {
 				t.Fatalf("%s %d on a closed connection: err = %v, want ErrClosed", name, i, err)
 			}
 		}
+	}
+}
+
+// TestReadMessageAllocatesAsBytesArrive: a length header alone does not
+// make ReadMessage allocate the length it claims; a frame larger than the
+// first buffer still reads whole, and one cut short reports it.
+func TestReadMessageAllocatesAsBytesArrive(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMessage(bytes.NewReader([]byte{0x00, 0xff, 0xff, 0xff}))
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Errorf("bare header: err = %v, want EOF", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("bare header claiming 16 MiB: allocated %d bytes, want < 1 MiB", d)
+	}
+
+	big := &Message{ID: 7, Kind: "k", Body: json.RawMessage(`"` + strings.Repeat("x", 3*readChunk) + `"`)}
+	frame, err := EncodeMessage(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadMessage(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ID != big.ID || !bytes.Equal(m.Body, big.Body) {
+		t.Errorf("frame of %d bytes read back as ID %d with a %d-byte body", len(frame), m.ID, len(m.Body))
+	}
+	if _, err := ReadMessage(bytes.NewReader(frame[:len(frame)-1])); err != io.ErrUnexpectedEOF {
+		t.Errorf("frame cut short: err = %v, want ErrUnexpectedEOF", err)
 	}
 }
 

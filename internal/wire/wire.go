@@ -216,6 +216,10 @@ func EncodeMessage(m *Message) ([]byte, error) {
 	return frame, nil
 }
 
+// readChunk is the most ReadMessage allocates for a payload before any of
+// it has arrived. Frames up to this size are read with one allocation.
+const readChunk = 256 << 10
+
 // ReadMessage reads one framed message: a JSON envelope, or a binary
 // changeset push frame, told apart by the payload's first byte.
 func ReadMessage(r io.Reader) (*Message, error) {
@@ -227,8 +231,18 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if n > MaxMessageSize {
 		return nil, fmt.Errorf("wire: incoming message of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The header alone does not get MaxMessageSize allocated: the buffer
+	// starts at readChunk and doubles as the payload arrives.
+	payload := make([]byte, min(n, readChunk))
+	_, err := io.ReadFull(r, payload)
+	for err == nil && len(payload) < int(n) {
+		off := len(payload)
+		payload = append(payload, make([]byte, min(off, int(n)-off))...)
+		if _, err = io.ReadFull(r, payload[off:]); err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
 	if n > 0 && (payload[0] == tagPush || payload[0] == tagPushBatch) {
