@@ -263,6 +263,10 @@ func scanSegment(path string, firstSeq uint64, fn func(seq uint64, payload []byt
 		return 0, fmt.Errorf("changelog: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("changelog: %w", err)
+	}
 	r := bufio.NewReaderSize(f, 1<<20)
 	var offset int64
 	expect := firstSeq
@@ -274,6 +278,9 @@ func scanSegment(path string, firstSeq uint64, fn func(seq uint64, payload []byt
 		n := binary.BigEndian.Uint32(hdr[0:4])
 		if n < 8 || n > MaxRecordSize {
 			return offset, nil // corrupt length: treat as torn tail
+		}
+		if int64(n)-8 > fi.Size()-offset-headerSize {
+			return offset, nil // torn payload: not allocated, never read
 		}
 		payload := make([]byte, n-8)
 		if _, err := io.ReadFull(r, payload); err != nil {

@@ -134,7 +134,7 @@ func TestConcurrentWireTraffic(t *testing.T) {
 		}
 		defer ccli.Close()
 		for i := 0; i < 8; i++ {
-			id, _, err := ccli.Subscribe("churner", fmt.Sprintf(
+			id, err := ccli.Subscribe("churner", fmt.Sprintf(
 				`search CycleProvider c register c where c.serverHost contains 'node%d'`, i))
 			if err != nil {
 				t.Errorf("subscribe: %v", err)

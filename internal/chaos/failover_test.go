@@ -351,7 +351,7 @@ func TestAutoPromoteDeadmanElectsMostCaughtUp(t *testing.T) {
 	}
 	defer fol2.Close()
 
-	if _, _, err := primary.Subscribe("lmr", hostRule); err != nil {
+	if _, err := primary.Subscribe("lmr", hostRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

@@ -81,7 +81,7 @@ func TestReplicaSurvivesPartitionOverFaultnet(t *testing.T) {
 	}
 	defer px.Close()
 
-	if _, _, err := primary.Subscribe("lmr", hostRule); err != nil {
+	if _, err := primary.Subscribe("lmr", hostRule); err != nil {
 		t.Fatal(err)
 	}
 	rp, fol := startReplica(t, t.TempDir(), px.Addr(), "r1")
@@ -143,7 +143,7 @@ func TestReplicaRestartResumesFromLocalTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := primary.Subscribe("lmr", hostRule); err != nil {
+	if _, err := primary.Subscribe("lmr", hostRule); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,7 +7,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,27 +170,12 @@ func (c *MDP) DeleteDocument(uri string) error {
 	return c.call(wire.KindDeleteDocument, &wire.DeleteDocumentRequest{URI: uri, Epoch: c.writeEpoch.Load()}, nil)
 }
 
-// Subscribe registers a subscription rule.
-func (c *MDP) Subscribe(subscriber, rule string) (int64, *core.Changeset, error) {
+// Subscribe registers a subscription rule. The initial cache fill arrives
+// as a push on the subscriber's attached connection.
+func (c *MDP) Subscribe(subscriber, rule string) (int64, error) {
 	var resp wire.SubscribeResponse
 	err := c.call(wire.KindSubscribe, &wire.SubscribeRequest{Subscriber: subscriber, Rule: rule, Epoch: c.writeEpoch.Load()}, &resp)
-	return subscribed(&resp, err)
-}
-
-// subscribed unpacks a subscribe call's outcome; the initial fill travels
-// in the binary changeset encoding.
-func subscribed(resp *wire.SubscribeResponse, err error) (int64, *core.Changeset, error) {
-	if err != nil {
-		return 0, nil, err
-	}
-	if resp.Initial == nil {
-		return resp.SubID, nil, nil
-	}
-	initial, _, err := core.DecodeChangeset(resp.Initial)
-	if err != nil {
-		return 0, nil, fmt.Errorf("client: subscribe initial fill: %w", err)
-	}
-	return resp.SubID, initial, nil
+	return resp.SubID, err
 }
 
 // Unsubscribe removes a subscription.
@@ -269,10 +253,10 @@ func (c *MDP) RegisterDocumentsContext(ctx context.Context, docs []*rdf.Document
 }
 
 // SubscribeContext registers a subscription rule under an explicit context.
-func (c *MDP) SubscribeContext(ctx context.Context, subscriber, rule string) (int64, *core.Changeset, error) {
+func (c *MDP) SubscribeContext(ctx context.Context, subscriber, rule string) (int64, error) {
 	var resp wire.SubscribeResponse
 	err := c.conn.CallContext(ctx, wire.KindSubscribe, &wire.SubscribeRequest{Subscriber: subscriber, Rule: rule, Epoch: c.writeEpoch.Load()}, &resp)
-	return subscribed(&resp, err)
+	return resp.SubID, err
 }
 
 // EnablePushMetrics registers the end-to-end propagation-lag histogram on

@@ -115,7 +115,7 @@ func TestConcurrentRegistrationsAndQueries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			id, _, err := prov.Subscribe("lmr2", fmt.Sprintf(
+			id, err := prov.Subscribe("lmr2", fmt.Sprintf(
 				`search CycleProvider c register c where c.serverPort = %d`, i))
 			if err != nil {
 				t.Errorf("subscribe: %v", err)

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mdv/internal/atoms"
 	"mdv/internal/rdb/sql"
 	"mdv/internal/rdf"
 	"mdv/internal/rules"
@@ -175,23 +176,11 @@ func (e *Engine) Stats() Stats {
 }
 
 // ddl is the engine's relational schema (paper §3.3.4 and Figure 4/7/8/9).
-var ddl = []string{
+var ddl = append(
 	// All metadata atoms ever registered: the MDP's database (RDF mapped to
-	// tables per Florescu/Kossmann [14]). num_value is the typed numeric
-	// shadow of value (NULL when the lexical does not parse as a float); it
-	// backs the ordered (class, property, num_value) index so numeric
-	// comparisons run as range scans instead of CAST-reconverting scans.
-	`CREATE TABLE Statements (
-		uri_reference TEXT NOT NULL,
-		class TEXT NOT NULL,
-		property TEXT NOT NULL,
-		value TEXT NOT NULL,
-		num_value FLOAT,
-		is_ref BOOL NOT NULL
-	)`,
-	`CREATE INDEX idx_stmt_uri ON Statements (uri_reference, property)`,
-	`CREATE INDEX idx_stmt_cpv ON Statements (class, property, value)`,
-	`CREATE INDEX idx_stmt_cpn ON Statements (class, property, num_value)`,
+	// tables per Florescu/Kossmann [14]), in the row layout the LMR cache
+	// shares.
+	atoms.Statements.DDL(),
 	`CREATE INDEX idx_stmt_value ON Statements (value)`,
 
 	// Resource catalog: which document owns each resource.
@@ -327,7 +316,7 @@ var ddl = []string{
 	// duplicates), for refcount release on unsubscribe.
 	`CREATE TABLE SubscriptionAtomicRules (sub_id INT NOT NULL, rule_id INT NOT NULL)`,
 	`CREATE INDEX idx_sar_sub ON SubscriptionAtomicRules (sub_id)`,
-}
+)
 
 func (e *Engine) bootstrap() error {
 	for _, stmt := range ddl {

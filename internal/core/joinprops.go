@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mdv/internal/atoms"
 	"mdv/internal/rdb"
 )
 
@@ -100,9 +101,9 @@ type seedKey struct {
 // the third.
 func (e *Engine) joinSeeds(d resourceDelta, seeds []seedKey) []seedKey {
 	seen := map[classProp]bool{}
-	for _, atoms := range [2][]preparedAtom{d.minus, d.plus} {
-		for _, pa := range atoms {
-			cp := classProp{pa.stmt.Class, pa.stmt.Property}
+	for _, as := range [2][]atoms.Atom{d.minus, d.plus} {
+		for _, a := range as {
+			cp := classProp{a.Class, a.Property}
 			if seen[cp] || len(e.joinProps[cp]) == 0 {
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"mdv/internal/atoms"
 	"mdv/internal/rdb"
 	"mdv/internal/rdf"
 	"mdv/internal/rules"
@@ -104,7 +105,7 @@ const (
 // through which changed join properties reach their groups (joinSeeds). It
 // returns every (atomic rule, resource) match derived in this run; see
 // modeRecheck for that mode's result.
-func (e *Engine) runFilter(atoms []preparedAtom, seeds []seedKey, mode filterMode) (*matchSet, error) {
+func (e *Engine) runFilter(as []atoms.Atom, seeds []seedKey, mode filterMode) (*matchSet, error) {
 	e.stats.FilterRuns++
 
 	all := newMatchSet()
@@ -113,8 +114,8 @@ func (e *Engine) runFilter(atoms []preparedAtom, seeds []seedKey, mode filterMod
 	if mode == modeRecheck {
 		fresh = newMatchSet()
 		own = make(map[string]bool)
-		for _, pa := range atoms {
-			own[pa.stmt.URIRef] = true
+		for _, a := range as {
+			own[a.URIRef] = true
 		}
 	}
 	note := func(p matchPair) (bool, error) {
@@ -132,7 +133,7 @@ func (e *Engine) runFilter(atoms []preparedAtom, seeds []seedKey, mode filterMod
 	// bookkeeping runs after: mutating statements must not run inside a
 	// streaming query.
 	tTrig := time.Now()
-	trigPairs, err := e.collectTriggering(atoms)
+	trigPairs, err := e.collectTriggering(as)
 	if err != nil {
 		return nil, err
 	}
@@ -203,18 +204,16 @@ var trigOpNames = [numTrigOps]string{"ANY", "EQ", "EQN", "NE", "NEN", "CON", "LT
 // atom's class and property with the rule's, so an atom whose
 // (class, property) trigProps does not count matches nothing and is never
 // loaded; a run with no other atom issues no statement.
-func (e *Engine) collectTriggering(atoms []preparedAtom) (pairs []matchPair, err error) {
+func (e *Engine) collectTriggering(as []atoms.Atom) (pairs []matchPair, err error) {
 	e.stats.ShardedFilterRuns++
-	var live []preparedAtom
+	var live []atoms.Atom
 	var rows [][]rdb.Value
-	for _, pa := range atoms {
-		a := pa.stmt
+	for _, a := range as {
 		if e.trigProps[classProp{a.Class, a.Property}] == 0 {
 			continue
 		}
-		live = append(live, pa)
-		rows = append(rows, []rdb.Value{rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-			rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)})
+		live = append(live, a)
+		rows = append(rows, a.Row())
 	}
 	if len(live) == 0 {
 		return nil, nil

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 
+	"mdv/internal/atoms"
 	"mdv/internal/rdb"
 	"mdv/internal/rdf"
 )
@@ -356,7 +357,7 @@ func (e *Engine) buildGroupChangeset(group []string, interests map[string]*inter
 	for _, uri := range uris {
 		base := upCache[uri]
 		if base == nil {
-			res, ok, err := e.getResourceLocked(uri)
+			res, ok, err := atoms.Statements.Read(e.db, uri)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -415,7 +416,7 @@ func (e *Engine) buildGroupChangeset(group []string, interests map[string]*inter
 	for _, uri := range curis {
 		cur, cached := closCache[uri]
 		if !cached {
-			res, ok, err := e.getResourceLocked(uri)
+			res, ok, err := atoms.Statements.Read(e.db, uri)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -488,7 +489,7 @@ func (e *Engine) strongReach(root string, targets []string) ([]*rdf.Resource, er
 			continue
 		}
 		visited[target] = true
-		tres, ok, err := e.getResourceLocked(target)
+		tres, ok, err := atoms.Statements.Read(e.db, target)
 		if err != nil {
 			return nil, err
 		}
@@ -517,8 +518,8 @@ func (e *Engine) strongTargets(res *rdf.Resource) []string {
 // resource (its Δ⁺ reference atoms of strong properties).
 func (e *Engine) newStrongTargets(d resourceDelta) []string {
 	var out []string
-	for _, pa := range d.plus {
-		if a := pa.stmt; a.IsRef && e.schema.IsStrongReference(a.Class, a.Property) {
+	for _, a := range d.plus {
+		if a.IsRef && e.schema.IsStrongReference(a.Class, a.Property) {
 			out = append(out, a.Value)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mdv/internal/atoms"
 	"mdv/internal/rdb"
 	"mdv/internal/rdf"
 	"mdv/internal/rules"
@@ -361,7 +362,7 @@ func (e *Engine) MatchingResources(subID int64) ([]*rdf.Resource, error) {
 				continue
 			}
 			seen[uri] = true
-			res, ok, err := e.getResourceLocked(uri)
+			res, ok, err := atoms.Statements.Read(e.db, uri)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"sort"
 	"sync/atomic"
+
+	"mdv/internal/atoms"
 )
 
 // Sub-linear text triggering: a multi-pattern substring index over the
@@ -155,10 +157,10 @@ func (t *textIndex) remove(class, property, value string, id int64) {
 // regardless of how often the constant occurs). Rule ids are emitted sorted
 // per atom, so the pair order is a deterministic function of the atom
 // order. scratch grows across atoms and is reused.
-func (t *textIndex) collect(part []preparedAtom, pairs []matchPair) []matchPair {
+func (t *textIndex) collect(part []atoms.Atom, pairs []matchPair) []matchPair {
 	var scratch []int64
 	for i := range part {
-		a := &part[i].stmt
+		a := &part[i]
 		c := t.cohorts[textCohortKey{class: a.Class, property: a.Property}]
 		if c == nil {
 			continue

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdv/internal/atoms"
 	"mdv/internal/rdf"
 )
 
@@ -111,8 +112,8 @@ func TestTextIndexEdgeSemantics(t *testing.T) {
 	ti.insert("C", "p", "aa", 4)  // overlapping occurrences
 	ti.insert("C", "q", "zzz", 5) // other cohort
 	ti.insert("D", "p", "ü", 6)   // other class, same property
-	atom := func(uri, class, prop, value string) preparedAtom {
-		return preparedAtom{stmt: rdf.Statement{URIRef: uri, Class: class, Property: prop, Value: value}}
+	atom := func(uri, class, prop, value string) atoms.Atom {
+		return atoms.Atom{Statement: rdf.Statement{URIRef: uri, Class: class, Property: prop, Value: value}}
 	}
 	cases := []struct {
 		value string
@@ -127,7 +128,7 @@ func TestTextIndexEdgeSemantics(t *testing.T) {
 		{"zzz", []int64{1}},     // 'zzz' lives in cohort (C,q), not (C,p)
 	}
 	for _, tc := range cases {
-		pairs := ti.collect([]preparedAtom{atom("u", "C", "p", tc.value)}, nil)
+		pairs := ti.collect([]atoms.Atom{atom("u", "C", "p", tc.value)}, nil)
 		got := make([]int64, 0, len(pairs))
 		for _, p := range pairs {
 			if p.uri != "u" {
@@ -140,7 +141,7 @@ func TestTextIndexEdgeSemantics(t *testing.T) {
 		}
 	}
 	// A cohort the atom does not belong to stays silent.
-	if pairs := ti.collect([]preparedAtom{atom("u", "E", "p", "üAB")}, nil); len(pairs) != 0 {
+	if pairs := ti.collect([]atoms.Atom{atom("u", "E", "p", "üAB")}, nil); len(pairs) != 0 {
 		t.Errorf("unknown cohort matched: %v", pairs)
 	}
 }

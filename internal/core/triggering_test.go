@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdv/internal/atoms"
 	"mdv/internal/rdb"
 	"mdv/internal/rdf"
 )
@@ -186,10 +187,10 @@ func TestFailedTriggeringLeavesNoScratch(t *testing.T) {
 	}
 	e, fresh := mk(), mk()
 
-	bad := e.decomposeResource(offerDoc("bad.rdf", "1", "leaky").Resources[0])
+	bad := atoms.Decompose(e.schema, offerDoc("bad.rdf", "1", "leaky").Resources[0])
 	for i := range bad {
-		if bad[i].stmt.Property == "price" {
-			bad[i].stmt.Value = "not-a-number"
+		if bad[i].Property == "price" {
+			bad[i].Value = "not-a-number"
 		}
 	}
 	if _, err := e.runFilter(bad, nil, modeCollect); err == nil {

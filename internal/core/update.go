@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"mdv/internal/atoms"
 	"mdv/internal/rdb"
 	"mdv/internal/rdf"
 )
@@ -93,7 +93,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	// current holds the decomposition of every resource of the batch's new
 	// document versions, by URI: the full new atoms phase 3 re-runs for a
 	// resource that phase 1 retracted something from.
-	current := map[string][]preparedAtom{}
+	current := map[string][]atoms.Atom{}
 
 	for i, doc := range docs {
 		old, isNew, err := e.loadStoredDocument(doc.URI)
@@ -162,12 +162,12 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	// version and every atom of a deleted resource. The matches are the
 	// candidate set — every (rule, resource) pair whose support may involve
 	// the old data — and their materializations are retracted.
-	var minus []preparedAtom
+	var minus []atoms.Atom
 	for _, d := range updates {
 		minus = append(minus, d.minus...)
 	}
 	for _, r := range deleted {
-		minus = append(minus, e.decomposeResource(r)...)
+		minus = append(minus, atoms.Decompose(e.schema, r)...)
 	}
 	before := newMatchSet()
 	if len(minus)+len(seeds) > 0 {
@@ -185,7 +185,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	// apply the data changes — for an updated resource, only its changed
 	// Statements rows.
 	for _, r := range deleted {
-		if _, err := e.db.Exec(`DELETE FROM Statements WHERE uri_reference = ?`, rdb.NewText(r.URIRef)); err != nil {
+		if err := atoms.Statements.Delete(e.db, r.URIRef); err != nil {
 			return nil, err
 		}
 		if _, err := e.db.Exec(deleteResource, rdb.NewText(r.URIRef)); err != nil {
@@ -193,15 +193,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 		}
 	}
 	for _, d := range updates {
-		for _, a := range d.drop {
-			if _, err := e.db.Exec(`DELETE FROM Statements
-				WHERE uri_reference = ? AND property = ? AND value = ? AND class = ? AND is_ref = ?`,
-				rdb.NewText(a.URIRef), rdb.NewText(a.Property),
-				rdb.NewText(a.Value), rdb.NewText(a.Class), rdb.NewBool(a.IsRef)); err != nil {
-				return nil, err
-			}
-		}
-		if err := e.insertStatements(d.add); err != nil {
+		if err := atoms.Statements.Apply(e.db, d.rows); err != nil {
 			return nil, err
 		}
 		if d.old.Class != d.new.Class {
@@ -230,7 +222,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 		if err := e.insertResource(changes, r); err != nil {
 			return nil, err
 		}
-		if err := e.insertStatements(current[r.URIRef]); err != nil {
+		if err := atoms.Statements.Insert(e.db, current[r.URIRef]); err != nil {
 			return nil, err
 		}
 	}
@@ -239,7 +231,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	// only effective one): run the filter over the atoms that came (Δ⁺), and
 	// over every current atom of a resource phase 1 retracted something
 	// from, materializing the derived matches.
-	var plus []preparedAtom
+	var plus []atoms.Atom
 	for _, r := range added {
 		plus = append(plus, current[r.URIRef]...)
 	}
@@ -297,7 +289,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 // is derived again. Re-derived candidates join after (they publish as
 // upserts). It repeats until a pass brings no candidate back and returns
 // the candidates that stay retracted.
-func (e *Engine) rederive(before, after *matchSet, current map[string][]preparedAtom) (*matchSet, error) {
+func (e *Engine) rederive(before, after *matchSet, current map[string][]atoms.Atom) (*matchSet, error) {
 	lost, joins := newMatchSet(), newMatchSet()
 	for rule, uris := range before.byRule {
 		isJoin, err := e.isJoinRule(rule)
@@ -355,32 +347,24 @@ func (e *Engine) isJoinRule(rule int64) (bool, error) {
 	return !rows.Empty() && rows.Data[0][0].Str == kindJoin, nil
 }
 
-// statementsOf reads a resource's stored atoms with their numeric shadows.
-const statementsOf = `SELECT uri_reference, class, property, value, is_ref, num_value
-	FROM Statements WHERE uri_reference = ?`
-
 // deleteResource removes a resource from the Resources catalog.
 const deleteResource = `DELETE FROM Resources WHERE uri_reference = ?`
 
 // currentAtoms returns the current atoms of the given resources, in order:
 // the batch's decomposition where the resource is part of it, the stored
 // Statements rows otherwise. A resource that no longer exists has none.
-func (e *Engine) currentAtoms(uris []string, current map[string][]preparedAtom) ([]preparedAtom, error) {
-	var out []preparedAtom
+func (e *Engine) currentAtoms(uris []string, current map[string][]atoms.Atom) ([]atoms.Atom, error) {
+	var out []atoms.Atom
 	for _, uri := range uris {
-		if pa, ok := current[uri]; ok {
-			out = append(out, pa...)
+		if as, ok := current[uri]; ok {
+			out = append(out, as...)
 			continue
 		}
-		rows, err := e.db.Query(statementsOf, rdb.NewText(uri))
+		as, err := atoms.Statements.Atoms(e.db, uri)
 		if err != nil {
 			return nil, err
 		}
-		for _, row := range rows.Data {
-			a := rdf.Statement{URIRef: row[0].Str, Class: row[1].Str, Property: row[2].Str,
-				Value: row[3].Str, IsRef: row[4].Bool}
-			out = append(out, preparedAtom{stmt: a, num: row[5]})
-		}
+		out = append(out, as...)
 	}
 	return out, nil
 }
@@ -396,71 +380,41 @@ func (e *Engine) insertResource(changes []docChange, r *rdf.Resource) error {
 	return err
 }
 
-// insertStatements stores atoms as Statements rows.
-func (e *Engine) insertStatements(atoms []preparedAtom) error {
-	for _, pa := range atoms {
-		a := pa.stmt
-		if _, err := e.db.Exec(
-			`INSERT INTO Statements (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`,
-			rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-			rdb.NewText(a.Value), pa.num, rdb.NewBool(a.IsRef)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // resourceDelta is the atom-level difference between the stored and the
-// new version of an updated resource. Atoms compare as whole statements,
-// values by their lexical form, so 7 → 007 is a change.
+// new version of an updated resource.
 type resourceDelta struct {
 	uri      string
 	old, new *rdf.Resource
+	// rows is what phase 2 writes to Statements: every atom whose
+	// multiplicity changed.
+	rows atoms.Delta
 	// minus (Δ⁻) and plus (Δ⁺) are the distinct atoms only the old and only
 	// the new version has: what the first and the third filter execution
 	// run over.
-	minus, plus []preparedAtom
-	// drop lists the atoms whose Statements rows phase 2 deletes, add the
-	// rows it inserts after: every atom whose multiplicity changed, so a
-	// set value listed twice keeps its rows in step with the document.
-	drop []rdf.Statement
-	add  []preparedAtom
+	minus, plus []atoms.Atom
 }
 
 // diffResource computes the atom-level delta of an updated resource. newAtoms
-// is the new version's prepared decomposition.
-func (e *Engine) diffResource(old, new *rdf.Resource, newAtoms []preparedAtom) resourceDelta {
-	d := resourceDelta{uri: new.URIRef, old: old, new: new}
-	oldAtoms := e.decomposeResource(old)
-	oldN := make(map[rdf.Statement]int, len(oldAtoms))
-	for _, pa := range oldAtoms {
-		oldN[pa.stmt]++
+// is the new version's decomposition. An atom whose multiplicity changed is
+// in both rows.Drop and rows.Add unless one version lacks it, so Δ⁻ is the
+// dropped atoms never added and Δ⁺ the added ones never dropped.
+func (e *Engine) diffResource(old, new *rdf.Resource, newAtoms []atoms.Atom) resourceDelta {
+	d := resourceDelta{uri: new.URIRef, old: old, new: new,
+		rows: atoms.Diff(atoms.Decompose(e.schema, old), newAtoms)}
+	dropped := make(map[rdf.Statement]bool, len(d.rows.Drop))
+	for _, a := range d.rows.Drop {
+		dropped[a.Statement] = true
 	}
-	newN := make(map[rdf.Statement]int, len(newAtoms))
-	for _, pa := range newAtoms {
-		newN[pa.stmt]++
+	added := make(map[rdf.Statement]bool, len(d.rows.Add))
+	for _, a := range d.rows.Add {
+		if !added[a.Statement] && !dropped[a.Statement] {
+			d.plus = append(d.plus, a)
+		}
+		added[a.Statement] = true
 	}
-	seen := map[rdf.Statement]bool{}
-	for _, pa := range oldAtoms {
-		a := pa.stmt
-		if newN[a] == oldN[a] || seen[a] {
-			continue
-		}
-		seen[a] = true
-		d.drop = append(d.drop, a)
-		if newN[a] == 0 {
-			d.minus = append(d.minus, pa)
-		}
-	}
-	for _, pa := range newAtoms {
-		a := pa.stmt
-		if newN[a] == oldN[a] {
-			continue
-		}
-		d.add = append(d.add, pa)
-		if oldN[a] == 0 && !seen[a] {
-			seen[a] = true
-			d.plus = append(d.plus, pa)
+	for _, a := range d.rows.Drop {
+		if !added[a.Statement] {
+			d.minus = append(d.minus, a)
 		}
 	}
 	return d
@@ -537,40 +491,11 @@ func (e *Engine) docURIOf(changes []docChange, uriRef string) (string, error) {
 	return "", fmt.Errorf("core: resource %s not found in batch", uriRef)
 }
 
-func singleResourceAtoms(r *rdf.Resource) []rdf.Statement {
-	d := rdf.Document{Resources: []*rdf.Resource{r}}
-	return d.Statements()
-}
-
-// preparedAtom is one decomposed statement (paper §3.2) together with its
-// pre-parsed numeric shadow value (what the Statements and FilterData
-// num_value columns store): NULL unless the schema declares the property
-// numeric. Only numeric properties are compared as numbers — the rule
-// normalizer types every other operand as a string — so no triggering or
-// join query reads a text atom's num_value.
-type preparedAtom struct {
-	stmt rdf.Statement
-	num  rdb.Value
-}
-
-// decomposeResource decomposes one resource into prepared atoms.
-func (e *Engine) decomposeResource(r *rdf.Resource) []preparedAtom {
-	as := singleResourceAtoms(r)
-	out := make([]preparedAtom, len(as))
-	for i, a := range as {
-		out[i] = preparedAtom{stmt: a, num: rdb.Null()}
-		if e.schema.IsNumeric(a.Class, a.Property) {
-			out[i].num = rdb.NumValue(a.Value)
-		}
-	}
-	return out
-}
-
 // preparedDoc is the per-document output of prepareBatch: everything a
 // registration needs that does not depend on engine state.
 type preparedDoc struct {
 	content string
-	atoms   map[*rdf.Resource][]preparedAtom
+	atoms   map[*rdf.Resource][]atoms.Atom
 	err     error
 }
 
@@ -616,9 +541,9 @@ func (e *Engine) prepareDoc(doc *rdf.Document) preparedDoc {
 		return pd
 	}
 	pd.content = rdf.DocumentString(doc)
-	pd.atoms = make(map[*rdf.Resource][]preparedAtom, len(doc.Resources))
+	pd.atoms = make(map[*rdf.Resource][]atoms.Atom, len(doc.Resources))
 	for _, r := range doc.Resources {
-		pd.atoms[r] = e.decomposeResource(r)
+		pd.atoms[r] = atoms.Decompose(e.schema, r)
 	}
 	return pd
 }
@@ -627,45 +552,7 @@ func (e *Engine) prepareDoc(doc *rdf.Document) preparedDoc {
 func (e *Engine) GetResource(uriRef string) (*rdf.Resource, bool, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.getResourceLocked(uriRef)
-}
-
-// getResourceLocked is GetResource for callers already holding e.mu in
-// either mode.
-func (e *Engine) getResourceLocked(uriRef string) (*rdf.Resource, bool, error) {
-	rows, err := e.db.Query(statementsOf, rdb.NewText(uriRef))
-	if err != nil {
-		return nil, false, err
-	}
-	if rows.Empty() {
-		return nil, false, nil
-	}
-	res := &rdf.Resource{URIRef: uriRef}
-	for _, row := range rows.Data {
-		res.Class = row[1].Str
-		prop, value, isRef := row[2].Str, row[3].Str, row[4].Bool
-		if prop == rdf.SubjectProperty {
-			continue
-		}
-		if isRef {
-			res.Add(prop, rdf.Ref(value))
-		} else {
-			res.Add(prop, rdf.Lit(value))
-		}
-	}
-	// The statement index orders rows by (uri, property), but values of a
-	// set-valued property (equal keys) surface in physical row order, which
-	// free-list reuse makes history-dependent: the same resource could render
-	// its themes differently on a long-lived engine and a reloaded snapshot.
-	// Sort equal-name runs so changesets are deterministic functions of
-	// engine content.
-	sort.SliceStable(res.Props, func(a, b int) bool {
-		if res.Props[a].Name != res.Props[b].Name {
-			return res.Props[a].Name < res.Props[b].Name
-		}
-		return res.Props[a].Value.String() < res.Props[b].Value.String()
-	})
-	return res, true, nil
+	return atoms.Statements.Read(e.db, uriRef)
 }
 
 // DocumentURIs lists all registered document URIs.
@@ -719,7 +606,7 @@ func (e *Engine) Browse(class, contains string) ([]*rdf.Resource, error) {
 	}
 	var out []*rdf.Resource
 	for _, row := range rows.Data {
-		res, ok, err := e.getResourceLocked(row[0].Str)
+		res, ok, err := atoms.Statements.Read(e.db, row[0].Str)
 		if err != nil {
 			return nil, err
 		}

@@ -22,19 +22,14 @@ import (
 	"mdv/internal/wire"
 )
 
-// ProviderAPI is what an LMR needs from its MDP. The in-process
+// ProviderAPI is what an LMR needs from its MDP: subscriptions, the
+// attached push channel, resuming the changeset stream past an applied
+// sequence and acknowledging applied pushes. The in-process
 // provider.Provider and the network client.MDP both implement it.
 type ProviderAPI interface {
-	Subscribe(subscriber, rule string) (int64, *core.Changeset, error)
+	Subscribe(subscriber, rule string) (int64, error)
 	Unsubscribe(subID int64) error
 	Attach(subscriber string, apply func(seq uint64, reset bool, cs *core.Changeset) error) error
-}
-
-// ResumableProvider is the optional capability of durable MDPs: resuming
-// the changeset stream from an acknowledged sequence and acknowledging
-// applied pushes. Both provider.Provider and client.MDP implement it; the
-// node uses it when available.
-type ResumableProvider interface {
 	Resume(subscriber string, fromSeq uint64) (uint64, error)
 	Ack(subscriber string, seq uint64) error
 }
@@ -152,9 +147,9 @@ func (n *Node) ackLoop() {
 		}
 		prov := n.prov
 		n.mu.Unlock()
-		if res, ok := prov.(ResumableProvider); ok {
-			res.Ack(n.name, seq)
-		}
+		// A lost ack only delays the provider's log truncation; the next
+		// one covers it.
+		_ = prov.Ack(n.name, seq)
 		n.mu.Lock()
 		n.ackSent = seq
 		n.mu.Unlock()
@@ -168,9 +163,9 @@ func (n *Node) AckedSeq() uint64 {
 	return n.ackSent
 }
 
-// Resume asks a durable provider to replay every changeset published for
-// this node past the repository's cursor. Non-resumable providers make it
-// a no-op. Returns the sequence the node is current to afterwards.
+// Resume asks the provider to replay every changeset published for this
+// node past the repository's cursor. Returns the sequence the node is
+// current to afterwards.
 func (n *Node) Resume() (uint64, error) {
 	if err := n.ensureAttached(); err != nil {
 		return 0, err
@@ -178,11 +173,7 @@ func (n *Node) Resume() (uint64, error) {
 	n.mu.Lock()
 	prov := n.prov
 	n.mu.Unlock()
-	res, ok := prov.(ResumableProvider)
-	if !ok {
-		return 0, nil
-	}
-	seq, err := res.Resume(n.name, n.repo.LastSeq())
+	seq, err := prov.Resume(n.name, n.repo.LastSeq())
 	if err == nil {
 		n.resumes.Add(1)
 	}
@@ -234,8 +225,7 @@ func (n *Node) DegradedWrites() uint64 { return n.degradedWrites.Load() }
 // AddSubscription registers a subscription rule at the MDP (paper §2.2:
 // "When subscribing to an MDP an LMR registers a set of subscription
 // rules"). The node is attached before subscribing, so the MDP delivers the
-// initial cache fill through the ordered push channel; the returned initial
-// changeset is deliberately not applied here (see provider.Subscribe).
+// initial cache fill through the ordered push channel.
 func (n *Node) AddSubscription(rule string) (int64, error) {
 	if err := n.ensureAttached(); err != nil {
 		return 0, err
@@ -243,7 +233,7 @@ func (n *Node) AddSubscription(rule string) (int64, error) {
 	var subID int64
 	err := n.writeRetry(func() error {
 		var err error
-		subID, _, err = n.prov.Subscribe(n.name, rule)
+		subID, err = n.prov.Subscribe(n.name, rule)
 		return err
 	})
 	if err != nil {

@@ -2,10 +2,14 @@ package lmr_test
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"mdv/internal/client"
+	"mdv/internal/core"
 	"mdv/internal/lmr"
 	"mdv/internal/provider"
 	"mdv/internal/rdf"
@@ -281,6 +285,66 @@ func TestWireEndToEnd(t *testing.T) {
 	}
 	if len(cached) != 1 {
 		t.Errorf("local registration over wire: %v", cached)
+	}
+}
+
+// TestSubscribeFillCrossesWireOnce: over TCP, a subscribe whose initial
+// fill is not empty delivers that fill exactly once, as one ordered push on
+// the subscriber's attached connection; the response carries only the id.
+func TestSubscribeFillCrossesWireOnce(t *testing.T) {
+	mdp, err := provider.New("mdp1", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := mdp.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mdp.Close()
+	for i, memory := range []int{128, 256} {
+		if err := mdp.RegisterDocument(providerDoc(i+1, memory)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := client.DialMDP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var mu sync.Mutex
+	var pushes []*core.Changeset
+	if err := conn.Attach("lmr1", func(_ uint64, _ bool, cs *core.Changeset) error {
+		mu.Lock()
+		defer mu.Unlock()
+		pushes = append(pushes, cs)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	subID, err := conn.Subscribe("lmr1", `search CycleProvider c register c where c.serverInformation.memory > 64`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A later round trip on the same connection: every push the MDP sent
+	// for the subscribe precedes its response.
+	if _, err := conn.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(pushes) != 1 {
+		t.Fatalf("the subscribe delivered %d pushes, want 1", len(pushes))
+	}
+	var got []string
+	for _, up := range pushes[0].Upserts {
+		if len(up.SubIDs) != 1 || up.SubIDs[0] != subID {
+			t.Errorf("upsert %s credits %v, want [%d]", up.Resource.URIRef, up.SubIDs, subID)
+		}
+		got = append(got, up.Resource.URIRef)
+	}
+	sort.Strings(got)
+	if want := []string{"doc1.rdf#host", "doc2.rdf#host"}; !slices.Equal(got, want) {
+		t.Errorf("the fill push upserts %v, want %v", got, want)
 	}
 }
 

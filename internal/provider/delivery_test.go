@@ -28,7 +28,7 @@ func TestDeliveryFailureDoesNotFailRegistration(t *testing.T) {
 		return nil
 	})
 	for _, sub := range []string{"broken", "healthy"} {
-		if _, _, err := p.Subscribe(sub, `search CycleProvider c register c`); err != nil {
+		if _, err := p.Subscribe(sub, `search CycleProvider c register c`); err != nil {
 			t.Fatal(err)
 		}
 	}

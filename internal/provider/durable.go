@@ -563,7 +563,7 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 	// publish records, after the scan, so the replay iterator never chases
 	// its own appends.
 	for _, rec := range ops {
-		ps, _, _, err := p.applyOp(rec)
+		ps, _, err := p.applyOp(rec)
 		if err != nil {
 			// The operation failed identically when first applied (ops are
 			// logged before application; the engine is deterministic).

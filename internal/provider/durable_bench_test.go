@@ -24,7 +24,7 @@ func BenchmarkPublishDurable(b *testing.B) {
 		b.Helper()
 		defer p.Close()
 		p.Attach("lmr", func(uint64, bool, *core.Changeset) error { return nil })
-		if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+		if _, err := p.Subscribe("lmr", durRule); err != nil {
 			b.Fatal(err)
 		}
 		// Cycle through a bounded, pre-populated URI space so every variant

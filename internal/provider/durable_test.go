@@ -62,7 +62,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	if !p.Durable() {
 		t.Fatal("provider not durable")
 	}
-	subID, _, err := p.Subscribe("lmr", durRule)
+	subID, err := p.Subscribe("lmr", durRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDurableSnapshotAndTailReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -163,7 +163,7 @@ func TestDurableTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
@@ -202,7 +202,7 @@ func TestResumeReplaysMissedChangesets(t *testing.T) {
 	defer p.Close()
 	var c collector
 	p.Attach("lmr", c.apply)
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.RegisterDocument(testDoc(0, 80)); err != nil {
@@ -290,7 +290,7 @@ func TestResumeReplaysMixedRecordFormats(t *testing.T) {
 	defer p.Close()
 	var live collector
 	p.Attach("lmr", live.apply)
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	type want struct {
@@ -360,7 +360,7 @@ func TestResumeFallsBackToReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
@@ -417,7 +417,7 @@ func TestDurableUnsubscribeReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subID, _, err := p.Subscribe("lmr", durRule)
+	subID, err := p.Subscribe("lmr", durRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestSnapshotAheadOfLostTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.RegisterDocument(testDoc(0, 80)); err != nil {
@@ -599,7 +599,7 @@ func TestLostDeliveredTailForcesReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Attach("lmr", repo.ApplyPush)
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.RegisterDocument(testDoc(0, 80)); err != nil {

@@ -35,7 +35,7 @@ func TestDeliveryOrderSurvivesPipelining(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +91,7 @@ func TestPublishPipelineOverlapsDelivery(t *testing.T) {
 		})
 		return nil
 	})
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 

@@ -536,7 +536,7 @@ func (p *Provider) RegisterDocuments(docs []*rdf.Document) error {
 		}
 		return w.RegisterDocuments(docs)
 	}
-	_, _, err := p.write(&logRecord{Kind: recRegister, docs: docs})
+	_, err := p.write(&logRecord{Kind: recRegister, docs: docs})
 	return err
 }
 
@@ -549,26 +549,24 @@ func (p *Provider) DeleteDocument(uri string) error {
 		}
 		return w.DeleteDocument(uri)
 	}
-	_, _, err := p.write(&logRecord{Kind: recDelete, URI: uri})
+	_, err := p.write(&logRecord{Kind: recDelete, URI: uri})
 	return err
 }
 
-// Subscribe registers a subscription and returns its id and the initial
-// cache fill. If the subscriber has attached delivery channels, the initial
-// fill is additionally delivered through them, in order with all other
-// published changesets; attached callers (LMR nodes) must therefore NOT
-// apply the returned changeset themselves.
-func (p *Provider) Subscribe(subscriber, rule string) (int64, *core.Changeset, error) {
+// Subscribe registers a subscription and returns its id. The initial cache
+// fill is published like every other changeset: the subscriber's attached
+// delivery channels receive it, in order with all other published
+// changesets.
+func (p *Provider) Subscribe(subscriber, rule string) (int64, error) {
 	if p.replica.Load() {
 		// Proxied to the primary: the subscription is logged there and
 		// comes back through the stream, so this follower's engine (and
 		// every other replica's) registers it too. The initial fill is
 		// delivered to the subscriber's channels attached HERE when the
-		// replicated publish record arrives; the returned changeset must
-		// not be applied by attached callers, exactly as on a primary.
+		// replicated publish record arrives, exactly as on a primary.
 		w, err := p.writeProxy()
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		return w.Subscribe(subscriber, rule)
 	}
@@ -586,7 +584,7 @@ func (p *Provider) Unsubscribe(subID int64) error {
 		}
 		return w.Unsubscribe(subID)
 	}
-	_, _, err := p.write(&logRecord{Kind: recUnsubscribe, SubID: subID})
+	_, err := p.write(&logRecord{Kind: recUnsubscribe, SubID: subID})
 	return err
 }
 
@@ -596,8 +594,8 @@ func (p *Provider) Unsubscribe(subID int64) error {
 // once the records are durable. Unsubscribe and named-rule registration
 // publish nothing and release pubMu without a delivery ticket; the other
 // operations take one even when they publish nothing. A subscribe returns
-// its subscription id and initial fill.
-func (p *Provider) write(rec *logRecord) (int64, *core.Changeset, error) {
+// its subscription id.
+func (p *Provider) write(rec *logRecord) (int64, error) {
 	p.lockPub()
 	var durSeq uint64
 	if p.dur != nil {
@@ -607,13 +605,13 @@ func (p *Provider) write(rec *logRecord) (int64, *core.Changeset, error) {
 		var err error
 		if durSeq, err = p.appendRecord(rec); err != nil {
 			p.unlockPub()
-			return 0, nil, err
+			return 0, err
 		}
 	}
-	ps, subID, initial, err := p.applyOp(rec)
+	ps, subID, err := p.applyOp(rec)
 	if err != nil {
 		p.unlockPub()
-		return 0, nil, err
+		return 0, err
 	}
 	if rec.Kind == recUnsubscribe || rec.Kind == recNamedRule {
 		p.unlockPub()
@@ -621,35 +619,36 @@ func (p *Provider) write(rec *logRecord) (int64, *core.Changeset, error) {
 		pubSeq, dels, pubErr := p.publishLocked(ps)
 		p.unlockPubAndDeliver(dels)
 		if pubErr != nil {
-			return 0, nil, pubErr
+			return 0, pubErr
 		}
 		durSeq = max(durSeq, pubSeq)
 	}
 	if err := p.awaitDurable(durSeq); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return subID, initial, nil
+	return subID, nil
 }
 
 // applyOp applies one input-operation record to the engine: live writes,
 // recovery and a replica's stream all run an operation through it. It
 // returns the operation's publish set, and for a subscribe also the
-// subscription id and the initial fill (published as a one-subscriber set
-// when it is not empty).
-func (p *Provider) applyOp(rec *logRecord) (ps *core.PublishSet, subID int64, initial *core.Changeset, err error) {
+// subscription id; its initial fill is published as a one-subscriber set
+// when it is not empty.
+func (p *Provider) applyOp(rec *logRecord) (ps *core.PublishSet, subID int64, err error) {
 	eng := p.Engine()
 	switch rec.Kind {
 	case recRegister:
 		docs := rec.docs
 		if docs == nil {
 			if docs, err = decodeDocs(rec.Docs); err != nil {
-				return nil, 0, nil, err
+				return nil, 0, err
 			}
 		}
 		ps, err = eng.RegisterDocuments(docs)
 	case recDelete:
 		ps, err = eng.DeleteDocument(rec.URI)
 	case recSubscribe:
+		var initial *core.Changeset
 		subID, initial, err = eng.Subscribe(rec.Subscriber, rec.Rule)
 		if err == nil && initial != nil && !initial.Empty() {
 			ps = core.NewSingleSubscriberSet(rec.Subscriber, initial)
@@ -661,7 +660,7 @@ func (p *Provider) applyOp(rec *logRecord) (ps *core.PublishSet, subID int64, in
 	default:
 		err = fmt.Errorf("provider: unknown op kind %q", rec.Kind)
 	}
-	return ps, subID, initial, err
+	return ps, subID, err
 }
 
 // Browse lists resources of a class (paper §2.2's user browsing at an MDP).
@@ -685,7 +684,7 @@ func (p *Provider) RegisterNamedRule(name, rule string) error {
 		}
 		return w.RegisterNamedRule(name, rule)
 	}
-	_, _, err := p.write(&logRecord{Kind: recNamedRule, Name: name, Rule: rule})
+	_, err := p.write(&logRecord{Kind: recNamedRule, Name: name, Rule: rule})
 	return err
 }
 
@@ -901,15 +900,11 @@ func (p *Provider) handle(conn *wire.ServerConn, kind string, body json.RawMessa
 		if err := p.fenceWrite(req.Epoch); err != nil {
 			return nil, err
 		}
-		id, initial, err := p.Subscribe(req.Subscriber, req.Rule)
+		id, err := p.Subscribe(req.Subscriber, req.Rule)
 		if err != nil {
 			return nil, err
 		}
-		resp := &wire.SubscribeResponse{SubID: id}
-		if initial != nil {
-			resp.Initial = core.AppendChangeset(nil, initial)
-		}
-		return resp, nil
+		return &wire.SubscribeResponse{SubID: id}, nil
 	case wire.KindUnsubscribe:
 		var req wire.UnsubscribeRequest
 		if err := wire.Decode(body, &req); err != nil {

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"mdv/internal/changelog"
-	"mdv/internal/core"
 	"mdv/internal/rdf"
 	"mdv/internal/wire"
 )
@@ -40,7 +39,7 @@ import (
 type WriteProxy interface {
 	RegisterDocuments(docs []*rdf.Document) error
 	DeleteDocument(uri string) error
-	Subscribe(subscriber, rule string) (int64, *core.Changeset, error)
+	Subscribe(subscriber, rule string) (int64, error)
 	Unsubscribe(subID int64) error
 	RegisterNamedRule(name, rule string) error
 }

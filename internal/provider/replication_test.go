@@ -51,7 +51,7 @@ func TestApplyReplicatedMirrorsPrimary(t *testing.T) {
 	var c collector
 	replica.Attach("lmr", c.apply)
 
-	if _, _, err := primary.Subscribe("lmr", durRule); err != nil {
+	if _, err := primary.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -242,7 +242,7 @@ func TestInstallSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	if _, _, err := primary.Subscribe("lmr", durRule); err != nil {
+	if _, err := primary.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -398,7 +398,7 @@ func TestReplicaResumeWaitsForCatchup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer replica.Close()
-	if _, _, err := primary.Subscribe("lmr", durRule); err != nil {
+	if _, err := primary.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

@@ -26,7 +26,7 @@ func TestWatermarkSurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Attach("lmr", repo.ApplyPush)
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -101,7 +101,7 @@ func TestWatermarkChunkBoundaryCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Attach("lmr", repo.ApplyPush)
-	if _, _, err := p.Subscribe("lmr", durRule); err != nil {
+	if _, err := p.Subscribe("lmr", durRule); err != nil {
 		t.Fatal(err)
 	}
 	// Publish until the claim advances past its first chunk (a second

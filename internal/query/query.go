@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"mdv/internal/atoms"
 	"mdv/internal/rdb"
 	"mdv/internal/rdb/sql"
 	"mdv/internal/rdf"
@@ -50,7 +51,7 @@ func (ev *Evaluator) Evaluate(src string) ([]*rdf.Resource, error) {
 		}
 		out = make([]*rdf.Resource, 0, len(uris))
 		for _, uri := range uris {
-			res, ok, err := ev.getResource(txn, uri)
+			res, ok, err := atoms.CacheStatements.Read(txn, uri)
 			if err != nil {
 				return err
 			}
@@ -110,30 +111,6 @@ func (ev *Evaluator) evaluateURIsTxn(txn *sql.ReadTxn, src string) ([]string, er
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-func (ev *Evaluator) getResource(txn *sql.ReadTxn, uriRef string) (*rdf.Resource, bool, error) {
-	var res *rdf.Resource
-	err := txn.QueryFunc(`SELECT property, value, is_ref, class FROM CacheStatements WHERE uri_reference = ?`,
-		[]rdb.Value{rdb.NewText(uriRef)}, func(row []rdb.Value) error {
-			if res == nil {
-				res = &rdf.Resource{URIRef: uriRef}
-			}
-			res.Class = row[3].Str
-			prop, value, isRef := row[0].Str, row[1].Str, row[2].Bool
-			switch {
-			case prop == rdf.SubjectProperty:
-			case isRef:
-				res.Add(prop, rdf.Ref(value))
-			default:
-				res.Add(prop, rdf.Lit(value))
-			}
-			return nil
-		})
-	if err != nil || res == nil {
-		return nil, false, err
-	}
-	return res, true, nil
 }
 
 // Translate turns one normalized query into a SQL join query over the cache

@@ -76,7 +76,7 @@ func startFollower(t *testing.T, dir, primary, name string) (*provider.Provider,
 func TestFollowerStreamsAndServes(t *testing.T) {
 	primary, addr := startPrimary(t, t.TempDir())
 	defer primary.Close()
-	if _, _, err := primary.Subscribe("lmr", testRule); err != nil {
+	if _, err := primary.Subscribe("lmr", testRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -182,7 +182,7 @@ func TestFollowerBootstrapsFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := primary.Subscribe("lmr", testRule); err != nil {
+	if _, err := primary.Subscribe("lmr", testRule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -234,7 +234,7 @@ func TestFollowerBootstrapsFromSnapshot(t *testing.T) {
 func TestFollowerReconnectsAfterPrimaryRestart(t *testing.T) {
 	primaryDir := t.TempDir()
 	primary, addr := startPrimary(t, primaryDir)
-	if _, _, err := primary.Subscribe("lmr", testRule); err != nil {
+	if _, err := primary.Subscribe("lmr", testRule); err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.RegisterDocument(testDoc(0)); err != nil {

@@ -18,8 +18,10 @@ package repository
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
+	"mdv/internal/atoms"
 	"mdv/internal/core"
 	"mdv/internal/rdb"
 	"mdv/internal/rdb/sql"
@@ -74,51 +76,38 @@ type Stats struct {
 	Resets            int // full-state reset changesets applied
 }
 
-var ddl = []string{
-	// Cached resources. local marks LMR-private metadata (§2.2).
-	`CREATE TABLE Cache (
-		uri_reference TEXT PRIMARY KEY,
-		class TEXT NOT NULL,
-		local BOOL NOT NULL
-	)`,
-	`CREATE INDEX idx_cache_class ON Cache (class)`,
-
+var ddl = slices.Concat(
+	[]string{
+		// Cached resources. local marks LMR-private metadata (§2.2).
+		`CREATE TABLE Cache (
+			uri_reference TEXT PRIMARY KEY,
+			class TEXT NOT NULL,
+			local BOOL NOT NULL
+		)`,
+		`CREATE INDEX idx_cache_class ON Cache (class)`,
+	},
 	// Property atoms of cached resources; the query language evaluates as
-	// SQL joins over this table. num_value is the typed shadow of a numeric
-	// property's value (rdb.NumValue, the MDP's coercion), NULL for every
-	// other property, whose values the query language never compares as
-	// numbers; its ordered (class, property, num_value) index serves
-	// numeric comparisons as point lookups and range scans.
-	`CREATE TABLE CacheStatements (
-		uri_reference TEXT NOT NULL,
-		class TEXT NOT NULL,
-		property TEXT NOT NULL,
-		value TEXT NOT NULL,
-		num_value FLOAT,
-		is_ref BOOL NOT NULL
-	)`,
-	`CREATE INDEX idx_cstmt_uri ON CacheStatements (uri_reference, property)`,
-	`CREATE INDEX idx_cstmt_cpv ON CacheStatements (class, property, value)`,
-	`CREATE INDEX idx_cstmt_cpn ON CacheStatements (class, property, num_value)`,
+	// SQL joins over them.
+	atoms.CacheStatements.DDL(),
+	[]string{
+		// Credits: which subscriptions a cached resource matches (the
+		// LMR-side view of §3.5's per-rule matching).
+		`CREATE TABLE CacheCredits (uri_reference TEXT NOT NULL, sub_id INT NOT NULL)`,
+		`CREATE UNIQUE INDEX idx_credit_pk ON CacheCredits (uri_reference, sub_id)`,
+		`CREATE INDEX idx_credit_uri ON CacheCredits (uri_reference)`,
 
-	// Credits: which subscriptions a cached resource matches (the LMR-side
-	// view of §3.5's per-rule matching).
-	`CREATE TABLE CacheCredits (uri_reference TEXT NOT NULL, sub_id INT NOT NULL)`,
-	`CREATE UNIQUE INDEX idx_credit_pk ON CacheCredits (uri_reference, sub_id)`,
-	`CREATE INDEX idx_credit_uri ON CacheCredits (uri_reference)`,
-
-	// Strong-reference edges among cached resources, for the garbage
-	// collector (§2.4).
-	`CREATE TABLE CacheRefs (holder TEXT NOT NULL, target TEXT NOT NULL, property TEXT NOT NULL)`,
-	`CREATE INDEX idx_refs_holder ON CacheRefs (holder)`,
-	`CREATE INDEX idx_refs_target ON CacheRefs (target)`,
-}
+		// Strong-reference edges among cached resources, for the garbage
+		// collector (§2.4).
+		`CREATE TABLE CacheRefs (holder TEXT NOT NULL, target TEXT NOT NULL, property TEXT NOT NULL)`,
+		`CREATE INDEX idx_refs_holder ON CacheRefs (holder)`,
+		`CREATE INDEX idx_refs_target ON CacheRefs (target)`,
+	},
+)
 
 // SQL texts run from more than one place.
 const (
 	cacheEntry      = `SELECT class, local FROM Cache WHERE uri_reference = ?`
 	deleteCache     = `DELETE FROM Cache WHERE uri_reference = ?`
-	statementsOf    = `SELECT property, value, is_ref, class FROM CacheStatements WHERE uri_reference = ?`
 	edgesFrom       = `SELECT target, property FROM CacheRefs WHERE holder = ?`
 	deleteEdgesFrom = `DELETE FROM CacheRefs WHERE holder = ?`
 )
@@ -126,12 +115,21 @@ const (
 // New creates an empty repository.
 func New(name string, schema *rdf.Schema) (*Repository, error) {
 	r := &Repository{name: name, schema: schema, db: sql.Open(), deadSubs: map[int64]bool{}}
-	for _, stmt := range ddl {
-		if _, err := r.db.Exec(stmt); err != nil {
-			return nil, fmt.Errorf("repository: bootstrap: %w", err)
-		}
+	if err := CreateTables(r.db); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// CreateTables creates the cache's tables in db: the layout the query
+// evaluator translates to.
+func CreateTables(db *sql.DB) error {
+	for _, stmt := range ddl {
+		if _, err := db.Exec(stmt); err != nil {
+			return fmt.Errorf("repository: bootstrap: %w", err)
+		}
+	}
+	return nil
 }
 
 // Name returns the repository's name (its subscriber identity at the MDP).
@@ -175,34 +173,7 @@ func (r *Repository) Len() int {
 func (r *Repository) Get(uriRef string) (*rdf.Resource, bool, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.getLocked(uriRef)
-}
-
-func (r *Repository) getLocked(uriRef string) (*rdf.Resource, bool, error) {
-	rows, err := r.db.Query(cacheEntry, rdb.NewText(uriRef))
-	if err != nil {
-		return nil, false, err
-	}
-	if rows.Empty() {
-		return nil, false, nil
-	}
-	res := &rdf.Resource{URIRef: uriRef, Class: rows.Data[0][0].Str}
-	stmts, err := r.db.Query(statementsOf, rdb.NewText(uriRef))
-	if err != nil {
-		return nil, false, err
-	}
-	for _, row := range stmts.Data {
-		prop, value, isRef := row[0].Str, row[1].Str, row[2].Bool
-		if prop == rdf.SubjectProperty {
-			continue
-		}
-		if isRef {
-			res.Add(prop, rdf.Ref(value))
-		} else {
-			res.Add(prop, rdf.Lit(value))
-		}
-	}
-	return res, true, nil
+	return atoms.CacheStatements.Read(r.db, uriRef)
 }
 
 // CreditsOf returns the subscription ids crediting a cached resource.
@@ -249,52 +220,14 @@ func (r *Repository) storeResource(res *rdf.Resource, local bool) error {
 	return r.storeEdges(res)
 }
 
-// storeStatements rewrites the statements of a resource whose multiplicity
-// differs between the cached version and res: it deletes every row of such
-// a statement and inserts it as often as res has it. Values compare by
-// their lexical form, so 7 → 007 is a change.
+// storeStatements writes the statements of a resource whose multiplicity
+// differs between the cached version and res.
 func (r *Repository) storeStatements(res *rdf.Resource) error {
-	old, err := r.db.Query(statementsOf, rdb.NewText(res.URIRef))
+	old, err := atoms.CacheStatements.Atoms(r.db, res.URIRef)
 	if err != nil {
 		return err
 	}
-	oldN := make(map[rdf.Statement]int, old.Len())
-	for _, row := range old.Data {
-		oldN[rdf.Statement{URIRef: res.URIRef, Class: row[3].Str, Property: row[0].Str,
-			Value: row[1].Str, IsRef: row[2].Bool}]++
-	}
-	atoms := (&rdf.Document{Resources: []*rdf.Resource{res}}).Statements()
-	newN := make(map[rdf.Statement]int, len(atoms))
-	for _, a := range atoms {
-		newN[a]++
-	}
-	for a, n := range oldN {
-		if newN[a] == n {
-			continue
-		}
-		if _, err := r.db.Exec(`DELETE FROM CacheStatements
-			WHERE uri_reference = ? AND property = ? AND value = ? AND class = ? AND is_ref = ?`,
-			rdb.NewText(a.URIRef), rdb.NewText(a.Property),
-			rdb.NewText(a.Value), rdb.NewText(a.Class), rdb.NewBool(a.IsRef)); err != nil {
-			return err
-		}
-	}
-	for _, a := range atoms {
-		if newN[a] == oldN[a] {
-			continue
-		}
-		num := rdb.Null()
-		if r.schema.IsNumeric(a.Class, a.Property) {
-			num = rdb.NumValue(a.Value)
-		}
-		if _, err := r.db.Exec(
-			`INSERT INTO CacheStatements (uri_reference, class, property, value, num_value, is_ref) VALUES (?, ?, ?, ?, ?, ?)`,
-			rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-			rdb.NewText(a.Value), num, rdb.NewBool(a.IsRef)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return atoms.CacheStatements.Apply(r.db, atoms.Diff(old, atoms.Decompose(r.schema, res)))
 }
 
 // storeEdges rewrites a resource's strong-reference edges unless they are
@@ -340,8 +273,10 @@ func (r *Repository) storeEdges(res *rdf.Resource) error {
 // dropResource removes a resource entirely from the cache.
 func (r *Repository) dropResource(uriRef string) error {
 	r.gcDue = true
+	if err := atoms.CacheStatements.Delete(r.db, uriRef); err != nil {
+		return err
+	}
 	for _, text := range []string{
-		`DELETE FROM CacheStatements WHERE uri_reference = ?`,
 		deleteEdgesFrom,
 		`DELETE FROM CacheCredits WHERE uri_reference = ?`,
 		deleteCache,
@@ -708,7 +643,7 @@ func (r *Repository) Resources(class string) ([]*rdf.Resource, error) {
 	}
 	var out []*rdf.Resource
 	for _, row := range rows.Data {
-		res, ok, err := r.getLocked(row[0].Str)
+		res, ok, err := atoms.CacheStatements.Read(r.db, row[0].Str)
 		if err != nil {
 			return nil, err
 		}

@@ -847,11 +847,11 @@ func TestApplySurfacesStatementErrors(t *testing.T) {
 		}
 	}
 	r := newRepo(t)
-	if _, err := r.DB().Exec(`DROP TABLE Cache`); err != nil {
+	if _, err := r.DB().Exec(`DROP TABLE CacheStatements`); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := r.Get("d#h"); err == nil {
-		t.Error("Get over a missing Cache table returned no error")
+		t.Error("Get over a missing CacheStatements table returned no error")
 	}
 }
 

@@ -219,12 +219,10 @@ type SubscribeRequest struct {
 	Epoch      uint64 `json:"epoch,omitempty"`
 }
 
-// SubscribeResponse returns the subscription id and the initial cache fill,
-// in the binary changeset encoding (core.AppendChangeset; absent when the
-// provider returned none).
+// SubscribeResponse returns the subscription id. The initial cache fill
+// reaches the subscriber as an ordered changeset push, not in the response.
 type SubscribeResponse struct {
-	SubID   int64  `json:"sub_id"`
-	Initial []byte `json:"initial,omitempty"`
+	SubID int64 `json:"sub_id"`
 }
 
 // UnsubscribeRequest removes a subscription.

@@ -77,8 +77,10 @@ const (
 // changeset_batch pushes.
 //
 // v4 made changeset pushes binary frames (EncodePushFrame) carrying the
-// changeset bytes of the changelog's publish record, and a subscribe
-// response's initial fill binary too.
+// changeset bytes of the changelog's publish record. A subscribe response
+// has since dropped its copy of the initial fill, which arrives as a push
+// anyway; that needs no new version, because JSON decoding ignores the
+// field an older server sends and leaves it empty for an older client.
 const ProtocolVersion = 4
 
 // KindHello is the version handshake request, handled below the request

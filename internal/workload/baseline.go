@@ -3,17 +3,20 @@ package workload
 import (
 	"fmt"
 
+	"mdv/internal/atoms"
 	"mdv/internal/query"
 	"mdv/internal/rdb"
 	"mdv/internal/rdb/sql"
 	"mdv/internal/rdf"
+	"mdv/internal/repository"
 	"mdv/internal/rules"
 )
 
 // Baseline is the strawman the paper's filter algorithm is designed to
 // beat (§3: "To avoid the evaluation of the possibly huge set of *all*
-// subscription rules"): it keeps the metadata in the same relational
-// layout, but on every registration it re-evaluates every subscription
+// subscription rules"): it keeps the metadata in the LMR cache's tables,
+// written as a repository writes them, but on every registration it
+// re-evaluates every subscription
 // rule as a full SQL query and reports which rules match resources of the
 // new batch. Its cost is Θ(|rule base|) per batch regardless of how few
 // rules are affected.
@@ -33,20 +36,8 @@ type baselineRule struct {
 // NewBaseline creates an empty baseline matcher.
 func NewBaseline(schema *rdf.Schema) (*Baseline, error) {
 	db := sql.Open()
-	ddl := []string{
-		`CREATE TABLE Cache (uri_reference TEXT PRIMARY KEY, class TEXT NOT NULL, local BOOL NOT NULL)`,
-		`CREATE INDEX idx_cache_class ON Cache (class)`,
-		`CREATE TABLE CacheStatements (
-			uri_reference TEXT NOT NULL, class TEXT NOT NULL,
-			property TEXT NOT NULL, value TEXT NOT NULL, num_value FLOAT, is_ref BOOL NOT NULL)`,
-		`CREATE INDEX idx_cstmt_uri ON CacheStatements (uri_reference, property)`,
-		`CREATE INDEX idx_cstmt_cpv ON CacheStatements (class, property, value)`,
-		`CREATE INDEX idx_cstmt_cpn ON CacheStatements (class, property, num_value)`,
-	}
-	for _, stmt := range ddl {
-		if _, err := db.Exec(stmt); err != nil {
-			return nil, err
-		}
+	if err := repository.CreateTables(db); err != nil {
+		return nil, err
 	}
 	return &Baseline{schema: schema, db: db}, nil
 }
@@ -81,20 +72,13 @@ func (b *Baseline) RuleCount() int { return len(b.rules) }
 func (b *Baseline) Register(docs []*rdf.Document) (map[int64][]string, error) {
 	batch := map[string]bool{}
 	for _, doc := range docs {
-		for _, a := range doc.Statements() {
-			if a.Property == rdf.SubjectProperty {
-				if _, err := b.db.Exec(
-					`INSERT INTO Cache (uri_reference, class, local) VALUES (?, ?, FALSE)`,
-					rdb.NewText(a.URIRef), rdb.NewText(a.Class)); err != nil {
-					return nil, err
-				}
-				batch[a.URIRef] = true
+		for _, r := range doc.Resources {
+			if _, err := b.db.Exec(`INSERT INTO Cache (uri_reference, class, local) VALUES (?, ?, FALSE)`,
+				rdb.NewText(r.URIRef), rdb.NewText(r.Class)); err != nil {
+				return nil, err
 			}
-			if _, err := b.db.Exec(
-				`INSERT INTO CacheStatements (uri_reference, class, property, value, num_value, is_ref)
-				 VALUES (?, ?, ?, ?, ?, ?)`,
-				rdb.NewText(a.URIRef), rdb.NewText(a.Class), rdb.NewText(a.Property),
-				rdb.NewText(a.Value), rdb.NumValue(a.Value), rdb.NewBool(a.IsRef)); err != nil {
+			batch[r.URIRef] = true
+			if err := atoms.CacheStatements.Insert(b.db, atoms.Decompose(b.schema, r)); err != nil {
 				return nil, err
 			}
 		}

@@ -274,8 +274,10 @@ func ProbeForPrimary(addrs []string, cfg ClientConfig) (string, *TopologyView) {
 // cache with local query processing.
 type RepositoryNode = lmr.Node
 
-// ProviderAPI is the provider interface a repository node needs; both
-// *Provider and *ProviderClient satisfy it.
+// ProviderAPI is the provider interface a repository node needs:
+// subscribe and unsubscribe, attach the push channel, resume the changeset
+// stream and acknowledge applied pushes. Both *Provider and
+// *ProviderClient satisfy it.
 type ProviderAPI = lmr.ProviderAPI
 
 // NewRepositoryNode creates an LMR connected to the given provider (either
