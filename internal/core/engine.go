@@ -128,10 +128,20 @@ type Engine struct {
 	// from the FilterRules tables (match.go).
 	trigProps map[classProp]int
 
+	// endSubs maps each end rule to its subscriptions; derived from
+	// SubscriptionEndRules and Subscriptions (match.go).
+	endSubs endRuleSubscribers
+
 	// perSubscriberChangesets builds one changeset per subscriber instead of
 	// one per interest group, with the per-batch URI caches off. Set only by
 	// TestCoalescingAblationParity's reference engine.
 	perSubscriberChangesets bool
+
+	// storedVersion, when set, gives a registered document's previous
+	// version instead of the rebuild from its statements. Set only by
+	// TestReregisterDiffFromStatements' reference engine, which parses each
+	// document's last registered RDF/XML.
+	storedVersion func(uri string) (*rdf.Document, error)
 
 	// obs holds the optional metrics and slow-publish-log hooks; zero value
 	// means fully disabled (one atomic nil load per instrumented site).
@@ -146,7 +156,7 @@ func NewEngine(schema *rdf.Schema) (*Engine, error) {
 // NewEngineWithOptions creates an engine with explicit options.
 func NewEngineWithOptions(schema *rdf.Schema, opts Options) (*Engine, error) {
 	e := &Engine{db: sql.Open(), schema: schema, opts: opts, named: map[string]*rules.NormalRule{},
-		joinProps: joinProps{}, trigProps: map[classProp]int{}}
+		joinProps: joinProps{}, trigProps: map[classProp]int{}, endSubs: endRuleSubscribers{}}
 	if err := e.bootstrap(); err != nil {
 		return nil, err
 	}
@@ -192,11 +202,10 @@ var ddl = append(
 	`CREATE INDEX idx_res_doc ON Resources (doc_uri)`,
 	`CREATE INDEX idx_res_class ON Resources (class)`,
 
-	// Registered documents (serialized), for re-registration diffs.
-	`CREATE TABLE Documents (
-		uri TEXT PRIMARY KEY,
-		content TEXT NOT NULL
-	)`,
+	// Registered documents. A document's content is its resources'
+	// Resources and Statements rows, from which a re-registration rebuilds
+	// the previous version.
+	`CREATE TABLE Documents (uri TEXT PRIMARY KEY)`,
 
 	// Atomic rules (paper Figure 7). kind: 'T' triggering, 'J' join.
 	// class is the type of the resources the rule registers.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -545,10 +547,12 @@ func groupSelect(out string, from, where []string, params []rdb.Value, rule int6
 }
 
 // unmaterializeAll removes every match of the set from RuleResults (the
-// cleanup step after the old-version run of §3.5).
+// cleanup step after the old-version run of §3.5), by rule and then URI:
+// the deletes free rows the next inserts reuse, so their order shows in a
+// snapshot's bytes.
 func (e *Engine) unmaterializeAll(m *matchSet) error {
-	for rule, uris := range m.byRule {
-		for uri := range uris {
+	for _, rule := range slices.Sorted(maps.Keys(m.byRule)) {
+		for _, uri := range m.uris(rule) {
 			if err := e.unmaterialize(rule, uri); err != nil {
 				return err
 			}
@@ -557,22 +561,70 @@ func (e *Engine) unmaterializeAll(m *matchSet) error {
 	return nil
 }
 
-// endRuleSubscribers maps an end rule to its subscriptions.
+// subscriberRef is one subscription an end rule credits.
 type subscriberRef struct {
 	subID      int64
 	subscriber string
 }
 
-func (e *Engine) subscribersOf(endRule int64) ([]subscriberRef, error) {
-	rows, err := e.db.Query(`
-		SELECT s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
-		WHERE ser.end_rule = ? AND s.sub_id = ser.sub_id`, rdb.NewInt(endRule))
+// endRuleSubscribers maps an end rule to its subscriptions, one entry per
+// SubscriptionEndRules row: derived state of SubscriptionEndRules ⋈
+// Subscriptions, which stay its persistent form. Subscribe adds a
+// subscription's entries once all its rows are written, Unsubscribe removes
+// them, and Load rebuilds the map, so credit routing is a hash probe per
+// matched rule instead of a join per rule and per updated resource.
+type endRuleSubscribers map[int64][]subscriberRef
+
+func (m endRuleSubscribers) add(ref subscriberRef, ends []int64) {
+	for _, end := range ends {
+		m[end] = append(m[end], ref)
+	}
+}
+
+func (m endRuleSubscribers) remove(subID int64, ends []int64) {
+	for _, end := range ends {
+		kept := slices.DeleteFunc(m[end], func(r subscriberRef) bool { return r.subID == subID })
+		if len(kept) == 0 {
+			delete(m, end)
+		} else {
+			m[end] = kept
+		}
+	}
+}
+
+// loadEndRuleSubs rebuilds the end-rule index from its tables. It first
+// drops the SubscriptionEndRules rows of subscriptions that do not exist:
+// an OR rule whose later branch failed to decompose left such rows behind
+// in older snapshots and logs, and the restored id counters would hand
+// their subscription and rule ids out again, crediting another
+// subscription.
+func (e *Engine) loadEndRuleSubs() error {
+	e.endSubs = endRuleSubscribers{}
+	live := map[int64]bool{}
+	err := e.db.QueryFunc(`
+		SELECT ser.end_rule, s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
+		WHERE s.sub_id = ser.sub_id`, nil, func(row []rdb.Value) error {
+		e.endSubs.add(subscriberRef{subID: row[1].Int, subscriber: row[2].Str}, []int64{row[0].Int})
+		live[row[1].Int] = true
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]subscriberRef, 0, rows.Len())
-	for _, r := range rows.Data {
-		out = append(out, subscriberRef{subID: r[0].Int, subscriber: r[1].Str})
+	var orphans []int64
+	err = e.db.QueryFunc(`SELECT DISTINCT sub_id FROM SubscriptionEndRules`, nil, func(row []rdb.Value) error {
+		if !live[row[0].Int] {
+			orphans = append(orphans, row[0].Int)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return out, nil
+	for _, subID := range orphans {
+		if _, err := e.db.Exec(`DELETE FROM SubscriptionEndRules WHERE sub_id = ?`, rdb.NewInt(subID)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

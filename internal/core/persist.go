@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 
 	"mdv/internal/rdb"
@@ -34,10 +36,38 @@ func (e *Engine) syncNamedRulesTable() error {
 	if _, err := e.db.Exec(`DELETE FROM NamedRules`); err != nil {
 		return err
 	}
-	for name, nr := range e.named {
+	// Sorted, so a snapshot's bytes follow the history, not map order.
+	for _, name := range slices.Sorted(maps.Keys(e.named)) {
 		if _, err := e.db.Exec(`INSERT INTO NamedRules (name, rule_text) VALUES (?, ?)`,
-			rdb.NewText(name), rdb.NewText(nr.Text())); err != nil {
+			rdb.NewText(name), rdb.NewText(e.named[name].Text())); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// legacyDocuments reports whether a snapshot's Documents table still has
+// the content column of older engines.
+func legacyDocuments(raw *rdb.Database) bool {
+	docs, err := raw.Table("Documents")
+	if err != nil {
+		return false
+	}
+	def := docs.Def()
+	return def.ColumnIndex("content") >= 0
+}
+
+// recreateTable drops a table and creates it empty from ddl, with its
+// indexes.
+func (e *Engine) recreateTable(name string) error {
+	if _, err := e.db.Exec(`DROP TABLE IF EXISTS ` + name); err != nil {
+		return err
+	}
+	for _, stmt := range ddl {
+		if strings.Contains(stmt, " "+name+" (") {
+			if _, err := e.db.Exec(stmt); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -67,14 +97,21 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 	// FilterData is per-run scratch. Snapshots carry it empty, stale, or not
 	// at all (engines that kept it outside the engine database); recreate it
 	// fresh from ddl's FilterData statements either way.
-	if _, err := e.db.Exec(`DROP TABLE IF EXISTS FilterData`); err != nil {
+	if err := e.recreateTable("FilterData"); err != nil {
 		return nil, err
 	}
-	for _, stmt := range ddl {
-		if strings.Contains(stmt, " FilterData (") {
-			if _, err := e.db.Exec(stmt); err != nil {
-				return nil, err
-			}
+	// Older snapshots also store each document's serialized RDF/XML; its
+	// statements are a document's only stored form now. Keep the URIs.
+	if legacyDocuments(raw) {
+		rows, err := e.db.Query(`SELECT uri FROM Documents`)
+		if err != nil {
+			return nil, err
+		}
+		if err := e.recreateTable("Documents"); err != nil {
+			return nil, err
+		}
+		if _, err := e.db.ExecBatch(`INSERT INTO Documents (uri) VALUES (?)`, rows.Data); err != nil {
+			return nil, err
 		}
 	}
 	// Older snapshots also carry a table of dependency edges that nothing
@@ -123,9 +160,9 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 			e.named[name] = normalized[0]
 		}
 	}
-	// The text index and the join- and triggering-property maps are derived
-	// state, never serialized: rebuild them from the FilterRules and
-	// RuleGroups rows.
+	// The text index, the join- and triggering-property maps and the
+	// end-rule index are derived state, never serialized: rebuild them from
+	// the FilterRules, RuleGroups and subscription rows.
 	if err := e.initTextIndex(); err != nil {
 		return nil, err
 	}
@@ -133,6 +170,9 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 		return nil, err
 	}
 	if err := e.loadTrigProps(); err != nil {
+		return nil, err
+	}
+	if err := e.loadEndRuleSubs(); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -130,3 +130,64 @@ func TestLoadRejectsNonEngineSnapshot(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
+
+// TestSaveIsDeterministic: engines fed the same history save the same
+// bytes, in one process as across processes. Every table write whose order
+// would follow Go map iteration — the cleanup of a retraction's matches,
+// the named-rule catalog — runs in sorted order.
+func TestSaveIsDeterministic(t *testing.T) {
+	var first []byte
+	for i := 0; i < 10; i++ {
+		e := newTestEngine(t)
+		applyCompatOps(t, e)
+		if err := e.RegisterNamedRule("Example",
+			`search CycleProvider c register c where c.serverHost contains 'example'`); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("engine %d saved a snapshot different from engine 0's for the same history", i)
+		}
+	}
+}
+
+// TestFailedSubscribeLeavesNoEndRules: an OR rule whose later branch fails
+// to decompose leaves no SubscriptionEndRules row behind. Such a row would
+// survive a reload, and the restored id counters would hand its
+// subscription and rule ids out again, crediting another subscription.
+func TestFailedSubscribeLeavesNoEndRules(t *testing.T) {
+	e := newTestEngine(t)
+	if _, _, err := e.Subscribe("bad",
+		`search CycleProvider c register c where c.serverInformation.memory > 64 or 'uni' contains c.serverHost`); err == nil {
+		t.Fatal("the OR rule with an undecomposable branch subscribed")
+	}
+	if n := e.count("SubscriptionEndRules"); n != 0 {
+		t.Fatalf("the failed subscribe left %d SubscriptionEndRules rows", n)
+	}
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, paperSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loaded.Subscribe("good", `search CycleProvider c register c where c.serverPort = 1`); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loaded.Subscribe("other", `search CycleProvider c register c where c.serverInformation.memory > 64`); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := loaded.RegisterDocument(figure1Doc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := changesetOf(ps, "good"); cs != nil {
+		t.Errorf("the subscriber of serverPort = 1 received %v, credited by the failed rule's row", upsertURIs(cs))
+	}
+}

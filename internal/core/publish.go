@@ -184,10 +184,7 @@ func (e *Engine) buildPublishSet(before, after, lost *matchSet, updates []resour
 
 	// Upserts: derived matches of subscribed end rules.
 	for rule := range after.byRule {
-		subs, err := e.subscribersOf(rule)
-		if err != nil {
-			return nil, err
-		}
+		subs := e.endSubs[rule]
 		if len(subs) == 0 {
 			continue
 		}
@@ -215,10 +212,7 @@ func (e *Engine) buildPublishSet(before, after, lost *matchSet, updates []resour
 	// a removal drops the subscription's credit, not one end rule's.
 	still := map[string]map[int64]bool{}
 	for rule := range lost.byRule {
-		subs, err := e.subscribersOf(rule)
-		if err != nil {
-			return nil, err
-		}
+		subs := e.endSubs[rule]
 		if len(subs) == 0 {
 			continue
 		}
@@ -277,11 +271,7 @@ func (e *Engine) buildPublishSet(before, after, lost *matchSet, updates []resour
 			if !before.has(rule, r.URIRef) {
 				continue
 			}
-			subs, err := e.subscribersOf(rule)
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range subs {
+			for _, s := range e.endSubs[rule] {
 				interestOf(s.subscriber).forced[r.URIRef] = true
 			}
 		}
@@ -567,17 +557,14 @@ func (e *Engine) strongHolders(uri string) (map[string]bool, error) {
 }
 
 // subscriptionsMatching returns the subscriptions whose end rules the
-// resource currently matches.
+// resource currently matches: its materialized rules, each looked up in the
+// end-rule index.
 func (e *Engine) subscriptionsMatching(uri string) ([]subscriberRef, error) {
-	rows, err := e.db.Query(`
-		SELECT s.sub_id, s.subscriber FROM RuleResults rr, SubscriptionEndRules ser, Subscriptions s
-		WHERE rr.uri_reference = ? AND ser.end_rule = rr.rule_id AND s.sub_id = ser.sub_id`, rdb.NewText(uri))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]subscriberRef, len(rows.Data))
-	for i, row := range rows.Data {
-		out[i] = subscriberRef{subID: row[0].Int, subscriber: row[1].Str}
-	}
-	return out, nil
+	var out []subscriberRef
+	err := e.db.QueryFunc(`SELECT rule_id FROM RuleResults WHERE uri_reference = ?`,
+		[]rdb.Value{rdb.NewText(uri)}, func(row []rdb.Value) error {
+			out = append(out, e.endSubs[row[0].Int]...)
+			return nil
+		})
+	return out, err
 }

@@ -43,27 +43,35 @@ func (e *Engine) Subscribe(subscriber, ruleText string) (int64, *Changeset, erro
 		return 0, nil, err
 	}
 
+	// Decompose every OR branch before writing the subscription's rows, so
+	// a branch that fails leaves none behind.
 	ctx := &internCtx{}
+	ends := make([]int64, 0, len(normalized))
 	for _, nr := range normalized {
 		end, err := e.decomposeNormalRule(nr, ctx)
 		if err != nil {
-			// Roll back the subscription row; atomic-rule refcounts are
-			// repaired by releasing what was interned so far.
-			e.releaseInterned(ctx.interned)
-			e.db.Exec(`DELETE FROM Subscriptions WHERE sub_id = ?`, rdb.NewInt(subID))
+			e.rollbackSubscribe(subID, ctx.interned)
 			return 0, nil, err
 		}
-		if _, err := e.db.Exec(`INSERT INTO SubscriptionEndRules (sub_id, end_rule) VALUES (?, ?)`,
-			rdb.NewInt(subID), rdb.NewInt(end)); err != nil {
-			return 0, nil, err
-		}
+		ends = append(ends, end)
 	}
-	for _, id := range ctx.interned {
-		if _, err := e.db.Exec(`INSERT INTO SubscriptionAtomicRules (sub_id, rule_id) VALUES (?, ?)`,
-			rdb.NewInt(subID), rdb.NewInt(id)); err != nil {
-			return 0, nil, err
-		}
+	endRows := make([][]rdb.Value, len(ends))
+	for i, end := range ends {
+		endRows[i] = []rdb.Value{rdb.NewInt(subID), rdb.NewInt(end)}
 	}
+	internedRows := make([][]rdb.Value, len(ctx.interned))
+	for i, id := range ctx.interned {
+		internedRows[i] = []rdb.Value{rdb.NewInt(subID), rdb.NewInt(id)}
+	}
+	if _, err := e.db.ExecBatch(`INSERT INTO SubscriptionEndRules (sub_id, end_rule) VALUES (?, ?)`, endRows); err != nil {
+		e.rollbackSubscribe(subID, ctx.interned)
+		return 0, nil, err
+	}
+	if _, err := e.db.ExecBatch(`INSERT INTO SubscriptionAtomicRules (sub_id, rule_id) VALUES (?, ?)`, internedRows); err != nil {
+		e.rollbackSubscribe(subID, ctx.interned)
+		return 0, nil, err
+	}
+	e.endSubs.add(subscriberRef{subID: subID, subscriber: subscriber}, ends)
 
 	// Initial cache fill: current matches of the end rules.
 	cs, err := e.fillChangeset(subscriber, []int64{subID})
@@ -71,6 +79,17 @@ func (e *Engine) Subscribe(subscriber, ruleText string) (int64, *Changeset, erro
 		return 0, nil, err
 	}
 	return subID, cs, nil
+}
+
+// rollbackSubscribe undoes a subscribe that failed: it deletes the rows
+// written for subID and releases the atomic rules interned so far, which
+// repairs their refcounts. Its own errors are dropped: the caller reports
+// the failure that made it roll back.
+func (e *Engine) rollbackSubscribe(subID int64, interned []int64) {
+	for _, table := range []string{"Subscriptions", "SubscriptionEndRules", "SubscriptionAtomicRules"} {
+		_, _ = e.db.Exec(`DELETE FROM `+table+` WHERE sub_id = ?`, rdb.NewInt(subID))
+	}
+	_ = e.releaseInterned(interned)
 }
 
 // ResubscribeFill builds a full-state changeset for one subscriber: every
@@ -144,6 +163,10 @@ func (e *Engine) Unsubscribe(subID int64) error {
 	for _, r := range ruleRows.Data {
 		interned = append(interned, r[0].Int)
 	}
+	ends, err := e.endRulesOfLocked(subID)
+	if err != nil {
+		return err
+	}
 	if _, err := e.db.Exec(`DELETE FROM Subscriptions WHERE sub_id = ?`, rdb.NewInt(subID)); err != nil {
 		return err
 	}
@@ -153,6 +176,7 @@ func (e *Engine) Unsubscribe(subID int64) error {
 	if _, err := e.db.Exec(`DELETE FROM SubscriptionAtomicRules WHERE sub_id = ?`, rdb.NewInt(subID)); err != nil {
 		return err
 	}
+	e.endSubs.remove(subID, ends)
 	return e.releaseInterned(interned)
 }
 

@@ -42,8 +42,8 @@ func (e *Engine) RegisterDocuments(docs []*rdf.Document) (*PublishSet, error) {
 }
 
 // prepareDocuments is the unlocked half of a registration: the CPU-bound
-// per-document work — schema validation, serialization, atom decomposition
-// (§3.2), numeric-shadow parsing — fanned out across a worker pool BEFORE
+// per-document work — schema validation, atom decomposition (§3.2),
+// numeric-shadow parsing — fanned out across a worker pool BEFORE
 // the exclusive section, so the engine lock covers only the stored-version
 // diff, table mutation, and the filter run, and concurrent readers are
 // blocked for less of each registration.
@@ -106,7 +106,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 		for j, r := range diff.Updated {
 			updates = append(updates, e.diffResource(diff.OldUpdated[j], r, prep[i].atoms[r]))
 		}
-		changes = append(changes, docChange{doc: doc, content: prep[i].content, isNew: isNew})
+		changes = append(changes, docChange{doc: doc, isNew: isNew})
 		for r, pa := range prep[i].atoms {
 			current[r.URIRef] = pa
 		}
@@ -207,13 +207,7 @@ func (e *Engine) registerLocked(docs []*rdf.Document, prep []preparedDoc, tStart
 	}
 	for _, ch := range changes {
 		if ch.isNew {
-			if _, err := e.db.Exec(`INSERT INTO Documents (uri, content) VALUES (?, ?)`,
-				rdb.NewText(ch.doc.URI), rdb.NewText(ch.content)); err != nil {
-				return nil, err
-			}
-		} else {
-			if _, err := e.db.Exec(`UPDATE Documents SET content = ? WHERE uri = ?`,
-				rdb.NewText(ch.content), rdb.NewText(ch.doc.URI)); err != nil {
+			if _, err := e.db.Exec(`INSERT INTO Documents (uri) VALUES (?)`, rdb.NewText(ch.doc.URI)); err != nil {
 				return nil, err
 			}
 		}
@@ -440,11 +434,11 @@ func (e *Engine) DeleteDocument(uri string) (*PublishSet, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.observeStage(stageLockWait, tLock)
-	stored, isNew, err := e.loadStoredDocument(uri)
+	registered, err := e.isRegistered(uri)
 	if err != nil {
 		return nil, err
 	}
-	if isNew || stored == nil {
+	if !registered {
 		return nil, fmt.Errorf("core: document %s is not registered", uri)
 	}
 	ps, err := e.registerLocked(docs, prep, tStart)
@@ -457,28 +451,56 @@ func (e *Engine) DeleteDocument(uri string) (*PublishSet, error) {
 	return ps, nil
 }
 
-// loadStoredDocument fetches and parses the stored version of a document.
-// isNew reports that no version is registered yet.
+// isRegistered reports whether a document of that URI is registered.
+func (e *Engine) isRegistered(uri string) (bool, error) {
+	rows, err := e.db.Query(`SELECT uri FROM Documents WHERE uri = ?`, rdb.NewText(uri))
+	if err != nil {
+		return false, err
+	}
+	return !rows.Empty(), nil
+}
+
+// loadStoredDocument rebuilds the registered version of a document from its
+// Resources and Statements rows, resources sorted by URI reference and
+// properties in atoms.Table.Read's canonical order: the stored form of a
+// document is its statements, and the re-registration diff compares
+// resources by Fingerprint, which ignores property order. isNew reports
+// that no version is registered yet.
 func (e *Engine) loadStoredDocument(uri string) (doc *rdf.Document, isNew bool, err error) {
-	rows, err := e.db.Query(`SELECT content FROM Documents WHERE uri = ?`, rdb.NewText(uri))
+	registered, err := e.isRegistered(uri)
 	if err != nil {
 		return nil, false, err
 	}
-	if rows.Empty() {
+	if !registered {
 		return nil, true, nil
 	}
-	doc, err = rdf.ParseDocumentString(uri, rows.Data[0][0].Str)
+	if e.storedVersion != nil {
+		doc, err = e.storedVersion(uri)
+		return doc, false, err
+	}
+	rows, err := e.db.Query(`SELECT uri_reference FROM Resources WHERE doc_uri = ? ORDER BY uri_reference`,
+		rdb.NewText(uri))
 	if err != nil {
-		return nil, false, fmt.Errorf("core: stored document %s is corrupt: %w", uri, err)
+		return nil, false, err
+	}
+	doc = rdf.NewDocument(uri)
+	for _, row := range rows.Data {
+		res, ok, err := atoms.Statements.Read(e.db, row[0].Str)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			return nil, false, fmt.Errorf("core: resource %s of document %s has no statements", row[0].Str, uri)
+		}
+		doc.Resources = append(doc.Resources, res)
 	}
 	return doc, false, nil
 }
 
 // docChange is one document of a registration batch.
 type docChange struct {
-	doc     *rdf.Document
-	content string
-	isNew   bool
+	doc   *rdf.Document
+	isNew bool
 }
 
 // docURIOf resolves which batch document owns a resource.
@@ -494,15 +516,14 @@ func (e *Engine) docURIOf(changes []docChange, uriRef string) (string, error) {
 // preparedDoc is the per-document output of prepareBatch: everything a
 // registration needs that does not depend on engine state.
 type preparedDoc struct {
-	content string
-	atoms   map[*rdf.Resource][]atoms.Atom
-	err     error
+	atoms map[*rdf.Resource][]atoms.Atom
+	err   error
 }
 
 // prepareBatch fans the CPU-bound per-document work of a registration
-// batch — schema validation, serialization for the Documents table, and
-// atom decomposition with numeric parsing — across a runtime.NumCPU()
-// worker pool. It touches no engine state, so it runs outside the lock.
+// batch — schema validation and atom decomposition with numeric parsing —
+// across a runtime.NumCPU() worker pool. It touches no engine state, so it
+// runs outside the lock.
 func (e *Engine) prepareBatch(docs []*rdf.Document) []preparedDoc {
 	out := make([]preparedDoc, len(docs))
 	workers := runtime.NumCPU()
@@ -540,7 +561,6 @@ func (e *Engine) prepareDoc(doc *rdf.Document) preparedDoc {
 		pd.err = err
 		return pd
 	}
-	pd.content = rdf.DocumentString(doc)
 	pd.atoms = make(map[*rdf.Resource][]atoms.Atom, len(doc.Resources))
 	for _, r := range doc.Resources {
 		pd.atoms[r] = atoms.Decompose(e.schema, r)
@@ -570,7 +590,8 @@ func (e *Engine) DocumentURIs() ([]string, error) {
 	return out, nil
 }
 
-// StoredDocument returns the stored serialized form of a document.
+// StoredDocument returns the registered version of a document, rebuilt
+// from its statements (see loadStoredDocument).
 func (e *Engine) StoredDocument(uri string) (*rdf.Document, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -102,7 +102,8 @@ type logRecord struct {
 	// binary record's payload, or the encoding of a legacy JSON changeset.
 	enc []byte
 	// docs are a live register's decoded documents: applyOp uses them
-	// instead of parsing Docs, which only a durable provider fills.
+	// instead of parsing Docs, which a durable provider fills with the
+	// request's XML or, for an in-process caller, serializes from docs.
 	docs []*rdf.Document
 }
 

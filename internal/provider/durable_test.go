@@ -14,7 +14,9 @@ import (
 
 	"mdv/internal/changelog"
 	"mdv/internal/core"
+	"mdv/internal/rdf"
 	"mdv/internal/repository"
+	"mdv/internal/wire"
 )
 
 // collector gathers pushed changesets for one subscriber.
@@ -724,4 +726,57 @@ func cached(t *testing.T, r *repository.Repository, uri string) bool {
 		t.Fatalf("get %s: %v", uri, err)
 	}
 	return ok
+}
+
+// TestWireRegisterLogsRequestXML: a register request's durable record
+// carries the RDF/XML the request arrived with, byte for byte, rather than
+// a re-serialization of the parsed documents, and recovery rebuilds the
+// same document from it.
+func TestWireRegisterLogsRequestXML(t *testing.T) {
+	dir := t.TempDir()
+	p, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `<?xml version="1.0"?>
+<!-- as the client wrote it -->
+<rdf:RDF xmlns:rdf="` + rdf.RDFNamespace + `"><CycleProvider rdf:ID="cp"><serverPort>8080</serverPort></CycleProvider></rdf:RDF>`
+	body, err := json.Marshal(wire.RegisterDocumentsRequest{Docs: []wire.Doc{{URI: "w.rdf", XML: src}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.handle(nil, wire.KindRegisterDocuments, body); err != nil {
+		t.Fatal(err)
+	}
+	var logged []wire.Doc
+	err = p.dur.log.Replay(1, func(seq uint64, payload []byte) error {
+		rec, err := parseRecord(payload)
+		if err == nil && rec.Kind == recRegister {
+			logged = append(logged, rec.Docs...)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != 1 || logged[0].URI != "w.rdf" || logged[0].XML != src {
+		t.Fatalf("logged register docs %+v, want the request's XML", logged)
+	}
+	want, err := p.Engine().StoredDocument("w.rdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	p2, err := OpenDurable("mdp", testSchema(), dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	got, err := p2.Engine().StoredDocument("w.rdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Resources) != 1 || got.Resources[0].Fingerprint() != want.Resources[0].Fingerprint() {
+		t.Errorf("recovered w.rdf %+v, want %+v", got.Resources, want.Resources)
+	}
 }

@@ -526,6 +526,14 @@ func (p *Provider) RegisterDocument(doc *rdf.Document) error {
 // RegisterDocuments registers a batch: runs the filter and publishes the
 // resulting changesets.
 func (p *Provider) RegisterDocuments(docs []*rdf.Document) error {
+	return p.registerDocuments(docs, nil)
+}
+
+// registerDocuments registers docs. wdocs is their RDF/XML when the request
+// carried it, which a durable provider logs as is: docs were parsed from
+// exactly those bytes, so a replay rebuilds the same documents. Without it
+// the record's XML is serialized from docs.
+func (p *Provider) registerDocuments(docs []*rdf.Document, wdocs []wire.Doc) error {
 	if p.replica.Load() {
 		// A follower's engine is driven exclusively by the replicated
 		// changelog; the write goes to the primary and comes back as
@@ -536,7 +544,7 @@ func (p *Provider) RegisterDocuments(docs []*rdf.Document) error {
 		}
 		return w.RegisterDocuments(docs)
 	}
-	_, err := p.write(&logRecord{Kind: recRegister, docs: docs})
+	_, err := p.write(&logRecord{Kind: recRegister, docs: docs, Docs: wdocs})
 	return err
 }
 
@@ -599,7 +607,7 @@ func (p *Provider) write(rec *logRecord) (int64, error) {
 	p.lockPub()
 	var durSeq uint64
 	if p.dur != nil {
-		if rec.Kind == recRegister {
+		if rec.Kind == recRegister && rec.Docs == nil {
 			rec.Docs = encodeDocs(rec.docs)
 		}
 		var err error
@@ -882,7 +890,7 @@ func (p *Provider) handle(conn *wire.ServerConn, kind string, body json.RawMessa
 		if err != nil {
 			return nil, err
 		}
-		return nil, p.RegisterDocuments(docs)
+		return nil, p.registerDocuments(docs, req.Docs)
 	case wire.KindDeleteDocument:
 		var req wire.DeleteDocumentRequest
 		if err := wire.Decode(body, &req); err != nil {

@@ -243,9 +243,11 @@ func escapeText(s string) string {
 	return sb.String()
 }
 
-func escapeAttr(s string) string {
-	return strings.NewReplacer(`&`, "&amp;", `<`, "&lt;", `>`, "&gt;", `"`, "&quot;").Replace(s)
-}
+// attrEscaper escapes an attribute value; built once, it is safe for
+// concurrent use.
+var attrEscaper = strings.NewReplacer(`&`, "&amp;", `<`, "&lt;", `>`, "&gt;", `"`, "&quot;")
+
+func escapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // SortResources orders the document's resources by URI reference. Useful
 // for deterministic serialization in tests and replication.

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzParseDocument feeds arbitrary bytes to the RDF/XML parser, which every
-// update runs over the stored version of a document before diffing it. The
+// FuzzParseDocument feeds arbitrary bytes to the RDF/XML parser, which reads
+// every document registered over the wire and every register record a
+// changelog replay applies. The
 // parser must never panic, and a document it accepts must survive
 // DocumentString: the re-serialized form parses back to the same resources,
 // in the same order, with the same fingerprints.
@@ -25,6 +26,10 @@ func FuzzParseDocument(f *testing.F) {
 	}
 	f.Add(`<rdf:RDF xmlns:rdf="` + RDFNamespace + `"><C rdf:about="x"><p> a&amp;b </p><q rdf:resource="#y"/>` +
 		`<r><D rdf:ID="y"><s>1</s></D></r></C></rdf:RDF>`)
+	// Every character escapeAttr rewrites, in an rdf:about and an
+	// rdf:resource value.
+	f.Add(`<rdf:RDF xmlns:rdf="` + RDFNamespace + `"><C rdf:about="a&amp;&lt;&gt;&quot;b">` +
+		`<q rdf:resource="c&amp;&lt;&gt;&quot;d"/></C></rdf:RDF>`)
 	f.Fuzz(func(t *testing.T, src string) {
 		const uri = "fuzz.rdf"
 		doc, err := ParseDocumentString(uri, src)

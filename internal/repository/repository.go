@@ -107,6 +107,7 @@ var ddl = slices.Concat(
 // SQL texts run from more than one place.
 const (
 	cacheEntry      = `SELECT class, local FROM Cache WHERE uri_reference = ?`
+	creditsOf       = `SELECT sub_id FROM CacheCredits WHERE uri_reference = ?`
 	deleteCache     = `DELETE FROM Cache WHERE uri_reference = ?`
 	edgesFrom       = `SELECT target, property FROM CacheRefs WHERE holder = ?`
 	deleteEdgesFrom = `DELETE FROM CacheRefs WHERE holder = ?`
@@ -180,7 +181,7 @@ func (r *Repository) Get(uriRef string) (*rdf.Resource, bool, error) {
 func (r *Repository) CreditsOf(uriRef string) ([]int64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	rows, err := r.db.Query(`SELECT sub_id FROM CacheCredits WHERE uri_reference = ?`, rdb.NewText(uriRef))
+	rows, err := r.db.Query(creditsOf, rdb.NewText(uriRef))
 	if err != nil {
 		return nil, err
 	}
@@ -480,19 +481,8 @@ func (r *Repository) applyUpsert(up core.Upsert) error {
 	if err := r.storeResource(up.Resource, false); err != nil {
 		return err
 	}
-	for _, subID := range live {
-		// Idempotent credit insert.
-		rows, err := r.db.Query(`SELECT sub_id FROM CacheCredits WHERE uri_reference = ? AND sub_id = ?`,
-			rdb.NewText(up.Resource.URIRef), rdb.NewInt(subID))
-		if err != nil {
-			return err
-		}
-		if rows.Empty() {
-			if _, err := r.db.Exec(`INSERT INTO CacheCredits (uri_reference, sub_id) VALUES (?, ?)`,
-				rdb.NewText(up.Resource.URIRef), rdb.NewInt(subID)); err != nil {
-				return err
-			}
-		}
+	if err := r.addCredits(up.Resource.URIRef, live); err != nil {
+		return err
 	}
 	for _, c := range up.Closure {
 		if err := r.storeResource(c, false); err != nil {
@@ -500,6 +490,33 @@ func (r *Repository) applyUpsert(up core.Upsert) error {
 		}
 	}
 	return nil
+}
+
+// addCredits credits a cached resource to subscriptions as one set: one
+// statement reads the credits it has, one batch inserts the missing ones,
+// each once however often subIDs lists it.
+func (r *Repository) addCredits(uri string, subIDs []int64) error {
+	if len(subIDs) == 0 {
+		return nil
+	}
+	key := rdb.NewText(uri)
+	has := map[int64]bool{}
+	err := r.db.QueryFunc(creditsOf, []rdb.Value{key}, func(row []rdb.Value) error {
+		has[row[0].Int] = true
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	var rows [][]rdb.Value
+	for _, subID := range subIDs {
+		if !has[subID] {
+			has[subID] = true
+			rows = append(rows, []rdb.Value{key, rdb.NewInt(subID)})
+		}
+	}
+	_, err = r.db.ExecBatch(`INSERT INTO CacheCredits (uri_reference, sub_id) VALUES (?, ?)`, rows)
+	return err
 }
 
 // DropSubscriptionCredits removes every credit of a subscription (when the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mdv/internal/core"
+	"mdv/internal/metrics"
 	"mdv/internal/query"
 	"mdv/internal/rdf"
 )
@@ -864,4 +865,105 @@ func cached(t *testing.T, r *Repository, uri string) bool {
 		t.Fatalf("get %s: %v", uri, err)
 	}
 	return ok
+}
+
+// perCreditLoop is the credit write applyUpsert made one credit at a time:
+// for each id in order, tombstoned ones skipped, a SELECT of the credit and
+// an INSERT when it was absent.
+func perCreditLoop(have, subIDs []int64, dead map[int64]bool) []int64 {
+	out := slices.Clone(have)
+	for _, id := range subIDs {
+		if !dead[id] && !slices.Contains(out, id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// sqlStatements counts the statements a repository's database ran.
+func sqlStatements(reg *metrics.Registry) uint64 {
+	var n uint64
+	for _, op := range []string{"select", "insert", "update", "delete"} {
+		n += reg.Counter("mdv_sql_statements_total", "", metrics.L("op", op)).Value()
+	}
+	return n
+}
+
+// TestApplyUpsertCreditsAsSet: an upsert's credits — duplicates, credits
+// the resource already has, tombstoned ids — leave CacheCredits as the
+// per-credit loop did, and writing them takes the same number of
+// statements for one credit as for fifty.
+func TestApplyUpsertCreditsAsSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		r := newRepo(t)
+		dead := map[int64]bool{}
+		for id := int64(1); id <= 8; id++ {
+			if rng.Intn(4) == 0 {
+				dead[id] = true
+				if err := r.DropSubscriptionCredits(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		draw := func() []int64 {
+			ids := make([]int64, rng.Intn(6))
+			for i := range ids {
+				ids[i] = 1 + rng.Int63n(8)
+			}
+			return ids
+		}
+		var have []int64
+		for range rng.Intn(3) {
+			ids := draw()
+			up := core.Upsert{Resource: hostResource("d#h", 80), SubIDs: ids}
+			if err := r.ApplyChangeset(&core.Changeset{Upserts: []core.Upsert{up}}); err != nil {
+				t.Fatal(err)
+			}
+			if cached(t, r, "d#h") {
+				have = perCreditLoop(have, ids, dead)
+			}
+		}
+		ids := draw()
+		up := core.Upsert{Resource: hostResource("d#h", 81), SubIDs: ids}
+		if err := r.ApplyChangeset(&core.Changeset{Upserts: []core.Upsert{up}}); err != nil {
+			t.Fatal(err)
+		}
+		want := perCreditLoop(have, ids, dead)
+		got, err := r.CreditsOf("d#h")
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: credits after %v on %v (dead %v) = %v, want %v", trial, ids, have, dead, got, want)
+		}
+	}
+
+	// Statements per upsert: one credit, then fifty new ones, on the same
+	// unchanged resource.
+	r := newRepo(t)
+	reg := metrics.NewRegistry()
+	r.DB().EnableMetrics(reg)
+	cost := func(ids []int64) uint64 {
+		before := sqlStatements(reg)
+		up := core.Upsert{Resource: hostResource("d#h", 80), SubIDs: ids}
+		if err := r.ApplyChangeset(&core.Changeset{Upserts: []core.Upsert{up}}); err != nil {
+			t.Fatal(err)
+		}
+		return sqlStatements(reg) - before
+	}
+	cost([]int64{1})
+	one := cost([]int64{2})
+	many := make([]int64, 50)
+	for i := range many {
+		many[i] = int64(100 + i)
+	}
+	if fifty := cost(many); fifty != one {
+		t.Errorf("an upsert with 50 new credits ran %d statements, with one %d", fifty, one)
+	}
+	if got, _ := r.CreditsOf("d#h"); len(got) != 52 {
+		t.Errorf("%d credits, want 52", len(got))
+	}
 }
