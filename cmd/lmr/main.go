@@ -169,8 +169,7 @@ func main() {
 	}
 	log.Printf("lmr %q listening on %s (providers %s)", *name, listenAddr, mdps.String())
 
-	// Resume against a durable MDP: catch up on changesets published while
-	// this LMR was down (no-op against a non-durable provider).
+	// Resume: catch up on changesets published while this LMR was down.
 	if seq, err := node.Resume(); err != nil {
 		log.Printf("lmr: resume: %v", err)
 	} else if seq > 0 {
@@ -179,9 +178,10 @@ func main() {
 
 	// Reconnect supervisor: when the provider connection drops, redial with
 	// backoff, re-attach, and resume the stream from the last applied
-	// sequence. A durable MDP replays the missed changesets; a restarted
-	// non-durable one falls back to a full-state reset. The supervisor owns
-	// the provider handle from here on and closes it on shutdown.
+	// sequence. The MDP replays the missed changesets from its changelog,
+	// or sends a full-state reset when its log no longer covers the cursor.
+	// The supervisor owns the provider handle from here on and closes it on
+	// shutdown.
 	stop := make(chan struct{})
 	supDone := make(chan struct{})
 	go func() {

@@ -4,23 +4,23 @@
 //
 // Usage:
 //
-//	mdp -addr :7171 -name mdp1 -schema schema.rdf
 //	mdp -addr :7171 -name mdp1 -schema schema.rdf -data /var/lib/mdp \
 //	    [-wal-sync group|always|none] [-snapshot-interval 5m]
 //	mdp -addr :7172 -name mdp2 -schema schema.rdf -data /var/lib/mdp2 \
 //	    -replica-of primary:7171
 //
-// With -data the provider is durable: every acknowledged operation is
-// written to a write-ahead changelog before it is applied, snapshots are
-// taken periodically (-snapshot-interval) and on SIGTERM, and reconnecting
-// LMRs resume the changeset stream from their acknowledged sequence.
+// The -data directory holds the provider's snapshot and write-ahead
+// changelog: every acknowledged operation is written to the changelog
+// before it is applied, snapshots are taken periodically
+// (-snapshot-interval) and on SIGTERM, and reconnecting LMRs resume the
+// changeset stream from their acknowledged sequence.
 //
 // With -replica-of the node runs as a read replica of the named primary:
 // it streams the primary's changelog into its own durable copy
 // (bootstrapping from a shipped snapshot when it has fallen behind the
 // primary's log retention), serves the full read path — subscriptions,
 // queries, browsing, changeset resume — and proxies write operations to
-// the primary. Requires -data.
+// the primary.
 //
 // Failover (DESIGN.md §11): repeat -cluster with every endpoint that may
 // be or become the primary. A replica then re-points automatically after
@@ -63,17 +63,16 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:7171", "listen address")
 		name       = flag.String("name", "mdp", "provider name")
 		schemaPath = flag.String("schema", "", "path to the RDF schema file (required)")
-		snapshot   = flag.String("snapshot", "", "snapshot file: loaded at startup if present, written on shutdown (non-durable mode)")
-		dataDir    = flag.String("data", "", "durable data directory (snapshot + write-ahead changelog); enables durable mode")
+		dataDir    = flag.String("data", "", "data directory: snapshot and write-ahead changelog (required)")
 		walSync    = flag.String("wal-sync", "group", "changelog durability: group (batched fsync), always (fsync per op), none")
-		snapEvery  = flag.Duration("snapshot-interval", 5*time.Minute, "durable mode: interval between snapshot+changelog-truncation passes (0 disables)")
+		snapEvery  = flag.Duration("snapshot-interval", 5*time.Minute, "interval between snapshot+changelog-truncation passes (0 disables)")
 		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "heartbeat ping interval; peers silent for 3x this are disconnected (0 disables)")
 		ioTimeout  = flag.Duration("io-timeout", 10*time.Second, "per-message write deadline on subscriber connections (0 disables)")
 		sendQueue  = flag.Int("send-queue", 256, "bounded per-subscriber send queue; overflow disconnects the subscriber")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; also enables mutex/block profiling; empty disables)")
 		metricsOn  = flag.String("metrics", "", "serve Prometheus /metrics on this address (e.g. localhost:6060; shares the pprof mux; empty disables)")
 		slowThresh = flag.Duration("slow-threshold", 0, "log publishes slower than this, with the dominating rule groups and statements (0 disables)")
-		replicaOf  = flag.String("replica-of", "", "run as a read replica of the primary MDP at this address (requires -data)")
+		replicaOf  = flag.String("replica-of", "", "run as a read replica of the primary MDP at this address")
 		advertise  = flag.String("advertise", "", "identity announced to the primary's follower stats (default: -name)")
 		advAddr    = flag.String("advertise-addr", "", "address other nodes should use to reach this one (default: the bound listen address)")
 		autoProm   = flag.Duration("auto-promote", 0, "replica deadman: self-promote after this long without any reachable primary, if most caught-up among -cluster peers (0 disables)")
@@ -87,8 +86,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *replicaOf != "" && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "mdp: -replica-of requires -data (a replica keeps its own changelog copy)")
+	if *dataDir == "" {
+		fmt.Fprintln(os.Stderr, "mdp: -data is required (the provider's snapshot and changelog live there)")
+		flag.Usage()
 		os.Exit(2)
 	}
 	var syncPolicy mdv.SyncPolicy
@@ -127,36 +127,13 @@ func main() {
 		log.Fatalf("mdp: parse schema: %v", err)
 	}
 
-	var prov *mdv.Provider
-	if *dataDir != "" {
-		var stats *mdv.RecoveryStats
-		var err error
-		prov, stats, err = mdv.OpenDurableProviderWithStats(*name, schema, *dataDir,
-			mdv.DurableOptions{Sync: syncPolicy, Replica: *replicaOf != ""})
-		if err != nil {
-			log.Fatalf("mdp: open durable store: %v", err)
-		}
-		log.Printf("mdp: durable store %s (snapshot seq %d, %d ops replayed, %d skipped, log seq %d)",
-			*dataDir, stats.SnapshotSeq, stats.Replayed, stats.Skipped, prov.LogSeq())
+	prov, stats, err := mdv.OpenDurableProviderWithStats(*name, schema, *dataDir,
+		mdv.DurableOptions{Sync: syncPolicy, Replica: *replicaOf != ""})
+	if err != nil {
+		log.Fatalf("mdp: open durable store: %v", err)
 	}
-	if prov == nil && *snapshot != "" {
-		if sf, err := os.Open(*snapshot); err == nil {
-			engine, lerr := mdv.LoadEngine(sf, schema)
-			sf.Close()
-			if lerr != nil {
-				log.Fatalf("mdp: load snapshot: %v", lerr)
-			}
-			prov = mdv.NewProviderFromEngine(*name, engine)
-			log.Printf("mdp: restored snapshot %s (%d documents)", *snapshot, engineDocs(engine))
-		}
-	}
-	if prov == nil {
-		var err error
-		prov, err = mdv.NewProvider(*name, schema)
-		if err != nil {
-			log.Fatalf("mdp: %v", err)
-		}
-	}
+	log.Printf("mdp: durable store %s (snapshot seq %d, %d ops replayed, %d skipped, log seq %d)",
+		*dataDir, stats.SnapshotSeq, stats.Replayed, stats.Skipped, prov.LogSeq())
 	var reg *mdv.MetricsRegistry
 	if *metricsOn != "" {
 		reg = mdv.NewMetricsRegistry()
@@ -190,14 +167,14 @@ func main() {
 		CallTimeout:  30 * time.Second,
 	}
 
-	// Startup rejoin probe: a durable node restarting from an old primary's
+	// Startup rejoin probe: a node restarting from an old primary's
 	// state may have been deposed while it was down. If any -cluster
 	// candidate serves a HIGHER epoch, step down before serving a single
 	// request — the stale node must never ack a write of its dead term —
 	// and follow that primary instead (repairing a divergent log tail via
 	// forced snapshot resync).
 	followPrimary := *replicaOf
-	if *dataDir != "" && followPrimary == "" && len(cluster) > 0 && !prov.Replica() {
+	if followPrimary == "" && len(cluster) > 0 && !prov.Replica() {
 		if paddr, topo := mdv.ProbeForPrimary(cluster, peerCfg); topo != nil && topo.Epoch > prov.Epoch() {
 			log.Printf("mdp: cluster primary %s serves epoch %d > local %d; rejoining as follower",
 				paddr, topo.Epoch, prov.Epoch())
@@ -274,7 +251,7 @@ func main() {
 	}
 
 	var stopSnapshots chan struct{}
-	if *dataDir != "" && *snapEvery > 0 {
+	if *snapEvery > 0 {
 		stopSnapshots = make(chan struct{})
 		go func() {
 			t := time.NewTicker(*snapEvery)
@@ -306,37 +283,10 @@ func main() {
 	if stopSnapshots != nil {
 		close(stopSnapshots)
 	}
-	if *dataDir != "" {
-		if err := prov.Compact(); err != nil {
-			log.Printf("mdp: final snapshot: %v", err)
-		} else {
-			log.Printf("mdp: final snapshot written (log seq %d)", prov.LogSeq())
-		}
-	}
-	if *snapshot != "" && *dataDir == "" {
-		tmp := *snapshot + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			log.Printf("mdp: snapshot: %v", err)
-		} else if err := prov.SaveSnapshot(f); err != nil {
-			f.Close()
-			log.Printf("mdp: snapshot: %v", err)
-		} else {
-			f.Close()
-			if err := os.Rename(tmp, *snapshot); err != nil {
-				log.Printf("mdp: snapshot: %v", err)
-			} else {
-				log.Printf("mdp: snapshot written to %s", *snapshot)
-			}
-		}
+	if err := prov.Compact(); err != nil {
+		log.Printf("mdp: final snapshot: %v", err)
+	} else {
+		log.Printf("mdp: final snapshot written (log seq %d)", prov.LogSeq())
 	}
 	prov.Close()
-}
-
-func engineDocs(engine *mdv.Engine) int {
-	uris, err := engine.DocumentURIs()
-	if err != nil {
-		return -1
-	}
-	return len(uris)
 }

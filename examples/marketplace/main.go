@@ -60,6 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer market.Close()
 
 	books, err := mdv.NewRepositoryNode("lmr-books", schema, market)
 	if err != nil {

@@ -72,6 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer backbone.Close()
 
 	// The optimizer's site runs an LMR caching only the suppliers its
 	// workloads can use: beefy cycle providers in its own domain, join

@@ -44,6 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer provider.Close()
 	repo, err := mdv.NewRepositoryNode("lmr-lab", schema, provider)
 	if err != nil {
 		log.Fatal(err)

@@ -24,11 +24,11 @@ func TestConcurrentWireTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { prov.Close() })
 	addr, err := prov.ServeConfig("127.0.0.1:0", wire.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer prov.Close()
 
 	cliCfg := client.Config{CallTimeout: 30 * time.Second}
 	sub, err := client.DialMDPConfig(addr, cliCfg)

@@ -113,11 +113,11 @@ func TestCoalescedFanoutConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { prov.Close() })
 	addr, err := prov.ServeConfig("127.0.0.1:0", wire.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer prov.Close()
 
 	cliCfg := client.Config{CallTimeout: 30 * time.Second}
 	rules := map[string][]string{

@@ -23,7 +23,7 @@ func TestMetricsWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer prov.Close()
+	t.Cleanup(func() { prov.Close() })
 	preg := metrics.NewRegistry()
 	prov.EnableMetrics(preg)
 	addr, err := prov.Serve("127.0.0.1:0")

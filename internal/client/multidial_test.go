@@ -15,11 +15,11 @@ func serveProvider(t *testing.T, name string) (*provider.Provider, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.Close() })
 	addr, err := p.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { p.Close() })
 	return p, addr
 }
 

@@ -20,6 +20,7 @@ func TestConcurrentRegistrationsAndQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { prov.Close() })
 	node, err := lmr.New("lmr", schema, prov)
 	if err != nil {
 		t.Fatal(err)

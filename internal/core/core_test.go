@@ -656,6 +656,9 @@ func TestNamedRuleExtension(t *testing.T) {
 	if err := e.RegisterNamedRule("CycleProvider", `search CycleProvider c register c`); err == nil {
 		t.Error("class-name collision accepted")
 	}
+	if n := e.count("NamedRules"); n != 1 {
+		t.Errorf("NamedRules holds %d rows after one accepted and two rejected registrations, want 1", n)
+	}
 	if _, _, err := e.Subscribe("lmr1",
 		`search PassauProviders p register p where p.serverPort = 5874`); err != nil {
 		t.Fatal(err)

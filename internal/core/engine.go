@@ -325,6 +325,10 @@ var ddl = append(
 	// duplicates), for refcount release on unsubscribe.
 	`CREATE TABLE SubscriptionAtomicRules (sub_id INT NOT NULL, rule_id INT NOT NULL)`,
 	`CREATE INDEX idx_sar_sub ON SubscriptionAtomicRules (sub_id)`,
+
+	// Rules registered by name as search extensions (paper §2.3), in their
+	// normalized text.
+	`CREATE TABLE NamedRules (name TEXT PRIMARY KEY, rule_text TEXT NOT NULL)`,
 )
 
 func (e *Engine) bootstrap() error {

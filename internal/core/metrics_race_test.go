@@ -35,6 +35,7 @@ func TestMetricsCoherenceUnderConcurrentPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { prov.Close() })
 	reg := metrics.NewRegistry()
 	prov.EnableMetrics(reg)
 	node, err := lmr.New("lmr", schema, prov)

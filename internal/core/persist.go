@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"maps"
-	"slices"
 	"strings"
 
 	"mdv/internal/rdb"
@@ -14,36 +12,12 @@ import (
 )
 
 // Save writes a snapshot of the engine's entire state — metadata,
-// decomposed rules, materializations, and subscriptions — to w. Named
-// rules are persisted through the NamedRules table.
+// decomposed rules, materializations, subscriptions and named rules — to
+// w. Every write keeps the tables current, so Save only reads them.
 func (e *Engine) Save(w io.Writer) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.syncNamedRulesTable(); err != nil {
-		return err
-	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.db.Raw().Save(w)
-}
-
-// syncNamedRulesTable mirrors the in-memory named-rule catalog into its
-// table so snapshots carry it.
-func (e *Engine) syncNamedRulesTable() error {
-	if !e.db.Raw().HasTable("NamedRules") {
-		if _, err := e.db.Exec(`CREATE TABLE NamedRules (name TEXT PRIMARY KEY, rule_text TEXT NOT NULL)`); err != nil {
-			return err
-		}
-	}
-	if _, err := e.db.Exec(`DELETE FROM NamedRules`); err != nil {
-		return err
-	}
-	// Sorted, so a snapshot's bytes follow the history, not map order.
-	for _, name := range slices.Sorted(maps.Keys(e.named)) {
-		if _, err := e.db.Exec(`INSERT INTO NamedRules (name, rule_text) VALUES (?, ?)`,
-			rdb.NewText(name), rdb.NewText(e.named[name].Text())); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // legacyDocuments reports whether a snapshot's Documents table still has
@@ -138,27 +112,31 @@ func LoadWithOptions(r io.Reader, schema *rdf.Schema, opts Options) (*Engine, er
 	if restoreErr != nil {
 		return nil, restoreErr
 	}
-	// Restore named rules.
-	if raw.HasTable("NamedRules") {
-		rows, err := e.db.Query(`SELECT name, rule_text FROM NamedRules`)
-		if err != nil {
+	// Restore named rules. Snapshots of engines that wrote the table only
+	// when saving lack it until their first save with a named rule.
+	if !raw.HasTable("NamedRules") {
+		if err := e.recreateTable("NamedRules"); err != nil {
 			return nil, err
 		}
-		for _, row := range rows.Data {
-			name, text := row[0].Str, row[1].Str
-			parsed, err := rules.Parse(text)
-			if err != nil {
-				return nil, fmt.Errorf("core: snapshot named rule %q: %w", name, err)
-			}
-			normalized, err := rules.Normalize(parsed, schema, e.resolveNamed)
-			if err != nil {
-				return nil, fmt.Errorf("core: snapshot named rule %q: %w", name, err)
-			}
-			if len(normalized) != 1 {
-				return nil, fmt.Errorf("core: snapshot named rule %q normalizes to %d rules", name, len(normalized))
-			}
-			e.named[name] = normalized[0]
+	}
+	rows, err := e.db.Query(`SELECT name, rule_text FROM NamedRules`)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows.Data {
+		name, text := row[0].Str, row[1].Str
+		parsed, err := rules.Parse(text)
+		if err != nil {
+			return nil, fmt.Errorf("core: snapshot named rule %q: %w", name, err)
 		}
+		normalized, err := rules.Normalize(parsed, schema, e.resolveNamed)
+		if err != nil {
+			return nil, fmt.Errorf("core: snapshot named rule %q: %w", name, err)
+		}
+		if len(normalized) != 1 {
+			return nil, fmt.Errorf("core: snapshot named rule %q normalizes to %d rules", name, len(normalized))
+		}
+		e.named[name] = normalized[0]
 	}
 	// The text index, the join- and triggering-property maps and the
 	// end-rule index are derived state, never serialized: rebuild them from

@@ -94,7 +94,7 @@ func (e *Engine) rollbackSubscribe(subID int64, interned []int64) {
 
 // ResubscribeFill builds a full-state changeset for one subscriber: every
 // resource currently matching any of its subscriptions, with its credits
-// and strong-reference closure. A durable provider delivers it as a reset
+// and strong-reference closure. The provider delivers it as a reset
 // changeset when it cannot prove a gap-free changelog replay for a
 // resuming subscriber (e.g. after truncation).
 func (e *Engine) ResubscribeFill(subscriber string) (*Changeset, error) {
@@ -323,6 +323,10 @@ func (e *Engine) RegisterNamedRule(name, ruleText string) error {
 	if len(normalized) != 1 {
 		return fmt.Errorf("core: named rule %q must not contain OR (normalizes to %d rules)",
 			name, len(normalized))
+	}
+	if _, err := e.db.Exec(`INSERT INTO NamedRules (name, rule_text) VALUES (?, ?)`,
+		rdb.NewText(name), rdb.NewText(normalized[0].Text())); err != nil {
+		return err
 	}
 	e.named[name] = normalized[0]
 	return nil

@@ -106,16 +106,14 @@ func (n *Node) ensureAttached() error {
 }
 
 // applyPush applies one pushed changeset and schedules an acknowledgment
-// of its sequence to a durable provider (advancing its truncation
-// watermark). Ack failures never fail the application: the push is already
-// applied, and the ack is advisory.
+// of its sequence to the provider (advancing its truncation watermark).
+// Ack failures never fail the application: the push is already applied,
+// and the ack is advisory.
 func (n *Node) applyPush(seq uint64, reset bool, cs *core.Changeset) error {
 	if err := n.repo.ApplyPush(seq, reset, cs); err != nil {
 		return err
 	}
-	if seq != 0 {
-		n.scheduleAck(seq)
-	}
+	n.scheduleAck(seq)
 	return nil
 }
 
@@ -183,9 +181,9 @@ func (n *Node) Resume() (uint64, error) {
 // Reconnect swaps in a fresh provider connection (after a network failure
 // or provider restart), re-attaches the push channel, and resumes the
 // changeset stream from the last applied sequence. The node's
-// subscriptions live at the provider — durably, on a durable MDP — so
-// they are not re-registered; the resume replay (or a full-state reset,
-// if the provider cannot replay) converges the cache.
+// subscriptions live in the provider's changelog, so they are not
+// re-registered; the resume replay (or a full-state reset, if the
+// provider's log no longer covers the cursor) converges the cache.
 func (n *Node) Reconnect(prov ProviderAPI) error {
 	n.mu.Lock()
 	n.prov = prov

@@ -2,6 +2,7 @@ package lmr_test
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -47,6 +48,7 @@ func TestInProcessThreeTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { mdp.Close() })
 	node, err := lmr.New("lmr1", schema, mdp)
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +126,7 @@ func TestLocalMetadataInQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { mdp.Close() })
 	node, err := lmr.New("lmr1", schema, mdp)
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +164,11 @@ func TestWireEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { mdp.Close() })
 	mdpAddr, err := mdp.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mdp.Close()
 
 	// LMR connects to the MDP over the wire.
 	mdpClient, err := client.DialMDP(mdpAddr)
@@ -296,11 +299,11 @@ func TestSubscribeFillCrossesWireOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { mdp.Close() })
 	addr, err := mdp.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mdp.Close()
 	for i, memory := range []int{128, 256} {
 		if err := mdp.RegisterDocument(providerDoc(i+1, memory)); err != nil {
 			t.Fatal(err)
@@ -345,6 +348,74 @@ func TestSubscribeFillCrossesWireOnce(t *testing.T) {
 	sort.Strings(got)
 	if want := []string{"doc1.rdf#host", "doc2.rdf#host"}; !slices.Equal(got, want) {
 		t.Errorf("the fill push upserts %v, want %v", got, want)
+	}
+}
+
+// TestReconnectReplaysMissedPublishes: an LMR whose wire connection to a
+// provider made by provider.New drops misses a registration published while
+// it is away; Reconnect resumes from its cursor and the provider replays
+// that publish from its changelog. Closing the provider then removes the
+// private directory New made for it.
+func TestReconnectReplaysMissedPublishes(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	schema := testSchema()
+	mdp, err := provider.New("mdp1", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mdp.Close() })
+	addr, err := mdp.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.DialMDP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := lmr.New("lmr1", schema, conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.AddSubscription(`search CycleProvider c register c`); err != nil {
+		t.Fatal(err)
+	}
+	if err := mdp.RegisterDocument(providerDoc(1, 128)); err != nil {
+		t.Fatal(err)
+	}
+	// The host and its strongly referenced info.
+	if !eventually(func() bool { return node.Repository().Len() == 2 }) {
+		t.Fatalf("cache holds %d resources before the drop, want 2", node.Repository().Len())
+	}
+
+	conn.Close()
+	if err := mdp.RegisterDocument(providerDoc(2, 256)); err != nil {
+		t.Fatal(err)
+	}
+	conn2, err := client.DialMDP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	if err := node.Reconnect(conn2); err != nil {
+		t.Fatal(err)
+	}
+	if !eventually(func() bool { return node.Repository().Len() == 4 }) {
+		t.Fatalf("cache holds %d resources after reconnecting, want 4", node.Repository().Len())
+	}
+	if !cached(t, node.Repository(), "doc2.rdf#host") {
+		t.Fatal("the document registered while the LMR was away is not cached")
+	}
+
+	if err := mdp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("closed provider left %v in its temporary directory", left)
 	}
 }
 

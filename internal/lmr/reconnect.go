@@ -38,8 +38,9 @@ type SuperviseConfig struct {
 // Supervise runs the reconnect loop cmd/lmr uses: wait for the current
 // provider connection to die, then redial with jittered backoff,
 // re-attach, and resume the changeset stream from the last applied
-// sequence. A durable MDP replays the missed changesets; a restarted
-// non-durable one falls back to a full-state reset.
+// sequence. The MDP replays the changesets missed since that sequence
+// from its changelog, or sends a full-state reset when its log no longer
+// covers it (truncated past it, or lost in a crash).
 //
 // Supervise owns cur and every connection it dials after it: the
 // superseded connection is closed after each successful swap, and the

@@ -15,6 +15,7 @@ func TestDeliveryFailureDoesNotFailRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.Close() })
 	var failures []string
 	p.OnDeliveryError = func(subscriber string, err error) {
 		failures = append(failures, subscriber)

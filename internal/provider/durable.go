@@ -1,5 +1,5 @@
-// Durable MDP mode: a write-ahead changelog makes every acknowledged
-// input operation crash-safe, and publish records in the same log let a
+// The MDP's changelog: a write-ahead log makes every acknowledged input
+// operation crash-safe, and publish records in the same log let a
 // reconnecting LMR resume the changeset stream from its acknowledged
 // sequence number.
 //
@@ -102,8 +102,8 @@ type logRecord struct {
 	// binary record's payload, or the encoding of a legacy JSON changeset.
 	enc []byte
 	// docs are a live register's decoded documents: applyOp uses them
-	// instead of parsing Docs, which a durable provider fills with the
-	// request's XML or, for an in-process caller, serializes from docs.
+	// instead of parsing Docs, which write fills with the request's XML
+	// or, for an in-process caller, serializes from docs.
 	docs []*rdf.Document
 }
 
@@ -188,10 +188,12 @@ func uvarint(b []byte) (n uint64, k int) {
 	return n, k
 }
 
-// durableState is the changelog side of a durable provider.
+// durableState is the changelog side of a provider.
 type durableState struct {
 	log *changelog.Log
 	dir string
+	// temp marks a private directory made by New, which Close removes.
+	temp bool
 	// acked tracks each subscriber's highest acknowledged publish
 	// sequence (guarded by Provider.mu); the truncation watermark is the
 	// minimum over all subscribers with live subscriptions.
@@ -265,7 +267,7 @@ func containsString(list []string, s string) bool {
 // sequence numbers burned per recovery (uint64 never runs out).
 const watermarkChunk = 1024
 
-// DurableOptions tune a durable provider.
+// DurableOptions tune a provider's changelog and engine.
 type DurableOptions struct {
 	// SegmentSize is the changelog segment rotation threshold.
 	SegmentSize int64
@@ -303,10 +305,6 @@ type RecoveryStats struct {
 	Replayed    int    // operations re-applied from the log tail
 	Skipped     int    // logged operations whose application failed (they failed identically before the crash)
 }
-
-// ErrNotDurable is returned by durable-only operations on an in-memory
-// provider.
-var ErrNotDurable = errors.New("provider: not a durable provider (no changelog)")
 
 const (
 	snapshotFile = "snapshot.db"
@@ -360,7 +358,7 @@ func OpenDurableWithStats(name string, schema *rdf.Schema, dir string, opts Dura
 	case window < 0:
 		window = 0
 	}
-	p := NewFromEngine(name, engine)
+	p := newFromEngine(name, engine)
 	p.replica.Store(opts.Replica)
 	p.bumpEpoch(snapEpoch)
 	log, err := changelog.Open(filepath.Join(dir, walDir), changelog.Options{
@@ -380,25 +378,14 @@ func OpenDurableWithStats(name string, schema *rdf.Schema, dir string, opts Dura
 	return p, stats, nil
 }
 
-// Durable reports whether the provider runs with a changelog.
-func (p *Provider) Durable() bool { return p.dur != nil }
-
-// LogSeq returns the changelog's last appended sequence (0 if not durable).
-func (p *Provider) LogSeq() uint64 {
-	if p.dur == nil {
-		return 0
-	}
-	return p.dur.log.LastSeq()
-}
+// LogSeq returns the changelog's last appended sequence.
+func (p *Provider) LogSeq() uint64 { return p.dur.log.LastSeq() }
 
 // ReplayLog streams the raw changelog records from sequence from (tests
 // and tooling use it to compare replicas' log copies byte for byte — the
 // replication invariant is a verbatim prefix). The payload slice is only
 // valid during the callback.
 func (p *Provider) ReplayLog(from uint64, fn func(seq uint64, payload []byte) error) error {
-	if p.dur == nil {
-		return ErrNotDurable
-	}
 	return p.dur.log.Replay(from, fn)
 }
 
@@ -433,7 +420,7 @@ func (p *Provider) appendPubLocked(members []string, cs *core.Changeset) (uint64
 // chunk of sequences; within a chunk this is a no-op.
 func (p *Provider) claimDeliveredLocked(seq uint64) error {
 	d := p.dur
-	if d == nil || seq == 0 || seq <= d.claim {
+	if seq == 0 || seq <= d.claim {
 		return nil
 	}
 	if p.replica.Load() {
@@ -468,7 +455,7 @@ func (p *Provider) appendWatermarkLocked(claim uint64) error {
 // The wait happens outside pubMu, so concurrent operations keep appending
 // and share the leader's fsync.
 func (p *Provider) awaitDurable(seq uint64) error {
-	if p.dur == nil || seq == 0 {
+	if seq == 0 {
 		return nil
 	}
 	return p.dur.log.WaitDurable(seq)
@@ -621,7 +608,7 @@ func (p *Provider) foldRecord(rec *logRecord) {
 // advances the truncation watermark. Acks are advisory: they are appended
 // to the changelog without waiting for an fsync.
 func (p *Provider) Ack(subscriber string, seq uint64) error {
-	if p.dur == nil || seq == 0 {
+	if seq == 0 {
 		return nil
 	}
 	p.mu.Lock()
@@ -648,11 +635,7 @@ func (p *Provider) Ack(subscriber string, seq uint64) error {
 // a crash swallowed after its pushes were already delivered), it instead
 // delivers one full-state reset changeset rebuilding the subscriber's
 // cache from the live match sets.
-// On a non-durable provider Resume is a no-op returning 0.
 func (p *Provider) Resume(subscriber string, fromSeq uint64) (uint64, error) {
-	if p.dur == nil {
-		return 0, nil
-	}
 	// A subscriber failing over to a replica can be AHEAD of it: the
 	// primary pushed (and the LMR applied) sequences the replicated stream
 	// has not delivered here yet. Wait briefly for the stream to catch up —
@@ -760,9 +743,6 @@ func (p *Provider) resetDelivery(subscriber string, seq uint64) (delivery, error
 // acknowledged by every subscriber with live subscriptions. Registrations
 // are quiesced for the duration of the snapshot write.
 func (p *Provider) Compact() error {
-	if p.dur == nil {
-		return ErrNotDurable
-	}
 	p.pubMu.Lock()
 	seq := p.dur.log.LastSeq()
 	err := writeSnapshotFile(filepath.Join(p.dur.dir, snapshotFile), func(w io.Writer) error {

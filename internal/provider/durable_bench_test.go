@@ -12,9 +12,10 @@ import (
 )
 
 // BenchmarkPublishDurable measures the cost of durability on the
-// registration path: an in-memory provider (no WAL) against a durable one
-// fsyncing every operation (SyncAlways) and one batching concurrent
-// operations into shared fsyncs (SyncGroup, the default). Registrations
+// registration path: a changelog that is never fsynced (SyncNone, what New
+// opens) against one fsyncing every operation (SyncAlways) and one
+// batching concurrent operations into shared fsyncs (SyncGroup, the
+// default). Registrations
 // run from concurrent callers; docs1 registers one document per call,
 // docs16 a batch of 16 (the paper's deployment model — registrations
 // arrive batched; one changelog record and one shared fsync cover the
@@ -50,10 +51,7 @@ func BenchmarkPublishDurable(b *testing.B) {
 		if par := 8 / runtime.GOMAXPROCS(0); par > 1 {
 			b.SetParallelism(par)
 		}
-		var syncs0 uint64
-		if p.dur != nil {
-			syncs0 = p.dur.log.SyncCount()
-		}
+		syncs0 := p.dur.log.SyncCount()
 		var n int64
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -73,22 +71,13 @@ func BenchmarkPublishDurable(b *testing.B) {
 			}
 		})
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(batch)*int64(b.N)), "ns/doc")
-		if p.dur != nil {
-			b.ReportMetric(float64(p.dur.log.SyncCount()-syncs0)/float64(b.N), "fsyncs/op")
-		}
+		b.ReportMetric(float64(p.dur.log.SyncCount()-syncs0)/float64(b.N), "fsyncs/op")
 	}
 
 	variants := []struct {
 		name string
 		open func(b *testing.B) *Provider
 	}{
-		{"no-wal", func(b *testing.B) *Provider {
-			p, err := New("mdp", testSchema())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return p
-		}},
 		{"wal-always", func(b *testing.B) *Provider {
 			p, err := OpenDurable("mdp", testSchema(), b.TempDir(), DurableOptions{Sync: changelog.SyncAlways})
 			if err != nil {
@@ -103,9 +92,8 @@ func BenchmarkPublishDurable(b *testing.B) {
 			}
 			return p
 		}},
-		// Ablation: full WAL serialization and buffered writes, no fsync.
-		// The gap between wal-none and no-wal is the record-encoding CPU
-		// cost; the gap between wal-group and wal-none is the fsync cost.
+		// Full WAL serialization and buffered writes, no fsync: the gap
+		// between wal-group and wal-none is the fsync cost.
 		{"wal-none", func(b *testing.B) *Provider {
 			p, err := OpenDurable("mdp", testSchema(), b.TempDir(), DurableOptions{Sync: changelog.SyncNone})
 			if err != nil {

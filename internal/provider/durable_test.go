@@ -61,9 +61,6 @@ func TestDurableCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Durable() {
-		t.Fatal("provider not durable")
-	}
 	subID, err := p.Subscribe("lmr", durRule)
 	if err != nil {
 		t.Fatal(err)

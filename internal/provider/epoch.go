@@ -1,4 +1,4 @@
-// Epoch-fenced failover: every durable provider serves one replication
+// Epoch-fenced failover: every provider serves one replication
 // term (epoch) at a time. A promotion bumps the term and appends it to the
 // changelog as the first record of the new reign, so the term change is
 // durable, replicates verbatim, and totally orders against the writes it
@@ -91,9 +91,6 @@ func (p *Provider) PrimaryHint() string {
 // here are gone from this history (the old primary repairs its divergent
 // tail via snapshot resync when it rejoins).
 func (p *Provider) Promote() (uint64, error) {
-	if p.dur == nil {
-		return 0, ErrNotDurable
-	}
 	if !p.replica.Load() {
 		return p.epoch.Load(), nil
 	}
@@ -152,7 +149,7 @@ func (p *Provider) ObserveEpoch(epoch uint64, primary string) bool {
 		p.primaryHint = primary
 		p.mu.Unlock()
 	}
-	if epoch == 0 || p.dur == nil {
+	if epoch == 0 {
 		return false
 	}
 	if !p.bumpEpoch(epoch) {
@@ -324,12 +321,10 @@ func (p *Provider) noPrimaryErr() error {
 // per-follower stream positions for lag math.
 func (p *Provider) Topology() *wire.TopologyResponse {
 	resp := &wire.TopologyResponse{
-		Name:  p.name,
-		Role:  p.Role(),
-		Epoch: p.Epoch(),
-	}
-	if p.dur != nil {
-		resp.LogSeq = p.dur.log.LastSeq()
+		Name:   p.name,
+		Role:   p.Role(),
+		Epoch:  p.Epoch(),
+		LogSeq: p.dur.log.LastSeq(),
 	}
 	p.mu.Lock()
 	adv, hint := p.advertise, p.primaryHint

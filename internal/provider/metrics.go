@@ -49,9 +49,7 @@ func (p *Provider) EnableMetrics(reg *metrics.Registry) {
 	p.met.Store(m)
 	p.reg.Store(reg)
 	p.Engine().EnableMetrics(reg)
-	if p.dur != nil {
-		p.dur.log.EnableMetrics(reg)
-	}
+	p.dur.log.EnableMetrics(reg)
 
 	sub := func(name string) []metrics.Label {
 		return []metrics.Label{metrics.L("subscriber", name)}
@@ -77,7 +75,7 @@ func (p *Provider) EnableMetrics(reg *metrics.Registry) {
 			metrics.TypeGauge, func(sd *subscriberSample) float64 { return float64(sd.published) }},
 		{"mdv_subscriber_acked_seq", "last changelog sequence acknowledged by the subscriber",
 			metrics.TypeGauge, func(sd *subscriberSample) float64 { return float64(sd.acked) }},
-		{"mdv_subscriber_ack_lag", "published minus acknowledged sequences (0 on non-durable providers)",
+		{"mdv_subscriber_ack_lag", "published minus acknowledged sequences",
 			metrics.TypeGauge, func(sd *subscriberSample) float64 { return float64(sd.lag) }},
 	}
 	for _, c := range cols {
@@ -188,11 +186,9 @@ func (p *Provider) subscriberSamples() []subscriberSample {
 			name: name, enqueued: c.enqueued, dropped: c.dropped,
 			disconnects: c.disconnects, published: c.lastSeq,
 		}
-		if p.dur != nil {
-			s.acked = p.dur.acked[name]
-			if s.published > s.acked {
-				s.lag = s.published - s.acked
-			}
+		s.acked = p.dur.acked[name]
+		if s.published > s.acked {
+			s.lag = s.published - s.acked
 		}
 		for _, conn := range p.wireAttach[name] {
 			s.queueDepth += conn.QueueDepth()

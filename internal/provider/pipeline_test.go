@@ -76,6 +76,7 @@ func TestPublishPipelineOverlapsDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.Close() })
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once

@@ -10,11 +10,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mdv/internal/changelog"
 	"mdv/internal/core"
 	"mdv/internal/metrics"
 	"mdv/internal/rdf"
@@ -22,9 +24,9 @@ import (
 )
 
 // ApplyFunc receives one published changeset. seq is the changelog
-// sequence number of the publish (0 on non-durable providers); reset marks
-// a full-state changeset that replaces the subscriber's cached global
-// metadata (see wire.ChangesetPush).
+// sequence number of the publish; reset marks a full-state changeset that
+// replaces the subscriber's cached global metadata (see
+// wire.ChangesetPush).
 type ApplyFunc = func(seq uint64, reset bool, cs *core.Changeset) error
 
 // Provider is one MDP node.
@@ -44,8 +46,8 @@ type Provider struct {
 	// demotes itself on proof of a higher epoch.
 	replica atomic.Bool
 
-	// epoch is the replication term (see epoch.go). 1 from birth on durable
-	// providers; raised by Promote and by observed higher epochs.
+	// epoch is the replication term (see epoch.go). 1 from birth; raised by
+	// Promote and by observed higher epochs.
 	epoch atomic.Uint64
 	// fencedWrites counts requests rejected by the epoch fence; promotions
 	// counts successful Promote calls on this node.
@@ -90,7 +92,7 @@ type Provider struct {
 	// snapshotsShipped counts bootstrap snapshots served to followers.
 	snapshotsShipped atomic.Uint64
 
-	// dur holds the durable changelog state; nil for in-memory providers.
+	// dur holds the changelog state.
 	dur *durableState
 
 	// OnDeliveryError, if set, observes changeset delivery failures
@@ -265,23 +267,28 @@ func (p *Provider) unlockPubAndDeliver(dels []delivery) {
 	p.deliverInTurn(t, dels)
 }
 
-// New creates an MDP with a fresh filter engine.
+// New creates an MDP with a fresh filter engine whose changelog lives in a
+// private temporary directory (mdv-provider-*), which Close removes. The
+// log is never fsynced: the directory dies with the process, so an fsync
+// would buy nothing. Use OpenDurable for a provider that survives a
+// restart.
 func New(name string, schema *rdf.Schema) (*Provider, error) {
-	return NewWithOptions(name, schema, core.Options{})
-}
-
-// NewWithOptions creates an MDP with explicit engine options.
-func NewWithOptions(name string, schema *rdf.Schema, opts core.Options) (*Provider, error) {
-	engine, err := core.NewEngineWithOptions(schema, opts)
+	dir, err := os.MkdirTemp("", "mdv-provider-*")
 	if err != nil {
+		return nil, fmt.Errorf("provider: %w", err)
+	}
+	p, err := OpenDurable(name, schema, dir, DurableOptions{Sync: changelog.SyncNone})
+	if err != nil {
+		os.RemoveAll(dir)
 		return nil, err
 	}
-	return NewFromEngine(name, engine), nil
+	p.dur.temp = true
+	return p, nil
 }
 
-// NewFromEngine wraps an existing engine (e.g. one restored from a
-// snapshot via core.Load) as a provider.
-func NewFromEngine(name string, engine *core.Engine) *Provider {
+// newFromEngine wraps an engine as a provider; OpenDurable attaches its
+// changelog.
+func newFromEngine(name string, engine *core.Engine) *Provider {
 	p := &Provider{
 		name:       name,
 		attached:   map[string][]ApplyFunc{},
@@ -361,15 +368,15 @@ func (p *Provider) attachWire(subscriber string, conn *wire.ServerConn) {
 	p.wireAttach[subscriber] = append(p.wireAttach[subscriber], conn)
 }
 
-// publishLocked sequences a publish set: on a durable provider, every
-// changeset is appended to the changelog as a publish record and the
-// delivered-watermark is claimed over its sequence. The caller must hold
+// publishLocked sequences a publish set: every changeset is appended to
+// the changelog as a publish record and the delivered-watermark is claimed
+// over its sequence. The caller must hold
 // pubMu. The collected deliveries are returned for the delivery stage (see
 // unlockPubAndDeliver) — nothing is handed to a subscriber here, so the
 // claim-before-handoff invariant holds: by the time a delivery leaves this
 // operation's turnstile turn, its sequence is durably claimed. The
-// returned sequence is the highest one appended (0 otherwise), which the
-// caller passes to WaitDurable before acknowledging the operation. On a
+// returned sequence is the highest one appended (0 for an empty set), which
+// the caller passes to WaitDurable before acknowledging the operation. On a
 // mid-batch error the deliveries collected so far are still returned; the
 // caller delivers them (their publish records exist) and then fails.
 func (p *Provider) publishLocked(ps *core.PublishSet) (uint64, []delivery, error) {
@@ -386,21 +393,19 @@ func (p *Provider) publishLocked(ps *core.PublishSet) (uint64, []delivery, error
 	// recovery runs.
 	for _, g := range ps.Groups {
 		u := pushItem{cs: g.Changeset, pubNano: pubNano}
-		if p.dur != nil {
-			// The publish record and the push frame carry the same changeset
-			// bytes: encoded here, once per group.
-			var err error
-			u.seq, u.enc, err = p.appendPubLocked(g.Members, g.Changeset)
-			if err != nil {
-				return maxSeq, dels, err
-			}
-			maxSeq = u.seq
-			// The push reaches the subscriber before this operation's
-			// group-commit fsync returns, so the delivered-watermark must
-			// durably cover its sequence first (no-op within a claimed chunk).
-			if err := p.claimDeliveredLocked(u.seq); err != nil {
-				return maxSeq, dels, err
-			}
+		// The publish record and the push frame carry the same changeset
+		// bytes: encoded here, once per group.
+		var err error
+		u.seq, u.enc, err = p.appendPubLocked(g.Members, g.Changeset)
+		if err != nil {
+			return maxSeq, dels, err
+		}
+		maxSeq = u.seq
+		// The push reaches the subscriber before this operation's
+		// group-commit fsync returns, so the delivered-watermark must
+		// durably cover its sequence first (no-op within a claimed chunk).
+		if err := p.claimDeliveredLocked(u.seq); err != nil {
+			return maxSeq, dels, err
 		}
 		dels = append(dels, delivery{subs: g.Members, pushes: []pushItem{u}})
 	}
@@ -530,7 +535,7 @@ func (p *Provider) RegisterDocuments(docs []*rdf.Document) error {
 }
 
 // registerDocuments registers docs. wdocs is their RDF/XML when the request
-// carried it, which a durable provider logs as is: docs were parsed from
+// carried it, which the changelog record holds as is: docs were parsed from
 // exactly those bytes, so a replay rebuilds the same documents. Without it
 // the record's XML is serialized from docs.
 func (p *Provider) registerDocuments(docs []*rdf.Document, wdocs []wire.Doc) error {
@@ -582,8 +587,7 @@ func (p *Provider) Subscribe(subscriber, rule string) (int64, error) {
 }
 
 // Unsubscribe removes a subscription. It participates in the publish order
-// (and the changelog, on durable providers) like every other input
-// operation.
+// and the changelog like every other input operation.
 func (p *Provider) Unsubscribe(subID int64) error {
 	if p.replica.Load() {
 		w, err := p.writeProxy()
@@ -597,7 +601,7 @@ func (p *Provider) Unsubscribe(subID int64) error {
 }
 
 // write runs one input operation on the primary: under pubMu it appends the
-// operation's record (durable providers), applies it to the engine and
+// operation's record, applies it to the engine and
 // sequences its publish set; it then delivers in publish order and returns
 // once the records are durable. Unsubscribe and named-rule registration
 // publish nothing and release pubMu without a delivery ticket; the other
@@ -605,16 +609,13 @@ func (p *Provider) Unsubscribe(subID int64) error {
 // its subscription id.
 func (p *Provider) write(rec *logRecord) (int64, error) {
 	p.lockPub()
-	var durSeq uint64
-	if p.dur != nil {
-		if rec.Kind == recRegister && rec.Docs == nil {
-			rec.Docs = encodeDocs(rec.docs)
-		}
-		var err error
-		if durSeq, err = p.appendRecord(rec); err != nil {
-			p.unlockPub()
-			return 0, err
-		}
+	if rec.Kind == recRegister && rec.Docs == nil {
+		rec.Docs = encodeDocs(rec.docs)
+	}
+	durSeq, err := p.appendRecord(rec)
+	if err != nil {
+		p.unlockPub()
+		return 0, err
 	}
 	ps, subID, err := p.applyOp(rec)
 	if err != nil {
@@ -681,9 +682,9 @@ func (p *Provider) GetDocument(uri string) (*rdf.Document, error) {
 	return p.Engine().StoredDocument(uri)
 }
 
-// RegisterNamedRule stores a rule usable as a search extension. On a
-// durable provider it is logged like every other input operation, so it
-// survives restarts and replicates to followers.
+// RegisterNamedRule stores a rule usable as a search extension. It is
+// logged like every other input operation, so it survives restarts and
+// replicates to followers.
 func (p *Provider) RegisterNamedRule(name, rule string) error {
 	if p.replica.Load() {
 		w, err := p.writeProxy()
@@ -762,8 +763,9 @@ func (p *Provider) SetAdvertiseAddr(addr string) {
 	p.mu.Unlock()
 }
 
-// Close stops the wire server, if running, and closes the changelog of a
-// durable provider (flushing and fsyncing its tail).
+// Close stops the wire server, if running, and closes the changelog
+// (flushing and, unless SyncNone, fsyncing its tail). A provider made by
+// New also removes its directory.
 func (p *Provider) Close() error {
 	p.mu.Lock()
 	srv := p.server
@@ -780,12 +782,15 @@ func (p *Provider) Close() error {
 	if srv != nil {
 		err = srv.Close()
 	}
-	if p.dur != nil {
-		if cerr := p.dur.log.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := p.dur.log.Close(); err == nil {
+		err = cerr
 	}
 	p.streamWG.Wait()
+	if p.dur.temp {
+		if rerr := os.RemoveAll(p.dur.dir); err == nil {
+			err = rerr
+		}
+	}
 	return err
 }
 
@@ -811,8 +816,8 @@ func (p *Provider) detachConn(subscriber string, conn *wire.ServerConn) {
 
 // DeliveryStats reports per-subscriber delivery health: live push
 // connections with their queue occupancy, cumulative enqueue/drop/
-// disconnect counters, heartbeat RTT, and the publish-vs-ack lag that a
-// durable changelog tracks.
+// disconnect counters, heartbeat RTT, and the publish-vs-ack lag that the
+// changelog tracks.
 func (p *Provider) DeliveryStats() *wire.DeliveryStatsResponse {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -823,10 +828,7 @@ func (p *Provider) DeliveryStats() *wire.DeliveryStatsResponse {
 	for name := range p.wireAttach {
 		names[name] = true
 	}
-	resp := &wire.DeliveryStatsResponse{Role: p.Role(), Epoch: p.Epoch()}
-	if p.dur != nil {
-		resp.LogSeq = p.dur.log.LastSeq()
-	}
+	resp := &wire.DeliveryStatsResponse{Role: p.Role(), Epoch: p.Epoch(), LogSeq: p.dur.log.LastSeq()}
 	for name, fs := range p.followers {
 		fd := wire.FollowerDelivery{
 			Follower:    name,
@@ -851,11 +853,9 @@ func (p *Provider) DeliveryStats() *wire.DeliveryStatsResponse {
 			Disconnects:  counters.disconnects,
 			PublishedSeq: counters.lastSeq,
 		}
-		if p.dur != nil {
-			sd.AckedSeq = p.dur.acked[name]
-			if sd.PublishedSeq > sd.AckedSeq {
-				sd.Lag = sd.PublishedSeq - sd.AckedSeq
-			}
+		sd.AckedSeq = p.dur.acked[name]
+		if sd.PublishedSeq > sd.AckedSeq {
+			sd.Lag = sd.PublishedSeq - sd.AckedSeq
 		}
 		for i, c := range p.wireAttach[name] {
 			sd.Conns++

@@ -110,9 +110,6 @@ const snapshotChunkSize = 4 << 20
 // exactly with a log sequence) and shipped as ordered chunk pushes on this
 // connection — in-handler, so every chunk precedes the response.
 func (p *Provider) handleReplSnapshot(conn *wire.ServerConn, req *wire.ReplSnapshotRequest) (*wire.ReplSnapshotResponse, error) {
-	if p.dur == nil {
-		return nil, ErrNotDurable
-	}
 	if err := p.fencePeer(req.Epoch); err != nil {
 		return nil, err
 	}
@@ -162,9 +159,6 @@ func (p *Provider) handleReplSnapshot(conn *wire.ServerConn, req *wire.ReplSnaps
 // streamer goroutine tailing the log, so a slow follower never blocks the
 // publish path, and each record is shipped only once durable.
 func (p *Provider) handleReplStream(conn *wire.ServerConn, req *wire.ReplStreamRequest) (*wire.ReplStreamResponse, error) {
-	if p.dur == nil {
-		return nil, ErrNotDurable
-	}
 	if err := p.fencePeer(req.Epoch); err != nil {
 		return nil, err
 	}
@@ -272,9 +266,6 @@ func (p *Provider) Followers() []wire.FollowerDelivery {
 // follower's ack loop calls it to batch the durability cost ApplyReplicated
 // deliberately skips.
 func (p *Provider) SyncLog() (uint64, error) {
-	if p.dur == nil {
-		return 0, ErrNotDurable
-	}
 	if err := p.dur.log.Sync(); err != nil {
 		return 0, err
 	}
@@ -290,9 +281,6 @@ func (p *Provider) SyncLog() (uint64, error) {
 // and are skipped. No durability wait happens here — the follower's ack
 // loop syncs the log and acknowledges in batches.
 func (p *Provider) ApplyReplicated(seq uint64, payload []byte, sentNano int64) error {
-	if p.dur == nil {
-		return ErrNotDurable
-	}
 	if !p.replica.Load() {
 		return ErrNotReplica
 	}
@@ -362,9 +350,6 @@ func (p *Provider) ApplyReplicated(seq uint64, payload []byte, sentNano int64) e
 // replayable). The stream floor moves to the snapshot's coverage, which is
 // returned; the caller streams from there.
 func (p *Provider) InstallSnapshot(data []byte) (uint64, error) {
-	if p.dur == nil {
-		return 0, ErrNotDurable
-	}
 	if !p.replica.Load() {
 		return 0, ErrNotReplica
 	}

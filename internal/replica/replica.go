@@ -97,9 +97,6 @@ func Start(prov *provider.Provider, opts Options) (*Follower, error) {
 	if !prov.Replica() {
 		return nil, errors.New("replica: provider was not opened as a replica (DurableOptions.Replica)")
 	}
-	if !prov.Durable() {
-		return nil, errors.New("replica: provider is not durable (a follower needs its own changelog copy)")
-	}
 	if opts.Primary == "" && len(opts.Primaries) > 0 {
 		opts.Primary = opts.Primaries[0]
 	}

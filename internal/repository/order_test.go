@@ -33,6 +33,7 @@ func TestCachedSetValuesCanonicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { mdp.Close() })
 	node := func(name string) *lmr.Node {
 		n, err := lmr.New(name, schema, mdp)
 		if err != nil {

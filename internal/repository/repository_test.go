@@ -644,7 +644,7 @@ func TestApplyPushDeduplicatesBySequence(t *testing.T) {
 	if got := r.Stats().DuplicatesSkipped; got != 2 {
 		t.Errorf("DuplicatesSkipped = %d, want 2", got)
 	}
-	// Unsequenced pushes (seq 0, non-durable provider) always apply.
+	// Unsequenced pushes (seq 0, as ApplyChangeset sends) always apply.
 	if err := r.ApplyPush(0, false, up("d#d", 80)); err != nil {
 		t.Fatal(err)
 	}

@@ -253,13 +253,13 @@ type AttachRequest struct {
 }
 
 // ChangesetPush is one pushed changeset. Seq is the publish record's
-// changelog sequence number (0 when the MDP runs without a changelog); the
-// subscriber acknowledges it and resumes from it after a reconnect. Reset
-// marks a full-state changeset: the subscriber must drop its cached global
-// metadata and rebuild from this changeset (sent when the MDP can no longer
-// prove a gap-free replay, e.g. after truncation). Pushes travel as binary
-// frames (EncodePushFrame) and arrive decoded in Message.Pushes; the JSON
-// tags serve tools that still frame a push as a JSON envelope.
+// changelog sequence number; the subscriber acknowledges it and resumes
+// from it after a reconnect. Reset marks a full-state changeset: the
+// subscriber must drop its cached global metadata and rebuild from this
+// changeset (sent when the MDP can no longer prove a gap-free replay, e.g.
+// after truncation). Pushes travel as binary frames (EncodePushFrame) and
+// arrive decoded in Message.Pushes; the JSON tags serve tools that still
+// frame a push as a JSON envelope.
 type ChangesetPush struct {
 	Seq       uint64          `json:"seq,omitempty"`
 	Reset     bool            `json:"reset,omitempty"`
@@ -309,8 +309,7 @@ type SubscriberDelivery struct {
 	Dropped     uint64 `json:"dropped"`
 	Disconnects uint64 `json:"disconnects"`
 	// PublishedSeq is the last changelog sequence published to this
-	// subscriber; AckedSeq the last it acknowledged; Lag the difference
-	// (0 on non-durable providers).
+	// subscriber; AckedSeq the last it acknowledged; Lag the difference.
 	PublishedSeq uint64 `json:"published_seq"`
 	AckedSeq     uint64 `json:"acked_seq"`
 	Lag          uint64 `json:"lag"`
@@ -340,8 +339,8 @@ type DeliveryStatsResponse struct {
 	LogSeq uint64 `json:"log_seq"`
 	// Role is "primary" or "replica" ("" on pre-replication nodes).
 	Role string `json:"role,omitempty"`
-	// Epoch is the node's current replication epoch (0 when epochs are not
-	// in play, e.g. a non-durable provider).
+	// Epoch is the node's current replication epoch (0 from nodes that
+	// predate epochs).
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Followers lists connected (and recently connected) follower MDPs
 	// replicating from this node.

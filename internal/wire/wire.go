@@ -88,8 +88,7 @@ const ProtocolVersion = 4
 const KindHello = "hello"
 
 // helloBody carries one side's protocol version and, in the server's
-// echo, its replication epoch (0 when the node has none — a non-durable
-// provider or an LMR). Exposing the epoch at handshake time lets a
+// echo, its replication epoch (0 when the node has none: an LMR). Exposing the epoch at handshake time lets a
 // failover-aware dialer reject a stale ex-primary before sending it
 // anything.
 type helloBody struct {

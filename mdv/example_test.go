@@ -14,6 +14,7 @@ func Example() {
 	schema.MustAddProperty("CycleProvider", mdv.PropertyDef{Name: "serverPort", Type: mdv.TypeInteger})
 
 	provider, _ := mdv.NewProvider("mdp", schema)
+	defer provider.Close()
 	repo, _ := mdv.NewRepositoryNode("lmr", schema, provider)
 	repo.AddSubscription(`search CycleProvider c register c where c.serverHost contains 'uni-passau.de'`)
 

@@ -128,14 +128,11 @@ type (
 // publish & subscribe filter.
 type Provider = provider.Provider
 
-// NewProvider creates an MDP with a fresh metadata store.
+// NewProvider creates an MDP with a fresh metadata store. Its changelog
+// lives in a private temporary directory that Close removes; use
+// OpenDurableProvider for an MDP that survives a restart.
 func NewProvider(name string, schema *Schema) (*Provider, error) {
 	return provider.New(name, schema)
-}
-
-// NewProviderWithOptions creates an MDP with explicit engine options.
-func NewProviderWithOptions(name string, schema *Schema, opts EngineOptions) (*Provider, error) {
-	return provider.NewWithOptions(name, schema, opts)
 }
 
 // Engine is the publish & subscribe filter engine of a provider (exposed
@@ -155,16 +152,11 @@ func LoadEngineWithOptions(r io.Reader, schema *Schema, opts EngineOptions) (*En
 	return core.LoadWithOptions(r, schema, opts)
 }
 
-// NewProviderFromEngine wraps a restored engine as a provider.
-func NewProviderFromEngine(name string, engine *Engine) *Provider {
-	return provider.NewFromEngine(name, engine)
-}
-
-// Durable provider mode: a write-ahead changelog makes every acknowledged
-// operation crash-safe and lets reconnecting repositories resume the
-// changeset stream (see internal/provider durable mode).
+// Every provider keeps a write-ahead changelog: it makes every
+// acknowledged operation crash-safe and lets reconnecting repositories
+// resume the changeset stream (see internal/provider/durable.go).
 type (
-	// DurableOptions tune a durable provider's changelog.
+	// DurableOptions tune a provider's changelog.
 	DurableOptions = provider.DurableOptions
 	// RecoveryStats report what OpenDurableProvider replayed at startup.
 	RecoveryStats = provider.RecoveryStats
@@ -181,10 +173,6 @@ const (
 	// SyncNone never fsyncs explicitly (crash durability up to the OS).
 	SyncNone = changelog.SyncNone
 )
-
-// ErrNotDurable is returned by durable-only operations (e.g. Compact) on a
-// provider without a changelog.
-var ErrNotDurable = provider.ErrNotDurable
 
 // OpenDurableProvider opens (or creates) a durable MDP rooted at dir. It
 // loads the latest snapshot, replays the changelog tail past it, and

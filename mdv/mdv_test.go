@@ -1,7 +1,6 @@
 package mdv_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -50,10 +49,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := mdv.NewProvider("mdp", schema)
+	dir := t.TempDir()
+	prov, err := mdv.OpenDurableProvider("mdp", schema, dir, mdv.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { prov.Close() })
 	node, err := mdv.NewRepositoryNode("lmr", schema, prov)
 	if err != nil {
 		t.Fatal(err)
@@ -77,17 +78,19 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("query = %v", rs)
 	}
 
-	// Snapshot the provider and restore into a fresh one; a new repository
-	// subscribing there receives the same state.
-	var buf bytes.Buffer
-	if err := prov.SaveSnapshot(&buf); err != nil {
+	// Snapshot the provider, close it and restore a fresh one from its
+	// directory; a new repository subscribing there receives the same state.
+	if err := prov.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	engine, err := mdv.LoadEngine(&buf, schema)
+	if err := prov.Close(); err != nil {
+		t.Fatal(err)
+	}
+	prov2, err := mdv.OpenDurableProvider("mdp2", schema, dir, mdv.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov2 := mdv.NewProviderFromEngine("mdp2", engine)
+	t.Cleanup(func() { prov2.Close() })
 	node2, err := mdv.NewRepositoryNode("lmr2", schema, prov2)
 	if err != nil {
 		t.Fatal(err)
@@ -110,11 +113,11 @@ func TestPublicAPIWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { prov.Close() })
 	addr, err := prov.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer prov.Close()
 
 	conn, err := mdv.DialProvider(addr)
 	if err != nil {
