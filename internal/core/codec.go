@@ -12,6 +12,8 @@ import (
 // The binary changeset encoding. A provider encodes each interest group's
 // changeset once per publish; the changelog's publish record and the push
 // frame carry the same bytes, and a subscriber decodes them in one pass.
+// Query and browse answers carry a bare resources list in the same
+// encoding (AppendResources, DecodeResources).
 //
 //	changeset   = uvarint(len(body)) body
 //	body        = credits upserts removals closures forced
@@ -30,12 +32,13 @@ import (
 // The encoding is canonical: every changeset has exactly one encoding, and
 // DecodeChangeset accepts nothing else (no non-minimal varints, members in
 // strictly ascending order, kind bytes 0 or 1), so a decoded changeset
-// re-encodes to the bytes it came from. Strings are raw bytes; invalid UTF-8
+// re-encodes to the bytes it came from; the same holds for a resources
+// list and DecodeResources. Strings are raw bytes; invalid UTF-8
 // survives unchanged. An empty list decodes as nil, except MemberCredits,
 // whose nil ("one receiver, apply everything") and empty forms differ.
 
 // errCodec is wrapped by every decoding error.
-var errCodec = errors.New("core: malformed changeset encoding")
+var errCodec = errors.New("core: malformed binary encoding")
 
 // AppendChangeset appends the binary encoding of cs to dst and returns the
 // extended slice.
@@ -47,14 +50,14 @@ func AppendChangeset(dst []byte, cs *Changeset) []byte {
 		u := &cs.Upserts[i]
 		dst = appendResource(dst, u.Resource)
 		dst = appendIDs(dst, u.SubIDs)
-		dst = appendResources(dst, u.Closure)
+		dst = AppendResources(dst, u.Closure)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(cs.Removals)))
 	for _, r := range cs.Removals {
 		dst = appendString(dst, r.URIRef)
 		dst = binary.AppendVarint(dst, r.SubID)
 	}
-	dst = appendResources(dst, cs.ClosureUpserts)
+	dst = AppendResources(dst, cs.ClosureUpserts)
 	dst = binary.AppendUvarint(dst, uint64(len(cs.ForcedDeletes)))
 	for _, uri := range cs.ForcedDeletes {
 		dst = appendString(dst, uri)
@@ -116,7 +119,9 @@ func appendResource(dst []byte, r *rdf.Resource) []byte {
 	return dst
 }
 
-func appendResources(dst []byte, rs []*rdf.Resource) []byte {
+// AppendResources appends the encoding of a resources list (the
+// `resources` production) to dst and returns the extended slice.
+func AppendResources(dst []byte, rs []*rdf.Resource) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rs)))
 	for _, r := range rs {
 		dst = appendResource(dst, r)
@@ -181,6 +186,21 @@ func DecodeChangeset(b []byte) (*Changeset, int, error) {
 		return nil, 0, d.err
 	}
 	return cs, end, nil
+}
+
+// DecodeResources decodes a resources list that fills b exactly. Input that
+// is not a canonical encoding, or that has bytes past the list, is rejected
+// with an error. An empty list decodes as nil.
+func DecodeResources(b []byte) ([]*rdf.Resource, error) {
+	d := decoder{b: b}
+	rs := d.resources()
+	if d.err == nil && d.off != len(b) {
+		d.fail("%d trailing bytes", len(b)-d.off)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return rs, nil
 }
 
 // decoder reads the encoding front to back. The first error sticks: every

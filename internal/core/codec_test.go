@@ -209,6 +209,48 @@ func TestDecodeChangesetRejects(t *testing.T) {
 	}
 }
 
+// TestResourcesCodec: a resources list round-trips on its own, in the
+// encoding a changeset's closure uses, and DecodeResources accepts only a
+// canonical list that fills its input.
+func TestResourcesCodec(t *testing.T) {
+	rs := []*rdf.Resource{
+		{URIRef: "doc.rdf#host", Class: "CycleProvider", Props: []rdf.Property{
+			{Name: "port", Value: rdf.Lit("5874")}, {Name: "port", Value: rdf.Lit("5875")},
+			{Name: "info", Value: rdf.Ref("doc.rdf#info")},
+		}},
+		{URIRef: "doc.rdf#info", Class: "ServerInformation"},
+	}
+	enc := AppendResources(nil, rs)
+	got, err := DecodeResources(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rs) {
+		t.Fatalf("decoded %+v, want %+v", got, rs)
+	}
+	cs := AppendChangeset(nil, &Changeset{ClosureUpserts: rs})
+	if !bytes.Contains(cs, enc) {
+		t.Error("a changeset's closure list is not encoded as AppendResources encodes it")
+	}
+	if got, err := DecodeResources([]byte{0x00}); err != nil || got != nil {
+		t.Errorf("empty list: %v, %v; want nil, nil", got, err)
+	}
+	cases := map[string][]byte{
+		"empty input":        {},
+		"truncated":          enc[:len(enc)-1],
+		"trailing bytes":     append(append([]byte(nil), enc...), 0x00),
+		"non-minimal count":  {0x80, 0x00},
+		"count beyond input": {0x05, 0x00, 0x00, 0x00},
+		"value kind 2":       {0x01, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00},
+		"non-minimal strlen": {0x01, 0x80, 0x00, 0x00, 0x00},
+	}
+	for name, b := range cases {
+		if rs, err := DecodeResources(b); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", name, rs)
+		}
+	}
+}
+
 // decodeAllocBound is how many bytes decoding may allocate per input byte.
 // A count is accepted only if the bytes left could hold that many
 // elements, so allocation is proportional to the input; the factor covers

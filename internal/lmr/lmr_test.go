@@ -3,6 +3,7 @@ package lmr_test
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -288,6 +289,124 @@ func TestWireEndToEnd(t *testing.T) {
 	}
 	if len(cached) != 1 {
 		t.Errorf("local registration over wire: %v", cached)
+	}
+}
+
+// TestAnswersCrossWireBinary: over TCP, an LMR query, an LMR resource
+// listing and an MDP browse return exactly what the same calls return in
+// process, now that their answers travel as binary resources frames.
+// The answers cover set-valued properties in canonical order, references,
+// an empty answer, and a literal that needs escaping in XML or JSON.
+func TestAnswersCrossWireBinary(t *testing.T) {
+	schema := testSchema()
+	schema.MustAddProperty("CycleProvider", rdf.PropertyDef{Name: "keyword", Type: rdf.TypeString, SetValued: true})
+	mdp, err := provider.New("mdp1", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mdp.Close() })
+	mdpAddr, err := mdp.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdpClient, err := client.DialMDP(mdpAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mdpClient.Close()
+	node, err := lmr.New("lmr1", schema, mdpClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lmrAddr, err := node.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	const odd = `a<b>&"c" Größe 東京`
+	for i := 1; i <= 3; i++ {
+		doc := providerDoc(i, 64*i)
+		host := doc.Resources[0]
+		// Set values out of canonical order; the stores rebuild them in it.
+		host.Add("keyword", rdf.Lit("zeta"))
+		host.Add("keyword", rdf.Lit(odd))
+		host.Add("keyword", rdf.Lit("alpha"))
+		if err := mdp.RegisterDocument(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := node.AddSubscription(`search CycleProvider c register c where c.serverInformation.memory > 64`); err != nil {
+		t.Fatal(err)
+	}
+	if !eventually(func() bool { return cached(t, node.Repository(), "doc3.rdf#host") }) {
+		t.Fatal("the subscription's fill did not arrive")
+	}
+	app, err := client.DialLMR(lmrAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	admin, err := client.DialMDP(mdpAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+
+	same := func(what string, wire, inproc []*rdf.Resource, werr, ierr error) {
+		t.Helper()
+		if werr != nil || ierr != nil {
+			t.Fatalf("%s: wire error %v, in-process error %v", what, werr, ierr)
+		}
+		if len(wire) != len(inproc) {
+			t.Fatalf("%s: %d resources over the wire, %d in process", what, len(wire), len(inproc))
+		}
+		for i := range wire {
+			if !reflect.DeepEqual(wire[i], inproc[i]) {
+				t.Errorf("%s: resource %d over the wire %+v, in process %+v", what, i, wire[i], inproc[i])
+			}
+		}
+	}
+	queries := map[string]int{
+		`search CycleProvider c register c`:                                        2,
+		`search CycleProvider c register c where c.keyword ? contains 'Größe'`:     2,
+		`search ServerInformation i register i`:                                    2,
+		`search CycleProvider c register c where c.serverHost contains 'no-match'`: 0,
+	}
+	for q, n := range queries {
+		wire, werr := app.Query(q)
+		inproc, ierr := node.Query(q)
+		same(q, wire, inproc, werr, ierr)
+		if len(wire) != n {
+			t.Errorf("%s: %d resources, want %d", q, len(wire), n)
+		}
+	}
+	for _, class := range []string{"", "CycleProvider", "NoSuchClass"} {
+		wire, werr := app.Resources(class)
+		inproc, ierr := node.Resources(class)
+		same("resources "+class, wire, inproc, werr, ierr)
+	}
+	for _, b := range [][2]string{{"CycleProvider", ""}, {"CycleProvider", "host02"}, {"ServerInformation", ""}, {"CycleProvider", "no-match"}} {
+		wire, werr := admin.Browse(b[0], b[1])
+		inproc, ierr := mdp.Browse(b[0], b[1])
+		same(fmt.Sprintf("browse %v", b), wire, inproc, werr, ierr)
+	}
+
+	// The set-valued property arrives whole, in the canonical order both
+	// tiers agree on, with the odd literal's bytes intact.
+	rs, err := admin.Browse("CycleProvider", "host01")
+	if err != nil || len(rs) != 1 {
+		t.Fatalf("browse host01: %v, %v", rs, err)
+	}
+	var keywords []string
+	for _, v := range rs[0].GetAll("keyword") {
+		keywords = append(keywords, v.Literal)
+	}
+	if want := []string{odd, "alpha", "zeta"}; !slices.Equal(keywords, want) {
+		t.Errorf("keywords over the wire %q, want %q", keywords, want)
+	}
+	if v, ok := rs[0].Get("serverInformation"); !ok || v.Kind != rdf.ResourceRef || v.Ref != "doc1.rdf#info" {
+		t.Errorf("reference over the wire: %+v", v)
 	}
 }
 

@@ -78,3 +78,32 @@ func TestHandshakeServerSkew(t *testing.T) {
 		t.Fatalf("error %q does not describe the version mismatch", err)
 	}
 }
+
+// TestHandshakeRefusesV4Peer: protocol v5 made resources answers binary
+// frames, which a v4 peer would misread. The hello exchange and its error
+// stay JSON, so either side of a v4/v5 pair reads the mismatch error.
+func TestHandshakeRefusesV4Peer(t *testing.T) {
+	if ProtocolVersion != 5 {
+		t.Fatalf("ProtocolVersion = %d, want 5", ProtocolVersion)
+	}
+	s, err := NewServer("127.0.0.1:0", nopHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, err = DialConfig(s.Addr(), Config{ProtocolVersion: 4})
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), "protocol version mismatch: peer speaks v4, this node speaks v5") {
+		t.Fatalf("v4 client against a v5 server: err = %v, want the version-mismatch RemoteError", err)
+	}
+
+	old, err := NewServerConfig("127.0.0.1:0", nopHandler, Config{ProtocolVersion: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	_, err = Dial(old.Addr())
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), "protocol version mismatch: peer speaks v5, this node speaks v4") {
+		t.Fatalf("v5 client against a v4 server: err = %v, want the version-mismatch RemoteError", err)
+	}
+}

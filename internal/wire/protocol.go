@@ -237,9 +237,12 @@ type BrowseRequest struct {
 	Contains string `json:"contains,omitempty"`
 }
 
-// ResourcesResponse carries resources.
+// ResourcesResponse is the answer to an LMR query or list_resources and an
+// MDP browse. It crosses the wire only as a binary resources frame
+// (EncodeResourcesFrame), never as JSON: a handler that returns one has the
+// server send the frame, and Client.Call fills one from it.
 type ResourcesResponse struct {
-	Resources []*rdf.Resource `json:"resources"`
+	Resources []*rdf.Resource
 }
 
 // GetDocumentRequest fetches a registered document.

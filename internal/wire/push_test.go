@@ -259,9 +259,49 @@ func FuzzReadMessage(f *testing.F) {
 			f.Add(frame)
 		}
 	}
+	// Resources answer frames: empty, set-valued and reference properties,
+	// and the malformed forms of a truncated frame, trailing bytes and id 0.
+	answer := func(id uint64, rs []*rdf.Resource) []byte {
+		frame, err := EncodeResourcesFrame(id, rs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return frame
+	}
+	reframe := func(payload []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	set := []*rdf.Resource{{URIRef: "d#h", Class: "C", Props: []rdf.Property{
+		{Name: "k", Value: rdf.Lit("a")}, {Name: "k", Value: rdf.Lit("b")}, {Name: "r", Value: rdf.Ref("d#i")},
+	}}, {URIRef: "d#i", Class: "I"}}
+	full := answer(300, set)
+	for _, frame := range [][]byte{
+		answer(1, nil),
+		full,
+		reframe(full[4 : len(full)-1]),
+		reframe(append(append([]byte(nil), full[4:]...), 0x00)),
+		answer(0, set),
+	} {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		m, err := ReadMessage(bytes.NewReader(frame))
-		if err != nil || m.Pushes == nil {
+		if err != nil {
+			return
+		}
+		if m.Resources != nil {
+			// A resources answer is accepted only in the form
+			// EncodeResourcesFrame writes.
+			re, err := EncodeResourcesFrame(m.ID, m.Resources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := 4 + int(binary.BigEndian.Uint32(frame)); !bytes.Equal(re, frame[:n]) {
+				t.Fatalf("accepted resources frame does not re-encode to itself:\n in %x\nout %x", frame[:n], re)
+			}
+			return
+		}
+		if m.Pushes == nil {
 			return
 		}
 		// A binary push frame is accepted only in the form EncodePushFrame

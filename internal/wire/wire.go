@@ -1,10 +1,11 @@
 // Package wire implements MDV's network protocol: length-prefixed messages
 // over TCP, with synchronous request/response calls and asynchronous server
-// pushes (the MDP publishing changesets to attached LMRs). Requests,
-// responses and control pushes are JSON envelopes; changeset pushes, whose
-// size grows with the metadata they carry, are binary frames (see
-// EncodePushFrame). The same message plumbing serves both tiers' servers
-// (MDP and LMR).
+// pushes (the MDP publishing changesets to attached LMRs). Messages whose
+// size grows with the metadata they carry are binary frames: changeset
+// pushes (EncodePushFrame) and answers that carry resources (query, list
+// and browse; EncodeResourcesFrame). Requests, the other responses, errors
+// and control pushes are JSON envelopes. The same message plumbing serves
+// both tiers' servers (MDP and LMR).
 //
 // Fault tolerance. Wide-area links stall, half-die, and reset; the wire
 // layer bounds the damage:
@@ -44,6 +45,7 @@ import (
 	"time"
 
 	"mdv/internal/core"
+	"mdv/internal/rdf"
 )
 
 // MaxMessageSize bounds a single message (16 MiB): a malformed or malicious
@@ -81,7 +83,12 @@ const (
 // has since dropped its copy of the initial fill, which arrives as a push
 // anyway; that needs no new version, because JSON decoding ignores the
 // field an older server sends and leaves it empty for an older client.
-const ProtocolVersion = 4
+//
+// v5 made answers that carry resources (ResourcesResponse: LMR query and
+// list_resources, MDP browse) binary frames (EncodeResourcesFrame). The
+// hello exchange and error responses stay JSON envelopes, so a v4 peer
+// still reads the version-mismatch error.
+const ProtocolVersion = 5
 
 // KindHello is the version handshake request, handled below the request
 // handler like the liveness messages.
@@ -170,6 +177,10 @@ type Message struct {
 	// Pushes holds the decoded changesets of a binary push frame (Kind
 	// KindChangeset or KindChangesetBatch, no Body), in publish order.
 	Pushes []ChangesetPush `json:"-"`
+	// Resources holds the decoded answer of a binary resources frame (no
+	// Kind, no Body). It is non-nil for such a frame, empty for an empty
+	// answer, and nil for every other message.
+	Resources []*rdf.Resource `json:"-"`
 }
 
 // encBufPool recycles the frame-assembly buffers of WriteMessage. Writer
@@ -200,16 +211,20 @@ func WriteMessage(w io.Writer, m *Message) error {
 }
 
 // EncodeMessage marshals and frames a message into a standalone byte slice
-// that can be written verbatim to any connection. Group fan-out uses it to
-// pay the JSON encoding once and enqueue the same frame on every member
-// connection (WriteRaw / NotifyEncoded).
+// that can be written verbatim to any connection (NotifyEncoded).
 func EncodeMessage(m *Message) ([]byte, error) {
+	return encodeEnvelope(m, "message")
+}
+
+// encodeEnvelope is EncodeMessage; what names the message in the error
+// for one larger than MaxMessageSize.
+func encodeEnvelope(m *Message, what string) ([]byte, error) {
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return nil, fmt.Errorf("wire: marshal: %w", err)
 	}
 	if len(payload) > MaxMessageSize {
-		return nil, fmt.Errorf("wire: message of %d bytes exceeds limit", len(payload))
+		return nil, fmt.Errorf("wire: %s of %d bytes exceeds limit", what, len(payload))
 	}
 	frame := make([]byte, 4+len(payload))
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
@@ -221,8 +236,9 @@ func EncodeMessage(m *Message) ([]byte, error) {
 // it has arrived. Frames up to this size are read with one allocation.
 const readChunk = 256 << 10
 
-// ReadMessage reads one framed message: a JSON envelope, or a binary
-// changeset push frame, told apart by the payload's first byte.
+// ReadMessage reads one framed message: a JSON envelope, a binary changeset
+// push frame or a binary resources answer frame, told apart by the
+// payload's first byte.
 func ReadMessage(r io.Reader) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -246,8 +262,13 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 0 && (payload[0] == tagPush || payload[0] == tagPushBatch) {
-		return decodePushFrame(payload)
+	if n > 0 {
+		switch payload[0] {
+		case tagPush, tagPushBatch:
+			return decodePushFrame(payload)
+		case tagResources:
+			return decodeResourcesFrame(payload)
+		}
 	}
 	var m Message
 	if err := json.Unmarshal(payload, &m); err != nil {
@@ -343,6 +364,47 @@ func decodePushFrame(payload []byte) (*Message, error) {
 		return nil, fmt.Errorf("wire: %s frame with %d pushes", m.Kind, len(m.Pushes))
 	}
 	return m, nil
+}
+
+// Binary resources answer frames. A response whose result is a
+// *ResourcesResponse is, after the 4-byte length,
+//
+//	answer = 0x03 uvarint(id) resources
+//
+// where id is the request's (never 0) and resources is the
+// core.AppendResources encoding, filling the rest of the frame. ReadMessage
+// puts the decoded list in Message.Resources.
+const tagResources = 0x03
+
+// EncodeResourcesFrame frames the answer to request id carrying rs.
+func EncodeResourcesFrame(id uint64, rs []*rdf.Resource) ([]byte, error) {
+	frame := make([]byte, 4, 512)
+	frame = append(frame, tagResources)
+	frame = binary.AppendUvarint(frame, id)
+	frame = core.AppendResources(frame, rs)
+	if len(frame)-4 > MaxMessageSize {
+		return nil, fmt.Errorf("wire: response of %d bytes exceeds limit", len(frame)-4)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame, nil
+}
+
+// decodeResourcesFrame decodes a resources answer frame's payload (tag
+// onwards). It accepts only canonical frames, the ones EncodeResourcesFrame
+// produces.
+func decodeResourcesFrame(payload []byte) (*Message, error) {
+	id, n := canonicalUvarint(payload[1:])
+	if n <= 0 || id == 0 {
+		return nil, errors.New("wire: malformed resources frame id")
+	}
+	rs, err := core.DecodeResources(payload[1+n:])
+	if err != nil {
+		return nil, fmt.Errorf("wire: resources frame: %w", err)
+	}
+	if rs == nil {
+		rs = []*rdf.Resource{}
+	}
+	return &Message{ID: id, Resources: rs}, nil
 }
 
 // canonicalUvarint is binary.Uvarint that also rejects non-minimal
@@ -569,22 +631,43 @@ func (s *Server) serveConn(c *ServerConn) {
 			}
 			continue
 		}
-		resp := &Message{ID: m.ID}
 		result, err := s.handler(c, m.Kind, m.Body)
-		if err != nil {
-			resp.Error = err.Error()
-		} else if result != nil {
-			body, err := json.Marshal(result)
-			if err != nil {
-				resp.Error = fmt.Sprintf("wire: marshal response: %v", err)
-			} else {
-				resp.Body = body
-			}
-		}
-		if err := c.send(resp); err != nil {
+		if err := c.respond(m.ID, result, err); err != nil {
 			return
 		}
 	}
+}
+
+// respond frames a request's response on the handler goroutine and
+// enqueues it. A *ResourcesResponse result becomes a binary answer frame,
+// any other result a JSON envelope. A response that cannot be framed (too
+// large, or not marshalable) is replaced by an error envelope, so the
+// caller gets a RemoteError and the connection stays usable.
+func (c *ServerConn) respond(id uint64, result interface{}, herr error) error {
+	frame, err := encodeResponse(id, result, herr)
+	if err != nil {
+		if frame, err = EncodeMessage(&Message{ID: id, Error: err.Error()}); err != nil {
+			return err
+		}
+	}
+	return c.enqueue(outbound{frame: frame})
+}
+
+func encodeResponse(id uint64, result interface{}, herr error) ([]byte, error) {
+	if herr != nil {
+		return encodeEnvelope(&Message{ID: id, Error: herr.Error()}, "response")
+	}
+	switch r := result.(type) {
+	case nil:
+		return encodeEnvelope(&Message{ID: id}, "response")
+	case *ResourcesResponse:
+		return EncodeResourcesFrame(id, r.Resources)
+	}
+	body, err := json.Marshal(result)
+	if err != nil {
+		return nil, fmt.Errorf("wire: marshal response: %w", err)
+	}
+	return encodeEnvelope(&Message{ID: id, Body: body}, "response")
 }
 
 // ServerConn is one accepted connection. Handlers may keep a reference to
@@ -604,7 +687,8 @@ type ServerConn struct {
 }
 
 // outbound is one queued write: either a message to frame on the writer
-// goroutine, or a pre-encoded frame written verbatim (encode-once fan-out).
+// goroutine, or a frame written verbatim (a response, framed and sized on
+// its handler goroutine, or an encode-once fan-out push).
 type outbound struct {
 	msg   *Message
 	frame []byte
@@ -706,9 +790,10 @@ func (c *ServerConn) Notify(kind string, body interface{}) error {
 	return c.notify(outbound{msg: &Message{ID: 0, Kind: kind, Body: payload}})
 }
 
-// NotifyEncoded is Notify for a frame already produced by EncodeMessage:
-// the same slice can be enqueued on any number of connections without
-// re-marshaling. The caller must not mutate the frame afterwards.
+// NotifyEncoded is Notify for a frame already produced by EncodeMessage or
+// EncodePushFrame: the same slice can be enqueued on any number of
+// connections without re-encoding. The caller must not mutate the frame
+// afterwards.
 func (c *ServerConn) NotifyEncoded(frame []byte) error {
 	return c.notify(outbound{frame: frame})
 }
@@ -972,8 +1057,10 @@ func (c *Client) write(m *Message) error {
 }
 
 // Call sends a request and decodes the response body into out (which may be
-// nil to discard it). It blocks until the response arrives or the
-// connection dies.
+// nil to discard it). An answer that carries resources arrives as a binary
+// frame and fills only a *ResourcesResponse out value; any other out type
+// for it, or a JSON response for a *ResourcesResponse, is an error. It
+// blocks until the response arrives or the connection dies.
 func (c *Client) Call(kind string, req interface{}, out interface{}) error {
 	return c.CallContext(context.Background(), kind, req, out)
 }
@@ -1013,7 +1100,15 @@ func (c *Client) CallContext(ctx context.Context, kind string, req interface{}, 
 		if m.Error != "" {
 			return &RemoteError{Msg: m.Error}
 		}
-		if out != nil && len(m.Body) > 0 {
+		rr, wantResources := out.(*ResourcesResponse)
+		switch {
+		case m.Resources != nil && wantResources:
+			rr.Resources = m.Resources
+		case m.Resources != nil && out != nil:
+			return fmt.Errorf("wire: %s answered with resources, which cannot fill a %T", kind, out)
+		case wantResources:
+			return fmt.Errorf("wire: %s answered without a resources frame", kind)
+		case out != nil && len(m.Body) > 0:
 			return json.Unmarshal(m.Body, out)
 		}
 		return nil
