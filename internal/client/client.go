@@ -2,7 +2,7 @@
 // tiers: MDP (metadata providers) and LMR (local metadata repositories).
 // The MDP client implements lmr.ProviderAPI, so an LMR node works
 // identically against an in-process provider and a remote one, and
-// provider.Peer, so backbone replication can cross machines.
+// provider.WriteProxy, so a replica forwards writes to its primary.
 package client
 
 import (

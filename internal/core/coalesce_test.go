@@ -170,36 +170,43 @@ func TestInterestGroupGrouping(t *testing.T) {
 // ownedView renders the slice of a changeset one member owns — upserts and
 // removals restricted to its MemberCredits (everything, when nil) — in a
 // canonical form, so coalesced and per-subscriber builds can be compared.
-func ownedView(name string, cs *Changeset) string {
+// A non-nil ids renames each subscription ID it prints.
+func ownedView(name string, cs *Changeset, ids map[int64]int64) string {
 	if cs == nil {
 		return "<nil>"
 	}
-	owned := map[int64]bool{}
+	credited := map[int64]bool{}
 	if cs.MemberCredits != nil {
 		for _, id := range cs.MemberCredits[name] {
-			owned[id] = true
+			credited[id] = true
 		}
 	}
-	has := func(id int64) bool { return cs.MemberCredits == nil || owned[id] }
+	has := func(id int64) bool { return cs.MemberCredits == nil || credited[id] }
+	rename := func(id int64) int64 {
+		if ids != nil {
+			return ids[id]
+		}
+		return id
+	}
 	var b strings.Builder
 	for _, up := range cs.Upserts {
-		var ids []int64
+		var owned []int64
 		for _, id := range up.SubIDs {
 			if has(id) {
-				ids = append(ids, id)
+				owned = append(owned, rename(id))
 			}
 		}
-		if len(ids) == 0 {
+		if len(owned) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "up %s %v %s\n", up.Resource.URIRef, ids, up.Resource.Fingerprint())
+		fmt.Fprintf(&b, "up %s %v %s\n", up.Resource.URIRef, owned, up.Resource.Fingerprint())
 		for _, cl := range up.Closure {
 			fmt.Fprintf(&b, "  cl %s %s\n", cl.URIRef, cl.Fingerprint())
 		}
 	}
 	for _, rm := range cs.Removals {
 		if has(rm.SubID) {
-			fmt.Fprintf(&b, "rm %s %d\n", rm.URIRef, rm.SubID)
+			fmt.Fprintf(&b, "rm %s %d\n", rm.URIRef, rename(rm.SubID))
 		}
 	}
 	for _, cl := range cs.ClosureUpserts {
@@ -211,54 +218,58 @@ func ownedView(name string, cs *Changeset) string {
 	return b.String()
 }
 
-// TestCoalescingAblationParity drives the coalesced engine and the
-// per-subscriber reference build (perSubscriberChangesets) through the same
-// workload — upserts, updates, removals, and a document delete — and checks
-// every subscriber's owned view of every publish is identical between the
-// two. The reference reproduces the pre-group build: one single-member
-// group per subscriber, no MemberCredits.
+// TestCoalescingAblationParity drives the coalesced engine and a
+// per-subscriber reference through the same workload — upserts, updates,
+// removals, and a document delete — and checks every subscriber's owned
+// view of every publish is identical between the two. The reference is one
+// fresh engine per subscriber holding only that subscriber's
+// subscriptions, so it builds what the pre-group engine built: one
+// changeset per subscriber, no MemberCredits, no caches shared between
+// subscribers. Subscriptions are numbered in order on every engine, so a
+// reference's sub IDs map to the coalesced engine's by subscription order.
 func TestCoalescingAblationParity(t *testing.T) {
 	co := newTestEngine(t)
-	ab := newTestEngine(t)
-	ab.perSubscriberChangesets = true
+	refs := map[string]*Engine{}
+	ids := map[string]map[int64]int64{} // subscriber -> reference ID -> coalesced ID
 	subscribers := []string{"lmr-a", "lmr-b", "lmr-c", "lmr-d"}
-
-	for _, e := range []*Engine{co, ab} {
-		for _, pair := range []struct {
-			sub  string
-			rule string
-		}{
-			{"lmr-a", memRule(0)}, {"lmr-b", memRule(0)},
-			{"lmr-c", memRule(0)}, {"lmr-c", memRule(1)}, {"lmr-d", memRule(1)},
-		} {
-			if _, _, err := e.Subscribe(pair.sub, pair.rule); err != nil {
-				t.Fatal(err)
-			}
+	for _, sub := range subscribers {
+		refs[sub], ids[sub] = newTestEngine(t), map[int64]int64{}
+	}
+	for _, pair := range []struct {
+		sub  string
+		rule string
+	}{
+		{"lmr-a", memRule(0)}, {"lmr-b", memRule(0)},
+		{"lmr-c", memRule(0)}, {"lmr-c", memRule(1)}, {"lmr-d", memRule(1)},
+	} {
+		coID, _, err := co.Subscribe(pair.sub, pair.rule)
+		if err != nil {
+			t.Fatal(err)
 		}
+		refID, _, err := refs[pair.sub].Subscribe(pair.sub, pair.rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[pair.sub][refID] = coID
 	}
 
-	// One step = the same mutation applied to both engines; after each,
-	// every subscriber's owned view must match.
+	// One step = the same mutation applied to every engine; after each,
+	// every subscriber's owned view must match its reference's.
 	step := func(label string, run func(e *Engine) (*PublishSet, error)) {
 		t.Helper()
 		psCo, err := run(co)
 		if err != nil {
 			t.Fatalf("%s (coalesced): %v", label, err)
 		}
-		psAb, err := run(ab)
-		if err != nil {
-			t.Fatalf("%s (ablation): %v", label, err)
-		}
-		for _, g := range psAb.Groups {
-			if len(g.Members) != 1 || g.Changeset.MemberCredits != nil {
-				t.Errorf("%s: ablation produced a shared group %v", label, g.Members)
-			}
-		}
 		for _, sub := range subscribers {
-			got := ownedView(sub, changesetOf(psCo, sub))
-			want := ownedView(sub, changesetOf(psAb, sub))
+			psRef, err := run(refs[sub])
+			if err != nil {
+				t.Fatalf("%s (%s reference): %v", label, sub, err)
+			}
+			got := ownedView(sub, changesetOf(psCo, sub), nil)
+			want := ownedView(sub, changesetOf(psRef, sub), ids[sub])
 			if got != want {
-				t.Errorf("%s: %s diverged\ncoalesced:\n%s\nablation:\n%s", label, sub, got, want)
+				t.Errorf("%s: %s diverged\ncoalesced:\n%s\nreference:\n%s", label, sub, got, want)
 			}
 		}
 	}
@@ -285,14 +296,20 @@ func TestCoalescingAblationParity(t *testing.T) {
 		return e.DeleteDocument("m1.rdf")
 	})
 
-	// The ablation did strictly more construction work for the same output.
-	coSt, abSt := co.Stats(), ab.Stats()
-	if coSt.ChangesetsBuilt >= abSt.ChangesetsBuilt {
-		t.Errorf("ChangesetsBuilt: coalesced %d, ablation %d — coalescing should build fewer",
-			coSt.ChangesetsBuilt, abSt.ChangesetsBuilt)
+	// The references did strictly more construction work for the same
+	// output.
+	coSt := co.Stats()
+	var refChangesets, refUpserts int
+	for _, ref := range refs {
+		refChangesets += ref.Stats().ChangesetsBuilt
+		refUpserts += ref.Stats().UpsertsBuilt
 	}
-	if coSt.UpsertsBuilt >= abSt.UpsertsBuilt {
-		t.Errorf("UpsertsBuilt: coalesced %d, ablation %d — shared URI cache should build fewer",
-			coSt.UpsertsBuilt, abSt.UpsertsBuilt)
+	if coSt.ChangesetsBuilt >= refChangesets {
+		t.Errorf("ChangesetsBuilt: coalesced %d, per-subscriber sum %d — coalescing should build fewer",
+			coSt.ChangesetsBuilt, refChangesets)
+	}
+	if coSt.UpsertsBuilt >= refUpserts {
+		t.Errorf("UpsertsBuilt: coalesced %d, per-subscriber sum %d — shared URI cache should build fewer",
+			coSt.UpsertsBuilt, refUpserts)
 	}
 }

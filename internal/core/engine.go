@@ -132,11 +132,6 @@ type Engine struct {
 	// SubscriptionEndRules and Subscriptions (match.go).
 	endSubs endRuleSubscribers
 
-	// perSubscriberChangesets builds one changeset per subscriber instead of
-	// one per interest group, with the per-batch URI caches off. Set only by
-	// TestCoalescingAblationParity's reference engine.
-	perSubscriberChangesets bool
-
 	// storedVersion, when set, gives a registered document's previous
 	// version instead of the rebuild from its statements. Set only by
 	// TestReregisterDiffFromStatements' reference engine, which parses each

@@ -280,15 +280,10 @@ func (e *Engine) buildPublishSet(before, after, lost *matchSet, updates []resour
 		}
 	}
 
-	// Phase 2: group subscribers by interest signature. The reference path
-	// (perSubscriberChangesets) keys by subscriber name, reproducing the
-	// per-subscriber build end to end.
+	// Phase 2: group subscribers by interest signature.
 	members := map[string][]string{} // signature -> member subscribers
 	for subscriber, in := range interests {
 		key := in.signature()
-		if e.perSubscriberChangesets {
-			key = "\x00sub\x00" + subscriber
-		}
 		members[key] = append(members[key], subscriber)
 	}
 	keys := make([]string, 0, len(members))
@@ -302,17 +297,12 @@ func (e *Engine) buildPublishSet(before, after, lost *matchSet, updates []resour
 
 	// Phase 3: build each group's changeset once. The URI-level caches are
 	// shared across groups, so a resource delivered to several groups is
-	// fetched and closure-walked a single time per batch; the reference path
-	// gets fresh caches per group, as a per-subscriber build would.
+	// fetched and closure-walked a single time per batch.
 	sharedUpserts := map[string]*builtUpsert{}
 	sharedClosures := map[string]*rdf.Resource{}
 	for _, key := range keys {
 		group := members[key]
-		upCache, closCache := sharedUpserts, sharedClosures
-		if e.perSubscriberChangesets {
-			upCache, closCache = map[string]*builtUpsert{}, map[string]*rdf.Resource{}
-		}
-		cs, built, err := e.buildGroupChangeset(group, interests, upCache, closCache)
+		cs, built, err := e.buildGroupChangeset(group, interests, sharedUpserts, sharedClosures)
 		if err != nil {
 			return nil, err
 		}

@@ -98,9 +98,6 @@ func Listen(target string) (*Proxy, error) {
 // Addr returns the proxy's listen address (point clients here).
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Target returns the forwarding destination.
-func (p *Proxy) Target() string { return p.target }
-
 // SetLatency adds d of one-way delay to every forwarded chunk.
 func (p *Proxy) SetLatency(d time.Duration) { p.latency.Store(int64(d)) }
 

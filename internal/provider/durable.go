@@ -273,11 +273,6 @@ type DurableOptions struct {
 	SegmentSize int64
 	// Sync selects the changelog durability policy (default group commit).
 	Sync changelog.SyncPolicy
-	// GroupWindow bounds how long a group commit holds its fsync while
-	// more operations are queued on the publish lock, letting them share
-	// it. Serial callers never wait (nothing is queued). Zero means the
-	// 2ms default; negative disables the window.
-	GroupWindow time.Duration
 	// Replica opens the provider as a follower MDP: its engine is driven
 	// by replicated changelog records (see ApplyReplicated), writes are
 	// proxied to the primary, and recovery never appends to the local log
@@ -293,10 +288,12 @@ type DurableOptions struct {
 	EngineOptions core.Options
 }
 
-// defaultGroupWindow is the fsync commit window under load. At ~2ms a
-// saturated provider amortizes each fsync over several registration
-// batches while a registration's worst-case extra latency stays small
-// against the network round trip it already pays.
+// defaultGroupWindow is the fsync commit window under load: a group commit
+// holds its fsync up to this long while more operations are queued on the
+// publish lock, letting them share it. Serial callers never wait (nothing
+// is queued). At ~2ms a saturated provider amortizes each fsync over
+// several registration batches while a registration's worst-case extra
+// latency stays small against the network round trip it already pays.
 const defaultGroupWindow = 2 * time.Millisecond
 
 // RecoveryStats reports what OpenDurable replayed.
@@ -351,20 +348,13 @@ func OpenDurableWithStats(name string, schema *rdf.Schema, dir string, opts Dura
 			return nil, nil, err
 		}
 	}
-	window := opts.GroupWindow
-	switch {
-	case window == 0:
-		window = defaultGroupWindow
-	case window < 0:
-		window = 0
-	}
 	p := newFromEngine(name, engine)
 	p.replica.Store(opts.Replica)
 	p.bumpEpoch(snapEpoch)
 	log, err := changelog.Open(filepath.Join(dir, walDir), changelog.Options{
 		SegmentSize: opts.SegmentSize,
 		Sync:        opts.Sync,
-		GroupWindow: window,
+		GroupWindow: defaultGroupWindow,
 		Busy:        func() bool { return p.pubPending.Load() > 0 },
 	})
 	if err != nil {

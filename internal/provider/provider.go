@@ -201,10 +201,11 @@ type delivery struct {
 }
 
 // pushItem is one changeset push. A publish builds it with both forms of
-// the changeset; a replay of a binary changelog record starts with the
-// encoding only, a replay of a legacy JSON record with the struct only.
-// The missing form is derived when a receiver needs it: the struct for
-// in-process subscribers (Attach), the encoding for push frames.
+// the changeset; a replay of a changelog record starts with the encoding
+// only (parseRecord re-encodes a legacy JSON record's changeset), and a
+// reset fill (resetDelivery) with the struct only. The missing form is
+// derived when a receiver needs it: the struct for in-process subscribers
+// (Attach), the encoding for push frames.
 type pushItem struct {
 	seq   uint64
 	reset bool
@@ -497,9 +498,9 @@ func (p *Provider) deliver(d delivery) {
 	for _, t := range conns {
 		var err error
 		if d.sync {
-			err = t.conn.NotifySyncEncoded(frame)
+			err = t.conn.NotifySync(frame)
 		} else {
-			err = t.conn.NotifyEncoded(frame)
+			err = t.conn.Notify(frame)
 		}
 		if err != nil {
 			p.detachConn(t.subscriber, t.conn)

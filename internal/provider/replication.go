@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -54,13 +53,6 @@ var ErrNotReplica = errors.New("provider: not a replica")
 // errSnapshotRequired marks a stream request below the retained log; the
 // follower reacts by requesting a snapshot bootstrap.
 const errSnapshotRequired = "snapshot required"
-
-// NeedsSnapshot reports whether err is a primary's refusal to stream
-// because the requested position was truncated away.
-func NeedsSnapshot(err error) bool {
-	var re *wire.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, errSnapshotRequired)
-}
 
 // SetWriteProxy installs (or clears, with nil) the primary handle a
 // replica forwards write operations to.
@@ -139,8 +131,11 @@ func (p *Provider) handleReplSnapshot(conn *wire.ServerConn, req *wire.ReplSnaps
 		if last {
 			end = len(data)
 		}
-		chunk := &wire.ReplSnapshotChunk{Data: data[off:end], Last: last}
-		if err := conn.NotifySync(wire.KindReplSnapshotChunk, chunk); err != nil {
+		frame, err := wire.EncodeNotice(wire.KindReplSnapshotChunk, &wire.ReplSnapshotChunk{Data: data[off:end], Last: last})
+		if err != nil {
+			return nil, err
+		}
+		if err := conn.NotifySync(frame); err != nil {
 			return nil, err
 		}
 		if last {
@@ -216,10 +211,17 @@ func (p *Provider) streamToFollower(fs *followerState, conn *wire.ServerConn, re
 		// the stamp proves the sender still believes itself primary of that
 		// term, and the follower drops the session if it has seen a higher one.
 		push := &wire.ReplRecordPush{Seq: seq, Rec: payload, SentUnixNano: time.Now().UnixNano(), Epoch: p.Epoch()}
+		// A record whose frame exceeds the wire limit cannot be shipped;
+		// skipping it would break the verbatim-prefix invariant, so the
+		// stream ends here.
+		frame, err := wire.EncodeNotice(wire.KindReplRecord, push)
+		if err != nil {
+			return
+		}
 		// Blocking enqueue: dropping a record would break the verbatim-
 		// prefix invariant. A truly stuck follower trips the connection
 		// write deadline, which closes the conn and errors this send.
-		if err := conn.NotifySync(wire.KindReplRecord, push); err != nil {
+		if err := conn.NotifySync(frame); err != nil {
 			return
 		}
 		fs.streamed.Store(seq)

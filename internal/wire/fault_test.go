@@ -146,14 +146,18 @@ func TestNotifyOverflowDisconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := <-attached
-	// Large payloads defeat socket buffering quickly.
-	payload := make([]byte, 256<<10)
+	// Large payloads defeat socket buffering quickly. The frame is built
+	// once, as a fan-out push is, so the loop only enqueues.
+	flood, err := EncodeNotice("flood", make([]byte, 256<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never overflowed")
 		}
-		err := conn.Notify("flood", payload)
+		err := conn.Notify(flood)
 		if errors.Is(err, ErrSlowSubscriber) {
 			break
 		}
@@ -165,7 +169,11 @@ func TestNotifyOverflowDisconnects(t *testing.T) {
 		}
 	}
 	// After the overflow the conn is dead: further notifies fail fast.
-	if err := conn.Notify("after", "x"); err == nil {
+	after, err := EncodeNotice("after", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Notify(after); err == nil {
 		t.Error("notify on overflowed connection succeeded")
 	}
 }

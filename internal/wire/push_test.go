@@ -153,13 +153,17 @@ func TestNotifyOnClosedConnAlwaysFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := <-attached
-	payload := make([]byte, 256<<10)
+	// Framed once outside the loop, as a fan-out push is.
+	flood, err := EncodeNotice("flood", make([]byte, 256<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never overflowed")
 		}
-		if err := conn.Notify("flood", payload); errors.Is(err, ErrSlowSubscriber) {
+		if err := conn.Notify(flood); errors.Is(err, ErrSlowSubscriber) {
 			break
 		} else if err != nil {
 			t.Fatalf("notify before overflow: %v", err)
@@ -174,19 +178,17 @@ func TestNotifyOnClosedConnAlwaysFails(t *testing.T) {
 			drained = true
 		}
 	}
-	frame, err := EncodeMessage(&Message{Kind: "after"})
+	frame, err := EncodeNotice("after", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sends := map[string]func() error{
-		"Notify":            func() error { return conn.Notify("after", "x") },
-		"NotifyEncoded":     func() error { return conn.NotifyEncoded(frame) },
-		"NotifySync":        func() error { return conn.NotifySync("after", "x") },
-		"NotifySyncEncoded": func() error { return conn.NotifySyncEncoded(frame) },
+	sends := map[string]func([]byte) error{
+		"Notify":     conn.Notify,
+		"NotifySync": conn.NotifySync,
 	}
 	for name, send := range sends {
 		for i := 0; i < 100; i++ {
-			if err := send(); !errors.Is(err, ErrClosed) {
+			if err := send(frame); !errors.Is(err, ErrClosed) {
 				t.Fatalf("%s %d on a closed connection: err = %v, want ErrClosed", name, i, err)
 			}
 		}

@@ -10,8 +10,9 @@
 // Fault tolerance. Wide-area links stall, half-die, and reset; the wire
 // layer bounds the damage:
 //
-//   - Every accepted connection owns a bounded outbound queue drained by a
-//     dedicated writer goroutine. Server pushes (Notify) never block on a
+//   - Every accepted connection owns a bounded outbound queue of frames,
+//     each built and sized by its sender, drained by a dedicated writer
+//     goroutine. Server pushes (Notify) never block on a
 //     peer's TCP window: a full queue means the peer is not draining, the
 //     connection is closed, and the caller gets ErrSlowSubscriber. The
 //     subscriber reconnects and resumes gap-free from its changelog cursor.
@@ -30,7 +31,6 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -183,41 +183,36 @@ type Message struct {
 	Resources []*rdf.Resource `json:"-"`
 }
 
-// encBufPool recycles the frame-assembly buffers of WriteMessage. Writer
-// goroutines frame thousands of messages per second; pooling keeps the
-// header+payload copy from allocating per message.
-var encBufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-// WriteMessage frames and writes one message. The header and payload are
-// assembled in a pooled buffer and hit the writer with a single Write, so a
-// net.Conn pays one syscall per message instead of two.
+// WriteMessage frames one message (EncodeMessage) and writes it with a
+// single Write, so a net.Conn pays one syscall per message.
 func WriteMessage(w io.Writer, m *Message) error {
-	payload, err := json.Marshal(m)
+	frame, err := EncodeMessage(m)
 	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
+		return err
 	}
-	if len(payload) > MaxMessageSize {
-		return fmt.Errorf("wire: message of %d bytes exceeds limit", len(payload))
-	}
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	_, err = w.Write(buf.Bytes())
-	encBufPool.Put(buf)
+	_, err = w.Write(frame)
 	return err
 }
 
 // EncodeMessage marshals and frames a message into a standalone byte slice
-// that can be written verbatim to any connection (NotifyEncoded).
+// that can be written verbatim to any connection.
 func EncodeMessage(m *Message) ([]byte, error) {
 	return encodeEnvelope(m, "message")
 }
 
-// encodeEnvelope is EncodeMessage; what names the message in the error
-// for one larger than MaxMessageSize.
+// EncodeNotice frames a server push (ID 0) of the given kind with body
+// marshalled as its JSON body, ready for ServerConn.Notify or NotifySync.
+func EncodeNotice(kind string, body interface{}) ([]byte, error) {
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return nil, fmt.Errorf("wire: marshal %s notice: %w", kind, err)
+	}
+	return encodeEnvelope(&Message{Kind: kind, Body: payload}, kind+" notice")
+}
+
+// encodeEnvelope marshals and frames a JSON envelope; it is the only place
+// one is sized. what names the message in the error for one larger than
+// MaxMessageSize.
 func encodeEnvelope(m *Message, what string) ([]byte, error) {
 	payload, err := json.Marshal(m)
 	if err != nil {
@@ -301,7 +296,7 @@ type EncodedPush struct {
 
 // EncodePushFrame frames one push, or several as a batch, into a byte
 // slice that can be enqueued verbatim on any number of connections
-// (NotifyEncoded). The changeset bytes are copied, never re-encoded.
+// (ServerConn.Notify). The changeset bytes are copied, never re-encoded.
 func EncodePushFrame(pushes []EncodedPush) ([]byte, error) {
 	size := 1
 	for _, p := range pushes {
@@ -600,49 +595,56 @@ func (s *Server) serveConn(c *ServerConn) {
 			}
 			continue
 		}
-		if m.Kind == KindPing {
-			if err := c.send(&Message{ID: m.ID}); err != nil {
-				return
-			}
-			continue
-		}
-		if m.Kind == KindHello {
-			resp := &Message{ID: m.ID}
-			var hb helloBody
-			if err := json.Unmarshal(m.Body, &hb); err != nil {
-				resp.Error = fmt.Sprintf("wire: malformed hello: %v", err)
-			} else if hb.Version != s.cfg.protocolVersion() {
-				resp.Error = fmt.Sprintf(
-					"wire: protocol version mismatch: peer speaks v%d, this node speaks v%d; upgrade the older side before connecting",
-					hb.Version, s.cfg.protocolVersion())
-			} else {
-				echo := helloBody{Version: s.cfg.protocolVersion()}
-				if s.cfg.EpochFn != nil {
-					echo.Epoch = s.cfg.EpochFn()
-				}
-				if body, err := json.Marshal(&echo); err == nil {
-					resp.Body = body
-				}
-			}
-			// On mismatch the error response is still delivered; the peer
+		var result interface{}
+		switch m.Kind {
+		case KindPing:
+			// A ping's reply is the bare ID: a nil result.
+		case KindHello:
+			// A refused hello still gets its error response; the peer
 			// closes the connection after reading it.
-			if err := c.send(resp); err != nil {
-				return
-			}
-			continue
+			result, err = s.hello(m.Body)
+		default:
+			result, err = s.handler(c, m.Kind, m.Body)
 		}
-		result, err := s.handler(c, m.Kind, m.Body)
-		if err := c.respond(m.ID, result, err); err != nil {
+		if c.respond(m.ID, result, err) != nil {
 			return
 		}
 	}
+}
+
+// hello answers a version handshake with this node's version and epoch, or
+// refuses a peer that speaks another version.
+func (s *Server) hello(body json.RawMessage) (interface{}, error) {
+	var hb helloBody
+	if err := json.Unmarshal(body, &hb); err != nil {
+		return nil, fmt.Errorf("wire: malformed hello: %v", err)
+	}
+	ours := s.cfg.protocolVersion()
+	if hb.Version != ours {
+		return nil, versionMismatch(hb.Version, ours)
+	}
+	echo := &helloBody{Version: ours}
+	if s.cfg.EpochFn != nil {
+		echo.Epoch = s.cfg.EpochFn()
+	}
+	return echo, nil
+}
+
+// versionMismatch is the handshake's refusal, on either side.
+func versionMismatch(peer, ours int) error {
+	return &RemoteError{Msg: fmt.Sprintf(
+		"wire: protocol version mismatch: peer speaks v%d, this node speaks v%d; upgrade the older side before connecting",
+		peer, ours)}
 }
 
 // respond frames a request's response on the handler goroutine and
 // enqueues it. A *ResourcesResponse result becomes a binary answer frame,
 // any other result a JSON envelope. A response that cannot be framed (too
 // large, or not marshalable) is replaced by an error envelope, so the
-// caller gets a RemoteError and the connection stays usable.
+// caller gets a RemoteError and the connection stays usable. Responses wait
+// for queue space like NotifySync: request processing is serial per
+// connection, so the wait is bounded by the writer's own deadline-guarded
+// progress.
 func (c *ServerConn) respond(id uint64, result interface{}, herr error) error {
 	frame, err := encodeResponse(id, result, herr)
 	if err != nil {
@@ -650,7 +652,7 @@ func (c *ServerConn) respond(id uint64, result interface{}, herr error) error {
 			return err
 		}
 	}
-	return c.enqueue(outbound{frame: frame})
+	return c.NotifySync(frame)
 }
 
 func encodeResponse(id uint64, result interface{}, herr error) ([]byte, error) {
@@ -671,12 +673,13 @@ func encodeResponse(id uint64, result interface{}, herr error) ([]byte, error) {
 }
 
 // ServerConn is one accepted connection. Handlers may keep a reference to
-// push messages to it later (Notify). All writes flow through a bounded
-// queue drained by a dedicated writer goroutine.
+// push frames to it later (Notify, NotifySync). Every queued write is a
+// frame its sender built and sized; a bounded queue carries them to a
+// dedicated writer goroutine, which writes them verbatim.
 type ServerConn struct {
 	nc        net.Conn
 	server    *Server
-	sendCh    chan outbound
+	sendCh    chan []byte
 	closed    chan struct{}
 	closeOnce sync.Once
 	enqueued  atomic.Uint64
@@ -686,19 +689,11 @@ type ServerConn struct {
 	Tag atomic.Value
 }
 
-// outbound is one queued write: either a message to frame on the writer
-// goroutine, or a frame written verbatim (a response, framed and sized on
-// its handler goroutine, or an encode-once fan-out push).
-type outbound struct {
-	msg   *Message
-	frame []byte
-}
-
 func newServerConn(nc net.Conn, s *Server) *ServerConn {
 	c := &ServerConn{
 		nc:     nc,
 		server: s,
-		sendCh: make(chan outbound, s.cfg.sendQueue()),
+		sendCh: make(chan []byte, s.cfg.sendQueue()),
 		closed: make(chan struct{}),
 	}
 	c.lastRecv.Store(time.Now().UnixNano())
@@ -706,8 +701,9 @@ func newServerConn(nc net.Conn, s *Server) *ServerConn {
 }
 
 // writeLoop drains the outbound queue onto the socket, applying the write
-// deadline per message, and pushes liveness pings on the heartbeat
-// interval. It is the only goroutine that writes to the socket.
+// deadline per frame, and pushes liveness pings on the heartbeat interval.
+// It is the only goroutine that writes to the socket, and the ping is the
+// only frame it builds.
 func (c *ServerConn) writeLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	var tick <-chan time.Time
@@ -717,88 +713,31 @@ func (c *ServerConn) writeLoop(wg *sync.WaitGroup) {
 		tick = t.C
 	}
 	for {
+		var frame []byte
 		select {
-		case o := <-c.sendCh:
-			var err error
-			if o.frame != nil {
-				err = c.writeFrame(o.frame)
-			} else {
-				err = c.writeNow(o.msg)
-			}
-			if err != nil {
-				c.Close()
-				return
-			}
+		case frame = <-c.sendCh:
 		case <-tick:
-			body, _ := json.Marshal(&pingBody{T: time.Now().UnixNano()})
-			if err := c.writeNow(&Message{ID: 0, Kind: KindPing, Body: body}); err != nil {
-				c.Close()
-				return
-			}
+			frame, _ = EncodeNotice(KindPing, &pingBody{T: time.Now().UnixNano()})
 		case <-c.closed:
+			return
+		}
+		if wt := c.server.cfg.WriteTimeout; wt > 0 {
+			c.nc.SetWriteDeadline(time.Now().Add(wt))
+		}
+		if _, err := c.nc.Write(frame); err != nil {
+			c.Close()
 			return
 		}
 	}
 }
 
-func (c *ServerConn) writeNow(m *Message) error {
-	if wt := c.server.cfg.WriteTimeout; wt > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(wt))
-	}
-	return WriteMessage(c.nc, m)
-}
-
-// writeFrame writes a pre-encoded frame verbatim under the write deadline.
-func (c *ServerConn) writeFrame(frame []byte) error {
-	if wt := c.server.cfg.WriteTimeout; wt > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(wt))
-	}
-	_, err := c.nc.Write(frame)
-	return err
-}
-
-// send enqueues a message, blocking until there is queue space or the
-// connection closes. Responses use it: request processing is serial per
-// connection, so the wait is bounded by the writer's own deadline-guarded
-// progress.
-func (c *ServerConn) send(m *Message) error {
-	return c.enqueue(outbound{msg: m})
-}
-
-func (c *ServerConn) enqueue(o outbound) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
-	select {
-	case c.sendCh <- o:
-		c.enqueued.Add(1)
-		return nil
-	case <-c.closed:
-		return ErrClosed
-	}
-}
-
-// Notify pushes a server-initiated message (ID 0) to the peer without
-// blocking: if the outbound queue is full the peer is a slow subscriber,
-// the connection is closed, and ErrSlowSubscriber is returned. The
-// publisher is never exposed to the peer's TCP window.
-func (c *ServerConn) Notify(kind string, body interface{}) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	return c.notify(outbound{msg: &Message{ID: 0, Kind: kind, Body: payload}})
-}
-
-// NotifyEncoded is Notify for a frame already produced by EncodeMessage or
-// EncodePushFrame: the same slice can be enqueued on any number of
-// connections without re-encoding. The caller must not mutate the frame
-// afterwards.
-func (c *ServerConn) NotifyEncoded(frame []byte) error {
-	return c.notify(outbound{frame: frame})
-}
-
-func (c *ServerConn) notify(o outbound) error {
+// Notify queues a server push frame (EncodePushFrame, EncodeNotice) for
+// the peer without blocking: if the outbound queue is full the peer is a
+// slow subscriber, the connection is closed, and ErrSlowSubscriber is
+// returned. The publisher is never exposed to the peer's TCP window. The
+// same frame can be queued on any number of connections; the caller must
+// not mutate it afterwards.
+func (c *ServerConn) Notify(frame []byte) error {
 	// A closed connection must fail every send. Without this check the
 	// select below picks at random between a queue slot the writer freed
 	// before it exited and the closed channel.
@@ -806,7 +745,7 @@ func (c *ServerConn) notify(o outbound) error {
 		return ErrClosed
 	}
 	select {
-	case c.sendCh <- o:
+	case c.sendCh <- frame:
 		c.enqueued.Add(1)
 		return nil
 	case <-c.closed:
@@ -817,22 +756,22 @@ func (c *ServerConn) notify(o outbound) error {
 	}
 }
 
-// NotifySync pushes a server-initiated message, blocking until it is
-// queued or the connection closes. Resume replays use it: a replay can be
-// much longer than the queue, and the receiver is actively draining it, so
-// backpressure (bounded by the writer's deadline-guarded progress) is the
-// correct policy rather than overflow-disconnect.
-func (c *ServerConn) NotifySync(kind string, body interface{}) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
+// NotifySync queues a frame like Notify, but blocks until it is queued or
+// the connection closes. Resume replays and replication use it: a replay
+// can be much longer than the queue, and the receiver is actively draining
+// it, so backpressure (bounded by the writer's deadline-guarded progress)
+// is the correct policy rather than overflow-disconnect.
+func (c *ServerConn) NotifySync(frame []byte) error {
+	if c.isClosed() {
+		return ErrClosed
 	}
-	return c.send(&Message{ID: 0, Kind: kind, Body: payload})
-}
-
-// NotifySyncEncoded is NotifySync for a pre-encoded frame.
-func (c *ServerConn) NotifySyncEncoded(frame []byte) error {
-	return c.enqueue(outbound{frame: frame})
+	select {
+	case c.sendCh <- frame:
+		c.enqueued.Add(1)
+		return nil
+	case <-c.closed:
+		return ErrClosed
+	}
 }
 
 func (c *ServerConn) isClosed() bool {
@@ -937,9 +876,7 @@ func (c *Client) handshake() error {
 		return err
 	}
 	if resp.Version != c.cfg.protocolVersion() {
-		return &RemoteError{Msg: fmt.Sprintf(
-			"wire: protocol version mismatch: peer speaks v%d, this node speaks v%d; upgrade the older side before connecting",
-			resp.Version, c.cfg.protocolVersion())}
+		return versionMismatch(resp.Version, c.cfg.protocolVersion())
 	}
 	c.peerEpoch.Store(resp.Epoch)
 	return nil
@@ -1045,15 +982,20 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// write frames one message onto the socket under the write lock, applying
-// the configured write deadline.
+// write frames one message, then writes it onto the socket under the write
+// lock, applying the configured write deadline.
 func (c *Client) write(m *Message) error {
+	frame, err := EncodeMessage(m)
+	if err != nil {
+		return err
+	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if wt := c.cfg.WriteTimeout; wt > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(wt))
 	}
-	return WriteMessage(c.nc, m)
+	_, err = c.nc.Write(frame)
+	return err
 }
 
 // Call sends a request and decodes the response body into out (which may be

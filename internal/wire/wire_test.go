@@ -76,7 +76,11 @@ func echoServer(t *testing.T) (*Server, string) {
 		case "fail":
 			return nil, fmt.Errorf("deliberate failure")
 		case "push-me":
-			go conn.Notify("poke", &echoReq{Text: "pushed"})
+			frame, err := EncodeNotice("poke", &echoReq{Text: "pushed"})
+			if err != nil {
+				return nil, err
+			}
+			go conn.Notify(frame)
 			return nil, nil
 		default:
 			return nil, fmt.Errorf("unknown kind %q", kind)

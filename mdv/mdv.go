@@ -139,19 +139,6 @@ func NewProvider(name string, schema *Schema) (*Provider, error) {
 // for snapshots and experiments).
 type Engine = core.Engine
 
-// LoadEngine restores a filter engine from a snapshot written by
-// Provider.SaveSnapshot.
-func LoadEngine(r io.Reader, schema *Schema) (*Engine, error) {
-	return core.Load(r, schema)
-}
-
-// LoadEngineWithOptions is LoadEngine with explicit engine options
-// (snapshots carry no ablation configuration; the loaded engine rebuilds
-// derived state such as its substring index from the canonical tables).
-func LoadEngineWithOptions(r io.Reader, schema *Schema, opts EngineOptions) (*Engine, error) {
-	return core.LoadWithOptions(r, schema, opts)
-}
-
 // Every provider keeps a write-ahead changelog: it makes every
 // acknowledged operation crash-safe and lets reconnecting repositories
 // resume the changeset stream (see internal/provider/durable.go).
