@@ -5,15 +5,17 @@
 // Usage:
 //
 //	mdp -addr :7171 -name mdp1 -schema schema.rdf -data /var/lib/mdp \
-//	    [-wal-sync group|always|none] [-snapshot-interval 5m]
+//	    [-wal-sync group|always|none]
 //	mdp -addr :7172 -name mdp2 -schema schema.rdf -data /var/lib/mdp2 \
 //	    -replica-of primary:7171
 //
 // The -data directory holds the provider's snapshot and write-ahead
 // changelog: every acknowledged operation is written to the changelog
-// before it is applied, snapshots are taken periodically
-// (-snapshot-interval) and on SIGTERM, and reconnecting LMRs resume the
-// changeset stream from their acknowledged sequence.
+// before it is applied, and reconnecting LMRs resume the changeset stream
+// from their acknowledged sequence. The node takes a snapshot and
+// truncates the changelog whenever the log has grown past the snapshot by
+// max(64 MiB, the snapshot's size), and once more on SIGTERM; no option
+// sets when.
 //
 // With -replica-of the node runs as a read replica of the named primary:
 // it streams the primary's changelog into its own durable copy
@@ -65,7 +67,6 @@ func main() {
 		schemaPath = flag.String("schema", "", "path to the RDF schema file (required)")
 		dataDir    = flag.String("data", "", "data directory: snapshot and write-ahead changelog (required)")
 		walSync    = flag.String("wal-sync", "group", "changelog durability: group (batched fsync), always (fsync per op), none")
-		snapEvery  = flag.Duration("snapshot-interval", 5*time.Minute, "interval between snapshot+changelog-truncation passes (0 disables)")
 		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "heartbeat ping interval; peers silent for 3x this are disconnected (0 disables)")
 		ioTimeout  = flag.Duration("io-timeout", 10*time.Second, "per-message write deadline on subscriber connections (0 disables)")
 		sendQueue  = flag.Int("send-queue", 256, "bounded per-subscriber send queue; overflow disconnects the subscriber")
@@ -250,27 +251,6 @@ func main() {
 		}
 	}
 
-	var stopSnapshots chan struct{}
-	if *snapEvery > 0 {
-		stopSnapshots = make(chan struct{})
-		go func() {
-			t := time.NewTicker(*snapEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := prov.Compact(); err != nil {
-						log.Printf("mdp: periodic snapshot: %v", err)
-					} else {
-						log.Printf("mdp: snapshot written (log seq %d)", prov.LogSeq())
-					}
-				case <-stopSnapshots:
-					return
-				}
-			}
-		}()
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -280,9 +260,6 @@ func main() {
 		follower.Close()
 	}
 	folMu.Unlock()
-	if stopSnapshots != nil {
-		close(stopSnapshots)
-	}
 	if err := prov.Compact(); err != nil {
 		log.Printf("mdp: final snapshot: %v", err)
 	} else {

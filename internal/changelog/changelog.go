@@ -132,12 +132,19 @@ type Log struct {
 	appends   atomic.Uint64 // records appended (observability)
 	truncated atomic.Uint64 // segment files removed by TruncateBelow
 	met       atomic.Pointer[logMetrics]
+	// appended tallies the payload bytes appended since Open; the
+	// provider measures its log's growth past a snapshot with it.
+	appended atomic.Uint64
 
 	// notifyMu/notifyCh broadcast durability advances (and close) to
 	// tailing Readers: each advance closes and replaces the channel.
 	notifyMu sync.Mutex
 	notifyCh chan struct{}
 }
+
+// AppendedBytes returns the payload bytes appended since the log was
+// opened.
+func (l *Log) AppendedBytes() uint64 { return l.appended.Load() }
 
 // SyncCount returns how many fsyncs the log has issued. Against the number
 // of operations committed it gives the group-commit amortization ratio.
@@ -390,6 +397,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.nextSeq++
 	l.written = seq
 	l.appends.Add(1)
+	l.appended.Add(uint64(len(payload)))
 	l.size += int64(headerSize) + int64(len(payload))
 	if l.opts.Sync == SyncAlways {
 		if err := l.w.Flush(); err != nil {

@@ -242,23 +242,6 @@ func (c *MDP) Stats() (core.Stats, error) {
 	return st, err
 }
 
-// RegisterDocumentsContext registers a batch under an explicit context
-// (deadline or cancellation).
-func (c *MDP) RegisterDocumentsContext(ctx context.Context, docs []*rdf.Document) error {
-	req := wire.RegisterDocumentsRequest{Epoch: c.writeEpoch.Load()}
-	for _, d := range docs {
-		req.Docs = append(req.Docs, wire.Doc{URI: d.URI, XML: rdf.DocumentString(d)})
-	}
-	return c.conn.CallContext(ctx, wire.KindRegisterDocuments, &req, nil)
-}
-
-// SubscribeContext registers a subscription rule under an explicit context.
-func (c *MDP) SubscribeContext(ctx context.Context, subscriber, rule string) (int64, error) {
-	var resp wire.SubscribeResponse
-	err := c.conn.CallContext(ctx, wire.KindSubscribe, &wire.SubscribeRequest{Subscriber: subscriber, Rule: rule, Epoch: c.writeEpoch.Load()}, &resp)
-	return resp.SubID, err
-}
-
 // EnablePushMetrics registers the end-to-end propagation-lag histogram on
 // reg and observes it for every live push carrying a publish timestamp.
 // Resume replays (PubUnixNano == 0) are excluded: their delay measures how
@@ -326,10 +309,6 @@ func (c *MDP) Ping(ctx context.Context) (time.Duration, error) {
 	return c.conn.Ping(ctx)
 }
 
-// HeartbeatRTT returns the last heartbeat round trip to the provider
-// (zero until measured; requires Config.Heartbeat).
-func (c *MDP) HeartbeatRTT() time.Duration { return c.conn.RTT() }
-
 // LMR is a client connection to a local metadata repository.
 type LMR struct {
 	conn *wire.Client
@@ -357,15 +336,6 @@ func (c *LMR) call(kind string, req, out interface{}) error {
 
 // Close closes the connection.
 func (c *LMR) Close() error { return c.conn.Close() }
-
-// QueryContext evaluates an MDV query at the LMR under an explicit context.
-func (c *LMR) QueryContext(ctx context.Context, q string) ([]*rdf.Resource, error) {
-	var resp wire.ResourcesResponse
-	if err := c.conn.CallContext(ctx, wire.KindQuery, &wire.QueryRequest{Query: q}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Resources, nil
-}
 
 // Query evaluates an MDV query at the LMR.
 func (c *LMR) Query(q string) ([]*rdf.Resource, error) {

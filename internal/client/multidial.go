@@ -36,9 +36,6 @@ func NewMultiDialer(addrs []string, cfg Config) (*MultiDialer, error) {
 	return &MultiDialer{addrs: append([]string(nil), addrs...), cfg: cfg}, nil
 }
 
-// Addrs returns the configured endpoints.
-func (d *MultiDialer) Addrs() []string { return append([]string(nil), d.addrs...) }
-
 // Epoch returns the highest replication term seen across connects.
 func (d *MultiDialer) Epoch() uint64 {
 	d.mu.Lock()

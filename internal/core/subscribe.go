@@ -283,23 +283,6 @@ func (e *Engine) Subscriptions() ([]Subscription, error) {
 	return out, nil
 }
 
-// SubscriptionsOf lists a subscriber's subscriptions.
-func (e *Engine) SubscriptionsOf(subscriber string) ([]Subscription, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	rows, err := e.db.Query(
-		`SELECT sub_id, subscriber, rule_text FROM Subscriptions WHERE subscriber = ? ORDER BY sub_id`,
-		rdb.NewText(subscriber))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Subscription, 0, rows.Len())
-	for _, r := range rows.Data {
-		out = append(out, Subscription{ID: r[0].Int, Subscriber: r[1].Str, RuleText: r[2].Str})
-	}
-	return out, nil
-}
-
 // RegisterNamedRule stores a rule under a name so later rules can use it as
 // an extension (paper §2.3). The named rule must normalize to a single
 // conjunctive rule (no OR).

@@ -59,9 +59,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// SetInt replaces the gauge value with an integer.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
 // Add adjusts the gauge by delta (CAS loop; gauges are rarely contended).
 func (g *Gauge) Add(delta float64) {
 	for {

@@ -41,6 +41,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mdv/internal/changelog"
@@ -222,6 +225,20 @@ type durableState struct {
 	// catchup is the replica Resume catch-up bound (see
 	// DurableOptions.CatchupWait); immutable after open.
 	catchup time.Duration
+
+	// compactMu runs compactions one at a time. Close takes it, so no
+	// compaction writes into a directory being closed or removed; closed
+	// is guarded by it.
+	compactMu sync.Mutex
+	closed    bool
+	// grownFrom is the log's AppendedBytes reading at which nothing past
+	// the snapshot had been appended, so the log has grown past the
+	// snapshot by AppendedBytes - grownFrom. Recovery seeds it (negative)
+	// with the retained records past the snapshot; writing a snapshot
+	// resets it. snapBytes is the snapshot file's size (0 while there is
+	// none).
+	grownFrom atomic.Int64
+	snapBytes atomic.Int64
 }
 
 // inLost reports whether seq falls inside a crash-lost sequence range.
@@ -251,15 +268,6 @@ func (d *durableState) addLost(lo, hi uint64) {
 // to keep each frame far from MaxMessageSize and the receiver's apply
 // granularity fine.
 const replayBatchLimit = 128
-
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
 
 // watermarkChunk is how far past the triggering sequence a delivered-
 // watermark record claims. Claiming ahead amortizes the watermark's fsync
@@ -328,9 +336,13 @@ func OpenDurableWithStats(name string, schema *rdf.Schema, dir string, opts Dura
 	stats := &RecoveryStats{}
 	var engine *core.Engine
 	var snapEpoch uint64
+	var snapBytes int64
 	snapPath := filepath.Join(dir, snapshotFile)
 	if f, err := os.Open(snapPath); err == nil {
 		snapSeq, epoch, eng, lerr := readSnapshot(f, schema, opts.EngineOptions)
+		// The size only scales the compaction threshold: on an error it
+		// stays 0 and the floor applies.
+		snapBytes, _ = f.Seek(0, io.SeekEnd)
 		f.Close()
 		if lerr != nil {
 			return nil, nil, fmt.Errorf("provider: load snapshot: %w", lerr)
@@ -361,6 +373,7 @@ func OpenDurableWithStats(name string, schema *rdf.Schema, dir string, opts Dura
 		return nil, nil, err
 	}
 	p.dur = &durableState{log: log, dir: dir, acked: map[string]uint64{}, catchup: opts.CatchupWait}
+	p.dur.snapBytes.Store(snapBytes)
 	if err := p.recover(stats); err != nil {
 		log.Close()
 		return nil, nil, err
@@ -468,8 +481,12 @@ func (p *Provider) recover(stats *RecoveryStats) error {
 	// the snapshot to re-apply, and fold in the ack watermarks (acks
 	// recorded before the snapshot sequence may not have been truncated
 	// yet), the delivered-watermark claim and the epoch; publish records
-	// need no replay here (they are read on demand by Resume).
+	// need no replay here (they are read on demand by Resume). The records
+	// past the snapshot seed the log's growth count.
 	err := p.dur.log.Replay(p.dur.log.OldestSeq(), func(seq uint64, payload []byte) error {
+		if seq > stats.SnapshotSeq {
+			p.dur.grownFrom.Add(-int64(len(payload)))
+		}
 		if len(payload) > 0 && payload[0] == pubGroupTag {
 			return nil // binary publish record: nothing to recover from it
 		}
@@ -694,7 +711,7 @@ func (p *Provider) Resume(subscriber string, fromSeq uint64) (uint64, error) {
 			if err != nil {
 				return fmt.Errorf("provider: changelog record %d: %w", seq, err)
 			}
-			if rec.Kind != recPubGroup || !containsString(rec.Subscribers, subscriber) {
+			if rec.Kind != recPubGroup || !slices.Contains(rec.Subscribers, subscriber) {
 				return nil
 			}
 			// Replays block on queue backpressure (sync) rather than drop:
@@ -728,14 +745,61 @@ func (p *Provider) resetDelivery(subscriber string, seq uint64) (delivery, error
 		pushes: []pushItem{{seq: seq, reset: true, cs: fill}}}, err
 }
 
+// compactFloor is the least growth of the log past its snapshot that
+// makes an operation compact (compactIfGrown). Truncation frees whole
+// segments and the default segment is 64 MiB, so compacting sooner would
+// free nothing.
+const compactFloor = 64 << 20
+
+// compactIfGrown runs Compact once the log has grown past the snapshot by
+// max(compactFloor, the snapshot's size). Waiting for growth equal to the
+// snapshot's size keeps the snapshot bytes written at or below the log
+// bytes written, whatever the size of the rule base. Operations that append
+// call it outside pubMu (a primary's write after its durable wait); if a
+// compaction is already running it returns at once. A failure is counted
+// and never fails the operation: the growth count restarts, so the next
+// crossing of the threshold retries.
+func (p *Provider) compactIfGrown() {
+	d := p.dur
+	grown := func() bool {
+		return int64(d.log.AppendedBytes())-d.grownFrom.Load() >= max(compactFloor, d.snapBytes.Load())
+	}
+	if !grown() || !d.compactMu.TryLock() {
+		return
+	}
+	defer d.compactMu.Unlock()
+	if grown() && p.compactLocked() != nil {
+		d.grownFrom.Store(int64(d.log.AppendedBytes()))
+	}
+}
+
 // Compact writes a snapshot covering the current changelog sequence, then
 // removes changelog segments that are both covered by the snapshot and
 // acknowledged by every subscriber with live subscriptions. Registrations
-// are quiesced for the duration of the snapshot write.
+// are quiesced for the duration of the snapshot write. Compactions run
+// one at a time.
 func (p *Provider) Compact() error {
+	p.dur.compactMu.Lock()
+	defer p.dur.compactMu.Unlock()
+	return p.compactLocked()
+}
+
+// compactLocked is Compact for a caller holding compactMu; it counts the
+// compaction by result.
+func (p *Provider) compactLocked() (err error) {
+	defer func() {
+		if err != nil {
+			p.compactFailures.Add(1)
+		} else {
+			p.compactions.Add(1)
+		}
+	}()
+	if p.dur.closed {
+		return changelog.ErrClosed
+	}
 	p.pubMu.Lock()
 	seq := p.dur.log.LastSeq()
-	err := writeSnapshotFile(filepath.Join(p.dur.dir, snapshotFile), func(w io.Writer) error {
+	err = p.dur.writeSnapshotFile(func(w io.Writer) error {
 		return writeSnapshot(w, seq, p.Epoch(), p.Engine())
 	})
 	if err == nil && !p.replica.Load() && (p.dur.claim > 0 || len(p.dur.lost) > 0) {
@@ -792,9 +856,12 @@ func (p *Provider) truncationWatermark(snapSeq uint64) (uint64, error) {
 	return watermark, nil
 }
 
-// writeSnapshotFile replaces the snapshot file at path with what write
-// produces (writeSnapshot's format), atomically: temp file, fsync, rename.
-func writeSnapshotFile(path string, write func(io.Writer) error) error {
+// writeSnapshotFile replaces the snapshot file with what write produces
+// (writeSnapshot's format), atomically: temp file, fsync, rename. The
+// caller holds pubMu, so the log's AppendedBytes pairs with what the
+// snapshot covers: the growth count restarts from it.
+func (d *durableState) writeSnapshotFile(write func(io.Writer) error) error {
+	path := filepath.Join(d.dir, snapshotFile)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -804,6 +871,10 @@ func writeSnapshotFile(path string, write func(io.Writer) error) error {
 	err = write(w)
 	if err == nil {
 		err = w.Flush()
+	}
+	var size int64
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -823,6 +894,8 @@ func writeSnapshotFile(path string, write func(io.Writer) error) error {
 	// fsync a crash can resurface the old snapshot with its covering
 	// segments already gone.
 	syncDir(filepath.Dir(path))
+	d.grownFrom.Store(int64(d.log.AppendedBytes()))
+	d.snapBytes.Store(size)
 	return nil
 }
 
@@ -836,9 +909,8 @@ func syncDir(dir string) {
 }
 
 // writeSnapshot serializes header (magic + covered log sequence + epoch)
-// and the engine state to w. Shipped bootstrap snapshots and the snapshot
-// file use the identical format, so a follower persists the received bytes
-// verbatim.
+// and the engine state to w. A bootstrap ships the snapshot file as it is,
+// so a follower persists the received bytes verbatim.
 func writeSnapshot(w io.Writer, seq, epoch uint64, engine *core.Engine) error {
 	if _, err := io.WriteString(w, snapshotMagicV2); err != nil {
 		return err
@@ -852,31 +924,38 @@ func writeSnapshot(w io.Writer, seq, epoch uint64, engine *core.Engine) error {
 	return engine.Save(w)
 }
 
-// readSnapshot parses a snapshot written by writeSnapshotFile, either
-// format version. V1 snapshots (pre-epoch) report epoch 0; the caller
-// treats that as "epoch unknown" and keeps its default. The engine options
-// configure the restored engine (snapshots carry no ablation state;
-// derived state is rebuilt from the canonical tables).
-func readSnapshot(r io.Reader, schema *rdf.Schema, opts core.Options) (uint64, uint64, *core.Engine, error) {
-	br := bufio.NewReader(r)
+// readSnapshotHeader reads a snapshot's header, either format version:
+// the log sequence it covers and the epoch it was taken at. V1 snapshots
+// (pre-epoch) report epoch 0; the caller treats that as "epoch unknown"
+// and keeps its default.
+func readSnapshotHeader(r io.Reader) (seq, epoch uint64, err error) {
 	magic := make([]byte, len(snapshotMagicV2))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return 0, 0, nil, err
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return 0, 0, err
 	}
 	if string(magic) != snapshotMagicV1 && string(magic) != snapshotMagicV2 {
-		return 0, 0, nil, fmt.Errorf("not an MDV durable snapshot (bad magic %q)", magic)
+		return 0, 0, fmt.Errorf("not an MDV durable snapshot (bad magic %q)", magic)
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, 0, nil, err
+	if err := binary.Read(r, binary.BigEndian, &seq); err != nil {
+		return 0, 0, err
 	}
-	seq := binary.BigEndian.Uint64(hdr[:])
-	var epoch uint64
 	if string(magic) == snapshotMagicV2 {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return 0, 0, nil, err
+		if err := binary.Read(r, binary.BigEndian, &epoch); err != nil {
+			return 0, 0, err
 		}
-		epoch = binary.BigEndian.Uint64(hdr[:])
+	}
+	return seq, epoch, nil
+}
+
+// readSnapshot parses a snapshot written by writeSnapshotFile: its header
+// (readSnapshotHeader) and the engine. The engine options configure the
+// restored engine (snapshots carry no ablation state; derived state is
+// rebuilt from the canonical tables).
+func readSnapshot(r io.Reader, schema *rdf.Schema, opts core.Options) (uint64, uint64, *core.Engine, error) {
+	br := bufio.NewReader(r)
+	seq, epoch, err := readSnapshotHeader(br)
+	if err != nil {
+		return 0, 0, nil, err
 	}
 	engine, err := core.LoadWithOptions(br, schema, opts)
 	if err != nil {

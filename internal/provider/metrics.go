@@ -15,7 +15,7 @@ type provMetrics struct {
 	turnWait *metrics.Histogram
 	fanout   *metrics.Histogram
 	// snapshotShip times serving one bootstrap snapshot to a follower
-	// (serialize under the publish lock + chunked wire transfer).
+	// (compaction + chunked wire transfer of the snapshot file).
 	snapshotShip *metrics.Histogram
 	// groupsPerPublish is the distinct-interest-group count per publish —
 	// the number the coalesced delivery path's cost actually scales with.
@@ -100,6 +100,13 @@ func (p *Provider) EnableMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("mdv_replication_snapshots_shipped_total",
 		"bootstrap snapshots served to followers",
 		func() float64 { return float64(p.snapshotsShipped.Load()) })
+	reg.SampleFunc("mdv_compactions_total", "snapshot-and-truncate passes by result (ok, error); a failed self-compaction retries at the next threshold crossing",
+		metrics.TypeCounter, func() []metrics.Sample {
+			return []metrics.Sample{
+				{Labels: []metrics.Label{metrics.L("result", "ok")}, Value: float64(p.compactions.Load())},
+				{Labels: []metrics.Label{metrics.L("result", "error")}, Value: float64(p.compactFailures.Load())},
+			}
+		})
 	reg.GaugeFunc("mdv_epoch",
 		"replication term this node is serving (monotone; bumped by promotions)",
 		func() float64 { return float64(p.Epoch()) })

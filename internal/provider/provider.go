@@ -89,8 +89,11 @@ type Provider struct {
 	followers map[string]*followerState
 	// streamWG joins the per-follower streamer goroutines on Close.
 	streamWG sync.WaitGroup
-	// snapshotsShipped counts bootstrap snapshots served to followers.
+	// snapshotsShipped counts bootstrap snapshots served to followers;
+	// compactions and compactFailures count Compact runs by result.
 	snapshotsShipped atomic.Uint64
+	compactions      atomic.Uint64
+	compactFailures  atomic.Uint64
 
 	// dur holds the changelog state.
 	dur *durableState
@@ -603,8 +606,9 @@ func (p *Provider) Unsubscribe(subID int64) error {
 
 // write runs one input operation on the primary: under pubMu it appends the
 // operation's record, applies it to the engine and
-// sequences its publish set; it then delivers in publish order and returns
-// once the records are durable. Unsubscribe and named-rule registration
+// sequences its publish set; it then delivers in publish order and, once
+// the records are durable, compacts if the log has outgrown its snapshot
+// (compactIfGrown). Unsubscribe and named-rule registration
 // publish nothing and release pubMu without a delivery ticket; the other
 // operations take one even when they publish nothing. A subscribe returns
 // its subscription id.
@@ -636,6 +640,7 @@ func (p *Provider) write(rec *logRecord) (int64, error) {
 	if err := p.awaitDurable(durSeq); err != nil {
 		return 0, err
 	}
+	p.compactIfGrown()
 	return subID, nil
 }
 
@@ -766,8 +771,12 @@ func (p *Provider) SetAdvertiseAddr(addr string) {
 
 // Close stops the wire server, if running, and closes the changelog
 // (flushing and, unless SyncNone, fsyncing its tail). A provider made by
-// New also removes its directory.
+// New also removes its directory. A running compaction finishes first;
+// later ones fail.
 func (p *Provider) Close() error {
+	p.dur.compactMu.Lock()
+	p.dur.closed = true
+	p.dur.compactMu.Unlock()
 	p.mu.Lock()
 	srv := p.server
 	p.server = nil

@@ -13,10 +13,10 @@
 // attached subscribers through the delivery turnstile.
 //
 // Bootstrap: a follower whose tail lies below the primary's retained log
-// cannot replay the gap; it requests a snapshot (chunked over the wire, in
-// the exact on-disk snapshot format), installs it mid-life (engine swap
-// under the publish lock + full-state resets to attached subscribers), and
-// streams from the snapshot's coverage.
+// cannot replay the gap; it requests a snapshot (the primary compacts and
+// ships its snapshot file, chunked over the wire), installs it mid-life
+// (engine swap under the publish lock + full-state resets to attached
+// subscribers), and streams from the snapshot's coverage.
 package provider
 
 import (
@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -98,9 +99,10 @@ const snapshotChunkSize = 4 << 20
 
 // handleReplSnapshot serves a follower's bootstrap request. If the
 // follower's tail meets the retained log no snapshot is needed; otherwise
-// the engine snapshot is serialized under the publish lock (so it pairs
-// exactly with a log sequence) and shipped as ordered chunk pushes on this
-// connection — in-handler, so every chunk precedes the response.
+// the provider compacts and ships the snapshot file Compact wrote, read
+// from disk, as ordered chunk pushes on this connection — in-handler, so
+// every chunk precedes the response. The file's header gives the sequence
+// and epoch it covers.
 func (p *Provider) handleReplSnapshot(conn *wire.ServerConn, req *wire.ReplSnapshotRequest) (*wire.ReplSnapshotResponse, error) {
 	if err := p.fencePeer(req.Epoch); err != nil {
 		return nil, err
@@ -109,44 +111,47 @@ func (p *Provider) handleReplSnapshot(conn *wire.ServerConn, req *wire.ReplSnaps
 		return nil, fmt.Errorf("provider: a replica cannot serve replication bootstraps")
 	}
 	t0 := time.Now()
-	p.lockPub()
 	// Force bypasses the tail check: a demoted ex-primary's tail may hold
 	// divergent records the sequence numbers alone cannot reveal, so its
 	// rejoin must take a snapshot unconditionally and rebuild from it.
 	if !req.Force && req.FromSeq+1 >= p.dur.log.OldestSeq() {
-		p.unlockPub()
 		return &wire.ReplSnapshotResponse{Needed: false, Epoch: p.Epoch()}, nil
 	}
-	seq := p.dur.log.LastSeq()
-	var buf bytes.Buffer
-	err := writeSnapshot(&buf, seq, p.Epoch(), p.Engine())
-	p.unlockPub()
-	if err != nil {
-		return nil, fmt.Errorf("provider: serialize bootstrap snapshot: %w", err)
+	if err := p.Compact(); err != nil {
+		return nil, fmt.Errorf("provider: bootstrap snapshot: %w", err)
 	}
-	data := buf.Bytes()
-	for off := 0; ; off += snapshotChunkSize {
-		end := off + snapshotChunkSize
-		last := end >= len(data)
-		if last {
-			end = len(data)
+	// A later compaction may replace the file; the open handle keeps this
+	// one, and its header names what it covers. The header is read with
+	// ReadAt, so the chunks below still start at offset 0.
+	f, err := os.Open(filepath.Join(p.dur.dir, snapshotFile))
+	if err != nil {
+		return nil, fmt.Errorf("provider: bootstrap snapshot: %w", err)
+	}
+	defer f.Close()
+	seq, epoch, err := readSnapshotHeader(io.NewSectionReader(f, 0, snapshotChunkSize))
+	if err != nil {
+		return nil, fmt.Errorf("provider: bootstrap snapshot: %w", err)
+	}
+	chunk := make([]byte, snapshotChunkSize)
+	for last := false; !last; {
+		n, err := io.ReadFull(f, chunk)
+		last = err == io.EOF || err == io.ErrUnexpectedEOF
+		if err != nil && !last {
+			return nil, fmt.Errorf("provider: bootstrap snapshot: %w", err)
 		}
-		frame, err := wire.EncodeNotice(wire.KindReplSnapshotChunk, &wire.ReplSnapshotChunk{Data: data[off:end], Last: last})
+		frame, err := wire.EncodeNotice(wire.KindReplSnapshotChunk, &wire.ReplSnapshotChunk{Data: chunk[:n], Last: last})
 		if err != nil {
 			return nil, err
 		}
 		if err := conn.NotifySync(frame); err != nil {
 			return nil, err
 		}
-		if last {
-			break
-		}
 	}
 	p.snapshotsShipped.Add(1)
 	if m := p.met.Load(); m != nil && m.snapshotShip != nil {
 		m.snapshotShip.ObserveSince(t0)
 	}
-	return &wire.ReplSnapshotResponse{Needed: true, SnapshotSeq: seq, Epoch: p.Epoch()}, nil
+	return &wire.ReplSnapshotResponse{Needed: true, SnapshotSeq: seq, Epoch: epoch}, nil
 }
 
 // handleReplStream subscribes the connection to the changelog record
@@ -281,7 +286,8 @@ func (p *Provider) SyncLog() (uint64, error) {
 // subscribers, ack and watermark records update in-memory bookkeeping.
 // Records at or below the local tail are duplicates from a stream overlap
 // and are skipped. No durability wait happens here — the follower's ack
-// loop syncs the log and acknowledges in batches.
+// loop syncs the log and acknowledges in batches. After the delivery, the
+// replica compacts if its log has outgrown its snapshot (compactIfGrown).
 func (p *Provider) ApplyReplicated(seq uint64, payload []byte, sentNano int64) error {
 	if !p.replica.Load() {
 		return ErrNotReplica
@@ -341,6 +347,7 @@ func (p *Provider) ApplyReplicated(seq uint64, payload []byte, sentNano int64) e
 		p.foldRecord(rec)
 	}
 	p.unlockPubAndDeliver(dels)
+	p.compactIfGrown()
 	return nil
 }
 
@@ -350,7 +357,8 @@ func (p *Provider) ApplyReplicated(seq uint64, payload []byte, sentNano int64) e
 // every attached subscriber receives a full-state reset fill (their caches
 // predate the snapshot, and the records in between are not locally
 // replayable). The stream floor moves to the snapshot's coverage, which is
-// returned; the caller streams from there.
+// returned; the caller streams from there. Like a compaction's, the
+// snapshot write restarts the log's growth count.
 func (p *Provider) InstallSnapshot(data []byte) (uint64, error) {
 	if !p.replica.Load() {
 		return 0, ErrNotReplica
@@ -382,7 +390,7 @@ func (p *Provider) InstallSnapshot(data []byte) (uint64, error) {
 	}
 	// Persist first: if we crash right after the rename, recovery loads
 	// this snapshot and resumes streaming from its coverage.
-	if err := writeSnapshotFile(filepath.Join(p.dur.dir, snapshotFile), func(w io.Writer) error {
+	if err := p.dur.writeSnapshotFile(func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	}); err != nil {

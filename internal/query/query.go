@@ -22,9 +22,6 @@ import (
 	"mdv/internal/rules"
 )
 
-// Result is one query answer: a resource from the local cache.
-type Result = rdf.Resource
-
 // Evaluator evaluates MDV queries against a cache database (the tables
 // created by internal/repository).
 type Evaluator struct {

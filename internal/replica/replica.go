@@ -170,9 +170,6 @@ func (f *Follower) setPrimary(addr string) {
 	f.prov.SetTopologyHint(addr, f.cands)
 }
 
-// AppliedSeq returns the last changelog sequence applied locally.
-func (f *Follower) AppliedSeq() uint64 { return f.prov.LogSeq() }
-
 // AckedSeq returns the last sequence acknowledged to the primary.
 func (f *Follower) AckedSeq() uint64 { return f.ackedSeq.Load() }
 

@@ -144,7 +144,6 @@ type ruleParser struct {
 }
 
 func (p *ruleParser) peek() ruleTok { return p.toks[p.pos] }
-func (p *ruleParser) next() ruleTok { t := p.toks[p.pos]; p.pos++; return t }
 func (p *ruleParser) atEOF() bool   { return p.peek().kind == rtEOF }
 
 func (p *ruleParser) accept(kind ruleTokKind, text string) bool {

@@ -789,9 +789,6 @@ func (c *ServerConn) Close() error {
 	return c.nc.Close()
 }
 
-// RemoteAddr returns the peer address.
-func (c *ServerConn) RemoteAddr() string { return c.nc.RemoteAddr().String() }
-
 // QueueDepth returns the number of queued outbound messages.
 func (c *ServerConn) QueueDepth() int { return len(c.sendCh) }
 
